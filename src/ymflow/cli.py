@@ -19,9 +19,8 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, default_characters, load_config
@@ -31,14 +30,15 @@ from .ensemble import (
     export_csv,
     persist_records,
     run_ensemble,
+    sample_initial,
     tightness_report,
 )
 from .fields import h1_norm, ym_action
-from .flow import FlowConfig, heat_semigroup_u1, integrate
-from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
+from .flow import heat_semigroup_u1, integrate
+# not called here: perfbench/spans.py wraps sampling under these cli names
+from .gff import sample_gff, sample_u1_coulomb  # noqa: F401
 from .storage import FieldFileError, read_field, write_field, write_manifest
 from .wilson import (
-    Character,
     LoopFileError,
     parse_loop_file,
     u1_wilson_exact,
@@ -72,25 +72,14 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _sample_initial(cfg: RunConfig):
-    if cfg.sampler_kind is None or cfg.group is None or cfg.seed is None:
-        raise ConfigError("a complete [sampler] section is required")
-    sampler_cfg = SamplerConfig(cfg.group, cfg.cutoff, seed=cfg.seed,
-                                stream=cfg.stream, coupling=cfg.coupling)
-    a0 = sample_u1_coulomb(sampler_cfg) if cfg.sampler_kind == "u1_coulomb" \
-        else sample_gff(sampler_cfg)
-    if cfg.scale_to_h1 is not None:
-        norm = h1_norm(a0)
-        if norm > 0:
-            a0 = a0.scaled(cfg.scale_to_h1 / norm)
-    return a0
-
-
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
     outdir, source = _resolve_output(cfg, args)
     outdir.mkdir(parents=True, exist_ok=True)
-    a0 = _sample_initial(cfg)
+    if cfg.sampler_kind is None or cfg.group is None or cfg.seed is None:
+        raise ConfigError("a complete [sampler] section is required")
+    a0 = sample_initial(cfg.group, cfg.sampler_kind, cfg.cutoff, cfg.seed,
+                        cfg.stream, cfg.coupling, cfg.scale_to_h1)
     name = f"field_{cfg.group.label()}_N{cfg.cutoff}_seed{cfg.seed}_s{cfg.stream}.ymf"
     path = outdir / name
     write_field(path, a0)
@@ -179,20 +168,13 @@ def cmd_wilson(args) -> int:
                 "non-Abelian Wilson evaluation needs a [flow] section to "
                 "regularize the field"
             )
-        run = FlowConfig(
-            flow_kind=cfg.flow.flow_kind, t_end=max(times),
-            dt_initial=cfg.flow.dt_initial,
-            checkpoint_times=tuple(sorted(set(times))),
-            dt_safety=cfg.flow.dt_safety,
-            blowup_threshold=cfg.flow.blowup_threshold,
-            resolution=cfg.flow.resolution,
-            error_tol=cfg.flow.error_tol,
-        )
+        run = replace(cfg.flow, t_end=max(times),
+                      checkpoint_times=tuple(sorted(set(times))))
         traj = integrate(a0, run)
         if traj.blew_up:
-            raise RuntimeError(
-                f"flow halted at t={_fmt(traj.attained_time)}; no Wilson values"
-            )
+            print(f"flow halted at t = {_fmt(traj.attained_time)}: "
+                  f"{traj.failure}; no Wilson values", file=sys.stderr)
+            return EXIT_BLOWUP
         flowed = traj.states
     with out_path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)

@@ -19,7 +19,7 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = [
     "EnsembleRecord",
     "RecordError",
     "run_ensemble",
+    "sample_initial",
     "persist_records",
     "load_records",
     "export_csv",
@@ -84,32 +85,10 @@ class EnsembleSpec:
             raise ValueError("observation times must be positive")
 
     def config_hash(self) -> str:
-        payload = {
-            "group": self.group.label(),
-            "sampler_kind": self.sampler_kind,
-            "seed": self.seed,
-            "cutoffs": list(self.cutoffs),
-            "times": list(self.times),
-            "n_samples": self.n_samples,
-            "coupling": self.coupling,
-            "scale_to_h1": self.scale_to_h1,
-            "wilson_steps": self.wilson_steps,
-            "flow": {
-                "kind": self.flow.flow_kind,
-                "t_end": self.flow.t_end,
-                "dt_initial": self.flow.dt_initial,
-                "dt_safety": self.flow.dt_safety,
-                "checkpoints": list(self.flow.checkpoint_times),
-                "blowup_threshold": self.flow.blowup_threshold,
-            },
-            "loops": [
-                {"name": lp.name, "vertices": lp.vertices.tolist(),
-                 "winding": lp.winding.tolist()}
-                for lp in self.loops
-            ],
-            "characters": [ch.label() for ch in self.characters],
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
+        """Digest of every field of the spec, the flow configuration, loops
+        and characters included, so any change of numerics changes it."""
+        blob = json.dumps(asdict(self), sort_keys=True,
+                          default=lambda v: v.tolist()).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -129,24 +108,28 @@ class EnsembleRecord:
     config_hash: str = ""
 
 
-def _sample_member(spec: EnsembleSpec, stream: int, cutoff: int) -> SpectralConnection:
-    cfg = SamplerConfig(spec.group, cutoff, seed=spec.seed, stream=stream,
-                        coupling=spec.coupling)
-    a0 = sample_u1_coulomb(cfg) if spec.sampler_kind == "u1_coulomb" else sample_gff(cfg)
-    if spec.scale_to_h1 is not None:
+def sample_initial(group: GroupSpec, sampler_kind: str, cutoff: int, seed: int,
+                   stream: int = 0, coupling: float = 1.0,
+                   scale_to_h1: float | None = None) -> SpectralConnection:
+    """Draw the initial field of one (seed, stream) at this cutoff and, when
+    scale_to_h1 is given, rescale it to that H^1 norm."""
+    cfg = SamplerConfig(group, cutoff, seed=seed, stream=stream, coupling=coupling)
+    a0 = sample_u1_coulomb(cfg) if sampler_kind == "u1_coulomb" else sample_gff(cfg)
+    if scale_to_h1 is not None:
         norm = h1_norm(a0)
         if norm > 0:
-            a0 = a0.scaled(spec.scale_to_h1 / norm)
+            a0 = a0.scaled(scale_to_h1 / norm)
     return a0
 
 
-def _member_record(spec: EnsembleSpec, stream: int, cutoff: int) -> EnsembleRecord:
+def _member_record(spec: EnsembleSpec, stream: int, cutoff: int,
+                   config_hash: str) -> EnsembleRecord:
     rec = EnsembleRecord(
         seed=spec.seed, stream=stream, cutoff=cutoff,
-        group=spec.group.label(), g=spec.coupling,
-        config_hash=spec.config_hash(),
+        group=spec.group.label(), g=spec.coupling, config_hash=config_hash,
     )
-    a0 = _sample_member(spec, stream, cutoff)
+    a0 = sample_initial(spec.group, spec.sampler_kind, cutoff, spec.seed, stream,
+                        spec.coupling, spec.scale_to_h1)
     if spec.flow.flow_kind == "u1_exact":
         # diagonal semigroup: observables in closed form
         rec.attained_time = spec.flow.t_end
@@ -159,17 +142,7 @@ def _member_record(spec: EnsembleSpec, stream: int, cutoff: int) -> EnsembleReco
                         a0, lp, ch, t
                     )
         return rec
-    run_cfg = FlowConfig(
-        flow_kind=spec.flow.flow_kind,
-        t_end=spec.flow.t_end,
-        dt_initial=spec.flow.dt_initial,
-        checkpoint_times=tuple(sorted(set(spec.times))),
-        dt_safety=spec.flow.dt_safety,
-        blowup_threshold=spec.flow.blowup_threshold,
-        resolution=spec.flow.resolution,
-        error_tol=spec.flow.error_tol,
-        monotone_tol=spec.flow.monotone_tol,
-    )
+    run_cfg = replace(spec.flow, checkpoint_times=tuple(sorted(set(spec.times))))
     traj = integrate(a0, run_cfg)
     rec.attained_time = traj.attained_time
     rec.blew_up = traj.blew_up
@@ -187,24 +160,22 @@ def _member_record(spec: EnsembleSpec, stream: int, cutoff: int) -> EnsembleReco
     return rec
 
 
-def run_ensemble(spec: EnsembleSpec, threads: int = 1,
-                 progress=None) -> list[EnsembleRecord]:
+def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> list[EnsembleRecord]:
     """All (stream, cutoff) members, deterministically ordered.
 
     Member computations are independent; the output list is sorted by
     (stream, cutoff) regardless of scheduling, so any thread count
     produces identical records.
     """
+    config_hash = spec.config_hash()
     tasks = [(s, c) for s in range(spec.n_samples) for c in spec.cutoffs]
     if threads <= 1:
-        results = {task: _member_record(spec, *task) for task in tasks}
+        results = {task: _member_record(spec, *task, config_hash) for task in tasks}
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {task: pool.submit(_member_record, spec, *task)
+            futures = {task: pool.submit(_member_record, spec, *task, config_hash)
                        for task in tasks}
             results = {task: fut.result() for task, fut in futures.items()}
-    if progress is not None:
-        progress(len(tasks))
     return [results[t] for t in sorted(results)]
 
 
@@ -419,9 +390,8 @@ def distribution_convergence_report(records, spec: EnsembleSpec,
     # reference values from the same mode-keyed draws at the big cutoff
     ref: dict = {}
     for s in streams:
-        cfg = SamplerConfig(spec.group, reference_cutoff, seed=spec.seed,
-                            stream=s, coupling=spec.coupling)
-        a_ref = sample_u1_coulomb(cfg)
+        a_ref = sample_initial(spec.group, spec.sampler_kind, reference_cutoff,
+                               spec.seed, s, spec.coupling)
         for lp in spec.loops:
             for ch in spec.characters:
                 for t in spec.times:

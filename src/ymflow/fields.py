@@ -48,6 +48,7 @@ __all__ = [
     "ym_action",
     "ym_action_u1_spectral",
     "coulomb_project_u1",
+    "gauge_act",
     "gauge_transform",
     "gauge_transform_spectral",
     "ym_rhs",
@@ -313,16 +314,19 @@ def interior(a: GridConnection, f: GridTwoForm) -> GridConnection:
     return GridConnection(a.group, a.resolution, out)
 
 
+def _pair_brackets(grid: GridConnection) -> np.ndarray:
+    """[A_i, A_j] pointwise for each (i, j) in PAIRS, shape (d_g, 3, M, M, M)."""
+    f = structure_constants(grid.group)
+    v = grid.values
+    return np.stack([_grid_bracket(v[:, i], v[:, j], f) for i, j in PAIRS], axis=1)
+
+
 def curvature(a: SpectralConnection, resolution: int | None = None) -> GridTwoForm:
     """F_{ij} = (dA)_{ij} + [A_i, A_j] on the (dealiased) grid."""
     m = dealias_resolution(a.cutoff) if resolution is None else resolution
     da = _spectral_to_values(exterior_d(a).comps, a.cutoff, m)
-    if a.group.is_abelian:
-        return GridTwoForm(a.group, m, da)
-    grid = to_grid(a, m)
-    f = structure_constants(a.group)
-    for p, (i, j) in enumerate(PAIRS):
-        da[:, p] += _grid_bracket(grid.values[:, i], grid.values[:, j], f)
+    if not a.group.is_abelian:
+        da += _pair_brackets(to_grid(a, m))
     return GridTwoForm(a.group, m, da)
 
 
@@ -376,40 +380,44 @@ def ym_rhs(a: SpectralConnection, resolution: int | None = None) -> SpectralConn
     return SpectralConnection(a.group, a.cutoff, linear + nl)
 
 
+def _nonlinear_core(a: SpectralConnection, m: int):
+    """The non-Abelian part YM and ZDDS share, -(1/2) d*[A ^ A] - [A _| F_A],
+    and the grid of A it was assembled on.
+
+    A is transformed to the grid once, and one set of brackets [A_i, A_j]
+    serves both F_A = dA + [A_i, A_j] and [A ^ A]_{ij} = 2 [A_i, A_j].
+    """
+    grid = to_grid(a, m)
+    aa = _pair_brackets(grid)
+    fcurv = GridTwoForm(
+        a.group, m, _spectral_to_values(exterior_d(a).comps, a.cutoff, m) + aa
+    )
+    dstar_aa = d_star_2form(
+        SpectralTwoForm(a.group, a.cutoff, _values_to_spectral(aa, a.cutoff, m))
+    ).coeffs
+    aint = _values_to_spectral(interior(grid, fcurv).values, a.cutoff, m)
+    return -dstar_aa - aint, grid
+
+
 def _ym_nonlinear(a: SpectralConnection, m: int) -> np.ndarray:
     """YM right-hand side minus the Laplacian term, assembled without the
-    large-term cancellation: dd*A - (1/2) d*[A ^ A] - [A _| F_A]."""
+    large-term cancellation: the shared part plus dd*A."""
     ddstar = grad_0form(d_star_1form(a)).coeffs
     if a.group.is_abelian:
         return ddstar
-    grid = to_grid(a, m)
-    waa = wedge(grid, grid)
-    dstar_waa = d_star_2form(
-        SpectralTwoForm(a.group, a.cutoff, _values_to_spectral(waa.values, a.cutoff, m))
-    ).coeffs
-    fcurv = curvature(a, m)
-    aint = interior(grid, fcurv)
-    aint_spec = _values_to_spectral(aint.values, a.cutoff, m)
-    return ddstar - 0.5 * dstar_waa - aint_spec
+    return _nonlinear_core(a, m)[0] + ddstar
 
 
 def _zdds_nonlinear(a: SpectralConnection, m: int) -> np.ndarray:
-    """ZDDS right-hand side minus the Laplacian term:
-    -(1/2) d*[A ^ A] - [A _| F_A] - [A ^ d*A].  Identically zero for
-    Abelian groups."""
+    """ZDDS right-hand side minus the Laplacian term: the shared part minus
+    [A ^ d*A].  Identically zero for Abelian groups."""
     if a.group.is_abelian:
         return np.zeros_like(a.coeffs)
-    grid = to_grid(a, m)
-    waa = wedge(grid, grid)
-    dstar_waa = d_star_2form(
-        SpectralTwoForm(a.group, a.cutoff, _values_to_spectral(waa.values, a.cutoff, m))
-    ).coeffs
-    fcurv = curvature(a, m)
-    aint = _values_to_spectral(interior(grid, fcurv).values, a.cutoff, m)
-    dstar = d_star_1form(a)
-    dstar_grid = GridScalar(a.group, m, _spectral_to_values(dstar.coeffs, a.cutoff, m))
-    awedge = _values_to_spectral(wedge_0form(grid, dstar_grid).values, a.cutoff, m)
-    return -0.5 * dstar_waa - aint - awedge
+    core, grid = _nonlinear_core(a, m)
+    dstar = GridScalar(
+        a.group, m, _spectral_to_values(d_star_1form(a).coeffs, a.cutoff, m)
+    )
+    return core - _values_to_spectral(wedge_0form(grid, dstar).values, a.cutoff, m)
 
 
 def zdds_rhs(a: SpectralConnection, resolution: int | None = None,
@@ -494,74 +502,63 @@ class GaugeTransform:
         coeffs = np.asarray(xi_coeffs, dtype=complex).reshape(group.algebra_dim, 1, 1, 1)
         return GaugeTransform(group, 0, coeffs)
 
-    def log_values(self, resolution: int) -> np.ndarray:
-        d = self.group.algebra_dim
+    def log_stack(self) -> np.ndarray | None:
+        """Fourier data of xi and of its partials d_i xi, stacked along the
+        second axis as (d, 4, K, K, K); None when sigma has no log part."""
         if self.log_coeffs is None:
-            return np.zeros((d,) + (resolution,) * 3)
-        return _spectral_to_values(self.log_coeffs, self.cutoff, resolution)
+            return None
+        grad = grad_0form(SpectralScalar(self.group, self.cutoff, self.log_coeffs))
+        return np.concatenate([self.log_coeffs[:, None], grad.coeffs], axis=1)
 
-    def dlog_values(self, resolution: int) -> np.ndarray:
-        """(d, 3, M, M, M) array of d_i xi, spectral derivatives."""
-        d = self.group.algebra_dim
-        if self.log_coeffs is None:
-            return np.zeros((d, 3) + (resolution,) * 3)
-        n = mode_grids(self.cutoff)
-        parts = np.stack(
-            [(1j * TWO_PI) * n[i] * self.log_coeffs for i in range(3)], axis=1
-        )
-        return _spectral_to_values(parts, self.cutoff, resolution)
 
-    def maurer_cartan(self, resolution: int) -> np.ndarray:
-        """sigma^-1 d_i sigma in basis coefficients, (d, 3, M, M, M).
+def _conjugate(group: GroupSpec, xi: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Basis coefficients of Ad_{sigma^-1} A = sigma^-1 A sigma, sigma =
+    exp(xi), pointwise; xi (d, P), values (d, 3, P)."""
+    basis = standard_basis(group)
+    sig = exp_map(np.einsum("ap,aij->pij", xi, basis))
+    sig_h = np.conj(np.swapaxes(sig, -1, -2))
+    rotated = np.einsum("pik,akl,plj->apij", sig_h, basis, sig, optimize=True)
+    rot = np.einsum("cij,apij->pac", basis.conj(), rotated, optimize=True).real
+    return np.einsum("pac,aip->cip", rot, values, optimize=True)
 
-        Uses dexp_{-xi}(d_i xi) = sum_k ad_{-xi}^k (d_i xi) / (k+1)!,
-        summed to convergence; the winding factor contributes the constant
-        2 pi m_i on the single U(1) basis coefficient.
-        """
-        xi = self.log_values(resolution)
-        dxi = self.dlog_values(resolution)
-        out = self._dexp_inv_free(xi, dxi)
-        if np.any(self.winding != 0):
-            for i in range(3):
-                out[0, i] += TWO_PI * self.winding[i]
-        return out
 
-    def _dexp_inv_free(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """sum_k ad_{-xi}^k(eta) / (k+1)! with eta carrying a direction axis."""
-        fstruct = structure_constants(self.group)
-        if self.group.is_abelian or self.log_coeffs is None:
-            return eta.copy()
-        term = eta.copy()
-        out = eta.copy()
-        scale = float(np.max(np.abs(eta))) + 1e-300
-        factorial = 1.0
-        for k in range(1, 60):
-            term = -np.einsum("axyz,bixyz,abc->cixyz", xi, term, fstruct,
-                              optimize=True)
-            factorial *= (k + 1)
-            out += term / factorial
-            if np.max(np.abs(term)) / factorial < 1e-18 * scale:
-                break
-        return out
+def _dexp_neg(group: GroupSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """dexp_{-xi}(eta) = sum_k ad_{-xi}^k (eta) / (k+1)!, pointwise, summed
+    until a term drops below 1e-18 of max |eta|; xi (d, P), eta (d, 3, P)."""
+    fstruct = structure_constants(group)
+    term = eta
+    out = eta.copy()
+    scale = float(np.max(np.abs(eta))) + 1e-300
+    factorial = 1.0
+    for k in range(1, 60):
+        term = -np.einsum("ap,bip,abc->cip", xi, term, fstruct, optimize=True)
+        factorial *= k + 1
+        out += term / factorial
+        if np.max(np.abs(term)) / factorial < 1e-18 * scale:
+            break
+    return out
 
-    def matrices(self, resolution: int, include_winding: bool = True) -> np.ndarray:
-        """sigma sampled on the grid, shape (M, M, M, N, N)."""
-        basis = standard_basis(self.group)
-        xi = self.log_values(resolution)
-        mats = np.einsum("axyz,aij->xyzij", xi, basis)
-        sig = exp_map(mats)
-        if include_winding and np.any(self.winding != 0):
-            m = self.winding
-            t = np.arange(resolution) / resolution
-            phase = np.exp(
-                1j * TWO_PI * (
-                    m[0] * t[:, None, None]
-                    + m[1] * t[None, :, None]
-                    + m[2] * t[None, None, :]
-                )
-            )
-            sig = sig * phase[..., None, None]
-        return sig
+
+def gauge_act(group: GroupSpec, values: np.ndarray, log_values: np.ndarray | None,
+              winding: np.ndarray) -> np.ndarray:
+    """A^sigma = sigma^-1 A sigma + sigma^-1 d sigma at sample points, for
+    sigma = exp(xi) e^(i 2 pi m.x).
+
+    values: (d, 3, P) components of A; log_values: (d, 4, P) values of xi
+    and d_i xi at the same points (see GaugeTransform.log_stack), or None
+    when sigma has no log part.  The Maurer-Cartan term is dexp_{-xi}(d_i
+    xi); the winding m (U(1) only) adds the constant 2 pi m_i.
+    """
+    out = values
+    if log_values is not None:
+        xi, dxi = log_values[:, 0], log_values[:, 1:]
+        if group.is_abelian:
+            out = out + dxi
+        else:
+            out = _conjugate(group, xi, out) + _dexp_neg(group, xi, dxi)
+    if np.any(winding != 0):
+        out = out + TWO_PI * winding[None, :, None]
+    return out
 
 
 def gauge_transform(a: SpectralConnection | GridConnection, sigma: GaugeTransform,
@@ -575,20 +572,13 @@ def gauge_transform(a: SpectralConnection | GridConnection, sigma: GaugeTransfor
         m = dealias_resolution(a.cutoff) if resolution is None else resolution
     if sigma.group != a.group:
         raise ValueError("gauge transform group mismatch")
-    vals = to_grid(a, m).values
-    if a.group.is_abelian:
-        conjugated = vals
-    else:
-        basis = standard_basis(a.group)
-        sig = sigma.matrices(m, include_winding=False)
-        sig_h = np.conj(np.swapaxes(sig, -1, -2))
-        rotated = np.einsum("xyzik,akl,xyzlj->axyzij", sig_h, basis, sig,
-                            optimize=True)
-        rot = np.einsum("cij,axyzij->xyzac", basis.conj(), rotated,
-                        optimize=True).real
-        conjugated = np.einsum("xyzac,aixyz->cixyz", rot, vals, optimize=True)
-    out = conjugated + sigma.maurer_cartan(m)
-    return GridConnection(a.group, m, out)
+    d = a.group.algebra_dim
+    vals = to_grid(a, m).values.reshape(d, 3, -1)
+    stack = sigma.log_stack()
+    logs = None if stack is None else \
+        _spectral_to_values(stack, sigma.cutoff, m).reshape(d, 4, -1)
+    out = gauge_act(a.group, vals, logs, sigma.winding)
+    return GridConnection(a.group, m, out.reshape(d, 3, m, m, m))
 
 
 def gauge_transform_spectral(a: SpectralConnection, sigma: GaugeTransform,

@@ -20,7 +20,7 @@ checkpoint file reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "integrate",
     "gauge_covariance_check",
     "action_decay_profile",
-    "hermite_interpolate",
 ]
 
 FLOW_KINDS = ("ym", "zdds", "u1_exact")
@@ -319,17 +318,7 @@ def gauge_covariance_check(a0: SpectralConnection, sigma, t: float,
         raise ValueError("the modified flow is covariant only for constant sigma")
     if config.flow_kind == "u1_exact":
         raise ValueError("use flow_kind 'ym' or 'zdds' for covariance checks")
-    run_cfg = FlowConfig(
-        flow_kind=config.flow_kind,
-        t_end=t,
-        dt_initial=config.dt_initial,
-        checkpoint_times=(t,),
-        dt_safety=config.dt_safety,
-        blowup_threshold=config.blowup_threshold,
-        resolution=config.resolution,
-        error_tol=config.error_tol,
-        monotone_tol=config.monotone_tol,
-    )
+    run_cfg = replace(config, t_end=t, checkpoint_times=(t,))
     a0_t = gauge_transform_spectral(a0, sigma, cutoff=a0.cutoff)
     flow_plain = integrate(a0, run_cfg)
     flow_trans = integrate(a0_t, run_cfg)
@@ -340,15 +329,3 @@ def gauge_covariance_check(a0: SpectralConnection, sigma, t: float,
     denom = max(l2_norm(flow_plain.states[t]), 1e-30)
     return float(np.sqrt(np.sum(np.abs(lhs.coeffs - rhs.coeffs) ** 2))) / denom
 
-
-def hermite_interpolate(t0: float, y0: np.ndarray, f0: np.ndarray,
-                        t1: float, y1: np.ndarray, f1: np.ndarray,
-                        t: float) -> np.ndarray:
-    """Cubic Hermite dense output from endpoint values and slopes."""
-    h = t1 - t0
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1

@@ -29,6 +29,7 @@ import numpy as np
 from .fields import SpectralConnection, mode_grids
 from .groups import GroupSpec
 from .rng import TAG_COMPONENT, mode_gaussians
+from .wilson import FieldEvaluator
 
 __all__ = [
     "SamplerConfig",
@@ -209,15 +210,6 @@ def _transverse_green(cutoff: int, delta: np.ndarray, j: int, k: int,
     return float(np.sum(np.where(mask, phase * weight * proj, 0.0)).real)
 
 
-def _evaluate_at_points(a: SpectralConnection, points: np.ndarray) -> np.ndarray:
-    """Direct Fourier evaluation of all components, shape (d, 3, P)."""
-    n1, n2, n3 = mode_grids(a.cutoff)
-    nmat = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=1)
-    phases = np.exp(1j * 2.0 * np.pi * (points @ nmat.T))        # (P, K^3)
-    flat = a.coeffs.reshape(a.coeffs.shape[0], 3, -1)
-    return np.real(np.einsum("ajm,pm->ajp", flat, phases, optimize=True))
-
-
 def covariance_diagnostic(samples, pairs, kind: str = "gff",
                           coupling: float = 1.0,
                           components=None) -> CovarianceReport:
@@ -242,7 +234,7 @@ def covariance_diagnostic(samples, pairs, kind: str = "gff",
     points = np.stack(points)
     prods = []
     for s in samples:
-        vals = _evaluate_at_points(s, points)
+        vals = FieldEvaluator(s).coefficients_at(points)
         row = []
         for ip in range(len(pairs)):
             for (a, j, b, k) in components:

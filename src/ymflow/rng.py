@@ -15,19 +15,20 @@ The word packing is fixed and documented here:
     key     = (seed, stream)
 
 with the mode components mapped to uint32 two's complement and ``tag``
-discriminating independent draw families (0: per-component field draws,
-1: transverse-frame draws).  ``block`` enumerates successive 256-bit
-blocks when a mode needs more than four words.
+discriminating independent draw families.  Only tag 0 (TAG_COMPONENT,
+the per-component field draws) is in use; the transverse frames of the
+Coulomb sampler are deterministic functions of the mode.  ``block``
+enumerates successive 256-bit blocks when a mode needs more than four
+words.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["philox4x64_10", "mode_gaussians", "TAG_COMPONENT", "TAG_TRANSVERSE"]
+__all__ = ["philox4x64_10", "mode_gaussians", "TAG_COMPONENT"]
 
 TAG_COMPONENT = 0
-TAG_TRANSVERSE = 1
 
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)

@@ -13,7 +13,8 @@ Field checkpoint format ("YMF1"):
     16      ...   complex128 little-endian coefficients, C order, indexed
                   (a, j, n1, n2, n3) with each n axis running -N..N
 
-Round trips are bit-exact.
+Round trips are bit-exact.  Reading rejects a non-zero reserved byte and
+non-finite coefficients.
 """
 
 from __future__ import annotations
@@ -55,11 +56,13 @@ def read_field(path) -> SpectralConnection:
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise FieldFileError(f"{path}: truncated header")
-    magic, endian, kind_code, mdim, _, cutoff, d_g = _HEADER.unpack_from(raw)
+    magic, endian, kind_code, mdim, reserved, cutoff, d_g = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise FieldFileError(f"{path}: bad magic {magic!r}")
     if endian != 1:
         raise FieldFileError(f"{path}: unsupported endianness flag {endian}")
+    if reserved != 0:
+        raise FieldFileError(f"{path}: reserved header byte is {reserved}, not 0")
     if kind_code not in _CODE_KIND:
         raise FieldFileError(f"{path}: unknown group kind code {kind_code}")
     group = GroupSpec(_CODE_KIND[kind_code], mdim)
@@ -74,6 +77,8 @@ def read_field(path) -> SpectralConnection:
         raise FieldFileError(
             f"{path}: expected {expected} coefficients, found {data.size}"
         )
+    if not np.all(np.isfinite(data)):
+        raise FieldFileError(f"{path}: non-finite coefficients")
     coeffs = data.reshape(d_g, 3, k, k, k).astype(np.complex128)
     return SpectralConnection(group, cutoff, coeffs)
 

@@ -13,12 +13,12 @@ import time
 
 import numpy as np
 
+from .config import parse_config
 from .fields import (
     SpectralConnection,
     coulomb_project_u1,
     d_star_1form,
     l2_norm,
-    mode_norm_sq,
     to_grid,
     to_spectral,
     ym_action,
@@ -26,23 +26,29 @@ from .fields import (
     ym_rhs,
     zdds_rhs,
 )
-from .flow import FlowConfig, heat_semigroup_u1, integrate
+from .flow import heat_semigroup_u1, integrate
 from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from .groups import SU2, U1, bracket, exp_map, standard_basis
 from .wilson import Character, rectangle_loop, u1_wilson_exact, wilson_loop
 
-__all__ = ["run_suites", "SUITES", "KNOWN_MUTATIONS"]
+__all__ = ["run_suites", "random_connection", "SUITES", "KNOWN_MUTATIONS"]
 
 KNOWN_MUTATIONS = frozenset({"zdds-sign"})
 
 
-def _random_connection(group, cutoff, seed, scale=1.0):
+def random_connection(group, cutoff, seed, scale=1.0) -> SpectralConnection:
+    """Reality-symmetric random coefficients, O(scale) entries."""
     rng = np.random.default_rng(seed)
     k = 2 * cutoff + 1
     shape = (group.algebra_dim, 3, k, k, k)
     c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     c = 0.5 * (c + np.conj(c[:, :, ::-1, ::-1, ::-1]))
     return SpectralConnection(group, cutoff, c * scale)
+
+
+def _flow_config(kind, t_end):
+    """The flow section a user would write: defaults apart from kind and t_end."""
+    return parse_config(f"[flow]\nkind = {kind}\nt_end = {t_end!r}\n").flow
 
 
 def _suite_algebra(mutations):
@@ -61,7 +67,7 @@ def _suite_algebra(mutations):
 
 
 def _suite_transforms(mutations):
-    a = _random_connection(SU2, 3, 7)
+    a = random_connection(SU2, 3, 7)
     g = to_grid(a, 14)
     back = to_spectral(g, 3)
     assert np.max(np.abs(back.coeffs - a.coeffs)) < 1e-12, "transform round trip"
@@ -75,8 +81,7 @@ def _suite_u1_oracle(mutations):
     assert abs(ym_action(a) - ym_action_u1_spectral(a)) < \
         1e-10 * (1 + ym_action(a)), "action dual route"
     t = 0.02
-    cfg = FlowConfig("zdds", t, dt_initial=1e-3, checkpoint_times=(t,))
-    traj = integrate(a, cfg)
+    traj = integrate(a, _flow_config("zdds", t))
     exact = heat_semigroup_u1(a, t)
     gap = np.sqrt(np.sum(np.abs(traj.states[t].coeffs - exact.coeffs) ** 2))
     assert gap < 1e-8 * (1 + l2_norm(exact)), "flow vs heat semigroup"
@@ -89,7 +94,7 @@ def _suite_u1_oracle(mutations):
 
 def _suite_zdds_consistency(mutations):
     for seed in (31, 32, 33):
-        a = _random_connection(SU2, 2, seed, scale=0.4)
+        a = random_connection(SU2, 2, seed, scale=0.4)
         r_op = zdds_rhs(a, path="operator").coeffs
         r_ex = zdds_rhs(a, path="explicit").coeffs
         if "zdds-sign" in mutations:
@@ -101,8 +106,8 @@ def _suite_zdds_consistency(mutations):
 
 
 def _suite_gradient(mutations):
-    a = _random_connection(SU2, 2, 41, scale=0.3)
-    b = _random_connection(SU2, 2, 42, scale=0.3)
+    a = random_connection(SU2, 2, 41, scale=0.3)
+    b = random_connection(SU2, 2, 42, scale=0.3)
     eps = 3e-6
     sp = SpectralConnection
     splus = ym_action(sp(SU2, 2, a.coeffs + eps * b.coeffs))
@@ -133,7 +138,7 @@ def _suite_determinism(mutations):
     spec = EnsembleSpec(
         group=U1, sampler_kind="u1_coulomb", seed=71, cutoffs=(2, 3),
         times=(0.02,), n_samples=6,
-        flow=FlowConfig("u1_exact", 0.02, checkpoint_times=(0.02,)),
+        flow=_flow_config("u1_exact", 0.02),
         loops=(rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="p"),),
         characters=(Character(U1, "u1_power", 1),),
     )

@@ -20,6 +20,7 @@ Those exact values are the oracle the ODE pipeline is checked against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .fields import (
     GaugeTransform,
     SpectralConnection,
+    gauge_act,
     mode_grids,
     mode_norm_sq,
     u1_amplitudes,
@@ -320,6 +322,29 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
 # field evaluation along loops
 
 
+@functools.lru_cache(maxsize=None)
+def _mode_matrix(cutoff: int) -> np.ndarray:
+    """Integer modes of the cutoff cube as a (K^3, 3) float array."""
+    out = np.stack([n.ravel() for n in mode_grids(cutoff)], axis=1).astype(float)
+    out.setflags(write=False)
+    return out
+
+
+def _fourier_values(coeffs: np.ndarray, cutoff: int, points: np.ndarray,
+                    chunk: int) -> np.ndarray:
+    """Re sum_n c(n) e^(i 2 pi n.x) at each point by direct summation:
+    coeffs (..., K, K, K), points (P, 3) -> (..., P)."""
+    nmat = _mode_matrix(cutoff)
+    lead = coeffs.shape[:-3]
+    flat = coeffs.reshape(-1, nmat.shape[0])
+    out = np.empty((flat.shape[0], len(points)))
+    for lo in range(0, len(points), chunk):
+        hi = min(lo + chunk, len(points))
+        phases = np.exp(1j * TWO_PI * (points[lo:hi] @ nmat.T))
+        out[:, lo:hi] = np.real(np.einsum("rm,pm->rp", flat, phases, optimize=True))
+    return out.reshape(lead + (len(points),))
+
+
 class FieldEvaluator:
     """Exact off-grid evaluation of a band-limited connection.
 
@@ -330,22 +355,13 @@ class FieldEvaluator:
     def __init__(self, a: SpectralConnection, chunk: int = 512):
         self.connection = a
         self.group = a.group
-        n1, n2, n3 = mode_grids(a.cutoff)
-        self._nmat = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=1).astype(float)
-        self._flat = a.coeffs.reshape(a.coeffs.shape[0], 3, -1)
         self._chunk = chunk
 
     def coefficients_at(self, points: np.ndarray) -> np.ndarray:
         """(d_g, 3, P) real array of component values."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((self._flat.shape[0], 3, len(points)))
-        for lo in range(0, len(points), self._chunk):
-            hi = min(lo + self._chunk, len(points))
-            phases = np.exp(1j * TWO_PI * (points[lo:hi] @ self._nmat.T))
-            out[:, :, lo:hi] = np.real(
-                np.einsum("ajm,pm->ajp", self._flat, phases, optimize=True)
-            )
-        return out
+        a = self.connection
+        return _fourier_values(a.coeffs, a.cutoff, points, self._chunk)
 
 
 class GaugeTransformedEvaluator(FieldEvaluator):
@@ -358,62 +374,16 @@ class GaugeTransformedEvaluator(FieldEvaluator):
         if sigma.group != a.group:
             raise ValueError("gauge transform group mismatch")
         self._sigma = sigma
-        if sigma.log_coeffs is not None:
-            n1, n2, n3 = mode_grids(sigma.cutoff)
-            self._sig_nmat = np.stack(
-                [n1.ravel(), n2.ravel(), n3.ravel()], axis=1
-            ).astype(float)
-            self._log_flat = sigma.log_coeffs.reshape(sigma.log_coeffs.shape[0], -1)
-        else:
-            self._sig_nmat = None
+        self._log_stack = sigma.log_stack()
 
     def coefficients_at(self, points: np.ndarray) -> np.ndarray:
-        from .groups import structure_constants
-
         points = np.atleast_2d(np.asarray(points, dtype=float))
         vals = super().coefficients_at(points)          # (d, 3, P)
-        sigma = self._sigma
-        d = self.group.algebra_dim
-        if self._sig_nmat is not None:
-            phases = np.exp(1j * TWO_PI * (points @ self._sig_nmat.T))
-            xi = np.real(np.einsum("am,pm->ap", self._log_flat, phases))
-            dxi = np.real(
-                np.einsum(
-                    "am,pm,mi->aip",
-                    self._log_flat,
-                    phases,
-                    1j * TWO_PI * self._sig_nmat,
-                )
-            )
-            if not self.group.is_abelian:
-                basis = standard_basis(self.group)
-                mats = np.einsum("ap,aij->pij", xi, basis)
-                sig = exp_map(mats)
-                sig_h = np.conj(np.swapaxes(sig, -1, -2))
-                rotated = np.einsum("pik,akl,plj->apij", sig_h, basis, sig,
-                                    optimize=True)
-                rot = np.einsum("cij,apij->pac", basis.conj(), rotated,
-                                optimize=True).real
-                vals = np.einsum("pac,aip->cip", rot, vals, optimize=True)
-                # dexp_{-xi}(d_i xi) for the Maurer-Cartan term
-                fstruct = structure_constants(self.group)
-                term = dxi.copy()
-                mc = dxi.copy()
-                factorial = 1.0
-                for k in range(1, 40):
-                    term = -np.einsum("ap,bip,abc->cip", xi, term, fstruct,
-                                      optimize=True)
-                    factorial *= (k + 1)
-                    mc += term / factorial
-                    if np.max(np.abs(term)) / factorial < 1e-18:
-                        break
-                vals = vals + mc
-            else:
-                vals = vals + dxi
-        if np.any(sigma.winding != 0):
-            for i in range(3):
-                vals[0, i] += TWO_PI * sigma.winding[i]
-        return vals
+        logs = None
+        if self._log_stack is not None:
+            logs = _fourier_values(self._log_stack, self._sigma.cutoff, points,
+                                   self._chunk)
+        return gauge_act(self.group, vals, logs, self._sigma.winding)
 
 
 def _substep_allocation(loop: Loop, steps: int) -> list[int]:

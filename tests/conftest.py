@@ -2,19 +2,9 @@
 
 import numpy as np
 
-from ymflow.fields import GaugeTransform, SpectralConnection
+from ymflow.fields import GaugeTransform
 from ymflow.groups import GroupSpec
-
-
-def random_connection(group: GroupSpec, cutoff: int, seed: int,
-                      scale: float = 1.0) -> SpectralConnection:
-    """Reality-symmetric random coefficients, O(scale) entries."""
-    rng = np.random.default_rng(seed)
-    k = 2 * cutoff + 1
-    shape = (group.algebra_dim, 3, k, k, k)
-    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    c = 0.5 * (c + np.conj(c[:, :, ::-1, ::-1, ::-1]))
-    return SpectralConnection(group, cutoff, c * scale)
+from ymflow.verify import random_connection  # noqa: F401  (re-exported)
 
 
 def random_gauge(group: GroupSpec, cutoff: int, amplitude: float,

@@ -293,3 +293,33 @@ def test_wilson_non_abelian_flow_path(tmp_path, monkeypatch, capsys):
         w = complex(float(row["wilson_re"]), float(row["wilson_im"]))
         assert abs(w) <= 2.0 + 1e-9
         assert "exact_re" not in row
+
+
+def test_wilson_blowup_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    loops = write(tmp_path / "loops.txt", LOOPS)
+    cfg = write(tmp_path / "su2.cfg", SU2_CFG.format(
+        loops=loops, out=tmp_path / "out").replace(
+        "checkpoints = 0.005 0.01",
+        "checkpoints = 0.005 0.01\nblowup_threshold = 1e-9"))
+    assert main(["sample", "--config", cfg]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    rc = main(["wilson", "--config", cfg, "--input", field])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "flow halted" in err
+    assert not (tmp_path / "out" / "wilson.csv").exists()
+
+
+def test_corrupt_field_file_exit_code(workspace, capsys):
+    tmp, cfg = workspace
+    main(["sample", "--config", cfg])
+    path = tmp / "out" / "field_u1_N3_seed11_s0.ymf"
+    raw = bytearray(path.read_bytes())
+    raw[7] = 1
+    path.write_bytes(bytes(raw))
+    rc = main(["wilson", "--config", cfg, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "reserved" in err

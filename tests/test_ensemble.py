@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,10 @@ def test_load_refuses_hash_mismatch(tmp_path):
     persist_records(run_ensemble(spec), path)
     with pytest.raises(RecordError, match="hash"):
         load_records(path, expect_hash="deadbeef")
+    # records of a run with other numerics are refused too
+    other = replace(spec, flow=replace(spec.flow, error_tol=1e-1))
+    with pytest.raises(RecordError, match="hash"):
+        load_records(path, expect_hash=other.config_hash())
     loaded = load_records(path, expect_hash=spec.config_hash())
     assert loaded
 
@@ -236,3 +242,40 @@ def test_ensemble_records_blowups_not_fatal():
     assert all(r.attained_time < 0.02 for r in recs)
     with pytest.raises(ValueError, match="usable samples"):
         tightness_report(recs * 30, exact_comparison=False, min_samples=1)
+
+
+# one differing value per field; a field missing here fails the test below
+FLOW_VARIANTS = {
+    "flow_kind": "zdds", "t_end": 0.03, "dt_initial": 2e-3,
+    "checkpoint_times": (0.01, 0.02), "dt_safety": 0.25,
+    "blowup_threshold": 1e3, "resolution": 12, "error_tol": 1e-1,
+    "monotone_tol": 1e-6, "max_steps": 7, "debug_checks": True,
+}
+SPEC_VARIANTS = {
+    "group": SU2, "sampler_kind": "gff", "seed": 32, "cutoffs": (2, 3),
+    "times": (0.01,), "n_samples": 9, "coupling": 0.5, "loops": (PLAQ,),
+    "characters": CHARS[:1], "scale_to_h1": 0.5, "wilson_steps": 64,
+}
+
+
+def test_config_hash_covers_every_field():
+    assert set(FLOW_VARIANTS) == {f.name for f in fields(FlowConfig)}
+    assert set(SPEC_VARIANTS) | {"flow"} == {f.name for f in fields(EnsembleSpec)}
+    base = u1_spec()
+    variants = [replace(base, **{name: value})
+                for name, value in SPEC_VARIANTS.items()]
+    variants += [replace(base, flow=replace(base.flow, **{name: value}))
+                 for name, value in FLOW_VARIANTS.items()]
+    hashes = [base.config_hash()] + [v.config_hash() for v in variants]
+    assert len(set(hashes)) == len(hashes)
+    assert base.config_hash() == u1_spec().config_hash()
+
+
+def test_member_flow_keeps_max_steps():
+    flow = FlowConfig("ym", 0.003, dt_initial=1e-3, max_steps=1)
+    spec = EnsembleSpec(group=SU2, sampler_kind="gff", seed=5, cutoffs=(1,),
+                        times=(0.003,), n_samples=2, flow=flow, scale_to_h1=0.3)
+    for rec in run_ensemble(spec):
+        assert rec.blew_up
+        assert rec.attained_time < 0.003
+        assert rec.s_ym[0.003] is None

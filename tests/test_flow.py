@@ -20,7 +20,6 @@ from ymflow.flow import (
     action_decay_profile,
     gauge_covariance_check,
     heat_semigroup_u1,
-    hermite_interpolate,
     integrate,
 )
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
@@ -257,21 +256,6 @@ def test_error_controller_shrinks_dt():
     loose = integrate(a, FlowConfig("zdds", 0.004, dt_initial=2e-3,
                                     checkpoint_times=(0.004,), error_tol=1e-2))
     assert tight.step_count > loose.step_count
-
-
-def test_hermite_interpolation_order():
-    # quartic local error: halving the interval shrinks the midpoint error
-    # by about 16
-    lam = -3.0
-    f = lambda t: np.exp(lam * t)
-    errs = []
-    for h in (0.2, 0.1):
-        t0, t1 = 0.3, 0.3 + h
-        mid = 0.3 + h / 2
-        got = hermite_interpolate(t0, f(t0), lam * f(t0), t1, f(t1),
-                                  lam * f(t1), mid)
-        errs.append(abs(got - f(mid)))
-    assert errs[0] / errs[1] > 12.0
 
 
 def test_rhs_evaluation_count_recorded():

@@ -175,11 +175,11 @@ def test_translation_invariance_of_covariance():
     d = np.array([0.3, 0.1, 0.0])
     x1 = np.array([0.2, 0.5, 0.7])
     x2 = np.array([0.8, 0.05, 0.35])
-    from ymflow.gff import _evaluate_at_points
+    from ymflow.wilson import FieldEvaluator
     pts = np.stack([x1, x1 + d, x2, x2 + d])
     diffs = []
     for s in samples:
-        v = _evaluate_at_points(s, pts)
+        v = FieldEvaluator(s).coefficients_at(pts)
         diffs.append(v[0, 1, 0] * v[0, 1, 1] - v[0, 1, 2] * v[0, 1, 3])
     diffs = np.asarray(diffs)
     se = diffs.std(ddof=1) / np.sqrt(len(diffs))

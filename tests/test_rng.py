@@ -1,6 +1,6 @@
 import numpy as np
 
-from ymflow.rng import TAG_COMPONENT, TAG_TRANSVERSE, mode_gaussians, philox4x64_10
+from ymflow.rng import TAG_COMPONENT, mode_gaussians, philox4x64_10
 
 
 def test_philox_matches_numpy_bit_generator():
@@ -41,9 +41,7 @@ def test_mode_gaussians_deterministic_and_mode_keyed():
     # different seed, stream, or tag decorrelates
     assert not np.array_equal(a, mode_gaussians(8, 3, modes, 6))
     assert not np.array_equal(a, mode_gaussians(7, 4, modes, 6))
-    assert not np.array_equal(
-        a, mode_gaussians(7, 3, modes, 6, TAG_TRANSVERSE)
-    )
+    assert not np.array_equal(a, mode_gaussians(7, 3, modes, 6, tag=1))
 
 
 def test_mode_gaussians_odd_count_prefix():

@@ -43,3 +43,22 @@ def test_truncated_header_rejected(tmp_path):
     path.write_bytes(b"YMF1")
     with pytest.raises(FieldFileError, match="header"):
         read_field(path)
+
+
+def test_nonzero_reserved_byte_rejected(tmp_path):
+    path = tmp_path / "field.ymf"
+    write_field(path, random_connection(U1, 2, seed=3))
+    raw = bytearray(path.read_bytes())
+    raw[7] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FieldFileError, match="reserved"):
+        read_field(path)
+
+
+def test_non_finite_coefficients_rejected(tmp_path):
+    a = random_connection(SU2, 1, seed=4)
+    a.coeffs[1, 2, 0, 1, 2] = complex(np.nan, 0.0)
+    path = tmp_path / "field.ymf"
+    write_field(path, a)
+    with pytest.raises(FieldFileError, match="non-finite"):
+        read_field(path)
