@@ -83,17 +83,18 @@ def cmd_sample(args) -> int:
     name = f"field_{cfg.group.label()}_N{cfg.cutoff}_seed{cfg.seed}_s{cfg.stream}.ymf"
     path = outdir / name
     write_field(path, a0)
+    s_ym, h1 = ym_action(a0), h1_norm(a0)
     print(f"wrote {path}")
-    print(f"s_ym = {_fmt(ym_action(a0))}")
-    print(f"h1_norm = {_fmt(h1_norm(a0))}")
+    print(f"s_ym = {_fmt(s_ym)}")
+    print(f"h1_norm = {_fmt(h1)}")
     write_manifest(outdir / (name + ".json"), {
         "command": "sample",
         "config": cfg.raw,
         "seed": cfg.seed,
         "stream": cfg.stream,
         "field_file": name,
-        "s_ym": ym_action(a0),
-        "h1_norm": h1_norm(a0),
+        "s_ym": s_ym,
+        "h1_norm": h1,
         "output_dir_source": source,
         "version": __version__,
     })
@@ -113,7 +114,7 @@ def cmd_flow(args) -> int:
         state = traj.states[t]
         fname = f"checkpoint_t{_fmt(t)}.ymf"
         write_field(outdir / fname, state)
-        rows.append({"t": t, "s_ym": ym_action(state), "file": fname})
+        rows.append({"t": t, "s_ym": traj.actions[t], "file": fname})
     manifest = {
         "command": "flow",
         "config": cfg.raw,
@@ -205,6 +206,11 @@ def cmd_ensemble(args) -> int:
         raise ConfigError("a [flow] section is required")
     if not cfg.ens_cutoffs:
         raise ConfigError("an [ensemble] section is required")
+    if cfg.ens_reference_cutoff and cfg.scale_to_h1 is not None:
+        raise ConfigError(
+            "[ensemble] reference_cutoff cannot be combined with [sampler] "
+            "scale_to_h1: the convergence report compares unscaled fields"
+        )
     outdir, source = _resolve_output(cfg, args)
     outdir.mkdir(parents=True, exist_ok=True)
     loops = ()

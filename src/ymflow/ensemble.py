@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import SpectralConnection, h1_norm, ym_action, ym_action_u1_spectral
+from .fields import SpectralConnection, h1_norm, ym_action_u1_spectral
 from .flow import FlowConfig, heat_semigroup_u1, integrate
 from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from .groups import GroupSpec
@@ -149,7 +149,7 @@ def _member_record(spec: EnsembleSpec, stream: int, cutoff: int,
     for t in spec.times:
         if t in traj.states:
             state = traj.states[t]
-            rec.s_ym[t] = ym_action(state)
+            rec.s_ym[t] = traj.actions[t]
             for lp in spec.loops:
                 for ch in spec.characters:
                     rec.wilson[(lp.name, ch.label(), t)] = wilson_loop(
@@ -383,6 +383,11 @@ def distribution_convergence_report(records, spec: EnsembleSpec,
     """
     if spec.group.kind != "u1" or spec.sampler_kind != "u1_coulomb":
         raise ValueError("convergence report applies to the U(1) ensemble")
+    if spec.scale_to_h1 is not None:
+        raise ValueError(
+            "convergence report needs unscaled members: each member is rescaled "
+            "to its own H^1 norm, so no reference field shares their law"
+        )
     streams = sorted({rec.stream for rec in records})
     cutoffs = sorted({rec.cutoff for rec in records})
     by_member = {(rec.stream, rec.cutoff): rec for rec in records}

@@ -8,9 +8,13 @@ conj(coeff(a, j, n)).  Grid values carry the same components sampled on a
 uniform M^3 grid.
 
 Derivatives are always taken spectrally.  Nonlinear (bracket) terms are
-evaluated pointwise on a grid of size at least 2*(2N+1) and re-truncated,
-which is alias-free for products of up to three cutoff-N factors, so the
-retained band of every right-hand side below is exact up to rounding.
+evaluated pointwise on a grid of size M >= 4N+1 and re-truncated, which is
+alias-free for products of up to three cutoff-N factors, so the retained
+band of every right-hand side below is exact up to rounding; the default
+M is the smallest 2*3*5-smooth size, where FFTs are fastest.  The
+transforms are real: grid values are real, so only the half spectrum
+n3 >= 0 is transformed, and the n3 < 0 half is the conjugate of the
+mirrored modes.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ __all__ = [
     "SpectralTwoForm",
     "GridTwoForm",
     "SpectralScalar",
-    "GridScalar",
     "GaugeTransform",
     "PAIRS",
     "dealias_resolution",
@@ -42,7 +45,6 @@ __all__ = [
     "d_star_2form",
     "grad_0form",
     "wedge",
-    "wedge_0form",
     "interior",
     "curvature",
     "ym_action",
@@ -72,8 +74,17 @@ for _p, (_i, _j) in enumerate(PAIRS):
 
 
 def dealias_resolution(cutoff: int) -> int:
-    """Smallest grid size used for cubic nonlinearities at this cutoff."""
-    return 2 * (2 * cutoff + 1)
+    """Default grid size for cubic nonlinearities at this cutoff: the
+    smallest 2*3*5-smooth M >= 4N+1."""
+    m = 4 * cutoff + 1
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,16 +103,6 @@ def mode_norm_sq(cutoff: int) -> np.ndarray:
     out = (n1 * n1 + n2 * n2 + n3 * n3).astype(float)
     out.setflags(write=False)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _wrap_index(cutoff: int, resolution: int):
-    idx = np.arange(-cutoff, cutoff + 1) % resolution
-    return (
-        idx[:, None, None],
-        idx[None, :, None],
-        idx[None, None, :],
-    )
 
 
 @dataclass
@@ -171,13 +172,6 @@ class SpectralScalar:
     coeffs: np.ndarray
 
 
-@dataclass
-class GridScalar:
-    group: GroupSpec
-    resolution: int
-    values: np.ndarray
-
-
 def zero_connection(group: GroupSpec, cutoff: int) -> SpectralConnection:
     k = 2 * cutoff + 1
     return SpectralConnection(
@@ -193,22 +187,48 @@ def _check_resolution(cutoff: int, resolution: int):
         )
 
 
-def _spectral_to_values(coeffs: np.ndarray, cutoff: int, resolution: int) -> np.ndarray:
-    """Evaluate sum_n c(n) e^(i 2 pi n.x) on the grid; returns the real part."""
+@functools.lru_cache(maxsize=None)
+def _grid_slots(cutoff: int, resolution: int) -> np.ndarray:
+    """The transform plan of one (cutoff, M): the grid slot of each mode
+    -N..N along one axis."""
     _check_resolution(cutoff, resolution)
+    slots = np.arange(-cutoff, cutoff + 1) % resolution
+    slots.setflags(write=False)
+    return slots
+
+
+# The grid transforms below are real: only the half spectrum n3 >= 0 is
+# transformed, one axis at a time (complex on the first two axes, real on
+# the last), skipping the rows that hold no retained mode.
+
+
+def _spectral_to_values(coeffs: np.ndarray, cutoff: int, resolution: int) -> np.ndarray:
+    """sum_n c(n) e^(i 2 pi n.x) on the M^3 grid, for coeffs (..., K, K, K).
+
+    Reads only the n3 >= 0 half of coeffs, so it assumes the reality
+    symmetry c(-n) = conj(c(n)).
+    """
+    slots, n, m = _grid_slots(cutoff, resolution), cutoff, resolution
     lead = coeffs.shape[:-3]
-    full = np.zeros(lead + (resolution,) * 3, dtype=complex)
-    ix, iy, iz = _wrap_index(cutoff, resolution)
-    full[..., ix, iy, iz] = coeffs
-    vals = np.fft.ifftn(full, axes=(-3, -2, -1)) * resolution**3
-    return np.ascontiguousarray(vals.real)
+    along1 = np.zeros(lead + (m, 2 * n + 1, n + 1), dtype=complex)
+    along1[..., slots, :, :] = coeffs[..., n:]
+    along1 = np.fft.ifft(along1, axis=-3, norm="forward")
+    along2 = np.zeros(lead + (m, m, n + 1), dtype=complex)
+    along2[..., slots, :] = along1
+    along2 = np.fft.ifft(along2, axis=-2, norm="forward")
+    return np.fft.irfft(along2, n=m, axis=-1, norm="forward")
 
 
 def _values_to_spectral(values: np.ndarray, cutoff: int, resolution: int) -> np.ndarray:
-    _check_resolution(cutoff, resolution)
-    full = np.fft.fftn(values, axes=(-3, -2, -1)) / resolution**3
-    ix, iy, iz = _wrap_index(cutoff, resolution)
-    return np.ascontiguousarray(full[..., ix, iy, iz])
+    """Discrete Fourier analysis of real grid values (..., M, M, M),
+    normalized so constants sit in the n=0 slot; the n3 < 0 half is the
+    conjugate of the mirrored modes."""
+    slots, n = _grid_slots(cutoff, resolution), cutoff
+    half = np.fft.rfft(values, axis=-1, norm="forward")[..., : n + 1]
+    half = np.fft.fft(half, axis=-2, norm="forward")[..., slots, :]
+    upper = np.fft.fft(half, axis=-3, norm="forward")[..., slots, :, :]
+    lower = np.conj(upper[..., ::-1, ::-1, :0:-1])
+    return np.concatenate([lower, upper], axis=-1)
 
 
 def to_grid(a: SpectralConnection, resolution: int) -> GridConnection:
@@ -266,68 +286,96 @@ def grad_0form(f: SpectralScalar) -> SpectralConnection:
     return SpectralConnection(f.group, f.cutoff, out)
 
 
-def _grid_bracket(x: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Pointwise algebra bracket of coefficient fields via the structure
-    tensor: out^c = sum_{ab} x^a y^b f[a,b,c]."""
-    return np.einsum("axyz,bxyz,abc->cxyz", x, y, f, optimize=True)
+@functools.lru_cache(maxsize=None)
+def _bracket_terms(group: GroupSpec):
+    """The nonzero structure constants as (a, b, ((c, f[a, b, c]), ...))
+    over a < b; f is antisymmetric in (a, b)."""
+    f = structure_constants(group)
+    d = group.algebra_dim
+    terms = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            targets = tuple((c, float(f[a, b, c])) for c in range(d) if f[a, b, c])
+            if targets:
+                terms.append((a, b, targets))
+    return tuple(terms)
+
+
+def _grid_bracket(x: np.ndarray, y: np.ndarray, group: GroupSpec) -> np.ndarray:
+    """Pointwise algebra bracket of coefficient fields x, y (d, ...), which
+    broadcast against each other: out^c = sum_{a<b} f[a,b,c] (x^a y^b -
+    x^b y^a), summed over the nonzero structure constants only."""
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    for a, b, targets in _bracket_terms(group):
+        w = x[a] * y[b] - x[b] * y[a]
+        for c, coef in targets:
+            out[c] += coef * w
+    return out
+
+
+# the components (i, j) of each pair in PAIRS order
+_PAIR_I = [i for i, _ in PAIRS]
+_PAIR_J = [j for _, j in PAIRS]
+# [A _| F]_i = sum_{j != i} [A_j, F_ij]: its six terms in (i, j) order, as
+# the A component, the stored pair and the sign F_ij carries
+_INTERIOR_TERMS = [(i, j) for i in range(3) for j in range(3) if j != i]
+_INTERIOR_A = [j for _, j in _INTERIOR_TERMS]
+_INTERIOR_F = [_PAIR_OF[t][0] for t in _INTERIOR_TERMS]
+_INTERIOR_SIGN = np.array([_PAIR_OF[t][1] for t in _INTERIOR_TERMS])[:, None, None, None]
+
+
+def _pair_brackets(group: GroupSpec, avals: np.ndarray) -> np.ndarray:
+    """[A_i, A_j] pointwise for each (i, j) in PAIRS, shape (d_g, 3, ...)."""
+    return _grid_bracket(avals[:, _PAIR_I], avals[:, _PAIR_J], group)
+
+
+def _interior_values(group: GroupSpec, avals: np.ndarray,
+                     fvals: np.ndarray) -> np.ndarray:
+    """[A _| F]_i pointwise, all six brackets in one call."""
+    terms = _grid_bracket(avals[:, _INTERIOR_A],
+                          fvals[:, _INTERIOR_F] * _INTERIOR_SIGN, group)
+    return terms[:, 0::2] + terms[:, 1::2]
+
+
+def _action_of(fvals: np.ndarray) -> float:
+    """sum_{ij} integral |F_ij|^2 by uniform-grid quadrature; the pairs
+    store i<j only, so the full sum over ordered (i, j) doubles it."""
+    return 2.0 * float(np.mean(np.sum(fvals**2, axis=(0, 1))))
+
+
+def _sup_of(avals: np.ndarray) -> float:
+    """max over grid points of the g^3 Frobenius norm."""
+    return float(np.sqrt(np.max(np.sum(avals**2, axis=(0, 1)))))
 
 
 def wedge(a: GridConnection, b: GridConnection) -> GridTwoForm:
     """[A ^ B]_{ij} = [A_i, B_j] - [A_j, B_i] pointwise."""
     if a.group != b.group or a.resolution != b.resolution:
         raise ValueError("wedge arguments must share group and resolution")
-    f = structure_constants(a.group)
-    shape = (a.group.algebra_dim, 3) + a.values.shape[-3:]
-    out = np.zeros(shape)
-    if not a.group.is_abelian:
-        for p, (i, j) in enumerate(PAIRS):
-            out[:, p] = _grid_bracket(a.values[:, i], b.values[:, j], f) - \
-                _grid_bracket(a.values[:, j], b.values[:, i], f)
+    av, bv = a.values, b.values
+    out = _grid_bracket(av[:, _PAIR_I], bv[:, _PAIR_J], a.group) - \
+        _grid_bracket(av[:, _PAIR_J], bv[:, _PAIR_I], a.group)
     return GridTwoForm(a.group, a.resolution, out)
-
-
-def wedge_0form(a: GridConnection, s: GridScalar) -> GridConnection:
-    """[A ^ f]_i = [A_i, f] pointwise."""
-    fstruct = structure_constants(a.group)
-    out = np.zeros_like(a.values)
-    if not a.group.is_abelian:
-        for i in range(3):
-            out[:, i] = _grid_bracket(a.values[:, i], s.values, fstruct)
-    return GridConnection(a.group, a.resolution, out)
 
 
 def interior(a: GridConnection, f: GridTwoForm) -> GridConnection:
     """[A _| F]_i = sum_j [A_j, F_{ij}] pointwise."""
     if a.resolution != f.resolution:
         raise ValueError("interior arguments must share resolution")
-    fstruct = structure_constants(a.group)
-    out = np.zeros_like(a.values)
-    if not a.group.is_abelian:
-        for i in range(3):
-            acc = np.zeros_like(out[:, i])
-            for j in range(3):
-                if j == i:
-                    continue
-                p, sign = _PAIR_OF[(i, j)]
-                acc += sign * _grid_bracket(a.values[:, j], f.values[:, p], fstruct)
-            out[:, i] = acc
-    return GridConnection(a.group, a.resolution, out)
-
-
-def _pair_brackets(grid: GridConnection) -> np.ndarray:
-    """[A_i, A_j] pointwise for each (i, j) in PAIRS, shape (d_g, 3, M, M, M)."""
-    f = structure_constants(grid.group)
-    v = grid.values
-    return np.stack([_grid_bracket(v[:, i], v[:, j], f) for i, j in PAIRS], axis=1)
+    return GridConnection(
+        a.group, a.resolution, _interior_values(a.group, a.values, f.values)
+    )
 
 
 def curvature(a: SpectralConnection, resolution: int | None = None) -> GridTwoForm:
     """F_{ij} = (dA)_{ij} + [A_i, A_j] on the (dealiased) grid."""
     m = dealias_resolution(a.cutoff) if resolution is None else resolution
-    da = _spectral_to_values(exterior_d(a).comps, a.cutoff, m)
-    if not a.group.is_abelian:
-        da += _pair_brackets(to_grid(a, m))
-    return GridTwoForm(a.group, m, da)
+    grids = _spectral_to_values(
+        np.concatenate([a.coeffs, exterior_d(a).comps], axis=1), a.cutoff, m
+    )
+    return GridTwoForm(
+        a.group, m, grids[:, 3:] + _pair_brackets(a.group, grids[:, :3])
+    )
 
 
 def ym_action(a: SpectralConnection | GridConnection,
@@ -337,9 +385,7 @@ def ym_action(a: SpectralConnection | GridConnection,
     resolution)."""
     if isinstance(a, GridConnection):
         a = to_spectral(a, (a.resolution - 1) // 2)
-    f = curvature(a, resolution)
-    # pairs store i<j only; the full sum over ordered (i, j) doubles it
-    return 2.0 * float(np.mean(np.sum(f.values**2, axis=(0, 1))))
+    return _action_of(curvature(a, resolution).values)
 
 
 def ym_action_u1_spectral(a: SpectralConnection) -> float:
@@ -376,48 +422,54 @@ def ym_rhs(a: SpectralConnection, resolution: int | None = None) -> SpectralConn
     m = dealias_resolution(a.cutoff) if resolution is None else resolution
     lam = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)
     linear = lam[None, None] * a.coeffs
-    nl = _ym_nonlinear(a, m)
+    nl = _ym_nonlinear(a, m)[0]
     return SpectralConnection(a.group, a.cutoff, linear + nl)
 
 
-def _nonlinear_core(a: SpectralConnection, m: int):
-    """The non-Abelian part YM and ZDDS share, -(1/2) d*[A ^ A] - [A _| F_A],
-    and the grid of A it was assembled on.
+def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool):
+    """Right-hand side minus the Laplacian term, with S_YM(a) and sup|A|
+    evaluated on the same grid.
 
-    A is transformed to the grid once, and one set of brackets [A_i, A_j]
-    serves both F_A = dA + [A_i, A_j] and [A ^ A]_{ij} = 2 [A_i, A_j].
+    YM (deturck False):  -(1/2) d*[A ^ A] - [A _| F_A] + d d*A
+    ZDDS (deturck True): -(1/2) d*[A ^ A] - [A _| F_A] - [A ^ d*A]
+
+    Assembled without the large-term cancellation of the full operators.
+    One inverse transform takes A, dA (and d*A) to the grid; one set of
+    brackets [A_i, A_j] gives both F_A = dA + [A_i, A_j] and [A ^ A]_{ij} =
+    2 [A_i, A_j]; one forward transform brings [A_i, A_j] and the other
+    bracket terms back.  The ZDDS remainder vanishes for Abelian groups.
     """
-    grid = to_grid(a, m)
-    aa = _pair_brackets(grid)
-    fcurv = GridTwoForm(
-        a.group, m, _spectral_to_values(exterior_d(a).comps, a.cutoff, m) + aa
-    )
-    dstar_aa = d_star_2form(
-        SpectralTwoForm(a.group, a.cutoff, _values_to_spectral(aa, a.cutoff, m))
-    ).coeffs
-    aint = _values_to_spectral(interior(grid, fcurv).values, a.cutoff, m)
-    return -dstar_aa - aint, grid
+    group, n = a.group, a.cutoff
+    dstar = d_star_1form(a)
+    parts = [a.coeffs, exterior_d(a).comps]
+    if deturck and not group.is_abelian:
+        parts.append(dstar.coeffs[:, None])
+    grids = _spectral_to_values(np.concatenate(parts, axis=1), n, m)
+    avals = grids[:, :3]
+    sup = _sup_of(avals)
+    if group.is_abelian:
+        nl = np.zeros_like(a.coeffs) if deturck else grad_0form(dstar).coeffs
+        return nl, _action_of(grids[:, 3:]), sup
+    aa = _pair_brackets(group, avals)
+    fvals = grids[:, 3:6] + aa
+    inner = _interior_values(group, avals, fvals)
+    if deturck:
+        inner += _grid_bracket(avals, grids[:, 6:], group)
+    back = _values_to_spectral(np.concatenate([aa, inner], axis=1), n, m)
+    nl = -d_star_2form(SpectralTwoForm(group, n, back[:, :3])).coeffs - back[:, 3:]
+    if not deturck:
+        nl += grad_0form(dstar).coeffs
+    return nl, _action_of(fvals), sup
 
 
-def _ym_nonlinear(a: SpectralConnection, m: int) -> np.ndarray:
-    """YM right-hand side minus the Laplacian term, assembled without the
-    large-term cancellation: the shared part plus dd*A."""
-    ddstar = grad_0form(d_star_1form(a)).coeffs
-    if a.group.is_abelian:
-        return ddstar
-    return _nonlinear_core(a, m)[0] + ddstar
+def _ym_nonlinear(a: SpectralConnection, m: int):
+    """(YM right-hand side minus the Laplacian term, S_YM(a), sup|A|)."""
+    return _nonlinear_core(a, m, deturck=False)
 
 
-def _zdds_nonlinear(a: SpectralConnection, m: int) -> np.ndarray:
-    """ZDDS right-hand side minus the Laplacian term: the shared part minus
-    [A ^ d*A].  Identically zero for Abelian groups."""
-    if a.group.is_abelian:
-        return np.zeros_like(a.coeffs)
-    core, grid = _nonlinear_core(a, m)
-    dstar = GridScalar(
-        a.group, m, _spectral_to_values(d_star_1form(a).coeffs, a.cutoff, m)
-    )
-    return core - _values_to_spectral(wedge_0form(grid, dstar).values, a.cutoff, m)
+def _zdds_nonlinear(a: SpectralConnection, m: int):
+    """(ZDDS right-hand side minus the Laplacian term, S_YM(a), sup|A|)."""
+    return _nonlinear_core(a, m, deturck=True)
 
 
 def zdds_rhs(a: SpectralConnection, resolution: int | None = None,
@@ -433,7 +485,7 @@ def zdds_rhs(a: SpectralConnection, resolution: int | None = None,
     lam = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)
     if path == "operator":
         return SpectralConnection(
-            a.group, a.cutoff, lam[None, None] * a.coeffs + _zdds_nonlinear(a, m)
+            a.group, a.cutoff, lam[None, None] * a.coeffs + _zdds_nonlinear(a, m)[0]
         )
     if path != "explicit":
         raise ValueError(f"unknown zdds path {path!r}")
@@ -447,14 +499,13 @@ def zdds_rhs(a: SpectralConnection, resolution: int | None = None,
         partials[:, j] = (1j * TWO_PI) * n[j] * a.coeffs
     dgrid = _spectral_to_values(partials, a.cutoff, m)  # (d, j, i, x, y, z)
     agrid = to_grid(a, m).values
-    fstruct = structure_constants(a.group)
     out = np.zeros_like(agrid)
     for i in range(3):
         acc = np.zeros_like(agrid[:, 0])
         for j in range(3):
             inner = 2.0 * dgrid[:, j, i] - dgrid[:, i, j] + \
-                _grid_bracket(agrid[:, j], agrid[:, i], fstruct)
-            acc += _grid_bracket(agrid[:, j], inner, fstruct)
+                _grid_bracket(agrid[:, j], agrid[:, i], a.group)
+            acc += _grid_bracket(agrid[:, j], inner, a.group)
         out[:, i] = acc
     return SpectralConnection(
         a.group, a.cutoff, lap + _values_to_spectral(out, a.cutoff, m)
@@ -525,13 +576,12 @@ def _conjugate(group: GroupSpec, xi: np.ndarray, values: np.ndarray) -> np.ndarr
 def _dexp_neg(group: GroupSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """dexp_{-xi}(eta) = sum_k ad_{-xi}^k (eta) / (k+1)!, pointwise, summed
     until a term drops below 1e-18 of max |eta|; xi (d, P), eta (d, 3, P)."""
-    fstruct = structure_constants(group)
     term = eta
     out = eta.copy()
     scale = float(np.max(np.abs(eta))) + 1e-300
     factorial = 1.0
     for k in range(1, 60):
-        term = -np.einsum("ap,bip,abc->cip", xi, term, fstruct, optimize=True)
+        term = -_grid_bracket(xi[:, None], term, group)
         factorial *= k + 1
         out += term / factorial
         if np.max(np.abs(term)) / factorial < 1e-18 * scale:
@@ -616,7 +666,7 @@ def linf_norm(a: SpectralConnection | GridConnection,
     if isinstance(a, SpectralConnection):
         m = dealias_resolution(a.cutoff) if resolution is None else resolution
         a = to_grid(a, m)
-    return float(np.sqrt(np.max(np.sum(a.values**2, axis=(0, 1)))))
+    return _sup_of(a.values)
 
 
 def reality_defect(a: SpectralConnection) -> float:

@@ -29,9 +29,9 @@ from .fields import (
     _ym_nonlinear,
     _zdds_nonlinear,
     dealias_resolution,
-    linf_norm,
     mode_norm_sq,
     ym_action,
+    ym_action_u1_spectral,
     l2_norm,
 )
 
@@ -84,6 +84,7 @@ class FlowTrajectory:
     cutoff: int
     flow_kind: str
     states: dict = field(default_factory=dict)     # time -> SpectralConnection
+    actions: dict = field(default_factory=dict)    # time -> S_YM of that state
     attained_time: float = 0.0
     blew_up: bool = False
     failure: str | None = None                     # 'threshold' | 'non-finite' | 'stalled'
@@ -160,17 +161,17 @@ class _EtdStepper:
         self.e0 = dt * (p1 - 2.0 * p2)
         self.ea = dt * (2.0 * p2)
 
-    def step(self, a: SpectralConnection, nonlinear, m: int):
+    def step(self, a: SpectralConnection, n0: np.ndarray, nonlinear, m: int):
+        """One step from a, whose nonlinear term n0 the caller holds."""
         u = a.coeffs
-        n0 = nonlinear(a, m)
         stage_a = SpectralConnection(
             a.group, a.cutoff, self.e_half * u + self.f_half * n0
         )
-        na = nonlinear(stage_a, m)
+        na = nonlinear(stage_a, m)[0]
         stage_b = SpectralConnection(
             a.group, a.cutoff, self.e_full * u + self.f_full * (2.0 * na - n0)
         )
-        nb = nonlinear(stage_b, m)
+        nb = nonlinear(stage_b, m)[0]
         u3 = self.e_full * u + self.w0 * n0 + self.wa * na + self.wb * nb
         u2 = self.e_full * u + self.e0 * n0 + self.ea * na
         err = float(np.sqrt(np.sum(np.abs(u3 - u2) ** 2)))
@@ -195,8 +196,8 @@ def _assert_zdds_paths_agree(state: SpectralConnection, m: int) -> None:
 
 
 def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
-    """Run the configured flow from a0, recording states at checkpoint
-    times (always including t_end)."""
+    """Run the configured flow from a0, recording states and their actions
+    at checkpoint times (always including t_end)."""
     traj = FlowTrajectory(a0.group, a0.cutoff, config.flow_kind)
     targets = list(config.checkpoint_times)
     if not targets or targets[-1] < config.t_end:
@@ -205,14 +206,14 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
     if config.flow_kind == "u1_exact":
         for t in targets:
             traj.states[t] = heat_semigroup_u1(a0, t)
+            traj.actions[t] = ym_action_u1_spectral(traj.states[t])
         traj.attained_time = config.t_end
         return traj
 
     m = config.resolution or dealias_resolution(a0.cutoff)
-    if m < dealias_resolution(a0.cutoff):
+    if m < 4 * a0.cutoff + 1:
         raise ValueError(
-            f"resolution {m} below the dealiasing requirement "
-            f"{dealias_resolution(a0.cutoff)}"
+            f"resolution {m} below the dealiasing requirement {4 * a0.cutoff + 1}"
         )
     nonlinear = _NONLINEAR[config.flow_kind]
     guard_action = config.flow_kind == "ym"
@@ -228,7 +229,10 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
 
     state = a0.copy()
     t = 0.0
-    action = ym_action(state, m) if guard_action else None
+    # the nonlinear term of the current state with its action and sup
+    # norm: one evaluation serves the action guard, the blow-up check and
+    # stage 0 of the next step
+    n_state, action, _ = nonlinear(state, m)
     dt_floor = config.dt_initial * 2.0**-40
 
     for target in targets:
@@ -241,19 +245,18 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
                 traj.failure = "stalled"
                 break
             h = min(dt, target - t)
-            candidate, err = stepper(h).step(state, nonlinear, m)
+            candidate, err = stepper(h).step(state, n_state, nonlinear, m)
             traj.rhs_evaluations += 3
             ok = np.isfinite(err) and bool(np.all(np.isfinite(candidate.coeffs)))
             if not ok:
                 traj.failure = "non-finite"
                 break
             rel_err = err / max(l2_norm(candidate), 1e-30)
-            if rel_err > config.error_tol:
-                ok = False
-            new_action = None
-            if ok and guard_action:
-                new_action = ym_action(candidate, m)
-                if new_action > action + config.monotone_tol * (1.0 + action):
+            ok = rel_err <= config.error_tol
+            if ok:
+                n_new, new_action, sup = nonlinear(candidate, m)
+                if guard_action and \
+                        new_action > action + config.monotone_tol * (1.0 + action):
                     ok = False
             if not ok:
                 dt = h * config.dt_safety
@@ -264,16 +267,13 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
                 continue
             if config.debug_checks and config.flow_kind == "zdds":
                 _assert_zdds_paths_agree(candidate, m)
-            state = candidate
+            state, n_state, action = candidate, n_new, new_action
             t += h
             traj.step_count += 1
-            if guard_action:
-                action = new_action
             clean += 1
             if clean >= 10:
                 dt = min(dt / config.dt_safety, config.dt_initial)
                 clean = 0
-            sup = linf_norm(state, m)
             if not np.isfinite(sup):
                 traj.failure = "non-finite"
                 break
@@ -283,6 +283,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
         if traj.failure is not None:
             break
         traj.states[target] = state.copy()
+        traj.actions[target] = action
 
     traj.attained_time = t
     traj.blew_up = traj.failure is not None

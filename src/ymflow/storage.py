@@ -13,8 +13,10 @@ Field checkpoint format ("YMF1"):
     16      ...   complex128 little-endian coefficients, C order, indexed
                   (a, j, n1, n2, n3) with each n axis running -N..N
 
-Round trips are bit-exact.  Reading rejects a non-zero reserved byte and
-non-finite coefficients.
+Round trips are bit-exact.  Reading rejects a non-zero reserved byte,
+non-finite coefficients, and coefficients that break the reality symmetry
+coeff(-n) = conj(coeff(n)) by more than rounding (grid transforms read
+only the n3 >= 0 half, so a non-real file would be silently reinterpreted).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import SpectralConnection
+from .fields import SpectralConnection, reality_defect
 from .groups import GroupSpec
 
 __all__ = ["write_field", "read_field", "FieldFileError",
@@ -35,6 +37,8 @@ MAGIC = b"YMF1"
 _KIND_CODE = {"u1": 0, "su": 1, "u": 2}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 _HEADER = struct.Struct("<4sBBBBII")
+# relative reality defect a real field can carry from rounding
+_REALITY_TOL = 1e-12
 
 
 class FieldFileError(Exception):
@@ -80,7 +84,14 @@ def read_field(path) -> SpectralConnection:
     if not np.all(np.isfinite(data)):
         raise FieldFileError(f"{path}: non-finite coefficients")
     coeffs = data.reshape(d_g, 3, k, k, k).astype(np.complex128)
-    return SpectralConnection(group, cutoff, coeffs)
+    a = SpectralConnection(group, cutoff, coeffs)
+    defect = reality_defect(a)
+    if defect > _REALITY_TOL * max(1.0, float(np.max(np.abs(data)))):
+        raise FieldFileError(
+            f"{path}: coefficients break the reality symmetry c(-n) = conj(c(n)) "
+            f"by {defect:.3e}"
+        )
+    return a
 
 
 def write_manifest(path, manifest: dict) -> None:

@@ -204,6 +204,18 @@ def test_ensemble_thread_count_invariance(workspace, capsys):
     assert conv["reference_cutoff"] == 8
 
 
+def test_ensemble_refuses_reference_cutoff_with_scaling(workspace, capsys):
+    tmp, cfg = workspace
+    bad = write(tmp / "scaled.cfg", (tmp / "run.cfg").read_text()
+                .replace("seed = 11", "seed = 11\nscale_to_h1 = 0.5")
+                .replace("n_samples = 120", "n_samples = 4"))
+    rc = main(["ensemble", "--config", bad, "--output", str(tmp / "scaled")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "reference_cutoff" in err and "scale_to_h1" in err
+    assert not (tmp / "scaled" / "records.jsonl").exists()
+
+
 def test_output_dir_env_override(workspace, capsys, monkeypatch):
     tmp, cfg = workspace
     monkeypatch.setenv("YMFLOW_OUTPUT", str(tmp / "envout"))

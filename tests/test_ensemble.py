@@ -203,6 +203,16 @@ def test_distribution_convergence_report():
         distribution_convergence_report(recs, gff_spec, 16)
 
 
+def test_convergence_report_refuses_rescaled_members():
+    # members rescaled to an H^1 norm at their own cutoff share no law
+    # with an unscaled reference draw
+    spec = replace(u1_spec(n_samples=4, cutoffs=(2,), times=(0.005,)),
+                   scale_to_h1=0.5)
+    recs = run_ensemble(spec)
+    with pytest.raises(ValueError, match="scale"):
+        distribution_convergence_report(recs, spec, reference_cutoff=8)
+
+
 def test_g_to_zero_distribution_collapses():
     spec = u1_spec(n_samples=30, cutoffs=(2,), times=(0.01,), g=1e-7)
     recs = run_ensemble(spec)

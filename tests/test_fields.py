@@ -32,7 +32,9 @@ from ymflow.fields import (
     zdds_rhs,
     zero_connection,
 )
-from ymflow.groups import SU2, U1, bracket, standard_basis
+from ymflow.groups import SU2, U1, GroupSpec, bracket, standard_basis, structure_constants
+
+SU3 = GroupSpec("su", 3)
 
 
 def single_mode(group, cutoff, n, vector, basis_index=0):
@@ -93,6 +95,87 @@ def test_reality_defect_detects_breakage():
     assert reality_defect(a) < 1e-15
     a.coeffs[0, 0, 0, 0, 0] += 1.0
     assert reality_defect(a) > 0.5
+
+
+def _reference_index(cutoff, m):
+    idx = np.arange(-cutoff, cutoff + 1) % m
+    return idx[:, None, None], idx[None, :, None], idx[None, None, :]
+
+
+def _reference_to_values(coeffs, cutoff, m):
+    """Complex-FFT synthesis on the full M^3 spectrum, real part kept."""
+    full = np.zeros(coeffs.shape[:-3] + (m, m, m), dtype=complex)
+    full[(...,) + _reference_index(cutoff, m)] = coeffs
+    return (np.fft.ifftn(full, axes=(-3, -2, -1)) * m**3).real
+
+
+def _reference_to_coeffs(values, cutoff, m):
+    full = np.fft.fftn(values, axes=(-3, -2, -1)) / m**3
+    return full[(...,) + _reference_index(cutoff, m)]
+
+
+@pytest.mark.parametrize("group", [U1, SU2, SU3], ids=lambda g: g.label())
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_real_transforms_match_complex_reference(group, cutoff):
+    # the default grid, the dealiasing minimum 4N+1 and user sizes of both
+    # parities down to the smallest admissible 2N+1
+    a = random_connection(group, cutoff, seed=70 + cutoff)
+    sizes = {dealias_resolution(cutoff), 4 * cutoff + 1, 4 * cutoff + 2,
+             2 * cutoff + 1, 2 * cutoff + 2}
+    for m in sorted(sizes):
+        vals = to_grid(a, m).values
+        ref = _reference_to_values(a.coeffs, cutoff, m)
+        assert vals.shape == ref.shape
+        assert np.max(np.abs(vals - ref)) < 1e-12 * (1 + np.max(np.abs(ref)))
+        back = to_spectral(GridConnection(group, m, ref), cutoff).coeffs
+        want = _reference_to_coeffs(ref, cutoff, m)
+        assert np.max(np.abs(back - want)) < 1e-13 * (1 + np.max(np.abs(want)))
+        assert np.max(np.abs(back - a.coeffs)) < 1e-12 * (1 + np.max(np.abs(a.coeffs)))
+
+
+def test_dealias_resolution_is_minimal_smooth_size():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for cutoff in range(0, 41):
+        m = dealias_resolution(cutoff)
+        assert m >= 4 * cutoff + 1
+        assert smooth(m)
+        assert not any(smooth(k) for k in range(4 * cutoff + 1, m))
+    assert [dealias_resolution(n) for n in (1, 2, 3, 4, 8)] == [5, 9, 15, 18, 36]
+
+
+@pytest.mark.parametrize("group", [SU2, SU3, GroupSpec("u", 2)],
+                         ids=lambda g: g.label())
+def test_sparse_bracket_matches_dense_structure_tensor(group):
+    from ymflow.fields import _grid_bracket
+    rng = np.random.default_rng(80)
+    d = group.algebra_dim
+    x = rng.normal(size=(d, 3, 4, 5, 6))
+    y = rng.normal(size=(d, 3, 4, 5, 6))
+    dense = np.einsum("a...,b...,abc->c...", x, y, structure_constants(group))
+    got = _grid_bracket(x, y, group)
+    assert np.max(np.abs(got - dense)) < 1e-13 * np.max(np.abs(dense))
+    # broadcasting one argument against the other
+    got_b = _grid_bracket(x, y[:, :1], group)
+    dense_b = np.einsum("a...,b...,abc->c...", x, np.broadcast_to(y[:, :1], x.shape),
+                        structure_constants(group))
+    assert np.max(np.abs(got_b - dense_b)) < 1e-13 * np.max(np.abs(dense_b))
+
+
+@pytest.mark.parametrize("group", [U1, SU2, SU3], ids=lambda g: g.label())
+def test_fused_nonlinear_diagnostics_match_standalone(group):
+    from ymflow.fields import _ym_nonlinear, _zdds_nonlinear
+    a = random_connection(group, 2, seed=81, scale=0.4)
+    for m in (9, 10, 13):
+        s_ref, sup_ref = ym_action(a, m), linf_norm(a, m)
+        for fn in (_ym_nonlinear, _zdds_nonlinear):
+            _, s, sup = fn(a, m)
+            assert abs(s - s_ref) <= 1e-13 * s_ref
+            assert abs(sup - sup_ref) <= 1e-13 * sup_ref
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,69 @@ def test_rhs_evaluation_count_recorded():
     assert traj.rhs_evaluations == 6
 
 
+def test_one_nonlinear_call_per_stage_and_no_separate_diagnostics(monkeypatch):
+    # the evaluation of each accepted state serves the action guard, the
+    # blow-up check and stage 0 of the next step: three nonlinear calls per
+    # accepted step plus one for the initial state, and no separate action
+    # or sup-norm pass
+    import ymflow.fields as fields_mod
+    import ymflow.flow as flow_mod
+
+    calls = {"nonlinear": 0, "diagnostic": 0}
+    nonlinear = flow_mod._NONLINEAR["ym"]
+
+    def counted(a, m):
+        calls["nonlinear"] += 1
+        return nonlinear(a, m)
+
+    def forbidden(*args, **kwargs):
+        calls["diagnostic"] += 1
+        raise AssertionError("separate diagnostic called in the step loop")
+
+    monkeypatch.setitem(flow_mod._NONLINEAR, "ym", counted)
+    for mod in (fields_mod, flow_mod):
+        for name in ("ym_action", "linf_norm"):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    a = sample_gff(SamplerConfig(SU2, 2, seed=7))
+    a = a.scaled(0.5 / h1_norm(a))
+    traj = integrate(a, FlowConfig("ym", 0.006, dt_initial=1e-3,
+                                   checkpoint_times=(0.003, 0.006)))
+    assert not traj.blew_up
+    assert traj.step_count == 6
+    assert traj.rhs_evaluations == 3 * traj.step_count
+    assert calls == {"nonlinear": 3 * traj.step_count + 1, "diagnostic": 0}
+
+
+@pytest.mark.parametrize("kind", ["ym", "zdds"])
+def test_checkpoint_actions_recorded(kind):
+    a = random_connection(SU2, 2, seed=22, scale=0.3)
+    traj = integrate(a, FlowConfig(kind, 0.004, dt_initial=1e-3,
+                                   checkpoint_times=(0.002, 0.004)))
+    assert sorted(traj.actions) == traj.checkpoint_times()
+    for t, state in traj.states.items():
+        want = ym_action(state)
+        assert abs(traj.actions[t] - want) <= 1e-12 * want
+    u1 = gff_like_u1(2, seed=23)
+    exact = integrate(u1, FlowConfig("u1_exact", 0.01, checkpoint_times=(0.005,)))
+    for t, state in exact.states.items():
+        assert exact.actions[t] == ym_action_u1_spectral(state)
+
+
+def test_user_resolution_matches_default_grid():
+    # every M >= 4N+1 dealiases exactly, so a user grid of either parity
+    # reproduces the default (M = 9 at N = 2) to rounding
+    a = random_connection(SU2, 2, seed=24, scale=0.3)
+    runs = [integrate(a, FlowConfig("ym", 0.003, dt_initial=1e-3,
+                                    checkpoint_times=(0.003,), resolution=m))
+            for m in (None, 10, 11)]
+    base = runs[0].states[0.003].coeffs
+    for run in runs[1:]:
+        assert run.step_count == runs[0].step_count
+        assert np.max(np.abs(run.states[0.003].coeffs - base)) < 1e-12 * np.max(np.abs(base))
+    with pytest.raises(ValueError, match="dealiasing"):
+        integrate(a, FlowConfig("ym", 0.003, resolution=8))
+
+
 def test_debug_checks_assert_zdds_paths_each_step():
     a = random_connection(SU2, 2, seed=20, scale=0.3)
     cfg = FlowConfig("zdds", 0.003, dt_initial=1e-3, checkpoint_times=(0.003,),

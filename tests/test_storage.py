@@ -62,3 +62,19 @@ def test_non_finite_coefficients_rejected(tmp_path):
     write_field(path, a)
     with pytest.raises(FieldFileError, match="non-finite"):
         read_field(path)
+
+
+def test_broken_conjugate_pair_rejected(tmp_path):
+    # grid transforms read only the n3 >= 0 half, so a non-real field must
+    # be refused rather than reinterpreted
+    a = random_connection(SU2, 2, seed=5)
+    a.coeffs[0, 1, 3, 1, 4] += 0.25j      # c(n) moved, c(-n) left alone
+    path = tmp_path / "field.ymf"
+    write_field(path, a)
+    with pytest.raises(FieldFileError, match="reality"):
+        read_field(path)
+    # rounding-level defects of a flowed field still read back
+    a.coeffs[0, 1, 3, 1, 4] -= 0.25j
+    a.coeffs[0, 1, 3, 1, 4] += 1e-15
+    write_field(path, a)
+    assert np.array_equal(read_field(path).coeffs, a.coeffs)
