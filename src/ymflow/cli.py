@@ -37,13 +37,14 @@ from .fields import h1_norm, ym_action
 from .flow import heat_semigroup_u1, integrate
 # not called here: perfbench/spans.py wraps sampling under these cli names
 from .gff import sample_gff, sample_u1_coulomb  # noqa: F401
-from .storage import FieldFileError, read_field, write_field, write_manifest
-from .wilson import (
-    LoopFileError,
-    parse_loop_file,
-    u1_wilson_exact,
-    wilson_loop,
+from .storage import (
+    FieldFileError,
+    atomic_open,
+    read_field,
+    write_field,
+    write_manifest,
 )
+from .wilson import LoopFileError, h_series, parse_loop_file, wilson_loop
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -177,12 +178,14 @@ def cmd_wilson(args) -> int:
                   f"{traj.failure}; no Wilson values", file=sys.stderr)
             return EXIT_BLOWUP
         flowed = traj.states
-    with out_path.open("w", newline="") as fh:
+    with atomic_open(out_path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for lp in loops:
+            # closed-form phases of this loop at every time (U(1) only)
+            phases = h_series(a0, lp, times) if is_u1 else None
             for ch in characters:
-                for t in times:
+                for i, t in enumerate(times):
                     w = wilson_loop(flowed[t], lp, ch, steps=cfg.wilson_steps)
                     row = {
                         "loop_id": lp.name, "character_id": ch.label(),
@@ -190,7 +193,7 @@ def cmd_wilson(args) -> int:
                         "wilson_re": _fmt(w.real), "wilson_im": _fmt(w.imag),
                     }
                     if is_u1:
-                        ex = u1_wilson_exact(a0, lp, ch, t)
+                        ex = ch.u1_value(phases[i])
                         row.update({
                             "exact_re": _fmt(ex.real), "exact_im": _fmt(ex.imag),
                             "abs_diff": _fmt(abs(w - ex)),
@@ -251,7 +254,8 @@ def cmd_ensemble(args) -> int:
             f"{_fmt(r.mean):>22} {_fmt(r.standard_error):>22} {closed:>22} "
             f"{limit:>22} {str(r.flagged):>5}"
         )
-    (outdir / "tightness.txt").write_text("\n".join(report_lines) + "\n")
+    with atomic_open(outdir / "tightness.txt") as fh:
+        fh.write("\n".join(report_lines) + "\n")
     for line in report_lines:
         print(line)
     convergence = None
@@ -265,7 +269,7 @@ def cmd_ensemble(args) -> int:
             "rows": [vars(r) for r in conv_rows],
         }
         print(f"per-seed deviation decreasing for {frac:.1%} of seeds")
-        with (outdir / "convergence.json").open("w") as fh:
+        with atomic_open(outdir / "convergence.json") as fh:
             json.dump(convergence, fh, indent=2)
     write_manifest(outdir / "ensemble.json", {
         "command": "ensemble",

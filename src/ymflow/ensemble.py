@@ -28,7 +28,8 @@ from .fields import SpectralConnection, h1_norm, ym_action_u1_spectral
 from .flow import FlowConfig, heat_semigroup_u1, integrate
 from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from .groups import GroupSpec
-from .wilson import h_series, u1_wilson_exact, wilson_loop
+from .storage import atomic_open
+from .wilson import h_series, wilson_loop
 
 __all__ = [
     "EnsembleSpec",
@@ -131,16 +132,15 @@ def _member_record(spec: EnsembleSpec, stream: int, cutoff: int,
     a0 = sample_initial(spec.group, spec.sampler_kind, cutoff, spec.seed, stream,
                         spec.coupling, spec.scale_to_h1)
     if spec.flow.flow_kind == "u1_exact":
-        # diagonal semigroup: observables in closed form
+        # diagonal semigroup: observables in closed form, one phase per
+        # (loop, time) that every character reads
         rec.attained_time = spec.flow.t_end
-        for t in spec.times:
-            flowed = heat_semigroup_u1(a0, t)
-            rec.s_ym[t] = ym_action_u1_spectral(flowed)
-            for lp in spec.loops:
+        phases = [h_series(a0, lp, spec.times) for lp in spec.loops]
+        for i, t in enumerate(spec.times):
+            rec.s_ym[t] = ym_action_u1_spectral(heat_semigroup_u1(a0, t))
+            for lp, phase in zip(spec.loops, phases):
                 for ch in spec.characters:
-                    rec.wilson[(lp.name, ch.label(), t)] = u1_wilson_exact(
-                        a0, lp, ch, t
-                    )
+                    rec.wilson[(lp.name, ch.label(), t)] = ch.u1_value(phase[i])
         return rec
     run_cfg = replace(spec.flow, checkpoint_times=tuple(sorted(set(spec.times))))
     traj = integrate(a0, run_cfg)
@@ -204,8 +204,7 @@ def _rows_of(rec: EnsembleRecord):
 
 def persist_records(records, path) -> None:
     """One JSON object per line, fields in RECORD_FIELDS order."""
-    path = Path(path)
-    with path.open("w") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             for row in _rows_of(rec):
                 ordered = {k: row[k] for k in RECORD_FIELDS}
@@ -256,8 +255,7 @@ def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
 
 
 def export_csv(records, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
         writer.writeheader()
         for rec in records:
@@ -398,11 +396,10 @@ def distribution_convergence_report(records, spec: EnsembleSpec,
         a_ref = sample_initial(spec.group, spec.sampler_kind, reference_cutoff,
                                spec.seed, s, spec.coupling)
         for lp in spec.loops:
+            phases = h_series(a_ref, lp, spec.times)
             for ch in spec.characters:
-                for t in spec.times:
-                    phase = h_series(a_ref, lp, t)
-                    k = ch.u1_exponent()
-                    ref[(s, lp.name, ch.label(), t)] = complex(np.exp(1j * k * phase))
+                for t, phase in zip(spec.times, phases):
+                    ref[(s, lp.name, ch.label(), t)] = ch.u1_value(phase)
 
     rows = []
     dev_by_seed = {s: [] for s in streams}   # per cutoff, max over observables

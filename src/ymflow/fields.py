@@ -37,6 +37,7 @@ __all__ = [
     "dealias_resolution",
     "mode_grids",
     "mode_norm_sq",
+    "heat_weights",
     "zero_connection",
     "to_grid",
     "to_spectral",
@@ -103,6 +104,27 @@ def mode_norm_sq(cutoff: int) -> np.ndarray:
     out = (n1 * n1 + n2 * n2 + n3 * n3).astype(float)
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _heat_table(cutoff: int, times: tuple) -> np.ndarray:
+    lam = -4.0 * np.pi**2 * mode_norm_sq(cutoff)
+    out = np.exp(lam[None] * np.asarray(times)[:, None, None, None])
+    out.setflags(write=False)
+    return out
+
+
+def heat_weights(cutoff: int, times) -> np.ndarray:
+    """Heat-kernel multipliers e^(-4 pi^2 |n|^2 t), one (K, K, K) row per
+    time: a scalar or a 1-D sequence of times gives shape (T, K, K, K).
+
+    The table is read-only and shared: the last 32 (cutoff, times) tables
+    are cached, each T K^3 floats.
+    """
+    times = tuple(float(t) for t in np.atleast_1d(times))
+    if any(t < 0 for t in times):
+        raise ValueError("time must be nonnegative")
+    return _heat_table(cutoff, times)
 
 
 @dataclass

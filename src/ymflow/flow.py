@@ -29,6 +29,7 @@ from .fields import (
     _ym_nonlinear,
     _zdds_nonlinear,
     dealias_resolution,
+    heat_weights,
     mode_norm_sq,
     ym_action,
     ym_action_u1_spectral,
@@ -100,9 +101,7 @@ def heat_semigroup_u1(a: SpectralConnection, t: float) -> SpectralConnection:
     e^(-4 pi^2 |n|^2 t)."""
     if a.group.kind != "u1":
         raise ValueError("exact heat semigroup is the U(1) oracle path")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    w = np.exp(-4.0 * np.pi**2 * mode_norm_sq(a.cutoff) * t)
+    w = heat_weights(a.cutoff, t)[0]
     return SpectralConnection(a.group, a.cutoff, a.coeffs * w[None, None])
 
 

@@ -17,12 +17,20 @@ Round trips are bit-exact.  Reading rejects a non-zero reserved byte,
 non-finite coefficients, and coefficients that break the reality symmetry
 coeff(-n) = conj(coeff(n)) by more than rounding (grid transforms read
 only the n3 >= 0 half, so a non-real file would be silently reinterpreted).
+
+Every output file of the package is written through ``atomic_open``: a
+temporary file beside the target, moved onto it with ``os.replace`` only
+once complete, so a failed or interrupted write leaves the previous file
+intact and no partial one behind.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +38,7 @@ import numpy as np
 from .fields import SpectralConnection, reality_defect
 from .groups import GroupSpec
 
-__all__ = ["write_field", "read_field", "FieldFileError",
+__all__ = ["atomic_open", "write_field", "read_field", "FieldFileError",
            "write_manifest", "read_manifest"]
 
 MAGIC = b"YMF1"
@@ -45,14 +53,31 @@ class FieldFileError(Exception):
     pass
 
 
-def write_field(path, a: SpectralConnection) -> None:
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a fresh temporary file in the directory of ``path`` for writing
+    (``mode`` "w" or "wb", ``kwargs`` as for ``open``) and, when the block
+    completes, move it onto ``path`` with ``os.replace``.  If the block
+    raises, the temporary file is removed and ``path`` is left as it was."""
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_field(path, a: SpectralConnection) -> None:
     header = _HEADER.pack(
         MAGIC, 1, _KIND_CODE[a.group.kind], a.group.matrix_dim, 0,
         a.cutoff, a.group.algebra_dim,
     )
     payload = np.ascontiguousarray(a.coeffs, dtype="<c16").tobytes()
-    path.write_bytes(header + payload)
+    with atomic_open(path, "wb") as fh:
+        fh.write(header + payload)
 
 
 def read_field(path) -> SpectralConnection:
@@ -95,7 +120,8 @@ def read_field(path) -> SpectralConnection:
 
 
 def write_manifest(path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path) -> dict:

@@ -9,18 +9,24 @@ Holonomies solve h'(t) = h(t) A(l(t)).l'(t), h(0) = id with a third-order
 Runge-Kutta-Munthe-Kaas scheme: each substep advances by the group
 exponential of a stage-combined algebra element, so the result stays in
 the group by construction and only rounding-level drift needs repair.
-The connection is evaluated along the loop by direct truncated Fourier
-summation (exact off-grid evaluation, no interpolation error).
+The connection is evaluated along the loop by truncated Fourier summation
+(exact off-grid evaluation, no interpolation error); the phase
+e^(i 2 pi n.x) factorizes over the axes, so each point costs 3K
+exponentials rather than K^3 and the three mode axes are contracted in
+turn.
 
 For U(1) fields the regularized Wilson loop has a closed form: the
 character applied to exp of a mode sum weighted by e^(-4 pi^2 |n|^2 t),
-with per-segment line integrals of the Fourier basis known exactly.
-Those exact values are the oracle the ODE pipeline is checked against.
+with per-segment line integrals of the Fourier basis known exactly.  The
+phase does not depend on the character and the weights do not depend on
+the field, so h_series forms the per-mode product once and contracts it
+with the shared heat-weight table for every observation time at once;
+characters are then applied to the phase.  Those exact values are the
+oracle the ODE pipeline is checked against.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +35,8 @@ from .fields import (
     GaugeTransform,
     SpectralConnection,
     gauge_act,
+    heat_weights,
     mode_grids,
-    mode_norm_sq,
     u1_amplitudes,
 )
 from .groups import GroupSpec, exp_map, standard_basis, unitarize, unitarity_defect
@@ -270,6 +276,10 @@ class Character:
             return self.power
         return -1 if self.kind == "conjugate" else 1
 
+    def u1_value(self, phase: float) -> complex:
+        """chi(e^(i phase)) = e^(i k phase) on U(1)."""
+        return complex(np.exp(1j * self.u1_exponent() * float(phase)))
+
     def label(self) -> str:
         if self.kind == "u1_power":
             return f"u1:{self.power}"
@@ -322,26 +332,30 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
 # field evaluation along loops
 
 
-@functools.lru_cache(maxsize=None)
-def _mode_matrix(cutoff: int) -> np.ndarray:
-    """Integer modes of the cutoff cube as a (K^3, 3) float array."""
-    out = np.stack([n.ravel() for n in mode_grids(cutoff)], axis=1).astype(float)
-    out.setflags(write=False)
-    return out
-
-
 def _fourier_values(coeffs: np.ndarray, cutoff: int, points: np.ndarray,
                     chunk: int) -> np.ndarray:
-    """Re sum_n c(n) e^(i 2 pi n.x) at each point by direct summation:
-    coeffs (..., K, K, K), points (P, 3) -> (..., P)."""
-    nmat = _mode_matrix(cutoff)
+    """Re sum_n c(n) e^(i 2 pi n.x) at each point, exactly and separably:
+    coeffs (..., K, K, K), points (P, 3) -> (..., P).
+
+    The phase factorizes over the axes, so each point needs 3K
+    exponentials e^(i 2 pi n_k x_k) instead of K^3; n3, n2 and n1 are then
+    contracted in turn.  Points go in fixed chunks, sized so that no
+    intermediate exceeds chunk x K^3 complex entries.
+    """
+    axis = np.arange(-cutoff, cutoff + 1)
+    k = len(axis)
     lead = coeffs.shape[:-3]
-    flat = coeffs.reshape(-1, nmat.shape[0])
-    out = np.empty((flat.shape[0], len(points)))
-    for lo in range(0, len(points), chunk):
-        hi = min(lo + chunk, len(points))
-        phases = np.exp(1j * TWO_PI * (points[lo:hi] @ nmat.T))
-        out[:, lo:hi] = np.real(np.einsum("rm,pm->rp", flat, phases, optimize=True))
+    flat = coeffs.reshape(-1, k, k, k)
+    rows = flat.shape[0]
+    step = max(1, chunk * k // rows)
+    out = np.empty((rows, len(points)))
+    for lo in range(0, len(points), step):
+        x = points[lo:lo + step]
+        # phases[k, n, p] = e^(i 2 pi n x_k) of point p
+        phases = np.exp((1j * TWO_PI) * (x.T[:, None, :] * axis[:, None]))
+        part = (flat.reshape(-1, k) @ phases[2]).reshape(rows * k, k, -1)
+        part = np.einsum("abp,bp->ap", part, phases[1]).reshape(rows, k, -1)
+        out[:, lo:lo + step] = np.einsum("abp,bp->ap", part, phases[0]).real
     return out.reshape(lead + (len(points),))
 
 
@@ -349,7 +363,8 @@ class FieldEvaluator:
     """Exact off-grid evaluation of a band-limited connection.
 
     Returns algebra-basis coefficients; points are (P, 3) lift coordinates
-    (only their fractional parts matter).
+    (only their fractional parts matter).  ``chunk`` bounds the working
+    set of one batch of points at chunk x K^3 complex entries.
     """
 
     def __init__(self, a: SpectralConnection, chunk: int = 512):
@@ -470,36 +485,38 @@ def wilson_loop(evaluator, loop: Loop, character: Character,
 
 def u1_wilson_exact(a: SpectralConnection, loop: Loop, character: Character,
                     t: float) -> complex:
-    """Closed-form regularized U(1) Wilson loop.
+    """Closed-form regularized U(1) Wilson loop at one time: the character
+    applied to the phase h_series(a, loop, t)."""
+    return character.u1_value(h_series(a, loop, t))
 
-    chi(exp(sum_n e^(-4 pi^2 |n|^2 t) Ahat(n) . c_n(loop))) where Ahat is
-    the i R-valued coefficient (i times the stored real-component one) and
-    the inner sum is purely imaginary.
+
+def h_series(a: SpectralConnection, loop: Loop, t, cutoff: int | None = None):
+    """Phase of the regularized U(1) holonomy: the imaginary part of the
+    mode sum sum_n e^(-4 pi^2 |n|^2 t) Z_n . c_n (Z = i times the stored
+    coefficients); the real part cancels in exact arithmetic and is
+    discarded after a sanity bound at every time.
+
+    Broadcasts over t like numpy: a scalar time gives a float, a 1-D
+    sequence of times an array of phases.  The per-mode product Z_n . c_n
+    is formed once and contracted with one row of the shared heat-weight
+    table per time, so every time and every character of one (field,
+    loop) costs a single call.  ``cutoff`` truncates the sum to a smaller
+    mode cube.
     """
-    if a.group.kind != "u1":
-        raise ValueError("exact Wilson loop formula is U(1)-only")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    s = h_series(a, loop, t, cutoff=a.cutoff)
-    k = character.u1_exponent()
-    return complex(np.exp(1j * k * s))
-
-
-def h_series(a: SpectralConnection, loop: Loop, t: float,
-             cutoff: int | None = None) -> float:
-    """Imaginary part of the mode sum sum_n e^(-4 pi^2 |n|^2 t) Z_n . c_n
-    for a U(1) field (Z = i times the stored coefficients); the real part
-    cancels in exact arithmetic and is discarded after a sanity bound.
-
-    Returns the real number H/i, i.e. the phase accumulated by the
-    regularized holonomy.
-    """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D sequence of times")
+    z = u1_amplitudes(a)                                 # (3, K, K, K)
     m = a.cutoff if cutoff is None else min(cutoff, a.cutoff)
-    field = a if m == a.cutoff else a.restricted(m)
+    if m < a.cutoff:
+        keep = slice(a.cutoff - m, a.cutoff + m + 1)
+        z = z[:, keep, keep, keep]
     table = loop_fourier_coefficients(loop, m)           # (K, K, K, 3)
-    weights = np.exp(-4.0 * np.pi**2 * mode_norm_sq(m) * t)
-    z = u1_amplitudes(field)
-    total = np.einsum("jxyz,xyzj,xyz->", z, table, weights, optimize=True)
-    if abs(total.real) > 1e-9 * (1.0 + abs(total.imag)):
+    per_mode = z[0] * table[..., 0] + z[1] * table[..., 1] + z[2] * table[..., 2]
+    weights = heat_weights(m, times)
+    # (T, K^3) @ (K^3, 2): real and imaginary part of each time's sum
+    sums = weights.reshape(len(weights), -1) @ per_mode.reshape(-1, 1).view(float)
+    if np.any(np.abs(sums[:, 0]) > 1e-9 * (1.0 + np.abs(sums[:, 1]))):
         raise AssertionError("mode sum failed to be purely imaginary")
-    return float(total.imag)
+    phases = sums[:, 1].copy()
+    return float(phases[0]) if times.ndim == 0 else phases

@@ -335,3 +335,45 @@ def test_corrupt_field_file_exit_code(workspace, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "reserved" in err
+
+
+def test_flow_stalled_exit_code_and_manifest(tmp_path, monkeypatch, capsys):
+    # an error tolerance far below rounding rejects every step until dt
+    # falls under its floor
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "su2.cfg", SU2_CFG.format(
+        loops=write(tmp_path / "loops.txt", LOOPS), out=tmp_path / "out").replace(
+        "checkpoints = 0.005 0.01", "checkpoints = 0.005 0.01\nerror_tol = 1e-300"))
+    assert main(["sample", "--config", cfg]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    rc = main(["flow", "--config", cfg, "--input", field,
+               "--output", str(tmp_path / "stalled")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "stalled" in err
+    manifest = read_manifest(tmp_path / "stalled" / "trajectory.json")
+    assert manifest["blew_up"] is True
+    assert manifest["failure"] == "stalled"
+    assert manifest["step_count"] == 0 and manifest["checkpoints"] == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_flow_non_finite_exit_code_and_manifest(tmp_path, monkeypatch, capsys):
+    # finite coefficients of size 1e150 overflow the cubic terms
+    from conftest import random_connection
+    from ymflow.groups import SU2
+    from ymflow.storage import write_field
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "su2.cfg", SU2_CFG.format(
+        loops=write(tmp_path / "loops.txt", LOOPS), out=tmp_path / "out"))
+    write_field(tmp_path / "huge.ymf", random_connection(SU2, 2, seed=3, scale=1e150))
+    rc = main(["flow", "--config", cfg, "--input", str(tmp_path / "huge.ymf"),
+               "--output", str(tmp_path / "nonfinite")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "non-finite" in err
+    manifest = read_manifest(tmp_path / "nonfinite" / "trajectory.json")
+    assert manifest["blew_up"] is True
+    assert manifest["failure"] == "non-finite"

@@ -15,10 +15,11 @@ from ymflow.ensemble import (
     load_records,
     persist_records,
     run_ensemble,
+    sample_initial,
     tightness_report,
 )
 from ymflow.groups import SU2, U1
-from ymflow.wilson import Character, axis_cycle, rectangle_loop
+from ymflow.wilson import Character, axis_cycle, rectangle_loop, u1_wilson_exact
 
 PLAQ = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="plaq")
 CYCLE = axis_cycle(0, (0, 0.25, 0.5), name="cx")
@@ -289,3 +290,55 @@ def test_member_flow_keeps_max_steps():
         assert rec.blew_up
         assert rec.attained_time < 0.003
         assert rec.s_ym[0.003] is None
+
+
+def test_u1_exact_member_values_match_scalar_formula():
+    spec = u1_spec(n_samples=2, cutoffs=(2, 4), times=(0.005, 0.02))
+    for rec in run_ensemble(spec):
+        a0 = sample_initial(U1, "u1_coulomb", rec.cutoff, spec.seed, rec.stream,
+                            spec.coupling)
+        assert len(rec.wilson) == len(spec.loops) * len(CHARS) * len(spec.times)
+        for lp in spec.loops:
+            for ch in CHARS:
+                for t in spec.times:
+                    w = rec.wilson[(lp.name, ch.label(), t)]
+                    assert abs(w - u1_wilson_exact(a0, lp, ch, t)) <= 1e-14
+
+
+def test_h_series_called_once_per_member_and_loop(monkeypatch):
+    import ymflow.ensemble as ens
+    calls = []
+    real = ens.h_series
+
+    def counting(a, loop, t, cutoff=None):
+        calls.append((a.cutoff, loop.name))
+        return real(a, loop, t, cutoff)
+
+    monkeypatch.setattr(ens, "h_series", counting)
+    spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.01, 0.02))
+    recs = run_ensemble(spec)
+    assert len(calls) == 3 * 2 * len(spec.loops)      # streams x cutoffs x loops
+    assert len(set(calls)) == 2 * len(spec.loops)
+    calls.clear()
+    distribution_convergence_report(recs, spec, reference_cutoff=8)
+    assert sorted(calls) == sorted((8, lp.name) for lp in spec.loops for _ in range(3))
+
+
+@pytest.mark.parametrize("writer", [persist_records, export_csv])
+def test_failed_record_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    import ymflow.ensemble as ens
+    recs = run_ensemble(u1_spec(n_samples=2, cutoffs=(2,)))
+    path = tmp_path / "records.out"
+    writer(recs, path)
+    before = path.read_bytes()
+    real_rows = ens._rows_of
+
+    def failing_rows(rec):
+        yield next(real_rows(rec))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ens, "_rows_of", failing_rows)
+    with pytest.raises(OSError, match="disk full"):
+        writer(recs, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["records.out"]

@@ -8,6 +8,7 @@ from ymflow.fields import (
     coulomb_project_u1,
     d_star_1form,
     h1_norm,
+    heat_weights,
     l2_norm,
     mode_norm_sq,
     ym_action,
@@ -370,3 +371,17 @@ def test_blowup_statistics_qualitative():
                 halted += 1
         fractions.append(halted / 6.0)
     assert fractions[1] <= fractions[0]
+
+
+def test_heat_weights_one_shared_read_only_table():
+    w = heat_weights(3, (0.01, 0.02))
+    assert w.shape == (2, 7, 7, 7)
+    assert not w.flags.writeable
+    assert heat_weights(3, [0.01, 0.02]) is w
+    assert np.array_equal(w[0], np.exp(-4.0 * np.pi**2 * mode_norm_sq(3) * 0.01))
+    assert np.array_equal(heat_weights(3, 0.02)[0], w[1])
+    a = sample_u1_coulomb(SamplerConfig(U1, 3, seed=8))
+    assert np.array_equal(heat_semigroup_u1(a, 0.02).coeffs,
+                          a.coeffs * heat_weights(3, 0.02)[0][None, None])
+    with pytest.raises(ValueError):
+        heat_weights(3, (0.01, -0.01))

@@ -3,7 +3,14 @@ import pytest
 
 from conftest import random_connection
 from ymflow.groups import SU2, U1, GroupSpec
-from ymflow.storage import FieldFileError, read_field, write_field
+from ymflow.storage import (
+    FieldFileError,
+    atomic_open,
+    read_field,
+    read_manifest,
+    write_field,
+    write_manifest,
+)
 
 
 @pytest.mark.parametrize("group,cutoff", [(U1, 3), (SU2, 2), (GroupSpec("u", 2), 1)])
@@ -78,3 +85,40 @@ def test_broken_conjugate_pair_rejected(tmp_path):
     a.coeffs[0, 1, 3, 1, 4] += 1e-15
     write_field(path, a)
     assert np.array_equal(read_field(path).coeffs, a.coeffs)
+
+
+def test_atomic_open_failure_midway_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.txt"
+    path.write_text("previous\n")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with atomic_open(path) as fh:
+            fh.write("partial")
+            fh.flush()
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+    with atomic_open(path) as fh:
+        fh.write("complete\n")
+    assert path.read_text() == "complete\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+def test_failed_field_and_manifest_writes_keep_previous_files(tmp_path, monkeypatch):
+    import ymflow.storage as storage
+    field_path, manifest_path = tmp_path / "field.ymf", tmp_path / "run.json"
+    a = random_connection(SU2, 2, seed=4)
+    write_field(field_path, a)
+    write_manifest(manifest_path, {"run": 1})
+    before = field_path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(storage.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_field(field_path, a.scaled(2.0))
+    with pytest.raises(OSError, match="rename refused"):
+        write_manifest(manifest_path, {"run": 2})
+    assert field_path.read_bytes() == before
+    assert read_manifest(manifest_path) == {"run": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["field.ymf", "run.json"]

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import random_connection, random_gauge
-from ymflow.fields import GaugeTransform, mode_grids, zero_connection
+from ymflow.fields import GaugeTransform, gauge_act, mode_grids, zero_connection
 from ymflow.flow import heat_semigroup_u1
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
-from ymflow.groups import SU2, U1, exp_map, standard_basis, unitarity_defect
+from ymflow.groups import (
+    SU2,
+    U1,
+    GroupSpec,
+    exp_map,
+    standard_basis,
+    unitarity_defect,
+)
 from ymflow.wilson import (
     Character,
     FieldEvaluator,
@@ -26,6 +33,7 @@ from ymflow.wilson import (
 )
 
 PLAQ = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="plaq")
+SU3 = GroupSpec("su", 3)
 
 
 def u1_sample(cutoff=3, seed=1, g=1.0):
@@ -360,3 +368,77 @@ def test_u1_exact_rejects_non_abelian():
     b = u1_sample(seed=21)
     with pytest.raises(ValueError):
         u1_wilson_exact(b, PLAQ, Character(U1, "u1_power", 1), -0.5)
+
+
+def test_h_series_broadcasts_over_times():
+    b = u1_sample(cutoff=4, seed=22)
+    times = (0.0, 0.003, 0.01, 0.05)
+    scalar = h_series(b, PLAQ, 0.01)
+    assert isinstance(scalar, float)
+    for cutoff in (None, 2):
+        vec = h_series(b, PLAQ, times, cutoff=cutoff)
+        assert isinstance(vec, np.ndarray) and vec.shape == (len(times),)
+        for t, v in zip(times, vec):
+            assert abs(v - h_series(b, PLAQ, t, cutoff=cutoff)) <= 1e-15
+    assert np.array_equal(h_series(b, PLAQ, np.array(times)), h_series(b, PLAQ, times))
+    with pytest.raises(ValueError):
+        h_series(b, PLAQ, [[0.01]])
+    with pytest.raises(ValueError):
+        h_series(b, PLAQ, [0.01, -0.01])
+
+
+def test_h_series_imaginary_check_covers_every_time():
+    # one mode without its conjugate partner: the mode sum has a real part,
+    # invisible at t = 80 (weight e^(-4 pi^2 80) = 0) but not at t = 0.01
+    a = zero_connection(U1, 2)
+    a.coeffs[0, 1, 3, 2, 2] = 0.3
+    assert h_series(a, PLAQ, 80.0) == 0.0
+    with pytest.raises(AssertionError, match="purely imaginary"):
+        h_series(a, PLAQ, 0.01)
+    with pytest.raises(AssertionError, match="purely imaginary"):
+        h_series(a, PLAQ, [80.0, 0.01])
+
+
+def test_u1_wilson_exact_is_character_of_phase():
+    b = u1_sample(cutoff=3, seed=24)
+    for k in (1, -1, 2):
+        ch = Character(U1, "u1_power", k)
+        for t in (0.005, 0.02):
+            phase = h_series(b, PLAQ, t)
+            assert u1_wilson_exact(b, PLAQ, ch, t) == complex(np.exp(1j * k * phase))
+            assert ch.u1_value(phase) == u1_wilson_exact(b, PLAQ, ch, t)
+
+
+def _direct_fourier_values(coeffs, cutoff, points):
+    """Reference evaluator: the full K^3 phase block at every point."""
+    modes = np.stack([n.ravel() for n in mode_grids(cutoff)], axis=1)
+    phases = np.exp(2j * np.pi * (points @ modes.T))          # (P, K^3)
+    flat = coeffs.reshape(-1, modes.shape[0])
+    return (flat @ phases.T).real.reshape(coeffs.shape[:-3] + (len(points),))
+
+
+@pytest.mark.parametrize("group", [U1, SU2, SU3], ids=lambda g: g.label())
+def test_field_evaluator_matches_direct_sum(group):
+    rng = np.random.default_rng(25)
+    pts = rng.uniform(-2.0, 3.0, size=(29, 3))        # lifted and negative
+    pts[0] = (0.0, 0.0, 0.0)
+    pts[1] = (-1.25, 2.5, -0.75)
+    for cutoff in range(1, 9):
+        a = random_connection(group, cutoff, seed=cutoff)
+        ref = _direct_fourier_values(a.coeffs, cutoff, pts)
+        scale = np.max(np.abs(ref))
+        for chunk in (1, 5, 512):
+            got = FieldEvaluator(a, chunk=chunk).coefficients_at(pts)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+def test_gauge_transformed_evaluator_logs_match_direct_sum():
+    a = random_connection(SU2, 3, seed=26)
+    sigma = random_gauge(SU2, 2, 0.02, seed=27)
+    pts = np.array([[0.1, -0.4, 1.7], [2.25, 0.5, -1.0], [0.0, 0.0, 0.0]])
+    vals = _direct_fourier_values(a.coeffs, 3, pts)
+    logs = _direct_fourier_values(sigma.log_stack(), 2, pts)
+    ref = gauge_act(SU2, vals, logs, sigma.winding)
+    got = GaugeTransformedEvaluator(a, sigma, chunk=2).coefficients_at(pts)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
