@@ -184,9 +184,12 @@ def cmd_wilson(args) -> int:
         for lp in loops:
             # closed-form phases of this loop at every time (U(1) only)
             phases = h_series(a0, lp, times) if is_u1 else None
-            for ch in characters:
+            # one holonomy per time that every character reads
+            values = [wilson_loop(flowed[t], lp, characters, steps=cfg.wilson_steps)
+                      for t in times]
+            for c, ch in enumerate(characters):
                 for i, t in enumerate(times):
-                    w = wilson_loop(flowed[t], lp, ch, steps=cfg.wilson_steps)
+                    w = values[i][c]
                     row = {
                         "loop_id": lp.name, "character_id": ch.label(),
                         "t": _fmt(t),

@@ -151,10 +151,10 @@ def _member_record(spec: EnsembleSpec, stream: int, cutoff: int,
             state = traj.states[t]
             rec.s_ym[t] = traj.actions[t]
             for lp in spec.loops:
-                for ch in spec.characters:
-                    rec.wilson[(lp.name, ch.label(), t)] = wilson_loop(
-                        state, lp, ch, steps=spec.wilson_steps
-                    )
+                values = wilson_loop(state, lp, spec.characters,
+                                     steps=spec.wilson_steps)
+                for ch, w in zip(spec.characters, values):
+                    rec.wilson[(lp.name, ch.label(), t)] = w
         else:
             rec.s_ym[t] = None
     return rec
@@ -359,10 +359,15 @@ class ConvergenceRow:
 
 
 def _ks_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
+    """Two-sample Kolmogorov-Smirnov statistic, reading values equal to
+    rounding as ties: both empirical CDFs are evaluated at every sample
+    value plus tol = 1e-12 (1 + max(|x|, |y|)), so samples that agree to
+    rounding give 0, and samples whose values are all more than tol apart
+    give the plain statistic."""
     xs = np.sort(x)
     ys = np.sort(y)
-    grid = np.concatenate([xs, ys])
+    tol = 1e-12 * (1.0 + max(np.max(np.abs(xs)), np.max(np.abs(ys))))
+    grid = np.concatenate([xs, ys]) + tol
     fx = np.searchsorted(xs, grid, side="right") / len(xs)
     fy = np.searchsorted(ys, grid, side="right") / len(ys)
     return float(np.max(np.abs(fx - fy)))

@@ -11,9 +11,10 @@ Derivatives are always taken spectrally.  Nonlinear (bracket) terms are
 evaluated pointwise on a grid of size M >= 4N+1 and re-truncated, which is
 alias-free for products of up to three cutoff-N factors, so the retained
 band of every right-hand side below is exact up to rounding; the default
-M is the smallest 2*3*5-smooth size, where FFTs are fastest.  The
-transforms are real: grid values are real, so only the half spectrum
-n3 >= 0 is transformed, and the n3 < 0 half is the conjugate of the
+M is 4N+1 itself.  The grid transforms are pruned DFTs applied as matrix
+products, one cached plan per (cutoff, M): only the 2N+1 retained modes
+per axis enter, and grid values are real, so only the half spectrum
+n3 >= 0 is transformed and the n3 < 0 half is the conjugate of the
 mirrored modes.
 """
 
@@ -68,24 +69,21 @@ TWO_PI = 2.0 * np.pi
 # Antisymmetric pair storage order for 2-forms: component p holds F_{ij}
 # with (i, j) = PAIRS[p]; F_{ji} = -F_{ij} is implicit.
 PAIRS = ((0, 1), (0, 2), (1, 2))
-_PAIR_OF = {}
-for _p, (_i, _j) in enumerate(PAIRS):
-    _PAIR_OF[(_i, _j)] = (_p, 1.0)
-    _PAIR_OF[(_j, _i)] = (_p, -1.0)
+
+
+def _dual(comps: np.ndarray) -> np.ndarray:
+    """Spatial dual B_k = (1/2) eps_ijk F_ij of a 2-form in PAIRS storage,
+    B = (F_12, -F_02, F_01), for stacks (d, 3, ...); the map is its own
+    inverse."""
+    out = comps[:, ::-1].copy()
+    out[:, 1] *= -1.0
+    return out
 
 
 def dealias_resolution(cutoff: int) -> int:
-    """Default grid size for cubic nonlinearities at this cutoff: the
-    smallest 2*3*5-smooth M >= 4N+1."""
-    m = 4 * cutoff + 1
-    while True:
-        rest = m
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return m
-        m += 1
+    """Smallest grid size that dealiases cubic nonlinearities at this
+    cutoff: M = 4N+1 (Orszag's bound)."""
+    return 4 * cutoff + 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,18 +208,39 @@ def _check_resolution(cutoff: int, resolution: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_slots(cutoff: int, resolution: int) -> np.ndarray:
-    """The transform plan of one (cutoff, M): the grid slot of each mode
-    -N..N along one axis."""
+def _dft_plan(cutoff: int, resolution: int):
+    """The transform plan of one (cutoff, M): read-only DFT matrices.
+
+    synth (M, K) holds e^(i 2 pi x n / M) for x = 0..M-1, n = -N..N, and
+    analysis (K, M) its conjugate transpose over M.  synth3 (2(N+1), M)
+    maps the interleaved [Re, Im] of the n3 >= 0 modes to x3, with weight
+    1 for n3 = 0 and 2 for n3 > 0; analysis3 (M, 2(N+1)) maps x3 back to
+    the interleaved [Re, Im] of those modes over M.  Angles come from the
+    integer (x n) mod M, so they stay accurate at large M.
+    """
     _check_resolution(cutoff, resolution)
-    slots = np.arange(-cutoff, cutoff + 1) % resolution
-    slots.setflags(write=False)
-    return slots
+    x = np.arange(resolution)
+    modes = np.arange(-cutoff, cutoff + 1)
+    synth = np.exp((1j * TWO_PI / resolution) * ((x[:, None] * modes) % resolution))
+    analysis = np.ascontiguousarray(synth.conj().T) / resolution
+    half = (TWO_PI / resolution) * ((np.arange(cutoff + 1)[:, None] * x) % resolution)
+    weight = np.where(np.arange(cutoff + 1) == 0, 1.0, 2.0)[:, None]
+    synth3 = np.empty((2 * (cutoff + 1), resolution))
+    synth3[0::2] = weight * np.cos(half)
+    synth3[1::2] = -weight * np.sin(half)
+    analysis3 = np.empty((resolution, 2 * (cutoff + 1)))
+    analysis3[:, 0::2] = np.cos(half).T / resolution
+    analysis3[:, 1::2] = -np.sin(half).T / resolution
+    for arr in (synth, analysis, synth3, analysis3):
+        arr.setflags(write=False)
+    return synth, analysis, synth3, analysis3
 
 
-# The grid transforms below are real: only the half spectrum n3 >= 0 is
-# transformed, one axis at a time (complex on the first two axes, real on
-# the last), skipping the rows that hold no retained mode.
+# The grid transforms below are pruned DFTs applied as matrix products:
+# only the retained modes and the half spectrum n3 >= 0 enter, and each
+# axis is one (batched) BLAS product.  The n2 axis sits between the other
+# two, so its product is batched over (lead, n1); it runs while that batch
+# is K rows, not M, long.
 
 
 def _spectral_to_values(coeffs: np.ndarray, cutoff: int, resolution: int) -> np.ndarray:
@@ -230,25 +249,23 @@ def _spectral_to_values(coeffs: np.ndarray, cutoff: int, resolution: int) -> np.
     Reads only the n3 >= 0 half of coeffs, so it assumes the reality
     symmetry c(-n) = conj(c(n)).
     """
-    slots, n, m = _grid_slots(cutoff, resolution), cutoff, resolution
-    lead = coeffs.shape[:-3]
-    along1 = np.zeros(lead + (m, 2 * n + 1, n + 1), dtype=complex)
-    along1[..., slots, :, :] = coeffs[..., n:]
-    along1 = np.fft.ifft(along1, axis=-3, norm="forward")
-    along2 = np.zeros(lead + (m, m, n + 1), dtype=complex)
-    along2[..., slots, :] = along1
-    along2 = np.fft.ifft(along2, axis=-2, norm="forward")
-    return np.fft.irfft(along2, n=m, axis=-1, norm="forward")
+    synth, _, synth3, _ = _dft_plan(cutoff, resolution)
+    k, h, m = 2 * cutoff + 1, cutoff + 1, resolution
+    g = synth @ coeffs[..., cutoff:].reshape(-1, k, h)   # n2 -> x2
+    g = synth @ g.reshape(-1, k, m * h)                  # n1 -> x1
+    values = g.view(float).reshape(-1, 2 * h) @ synth3   # n3 -> x3, real
+    return values.reshape(coeffs.shape[:-3] + (m, m, m))
 
 
 def _values_to_spectral(values: np.ndarray, cutoff: int, resolution: int) -> np.ndarray:
     """Discrete Fourier analysis of real grid values (..., M, M, M),
     normalized so constants sit in the n=0 slot; the n3 < 0 half is the
     conjugate of the mirrored modes."""
-    slots, n = _grid_slots(cutoff, resolution), cutoff
-    half = np.fft.rfft(values, axis=-1, norm="forward")[..., : n + 1]
-    half = np.fft.fft(half, axis=-2, norm="forward")[..., slots, :]
-    upper = np.fft.fft(half, axis=-3, norm="forward")[..., slots, :, :]
+    _, analysis, _, analysis3 = _dft_plan(cutoff, resolution)
+    k, h, m = 2 * cutoff + 1, cutoff + 1, resolution
+    g = (values.reshape(-1, m) @ analysis3).view(complex)   # x3 -> n3 >= 0
+    g = analysis @ g.reshape(-1, m, m * h)                  # x1 -> n1
+    upper = (analysis @ g.reshape(-1, m, h)).reshape(values.shape[:-3] + (k, k, h))
     lower = np.conj(upper[..., ::-1, ::-1, :0:-1])
     return np.concatenate([lower, upper], axis=-1)
 
@@ -268,13 +285,9 @@ def to_spectral(g: GridConnection, cutoff: int) -> SpectralConnection:
 
 
 def exterior_d(a: SpectralConnection) -> SpectralTwoForm:
-    """(dA)_{ij} = d_i A_j - d_j A_i, mode-wise i 2 pi (n_i A_j - n_j A_i)."""
-    n = mode_grids(a.cutoff)
-    c = a.coeffs
-    comps = np.empty_like(c)
-    for p, (i, j) in enumerate(PAIRS):
-        comps[:, p] = (1j * TWO_PI) * (n[i] * c[:, j] - n[j] * c[:, i])
-    return SpectralTwoForm(a.group, a.cutoff, comps)
+    """(dA)_{ij} = d_i A_j - d_j A_i, mode-wise i 2 pi (n_i A_j - n_j A_i):
+    the dual of curl A."""
+    return SpectralTwoForm(a.group, a.cutoff, _dual(_curl(a.coeffs, a.cutoff)))
 
 
 def d_star_1form(a: SpectralConnection) -> SpectralScalar:
@@ -286,19 +299,20 @@ def d_star_1form(a: SpectralConnection) -> SpectralScalar:
 
 
 def d_star_2form(f: SpectralTwoForm) -> SpectralConnection:
-    """(d*F)_i = sum_j d_j F_{ij}, with the antisymmetric pair storage."""
-    n = mode_grids(f.cutoff)
-    c = f.comps
+    """(d*F)_i = sum_j d_j F_{ij}: the curl of the spatial dual of F."""
+    return SpectralConnection(f.group, f.cutoff, _curl(_dual(f.comps), f.cutoff))
+
+
+def _curl(c: np.ndarray, cutoff: int) -> np.ndarray:
+    """(curl c)_k = i 2 pi (n_i c_j - n_j c_i) over cyclic (i, j, k), for
+    coefficient 3-stacks (d, 3, K, K, K): the spatial dual of dA for a
+    1-form A, and d*F when c is the spatial dual of a 2-form F."""
+    n = mode_grids(cutoff)
     out = np.empty_like(c)
-    for i in range(3):
-        acc = 0.0
-        for j in range(3):
-            if j == i:
-                continue
-            p, sign = _PAIR_OF[(i, j)]
-            acc = acc + sign * n[j] * c[:, p]
-        out[:, i] = (1j * TWO_PI) * acc
-    return SpectralConnection(f.group, f.cutoff, out)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        out[:, k] = (1j * TWO_PI) * (n[i] * c[:, j] - n[j] * c[:, i])
+    return out
 
 
 def grad_0form(f: SpectralScalar) -> SpectralConnection:
@@ -309,41 +323,60 @@ def grad_0form(f: SpectralScalar) -> SpectralConnection:
 
 
 @functools.lru_cache(maxsize=None)
-def _bracket_terms(group: GroupSpec):
-    """The nonzero structure constants as (a, b, ((c, f[a, b, c]), ...))
-    over a < b; f is antisymmetric in (a, b)."""
+def _bracket_program(group: GroupSpec):
+    """The nonzero structure constants as (steps, untouched): each step
+    (a, b, targets) over a < b lists its targets (c, f[a, b, c], first),
+    where ``first`` marks the first term a component c receives;
+    ``untouched`` lists the components no term reaches."""
     f = structure_constants(group)
     d = group.algebra_dim
-    terms = []
+    seen = set()
+    steps = []
     for a in range(d):
         for b in range(a + 1, d):
-            targets = tuple((c, float(f[a, b, c])) for c in range(d) if f[a, b, c])
+            targets = tuple((c, float(f[a, b, c]), c not in seen)
+                            for c in range(d) if f[a, b, c])
+            seen.update(c for c, _, _ in targets)
             if targets:
-                terms.append((a, b, targets))
-    return tuple(terms)
+                steps.append((a, b, targets))
+    return tuple(steps), tuple(c for c in range(d) if c not in seen)
 
 
 def _grid_bracket(x: np.ndarray, y: np.ndarray, group: GroupSpec) -> np.ndarray:
     """Pointwise algebra bracket of coefficient fields x, y (d, ...), which
     broadcast against each other: out^c = sum_{a<b} f[a,b,c] (x^a y^b -
-    x^b y^a), summed over the nonzero structure constants only."""
-    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    for a, b, targets in _bracket_terms(group):
-        w = x[a] * y[b] - x[b] * y[a]
-        for c, coef in targets:
-            out[c] += coef * w
+    x^b y^a), summed over the nonzero structure constants only.
+
+    One allocation holds the output and two scratch rows.  A component's
+    first term is written, not accumulated, so only components no term
+    reaches are zero-filled.
+    """
+    steps, untouched = _bracket_program(group)
+    d = group.algebra_dim
+    buf = np.empty((d + 2,) + np.broadcast_shapes(x.shape, y.shape)[1:])
+    out, w, tmp = buf[:d], buf[d], buf[d + 1]
+    for a, b, targets in steps:
+        np.multiply(x[a], y[b], out=w)
+        np.multiply(x[b], y[a], out=tmp)
+        w -= tmp
+        for c, coef, first in targets:
+            if first:
+                np.multiply(w, coef, out=out[c])
+            else:
+                np.multiply(w, coef, out=tmp)
+                out[c] += tmp
+    for c in untouched:
+        out[c] = 0.0
     return out
 
 
 # the components (i, j) of each pair in PAIRS order
 _PAIR_I = [i for i, _ in PAIRS]
 _PAIR_J = [j for _, j in PAIRS]
-# [A _| F]_i = sum_{j != i} [A_j, F_ij]: its six terms in (i, j) order, as
-# the A component, the stored pair and the sign F_ij carries
-_INTERIOR_TERMS = [(i, j) for i in range(3) for j in range(3) if j != i]
-_INTERIOR_A = [j for _, j in _INTERIOR_TERMS]
-_INTERIOR_F = [_PAIR_OF[t][0] for t in _INTERIOR_TERMS]
-_INTERIOR_SIGN = np.array([_PAIR_OF[t][1] for t in _INTERIOR_TERMS])[:, None, None, None]
+# Over cyclic (i, j, k) = (0, 1, 2), (1, 2, 0), (2, 0, 1), a 3-stack extended
+# by its first two components holds the j-components at [1:4] and the
+# k-components at [2:5].
+_CYCLIC = [0, 1, 2, 0, 1]
 
 
 def _pair_brackets(group: GroupSpec, avals: np.ndarray) -> np.ndarray:
@@ -351,17 +384,27 @@ def _pair_brackets(group: GroupSpec, avals: np.ndarray) -> np.ndarray:
     return _grid_bracket(avals[:, _PAIR_I], avals[:, _PAIR_J], group)
 
 
+def _cyclic_interior(group: GroupSpec, ab: np.ndarray) -> np.ndarray:
+    """[A _| F]_i = [A_j, B_k] + [B_j, A_k] over cyclic (i, j, k), where B is
+    the spatial dual of F and ab (d, 2, 5, ...) holds A and B in the
+    extended _CYCLIC order: the stacks (A_j, B_j) and (B_k, A_k) are views
+    of ab, and one bracket forms both terms."""
+    terms = _grid_bracket(ab[:, :, 1:4], ab[:, ::-1, 2:5], group)
+    return np.add(terms[:, 0], terms[:, 1])
+
+
 def _interior_values(group: GroupSpec, avals: np.ndarray,
                      fvals: np.ndarray) -> np.ndarray:
-    """[A _| F]_i pointwise, all six brackets in one call."""
-    terms = _grid_bracket(avals[:, _INTERIOR_A],
-                          fvals[:, _INTERIOR_F] * _INTERIOR_SIGN, group)
-    return terms[:, 0::2] + terms[:, 1::2]
+    """[A _| F]_i = sum_j [A_j, F_ij] pointwise, F in PAIRS storage, through
+    the spatial dual B_k = (1/2) eps_ijk F_ij."""
+    ab = np.stack([avals, _dual(fvals)], axis=1)[:, :, _CYCLIC]
+    return _cyclic_interior(group, ab)
 
 
 def _action_of(fvals: np.ndarray) -> float:
-    """sum_{ij} integral |F_ij|^2 by uniform-grid quadrature; the pairs
-    store i<j only, so the full sum over ordered (i, j) doubles it."""
+    """sum_{ij} integral |F_ij|^2 by uniform-grid quadrature; the stored
+    components (the PAIRS or the spatial dual) hold each unordered pair
+    once, so the full sum over ordered (i, j) doubles it."""
     return 2.0 * float(np.mean(np.sum(fvals**2, axis=(0, 1))))
 
 
@@ -455,15 +498,17 @@ def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool):
     YM (deturck False):  -(1/2) d*[A ^ A] - [A _| F_A] + d d*A
     ZDDS (deturck True): -(1/2) d*[A ^ A] - [A _| F_A] - [A ^ d*A]
 
-    Assembled without the large-term cancellation of the full operators.
-    One inverse transform takes A, dA (and d*A) to the grid; one set of
-    brackets [A_i, A_j] gives both F_A = dA + [A_i, A_j] and [A ^ A]_{ij} =
-    2 [A_i, A_j]; one forward transform brings [A_i, A_j] and the other
-    bracket terms back.  The ZDDS remainder vanishes for Abelian groups.
+    Assembled without the large-term cancellation of the full operators,
+    with 2-forms held as their spatial duals B_k = (1/2) eps_ijk F_ij.  One
+    inverse transform takes A, curl A (the dual of dA) and d*A to the grid;
+    one bracket C_k = [A_i, A_j] over cyclic (i, j, k) gives both the dual
+    curl A + C of F_A and the dual of (1/2)[A ^ A]; forward transforms
+    bring C, where curl C = (1/2) d*[A ^ A], and the other bracket terms
+    back.  The ZDDS remainder vanishes for Abelian groups.
     """
     group, n = a.group, a.cutoff
     dstar = d_star_1form(a)
-    parts = [a.coeffs, exterior_d(a).comps]
+    parts = [a.coeffs, _curl(a.coeffs, n)]
     if deturck and not group.is_abelian:
         parts.append(dstar.coeffs[:, None])
     grids = _spectral_to_values(np.concatenate(parts, axis=1), n, m)
@@ -472,16 +517,30 @@ def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool):
     if group.is_abelian:
         nl = np.zeros_like(a.coeffs) if deturck else grad_0form(dstar).coeffs
         return nl, _action_of(grids[:, 3:]), sup
-    aa = _pair_brackets(group, avals)
-    fvals = grids[:, 3:6] + aa
-    inner = _interior_values(group, avals, fvals)
+    # each grid array is dropped as soon as it is used up, which keeps the
+    # peak heap (and the pages faulted in anew every call) small
+    ab = np.empty((group.algebra_dim, 2, 5) + grids.shape[2:])
+    a5, b5 = ab[:, 0], ab[:, 1]
+    a5[:, :3] = avals
+    b5[:, :3] = grids[:, 3:6]
+    dstar_vals = grids[:, 6:] if deturck else None
+    del grids, avals
+    a5[:, 3:] = a5[:, :2]
+    half_aa = _grid_bracket(a5[:, 1:4], a5[:, 2:5], group)
+    b5[:, :3] += half_aa
+    b5[:, 3:] = b5[:, :2]
+    action = _action_of(b5[:, :3])
+    nl = _curl(_values_to_spectral(half_aa, n, m), n)
+    del half_aa
+    inner = _cyclic_interior(group, ab)
     if deturck:
-        inner += _grid_bracket(avals, grids[:, 6:], group)
-    back = _values_to_spectral(np.concatenate([aa, inner], axis=1), n, m)
-    nl = -d_star_2form(SpectralTwoForm(group, n, back[:, :3])).coeffs - back[:, 3:]
+        inner += _grid_bracket(a5[:, :3], dstar_vals, group)
+    del ab, a5, b5, dstar_vals
+    nl += _values_to_spectral(inner, n, m)
+    np.negative(nl, out=nl)
     if not deturck:
         nl += grad_0form(dstar).coeffs
-    return nl, _action_of(fvals), sup
+    return nl, action, sup
 
 
 def _ym_nonlinear(a: SpectralConnection, m: int):

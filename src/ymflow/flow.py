@@ -209,11 +209,10 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
         traj.attained_time = config.t_end
         return traj
 
-    m = config.resolution or dealias_resolution(a0.cutoff)
-    if m < 4 * a0.cutoff + 1:
-        raise ValueError(
-            f"resolution {m} below the dealiasing requirement {4 * a0.cutoff + 1}"
-        )
+    need = dealias_resolution(a0.cutoff)
+    m = config.resolution or need
+    if m < need:
+        raise ValueError(f"resolution {m} below the dealiasing requirement {need}")
     nonlinear = _NONLINEAR[config.flow_kind]
     guard_action = config.flow_kind == "ym"
 

@@ -476,11 +476,17 @@ def holonomy(evaluator: FieldEvaluator | SpectralConnection, loop: Loop,
     return h
 
 
-def wilson_loop(evaluator, loop: Loop, character: Character,
-                steps: int = 128) -> complex:
+def wilson_loop(evaluator, loop: Loop, characters, steps: int = 128):
     """chi(holonomy); magnitude never exceeds chi(id) for unitary
-    representations."""
-    return character(holonomy(evaluator, loop, steps))
+    representations.
+
+    Broadcasts over characters: one Character gives a complex value, a
+    sequence of them a tuple of values, all read off one holonomy.
+    """
+    h = holonomy(evaluator, loop, steps)
+    if isinstance(characters, Character):
+        return characters(h)
+    return tuple(ch(h) for ch in characters)
 
 
 def u1_wilson_exact(a: SpectralConnection, loop: Loop, character: Character,

@@ -324,6 +324,63 @@ def test_h_series_called_once_per_member_and_loop(monkeypatch):
     assert sorted(calls) == sorted((8, lp.name) for lp in spec.loops for _ in range(3))
 
 
+def test_numerical_wilson_path_one_holonomy_per_member_loop_and_time(monkeypatch):
+    # every character is read off one holonomy per (member, loop, t), and
+    # the values equal per-character wilson_loop calls bit for bit
+    import ymflow.wilson as wil
+    from ymflow.flow import integrate
+    calls = []
+    real = wil.holonomy
+
+    def counting(evaluator, loop, steps=128, **kwargs):
+        calls.append(loop.name)
+        return real(evaluator, loop, steps, **kwargs)
+
+    monkeypatch.setattr(wil, "holonomy", counting)
+    times = (0.005, 0.01)
+    spec = replace(u1_spec(n_samples=2, cutoffs=(2,), times=times),
+                   flow=FlowConfig("ym", 0.01, dt_initial=2.5e-3,
+                                   checkpoint_times=times))
+    recs = run_ensemble(spec)
+    assert len(calls) == 2 * len(spec.loops) * len(times)
+    monkeypatch.setattr(wil, "holonomy", real)
+    rec = recs[0]
+    a0 = sample_initial(spec.group, spec.sampler_kind, rec.cutoff, spec.seed,
+                        rec.stream, spec.coupling)
+    traj = integrate(a0, spec.flow)
+    for t in times:
+        for lp in spec.loops:
+            for ch in spec.characters:
+                want = wil.wilson_loop(traj.states[t], lp, ch, steps=spec.wilson_steps)
+                assert rec.wilson[(lp.name, ch.label(), t)] == want
+
+
+def _plain_ks(x, y):
+    xs, ys = np.sort(x), np.sort(y)
+    grid = np.concatenate([xs, ys])
+    fx = np.searchsorted(xs, grid, side="right") / len(xs)
+    fy = np.searchsorted(ys, grid, side="right") / len(ys)
+    return float(np.max(np.abs(fx - fy)))
+
+
+def test_ks_distance_reads_rounding_as_ties():
+    from ymflow.ensemble import _ks_distance
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=40)
+    # one ulp (~1e-16 relative) above each value: a distance of 1/40 to
+    # the plain statistic, none here
+    assert _plain_ks(x, np.nextafter(x, np.inf)) == pytest.approx(1 / 40)
+    assert _ks_distance(x, np.nextafter(x, np.inf)) == 0.0
+    assert _ks_distance(x, x) == 0.0
+    # values more than 1e-9 apart: exactly the plain statistic
+    for shift in (0.0, 0.3, 2.0):
+        y = rng.normal(size=25) + shift
+        both = np.sort(np.concatenate([x, y]))
+        assert np.min(np.diff(both)) > 1e-9
+        assert _ks_distance(x, y) == _plain_ks(x, y)
+        assert _ks_distance(y, x) == _plain_ks(y, x)
+
+
 @pytest.mark.parametrize("writer", [persist_records, export_csv])
 def test_failed_record_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     import ymflow.ensemble as ens

@@ -114,14 +114,28 @@ def _reference_to_coeffs(values, cutoff, m):
     return full[(...,) + _reference_index(cutoff, m)]
 
 
+def _smallest_smooth_at_least(m):
+    """The smallest 2*3*5-smooth integer >= m."""
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 @pytest.mark.parametrize("group", [U1, SU2, SU3], ids=lambda g: g.label())
-@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_real_transforms_match_complex_reference(group, cutoff):
-    # the default grid, the dealiasing minimum 4N+1 and user sizes of both
-    # parities down to the smallest admissible 2N+1
+    # the default grid, the dealiasing minimum 4N+1, a 5-smooth user size
+    # above it and user sizes of both parities down to the smallest
+    # admissible 2N+1
     a = random_connection(group, cutoff, seed=70 + cutoff)
     sizes = {dealias_resolution(cutoff), 4 * cutoff + 1, 4 * cutoff + 2,
-             2 * cutoff + 1, 2 * cutoff + 2}
+             _smallest_smooth_at_least(4 * cutoff + 1), 2 * cutoff + 1,
+             2 * cutoff + 2}
     for m in sorted(sizes):
         vals = to_grid(a, m).values
         ref = _reference_to_values(a.coeffs, cutoff, m)
@@ -133,19 +147,12 @@ def test_real_transforms_match_complex_reference(group, cutoff):
         assert np.max(np.abs(back - a.coeffs)) < 1e-12 * (1 + np.max(np.abs(a.coeffs)))
 
 
-def test_dealias_resolution_is_minimal_smooth_size():
-    def smooth(m):
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        return m == 1
-
+def test_dealias_resolution_is_4n_plus_1():
+    # the minimal alias-free grid for cubic terms (Orszag's bound); the
+    # matrix transforms need no smooth size
     for cutoff in range(0, 41):
-        m = dealias_resolution(cutoff)
-        assert m >= 4 * cutoff + 1
-        assert smooth(m)
-        assert not any(smooth(k) for k in range(4 * cutoff + 1, m))
-    assert [dealias_resolution(n) for n in (1, 2, 3, 4, 8)] == [5, 9, 15, 18, 36]
+        assert dealias_resolution(cutoff) == 4 * cutoff + 1
+    assert [dealias_resolution(n) for n in (1, 2, 3, 4, 8)] == [5, 9, 13, 17, 33]
 
 
 @pytest.mark.parametrize("group", [SU2, SU3, GroupSpec("u", 2)],
@@ -164,6 +171,30 @@ def test_sparse_bracket_matches_dense_structure_tensor(group):
     dense_b = np.einsum("a...,b...,abc->c...", x, np.broadcast_to(y[:, :1], x.shape),
                         structure_constants(group))
     assert np.max(np.abs(got_b - dense_b)) < 1e-13 * np.max(np.abs(dense_b))
+
+
+@pytest.mark.parametrize("group", [SU2, SU3, GroupSpec("u", 2)],
+                         ids=lambda g: g.label())
+def test_interior_values_match_pairwise_loop(group):
+    # [A _| F]_i = sum_{j != i} [A_j, F_ij], one dense bracket per (i, j),
+    # with F_ji = -F_ij from the PAIRS storage
+    from ymflow.fields import PAIRS, _interior_values
+    rng = np.random.default_rng(84)
+    d = group.algebra_dim
+    av = rng.normal(size=(d, 3, 3, 4, 5))
+    fv = rng.normal(size=(d, 3, 3, 4, 5))
+    f = structure_constants(group)
+    want = np.zeros_like(av)
+    for i in range(3):
+        for j in range(3):
+            if j == i:
+                continue
+            p = PAIRS.index((min(i, j), max(i, j)))
+            fij = fv[:, p] if i < j else -fv[:, p]
+            want[:, i] += np.einsum("a...,b...,abc->c...", av[:, j], fij, f)
+    got = _interior_values(group, av, fv)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("group", [U1, SU2, SU3], ids=lambda g: g.label())

@@ -385,3 +385,36 @@ def test_heat_weights_one_shared_read_only_table():
                           a.coeffs * heat_weights(3, 0.02)[0][None, None])
     with pytest.raises(ValueError):
         heat_weights(3, (0.01, -0.01))
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib
+from ymflow.flow import FlowConfig, integrate
+from ymflow.groups import SU2, GroupSpec
+from ymflow.verify import random_connection
+for group, cutoff in ((SU2, 4), (GroupSpec("su", 3), 2)):
+    a = random_connection(group, cutoff, seed=62, scale=0.3)
+    traj = integrate(a, FlowConfig("ym", 0.005, dt_initial=1e-3,
+                                   checkpoint_times=(0.005,)))
+    print(hashlib.sha256(traj.states[0.005].coeffs.tobytes()).hexdigest())
+"""
+
+
+def test_flow_bytes_independent_of_blas_threads():
+    # the grid transforms are BLAS matrix products: a short SU(2) N=4 and
+    # SU(3) N=2 YM flow must give the same bytes on 1 and 2 BLAS threads
+    import os
+    import subprocess
+    import sys
+    import ymflow
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ymflow.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]

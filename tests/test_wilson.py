@@ -236,6 +236,20 @@ def test_wilson_zero_field_is_identity_character():
                        Character(U1, "u1_power", 3)) == pytest.approx(1.0)
 
 
+def test_wilson_loop_broadcasts_over_characters():
+    # a sequence of characters gives a tuple from one holonomy, equal bit
+    # for bit to one call per character
+    cases = [(random_connection(SU2, 2, seed=90, scale=0.4),
+              [Character(SU2, "fundamental"), Character(SU2, "conjugate")]),
+             (random_connection(U1, 2, seed=91, scale=0.4),
+              [Character(U1, "u1_power", k) for k in (1, 2, -1)])]
+    for a, chars in cases:
+        values = wilson_loop(a, PLAQ, chars, steps=64)
+        assert isinstance(values, tuple)
+        assert values == tuple(wilson_loop(a, PLAQ, ch, steps=64) for ch in chars)
+        assert isinstance(wilson_loop(a, PLAQ, chars[0], steps=64), complex)
+
+
 def test_wilson_u1_constant_field_power_character():
     a = zero_connection(U1, 1)
     a.coeffs[0, 0, 1, 1, 1] = 0.6
