@@ -35,8 +35,6 @@ from .ensemble import (
 )
 from .fields import h1_norm, ym_action
 from .flow import heat_semigroup_u1, integrate
-# not called here: perfbench/spans.py wraps sampling under these cli names
-from .gff import sample_gff, sample_u1_coulomb  # noqa: F401
 from .storage import (
     FieldFileError,
     atomic_open,

@@ -1,11 +1,14 @@
-"""Lie-algebra-valued 1-forms on the unit 3-torus in spectral and grid form.
+"""Lie-algebra-valued 1-forms on the unit 3-torus: spectral connections,
+the transforms to and from grid values, d*, curl, the fused YM/ZDDS
+nonlinear term with the action S_YM and sup|A| read off the same pass,
+U(1) Coulomb projection, gauge transforms and norms.
 
 A connection is stored through the real component functions of its
 orthonormal algebra basis expansion: ``coeffs[a, j, n]`` is the Fourier
 coefficient of component (a, j) at integer mode n, with n in the cube
 |n|_inf <= cutoff and the reality symmetry coeff(a, j, -n) =
-conj(coeff(a, j, n)).  Grid values carry the same components sampled on a
-uniform M^3 grid.
+conj(coeff(a, j, n)).  Grid values, plain (d_g, 3, M, M, M) arrays, carry
+the same components sampled on a uniform M^3 grid.
 
 Derivatives are always taken spectrally.  Nonlinear (bracket) terms are
 evaluated pointwise on a grid of size M >= 4N+1 and re-truncated, which is
@@ -29,26 +32,15 @@ from .groups import GroupSpec, standard_basis, structure_constants, exp_map
 
 __all__ = [
     "SpectralConnection",
-    "GridConnection",
-    "SpectralTwoForm",
-    "GridTwoForm",
     "SpectralScalar",
     "GaugeTransform",
-    "PAIRS",
     "dealias_resolution",
     "mode_grids",
     "mode_norm_sq",
     "heat_weights",
     "zero_connection",
-    "to_grid",
-    "to_spectral",
-    "exterior_d",
     "d_star_1form",
-    "d_star_2form",
     "grad_0form",
-    "wedge",
-    "interior",
-    "curvature",
     "ym_action",
     "ym_action_u1_spectral",
     "coulomb_project_u1",
@@ -59,25 +51,11 @@ __all__ = [
     "zdds_rhs",
     "l2_norm",
     "h1_norm",
-    "linf_norm",
     "reality_defect",
     "u1_amplitudes",
 ]
 
 TWO_PI = 2.0 * np.pi
-
-# Antisymmetric pair storage order for 2-forms: component p holds F_{ij}
-# with (i, j) = PAIRS[p]; F_{ji} = -F_{ij} is implicit.
-PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def _dual(comps: np.ndarray) -> np.ndarray:
-    """Spatial dual B_k = (1/2) eps_ijk F_ij of a 2-form in PAIRS storage,
-    B = (F_12, -F_02, F_01), for stacks (d, 3, ...); the map is its own
-    inverse."""
-    out = comps[:, ::-1].copy()
-    out[:, 1] *= -1.0
-    return out
 
 
 def dealias_resolution(cutoff: int) -> int:
@@ -156,31 +134,6 @@ class SpectralConnection:
         return SpectralConnection(
             self.group, cutoff, self.coeffs[:, :, lo:hi, lo:hi, lo:hi].copy()
         )
-
-
-@dataclass
-class GridConnection:
-    """Real samples of the component functions: values (d_g, 3, M, M, M)."""
-
-    group: GroupSpec
-    resolution: int
-    values: np.ndarray
-
-
-@dataclass
-class SpectralTwoForm:
-    """Antisymmetric 2-form, components in PAIRS order: (d_g, 3, K, K, K)."""
-
-    group: GroupSpec
-    cutoff: int
-    comps: np.ndarray
-
-
-@dataclass
-class GridTwoForm:
-    group: GroupSpec
-    resolution: int
-    values: np.ndarray
 
 
 @dataclass
@@ -270,37 +223,12 @@ def _values_to_spectral(values: np.ndarray, cutoff: int, resolution: int) -> np.
     return np.concatenate([lower, upper], axis=-1)
 
 
-def to_grid(a: SpectralConnection, resolution: int) -> GridConnection:
-    """Inverse transform of the truncated series onto an M^3 grid."""
-    return GridConnection(
-        a.group, resolution, _spectral_to_values(a.coeffs, a.cutoff, resolution)
-    )
-
-
-def to_spectral(g: GridConnection, cutoff: int) -> SpectralConnection:
-    """Discrete Fourier analysis, normalized so constants sit in the n=0 slot."""
-    return SpectralConnection(
-        g.group, cutoff, _values_to_spectral(g.values, cutoff, g.resolution)
-    )
-
-
-def exterior_d(a: SpectralConnection) -> SpectralTwoForm:
-    """(dA)_{ij} = d_i A_j - d_j A_i, mode-wise i 2 pi (n_i A_j - n_j A_i):
-    the dual of curl A."""
-    return SpectralTwoForm(a.group, a.cutoff, _dual(_curl(a.coeffs, a.cutoff)))
-
-
 def d_star_1form(a: SpectralConnection) -> SpectralScalar:
     """d*A = -sum_i d_i A_i, mode-wise -i 2 pi n . A(n)."""
     n = mode_grids(a.cutoff)
     c = a.coeffs
     dot = n[0] * c[:, 0] + n[1] * c[:, 1] + n[2] * c[:, 2]
     return SpectralScalar(a.group, a.cutoff, (-1j * TWO_PI) * dot)
-
-
-def d_star_2form(f: SpectralTwoForm) -> SpectralConnection:
-    """(d*F)_i = sum_j d_j F_{ij}: the curl of the spatial dual of F."""
-    return SpectralConnection(f.group, f.cutoff, _curl(_dual(f.comps), f.cutoff))
 
 
 def _curl(c: np.ndarray, cutoff: int) -> np.ndarray:
@@ -370,41 +298,20 @@ def _grid_bracket(x: np.ndarray, y: np.ndarray, group: GroupSpec) -> np.ndarray:
     return out
 
 
-# the components (i, j) of each pair in PAIRS order
-_PAIR_I = [i for i, _ in PAIRS]
-_PAIR_J = [j for _, j in PAIRS]
-# Over cyclic (i, j, k) = (0, 1, 2), (1, 2, 0), (2, 0, 1), a 3-stack extended
-# by its first two components holds the j-components at [1:4] and the
-# k-components at [2:5].
-_CYCLIC = [0, 1, 2, 0, 1]
-
-
-def _pair_brackets(group: GroupSpec, avals: np.ndarray) -> np.ndarray:
-    """[A_i, A_j] pointwise for each (i, j) in PAIRS, shape (d_g, 3, ...)."""
-    return _grid_bracket(avals[:, _PAIR_I], avals[:, _PAIR_J], group)
-
-
 def _cyclic_interior(group: GroupSpec, ab: np.ndarray) -> np.ndarray:
     """[A _| F]_i = [A_j, B_k] + [B_j, A_k] over cyclic (i, j, k), where B is
-    the spatial dual of F and ab (d, 2, 5, ...) holds A and B in the
-    extended _CYCLIC order: the stacks (A_j, B_j) and (B_k, A_k) are views
-    of ab, and one bracket forms both terms."""
+    the spatial dual of F and ab (d, 2, 5, ...) holds A and B extended by
+    their first two components, so the j- and k-components sit at [1:4] and
+    [2:5]: the stacks (A_j, B_j) and (B_k, A_k) are views of ab, and one
+    bracket forms both terms."""
     terms = _grid_bracket(ab[:, :, 1:4], ab[:, ::-1, 2:5], group)
     return np.add(terms[:, 0], terms[:, 1])
 
 
-def _interior_values(group: GroupSpec, avals: np.ndarray,
-                     fvals: np.ndarray) -> np.ndarray:
-    """[A _| F]_i = sum_j [A_j, F_ij] pointwise, F in PAIRS storage, through
-    the spatial dual B_k = (1/2) eps_ijk F_ij."""
-    ab = np.stack([avals, _dual(fvals)], axis=1)[:, :, _CYCLIC]
-    return _cyclic_interior(group, ab)
-
-
 def _action_of(fvals: np.ndarray) -> float:
-    """sum_{ij} integral |F_ij|^2 by uniform-grid quadrature; the stored
-    components (the PAIRS or the spatial dual) hold each unordered pair
-    once, so the full sum over ordered (i, j) doubles it."""
+    """sum_{ij} integral |F_ij|^2 by uniform-grid quadrature; the spatial
+    dual holds each unordered pair once, so the full sum over ordered
+    (i, j) doubles it."""
     return 2.0 * float(np.mean(np.sum(fvals**2, axis=(0, 1))))
 
 
@@ -413,44 +320,12 @@ def _sup_of(avals: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(avals**2, axis=(0, 1)))))
 
 
-def wedge(a: GridConnection, b: GridConnection) -> GridTwoForm:
-    """[A ^ B]_{ij} = [A_i, B_j] - [A_j, B_i] pointwise."""
-    if a.group != b.group or a.resolution != b.resolution:
-        raise ValueError("wedge arguments must share group and resolution")
-    av, bv = a.values, b.values
-    out = _grid_bracket(av[:, _PAIR_I], bv[:, _PAIR_J], a.group) - \
-        _grid_bracket(av[:, _PAIR_J], bv[:, _PAIR_I], a.group)
-    return GridTwoForm(a.group, a.resolution, out)
-
-
-def interior(a: GridConnection, f: GridTwoForm) -> GridConnection:
-    """[A _| F]_i = sum_j [A_j, F_{ij}] pointwise."""
-    if a.resolution != f.resolution:
-        raise ValueError("interior arguments must share resolution")
-    return GridConnection(
-        a.group, a.resolution, _interior_values(a.group, a.values, f.values)
-    )
-
-
-def curvature(a: SpectralConnection, resolution: int | None = None) -> GridTwoForm:
-    """F_{ij} = (dA)_{ij} + [A_i, A_j] on the (dealiased) grid."""
-    m = dealias_resolution(a.cutoff) if resolution is None else resolution
-    grids = _spectral_to_values(
-        np.concatenate([a.coeffs, exterior_d(a).comps], axis=1), a.cutoff, m
-    )
-    return GridTwoForm(
-        a.group, m, grids[:, 3:] + _pair_brackets(a.group, grids[:, :3])
-    )
-
-
-def ym_action(a: SpectralConnection | GridConnection,
-              resolution: int | None = None) -> float:
+def ym_action(a: SpectralConnection, resolution: int | None = None) -> float:
     """S_YM(A) = sum_{ij} integral |F_{ij}(x)|^2 dx by uniform-grid
-    quadrature (exact for the band-limited curvature at the dealiased
-    resolution)."""
-    if isinstance(a, GridConnection):
-        a = to_spectral(a, (a.resolution - 1) // 2)
-    return _action_of(curvature(a, resolution).values)
+    quadrature (exact for the band-limited field strength at the dealiased
+    resolution), read off the fused nonlinear pass."""
+    m = dealias_resolution(a.cutoff) if resolution is None else resolution
+    return _ym_nonlinear(a, m)[1]
 
 
 def ym_action_u1_spectral(a: SpectralConnection) -> float:
@@ -579,7 +454,7 @@ def zdds_rhs(a: SpectralConnection, resolution: int | None = None,
     for j in range(3):
         partials[:, j] = (1j * TWO_PI) * n[j] * a.coeffs
     dgrid = _spectral_to_values(partials, a.cutoff, m)  # (d, j, i, x, y, z)
-    agrid = to_grid(a, m).values
+    agrid = _spectral_to_values(a.coeffs, a.cutoff, m)
     out = np.zeros_like(agrid)
     for i in range(3):
         acc = np.zeros_like(agrid[:, 0])
@@ -692,24 +567,20 @@ def gauge_act(group: GroupSpec, values: np.ndarray, log_values: np.ndarray | Non
     return out
 
 
-def gauge_transform(a: SpectralConnection | GridConnection, sigma: GaugeTransform,
-                    resolution: int | None = None) -> GridConnection:
-    """A^sigma_i = sigma^-1 A_i sigma + sigma^-1 d_i sigma on the grid."""
-    if isinstance(a, GridConnection):
-        spec = to_spectral(a, (a.resolution - 1) // 2)
-        m = a.resolution if resolution is None else resolution
-        a = spec
-    else:
-        m = dealias_resolution(a.cutoff) if resolution is None else resolution
+def gauge_transform(a: SpectralConnection, sigma: GaugeTransform,
+                    resolution: int | None = None) -> np.ndarray:
+    """A^sigma_i = sigma^-1 A_i sigma + sigma^-1 d_i sigma on the M^3 grid,
+    as component values (d_g, 3, M, M, M)."""
     if sigma.group != a.group:
         raise ValueError("gauge transform group mismatch")
+    m = dealias_resolution(a.cutoff) if resolution is None else resolution
     d = a.group.algebra_dim
-    vals = to_grid(a, m).values.reshape(d, 3, -1)
+    vals = _spectral_to_values(a.coeffs, a.cutoff, m).reshape(d, 3, -1)
     stack = sigma.log_stack()
     logs = None if stack is None else \
         _spectral_to_values(stack, sigma.cutoff, m).reshape(d, 4, -1)
     out = gauge_act(a.group, vals, logs, sigma.winding)
-    return GridConnection(a.group, m, out.reshape(d, 3, m, m, m))
+    return out.reshape(d, 3, m, m, m)
 
 
 def gauge_transform_spectral(a: SpectralConnection, sigma: GaugeTransform,
@@ -723,7 +594,8 @@ def gauge_transform_spectral(a: SpectralConnection, sigma: GaugeTransform,
     """
     n_out = a.cutoff if cutoff is None else cutoff
     m = dealias_resolution(n_out) if resolution is None else resolution
-    return to_spectral(gauge_transform(a, sigma, m), n_out)
+    vals = gauge_transform(a, sigma, m)
+    return SpectralConnection(a.group, n_out, _values_to_spectral(vals, n_out, m))
 
 
 # ---------------------------------------------------------------------------
@@ -739,15 +611,6 @@ def h1_norm(a: SpectralConnection) -> float:
     """Discrete H^1 norm (sum (1 + 4 pi^2 |n|^2) |c(n)|^2)^(1/2)."""
     w = 1.0 + 4.0 * np.pi**2 * mode_norm_sq(a.cutoff)
     return float(np.sqrt(np.sum(w[None, None] * np.abs(a.coeffs) ** 2)))
-
-
-def linf_norm(a: SpectralConnection | GridConnection,
-              resolution: int | None = None) -> float:
-    """max_x |A(x)| with the g^3 Frobenius norm at each point."""
-    if isinstance(a, SpectralConnection):
-        m = dealias_resolution(a.cutoff) if resolution is None else resolution
-        a = to_grid(a, m)
-    return _sup_of(a.values)
 
 
 def reality_defect(a: SpectralConnection) -> float:

@@ -77,10 +77,6 @@ def canonical_half_modes(cutoff: int) -> np.ndarray:
     return out
 
 
-def _mode_slot(cutoff: int, n: np.ndarray):
-    return tuple(np.asarray(n) + cutoff)
-
-
 def transverse_frame(n) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal pair (u1, u2) spanning the plane orthogonal to n.
 

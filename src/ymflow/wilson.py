@@ -34,6 +34,7 @@ import numpy as np
 from .fields import (
     GaugeTransform,
     SpectralConnection,
+    _grid_bracket,
     gauge_act,
     heat_weights,
     mode_grids,
@@ -424,10 +425,6 @@ def holonomy(evaluator: FieldEvaluator | SpectralConnection, loop: Loop,
         evaluator = FieldEvaluator(evaluator)
     group = evaluator.group
     basis = standard_basis(group)
-    fstruct_needed = not group.is_abelian
-    if fstruct_needed:
-        from .groups import structure_constants
-        fstruct = structure_constants(group)
 
     breaks = loop.parameter_breaks()
     nsubs = _substep_allocation(loop, steps)
@@ -450,23 +447,19 @@ def holonomy(evaluator: FieldEvaluator | SpectralConnection, loop: Loop,
         offset += count
         speed = delta / dt_seg
         omega = np.tensordot(speed, vals, axes=([0], [1]))  # (d, P) -> w^a
-        omega = np.einsum("ap->pa", omega)
         dl = dt_seg / nsub
-        w0 = omega[0:-1:2]      # start of each substep
-        wh = omega[1::2]        # midpoint
-        w1 = omega[2::2]        # end
-        k1 = w0
-        if fstruct_needed:
-            br = lambda x, y: np.einsum("pa,pb,abc->pc", x, y, fstruct,
-                                        optimize=True)
-            k2 = wh + (dl / 4.0) * br(k1, wh)
-            k3 = w1 + (dl / 2.0) * br(2.0 * k2 - k1, w1)
-        else:
+        k1 = omega[:, 0:-1:2]   # w at the start of each substep
+        wh = omega[:, 1::2]     # midpoint
+        w1 = omega[:, 2::2]     # end
+        if group.is_abelian:
             k2, k3 = wh, w1
+        else:
+            k2 = wh + (dl / 4.0) * _grid_bracket(k1, wh, group)
+            k3 = w1 + (dl / 2.0) * _grid_bracket(2.0 * k2 - k1, w1, group)
         u = (dl / 6.0) * (k1 + 4.0 * k2 + k3)
         us.append(u)
-    u_all = np.concatenate(us, axis=0)
-    mats = np.einsum("pa,aij->pij", u_all, basis)
+    u_all = np.concatenate(us, axis=1)
+    mats = np.einsum("ap,aij->pij", u_all, basis)
     exps = exp_map(mats)
     h = np.eye(group.matrix_dim, dtype=complex)
     for e in exps:
