@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: sample, flow, wilson, ensemble, verify.  Every command is
-deterministic given its configuration file; parallel ensemble execution
-reduces in a fixed order, so `--threads` never changes the output bytes.
+deterministic given its configuration file.  `--threads K` runs ensemble
+members in K forked worker processes (serially where the platform cannot
+fork); records are assembled in a fixed order, so it never changes the
+output bytes.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical blow-up,
 3 verification failure.
@@ -305,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override [sampler] seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for ensemble execution")
+                       help="ensemble worker processes, forked (serial where "
+                            "fork is missing); output bytes do not depend "
+                            "on it")
         p.add_argument("--output", default=None, help="output directory")
 
     p = sub.add_parser("sample", help="draw one random field and store it")

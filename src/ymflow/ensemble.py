@@ -4,9 +4,11 @@ A run is described by an EnsembleSpec: one master seed, the ensemble
 member index as the RNG stream, a list of cutoffs sharing each member's
 mode-keyed randomness (the coupling that makes per-seed convergence
 checks meaningful), observation times, loops and characters, and a flow
-configuration.  Members run independently (optionally in worker threads);
-records are always assembled and written in (stream, cutoff) order so the
-output bytes do not depend on the thread count.
+configuration.  Members run independently, optionally in forked worker
+processes (serially where the platform cannot fork); records are always
+assembled and written in (stream, cutoff) order, and a member computes
+the same bits in any process, so the output bytes do not depend on the
+worker count.
 
 Records carry the hash of the exact configuration that produced them.
 Persistence is newline-delimited JSON, one flat observation row per line,
@@ -18,7 +20,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -163,19 +166,31 @@ def _member_record(spec: EnsembleSpec, stream: int, cutoff: int,
 def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> list[EnsembleRecord]:
     """All (stream, cutoff) members, deterministically ordered.
 
-    Member computations are independent; the output list is sorted by
-    (stream, cutoff) regardless of scheduling, so any thread count
-    produces identical records.
+    ``threads`` is the number of worker processes: with more than one, and
+    where the platform can fork, members run in a pool of forked workers
+    (which inherit the imported modules, so nothing is imported again),
+    at most one per member, largest cutoff first; otherwise they run
+    serially in this process.  An exception raised by a member reaches the
+    caller with its type.  The output list is sorted by (stream, cutoff)
+    regardless of scheduling, so any worker count produces identical
+    records.
     """
     config_hash = spec.config_hash()
     tasks = [(s, c) for s in range(spec.n_samples) for c in spec.cutoffs]
-    if threads <= 1:
+    # a fork pool starts all its workers at once, so cap it first
+    workers = min(threads, len(tasks))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         results = {task: _member_record(spec, *task, config_hash) for task in tasks}
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        largest_first = sorted(tasks, key=lambda task: (-task[1], task[0]))
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
             futures = {task: pool.submit(_member_record, spec, *task, config_hash)
-                       for task in tasks}
-            results = {task: fut.result() for task, fut in futures.items()}
+                       for task in largest_first}
+            try:
+                results = {task: fut.result() for task, fut in futures.items()}
+            finally:
+                pool.shutdown(cancel_futures=True)
     return [results[t] for t in sorted(results)]
 
 

@@ -193,7 +193,22 @@ def _dft_plan(cutoff: int, resolution: int):
 # only the retained modes and the half spectrum n3 >= 0 enter, and each
 # axis is one (batched) BLAS product.  The n2 axis sits between the other
 # two, so its product is batched over (lead, n1); it runs while that batch
-# is K rows, not M, long.
+# is K rows, not M, long.  Each product writes into the matching buffer of
+# ``bufs`` when one is given (see _Workspace), else into a new array.
+
+
+def _half_to_values(half: np.ndarray, cutoff: int, resolution: int,
+                    bufs=(None, None, None)) -> np.ndarray:
+    """Grid values (..., M, M, M) of the n3 >= 0 half spectrum
+    (..., K, K, N+1), whose n3 < 0 half is the conjugate of the mirrored
+    modes; the values are a view of the last product output."""
+    synth, _, synth3, _ = _dft_plan(cutoff, resolution)
+    k, h, m = 2 * cutoff + 1, cutoff + 1, resolution
+    g = np.matmul(synth, half.reshape(-1, k, h), out=bufs[0])        # n2 -> x2
+    g = np.matmul(synth, g.reshape(-1, k, m * h), out=bufs[1])       # n1 -> x1
+    values = np.matmul(g.view(float).reshape(-1, 2 * h), synth3,
+                       out=bufs[2])                                  # n3 -> x3
+    return values.reshape(half.shape[:-3] + (m, m, m))
 
 
 def _spectral_to_values(coeffs: np.ndarray, cutoff: int, resolution: int) -> np.ndarray:
@@ -202,23 +217,21 @@ def _spectral_to_values(coeffs: np.ndarray, cutoff: int, resolution: int) -> np.
     Reads only the n3 >= 0 half of coeffs, so it assumes the reality
     symmetry c(-n) = conj(c(n)).
     """
-    synth, _, synth3, _ = _dft_plan(cutoff, resolution)
-    k, h, m = 2 * cutoff + 1, cutoff + 1, resolution
-    g = synth @ coeffs[..., cutoff:].reshape(-1, k, h)   # n2 -> x2
-    g = synth @ g.reshape(-1, k, m * h)                  # n1 -> x1
-    values = g.view(float).reshape(-1, 2 * h) @ synth3   # n3 -> x3, real
-    return values.reshape(coeffs.shape[:-3] + (m, m, m))
+    return _half_to_values(coeffs[..., cutoff:], cutoff, resolution)
 
 
-def _values_to_spectral(values: np.ndarray, cutoff: int, resolution: int) -> np.ndarray:
+def _values_to_spectral(values: np.ndarray, cutoff: int, resolution: int,
+                        bufs=(None, None, None)) -> np.ndarray:
     """Discrete Fourier analysis of real grid values (..., M, M, M),
     normalized so constants sit in the n=0 slot; the n3 < 0 half is the
-    conjugate of the mirrored modes."""
+    conjugate of the mirrored modes.  The result is a new array."""
     _, analysis, _, analysis3 = _dft_plan(cutoff, resolution)
     k, h, m = 2 * cutoff + 1, cutoff + 1, resolution
-    g = (values.reshape(-1, m) @ analysis3).view(complex)   # x3 -> n3 >= 0
-    g = analysis @ g.reshape(-1, m, m * h)                  # x1 -> n1
-    upper = (analysis @ g.reshape(-1, m, h)).reshape(values.shape[:-3] + (k, k, h))
+    g = np.matmul(values.reshape(-1, m), analysis3, out=bufs[0])     # x3 -> n3 >= 0
+    g = np.matmul(analysis, g.view(complex).reshape(-1, m, m * h),
+                  out=bufs[1])                                       # x1 -> n1
+    upper = np.matmul(analysis, g.reshape(-1, m, h), out=bufs[2])    # x2 -> n2
+    upper = upper.reshape(values.shape[:-3] + (k, k, h))
     lower = np.conj(upper[..., ::-1, ::-1, :0:-1])
     return np.concatenate([lower, upper], axis=-1)
 
@@ -231,12 +244,14 @@ def d_star_1form(a: SpectralConnection) -> SpectralScalar:
     return SpectralScalar(a.group, a.cutoff, (-1j * TWO_PI) * dot)
 
 
-def _curl(c: np.ndarray, cutoff: int) -> np.ndarray:
+def _curl(c: np.ndarray, cutoff: int, out: np.ndarray | None = None) -> np.ndarray:
     """(curl c)_k = i 2 pi (n_i c_j - n_j c_i) over cyclic (i, j, k), for
     coefficient 3-stacks (d, 3, K, K, K): the spatial dual of dA for a
-    1-form A, and d*F when c is the spatial dual of a 2-form F."""
-    n = mode_grids(cutoff)
-    out = np.empty_like(c)
+    1-form A, and d*F when c is the spatial dual of a 2-form F.  A stack
+    holding only the n3 >= 0 half (d, 3, K, K, N+1) gives that half."""
+    n = [axis[..., -c.shape[-1]:] for axis in mode_grids(cutoff)]
+    if out is None:
+        out = np.empty_like(c)
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
         out[:, k] = (1j * TWO_PI) * (n[i] * c[:, j] - n[j] * c[:, i])
@@ -270,19 +285,22 @@ def _bracket_program(group: GroupSpec):
     return tuple(steps), tuple(c for c in range(d) if c not in seen)
 
 
-def _grid_bracket(x: np.ndarray, y: np.ndarray, group: GroupSpec) -> np.ndarray:
+def _grid_bracket(x: np.ndarray, y: np.ndarray, group: GroupSpec,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise algebra bracket of coefficient fields x, y (d, ...), which
     broadcast against each other: out^c = sum_{a<b} f[a,b,c] (x^a y^b -
     x^b y^a), summed over the nonzero structure constants only.
 
-    One allocation holds the output and two scratch rows.  A component's
-    first term is written, not accumulated, so only components no term
-    reaches are zero-filled.
+    One buffer of d + 2 rows holds the output, its first d rows, and two
+    scratch rows: ``out`` when given, else a new one.  A component's first
+    term is written, not accumulated, so only components no term reaches
+    are zero-filled.
     """
     steps, untouched = _bracket_program(group)
     d = group.algebra_dim
-    buf = np.empty((d + 2,) + np.broadcast_shapes(x.shape, y.shape)[1:])
-    out, w, tmp = buf[:d], buf[d], buf[d + 1]
+    if out is None:
+        out = np.empty((d + 2,) + np.broadcast_shapes(x.shape, y.shape)[1:])
+    out, w, tmp = out[:d], out[d], out[d + 1]
     for a, b, targets in steps:
         np.multiply(x[a], y[b], out=w)
         np.multiply(x[b], y[a], out=tmp)
@@ -298,14 +316,16 @@ def _grid_bracket(x: np.ndarray, y: np.ndarray, group: GroupSpec) -> np.ndarray:
     return out
 
 
-def _cyclic_interior(group: GroupSpec, ab: np.ndarray) -> np.ndarray:
+def _cyclic_interior(group: GroupSpec, ab: np.ndarray, terms=None,
+                     out=None) -> np.ndarray:
     """[A _| F]_i = [A_j, B_k] + [B_j, A_k] over cyclic (i, j, k), where B is
     the spatial dual of F and ab (d, 2, 5, ...) holds A and B extended by
     their first two components, so the j- and k-components sit at [1:4] and
     [2:5]: the stacks (A_j, B_j) and (B_k, A_k) are views of ab, and one
-    bracket forms both terms."""
-    terms = _grid_bracket(ab[:, :, 1:4], ab[:, ::-1, 2:5], group)
-    return np.add(terms[:, 0], terms[:, 1])
+    bracket forms both terms.  ``terms`` (d + 2, 2, 3, ...) and ``out``
+    (d, 3, ...) are optional buffers for the bracket and the sum."""
+    terms = _grid_bracket(ab[:, :, 1:4], ab[:, ::-1, 2:5], group, out=terms)
+    return np.add(terms[:, 0], terms[:, 1], out=out)
 
 
 def _action_of(fvals: np.ndarray) -> float:
@@ -362,13 +382,48 @@ def ym_rhs(a: SpectralConnection, resolution: int | None = None) -> SpectralConn
     m = dealias_resolution(a.cutoff) if resolution is None else resolution
     lam = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)
     linear = lam[None, None] * a.coeffs
-    nl = _ym_nonlinear(a, m)[0]
+    nl = _ym_nonlinear(a, m, diagnostics=False)[0]
     return SpectralConnection(a.group, a.cutoff, linear + nl)
 
 
-def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool):
+class _Workspace:
+    """Every grid array of the nonlinear pass of one (group, cutoff, M,
+    kind), allocated once so that repeated passes allocate (and fault in)
+    no grid memory: the half-spectrum input stack of A, curl A and, for
+    non-Abelian ZDDS, d*A; the product outputs of the inverse transform of
+    that stack and of the forward transforms; the ``ab`` stack; the bracket
+    buffers with their scratch rows; and the interior sum.
+
+    A flow owns one for all its passes (see flow.integrate); flows that
+    may run at the same time must not share one.
+    """
+
+    def __init__(self, group: GroupSpec, cutoff: int, m: int, deturck: bool):
+        d, k, h = group.algebra_dim, 2 * cutoff + 1, cutoff + 1
+        rows = 7 if deturck and not group.is_abelian else 6
+        grid = (m, m, m)
+        self.half = np.empty((d, rows, k, k, h), dtype=complex)
+        b = d * rows
+        self.inverse = (np.empty((b * k, m, h), dtype=complex),
+                        np.empty((b, m, m * h), dtype=complex),
+                        np.empty((b * m * m, m)))
+        if group.is_abelian:
+            return
+        self.ab = np.empty((d, 2, 5) + grid)
+        self.bracket = np.empty((d + 2, 3) + grid)
+        self.terms = np.empty((d + 2, 2, 3) + grid)
+        self.inner = np.empty((d, 3) + grid)
+        b = d * 3
+        self.forward = (np.empty((b * m * m, 2 * h)),
+                        np.empty((b, k, m * h), dtype=complex),
+                        np.empty((b * k, k, h), dtype=complex))
+
+
+def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool,
+                    work: _Workspace | None = None, diagnostics: bool = True):
     """Right-hand side minus the Laplacian term, with S_YM(a) and sup|A|
-    evaluated on the same grid.
+    evaluated on the same grid (None for both when ``diagnostics`` is
+    off).
 
     YM (deturck False):  -(1/2) d*[A ^ A] - [A _| F_A] + d d*A
     ZDDS (deturck True): -(1/2) d*[A ^ A] - [A _| F_A] - [A ^ d*A]
@@ -379,53 +434,58 @@ def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool):
     one bracket C_k = [A_i, A_j] over cyclic (i, j, k) gives both the dual
     curl A + C of F_A and the dual of (1/2)[A ^ A]; forward transforms
     bring C, where curl C = (1/2) d*[A ^ A], and the other bracket terms
-    back.  The ZDDS remainder vanishes for Abelian groups.
+    back.  For Abelian groups the remainder is linear (zero for ZDDS), so
+    only the diagnostics need the grid.  Grid arrays live in ``work``, a
+    temporary workspace when none is given.
     """
     group, n = a.group, a.cutoff
     dstar = d_star_1form(a)
-    parts = [a.coeffs, _curl(a.coeffs, n)]
-    if deturck and not group.is_abelian:
-        parts.append(dstar.coeffs[:, None])
-    grids = _spectral_to_values(np.concatenate(parts, axis=1), n, m)
-    avals = grids[:, :3]
-    sup = _sup_of(avals)
     if group.is_abelian:
         nl = np.zeros_like(a.coeffs) if deturck else grad_0form(dstar).coeffs
+        if not diagnostics:
+            return nl, None, None
+    if work is None:
+        work = _Workspace(group, n, m, deturck)
+    half = work.half
+    half[:, :3] = a.coeffs[..., n:]
+    _curl(half[:, :3], n, out=half[:, 3:6])
+    if half.shape[1] == 7:
+        half[:, 6] = dstar.coeffs[..., n:]
+    grids = _half_to_values(half, n, m, work.inverse)
+    avals = grids[:, :3]
+    sup = _sup_of(avals) if diagnostics else None
+    if group.is_abelian:
         return nl, _action_of(grids[:, 3:]), sup
-    # each grid array is dropped as soon as it is used up, which keeps the
-    # peak heap (and the pages faulted in anew every call) small
-    ab = np.empty((group.algebra_dim, 2, 5) + grids.shape[2:])
+    ab = work.ab
     a5, b5 = ab[:, 0], ab[:, 1]
     a5[:, :3] = avals
     b5[:, :3] = grids[:, 3:6]
-    dstar_vals = grids[:, 6:] if deturck else None
-    del grids, avals
     a5[:, 3:] = a5[:, :2]
-    half_aa = _grid_bracket(a5[:, 1:4], a5[:, 2:5], group)
+    half_aa = _grid_bracket(a5[:, 1:4], a5[:, 2:5], group, out=work.bracket)
     b5[:, :3] += half_aa
     b5[:, 3:] = b5[:, :2]
-    action = _action_of(b5[:, :3])
-    nl = _curl(_values_to_spectral(half_aa, n, m), n)
-    del half_aa
-    inner = _cyclic_interior(group, ab)
+    action = _action_of(b5[:, :3]) if diagnostics else None
+    nl = _curl(_values_to_spectral(half_aa, n, m, work.forward), n)
+    inner = _cyclic_interior(group, ab, work.terms, work.inner)
     if deturck:
-        inner += _grid_bracket(a5[:, :3], dstar_vals, group)
-    del ab, a5, b5, dstar_vals
-    nl += _values_to_spectral(inner, n, m)
+        inner += _grid_bracket(a5[:, :3], grids[:, 6:], group, out=work.bracket)
+    nl += _values_to_spectral(inner, n, m, work.forward)
     np.negative(nl, out=nl)
     if not deturck:
         nl += grad_0form(dstar).coeffs
     return nl, action, sup
 
 
-def _ym_nonlinear(a: SpectralConnection, m: int):
+def _ym_nonlinear(a: SpectralConnection, m: int, work: _Workspace | None = None,
+                  diagnostics: bool = True):
     """(YM right-hand side minus the Laplacian term, S_YM(a), sup|A|)."""
-    return _nonlinear_core(a, m, deturck=False)
+    return _nonlinear_core(a, m, False, work, diagnostics)
 
 
-def _zdds_nonlinear(a: SpectralConnection, m: int):
+def _zdds_nonlinear(a: SpectralConnection, m: int, work: _Workspace | None = None,
+                    diagnostics: bool = True):
     """(ZDDS right-hand side minus the Laplacian term, S_YM(a), sup|A|)."""
-    return _nonlinear_core(a, m, deturck=True)
+    return _nonlinear_core(a, m, True, work, diagnostics)
 
 
 def zdds_rhs(a: SpectralConnection, resolution: int | None = None,
@@ -441,7 +501,8 @@ def zdds_rhs(a: SpectralConnection, resolution: int | None = None,
     lam = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)
     if path == "operator":
         return SpectralConnection(
-            a.group, a.cutoff, lam[None, None] * a.coeffs + _zdds_nonlinear(a, m)[0]
+            a.group, a.cutoff, lam[None, None] * a.coeffs
+            + _zdds_nonlinear(a, m, diagnostics=False)[0]
         )
     if path != "explicit":
         raise ValueError(f"unknown zdds path {path!r}")

@@ -26,6 +26,7 @@ import numpy as np
 
 from .fields import (
     SpectralConnection,
+    _Workspace,
     _ym_nonlinear,
     _zdds_nonlinear,
     dealias_resolution,
@@ -160,17 +161,19 @@ class _EtdStepper:
         self.e0 = dt * (p1 - 2.0 * p2)
         self.ea = dt * (2.0 * p2)
 
-    def step(self, a: SpectralConnection, n0: np.ndarray, nonlinear, m: int):
-        """One step from a, whose nonlinear term n0 the caller holds."""
+    def step(self, a: SpectralConnection, n0: np.ndarray, nonlinear, m: int,
+             work: _Workspace):
+        """One step from a, whose nonlinear term n0 the caller holds; the
+        two stage passes skip the action and the sup norm."""
         u = a.coeffs
         stage_a = SpectralConnection(
             a.group, a.cutoff, self.e_half * u + self.f_half * n0
         )
-        na = nonlinear(stage_a, m)[0]
+        na = nonlinear(stage_a, m, work, diagnostics=False)[0]
         stage_b = SpectralConnection(
             a.group, a.cutoff, self.e_full * u + self.f_full * (2.0 * na - n0)
         )
-        nb = nonlinear(stage_b, m)[0]
+        nb = nonlinear(stage_b, m, work, diagnostics=False)[0]
         u3 = self.e_full * u + self.w0 * n0 + self.wa * na + self.wb * nb
         u2 = self.e_full * u + self.e0 * n0 + self.ea * na
         err = float(np.sqrt(np.sum(np.abs(u3 - u2) ** 2)))
@@ -215,6 +218,8 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
         raise ValueError(f"resolution {m} below the dealiasing requirement {need}")
     nonlinear = _NONLINEAR[config.flow_kind]
     guard_action = config.flow_kind == "ym"
+    # this flow's grid arrays, reused by every nonlinear pass below
+    work = _Workspace(a0.group, a0.cutoff, m, deturck=config.flow_kind == "zdds")
 
     steppers: dict[float, _EtdStepper] = {}
 
@@ -230,7 +235,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
     # the nonlinear term of the current state with its action and sup
     # norm: one evaluation serves the action guard, the blow-up check and
     # stage 0 of the next step
-    n_state, action, _ = nonlinear(state, m)
+    n_state, action, _ = nonlinear(state, m, work)
     dt_floor = config.dt_initial * 2.0**-40
 
     for target in targets:
@@ -243,7 +248,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
                 traj.failure = "stalled"
                 break
             h = min(dt, target - t)
-            candidate, err = stepper(h).step(state, n_state, nonlinear, m)
+            candidate, err = stepper(h).step(state, n_state, nonlinear, m, work)
             traj.rhs_evaluations += 3
             ok = np.isfinite(err) and bool(np.all(np.isfinite(candidate.coeffs)))
             if not ok:
@@ -252,7 +257,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
             rel_err = err / max(l2_norm(candidate), 1e-30)
             ok = rel_err <= config.error_tol
             if ok:
-                n_new, new_action, sup = nonlinear(candidate, m)
+                n_new, new_action, sup = nonlinear(candidate, m, work)
                 if guard_action and \
                         new_action > action + config.monotone_tol * (1.0 + action):
                     ok = False

@@ -151,7 +151,7 @@ def _suite_determinism(mutations):
             buf.write(repr(sorted(rec.s_ym.items())))
         return buf.getvalue()
 
-    assert run_bytes(1) == run_bytes(2), "thread count changed the results"
+    assert run_bytes(1) == run_bytes(2), "worker count changed the results"
 
 
 SUITES = [

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -84,6 +86,71 @@ def test_threads_do_not_change_records(tmp_path):
     persist_records(run_ensemble(spec, threads=1), a)
     persist_records(run_ensemble(spec, threads=3), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker processes need fork; elsewhere members run serially")
+
+
+def test_su2_ym_records_identical_in_worker_processes(tmp_path):
+    # flowed members computed in forked workers persist to the same bytes
+    # as the serial run
+    spec = EnsembleSpec(
+        group=SU2, sampler_kind="gff", seed=41, cutoffs=(2, 3),
+        times=(0.002, 0.004), n_samples=2,
+        flow=FlowConfig("ym", 0.004, dt_initial=1e-3), scale_to_h1=0.5,
+        loops=(PLAQ,), characters=(Character(SU2, "fundamental"),),
+    )
+    paths = []
+    for threads in (1, 2):
+        paths.append(tmp_path / f"records-{threads}.jsonl")
+        persist_records(run_ensemble(spec, threads=threads), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class MemberFailure(Exception):
+    pass
+
+
+@needs_fork
+def test_member_exception_reaches_caller_with_its_type(monkeypatch):
+    # the cutoff-4 members fail inside their worker process; the caller
+    # sees the member's own exception type, raised in another process
+    import ymflow.ensemble as ensemble_mod
+
+    h_series = ensemble_mod.h_series
+
+    def failing(a, loop, times):
+        if a.cutoff == 4:
+            raise MemberFailure(f"raised in process {os.getpid()}")
+        return h_series(a, loop, times)
+
+    monkeypatch.setattr(ensemble_mod, "h_series", failing)
+    with pytest.raises(MemberFailure) as info:
+        run_ensemble(u1_spec(n_samples=3), threads=2)
+    assert str(info.value) != f"raised in process {os.getpid()}"
+
+
+@needs_fork
+def test_worker_pool_capped_at_member_count(monkeypatch):
+    # a fork pool launches every worker at once, so the cap comes first
+    import ymflow.ensemble as ensemble_mod
+
+    requested = []
+    real_pool = ensemble_mod.ProcessPoolExecutor
+
+    def recording_pool(workers, **kwargs):
+        requested.append(workers)
+        assert workers <= 2, "pool not capped before forking"
+        return real_pool(workers, **kwargs)
+
+    monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", recording_pool)
+    spec = u1_spec(n_samples=2, cutoffs=(2,))
+    assert len(run_ensemble(spec, threads=8)) == 2
+    assert requested == [2]
+    assert len(run_ensemble(replace(spec, n_samples=3), threads=1)) == 3
+    assert requested == [2]
 
 
 def test_reproducibility_byte_identical(tmp_path):

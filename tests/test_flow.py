@@ -24,7 +24,7 @@ from ymflow.flow import (
     integrate,
 )
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
-from ymflow.groups import SU2, U1
+from ymflow.groups import SU2, U1, GroupSpec
 
 
 def gff_like_u1(cutoff, seed, scale=1.0):
@@ -270,16 +270,22 @@ def test_one_nonlinear_call_per_stage_and_no_separate_diagnostics(monkeypatch):
     # the evaluation of each accepted state serves the action guard, the
     # blow-up check and stage 0 of the next step: three nonlinear calls per
     # accepted step plus one for the initial state, and no separate action
-    # or sup-norm pass
+    # or sup-norm pass; the two stage calls of each step skip the
+    # diagnostics, and every call reuses the flow's one workspace
     import ymflow.fields as fields_mod
     import ymflow.flow as flow_mod
 
-    calls = {"nonlinear": 0, "diagnostic": 0}
+    calls = {"nonlinear": 0, "no_diagnostics": 0, "diagnostic": 0}
+    workspaces = set()
     nonlinear = flow_mod._NONLINEAR["ym"]
 
-    def counted(a, m):
+    def counted(a, m, work=None, diagnostics=True):
         calls["nonlinear"] += 1
-        return nonlinear(a, m)
+        calls["no_diagnostics"] += not diagnostics
+        workspaces.add(id(work))
+        out = nonlinear(a, m, work, diagnostics=diagnostics)
+        assert (out[1] is None) == (out[2] is None) == (not diagnostics)
+        return out
 
     def forbidden(*args, **kwargs):
         calls["diagnostic"] += 1
@@ -295,7 +301,9 @@ def test_one_nonlinear_call_per_stage_and_no_separate_diagnostics(monkeypatch):
     assert not traj.blew_up
     assert traj.step_count == 6
     assert traj.rhs_evaluations == 3 * traj.step_count
-    assert calls == {"nonlinear": 3 * traj.step_count + 1, "diagnostic": 0}
+    assert calls == {"nonlinear": 3 * traj.step_count + 1,
+                     "no_diagnostics": 2 * traj.step_count, "diagnostic": 0}
+    assert len(workspaces) == 1 and id(None) not in workspaces
 
 
 @pytest.mark.parametrize("kind", ["ym", "zdds"])
@@ -416,3 +424,76 @@ def test_flow_bytes_independent_of_blas_threads():
         digests.append(out.stdout.split())
     assert len(digests[0]) == 2
     assert digests[0] == digests[1]
+
+
+# SHA-256 of the final coefficients of 20-step flows (t = 0.02, dt = 1e-3,
+# all steps accepted) from the GFF draw of seed 71 scaled to H^1 norm 0.5,
+# with the actions at the checkpoints t = 0.01 and 0.02 as float.hex.
+FLOW_PINS = [
+    ("ym", SU2, 4,
+     "14ab7c6779b4e2827e907ab2636046d12415d08c1ce3562e1c6ebeb0a1d241c7",
+     "0x1.c239680ed5081p-9", "0x1.fac17b5022a12p-11"),
+    ("zdds", GroupSpec("su", 3), 2,
+     "645fffcd17e46971df9761f0c76df614a647814ed614c29bd5065b93497fb895",
+     "0x1.5b3b28057d251p-6", "0x1.8089ff019b811p-8"),
+    ("ym", U1, 3,
+     "65d275199571adba580e15d317f04e3b2acf30a7cc8ca8497785269b96244258",
+     "0x1.08a5189d3ebdbp-7", "0x1.45820af1818b6p-9"),
+    ("zdds", U1, 3,
+     "0a22ed0f231b0b8faaa615b4dd65dbae1e7a091e9b459aa92b7d18cf94458a90",
+     "0x1.08a5189d3ebdbp-7", "0x1.45820af1818b6p-9"),
+]
+
+
+@pytest.mark.parametrize("kind, group, cutoff, digest, action_1, action_2",
+                         FLOW_PINS, ids=[f"{pin[0]}-{pin[1].label()}-{pin[2]}"
+                                         for pin in FLOW_PINS])
+def test_flow_bytes_pinned(kind, group, cutoff, digest, action_1, action_2):
+    import hashlib
+
+    from ymflow.ensemble import sample_initial
+
+    a = sample_initial(group, "gff", cutoff, 71, 0, scale_to_h1=0.5)
+    traj = integrate(a, FlowConfig(kind, 0.02, dt_initial=1e-3,
+                                   checkpoint_times=(0.01, 0.02)))
+    assert (traj.step_count, traj.rhs_evaluations) == (20, 60)
+    assert hashlib.sha256(traj.states[0.02].coeffs.tobytes()).hexdigest() == digest
+    assert (traj.actions[0.01].hex(), traj.actions[0.02].hex()) == \
+        (action_1, action_2)
+
+
+_FAULTS_SCRIPT = """
+import resource
+import ymflow.flow as flow_mod
+from ymflow.ensemble import sample_initial
+from ymflow.flow import FlowConfig, integrate
+from ymflow.groups import SU2
+marks = []
+nonlinear = flow_mod._NONLINEAR["ym"]
+def counted(*args, **kwargs):
+    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return nonlinear(*args, **kwargs)
+flow_mod._NONLINEAR["ym"] = counted
+a = sample_initial(SU2, "gff", 4, 5, 0, scale_to_h1=0.5)
+integrate(a, FlowConfig("ym", 0.02, dt_initial=1e-3))
+end = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(len(marks) - 5, end - marks[5])
+"""
+
+
+def test_flow_steps_fault_in_no_grid_memory():
+    # the flow's workspace keeps every grid array of the nonlinear pass, so
+    # once warm an SU(2) N=4 flow faults in (almost) no pages per pass
+    import os
+    import subprocess
+    import sys
+    import ymflow
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ymflow.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    calls, faults = map(int, out.stdout.split())
+    assert calls >= 50
+    assert faults / calls < 50
