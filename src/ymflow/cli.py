@@ -1,13 +1,14 @@
 """Command-line entry point.
 
 Subcommands: sample, flow, wilson, ensemble, verify.  Every command is
-deterministic given its configuration file.  `--threads K` runs ensemble
-members in K forked worker processes (serially where the platform cannot
-fork); records are assembled in a fixed order, so it never changes the
-output bytes.
+deterministic given its configuration file, and takes only the flags it
+reads: `--seed` belongs to sample and ensemble, `--threads` to ensemble,
+and verify takes none.  `--threads K` runs ensemble members in K forked
+worker processes (serially where the platform cannot fork); records are
+assembled in a fixed order, so it never changes the output bytes.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical blow-up,
-3 verification failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical
+blow-up, 3 verification failure.
 
 The output directory comes from, in increasing precedence, the [output]
 section, the --output flag, and the YMFLOW_OUTPUT environment variable;
@@ -21,7 +22,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +36,7 @@ from .ensemble import (
     tightness_report,
 )
 from .fields import h1_norm, ym_action
-from .flow import heat_semigroup_u1, integrate
+from .flow import FlowConfig, integrate
 from .storage import (
     FieldFileError,
     atomic_open,
@@ -67,6 +67,7 @@ def _resolve_output(cfg: RunConfig, args) -> tuple[Path, str]:
 
 
 def _load_config(args) -> RunConfig:
+    """The configuration file with the --seed override applied."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -103,7 +104,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args.config)
     if cfg.flow is None:
         raise ConfigError("a [flow] section is required")
     outdir, source = _resolve_output(cfg, args)
@@ -142,7 +143,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_wilson(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args.config)
     outdir, source = _resolve_output(cfg, args)
     outdir.mkdir(parents=True, exist_ok=True)
     a0 = read_field(args.input)
@@ -159,25 +160,19 @@ def cmd_wilson(args) -> int:
     fieldnames = ["loop_id", "character_id", "t", "wilson_re", "wilson_im"]
     if is_u1:
         fieldnames += ["exact_re", "exact_im", "abs_diff"]
-    # regularize once per observation time, then sweep loops and characters
-    flowed = {}
-    if is_u1:
-        for t in times:
-            flowed[t] = heat_semigroup_u1(a0, t)
-    else:
-        if cfg.flow is None:
-            raise ConfigError(
-                "non-Abelian Wilson evaluation needs a [flow] section to "
-                "regularize the field"
-            )
-        run = replace(cfg.flow, t_end=max(times),
-                      checkpoint_times=tuple(sorted(set(times))))
-        traj = integrate(a0, run)
-        if traj.blew_up:
-            print(f"flow halted at t = {_fmt(traj.attained_time)}: "
-                  f"{traj.failure}; no Wilson values", file=sys.stderr)
-            return EXIT_BLOWUP
-        flowed = traj.states
+    # regularize once per observation time, then sweep loops and characters;
+    # a U(1) field takes the exact heat semigroup, whatever [flow] says
+    flow = FlowConfig("u1_exact", max(times)) if is_u1 else cfg.flow
+    if flow is None:
+        raise ConfigError(
+            "non-Abelian Wilson evaluation needs a [flow] section to "
+            "regularize the field"
+        )
+    traj = integrate(a0, flow.observing(times))
+    if traj.blew_up:
+        print(f"flow halted at t = {_fmt(traj.attained_time)}: "
+              f"{traj.failure}; no Wilson values", file=sys.stderr)
+        return EXIT_BLOWUP
     with atomic_open(out_path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -185,7 +180,8 @@ def cmd_wilson(args) -> int:
             # closed-form phases of this loop at every time (U(1) only)
             phases = h_series(a0, lp, times) if is_u1 else None
             # one holonomy per time that every character reads
-            values = [wilson_loop(flowed[t], lp, characters, steps=cfg.wilson_steps)
+            values = [wilson_loop(traj.states[t], lp, characters,
+                                  steps=cfg.wilson_steps)
                       for t in times]
             for c, ch in enumerate(characters):
                 for i, t in enumerate(times):
@@ -239,16 +235,14 @@ def cmd_ensemble(args) -> int:
         scale_to_h1=cfg.scale_to_h1,
         wilson_steps=cfg.wilson_steps,
     )
-    records = run_ensemble(spec, threads=max(1, args.threads))
-    records_path = outdir / "records.jsonl"
-    persist_records(records, records_path)
+    records = run_ensemble(spec, threads=args.threads)
+    persist_records(records, outdir / "records.jsonl")
     export_csv(records, outdir / "records.csv")
-    report_lines = []
     rows = tightness_report(records, min_samples=min(100, spec.n_samples))
-    report_lines.append(
+    report_lines = [
         f"{'cutoff':>6} {'t':>10} {'n':>6} {'excl':>5} {'mean':>22} "
         f"{'se':>22} {'closed_form':>22} {'limit':>22} {'flag':>5}"
-    )
+    ]
     for r in rows:
         closed = _fmt(r.closed_form) if r.closed_form is not None else "-"
         limit = _fmt(r.all_mode_limit) if r.all_mode_limit is not None else "-"
@@ -261,7 +255,6 @@ def cmd_ensemble(args) -> int:
         fh.write("\n".join(report_lines) + "\n")
     for line in report_lines:
         print(line)
-    convergence = None
     if spec.sampler_kind == "u1_coulomb" and loops and cfg.ens_reference_cutoff:
         conv_rows, frac = distribution_convergence_report(
             records, spec, cfg.ens_reference_cutoff
@@ -280,7 +273,7 @@ def cmd_ensemble(args) -> int:
         "config_hash": spec.config_hash(),
         "n_records": len(records),
         "blowups": sum(1 for r in records if r.blew_up),
-        "threads": max(1, args.threads),
+        "threads": args.threads,
         "output_dir_source": source,
         "version": __version__,
     })
@@ -289,50 +282,58 @@ def cmd_ensemble(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_suites
-    ok = run_suites()
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if run_suites() else EXIT_VERIFY
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG; argparse's own code 2 is the
+    blow-up code here.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _worker_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ymflow",
         description="Gauge-field heat flows and Wilson loops on the 3-torus",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="run configuration file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override [sampler] seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="ensemble worker processes, forked (serial where "
-                            "fork is missing); output bytes do not depend "
-                            "on it")
+    def command(name, fn, summary, seed=False):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", required=True, help="run configuration file")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override [sampler] seed")
         p.add_argument("--output", default=None, help="output directory")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("sample", help="draw one random field and store it")
-    common(p)
-    p.set_defaults(fn=cmd_sample)
+    command("sample", cmd_sample, "draw one random field and store it", seed=True)
 
-    p = sub.add_parser("flow", help="integrate a stored field")
-    common(p)
+    p = command("flow", cmd_flow, "integrate a stored field")
     p.add_argument("--input", required=True, help="field checkpoint file")
-    p.set_defaults(fn=cmd_flow)
 
-    p = sub.add_parser("wilson", help="Wilson loop values for a stored field")
-    common(p)
+    p = command("wilson", cmd_wilson, "Wilson loop values for a stored field")
     p.add_argument("--input", required=True, help="field checkpoint file")
     p.add_argument("--loops", default=None, help="loop definition file")
-    p.set_defaults(fn=cmd_wilson)
 
-    p = sub.add_parser("ensemble", help="run a seeded Monte Carlo ensemble")
-    common(p)
-    p.set_defaults(fn=cmd_ensemble)
+    p = command("ensemble", cmd_ensemble, "run a seeded Monte Carlo ensemble",
+                seed=True)
+    p.add_argument("--threads", type=_worker_count, default=1,
+                   help="worker processes, forked (serial where fork is "
+                        "missing); output bytes do not depend on it")
 
     p = sub.add_parser("verify", help="run the built-in property suites")
-    common(p, config_required=False)
     p.set_defaults(fn=cmd_verify)
     return parser
 
@@ -341,10 +342,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, LoopFileError, FieldFileError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, LoopFileError, FieldFileError, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

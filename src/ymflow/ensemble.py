@@ -4,11 +4,12 @@ A run is described by an EnsembleSpec: one master seed, the ensemble
 member index as the RNG stream, a list of cutoffs sharing each member's
 mode-keyed randomness (the coupling that makes per-seed convergence
 checks meaningful), observation times, loops and characters, and a flow
-configuration.  Members run independently, optionally in forked worker
-processes (serially where the platform cannot fork); records are always
-assembled and written in (stream, cutoff) order, and a member computes
-the same bits in any process, so the output bytes do not depend on the
-worker count.
+configuration, which each member runs up to its last observation time
+(FlowConfig.observing) whatever the configured t_end.  Members run
+independently, optionally in forked worker processes (serially where the
+platform cannot fork); records are always assembled and written in
+(stream, cutoff) order, and a member computes the same bits in any
+process, so the output bytes do not depend on the worker count.
 
 Records carry the hash of the exact configuration that produced them.
 Persistence is newline-delimited JSON, one flat observation row per line,
@@ -22,13 +23,13 @@ import hashlib
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .fields import SpectralConnection, h1_norm, ym_action_u1_spectral
-from .flow import FlowConfig, heat_semigroup_u1, integrate
+from .fields import SpectralConnection, h1_norm
+from .flow import FlowConfig, integrate
 from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from .groups import GroupSpec
 from .storage import atomic_open
@@ -85,8 +86,8 @@ class EnsembleSpec:
             raise ValueError("need at least 2 samples")
         if self.sampler_kind not in ("gff", "u1_coulomb"):
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
-        if any(t <= 0 for t in self.times):
-            raise ValueError("observation times must be positive")
+        if not self.times or any(t <= 0 for t in self.times):
+            raise ValueError("observation times must be positive and nonempty")
 
     def config_hash(self) -> str:
         """Digest of every field of the spec, the flow configuration, loops
@@ -126,40 +127,39 @@ def sample_initial(group: GroupSpec, sampler_kind: str, cutoff: int, seed: int,
     return a0
 
 
+def _exact_wilson(a: SpectralConnection, loops, characters, times) -> dict:
+    """Closed-form U(1) Wilson values of the heat flow from a at each of
+    times, keyed (loop, character, t): one h_series call per loop gives the
+    phase at every time, which every character reads."""
+    values = {}
+    for lp in loops:
+        for t, phase in zip(times, h_series(a, lp, times)):
+            for ch in characters:
+                values[(lp.name, ch.label(), t)] = ch.u1_value(phase)
+    return values
+
+
 def _member_record(spec: EnsembleSpec, stream: int, cutoff: int,
                    config_hash: str) -> EnsembleRecord:
-    rec = EnsembleRecord(
-        seed=spec.seed, stream=stream, cutoff=cutoff,
-        group=spec.group.label(), g=spec.coupling, config_hash=config_hash,
-    )
     a0 = sample_initial(spec.group, spec.sampler_kind, cutoff, spec.seed, stream,
                         spec.coupling, spec.scale_to_h1)
+    traj = integrate(a0, spec.flow.observing(spec.times))
+    rec = EnsembleRecord(
+        seed=spec.seed, stream=stream, cutoff=cutoff, group=spec.group.label(),
+        g=spec.coupling, s_ym={t: traj.actions.get(t) for t in spec.times},
+        attained_time=traj.attained_time, blew_up=traj.blew_up,
+        config_hash=config_hash,
+    )
     if spec.flow.flow_kind == "u1_exact":
-        # diagonal semigroup: observables in closed form, one phase per
-        # (loop, time) that every character reads
-        rec.attained_time = spec.flow.t_end
-        phases = [h_series(a0, lp, spec.times) for lp in spec.loops]
-        for i, t in enumerate(spec.times):
-            rec.s_ym[t] = ym_action_u1_spectral(heat_semigroup_u1(a0, t))
-            for lp, phase in zip(spec.loops, phases):
-                for ch in spec.characters:
-                    rec.wilson[(lp.name, ch.label(), t)] = ch.u1_value(phase[i])
+        # the semigroup is diagonal: Wilson values in closed form from a0
+        rec.wilson = _exact_wilson(a0, spec.loops, spec.characters, spec.times)
         return rec
-    run_cfg = replace(spec.flow, checkpoint_times=tuple(sorted(set(spec.times))))
-    traj = integrate(a0, run_cfg)
-    rec.attained_time = traj.attained_time
-    rec.blew_up = traj.blew_up
-    for t in spec.times:
-        if t in traj.states:
-            state = traj.states[t]
-            rec.s_ym[t] = traj.actions[t]
-            for lp in spec.loops:
-                values = wilson_loop(state, lp, spec.characters,
-                                     steps=spec.wilson_steps)
-                for ch, w in zip(spec.characters, values):
-                    rec.wilson[(lp.name, ch.label(), t)] = w
-        else:
-            rec.s_ym[t] = None
+    for t, state in traj.states.items():
+        for lp in spec.loops:
+            values = wilson_loop(state, lp, spec.characters,
+                                 steps=spec.wilson_steps)
+            for ch, w in zip(spec.characters, values):
+                rec.wilson[(lp.name, ch.label(), t)] = w
     return rec
 
 
@@ -411,15 +411,13 @@ def distribution_convergence_report(records, spec: EnsembleSpec,
     by_member = {(rec.stream, rec.cutoff): rec for rec in records}
 
     # reference values from the same mode-keyed draws at the big cutoff
-    ref: dict = {}
-    for s in streams:
-        a_ref = sample_initial(spec.group, spec.sampler_kind, reference_cutoff,
-                               spec.seed, s, spec.coupling)
-        for lp in spec.loops:
-            phases = h_series(a_ref, lp, spec.times)
-            for ch in spec.characters:
-                for t, phase in zip(spec.times, phases):
-                    ref[(s, lp.name, ch.label(), t)] = ch.u1_value(phase)
+    ref = {
+        s: _exact_wilson(sample_initial(spec.group, spec.sampler_kind,
+                                        reference_cutoff, spec.seed, s,
+                                        spec.coupling),
+                         spec.loops, spec.characters, spec.times)
+        for s in streams
+    }
 
     rows = []
     dev_by_seed = {s: [] for s in streams}   # per cutoff, max over observables
@@ -433,7 +431,7 @@ def distribution_convergence_report(records, spec: EnsembleSpec,
                          for s in streams]
                     )
                     refv = np.array(
-                        [ref[(s, lp.name, ch.label(), t)] for s in streams]
+                        [ref[s][(lp.name, ch.label(), t)] for s in streams]
                     )
                     ks = max(_ks_distance(emp.real, refv.real),
                              _ks_distance(emp.imag, refv.imag))

@@ -32,7 +32,6 @@ from .fields import (
     dealias_resolution,
     heat_weights,
     mode_norm_sq,
-    ym_action,
     ym_action_u1_spectral,
     l2_norm,
 )
@@ -78,6 +77,13 @@ class FlowConfig:
         if list(ts) != sorted(ts):
             raise ValueError("checkpoint times must be sorted")
         self.checkpoint_times = ts
+
+    def observing(self, times) -> FlowConfig:
+        """This flow run up to the last of ``times`` and checkpointed at each
+        of them: the one way a run read only at given times (an ensemble
+        member, a Wilson sweep, a covariance check) derives its config."""
+        return replace(self, t_end=max(times),
+                       checkpoint_times=tuple(sorted(set(times))))
 
 
 @dataclass
@@ -222,14 +228,6 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
     work = _Workspace(a0.group, a0.cutoff, m, deturck=config.flow_kind == "zdds")
 
     steppers: dict[float, _EtdStepper] = {}
-
-    def stepper(h: float) -> _EtdStepper:
-        s = steppers.get(h)
-        if s is None:
-            s = _EtdStepper(a0.cutoff, h)
-            steppers[h] = s
-        return s
-
     state = a0.copy()
     t = 0.0
     # the nonlinear term of the current state with its action and sup
@@ -248,7 +246,9 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
                 traj.failure = "stalled"
                 break
             h = min(dt, target - t)
-            candidate, err = stepper(h).step(state, n_state, nonlinear, m, work)
+            if h not in steppers:
+                steppers[h] = _EtdStepper(a0.cutoff, h)
+            candidate, err = steppers[h].step(state, n_state, nonlinear, m, work)
             traj.rhs_evaluations += 3
             ok = np.isfinite(err) and bool(np.all(np.isfinite(candidate.coeffs)))
             if not ok:
@@ -294,13 +294,12 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
 
 
 def action_decay_profile(traj: FlowTrajectory, tol: float = 1e-9):
-    """Sorted (t, S_YM) pairs over checkpoints plus a monotonicity flag.
+    """Sorted (t, S_YM) pairs of the actions recorded at the checkpoints,
+    plus a monotonicity flag.
 
     Returns (profile, violations) where violations lists the checkpoint
     times at which the action rose beyond tol relative."""
-    profile = []
-    for t in traj.checkpoint_times():
-        profile.append((t, ym_action(traj.states[t])))
+    profile = [(t, traj.actions[t]) for t in traj.checkpoint_times()]
     violations = []
     for (t0, s0), (t1, s1) in zip(profile, profile[1:]):
         if s1 > s0 + tol * (1.0 + s0):
@@ -322,7 +321,7 @@ def gauge_covariance_check(a0: SpectralConnection, sigma, t: float,
         raise ValueError("the modified flow is covariant only for constant sigma")
     if config.flow_kind == "u1_exact":
         raise ValueError("use flow_kind 'ym' or 'zdds' for covariance checks")
-    run_cfg = replace(config, t_end=t, checkpoint_times=(t,))
+    run_cfg = config.observing((t,))
     a0_t = gauge_transform_spectral(a0, sigma, cutoff=a0.cutoff)
     flow_plain = integrate(a0, run_cfg)
     flow_trans = integrate(a0_t, run_cfg)

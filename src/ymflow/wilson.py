@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# unitarity defect above which a holonomy is re-unitarized
+REPAIR_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -410,7 +412,7 @@ def _substep_allocation(loop: Loop, steps: int) -> list[int]:
 
 
 def holonomy(evaluator: FieldEvaluator | SpectralConnection, loop: Loop,
-             steps: int = 128, repair_threshold: float = 1e-9) -> np.ndarray:
+             steps: int = 128) -> np.ndarray:
     """Group element transporting around the loop.
 
     Per substep of width dl the scheme exponentiates the RKMK3 stage
@@ -419,7 +421,7 @@ def holonomy(evaluator: FieldEvaluator | SpectralConnection, loop: Loop,
         k3 = w(t + dl) + (dl/2) [2 k2 - k1, w(t + dl)],
     where w(t) = A(l(t)).l'(t).  All stage elements are precomputed in
     one batched field evaluation; the group product is then accumulated
-    and re-unitarized only if the defect exceeds repair_threshold.
+    and re-unitarized only if the defect exceeds REPAIR_THRESHOLD.
     """
     if isinstance(evaluator, SpectralConnection):
         evaluator = FieldEvaluator(evaluator)
@@ -464,7 +466,7 @@ def holonomy(evaluator: FieldEvaluator | SpectralConnection, loop: Loop,
     h = np.eye(group.matrix_dim, dtype=complex)
     for e in exps:
         h = h @ e
-    if unitarity_defect(h) > repair_threshold:
+    if unitarity_defect(h) > REPAIR_THRESHOLD:
         h = unitarize(h, group)
     return h
 

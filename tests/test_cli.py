@@ -202,6 +202,7 @@ def test_ensemble_thread_count_invariance(workspace, capsys):
         (tmp / "e3" / "tightness.txt").read_bytes()
     conv = json.loads((tmp / "e1" / "convergence.json").read_text())
     assert conv["reference_cutoff"] == 8
+    assert read_manifest(tmp / "e3" / "ensemble.json")["threads"] == 3
 
 
 def test_ensemble_refuses_reference_cutoff_with_scaling(workspace, capsys):
@@ -241,6 +242,33 @@ def test_unknown_config_key_exit_code(workspace, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "warp" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--config", "run.cfg"],                          # no --input
+    ["sample", "--config", "run.cfg", "--frobnicate"],        # unknown flag
+    ["ensemble", "--config", "run.cfg", "--threads", "0"],
+    ["ensemble", "--config", "run.cfg", "--threads", "-3"],
+    ["flow", "--config", "run.cfg", "--input", "f.ymf", "--threads", "2"],
+    ["wilson", "--config", "run.cfg", "--input", "f.ymf", "--seed", "3"],
+    ["verify", "--threads", "7"],
+    ["verify", "--output", "elsewhere"],
+    [],
+])
+def test_usage_errors_exit_with_config_code(argv, capsys):
+    # argparse's own exit code 2 is the blow-up code here
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["flow", "--help"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_verify_command_passes(capsys):

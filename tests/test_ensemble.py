@@ -359,6 +359,43 @@ def test_member_flow_keeps_max_steps():
         assert rec.s_ym[0.003] is None
 
 
+def su2_ym_spec(t_end, times):
+    return EnsembleSpec(
+        group=SU2, sampler_kind="gff", seed=43, cutoffs=(2,), times=times,
+        n_samples=2, flow=FlowConfig("ym", t_end, dt_initial=2e-3),
+        scale_to_h1=0.5, loops=(PLAQ,),
+        characters=(Character(SU2, "fundamental"),),
+    )
+
+
+def test_member_flow_ends_at_last_observation_time():
+    # a configured t_end past the last observation time is not flowed to,
+    # and what the member reads is the same bits either way
+    far = run_ensemble(su2_ym_spec(0.05, (0.02,)))
+    near = run_ensemble(su2_ym_spec(0.02, (0.02,)))
+    for a, b in zip(far, near):
+        assert a.attained_time == b.attained_time == 0.02
+        assert not a.blew_up
+        assert a.s_ym == b.s_ym and a.s_ym[0.02] is not None
+        assert a.wilson == b.wilson and len(a.wilson) == 1
+
+
+def test_u1_exact_member_horizon_is_last_observation_time():
+    spec = replace(u1_spec(n_samples=2, cutoffs=(2,), times=(0.02, 0.05)),
+                   flow=FlowConfig("u1_exact", 0.02))
+    for rec in run_ensemble(spec):
+        assert rec.attained_time == 0.05
+        assert all(rec.s_ym[t] is not None for t in spec.times)
+
+
+def test_ym_member_observed_past_t_end_runs():
+    for rec in run_ensemble(su2_ym_spec(0.004, (0.004, 0.008))):
+        assert not rec.blew_up
+        assert rec.attained_time == 0.008
+        assert all(rec.s_ym[t] is not None for t in (0.004, 0.008))
+        assert len(rec.wilson) == 2
+
+
 def test_u1_exact_member_values_match_scalar_formula():
     spec = u1_spec(n_samples=2, cutoffs=(2, 4), times=(0.005, 0.02))
     for rec in run_ensemble(spec):

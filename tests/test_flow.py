@@ -134,6 +134,31 @@ def test_ym_monotonicity_and_profile():
     assert all(b < a_ for a_, b in zip(actions, actions[1:]))
 
 
+def test_action_profile_reads_recorded_actions_bit_for_bit():
+    # the profile reads the actions the flow recorded; they equal a fresh
+    # ym_action of each checkpoint state, the profile's former computation
+    a = sample_gff(SamplerConfig(SU2, 3, seed=12))
+    a = a.scaled(0.5 / h1_norm(a))
+    traj = integrate(a, FlowConfig("ym", 0.008, dt_initial=1e-3,
+                                   checkpoint_times=(0.002, 0.005, 0.008)))
+    assert not traj.blew_up
+    profile, _ = action_decay_profile(traj)
+    assert profile == [(t, ym_action(traj.states[t]))
+                       for t in traj.checkpoint_times()]
+    assert len(profile) == 3
+
+
+def test_observing_ends_at_last_time_and_checkpoints_each():
+    base = FlowConfig("zdds", 0.5, dt_initial=2e-3, checkpoint_times=(0.1, 0.5),
+                      max_steps=9)
+    run = base.observing((0.03, 0.01, 0.03))
+    assert run.t_end == 0.03
+    assert run.checkpoint_times == (0.01, 0.03)
+    assert (run.flow_kind, run.dt_initial, run.max_steps) == ("zdds", 2e-3, 9)
+    # past the configured end: the observation times rule
+    assert base.observing((0.7,)).t_end == 0.7
+
+
 def test_action_profile_zero_field():
     cfg = FlowConfig("ym", 0.01, checkpoint_times=(0.005, 0.01))
     traj = integrate(zero_connection(SU2, 1), cfg)
@@ -292,8 +317,7 @@ def test_one_nonlinear_call_per_stage_and_no_separate_diagnostics(monkeypatch):
         raise AssertionError("separate diagnostic called in the step loop")
 
     monkeypatch.setitem(flow_mod._NONLINEAR, "ym", counted)
-    for mod in (fields_mod, flow_mod):
-        monkeypatch.setattr(mod, "ym_action", forbidden)
+    monkeypatch.setattr(fields_mod, "ym_action", forbidden)
     a = sample_gff(SamplerConfig(SU2, 2, seed=7))
     a = a.scaled(0.5 / h1_norm(a))
     traj = integrate(a, FlowConfig("ym", 0.006, dt_initial=1e-3,

@@ -1,5 +1,6 @@
 """Package hygiene: exported names resolve and module imports are used."""
 
+import argparse
 import ast
 import importlib
 import pathlib
@@ -7,6 +8,7 @@ import pathlib
 import pytest
 
 import ymflow
+from ymflow.cli import build_parser
 
 SOURCE = pathlib.Path(ymflow.__file__).parent
 MODULES = sorted(p.stem for p in SOURCE.glob("*.py"))
@@ -48,3 +50,23 @@ def test_no_unused_module_imports(stem):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, f"{stem}.py imports names it never uses: {unused}"
+
+
+# every flag a subcommand accepts is one it reads
+COMMAND_OPTIONS = {
+    "sample": {"--config", "--seed", "--output"},
+    "flow": {"--config", "--input", "--output"},
+    "wilson": {"--config", "--input", "--loops", "--output"},
+    "ensemble": {"--config", "--seed", "--threads", "--output"},
+    "verify": set(),
+}
+
+
+def test_subcommand_option_sets_pinned():
+    parser = build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {opt for action in p._actions for opt in action.option_strings}
+               - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert options == COMMAND_OPTIONS
