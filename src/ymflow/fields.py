@@ -66,12 +66,16 @@ def dealias_resolution(cutoff: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def mode_grids(cutoff: int):
-    """Integer mode arrays (n1, n2, n3), each shaped (K, K, K), K = 2N+1."""
-    axis = np.arange(-cutoff, cutoff + 1)
-    n1, n2, n3 = np.meshgrid(axis, axis, axis, indexing="ij")
-    for a in (n1, n2, n3):
-        a.setflags(write=False)
-    return n1, n2, n3
+    """Integer mode arrays (n1, n2, n3), each shaped (K, K, K), K = 2N+1.
+
+    They are read-only zero-stride views (``np.broadcast_to``) of one
+    int64 axis -N..N, so a cutoff costs K integers, not 3 K^3; arithmetic
+    on them gives new dense arrays as usual.
+    """
+    k = 2 * cutoff + 1
+    axis = np.arange(-cutoff, cutoff + 1, dtype=np.int64)
+    return tuple(np.broadcast_to(axis.reshape(shape), (k, k, k))
+                 for shape in ((k, 1, 1), (1, k, 1), (1, 1, k)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,9 +347,9 @@ def _sup_of(avals: np.ndarray) -> float:
 def ym_action(a: SpectralConnection, resolution: int | None = None) -> float:
     """S_YM(A) = sum_{ij} integral |F_{ij}(x)|^2 dx by uniform-grid
     quadrature (exact for the band-limited field strength at the dealiased
-    resolution), read off the fused nonlinear pass."""
+    resolution), read off the first half of the fused nonlinear pass."""
     m = dealias_resolution(a.cutoff) if resolution is None else resolution
-    return _ym_nonlinear(a, m)[1]
+    return _nonlinear_core(a, m, False, action_only=True)[1]
 
 
 def ym_action_u1_spectral(a: SpectralConnection) -> float:
@@ -420,10 +424,13 @@ class _Workspace:
 
 
 def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool,
-                    work: _Workspace | None = None, diagnostics: bool = True):
+                    work: _Workspace | None = None, diagnostics: bool = True,
+                    action_only: bool = False):
     """Right-hand side minus the Laplacian term, with S_YM(a) and sup|A|
     evaluated on the same grid (None for both when ``diagnostics`` is
-    off).
+    off).  With ``action_only`` it returns (None, S_YM(a), None) as soon
+    as the action is known, before the forward transforms and the
+    interior bracket.
 
     YM (deturck False):  -(1/2) d*[A ^ A] - [A _| F_A] + d d*A
     ZDDS (deturck True): -(1/2) d*[A ^ A] - [A _| F_A] - [A ^ d*A]
@@ -439,9 +446,8 @@ def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool,
     temporary workspace when none is given.
     """
     group, n = a.group, a.cutoff
-    dstar = d_star_1form(a)
-    if group.is_abelian:
-        nl = np.zeros_like(a.coeffs) if deturck else grad_0form(dstar).coeffs
+    if group.is_abelian and not action_only:
+        nl = np.zeros_like(a.coeffs) if deturck else grad_0form(d_star_1form(a)).coeffs
         if not diagnostics:
             return nl, None, None
     if work is None:
@@ -450,12 +456,12 @@ def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool,
     half[:, :3] = a.coeffs[..., n:]
     _curl(half[:, :3], n, out=half[:, 3:6])
     if half.shape[1] == 7:
-        half[:, 6] = dstar.coeffs[..., n:]
+        half[:, 6] = d_star_1form(a).coeffs[..., n:]
     grids = _half_to_values(half, n, m, work.inverse)
     avals = grids[:, :3]
-    sup = _sup_of(avals) if diagnostics else None
+    sup = _sup_of(avals) if diagnostics and not action_only else None
     if group.is_abelian:
-        return nl, _action_of(grids[:, 3:]), sup
+        return (None if action_only else nl), _action_of(grids[:, 3:]), sup
     ab = work.ab
     a5, b5 = ab[:, 0], ab[:, 1]
     a5[:, :3] = avals
@@ -463,8 +469,10 @@ def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool,
     a5[:, 3:] = a5[:, :2]
     half_aa = _grid_bracket(a5[:, 1:4], a5[:, 2:5], group, out=work.bracket)
     b5[:, :3] += half_aa
-    b5[:, 3:] = b5[:, :2]
     action = _action_of(b5[:, :3]) if diagnostics else None
+    if action_only:
+        return None, action, None
+    b5[:, 3:] = b5[:, :2]
     nl = _curl(_values_to_spectral(half_aa, n, m, work.forward), n)
     inner = _cyclic_interior(group, ab, work.terms, work.inner)
     if deturck:
@@ -472,7 +480,7 @@ def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool,
     nl += _values_to_spectral(inner, n, m, work.forward)
     np.negative(nl, out=nl)
     if not deturck:
-        nl += grad_0form(dstar).coeffs
+        nl += grad_0form(d_star_1form(a)).coeffs
     return nl, action, sup
 
 

@@ -77,6 +77,22 @@ def canonical_half_modes(cutoff: int) -> np.ndarray:
     return out
 
 
+_E1 = np.array([1, 0, 0], dtype=np.int64)
+_E2 = np.array([0, 1, 0], dtype=np.int64)
+
+
+def _frames(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frames (u1, u2), each (H, 3), of canonical integer rows h (H, 3):
+    v = h x e1, or h x e2 where that vanishes, and w = h x v, normalized."""
+    v = np.cross(h, _E1)
+    parallel = ~v.any(axis=1)
+    v[parallel] = np.cross(h[parallel], _E2)
+    w = np.cross(h, v)
+    u1 = v / np.linalg.norm(v, axis=1, keepdims=True)
+    u2 = w / np.linalg.norm(w, axis=1, keepdims=True)
+    return u1, u2
+
+
 def transverse_frame(n) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal pair (u1, u2) spanning the plane orthogonal to n.
 
@@ -87,28 +103,15 @@ def transverse_frame(n) -> tuple[np.ndarray, np.ndarray]:
     n = np.asarray(n, dtype=np.int64)
     if n.shape != (3,) or not n.any():
         raise ValueError("need a nonzero integer 3-vector")
-    h = n.copy()
-    for c in h:
-        if c != 0:
-            if c < 0:
-                h = -h
-            break
-    v = np.cross(h, np.array([1, 0, 0], dtype=np.int64))
-    if not v.any():
-        v = np.cross(h, np.array([0, 1, 0], dtype=np.int64))
-    w = np.cross(h, v)
-    u1 = v / np.linalg.norm(v)
-    u2 = w / np.linalg.norm(w)
-    return u1, u2
+    h = -n if n[np.flatnonzero(n)[0]] < 0 else n
+    u1, u2 = _frames(h[None])
+    return u1[0], u2[0]
 
 
 @lru_cache(maxsize=None)
 def _frames_for(cutoff: int):
-    modes = canonical_half_modes(cutoff)
-    u1 = np.empty((len(modes), 3))
-    u2 = np.empty((len(modes), 3))
-    for i, n in enumerate(modes):
-        u1[i], u2[i] = transverse_frame(n)
+    """transverse_frame of every canonical half mode, in one pass."""
+    u1, u2 = _frames(canonical_half_modes(cutoff))
     u1.setflags(write=False)
     u2.setflags(write=False)
     return u1, u2

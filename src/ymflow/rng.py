@@ -40,16 +40,31 @@ _S11 = np.uint64(11)
 _INV53 = float(2.0 ** -53)
 
 
-def _mulhilo(a, b):
-    """Full 64x64 -> 128 bit product via 32-bit limbs (wrapping uint64)."""
-    a_lo = a & _MASK32
-    a_hi = a >> _S32
-    b_lo = b & _MASK32
-    b_hi = b >> _S32
-    lo = a * b
-    t = a_lo * b_hi + ((a_lo * b_lo) >> _S32)
-    hi = a_hi * b_hi + (t >> _S32) + ((a_hi * b_lo + (t & _MASK32)) >> _S32)
-    return hi, lo
+# each multiplier with its low and high 32-bit limbs
+_M0_LIMBS = (_M0, _M0 & _MASK32, _M0 >> _S32)
+_M1_LIMBS = (_M1, _M1 & _MASK32, _M1 >> _S32)
+
+
+def _mulhilo(limbs, b, hi, t, u, v):
+    """Full 64x64 -> 128 bit product of the constant with limbs (m, m_lo,
+    m_hi) and b, via 32-bit limbs in wrapping uint64: the high word goes
+    to ``hi`` and the low word overwrites b; t, u and v are scratch."""
+    m, m_lo, m_hi = limbs
+    np.bitwise_and(b, _MASK32, out=u)                  # b_lo
+    np.right_shift(b, _S32, out=hi)                    # b_hi
+    np.multiply(u, m_lo, out=t)
+    t >>= _S32
+    np.multiply(hi, m_lo, out=v)
+    t += v                                             # m_lo b_hi + (m_lo b_lo >> 32)
+    u *= m_hi
+    np.bitwise_and(t, _MASK32, out=v)
+    u += v
+    u >>= _S32                                         # (m_hi b_lo + (t & mask)) >> 32
+    t >>= _S32
+    hi *= m_hi
+    hi += t
+    hi += u
+    b *= m
 
 
 def philox4x64_10(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -61,17 +76,19 @@ def philox4x64_10(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
     """
     counter = np.asarray(counter, dtype=np.uint64)
     key = np.asarray(key, dtype=np.uint64)
-    c0 = counter[..., 0].copy()
-    c1 = counter[..., 1].copy()
-    c2 = counter[..., 2].copy()
-    c3 = counter[..., 3].copy()
-    k0 = np.broadcast_to(key[..., 0], c0.shape).copy()
-    k1 = np.broadcast_to(key[..., 1], c0.shape).copy()
+    c0, c1, c2, c3 = (counter[..., i].copy() for i in range(4))
+    k0, k1 = key[..., 0], key[..., 1]     # scalars for a 1-D key, else broadcast
+    hi0, hi1, t, u, v = (np.empty_like(c0) for _ in range(5))
     with np.errstate(over="ignore"):
         for _ in range(10):
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            _mulhilo(_M0_LIMBS, c0, hi0, t, u, v)     # c0 <- lo0
+            _mulhilo(_M1_LIMBS, c2, hi1, t, u, v)     # c2 <- lo1
+            hi1 ^= c1
+            hi1 ^= k0
+            hi0 ^= c3
+            hi0 ^= k1
+            # (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); c1, c3 become scratch
+            c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
             k0 = k0 + _W0
             k1 = k1 + _W1
     return np.stack([c0, c1, c2, c3], axis=-1)

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 from dataclasses import fields, replace
@@ -5,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from ymflow.fields import mode_grids, mode_norm_sq
 from ymflow.flow import FlowConfig
 from ymflow.ensemble import (
     EnsembleRecord,
@@ -249,6 +251,41 @@ def test_closed_form_limit_converges():
     lim = closed_form_sym_limit(0.05)
     assert lim >= closed_form_sym_mean(8, 0.05)
     assert lim == pytest.approx(closed_form_sym_mean(16, 0.05), rel=1e-12)
+
+
+def test_closed_form_mean_matches_direct_cube_sum():
+    # the axis-factorized sum against fsum over every nonzero mode of the
+    # cube, all cutoffs sharing the exponentials of the largest cube
+    axis = np.arange(-32, 33)
+    nsq = (axis[:, None, None] ** 2 + axis[None, :, None] ** 2
+           + axis[None, None, :] ** 2).astype(float)
+    for t in (1e-4, 2e-3, 0.02, 0.5):
+        terms = np.exp(-8.0 * np.pi**2 * nsq * t)
+        terms[32, 32, 32] = 0.0
+        for cutoff in range(1, 33):
+            lo, hi = 32 - cutoff, 33 + cutoff
+            want = math.fsum(terms[lo:hi, lo:hi, lo:hi].ravel())
+            got = closed_form_sym_mean(cutoff, t)
+            assert abs(got - want) <= 2e-15 * want, (cutoff, t)
+    assert closed_form_sym_mean(3, 0.0, coupling=2.0) == 4.0 * (7**3 - 1)
+
+
+def test_u1_reports_build_no_mode_grid_above_run_cutoffs():
+    # the closed forms need no mode grid: the reports only touch the
+    # cutoffs the run itself uses
+    spec = u1_spec(n_samples=100, cutoffs=(2, 4), times=(0.005, 0.02), loops=(PLAQ,))
+    recs = run_ensemble(spec)
+    mode_grids.cache_clear()
+    mode_norm_sq.cache_clear()
+    rows = tightness_report(recs, min_samples=100)
+    assert all(r.all_mode_limit is not None for r in rows)
+    distribution_convergence_report(recs, spec, reference_cutoff=8)
+    used = (2, 4, 8)
+    for cutoff in used:
+        mode_grids(cutoff)
+        mode_norm_sq(cutoff)
+    assert mode_grids.cache_info().currsize == len(used)
+    assert mode_norm_sq.cache_info().currsize == len(used)
 
 
 def test_distribution_convergence_report():

@@ -452,6 +452,36 @@ def test_curvature_u1_is_exterior_d():
     assert np.max(np.abs(curl - dual(f))) < 1e-13
 
 
+@pytest.mark.parametrize("group", [SU2, SU3, U2], ids=lambda g: g.label())
+def test_ym_action_is_the_fused_pass_action_without_its_second_half(group, monkeypatch):
+    import ymflow.fields as fields_mod
+    cases = [random_connection(group, cutoff, seed=90 + cutoff, scale=0.4)
+             for cutoff in (1, 2, 3)]
+    want = [[_ym_nonlinear(a, m)[1] for m in (4 * a.cutoff + 1, 4 * a.cutoff + 2)]
+            for a in cases]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("an action-only pass ran the second half")
+
+    monkeypatch.setattr(fields_mod, "_values_to_spectral", unused)
+    monkeypatch.setattr(fields_mod, "_cyclic_interior", unused)
+    for a, row in zip(cases, want):
+        assert ym_action(a) == row[0]
+        assert [ym_action(a, m) for m in (4 * a.cutoff + 1, 4 * a.cutoff + 2)] == row
+
+
+def test_mode_grids_are_read_only_axis_views():
+    n1, n2, n3 = mode_grids(3)
+    axis = np.arange(-3, 4)
+    for i, n in enumerate((n1, n2, n3)):
+        assert n.shape == (7, 7, 7) and n.dtype == np.int64
+        assert not n.flags.writeable
+        assert sum(st != 0 for st in n.strides) == 1
+        assert np.array_equal(np.moveaxis(n, i, 0)[:, 0, 0], axis)
+    dense = np.meshgrid(axis, axis, axis, indexing="ij")
+    assert all(np.array_equal(n, d) for n, d in zip((n1, n2, n3), dense))
+
+
 def test_ym_action_zero_and_single_pair():
     assert ym_action(zero_connection(SU2, 2)) == 0.0
     # single conjugate mode pair with Z orthogonal to n:

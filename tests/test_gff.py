@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from ymflow.fields import _spectral_to_values, d_star_1form, reality_defect
 from ymflow.gff import (
     SamplerConfig,
+    _frames_for,
     canonical_half_modes,
     covariance_diagnostic,
     sample_gff,
@@ -51,6 +54,42 @@ def test_transverse_frame_gram():
         assert abs(np.dot(u1v, u2v)) < 1e-14
         assert abs(np.dot(u1v, u1v) - 1) < 1e-14
         assert abs(np.dot(u2v, u2v) - 1) < 1e-14
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _frames_by_loop(cutoff):
+    """One frame per canonical half mode, from exact integer cross products
+    in plain Python: v = n x e1 (n x e2 where that vanishes), w = n x v."""
+    u1v, u2v = [], []
+    for n in canonical_half_modes(cutoff).tolist():
+        v = _cross(n, (1, 0, 0))
+        if not any(v):
+            v = _cross(n, (0, 1, 0))
+        w = _cross(n, v)
+        for out, x in ((u1v, v), (u2v, w)):
+            norm = math.sqrt(sum(c * c for c in x))
+            out.append([c / norm for c in x])
+    return np.array(u1v), np.array(u2v)
+
+
+def test_frames_for_equals_per_mode_loop_bitwise():
+    for cutoff in range(1, 17):
+        got = _frames_for(cutoff)
+        want = _frames_by_loop(cutoff)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), cutoff
+            assert not g.flags.writeable
+    modes = canonical_half_modes(3)
+    u1v, u2v = _frames_for(3)
+    for i in (0, 7, len(modes) - 1):
+        for n in (modes[i], -modes[i]):
+            a1, a2 = transverse_frame(n)
+            assert a1.tobytes() == u1v[i].tobytes()
+            assert a2.tobytes() == u2v[i].tobytes()
 
 
 def test_gff_zero_mode_and_reality():
