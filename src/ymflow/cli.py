@@ -107,10 +107,12 @@ def cmd_flow(args) -> int:
     cfg = load_config(args.config)
     if cfg.flow is None:
         raise ConfigError("a [flow] section is required")
+    if not cfg.flow_times:
+        raise ConfigError("[flow] t_end is required: the flow runs up to it")
     outdir, source = _resolve_output(cfg, args)
     outdir.mkdir(parents=True, exist_ok=True)
     a0 = read_field(args.input)
-    traj = integrate(a0, cfg.flow)
+    traj = integrate(a0, cfg.flow, cfg.flow_times)
     rows = []
     for t in traj.checkpoint_times():
         state = traj.states[t]
@@ -162,13 +164,13 @@ def cmd_wilson(args) -> int:
         fieldnames += ["exact_re", "exact_im", "abs_diff"]
     # regularize once per observation time, then sweep loops and characters;
     # a U(1) field takes the exact heat semigroup, whatever [flow] says
-    flow = FlowConfig("u1_exact", max(times)) if is_u1 else cfg.flow
+    flow = FlowConfig("u1_exact") if is_u1 else cfg.flow
     if flow is None:
         raise ConfigError(
             "non-Abelian Wilson evaluation needs a [flow] section to "
             "regularize the field"
         )
-    traj = integrate(a0, flow.observing(times))
+    traj = integrate(a0, flow, times)
     if traj.blew_up:
         print(f"flow halted at t = {_fmt(traj.attained_time)}: "
               f"{traj.failure}; no Wilson values", file=sys.stderr)

@@ -46,6 +46,7 @@ class RunConfig:
     stream: int = 0
     scale_to_h1: float | None = None
     flow: FlowConfig | None = None
+    flow_times: tuple = ()      # [flow] checkpoints and t_end, read by `flow`
     loops_file: str | None = None
     wilson_steps: int = 128
     characters: tuple = ()
@@ -164,20 +165,24 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         kind = items.get("kind", "").strip()
         if kind not in FLOW_KINDS:
             _fail("flow", "kind", f"must be one of {FLOW_KINDS}, got {kind!r}")
-        t_end = _get_float("flow", items, "t_end", positive=True)
-        checkpoints = _get_floats("flow", items, "checkpoints", (t_end,))
+        checkpoints = _get_floats("flow", items, "checkpoints")
         if any(t <= 0 for t in checkpoints):
             _fail("flow", "checkpoints", "times must be positive")
+        if "t_end" in items:
+            t_end = _get_float("flow", items, "t_end", positive=True)
+            if any(t > t_end * (1 + 1e-12) for t in checkpoints):
+                _fail("flow", "checkpoints", "times must lie in (0, t_end]")
+            # a checkpoint within rounding past t_end ends the run itself
+            last = () if max(checkpoints, default=0.0) >= t_end else (t_end,)
+            cfg.flow_times = tuple(sorted({*checkpoints, *last}))
         resolution = None
         if "resolution" in items:
             resolution = _get_int("flow", items, "resolution", minimum=2)
         try:
             cfg.flow = FlowConfig(
                 flow_kind=kind,
-                t_end=t_end,
                 dt_initial=_get_float("flow", items, "dt_initial", 1e-3,
                                       positive=True),
-                checkpoint_times=tuple(sorted(checkpoints)),
                 dt_safety=_get_float("flow", items, "dt_safety", 0.5, unit=True),
                 blowup_threshold=_get_float("flow", items, "blowup_threshold",
                                             1e6, positive=True),
@@ -223,7 +228,8 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
             _fail("ensemble", "times", "times must be positive")
         if "reference_cutoff" in items:
             cfg.ens_reference_cutoff = _get_int("ensemble", items,
-                                                "reference_cutoff", minimum=1)
+                                                "reference_cutoff",
+                                                minimum=icutoffs[-1] + 1)
 
     if "output" in cfg.raw:
         cfg.output_dir = cfg.raw["output"].get("dir", "out")

@@ -4,8 +4,8 @@ A run is described by an EnsembleSpec: one master seed, the ensemble
 member index as the RNG stream, a list of cutoffs sharing each member's
 mode-keyed randomness (the coupling that makes per-seed convergence
 checks meaningful), observation times, loops and characters, and a flow
-configuration, which each member runs up to its last observation time
-(FlowConfig.observing) whatever the configured t_end.  Members run
+configuration, which says only how to integrate: each member flows to
+its last observation time and is read at each of them.  Members run
 independently, optionally in forked worker processes (serially where the
 platform cannot fork); records are always assembled and written in
 (stream, cutoff) order, and a member computes the same bits in any
@@ -92,7 +92,9 @@ class EnsembleSpec:
 
     def config_hash(self) -> str:
         """Digest of every field of the spec, the flow configuration, loops
-        and characters included, so any change of numerics changes it."""
+        and characters included, so any change of numerics changes it.  The
+        flow configuration holds no observation time, so runs observed at
+        the same ``times`` hash alike."""
         blob = json.dumps(asdict(self), sort_keys=True,
                           default=lambda v: v.tolist()).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -144,7 +146,7 @@ def _member_record(spec: EnsembleSpec, stream: int, cutoff: int,
                    config_hash: str) -> EnsembleRecord:
     a0 = sample_initial(spec.group, spec.sampler_kind, cutoff, spec.seed, stream,
                         spec.coupling, spec.scale_to_h1)
-    traj = integrate(a0, spec.flow.observing(spec.times))
+    traj = integrate(a0, spec.flow, spec.times)
     rec = EnsembleRecord(
         seed=spec.seed, stream=stream, cutoff=cutoff, group=spec.group.label(),
         g=spec.coupling, s_ym={t: traj.actions.get(t) for t in spec.times},
@@ -322,8 +324,7 @@ class TightnessRow:
     flagged: bool
 
 
-def tightness_report(records, exact_comparison: bool = True,
-                     min_samples: int = 100) -> list[TightnessRow]:
+def tightness_report(records, min_samples: int = 100) -> list[TightnessRow]:
     """Per (cutoff, t) mean and SE of the action, with the closed-form
     truncated series alongside for U(1) ensembles.
 
@@ -356,10 +357,8 @@ def tightness_report(records, exact_comparison: bool = True,
             )
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / np.sqrt(len(vals)))
-        closed = closed_form_sym_mean(cutoff, t, coupling) \
-            if (exact_comparison and is_u1) else None
-        limit = closed_form_sym_limit(t, coupling) \
-            if (exact_comparison and is_u1) else None
+        closed = closed_form_sym_mean(cutoff, t, coupling) if is_u1 else None
+        limit = closed_form_sym_limit(t, coupling) if is_u1 else None
         flagged = bool(limit is not None and mean > limit + 5.0 * se)
         rows.append(TightnessRow(cutoff, t, len(vals),
                                  by_key[(cutoff, t)]["excluded"],
@@ -410,6 +409,11 @@ def distribution_convergence_report(records, spec: EnsembleSpec,
         raise ValueError(
             "convergence report needs unscaled members: each member is rescaled "
             "to its own H^1 norm, so no reference field shares their law"
+        )
+    if reference_cutoff <= spec.cutoffs[-1]:
+        raise ValueError(
+            f"reference cutoff {reference_cutoff} must exceed the largest "
+            f"ensemble cutoff {spec.cutoffs[-1]}"
         )
     streams = sorted({rec.stream for rec in records})
     cutoffs = sorted({rec.cutoff for rec in records})

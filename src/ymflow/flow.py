@@ -13,14 +13,16 @@ Step control: a step is rejected (and dt shrunk by dt_safety) when the
 embedded second-order result differs from the third-order one by more
 than error_tol in relative L^2, when the action guard trips, or when
 non-finite values appear.  After ten clean steps dt grows back, capped by
-dt_initial.  Steps are clipped to land exactly on checkpoint times, and
-the controller state resets at each checkpoint so a run resumed from a
-checkpoint file reproduces the uninterrupted run bit for bit.
+dt_initial.  Steps are clipped to land exactly on the observation times
+given to integrate, and the controller state resets at each of them so a
+run resumed from a checkpoint file reproduces the uninterrupted run bit
+for bit.  A FlowConfig says only how to integrate; when to observe is the
+caller's (the last observation time ends the run).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,43 +49,28 @@ __all__ = [
 
 FLOW_KINDS = ("ym", "zdds", "u1_exact")
 
+# a YM step is rejected when the action rises by more than this, relative
+MONOTONE_TOL = 1e-9
+
 
 @dataclass
 class FlowConfig:
     flow_kind: str
-    t_end: float
     dt_initial: float = 1e-3
-    checkpoint_times: tuple = ()
     dt_safety: float = 0.5
     blowup_threshold: float = 1e6
     resolution: int | None = None
     error_tol: float = 1e-3
-    monotone_tol: float = 1e-9
     max_steps: int = 1_000_000
     debug_checks: bool = False   # per-step dual-path consistency assertions
 
     def __post_init__(self):
         if self.flow_kind not in FLOW_KINDS:
             raise ValueError(f"unknown flow kind {self.flow_kind!r}")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
         if self.dt_initial <= 0:
             raise ValueError("dt_initial must be positive")
         if not (0.0 < self.dt_safety < 1.0):
             raise ValueError("dt_safety must lie in (0, 1)")
-        ts = tuple(float(t) for t in self.checkpoint_times)
-        if any(t <= 0 or t > self.t_end * (1 + 1e-12) for t in ts):
-            raise ValueError("checkpoint times must lie in (0, t_end]")
-        if list(ts) != sorted(ts):
-            raise ValueError("checkpoint times must be sorted")
-        self.checkpoint_times = ts
-
-    def observing(self, times) -> FlowConfig:
-        """This flow run up to the last of ``times`` and checkpointed at each
-        of them: the one way a run read only at given times (an ensemble
-        member, a Wilson sweep, a covariance check) derives its config."""
-        return replace(self, t_end=max(times),
-                       checkpoint_times=tuple(sorted(set(times))))
 
 
 @dataclass
@@ -203,19 +190,19 @@ def _assert_zdds_paths_agree(state: SpectralConnection, m: int) -> None:
         )
 
 
-def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
-    """Run the configured flow from a0, recording states and their actions
-    at checkpoint times (always including t_end)."""
+def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajectory:
+    """Run the configured flow from a0 up to the last of ``times``,
+    recording the state and its action at each of them."""
+    targets = sorted(set(float(t) for t in times))
+    if not targets or not all(t > 0 for t in targets):
+        raise ValueError("observation times must be positive and nonempty")
     traj = FlowTrajectory(a0.group, a0.cutoff, config.flow_kind)
-    targets = list(config.checkpoint_times)
-    if not targets or targets[-1] < config.t_end:
-        targets.append(config.t_end)
 
     if config.flow_kind == "u1_exact":
         for t in targets:
             traj.states[t] = heat_semigroup_u1(a0, t)
             traj.actions[t] = ym_action_u1_spectral(traj.states[t])
-        traj.attained_time = config.t_end
+        traj.attained_time = targets[-1]
         return traj
 
     need = dealias_resolution(a0.cutoff)
@@ -241,7 +228,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
         # step ladder as the uninterrupted one
         dt = config.dt_initial
         clean = 0
-        while t < target - 1e-14 * config.t_end:
+        while t < target - 1e-14 * targets[-1]:
             if traj.step_count >= config.max_steps:
                 traj.failure = "stalled"
                 break
@@ -259,7 +246,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig) -> FlowTrajectory:
             if ok:
                 n_new, new_action, sup = nonlinear(candidate, m, work)
                 if guard_action and \
-                        new_action > action + config.monotone_tol * (1.0 + action):
+                        new_action > action + MONOTONE_TOL * (1.0 + action):
                     ok = False
             if not ok:
                 dt = h * config.dt_safety
@@ -321,10 +308,9 @@ def gauge_covariance_check(a0: SpectralConnection, sigma, t: float,
         raise ValueError("the modified flow is covariant only for constant sigma")
     if config.flow_kind == "u1_exact":
         raise ValueError("use flow_kind 'ym' or 'zdds' for covariance checks")
-    run_cfg = config.observing((t,))
     a0_t = gauge_transform_spectral(a0, sigma, cutoff=a0.cutoff)
-    flow_plain = integrate(a0, run_cfg)
-    flow_trans = integrate(a0_t, run_cfg)
+    flow_plain = integrate(a0, config, (t,))
+    flow_trans = integrate(a0_t, config, (t,))
     if flow_plain.blew_up or flow_trans.blew_up:
         raise RuntimeError("covariance check aborted: flow blew up")
     lhs = flow_trans.states[t]

@@ -46,9 +46,9 @@ def random_connection(group, cutoff, seed, scale=1.0) -> SpectralConnection:
     return SpectralConnection(group, cutoff, c * scale)
 
 
-def _flow_config(kind, t_end):
-    """The flow section a user would write: defaults apart from kind and t_end."""
-    return parse_config(f"[flow]\nkind = {kind}\nt_end = {t_end!r}\n").flow
+def _flow_config(kind):
+    """The flow section a user would write: defaults apart from the kind."""
+    return parse_config(f"[flow]\nkind = {kind}\n").flow
 
 
 def _suite_algebra(mutations):
@@ -81,7 +81,7 @@ def _suite_u1_oracle(mutations):
     assert abs(ym_action(a) - ym_action_u1_spectral(a)) < \
         1e-10 * (1 + ym_action(a)), "action dual route"
     t = 0.02
-    traj = integrate(a, _flow_config("zdds", t))
+    traj = integrate(a, _flow_config("zdds"), (t,))
     exact = heat_semigroup_u1(a, t)
     gap = np.sqrt(np.sum(np.abs(traj.states[t].coeffs - exact.coeffs) ** 2))
     assert gap < 1e-8 * (1 + l2_norm(exact)), "flow vs heat semigroup"
@@ -138,7 +138,7 @@ def _suite_determinism(mutations):
     spec = EnsembleSpec(
         group=U1, sampler_kind="u1_coulomb", seed=71, cutoffs=(2, 3),
         times=(0.02,), n_samples=6,
-        flow=_flow_config("u1_exact", 0.02),
+        flow=_flow_config("u1_exact"),
         loops=(rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="p"),),
         characters=(Character(U1, "u1_power", 1),),
     )

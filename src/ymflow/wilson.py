@@ -335,22 +335,26 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
 # field evaluation along loops
 
 
-def _fourier_values(coeffs: np.ndarray, cutoff: int, points: np.ndarray,
-                    chunk: int) -> np.ndarray:
+# a batch of points in _fourier_values holds at most this many K^3 blocks
+FIELD_EVAL_CHUNK = 512
+
+
+def _fourier_values(coeffs: np.ndarray, cutoff: int,
+                    points: np.ndarray) -> np.ndarray:
     """Re sum_n c(n) e^(i 2 pi n.x) at each point, exactly and separably:
     coeffs (..., K, K, K), points (P, 3) -> (..., P).
 
     The phase factorizes over the axes, so each point needs 3K
     exponentials e^(i 2 pi n_k x_k) instead of K^3; n3, n2 and n1 are then
     contracted in turn.  Points go in fixed chunks, sized so that no
-    intermediate exceeds chunk x K^3 complex entries.
+    intermediate exceeds FIELD_EVAL_CHUNK x K^3 complex entries.
     """
     axis = np.arange(-cutoff, cutoff + 1)
     k = len(axis)
     lead = coeffs.shape[:-3]
     flat = coeffs.reshape(-1, k, k, k)
     rows = flat.shape[0]
-    step = max(1, chunk * k // rows)
+    step = max(1, FIELD_EVAL_CHUNK * k // rows)
     out = np.empty((rows, len(points)))
     for lo in range(0, len(points), step):
         x = points[lo:lo + step]
@@ -366,20 +370,18 @@ class FieldEvaluator:
     """Exact off-grid evaluation of a band-limited connection.
 
     Returns algebra-basis coefficients; points are (P, 3) lift coordinates
-    (only their fractional parts matter).  ``chunk`` bounds the working
-    set of one batch of points at chunk x K^3 complex entries.
+    (only their fractional parts matter).
     """
 
-    def __init__(self, a: SpectralConnection, chunk: int = 512):
+    def __init__(self, a: SpectralConnection):
         self.connection = a
         self.group = a.group
-        self._chunk = chunk
 
     def coefficients_at(self, points: np.ndarray) -> np.ndarray:
         """(d_g, 3, P) real array of component values."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         a = self.connection
-        return _fourier_values(a.coeffs, a.cutoff, points, self._chunk)
+        return _fourier_values(a.coeffs, a.cutoff, points)
 
 
 class GaugeTransformedEvaluator(FieldEvaluator):
@@ -387,8 +389,8 @@ class GaugeTransformedEvaluator(FieldEvaluator):
     the transformed field: the conjugation and the Maurer-Cartan term are
     formed pointwise from the spectral data of A and of log sigma."""
 
-    def __init__(self, a: SpectralConnection, sigma: GaugeTransform, chunk: int = 512):
-        super().__init__(a, chunk)
+    def __init__(self, a: SpectralConnection, sigma: GaugeTransform):
+        super().__init__(a)
         if sigma.group != a.group:
             raise ValueError("gauge transform group mismatch")
         self._sigma = sigma
@@ -399,8 +401,7 @@ class GaugeTransformedEvaluator(FieldEvaluator):
         vals = super().coefficients_at(points)          # (d, 3, P)
         logs = None
         if self._log_stack is not None:
-            logs = _fourier_values(self._log_stack, self._sigma.cutoff, points,
-                                   self._chunk)
+            logs = _fourier_values(self._log_stack, self._sigma.cutoff, points)
         return gauge_act(self.group, vals, logs, self._sigma.winding)
 
 
@@ -491,7 +492,7 @@ def u1_wilson_exact(a: SpectralConnection, loop: Loop, character: Character,
     return character.u1_value(h_series(a, loop, t))
 
 
-def h_series(a: SpectralConnection, loop: Loop, t, cutoff: int | None = None):
+def h_series(a: SpectralConnection, loop: Loop, t):
     """Phase of the regularized U(1) holonomy: the imaginary part of the
     mode sum sum_n e^(-4 pi^2 |n|^2 t) Z_n . c_n (Z = i times the stored
     coefficients); the real part cancels in exact arithmetic and is
@@ -501,20 +502,15 @@ def h_series(a: SpectralConnection, loop: Loop, t, cutoff: int | None = None):
     sequence of times an array of phases.  The per-mode product Z_n . c_n
     is formed once and contracted with one row of the shared heat-weight
     table per time, so every time and every character of one (field,
-    loop) costs a single call.  ``cutoff`` truncates the sum to a smaller
-    mode cube.
+    loop) costs a single call.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D sequence of times")
     z = u1_amplitudes(a)                                 # (3, K, K, K)
-    m = a.cutoff if cutoff is None else min(cutoff, a.cutoff)
-    if m < a.cutoff:
-        keep = slice(a.cutoff - m, a.cutoff + m + 1)
-        z = z[:, keep, keep, keep]
-    table = loop_fourier_coefficients(loop, m)           # (K, K, K, 3)
+    table = loop_fourier_coefficients(loop, a.cutoff)    # (K, K, K, 3)
     per_mode = z[0] * table[..., 0] + z[1] * table[..., 1] + z[2] * table[..., 2]
-    weights = heat_weights(m, times)
+    weights = heat_weights(a.cutoff, times)
     # (T, K^3) @ (K^3, 2): real and imaginary part of each time's sum
     sums = weights.reshape(len(weights), -1) @ per_mode.reshape(-1, 1).view(float)
     if np.any(np.abs(sums[:, 0]) > 1e-9 * (1.0 + np.abs(sums[:, 1]))):

@@ -82,9 +82,8 @@ def oracle_flows():
     for stream in range(N_SAMPLES_ORACLE):
         a0 = _coulomb(seed=2024, stream=stream)
         for kind in ("ym", "zdds"):
-            cfg = FlowConfig(kind, TIMES_ORACLE[-1], dt_initial=1e-3,
-                             checkpoint_times=TIMES_ORACLE)
-            flows[(stream, kind)] = (a0, integrate(a0, cfg))
+            cfg = FlowConfig(kind, dt_initial=1e-3)
+            flows[(stream, kind)] = (a0, integrate(a0, cfg, TIMES_ORACLE))
     elapsed = time.perf_counter() - start
     return flows, elapsed
 
@@ -142,7 +141,7 @@ def test_criterion_3_tightness_statistic():
     spec = EnsembleSpec(
         group=U1, sampler_kind="u1_coulomb", seed=77,
         cutoffs=(2, 4, 8), times=(t_obs,), n_samples=400,
-        flow=FlowConfig("u1_exact", t_obs, checkpoint_times=(t_obs,)),
+        flow=FlowConfig("u1_exact"),
         coupling=1.0,
     )
     records = run_ensemble(spec, threads=4)
@@ -173,7 +172,7 @@ def test_criterion_4_pathwise_convergence():
     spec = EnsembleSpec(
         group=U1, sampler_kind="u1_coulomb", seed=99,
         cutoffs=(2, 4, 8), times=(t_obs,), n_samples=200,
-        flow=FlowConfig("u1_exact", t_obs, checkpoint_times=(t_obs,)),
+        flow=FlowConfig("u1_exact"),
         coupling=1.0,
         loops=(FIVE_LOOPS[0], FIVE_LOOPS[2]),
         characters=(THREE_CHARS[0], THREE_CHARS[2]),
@@ -197,9 +196,8 @@ def test_criterion_5_su2_action_monotonicity():
     for stream in range(50):
         a0 = sample_gff(SamplerConfig(SU2, 3, seed=555, stream=stream))
         a0 = a0.scaled(0.5 / h1_norm(a0))
-        cfg = FlowConfig("ym", 0.05, dt_initial=1e-3,
-                         checkpoint_times=checkpoints)
-        traj = integrate(a0, cfg)
+        cfg = FlowConfig("ym", dt_initial=1e-3)
+        traj = integrate(a0, cfg, checkpoints)
         assert not traj.blew_up
         profile, violations = action_decay_profile(traj, tol=1e-9)
         if violations:
@@ -221,7 +219,7 @@ def test_criterion_6_gauge_covariance_and_invariance():
     # --- flow covariance
     a_u1 = _coulomb(seed=31, cutoff=3)
     sig_osc = GaugeTransform.winding_u1((1, -1, 2))
-    cfg = FlowConfig("ym", 0.02, dt_initial=1e-3)
+    cfg = FlowConfig("ym", dt_initial=1e-3)
     dev_u1 = gauge_covariance_check(a_u1, sig_osc, 0.02, cfg)
     assert dev_u1 <= 1e-6
     a_su2 = sample_gff(SamplerConfig(SU2, 2, seed=32)).scaled(0.3)
@@ -229,7 +227,7 @@ def test_criterion_6_gauge_covariance_and_invariance():
     dev_su2 = gauge_covariance_check(a_su2, sig_const, 0.02, cfg)
     assert dev_su2 <= 1e-6
     dev_su2_z = gauge_covariance_check(
-        a_su2, sig_const, 0.02, FlowConfig("zdds", 0.02, dt_initial=1e-3)
+        a_su2, sig_const, 0.02, FlowConfig("zdds", dt_initial=1e-3)
     )
     assert dev_su2_z <= 1e-6
     # --- Wilson gauge invariance, 50 random pairs per group

@@ -217,6 +217,50 @@ def test_ensemble_refuses_reference_cutoff_with_scaling(workspace, capsys):
     assert not (tmp / "scaled" / "records.jsonl").exists()
 
 
+def test_ensemble_refuses_reference_cutoff_not_above_cutoffs(workspace, capsys):
+    tmp, cfg = workspace
+    bad = write(tmp / "ref.cfg", (tmp / "run.cfg").read_text()
+                .replace("reference_cutoff = 8", "reference_cutoff = 4"))
+    rc = main(["ensemble", "--config", bad, "--output", str(tmp / "ref")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "reference_cutoff" in err
+    assert not (tmp / "ref" / "records.jsonl").exists()
+
+
+def test_ensemble_needs_no_t_end_and_hashes_without_it(workspace, capsys):
+    # members flow to their observation times, so [flow] t_end is neither
+    # required nor part of the config hash
+    tmp, cfg = workspace
+    text = (tmp / "run.cfg").read_text().replace("n_samples = 120", "n_samples = 4")
+    variants = {"t005": text, "t05": text.replace("t_end = 0.05", "t_end = 0.5"),
+                "none": text.replace("t_end = 0.05\n", "")}
+    for name, body in variants.items():
+        path = write(tmp / f"{name}.cfg", body)
+        assert main(["ensemble", "--config", path, "--output", str(tmp / name)]) == 0
+    capsys.readouterr()
+    hashes = {read_manifest(tmp / name / "ensemble.json")["config_hash"]
+              for name in variants}
+    assert len(hashes) == 1
+    for name in ("t05", "none"):
+        for out in ("records.jsonl", "tightness.txt", "convergence.json"):
+            assert (tmp / name / out).read_bytes() == (tmp / "t005" / out).read_bytes()
+
+
+def test_flow_requires_t_end(workspace, capsys):
+    tmp, cfg = workspace
+    no_end = write(tmp / "no_end.cfg",
+                   (tmp / "run.cfg").read_text().replace("t_end = 0.05\n", ""))
+    main(["sample", "--config", cfg])
+    field = str(tmp / "out" / "field_u1_N3_seed11_s0.ymf")
+    capsys.readouterr()
+    rc = main(["flow", "--config", no_end, "--input", field,
+               "--output", str(tmp / "no_end")])
+    assert rc == 1
+    assert "[flow] t_end" in capsys.readouterr().err
+    assert not (tmp / "no_end" / "trajectory.json").exists()
+
+
 def test_output_dir_env_override(workspace, capsys, monkeypatch):
     tmp, cfg = workspace
     monkeypatch.setenv("YMFLOW_OUTPUT", str(tmp / "envout"))
@@ -333,6 +377,24 @@ def test_wilson_non_abelian_flow_path(tmp_path, monkeypatch, capsys):
         w = complex(float(row["wilson_re"]), float(row["wilson_im"]))
         assert abs(w) <= 2.0 + 1e-9
         assert "exact_re" not in row
+
+
+def test_wilson_needs_no_t_end(tmp_path, monkeypatch, capsys):
+    # the flow is read at [wilson] times; [flow] t_end changes nothing
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = SU2_CFG.format(loops=write(tmp_path / "loops.txt", LOOPS),
+                          out=tmp_path / "out")
+    cfg = write(tmp_path / "su2.cfg", text)
+    no_end = write(tmp_path / "no_end.cfg", text.replace("t_end = 0.01\n", ""))
+    assert main(["sample", "--config", cfg]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    for path, out in ((cfg, "with"), (no_end, "without")):
+        assert main(["wilson", "--config", path, "--input", field,
+                     "--output", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "without" / "wilson.csv").read_bytes() == \
+        (tmp_path / "with" / "wilson.csv").read_bytes()
 
 
 def test_wilson_blowup_exit_code(tmp_path, monkeypatch, capsys):

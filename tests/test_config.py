@@ -45,7 +45,7 @@ def test_parse_good_config():
     assert cfg.coupling == 1.5
     assert cfg.seed == 7 and cfg.stream == 2
     assert cfg.flow.flow_kind == "zdds"
-    assert cfg.flow.checkpoint_times == (0.01, 0.05, 0.2)
+    assert cfg.flow_times == (0.01, 0.05, 0.2)
     assert cfg.wilson_steps == 96
     assert [ch.label() for ch in cfg.characters] == ["u1:1", "u1:-1"]
     assert cfg.ens_cutoffs == (2, 4, 8)
@@ -74,6 +74,40 @@ def test_physical_validation():
         parse_config("[sampler]\nkind = u1_coulomb\ngroup = su2\ncutoff = 2\nseed = 1\n")
     with pytest.raises(ConfigError, match="cutoffs"):
         parse_config(GOOD.replace("cutoffs = 2 4 8", "cutoffs = 8 4"))
+
+
+def test_flow_times_union_of_checkpoints_and_t_end():
+    cfg = parse_config("[flow]\nkind = ym\nt_end = 0.2\ncheckpoints = 0.05, 0.01\n")
+    assert cfg.flow_times == (0.01, 0.05, 0.2)
+    assert parse_config("[flow]\nkind = ym\nt_end = 0.2\n").flow_times == (0.2,)
+    # a checkpoint at t_end, or within rounding past it, is the last time
+    cfg = parse_config("[flow]\nkind = ym\nt_end = 0.2\ncheckpoints = 0.2\n")
+    assert cfg.flow_times == (0.2,)
+    cfg = parse_config("[flow]\nkind = ym\nt_end = 0.2\n"
+                       "checkpoints = 0.1 0.20000000000000004\n")
+    assert cfg.flow_times == (0.1, 0.20000000000000004)
+    with pytest.raises(ConfigError, match=r"\[flow\] checkpoints"):
+        parse_config("[flow]\nkind = ym\nt_end = 0.2\ncheckpoints = 0.1 0.3\n")
+    with pytest.raises(ConfigError, match=r"\[flow\] checkpoints"):
+        parse_config("[flow]\nkind = ym\nt_end = 0.2\ncheckpoints = 0 0.1\n")
+
+
+def test_t_end_optional_outside_flow_command():
+    cfg = parse_config("[flow]\nkind = zdds\ndt_initial = 2e-3\n")
+    assert cfg.flow_times == ()
+    assert (cfg.flow.flow_kind, cfg.flow.dt_initial) == ("zdds", 2e-3)
+    # and neither time changes how the flow integrates
+    assert parse_config(GOOD).flow == \
+        parse_config(GOOD.replace("t_end = 0.2", "t_end = 0.5")).flow
+
+
+def test_reference_cutoff_must_exceed_largest_cutoff():
+    for ref in (2, 8):
+        with pytest.raises(ConfigError, match=r"\[ensemble\] reference_cutoff"):
+            parse_config(GOOD.replace("reference_cutoff = 16",
+                                      f"reference_cutoff = {ref}"))
+    assert parse_config(GOOD.replace("reference_cutoff = 16",
+                                     "reference_cutoff = 9")).ens_reference_cutoff == 9
 
 
 def test_bad_numbers_named():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ymflow.fields import mode_grids, mode_norm_sq
-from ymflow.flow import FlowConfig
+from ymflow.flow import FlowConfig, integrate
 from ymflow.ensemble import (
     EnsembleRecord,
     EnsembleSpec,
@@ -35,7 +35,7 @@ def u1_spec(n_samples=8, cutoffs=(2, 4), times=(0.02,), g=1.0, seed=31,
     return EnsembleSpec(
         group=U1, sampler_kind="u1_coulomb", seed=seed, cutoffs=cutoffs,
         times=times, n_samples=n_samples,
-        flow=FlowConfig("u1_exact", max(times), checkpoint_times=tuple(sorted(times))),
+        flow=FlowConfig("u1_exact"),
         coupling=g, loops=loops, characters=CHARS,
     )
 
@@ -48,7 +48,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         EnsembleSpec(group=U1, sampler_kind="magic", seed=1, cutoffs=(2,),
                      times=(0.1,), n_samples=4,
-                     flow=FlowConfig("u1_exact", 0.1))
+                     flow=FlowConfig("u1_exact"))
 
 
 def test_record_count_and_bookkeeping():
@@ -101,7 +101,7 @@ def test_su2_ym_records_identical_in_worker_processes(tmp_path):
     spec = EnsembleSpec(
         group=SU2, sampler_kind="gff", seed=41, cutoffs=(2, 3),
         times=(0.002, 0.004), n_samples=2,
-        flow=FlowConfig("ym", 0.004, dt_initial=1e-3), scale_to_h1=0.5,
+        flow=FlowConfig("ym", dt_initial=1e-3), scale_to_h1=0.5,
         loops=(PLAQ,), characters=(Character(SU2, "fundamental"),),
     )
     paths = []
@@ -241,8 +241,7 @@ def test_tightness_report_excludes_blowups():
                             s_ym={0.1: 1.0}, attained_time=0.2, blew_up=False)
     rec_bad = EnsembleRecord(seed=1, stream=1, cutoff=2, group="su2", g=1.0,
                              s_ym={0.1: None}, attained_time=0.05, blew_up=True)
-    rows = tightness_report([rec_ok, rec_bad] * 60, exact_comparison=False,
-                            min_samples=10)
+    rows = tightness_report([rec_ok, rec_bad] * 60, min_samples=10)
     assert rows[0].n_used == 60
     assert rows[0].n_excluded == 60
 
@@ -304,7 +303,7 @@ def test_distribution_convergence_report():
     with pytest.raises(ValueError):
         gff_spec = EnsembleSpec(group=SU2, sampler_kind="gff", seed=1,
                                 cutoffs=(2,), times=(0.1,), n_samples=4,
-                                flow=FlowConfig("zdds", 0.1))
+                                flow=FlowConfig("zdds"))
         distribution_convergence_report(recs, gff_spec, 16)
 
 
@@ -316,6 +315,16 @@ def test_convergence_report_refuses_rescaled_members():
     recs = run_ensemble(spec)
     with pytest.raises(ValueError, match="scale"):
         distribution_convergence_report(recs, spec, reference_cutoff=8)
+
+
+def test_convergence_report_refuses_reference_at_or_below_largest_cutoff():
+    # a reference no finer than the members reads the largest cutoff as
+    # converged to itself
+    spec = u1_spec(n_samples=4, cutoffs=(2, 4), times=(0.005,))
+    recs = run_ensemble(spec)
+    for reference_cutoff in (2, 4):
+        with pytest.raises(ValueError, match="reference cutoff"):
+            distribution_convergence_report(recs, spec, reference_cutoff)
 
 
 def test_g_to_zero_distribution_collapses():
@@ -344,8 +353,7 @@ def test_tightness_means_tail_gap_between_cutoffs():
 def test_ensemble_records_blowups_not_fatal():
     # a sabotaged threshold makes every member halt at once; the run
     # completes, records carry the flag, and statistics exclude them
-    flow = FlowConfig("zdds", 0.02, dt_initial=1e-3, checkpoint_times=(0.02,),
-                      blowup_threshold=1e-9)
+    flow = FlowConfig("zdds", dt_initial=1e-3, blowup_threshold=1e-9)
     spec = EnsembleSpec(
         group=SU2, sampler_kind="gff", seed=13, cutoffs=(2,), times=(0.02,),
         n_samples=4, flow=flow,
@@ -356,15 +364,14 @@ def test_ensemble_records_blowups_not_fatal():
     assert all(r.s_ym[0.02] is None for r in recs)
     assert all(r.attained_time < 0.02 for r in recs)
     with pytest.raises(ValueError, match="usable samples"):
-        tightness_report(recs * 30, exact_comparison=False, min_samples=1)
+        tightness_report(recs * 30, min_samples=1)
 
 
 # one differing value per field; a field missing here fails the test below
 FLOW_VARIANTS = {
-    "flow_kind": "zdds", "t_end": 0.03, "dt_initial": 2e-3,
-    "checkpoint_times": (0.01, 0.02), "dt_safety": 0.25,
+    "flow_kind": "zdds", "dt_initial": 2e-3, "dt_safety": 0.25,
     "blowup_threshold": 1e3, "resolution": 12, "error_tol": 1e-1,
-    "monotone_tol": 1e-6, "max_steps": 7, "debug_checks": True,
+    "max_steps": 7, "debug_checks": True,
 }
 SPEC_VARIANTS = {
     "group": SU2, "sampler_kind": "gff", "seed": 32, "cutoffs": (2, 3),
@@ -387,7 +394,7 @@ def test_config_hash_covers_every_field():
 
 
 def test_member_flow_keeps_max_steps():
-    flow = FlowConfig("ym", 0.003, dt_initial=1e-3, max_steps=1)
+    flow = FlowConfig("ym", dt_initial=1e-3, max_steps=1)
     spec = EnsembleSpec(group=SU2, sampler_kind="gff", seed=5, cutoffs=(1,),
                         times=(0.003,), n_samples=2, flow=flow, scale_to_h1=0.3)
     for rec in run_ensemble(spec):
@@ -396,37 +403,37 @@ def test_member_flow_keeps_max_steps():
         assert rec.s_ym[0.003] is None
 
 
-def su2_ym_spec(t_end, times):
+def su2_ym_spec(times):
     return EnsembleSpec(
         group=SU2, sampler_kind="gff", seed=43, cutoffs=(2,), times=times,
-        n_samples=2, flow=FlowConfig("ym", t_end, dt_initial=2e-3),
+        n_samples=2, flow=FlowConfig("ym", dt_initial=2e-3),
         scale_to_h1=0.5, loops=(PLAQ,),
         characters=(Character(SU2, "fundamental"),),
     )
 
 
 def test_member_flow_ends_at_last_observation_time():
-    # a configured t_end past the last observation time is not flowed to,
-    # and what the member reads is the same bits either way
-    far = run_ensemble(su2_ym_spec(0.05, (0.02,)))
-    near = run_ensemble(su2_ym_spec(0.02, (0.02,)))
-    for a, b in zip(far, near):
-        assert a.attained_time == b.attained_time == 0.02
-        assert not a.blew_up
-        assert a.s_ym == b.s_ym and a.s_ym[0.02] is not None
-        assert a.wilson == b.wilson and len(a.wilson) == 1
+    # a member flows to its last observation time and reads its state
+    # there, the same bits as a flow run to that time on its own
+    spec = su2_ym_spec((0.02,))
+    for rec in run_ensemble(spec):
+        assert rec.attained_time == 0.02
+        assert not rec.blew_up
+        assert rec.s_ym[0.02] is not None and len(rec.wilson) == 1
+        a0 = sample_initial(SU2, "gff", rec.cutoff, spec.seed, rec.stream,
+                            scale_to_h1=spec.scale_to_h1)
+        assert rec.s_ym[0.02] == integrate(a0, spec.flow, (0.02,)).actions[0.02]
 
 
 def test_u1_exact_member_horizon_is_last_observation_time():
-    spec = replace(u1_spec(n_samples=2, cutoffs=(2,), times=(0.02, 0.05)),
-                   flow=FlowConfig("u1_exact", 0.02))
+    spec = u1_spec(n_samples=2, cutoffs=(2,), times=(0.05, 0.02))
     for rec in run_ensemble(spec):
         assert rec.attained_time == 0.05
         assert all(rec.s_ym[t] is not None for t in spec.times)
 
 
-def test_ym_member_observed_past_t_end_runs():
-    for rec in run_ensemble(su2_ym_spec(0.004, (0.004, 0.008))):
+def test_ym_member_observed_at_two_times_runs():
+    for rec in run_ensemble(su2_ym_spec((0.004, 0.008))):
         assert not rec.blew_up
         assert rec.attained_time == 0.008
         assert all(rec.s_ym[t] is not None for t in (0.004, 0.008))
@@ -451,9 +458,9 @@ def test_h_series_called_once_per_member_and_loop(monkeypatch):
     calls = []
     real = ens.h_series
 
-    def counting(a, loop, t, cutoff=None):
+    def counting(a, loop, t):
         calls.append((a.cutoff, loop.name))
-        return real(a, loop, t, cutoff)
+        return real(a, loop, t)
 
     monkeypatch.setattr(ens, "h_series", counting)
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.01, 0.02))
@@ -469,7 +476,6 @@ def test_numerical_wilson_path_one_holonomy_per_member_loop_and_time(monkeypatch
     # every character is read off one holonomy per (member, loop, t), and
     # the values equal per-character wilson_loop calls bit for bit
     import ymflow.wilson as wil
-    from ymflow.flow import integrate
     calls = []
     real = wil.holonomy
 
@@ -480,15 +486,14 @@ def test_numerical_wilson_path_one_holonomy_per_member_loop_and_time(monkeypatch
     monkeypatch.setattr(wil, "holonomy", counting)
     times = (0.005, 0.01)
     spec = replace(u1_spec(n_samples=2, cutoffs=(2,), times=times),
-                   flow=FlowConfig("ym", 0.01, dt_initial=2.5e-3,
-                                   checkpoint_times=times))
+                   flow=FlowConfig("ym", dt_initial=2.5e-3))
     recs = run_ensemble(spec)
     assert len(calls) == 2 * len(spec.loops) * len(times)
     monkeypatch.setattr(wil, "holonomy", real)
     rec = recs[0]
     a0 = sample_initial(spec.group, spec.sampler_kind, rec.cutoff, spec.seed,
                         rec.stream, spec.coupling)
-    traj = integrate(a0, spec.flow)
+    traj = integrate(a0, spec.flow, times)
     for t in times:
         for lp in spec.loops:
             for ch in spec.characters:

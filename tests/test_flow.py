@@ -33,17 +33,18 @@ def gff_like_u1(cutoff, seed, scale=1.0):
 
 def test_flow_config_validation():
     with pytest.raises(ValueError):
-        FlowConfig("warp", 1.0)
+        FlowConfig("warp")
     with pytest.raises(ValueError):
-        FlowConfig("ym", 0.0)
+        FlowConfig("ym", dt_initial=-1e-3)
     with pytest.raises(ValueError):
-        FlowConfig("ym", 1.0, dt_initial=-1e-3)
-    with pytest.raises(ValueError):
-        FlowConfig("ym", 1.0, checkpoint_times=(2.0,))
-    with pytest.raises(ValueError):
-        FlowConfig("ym", 1.0, checkpoint_times=(0.5, 0.2))
-    with pytest.raises(ValueError):
-        FlowConfig("ym", 1.0, dt_safety=1.5)
+        FlowConfig("ym", dt_safety=1.5)
+
+
+@pytest.mark.parametrize("times", [(), (0.0,), (0.01, -0.01)])
+@pytest.mark.parametrize("kind", ["ym", "u1_exact"])
+def test_integrate_rejects_empty_or_nonpositive_times(kind, times):
+    with pytest.raises(ValueError, match="observation times"):
+        integrate(zero_connection(U1, 1), FlowConfig(kind), times)
 
 
 def test_heat_semigroup_u1_cases():
@@ -70,8 +71,7 @@ def test_heat_semigroup_single_mode_multiplier():
 
 
 def test_integrate_zero_field_is_fixed_point():
-    cfg = FlowConfig("zdds", 0.05, checkpoint_times=(0.01, 0.05))
-    traj = integrate(zero_connection(SU2, 2), cfg)
+    traj = integrate(zero_connection(SU2, 2), FlowConfig("zdds"), (0.01, 0.05))
     assert traj.attained_time == 0.05
     assert not traj.blew_up
     for t, state in traj.states.items():
@@ -82,8 +82,7 @@ def test_integrate_zero_field_is_fixed_point():
 def test_u1_coulomb_oracle_equivalence(kind):
     a = gff_like_u1(3, seed=3)
     times = (0.01, 0.05, 0.2)
-    cfg = FlowConfig(kind, 0.2, dt_initial=1e-3, checkpoint_times=times)
-    traj = integrate(a, cfg)
+    traj = integrate(a, FlowConfig(kind, dt_initial=1e-3), times)
     for t in times:
         exact = heat_semigroup_u1(a, t)
         num = traj.states[t]
@@ -96,14 +95,14 @@ def test_u1_coulomb_oracle_equivalence(kind):
 
 def test_u1_exact_flow_kind():
     a = gff_like_u1(2, seed=4)
-    cfg = FlowConfig("u1_exact", 0.1, checkpoint_times=(0.02, 0.1))
-    traj = integrate(a, cfg)
+    cfg = FlowConfig("u1_exact")
+    traj = integrate(a, cfg, (0.02, 0.1))
     for t in (0.02, 0.1):
         assert np.array_equal(
             traj.states[t].coeffs, heat_semigroup_u1(a, t).coeffs
         )
     with pytest.raises(ValueError):
-        integrate(random_connection(SU2, 2, seed=5), cfg)
+        integrate(random_connection(SU2, 2, seed=5), cfg, (0.02, 0.1))
 
 
 def test_su2_step_halving_convergence_order():
@@ -112,9 +111,8 @@ def test_su2_step_halving_convergence_order():
     t_end = 0.02
     sols = {}
     for dt in (4e-4, 2e-4, 1e-4):
-        cfg = FlowConfig("zdds", t_end, dt_initial=dt, checkpoint_times=(t_end,),
-                         error_tol=10.0)
-        sols[dt] = integrate(a, cfg).states[t_end].coeffs
+        cfg = FlowConfig("zdds", dt_initial=dt, error_tol=10.0)
+        sols[dt] = integrate(a, cfg, (t_end,)).states[t_end].coeffs
     e_coarse = np.sqrt(np.sum(np.abs(sols[4e-4] - sols[1e-4]) ** 2))
     e_fine = np.sqrt(np.sum(np.abs(sols[2e-4] - sols[1e-4]) ** 2))
     # (e_coarse/e_fine) ~ (2^p - ...); p >= 3 demands a ratio >= 8-ish
@@ -126,8 +124,7 @@ def test_ym_monotonicity_and_profile():
     a = sample_gff(SamplerConfig(SU2, 2, seed=7))
     a = a.scaled(0.5 / h1_norm(a))
     cps = tuple(np.linspace(0.005, 0.05, 10))
-    cfg = FlowConfig("ym", 0.05, dt_initial=1e-3, checkpoint_times=cps)
-    traj = integrate(a, cfg)
+    traj = integrate(a, FlowConfig("ym", dt_initial=1e-3), cps)
     profile, violations = action_decay_profile(traj)
     assert violations == []
     actions = [s for _, s in profile]
@@ -139,8 +136,7 @@ def test_action_profile_reads_recorded_actions_bit_for_bit():
     # ym_action of each checkpoint state, the profile's former computation
     a = sample_gff(SamplerConfig(SU2, 3, seed=12))
     a = a.scaled(0.5 / h1_norm(a))
-    traj = integrate(a, FlowConfig("ym", 0.008, dt_initial=1e-3,
-                                   checkpoint_times=(0.002, 0.005, 0.008)))
+    traj = integrate(a, FlowConfig("ym", dt_initial=1e-3), (0.002, 0.005, 0.008))
     assert not traj.blew_up
     profile, _ = action_decay_profile(traj)
     assert profile == [(t, ym_action(traj.states[t]))
@@ -148,20 +144,22 @@ def test_action_profile_reads_recorded_actions_bit_for_bit():
     assert len(profile) == 3
 
 
-def test_observing_ends_at_last_time_and_checkpoints_each():
-    base = FlowConfig("zdds", 0.5, dt_initial=2e-3, checkpoint_times=(0.1, 0.5),
-                      max_steps=9)
-    run = base.observing((0.03, 0.01, 0.03))
-    assert run.t_end == 0.03
-    assert run.checkpoint_times == (0.01, 0.03)
-    assert (run.flow_kind, run.dt_initial, run.max_steps) == ("zdds", 2e-3, 9)
-    # past the configured end: the observation times rule
-    assert base.observing((0.7,)).t_end == 0.7
+def test_integrate_ends_at_last_time_and_checkpoints_each():
+    # unsorted, repeated observation times: one state per distinct time,
+    # and the run ends at the last of them
+    a = gff_like_u1(2, seed=25)
+    for kind in ("zdds", "u1_exact"):
+        traj = integrate(a, FlowConfig(kind, dt_initial=2e-3), (0.03, 0.01, 0.03))
+        assert traj.attained_time == 0.03
+        assert traj.checkpoint_times() == [0.01, 0.03]
+        assert sorted(traj.actions) == [0.01, 0.03]
+    # a step budget is the config's, whatever the times
+    traj = integrate(a, FlowConfig("zdds", dt_initial=2e-3, max_steps=9), (0.7,))
+    assert traj.failure == "stalled" and traj.step_count == 9
 
 
 def test_action_profile_zero_field():
-    cfg = FlowConfig("ym", 0.01, checkpoint_times=(0.005, 0.01))
-    traj = integrate(zero_connection(SU2, 1), cfg)
+    traj = integrate(zero_connection(SU2, 1), FlowConfig("ym"), (0.005, 0.01))
     profile, violations = action_decay_profile(traj)
     assert violations == []
     assert all(s == 0.0 for _, s in profile)
@@ -174,8 +172,7 @@ def test_u1_action_decay_matches_closed_form():
     nsq = mode_norm_sq(2)
     amp = np.sum(np.abs(a.coeffs[0]) ** 2, axis=0)
     times = (0.01, 0.03, 0.1)
-    cfg = FlowConfig("zdds", 0.1, dt_initial=1e-3, checkpoint_times=times)
-    traj = integrate(a, cfg)
+    traj = integrate(a, FlowConfig("zdds", dt_initial=1e-3), times)
     profile, violations = action_decay_profile(traj)
     assert violations == []
     for t, s in profile:
@@ -187,9 +184,8 @@ def test_u1_action_decay_matches_closed_form():
 
 def test_blowup_threshold_detected():
     a = random_connection(SU2, 2, seed=9, scale=0.2)
-    cfg = FlowConfig("zdds", 0.1, dt_initial=1e-3, checkpoint_times=(0.1,),
-                     blowup_threshold=linf_cap(a) * 0.5)
-    traj = integrate(a, cfg)
+    cfg = FlowConfig("zdds", dt_initial=1e-3, blowup_threshold=linf_cap(a) * 0.5)
+    traj = integrate(a, cfg, (0.1,))
     assert traj.blew_up
     assert traj.failure == "threshold"
     assert traj.attained_time < 0.1
@@ -203,8 +199,7 @@ def test_nonfinite_reported_distinctly():
     a = random_connection(SU2, 1, seed=10, scale=1.0)
     bad = a.copy()
     bad.coeffs[0, 0, 1, 1, 1] = np.nan
-    cfg = FlowConfig("zdds", 0.01, checkpoint_times=(0.01,))
-    traj = integrate(bad, cfg)
+    traj = integrate(bad, FlowConfig("zdds"), (0.01,))
     assert traj.blew_up
     assert traj.failure == "non-finite"
 
@@ -212,10 +207,10 @@ def test_nonfinite_reported_distinctly():
 def test_gauge_covariance_u1_winding():
     a = gff_like_u1(2, seed=11)
     sigma = GaugeTransform.winding_u1((1, 0, -1))
-    cfg = FlowConfig("ym", 0.02, dt_initial=1e-3)
+    cfg = FlowConfig("ym", dt_initial=1e-3)
     dev = gauge_covariance_check(a, sigma, 0.02, cfg)
     assert dev <= 1e-6
-    cfg_z = FlowConfig("zdds", 0.02, dt_initial=1e-3)
+    cfg_z = FlowConfig("zdds", dt_initial=1e-3)
     dev_z = gauge_covariance_check(a, sigma, 0.02, cfg_z)
     assert dev_z <= 1e-6
 
@@ -223,16 +218,16 @@ def test_gauge_covariance_u1_winding():
 def test_gauge_covariance_su2_constant_sigma():
     a = random_connection(SU2, 2, seed=12, scale=0.3)
     sigma = GaugeTransform.constant(SU2, (0.4, -0.7, 0.2))
-    cfg = FlowConfig("zdds", 0.02, dt_initial=1e-3)
+    cfg = FlowConfig("zdds", dt_initial=1e-3)
     assert gauge_covariance_check(a, sigma, 0.02, cfg) <= 1e-6
-    cfg_ym = FlowConfig("ym", 0.02, dt_initial=1e-3)
+    cfg_ym = FlowConfig("ym", dt_initial=1e-3)
     assert gauge_covariance_check(a, sigma, 0.02, cfg_ym) <= 1e-6
 
 
 def test_gauge_covariance_identity_sigma_zero():
     a = random_connection(SU2, 2, seed=13, scale=0.2)
     sigma = GaugeTransform.identity(SU2)
-    cfg = FlowConfig("zdds", 0.01, dt_initial=1e-3)
+    cfg = FlowConfig("zdds", dt_initial=1e-3)
     assert gauge_covariance_check(a, sigma, 0.01, cfg) < 1e-12
 
 
@@ -240,7 +235,7 @@ def test_zdds_rejects_oscillatory_sigma():
     from conftest import random_gauge
     a = random_connection(SU2, 2, seed=14, scale=0.2)
     sigma = random_gauge(SU2, 1, 0.2, seed=15)
-    cfg = FlowConfig("zdds", 0.01, dt_initial=1e-3)
+    cfg = FlowConfig("zdds", dt_initial=1e-3)
     with pytest.raises(ValueError):
         gauge_covariance_check(a, sigma, 0.01, cfg)
 
@@ -248,8 +243,7 @@ def test_zdds_rejects_oscillatory_sigma():
 def test_checkpoint_states_land_exactly():
     a = gff_like_u1(2, seed=16)
     times = (0.013, 0.029, 0.05)
-    cfg = FlowConfig("zdds", 0.05, dt_initial=1e-3, checkpoint_times=times)
-    traj = integrate(a, cfg)
+    traj = integrate(a, FlowConfig("zdds", dt_initial=1e-3), times)
     assert tuple(traj.checkpoint_times()) == times
     for t in times:
         exact = heat_semigroup_u1(a, t)
@@ -261,32 +255,28 @@ def test_checkpoint_states_land_exactly():
 def test_resume_reproduces_uninterrupted_run():
     # the controller resets at checkpoints, so a resumed run retraces the
     # same steps; only the float arithmetic of the final partial step
-    # width (t_end - t is not associative) separates the two runs
+    # width (target - t is not associative) separates the two runs
     a = random_connection(SU2, 2, seed=17, scale=0.3)
-    full = integrate(a, FlowConfig("zdds", 0.02, dt_initial=1e-3,
-                                   checkpoint_times=(0.01, 0.02)))
-    first = integrate(a, FlowConfig("zdds", 0.01, dt_initial=1e-3,
-                                    checkpoint_times=(0.01,)))
-    resumed = integrate(first.states[0.01],
-                        FlowConfig("zdds", 0.01, dt_initial=1e-3,
-                                   checkpoint_times=(0.01,)))
+    cfg = FlowConfig("zdds", dt_initial=1e-3)
+    full = integrate(a, cfg, (0.01, 0.02))
+    first = integrate(a, cfg, (0.01,))
+    resumed = integrate(first.states[0.01], cfg, (0.01,))
     gap = np.max(np.abs(resumed.states[0.01].coeffs - full.states[0.02].coeffs))
     assert gap <= 5e-12 * max(np.max(np.abs(full.states[0.02].coeffs)), 1e-30)
 
 
 def test_error_controller_shrinks_dt():
     a = random_connection(SU2, 2, seed=18, scale=0.5)
-    tight = integrate(a, FlowConfig("zdds", 0.004, dt_initial=2e-3,
-                                    checkpoint_times=(0.004,), error_tol=1e-9))
-    loose = integrate(a, FlowConfig("zdds", 0.004, dt_initial=2e-3,
-                                    checkpoint_times=(0.004,), error_tol=1e-2))
+    tight = integrate(a, FlowConfig("zdds", dt_initial=2e-3, error_tol=1e-9),
+                      (0.004,))
+    loose = integrate(a, FlowConfig("zdds", dt_initial=2e-3, error_tol=1e-2),
+                      (0.004,))
     assert tight.step_count > loose.step_count
 
 
 def test_rhs_evaluation_count_recorded():
     a = random_connection(SU2, 1, seed=19, scale=0.1)
-    traj = integrate(a, FlowConfig("zdds", 0.002, dt_initial=1e-3,
-                                   checkpoint_times=(0.002,)))
+    traj = integrate(a, FlowConfig("zdds", dt_initial=1e-3), (0.002,))
     assert traj.step_count == 2
     assert traj.rhs_evaluations == 6
 
@@ -320,8 +310,7 @@ def test_one_nonlinear_call_per_stage_and_no_separate_diagnostics(monkeypatch):
     monkeypatch.setattr(fields_mod, "ym_action", forbidden)
     a = sample_gff(SamplerConfig(SU2, 2, seed=7))
     a = a.scaled(0.5 / h1_norm(a))
-    traj = integrate(a, FlowConfig("ym", 0.006, dt_initial=1e-3,
-                                   checkpoint_times=(0.003, 0.006)))
+    traj = integrate(a, FlowConfig("ym", dt_initial=1e-3), (0.003, 0.006))
     assert not traj.blew_up
     assert traj.step_count == 6
     assert traj.rhs_evaluations == 3 * traj.step_count
@@ -333,14 +322,13 @@ def test_one_nonlinear_call_per_stage_and_no_separate_diagnostics(monkeypatch):
 @pytest.mark.parametrize("kind", ["ym", "zdds"])
 def test_checkpoint_actions_recorded(kind):
     a = random_connection(SU2, 2, seed=22, scale=0.3)
-    traj = integrate(a, FlowConfig(kind, 0.004, dt_initial=1e-3,
-                                   checkpoint_times=(0.002, 0.004)))
+    traj = integrate(a, FlowConfig(kind, dt_initial=1e-3), (0.002, 0.004))
     assert sorted(traj.actions) == traj.checkpoint_times()
     for t, state in traj.states.items():
         want = ym_action(state)
         assert abs(traj.actions[t] - want) <= 1e-12 * want
     u1 = gff_like_u1(2, seed=23)
-    exact = integrate(u1, FlowConfig("u1_exact", 0.01, checkpoint_times=(0.005,)))
+    exact = integrate(u1, FlowConfig("u1_exact"), (0.005, 0.01))
     for t, state in exact.states.items():
         assert exact.actions[t] == ym_action_u1_spectral(state)
 
@@ -349,22 +337,20 @@ def test_user_resolution_matches_default_grid():
     # every M >= 4N+1 dealiases exactly, so a user grid of either parity
     # reproduces the default (M = 9 at N = 2) to rounding
     a = random_connection(SU2, 2, seed=24, scale=0.3)
-    runs = [integrate(a, FlowConfig("ym", 0.003, dt_initial=1e-3,
-                                    checkpoint_times=(0.003,), resolution=m))
+    runs = [integrate(a, FlowConfig("ym", dt_initial=1e-3, resolution=m), (0.003,))
             for m in (None, 10, 11)]
     base = runs[0].states[0.003].coeffs
     for run in runs[1:]:
         assert run.step_count == runs[0].step_count
         assert np.max(np.abs(run.states[0.003].coeffs - base)) < 1e-12 * np.max(np.abs(base))
     with pytest.raises(ValueError, match="dealiasing"):
-        integrate(a, FlowConfig("ym", 0.003, resolution=8))
+        integrate(a, FlowConfig("ym", resolution=8), (0.003,))
 
 
 def test_debug_checks_assert_zdds_paths_each_step():
     a = random_connection(SU2, 2, seed=20, scale=0.3)
-    cfg = FlowConfig("zdds", 0.003, dt_initial=1e-3, checkpoint_times=(0.003,),
-                     debug_checks=True)
-    traj = integrate(a, cfg)
+    cfg = FlowConfig("zdds", dt_initial=1e-3, debug_checks=True)
+    traj = integrate(a, cfg, (0.003,))
     assert traj.step_count >= 3
     assert not traj.blew_up
 
@@ -373,8 +359,7 @@ def test_u1_oracle_equivalence_at_cutoff_eight():
     # the flow-vs-semigroup invariant holds up to cutoff 8 at dt <= 1e-3
     a = gff_like_u1(8, seed=21)
     t = 0.005
-    cfg = FlowConfig("zdds", t, dt_initial=1e-3, checkpoint_times=(t,))
-    traj = integrate(a, cfg)
+    traj = integrate(a, FlowConfig("zdds", dt_initial=1e-3), (t,))
     exact = heat_semigroup_u1(a, t)
     rel = l2_norm(SpectralConnection(U1, 8, traj.states[t].coeffs - exact.coeffs)) \
         / l2_norm(exact)
@@ -393,9 +378,8 @@ def test_blowup_statistics_qualitative():
         for stream in range(6):
             a = sample_gff(SamplerConfig(SU2, 2, seed=77, stream=stream))
             a = a.scaled(scale / h1_norm(a))
-            cfg = FlowConfig("zdds", 1e-3, dt_initial=5e-5,
-                             checkpoint_times=(1e-3,), error_tol=0.05)
-            traj = integrate(a, cfg)
+            cfg = FlowConfig("zdds", dt_initial=5e-5, error_tol=0.05)
+            traj = integrate(a, cfg, (1e-3,))
             assert traj.attained_time > 0.0
             if traj.blew_up and traj.attained_time < 1e-3:
                 halted += 1
@@ -424,8 +408,7 @@ from ymflow.groups import SU2, GroupSpec
 from ymflow.verify import random_connection
 for group, cutoff in ((SU2, 4), (GroupSpec("su", 3), 2)):
     a = random_connection(group, cutoff, seed=62, scale=0.3)
-    traj = integrate(a, FlowConfig("ym", 0.005, dt_initial=1e-3,
-                                   checkpoint_times=(0.005,)))
+    traj = integrate(a, FlowConfig("ym", dt_initial=1e-3), (0.005,))
     print(hashlib.sha256(traj.states[0.005].coeffs.tobytes()).hexdigest())
 """
 
@@ -478,8 +461,7 @@ def test_flow_bytes_pinned(kind, group, cutoff, digest, action_1, action_2):
     from ymflow.ensemble import sample_initial
 
     a = sample_initial(group, "gff", cutoff, 71, 0, scale_to_h1=0.5)
-    traj = integrate(a, FlowConfig(kind, 0.02, dt_initial=1e-3,
-                                   checkpoint_times=(0.01, 0.02)))
+    traj = integrate(a, FlowConfig(kind, dt_initial=1e-3), (0.01, 0.02))
     assert (traj.step_count, traj.rhs_evaluations) == (20, 60)
     assert hashlib.sha256(traj.states[0.02].coeffs.tobytes()).hexdigest() == digest
     assert (traj.actions[0.01].hex(), traj.actions[0.02].hex()) == \
@@ -499,7 +481,7 @@ def counted(*args, **kwargs):
     return nonlinear(*args, **kwargs)
 flow_mod._NONLINEAR["ym"] = counted
 a = sample_initial(SU2, "gff", 4, 5, 0, scale_to_h1=0.5)
-integrate(a, FlowConfig("ym", 0.02, dt_initial=1e-3))
+integrate(a, FlowConfig("ym", dt_initial=1e-3), (0.02,))
 end = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print(len(marks) - 5, end - marks[5])
 """

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ymflow.wilson as wilson_mod
 from conftest import random_connection, random_gauge
 from ymflow.fields import GaugeTransform, gauge_act, mode_grids, zero_connection
 from ymflow.flow import heat_semigroup_u1
@@ -345,8 +346,8 @@ def test_h_series_cases():
 def test_h_series_cutoff_tail_bound():
     b = u1_sample(cutoff=8, seed=18)
     t = 0.01
-    h4 = h_series(b, PLAQ, t, cutoff=4)
-    h8 = h_series(b, PLAQ, t, cutoff=8)
+    h4 = h_series(b.restricted(4), PLAQ, t)
+    h8 = h_series(b, PLAQ, t)
     # tail bound: sum over 4 < |n|_inf <= 8 of e^(-4 pi^2 |n|^2 t) |Z_n| |c_n|
     from ymflow.fields import mode_norm_sq
     table = loop_fourier_coefficients(PLAQ, 8)
@@ -389,11 +390,11 @@ def test_h_series_broadcasts_over_times():
     times = (0.0, 0.003, 0.01, 0.05)
     scalar = h_series(b, PLAQ, 0.01)
     assert isinstance(scalar, float)
-    for cutoff in (None, 2):
-        vec = h_series(b, PLAQ, times, cutoff=cutoff)
+    for field in (b, b.restricted(2)):
+        vec = h_series(field, PLAQ, times)
         assert isinstance(vec, np.ndarray) and vec.shape == (len(times),)
         for t, v in zip(times, vec):
-            assert abs(v - h_series(b, PLAQ, t, cutoff=cutoff)) <= 1e-15
+            assert abs(v - h_series(field, PLAQ, t)) <= 1e-15
     assert np.array_equal(h_series(b, PLAQ, np.array(times)), h_series(b, PLAQ, times))
     with pytest.raises(ValueError):
         h_series(b, PLAQ, [[0.01]])
@@ -432,7 +433,7 @@ def _direct_fourier_values(coeffs, cutoff, points):
 
 
 @pytest.mark.parametrize("group", [U1, SU2, SU3], ids=lambda g: g.label())
-def test_field_evaluator_matches_direct_sum(group):
+def test_field_evaluator_matches_direct_sum(group, monkeypatch):
     rng = np.random.default_rng(25)
     pts = rng.uniform(-2.0, 3.0, size=(29, 3))        # lifted and negative
     pts[0] = (0.0, 0.0, 0.0)
@@ -442,17 +443,19 @@ def test_field_evaluator_matches_direct_sum(group):
         ref = _direct_fourier_values(a.coeffs, cutoff, pts)
         scale = np.max(np.abs(ref))
         for chunk in (1, 5, 512):
-            got = FieldEvaluator(a, chunk=chunk).coefficients_at(pts)
+            monkeypatch.setattr(wilson_mod, "FIELD_EVAL_CHUNK", chunk)
+            got = FieldEvaluator(a).coefficients_at(pts)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
-def test_gauge_transformed_evaluator_logs_match_direct_sum():
+def test_gauge_transformed_evaluator_logs_match_direct_sum(monkeypatch):
     a = random_connection(SU2, 3, seed=26)
     sigma = random_gauge(SU2, 2, 0.02, seed=27)
     pts = np.array([[0.1, -0.4, 1.7], [2.25, 0.5, -1.0], [0.0, 0.0, 0.0]])
     vals = _direct_fourier_values(a.coeffs, 3, pts)
     logs = _direct_fourier_values(sigma.log_stack(), 2, pts)
     ref = gauge_act(SU2, vals, logs, sigma.winding)
-    got = GaugeTransformedEvaluator(a, sigma, chunk=2).coefficients_at(pts)
+    monkeypatch.setattr(wilson_mod, "FIELD_EVAL_CHUNK", 2)
+    got = GaugeTransformedEvaluator(a, sigma).coefficients_at(pts)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
