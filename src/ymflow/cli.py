@@ -215,6 +215,13 @@ def cmd_ensemble(args) -> int:
             "[ensemble] reference_cutoff cannot be combined with [sampler] "
             "scale_to_h1: the convergence report compares unscaled fields"
         )
+    if cfg.ens_reference_cutoff and (cfg.sampler_kind != "u1_coulomb"
+                                     or not cfg.loops_file):
+        raise ConfigError(
+            "[ensemble] reference_cutoff needs [sampler] kind = u1_coulomb and "
+            "a [loops] file: the convergence report compares exact U(1) "
+            "Wilson loops"
+        )
     outdir, source = _resolve_output(cfg, args)
     outdir.mkdir(parents=True, exist_ok=True)
     loops = ()
@@ -257,7 +264,7 @@ def cmd_ensemble(args) -> int:
         fh.write("\n".join(report_lines) + "\n")
     for line in report_lines:
         print(line)
-    if spec.sampler_kind == "u1_coulomb" and loops and cfg.ens_reference_cutoff:
+    if cfg.ens_reference_cutoff:
         conv_rows, frac = distribution_convergence_report(
             records, spec, cfg.ens_reference_cutoff
         )

@@ -9,6 +9,7 @@ a valid configuration.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -27,7 +28,7 @@ _ALLOWED = {
     "sampler": {"kind", "group", "cutoff", "coupling", "seed", "stream",
                 "scale_to_h1"},
     "flow": {"kind", "t_end", "dt_initial", "dt_safety", "checkpoints",
-             "blowup_threshold", "resolution", "error_tol"},
+             "blowup_threshold", "error_tol"},
     "loops": {"file", "steps"},
     "wilson": {"characters", "times"},
     "ensemble": {"cutoffs", "n_samples", "times", "reference_cutoff"},
@@ -72,6 +73,8 @@ def _get_float(section, items, key, default=None, positive=False, unit=False):
         v = float(items[key])
     except ValueError:
         _fail(section, key, f"not a number: {items[key]!r}")
+    if not math.isfinite(v):
+        _fail(section, key, f"must be finite, got {v}")
     if positive and v <= 0:
         _fail(section, key, f"must be positive, got {v}")
     if unit and not (0.0 < v < 1.0):
@@ -98,9 +101,12 @@ def _get_floats(section, items, key, default=()):
         return tuple(default)
     toks = items[key].replace(",", " ").split()
     try:
-        return tuple(float(t) for t in toks)
+        values = tuple(float(t) for t in toks)
     except ValueError:
         _fail(section, key, f"expected numbers, got {items[key]!r}")
+    if not all(math.isfinite(v) for v in values):
+        _fail(section, key, f"expected finite numbers, got {items[key]!r}")
+    return values
 
 
 def _parse_characters(section, value, group: GroupSpec):
@@ -175,9 +181,6 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
             # a checkpoint within rounding past t_end ends the run itself
             last = () if max(checkpoints, default=0.0) >= t_end else (t_end,)
             cfg.flow_times = tuple(sorted({*checkpoints, *last}))
-        resolution = None
-        if "resolution" in items:
-            resolution = _get_int("flow", items, "resolution", minimum=2)
         try:
             cfg.flow = FlowConfig(
                 flow_kind=kind,
@@ -186,7 +189,6 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
                 dt_safety=_get_float("flow", items, "dt_safety", 0.5, unit=True),
                 blowup_threshold=_get_float("flow", items, "blowup_threshold",
                                             1e6, positive=True),
-                resolution=resolution,
                 error_tol=_get_float("flow", items, "error_tol", 1e-3,
                                      positive=True),
             )

@@ -11,14 +11,14 @@ conj(coeff(a, j, n)).  Grid values, plain (d_g, 3, M, M, M) arrays, carry
 the same components sampled on a uniform M^3 grid.
 
 Derivatives are always taken spectrally.  Nonlinear (bracket) terms are
-evaluated pointwise on a grid of size M >= 4N+1 and re-truncated, which is
-alias-free for products of up to three cutoff-N factors, so the retained
-band of every right-hand side below is exact up to rounding; the default
-M is 4N+1 itself.  The grid transforms are pruned DFTs applied as matrix
-products, one cached plan per (cutoff, M): only the 2N+1 retained modes
-per axis enter, and grid values are real, so only the half spectrum
-n3 >= 0 is transformed and the n3 < 0 half is the conjugate of the
-mirrored modes.
+evaluated pointwise on the grid of size M = 4N+1 and re-truncated, which
+is alias-free for products of up to three cutoff-N factors, so the
+retained band of every right-hand side below is exact up to rounding; the
+grid size is this module's choice, not the caller's.  The grid transforms
+are pruned DFTs applied as matrix products, one cached plan per (cutoff,
+M): only the 2N+1 retained modes per axis enter, and grid values are
+real, so only the half spectrum n3 >= 0 is transformed and the n3 < 0
+half is the conjugate of the mirrored modes.
 """
 
 from __future__ import annotations
@@ -344,12 +344,11 @@ def _sup_of(avals: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(avals**2, axis=(0, 1)))))
 
 
-def ym_action(a: SpectralConnection, resolution: int | None = None) -> float:
+def ym_action(a: SpectralConnection) -> float:
     """S_YM(A) = sum_{ij} integral |F_{ij}(x)|^2 dx by uniform-grid
-    quadrature (exact for the band-limited field strength at the dealiased
-    resolution), read off the first half of the fused nonlinear pass."""
-    m = dealias_resolution(a.cutoff) if resolution is None else resolution
-    return _nonlinear_core(a, m, False, action_only=True)[1]
+    quadrature (exact for the band-limited field strength on the dealiased
+    grid), read off the first half of the fused nonlinear pass."""
+    return _nonlinear_core(a, False, action_only=True)[1]
 
 
 def ym_action_u1_spectral(a: SpectralConnection) -> float:
@@ -380,30 +379,31 @@ def coulomb_project_u1(a: SpectralConnection) -> SpectralConnection:
     return SpectralConnection(a.group, a.cutoff, c)
 
 
-def ym_rhs(a: SpectralConnection, resolution: int | None = None) -> SpectralConnection:
+def ym_rhs(a: SpectralConnection) -> SpectralConnection:
     """Right-hand side of the Yang-Mills heat flow, -(d*F_A + [A _| F_A]),
     truncated back to the input cutoff."""
-    m = dealias_resolution(a.cutoff) if resolution is None else resolution
     lam = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)
     linear = lam[None, None] * a.coeffs
-    nl = _ym_nonlinear(a, m, diagnostics=False)[0]
+    nl = _ym_nonlinear(a, diagnostics=False)[0]
     return SpectralConnection(a.group, a.cutoff, linear + nl)
 
 
 class _Workspace:
-    """Every grid array of the nonlinear pass of one (group, cutoff, M,
-    kind), allocated once so that repeated passes allocate (and fault in)
-    no grid memory: the half-spectrum input stack of A, curl A and, for
-    non-Abelian ZDDS, d*A; the product outputs of the inverse transform of
-    that stack and of the forward transforms; the ``ab`` stack; the bracket
-    buffers with their scratch rows; and the interior sum.
+    """Every grid array of the nonlinear pass of one (group, cutoff,
+    kind) on the dealiased grid, allocated once so that repeated passes
+    allocate (and fault in) no grid memory: the half-spectrum input stack
+    of A, curl A and, for non-Abelian ZDDS, d*A; the product outputs of
+    the inverse transform of that stack and of the forward transforms; the
+    ``ab`` stack; the bracket buffers with their scratch rows; and the
+    interior sum.
 
     A flow owns one for all its passes (see flow.integrate); flows that
     may run at the same time must not share one.
     """
 
-    def __init__(self, group: GroupSpec, cutoff: int, m: int, deturck: bool):
+    def __init__(self, group: GroupSpec, cutoff: int, deturck: bool):
         d, k, h = group.algebra_dim, 2 * cutoff + 1, cutoff + 1
+        m = dealias_resolution(cutoff)
         rows = 7 if deturck and not group.is_abelian else 6
         grid = (m, m, m)
         self.half = np.empty((d, rows, k, k, h), dtype=complex)
@@ -423,14 +423,14 @@ class _Workspace:
                         np.empty((b * k, k, h), dtype=complex))
 
 
-def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool,
+def _nonlinear_core(a: SpectralConnection, deturck: bool,
                     work: _Workspace | None = None, diagnostics: bool = True,
                     action_only: bool = False):
     """Right-hand side minus the Laplacian term, with S_YM(a) and sup|A|
-    evaluated on the same grid (None for both when ``diagnostics`` is
-    off).  With ``action_only`` it returns (None, S_YM(a), None) as soon
-    as the action is known, before the forward transforms and the
-    interior bracket.
+    evaluated on the same dealiased grid (None for both when
+    ``diagnostics`` is off).  With ``action_only`` it returns (None,
+    S_YM(a), None) as soon as the action is known, before the forward
+    transforms and the interior bracket.
 
     YM (deturck False):  -(1/2) d*[A ^ A] - [A _| F_A] + d d*A
     ZDDS (deturck True): -(1/2) d*[A ^ A] - [A _| F_A] - [A ^ d*A]
@@ -446,12 +446,13 @@ def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool,
     temporary workspace when none is given.
     """
     group, n = a.group, a.cutoff
+    m = dealias_resolution(n)
     if group.is_abelian and not action_only:
         nl = np.zeros_like(a.coeffs) if deturck else grad_0form(d_star_1form(a)).coeffs
         if not diagnostics:
             return nl, None, None
     if work is None:
-        work = _Workspace(group, n, m, deturck)
+        work = _Workspace(group, n, deturck)
     half = work.half
     half[:, :3] = a.coeffs[..., n:]
     _curl(half[:, :3], n, out=half[:, 3:6])
@@ -484,20 +485,19 @@ def _nonlinear_core(a: SpectralConnection, m: int, deturck: bool,
     return nl, action, sup
 
 
-def _ym_nonlinear(a: SpectralConnection, m: int, work: _Workspace | None = None,
+def _ym_nonlinear(a: SpectralConnection, work: _Workspace | None = None,
                   diagnostics: bool = True):
     """(YM right-hand side minus the Laplacian term, S_YM(a), sup|A|)."""
-    return _nonlinear_core(a, m, False, work, diagnostics)
+    return _nonlinear_core(a, False, work, diagnostics)
 
 
-def _zdds_nonlinear(a: SpectralConnection, m: int, work: _Workspace | None = None,
+def _zdds_nonlinear(a: SpectralConnection, work: _Workspace | None = None,
                     diagnostics: bool = True):
     """(ZDDS right-hand side minus the Laplacian term, S_YM(a), sup|A|)."""
-    return _nonlinear_core(a, m, True, work, diagnostics)
+    return _nonlinear_core(a, True, work, diagnostics)
 
 
-def zdds_rhs(a: SpectralConnection, resolution: int | None = None,
-             path: str = "operator") -> SpectralConnection:
+def zdds_rhs(a: SpectralConnection, path: str = "operator") -> SpectralConnection:
     """Right-hand side of the DeTurck-modified flow.
 
     path='operator' assembles -(d*F_A + [A _| F_A]) - (d(d*A) + [A ^ d*A]);
@@ -505,19 +505,18 @@ def zdds_rhs(a: SpectralConnection, resolution: int | None = None,
     Lap A_i + sum_j [A_j, 2 d_j A_i - d_i A_j + [A_j, A_i]].  The two are
     algebraically identical and are kept as independent code paths.
     """
-    m = dealias_resolution(a.cutoff) if resolution is None else resolution
     lam = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)
     if path == "operator":
         return SpectralConnection(
             a.group, a.cutoff, lam[None, None] * a.coeffs
-            + _zdds_nonlinear(a, m, diagnostics=False)[0]
+            + _zdds_nonlinear(a, diagnostics=False)[0]
         )
     if path != "explicit":
         raise ValueError(f"unknown zdds path {path!r}")
     lap = lam[None, None] * a.coeffs
     if a.group.is_abelian:
         return SpectralConnection(a.group, a.cutoff, lap)
-    n = mode_grids(a.cutoff)
+    n, m = mode_grids(a.cutoff), dealias_resolution(a.cutoff)
     # d_j A_i for all (j, i), spectrally, then sampled on the dealiased grid
     partials = np.empty(a.coeffs.shape[:1] + (3,) + a.coeffs.shape[1:], dtype=complex)
     for j in range(3):
@@ -653,16 +652,16 @@ def gauge_transform(a: SpectralConnection, sigma: GaugeTransform,
 
 
 def gauge_transform_spectral(a: SpectralConnection, sigma: GaugeTransform,
-                             cutoff: int | None = None,
-                             resolution: int | None = None) -> SpectralConnection:
-    """Gauge transform followed by re-truncation.
+                             cutoff: int | None = None) -> SpectralConnection:
+    """Gauge transform followed by re-truncation, on the dealiased grid of
+    the output cutoff.
 
     Exact when sigma keeps the result band-limited (winding or constant
-    transforms); otherwise the caller picks cutoff/resolution high enough
-    for the spectral tail to be negligible.
+    transforms); otherwise the caller picks a cutoff high enough for the
+    spectral tail to be negligible.
     """
     n_out = a.cutoff if cutoff is None else cutoff
-    m = dealias_resolution(n_out) if resolution is None else resolution
+    m = dealias_resolution(n_out)
     vals = gauge_transform(a, sigma, m)
     return SpectralConnection(a.group, n_out, _values_to_spectral(vals, n_out, m))
 

@@ -31,7 +31,6 @@ from .fields import (
     _Workspace,
     _ym_nonlinear,
     _zdds_nonlinear,
-    dealias_resolution,
     heat_weights,
     mode_norm_sq,
     ym_action_u1_spectral,
@@ -51,6 +50,8 @@ FLOW_KINDS = ("ym", "zdds", "u1_exact")
 
 # a YM step is rejected when the action rises by more than this, relative
 MONOTONE_TOL = 1e-9
+# accepted steps after which a run stops as 'stalled'
+MAX_STEPS = 1_000_000
 
 
 @dataclass
@@ -59,10 +60,7 @@ class FlowConfig:
     dt_initial: float = 1e-3
     dt_safety: float = 0.5
     blowup_threshold: float = 1e6
-    resolution: int | None = None
     error_tol: float = 1e-3
-    max_steps: int = 1_000_000
-    debug_checks: bool = False   # per-step dual-path consistency assertions
 
     def __post_init__(self):
         if self.flow_kind not in FLOW_KINDS:
@@ -154,7 +152,7 @@ class _EtdStepper:
         self.e0 = dt * (p1 - 2.0 * p2)
         self.ea = dt * (2.0 * p2)
 
-    def step(self, a: SpectralConnection, n0: np.ndarray, nonlinear, m: int,
+    def step(self, a: SpectralConnection, n0: np.ndarray, nonlinear,
              work: _Workspace):
         """One step from a, whose nonlinear term n0 the caller holds; the
         two stage passes skip the action and the sup norm."""
@@ -162,11 +160,11 @@ class _EtdStepper:
         stage_a = SpectralConnection(
             a.group, a.cutoff, self.e_half * u + self.f_half * n0
         )
-        na = nonlinear(stage_a, m, work, diagnostics=False)[0]
+        na = nonlinear(stage_a, work, diagnostics=False)[0]
         stage_b = SpectralConnection(
             a.group, a.cutoff, self.e_full * u + self.f_full * (2.0 * na - n0)
         )
-        nb = nonlinear(stage_b, m, work, diagnostics=False)[0]
+        nb = nonlinear(stage_b, work, diagnostics=False)[0]
         u3 = self.e_full * u + self.w0 * n0 + self.wa * na + self.wb * nb
         u2 = self.e_full * u + self.e0 * n0 + self.ea * na
         err = float(np.sqrt(np.sum(np.abs(u3 - u2) ** 2)))
@@ -174,20 +172,6 @@ class _EtdStepper:
 
 
 _NONLINEAR = {"ym": _ym_nonlinear, "zdds": _zdds_nonlinear}
-
-
-def _assert_zdds_paths_agree(state: SpectralConnection, m: int) -> None:
-    """Debug-run guard: the operator-composition and componentwise
-    right-hand sides must match on every accepted state."""
-    from .fields import zdds_rhs
-    r_op = zdds_rhs(state, resolution=m, path="operator").coeffs
-    r_ex = zdds_rhs(state, resolution=m, path="explicit").coeffs
-    gap = np.max(np.abs(r_op - r_ex))
-    if gap > 1e-10 * max(1.0, np.max(np.abs(r_op))):
-        raise AssertionError(
-            f"ZDDS right-hand-side paths disagree by {gap:.3e} during a "
-            "debug-checked run"
-        )
 
 
 def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajectory:
@@ -205,14 +189,10 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
         traj.attained_time = targets[-1]
         return traj
 
-    need = dealias_resolution(a0.cutoff)
-    m = config.resolution or need
-    if m < need:
-        raise ValueError(f"resolution {m} below the dealiasing requirement {need}")
     nonlinear = _NONLINEAR[config.flow_kind]
     guard_action = config.flow_kind == "ym"
     # this flow's grid arrays, reused by every nonlinear pass below
-    work = _Workspace(a0.group, a0.cutoff, m, deturck=config.flow_kind == "zdds")
+    work = _Workspace(a0.group, a0.cutoff, deturck=config.flow_kind == "zdds")
 
     steppers: dict[float, _EtdStepper] = {}
     state = a0.copy()
@@ -220,7 +200,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
     # the nonlinear term of the current state with its action and sup
     # norm: one evaluation serves the action guard, the blow-up check and
     # stage 0 of the next step
-    n_state, action, _ = nonlinear(state, m, work)
+    n_state, action, _ = nonlinear(state, work)
     dt_floor = config.dt_initial * 2.0**-40
 
     for target in targets:
@@ -229,13 +209,13 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
         dt = config.dt_initial
         clean = 0
         while t < target - 1e-14 * targets[-1]:
-            if traj.step_count >= config.max_steps:
+            if traj.step_count >= MAX_STEPS:
                 traj.failure = "stalled"
                 break
             h = min(dt, target - t)
             if h not in steppers:
                 steppers[h] = _EtdStepper(a0.cutoff, h)
-            candidate, err = steppers[h].step(state, n_state, nonlinear, m, work)
+            candidate, err = steppers[h].step(state, n_state, nonlinear, work)
             traj.rhs_evaluations += 3
             ok = np.isfinite(err) and bool(np.all(np.isfinite(candidate.coeffs)))
             if not ok:
@@ -244,7 +224,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
             rel_err = err / max(l2_norm(candidate), 1e-30)
             ok = rel_err <= config.error_tol
             if ok:
-                n_new, new_action, sup = nonlinear(candidate, m, work)
+                n_new, new_action, sup = nonlinear(candidate, work)
                 if guard_action and \
                         new_action > action + MONOTONE_TOL * (1.0 + action):
                     ok = False
@@ -255,8 +235,6 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
                     traj.failure = "stalled"
                     break
                 continue
-            if config.debug_checks and config.flow_kind == "zdds":
-                _assert_zdds_paths_agree(candidate, m)
             state, n_state, action = candidate, n_new, new_action
             t += h
             traj.step_count += 1

@@ -26,10 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpectralConnection, mode_grids
+from .fields import SpectralConnection
 from .groups import GroupSpec
 from .rng import TAG_COMPONENT, mode_gaussians
-from .wilson import FieldEvaluator
 
 __all__ = [
     "SamplerConfig",
@@ -37,8 +36,6 @@ __all__ = [
     "transverse_frame",
     "sample_gff",
     "sample_u1_coulomb",
-    "covariance_diagnostic",
-    "CovarianceReport",
 ]
 
 
@@ -169,90 +166,3 @@ def sample_u1_coulomb(config: SamplerConfig) -> SpectralConnection:
     coeffs[0, :, ix, iy, iz] = stored
     coeffs[0, :, k - 1 - ix, k - 1 - iy, k - 1 - iz] = np.conj(stored)
     return SpectralConnection(config.group, config.cutoff, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# covariance diagnostics
-
-
-@dataclass
-class CovarianceReport:
-    pairs: list
-    predicted: np.ndarray
-    empirical: np.ndarray
-    standard_error: np.ndarray
-    max_sigma_deviation: float
-
-
-def _truncated_green(cutoff: int, delta: np.ndarray) -> float:
-    """sum over 0 < |n|_inf <= N of e^(i 2 pi n.delta)/|n|^2 (real)."""
-    n1, n2, n3 = mode_grids(cutoff)
-    nsq = (n1**2 + n2**2 + n3**2).astype(float)
-    mask = nsq > 0
-    phase = np.exp(1j * 2.0 * np.pi * (n1 * delta[0] + n2 * delta[1] + n3 * delta[2]))
-    return float(np.sum(np.where(mask, phase / np.where(mask, nsq, 1.0), 0.0)).real)
-
-
-def _transverse_green(cutoff: int, delta: np.ndarray, j: int, k: int,
-                      coupling: float) -> float:
-    """Coulomb ensemble covariance of components (j, k) at separation
-    delta: sum_n e^(i 2 pi n.delta) g^2/(16 pi^2 |n|^2) (delta_jk -
-    n_j n_k / |n|^2)."""
-    n1, n2, n3 = mode_grids(cutoff)
-    n = (n1, n2, n3)
-    nsq = (n1**2 + n2**2 + n3**2).astype(float)
-    mask = nsq > 0
-    safe = np.where(mask, nsq, 1.0)
-    proj = (1.0 if j == k else 0.0) - n[j] * n[k] / safe
-    phase = np.exp(1j * 2.0 * np.pi * (n1 * delta[0] + n2 * delta[1] + n3 * delta[2]))
-    weight = coupling**2 / (16.0 * np.pi**2 * safe)
-    return float(np.sum(np.where(mask, phase * weight * proj, 0.0)).real)
-
-
-def covariance_diagnostic(samples, pairs, kind: str = "gff",
-                          coupling: float = 1.0,
-                          components=None) -> CovarianceReport:
-    """Empirical two-point function against the truncated series.
-
-    samples: list of SpectralConnection (>= 1000 for meaningful errors);
-    pairs: list of (x, y) point pairs; components: list of (a, j, b, k)
-    component picks, defaulting to ((0, 0, 0, 0),).  kind 'gff' compares
-    against the plain truncated Green's function (diagonal in components);
-    'u1_coulomb' against its transverse projection.
-    """
-    samples = list(samples)
-    if len(samples) < 1000:
-        raise ValueError("need at least 1000 samples for the diagnostic")
-    cutoff = samples[0].cutoff
-    if components is None:
-        components = ((0, 0, 0, 0),)
-    points = []
-    for x, y in pairs:
-        points.append(np.asarray(x, dtype=float))
-        points.append(np.asarray(y, dtype=float))
-    points = np.stack(points)
-    prods = []
-    for s in samples:
-        vals = FieldEvaluator(s).coefficients_at(points)
-        row = []
-        for ip in range(len(pairs)):
-            for (a, j, b, k) in components:
-                row.append(vals[a, j, 2 * ip] * vals[b, k, 2 * ip + 1])
-        prods.append(row)
-    prods = np.asarray(prods)
-    emp = prods.mean(axis=0)
-    se = prods.std(axis=0, ddof=1) / np.sqrt(len(samples))
-    pred = []
-    for ip, (x, y) in enumerate(pairs):
-        delta = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        for (a, j, b, k) in components:
-            if kind == "gff":
-                val = _truncated_green(cutoff, delta) if (a == b and j == k) else 0.0
-            elif kind == "u1_coulomb":
-                val = _transverse_green(cutoff, delta, j, k, coupling)
-            else:
-                raise ValueError(f"unknown ensemble kind {kind!r}")
-            pred.append(val)
-    pred = np.asarray(pred)
-    sigma_dev = np.abs(emp - pred) / np.where(se > 0, se, 1e-300)
-    return CovarianceReport(list(pairs), pred, emp, se, float(sigma_dev.max()))

@@ -22,11 +22,9 @@ __all__ = [
     "structure_constants",
     "bracket",
     "exp_map",
-    "project_algebra",
     "frobenius_inner",
     "unitarize",
     "unitarity_defect",
-    "algebra_defect",
 ]
 
 _KINDS = ("u1", "su", "u")
@@ -167,18 +165,6 @@ def frobenius_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def project_algebra(m: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    """Nearest algebra element in Frobenius norm: skew-Hermitian part,
-    minus the trace part for SU(N)."""
-    m = np.asarray(m, dtype=complex)
-    skew = 0.5 * (m - np.conj(np.swapaxes(m, -1, -2)))
-    if spec.kind == "su":
-        n = spec.matrix_dim
-        tr = np.trace(skew, axis1=-2, axis2=-1) / n
-        skew = skew - tr[..., None, None] * np.eye(n)
-    return skew
-
-
 # [13/13] Pade numerator coefficients, highest degree last.
 _PADE13_B = (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -243,9 +229,3 @@ def unitarity_defect(m: np.ndarray) -> float:
     n = m.shape[-1]
     gram = np.conj(np.swapaxes(m, -1, -2)) @ m
     return float(np.max(np.abs(gram - np.eye(n))))
-
-
-def algebra_defect(x: np.ndarray, spec: GroupSpec) -> float:
-    """Max-entry distance from the algebra (skew-Hermitian, traceless
-    for SU(N))."""
-    return float(np.max(np.abs(np.asarray(x) - project_algebra(x, spec))))

@@ -2,9 +2,7 @@
 
 Each suite re-derives a handful of exact identities with fresh seeded
 data: they are cheap shadows of the full test suite meant to certify an
-installation (or catch a miscompiled numpy) in seconds.  `mutations` is a
-self-test hook: naming a known mutation flips one sign inside the
-corresponding suite's data path, which must make that suite fail.
+installation (or catch a miscompiled numpy) in seconds.
 """
 
 from __future__ import annotations
@@ -31,9 +29,7 @@ from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from .groups import SU2, U1, bracket, exp_map, standard_basis
 from .wilson import Character, rectangle_loop, u1_wilson_exact, wilson_loop
 
-__all__ = ["run_suites", "random_connection", "SUITES", "KNOWN_MUTATIONS"]
-
-KNOWN_MUTATIONS = frozenset({"zdds-sign"})
+__all__ = ["run_suites", "random_connection", "SUITES"]
 
 
 def random_connection(group, cutoff, seed, scale=1.0) -> SpectralConnection:
@@ -51,7 +47,7 @@ def _flow_config(kind):
     return parse_config(f"[flow]\nkind = {kind}\n").flow
 
 
-def _suite_algebra(mutations):
+def _suite_algebra():
     basis = standard_basis(SU2)
     gram = np.array([[np.real(np.sum(np.conj(x) * y)) for y in basis] for x in basis])
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12, "basis Gram matrix"
@@ -66,7 +62,7 @@ def _suite_algebra(mutations):
         assert np.max(np.abs(e @ exp_map(-x) - np.eye(2))) < 1e-10, "exp inverse"
 
 
-def _suite_transforms(mutations):
+def _suite_transforms():
     a = random_connection(SU2, 3, 7)
     g = _spectral_to_values(a.coeffs, 3, 14)
     back = _values_to_spectral(g, 3, 14)
@@ -75,7 +71,7 @@ def _suite_transforms(mutations):
     assert abs(grid_l2 - l2_norm(a)) < 1e-12 * (1 + grid_l2), "Parseval"
 
 
-def _suite_u1_oracle(mutations):
+def _suite_u1_oracle():
     a = sample_u1_coulomb(SamplerConfig(U1, 3, seed=13))
     assert np.max(np.abs(d_star_1form(a).coeffs)) < 1e-12, "Coulomb divergence"
     assert abs(ym_action(a) - ym_action_u1_spectral(a)) < \
@@ -92,20 +88,17 @@ def _suite_u1_oracle(mutations):
     assert abs(w_ode - w_exact) < 1e-8, "Wilson loop dual route"
 
 
-def _suite_zdds_consistency(mutations):
+def _suite_zdds_consistency():
     for seed in (31, 32, 33):
         a = random_connection(SU2, 2, seed, scale=0.4)
         r_op = zdds_rhs(a, path="operator").coeffs
         r_ex = zdds_rhs(a, path="explicit").coeffs
-        if "zdds-sign" in mutations:
-            # self-test hook: emulate a sign slip in the explicit path
-            r_ex = -r_ex
         scale = np.max(np.abs(r_op)) + 1e-30
         assert np.max(np.abs(r_op - r_ex)) / scale < 1e-10, \
             "operator vs explicit right-hand side"
 
 
-def _suite_gradient(mutations):
+def _suite_gradient():
     a = random_connection(SU2, 2, 41, scale=0.3)
     b = random_connection(SU2, 2, 42, scale=0.3)
     eps = 3e-6
@@ -117,7 +110,7 @@ def _suite_gradient(mutations):
     assert abs(fd + 4.0 * pair) < 1e-5 * (1 + abs(fd)), "gradient pairing"
 
 
-def _suite_sampling(mutations):
+def _suite_sampling():
     a1 = sample_gff(SamplerConfig(SU2, 2, seed=55, stream=3))
     a2 = sample_gff(SamplerConfig(SU2, 2, seed=55, stream=3))
     assert np.array_equal(a1.coeffs, a2.coeffs), "sampler determinism"
@@ -130,7 +123,7 @@ def _suite_sampling(mutations):
         "Coulomb projection idempotence"
 
 
-def _suite_determinism(mutations):
+def _suite_determinism():
     import io
     from .ensemble import EnsembleSpec, run_ensemble
     from .wilson import Character, rectangle_loop
@@ -165,16 +158,13 @@ SUITES = [
 ]
 
 
-def run_suites(mutations=frozenset(), out=print) -> bool:
+def run_suites(out=print) -> bool:
     """Run every suite; report pass/fail and timing; True iff all passed."""
-    unknown = set(mutations) - KNOWN_MUTATIONS
-    if unknown:
-        raise ValueError(f"unknown mutations {sorted(unknown)}")
     all_ok = True
     for name, fn in SUITES:
         start = time.perf_counter()
         try:
-            fn(frozenset(mutations))
+            fn()
             status = "PASS"
         except AssertionError as exc:
             status = f"FAIL ({exc})"

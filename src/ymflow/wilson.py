@@ -46,12 +46,9 @@ __all__ = [
     "Loop",
     "LoopFileError",
     "make_loop",
-    "reparametrize",
-    "reverse_loop",
     "rectangle_loop",
     "axis_cycle",
     "parse_loop_file",
-    "format_loop_file",
     "Character",
     "loop_fourier_coefficients",
     "FieldEvaluator",
@@ -125,22 +122,6 @@ def make_loop(vertices, winding=None, name: str = "loop") -> Loop:
     w = rounded.copy()
     w.setflags(write=False)
     return Loop(verts, w, name)
-
-
-def reparametrize(loop: Loop, subdivision: int) -> Loop:
-    """Insert subdivision-1 evenly spaced vertices inside every segment;
-    the image is unchanged."""
-    if subdivision < 1:
-        raise ValueError("subdivision must be >= 1")
-    verts = [loop.vertices[0]]
-    for p, q in zip(loop.vertices[:-1], loop.vertices[1:]):
-        for s in range(1, subdivision + 1):
-            verts.append(p + (q - p) * (s / subdivision))
-    return make_loop(np.asarray(verts), loop.winding, name=loop.name)
-
-
-def reverse_loop(loop: Loop) -> Loop:
-    return make_loop(loop.vertices[::-1], -loop.winding, name=loop.name + "-rev")
 
 
 def axis_cycle(axis: int, offset=(0.0, 0.0, 0.0), name=None) -> Loop:
@@ -229,16 +210,6 @@ def parse_loop_file(text: str) -> list[Loop]:
     if not loops:
         raise LoopFileError("no loops defined")
     return loops
-
-
-def format_loop_file(loops) -> str:
-    out = []
-    for lp in loops:
-        out.append(f"loop {lp.name}")
-        for v in lp.vertices:
-            out.append("vertex " + " ".join(f"{c:.17g}" for c in v))
-        out.append("winding " + " ".join(str(int(m)) for m in lp.winding))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -206,15 +206,45 @@ def test_ensemble_thread_count_invariance(workspace, capsys):
 
 
 def test_ensemble_refuses_reference_cutoff_with_scaling(workspace, capsys):
+    # the convergence report compares unscaled exact U(1) Wilson loops, so
+    # a reference cutoff with scaling, with a GFF sampler or without a
+    # loops file is refused before any member runs
     tmp, cfg = workspace
-    bad = write(tmp / "scaled.cfg", (tmp / "run.cfg").read_text()
-                .replace("seed = 11", "seed = 11\nscale_to_h1 = 0.5")
-                .replace("n_samples = 120", "n_samples = 4"))
-    rc = main(["ensemble", "--config", bad, "--output", str(tmp / "scaled")])
+    text = (tmp / "run.cfg").read_text().replace("n_samples = 120", "n_samples = 4")
+    cases = {
+        "scaled": (("seed = 11", "seed = 11\nscale_to_h1 = 0.5"), "scale_to_h1"),
+        "gff": (("kind = u1_coulomb", "kind = gff"), "u1_coulomb"),
+        "noloops": (("[loops]\nfile", "[loops]\n# file"), "[loops] file"),
+    }
+    for name, ((old, new), word) in cases.items():
+        assert old in text
+        bad = write(tmp / f"{name}.cfg", text.replace(old, new))
+        rc = main(["ensemble", "--config", bad, "--output", str(tmp / name)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "reference_cutoff" in err and word in err
+        assert not (tmp / name / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("old, new, words", [
+    ("coupling = 1.0", "coupling = nan", ("[sampler] coupling", "finite")),
+    ("dt_initial = 1e-3", "dt_initial = 1e-3\nblowup_threshold = inf",
+     ("[flow] blowup_threshold", "finite")),
+    ("dt_initial = 1e-3", "dt_initial = 1e-3\nresolution = 12",
+     ("unknown key 'resolution'", "[flow]")),
+], ids=["nan_coupling", "inf_threshold", "resolution_key"])
+def test_ensemble_config_errors_exit_one(workspace, capsys, old, new, words):
+    # non-finite numbers and the retired [flow] resolution key are config
+    # errors: exit 1, naming the key, before any member runs
+    tmp, cfg = workspace
+    text = (tmp / "run.cfg").read_text()
+    assert old in text
+    bad = write(tmp / "bad.cfg", text.replace(old, new))
+    rc = main(["ensemble", "--config", bad, "--output", str(tmp / "bad")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "reference_cutoff" in err and "scale_to_h1" in err
-    assert not (tmp / "scaled" / "records.jsonl").exists()
+    assert all(word in err for word in words)
+    assert not (tmp / "bad" / "records.jsonl").exists()
 
 
 def test_ensemble_refuses_reference_cutoff_not_above_cutoffs(workspace, capsys):
@@ -318,19 +348,26 @@ def test_help_and_version_exit_zero(argv, capsys):
 def test_verify_command_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert "zdds-consistency" in out and "PASS" in out
+    assert "zdds-consistency" in out
+    assert [line.split()[1] for line in out.splitlines()] == ["PASS"] * 7
 
 
-def test_verify_mutation_detected(capsys):
-    from ymflow.verify import run_suites
+def test_verify_mutation_detected(monkeypatch):
+    # a sign slip in the componentwise ZDDS path fails exactly the suite
+    # that compares the two paths
+    import ymflow.verify as verify_mod
+    zdds_rhs = verify_mod.zdds_rhs
+
+    def slipped(a, path="operator"):
+        r = zdds_rhs(a, path=path)
+        return r.scaled(-1.0) if path == "explicit" else r
+
+    monkeypatch.setattr(verify_mod, "zdds_rhs", slipped)
     lines = []
-    ok = run_suites(mutations={"zdds-sign"}, out=lines.append)
-    assert not ok
+    assert not verify_mod.run_suites(out=lines.append)
+    assert len(lines) == len(verify_mod.SUITES)
     failing = [l for l in lines if "FAIL" in l]
-    assert any("zdds-consistency" in l for l in failing)
-    assert all("zdds-consistency" in l for l in failing)
-    with pytest.raises(ValueError):
-        run_suites(mutations={"unknown-mutation"})
+    assert len(failing) == 1 and failing[0].startswith("zdds-consistency")
 
 
 SU2_CFG = """

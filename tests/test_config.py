@@ -115,6 +115,20 @@ def test_bad_numbers_named():
         parse_config("[sampler]\nkind = gff\ngroup = su2\ncutoff = 2\nseed = abc\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("old, new, name", [
+    ("coupling = 1.5", "coupling = {}", r"\[sampler\] coupling"),
+    ("dt_initial = 1e-3", "dt_initial = 1e-3\nblowup_threshold = {}",
+     r"\[flow\] blowup_threshold"),
+    ("times = 0.05", "times = 0.05 {}", r"\[ensemble\] times"),
+], ids=["coupling", "blowup_threshold", "ensemble_times"])
+def test_nonfinite_numbers_rejected(old, new, name, value):
+    # a NaN coupling would write NaN records, a NaN threshold would switch
+    # the blow-up guard off
+    with pytest.raises(ConfigError, match=name + ".*finite"):
+        parse_config(GOOD.replace(old, new.format(value)))
+
+
 def test_default_characters():
     u1c = default_characters(U1)
     assert [c.label() for c in u1c] == ["u1:1", "u1:-1", "u1:2"]

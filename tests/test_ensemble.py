@@ -370,8 +370,7 @@ def test_ensemble_records_blowups_not_fatal():
 # one differing value per field; a field missing here fails the test below
 FLOW_VARIANTS = {
     "flow_kind": "zdds", "dt_initial": 2e-3, "dt_safety": 0.25,
-    "blowup_threshold": 1e3, "resolution": 12, "error_tol": 1e-1,
-    "max_steps": 7, "debug_checks": True,
+    "blowup_threshold": 1e3, "error_tol": 1e-1,
 }
 SPEC_VARIANTS = {
     "group": SU2, "sampler_kind": "gff", "seed": 32, "cutoffs": (2, 3),
@@ -393,8 +392,10 @@ def test_config_hash_covers_every_field():
     assert base.config_hash() == u1_spec().config_hash()
 
 
-def test_member_flow_keeps_max_steps():
-    flow = FlowConfig("ym", dt_initial=1e-3, max_steps=1)
+def test_member_flow_keeps_max_steps(monkeypatch):
+    import ymflow.flow as flow_mod
+    monkeypatch.setattr(flow_mod, "MAX_STEPS", 1)
+    flow = FlowConfig("ym", dt_initial=1e-3)
     spec = EnsembleSpec(group=SU2, sampler_kind="gff", seed=5, cutoffs=(1,),
                         times=(0.003,), n_samples=2, flow=flow, scale_to_h1=0.3)
     for rec in run_ensemble(spec):

@@ -230,18 +230,17 @@ def reference_curvature(a, m):
 @pytest.mark.parametrize("group", [U1, SU2, SU3, U2], ids=lambda g: g.label())
 def test_fused_nonlinear_diagnostics_match_standalone(group):
     # S_YM = sum over ordered (i, j) of the mean of |F_ij|^2, sup|A| the
-    # largest pointwise Frobenius norm, at the minimal grid of either parity
+    # largest pointwise Frobenius norm, on the dealiased grid M = 4N+1
     for cutoff in (1, 2, 3, 4):
         a = random_connection(group, cutoff, seed=81 + cutoff, scale=0.4)
-        for m in (4 * cutoff + 1, 4 * cutoff + 2):
-            fvals, avals = reference_curvature(a, m)
-            s_ref = 2.0 * np.mean(np.sum(fvals**2, axis=(0, 1)))
-            sup_ref = np.sqrt(np.max(np.sum(avals**2, axis=(0, 1))))
-            assert abs(ym_action(a, m) - s_ref) <= 1e-13 * s_ref
-            for fn in (_ym_nonlinear, _zdds_nonlinear):
-                _, s, sup = fn(a, m)
-                assert abs(s - s_ref) <= 1e-13 * s_ref
-                assert abs(sup - sup_ref) <= 1e-13 * sup_ref
+        fvals, avals = reference_curvature(a, 4 * cutoff + 1)
+        s_ref = 2.0 * np.mean(np.sum(fvals**2, axis=(0, 1)))
+        sup_ref = np.sqrt(np.max(np.sum(avals**2, axis=(0, 1))))
+        assert abs(ym_action(a) - s_ref) <= 1e-13 * s_ref
+        for fn in (_ym_nonlinear, _zdds_nonlinear):
+            _, s, sup = fn(a)
+            assert abs(s - s_ref) <= 1e-13 * s_ref
+            assert abs(sup - sup_ref) <= 1e-13 * sup_ref
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +456,14 @@ def test_ym_action_is_the_fused_pass_action_without_its_second_half(group, monke
     import ymflow.fields as fields_mod
     cases = [random_connection(group, cutoff, seed=90 + cutoff, scale=0.4)
              for cutoff in (1, 2, 3)]
-    want = [[_ym_nonlinear(a, m)[1] for m in (4 * a.cutoff + 1, 4 * a.cutoff + 2)]
-            for a in cases]
+    want = [_ym_nonlinear(a)[1] for a in cases]
 
     def unused(*args, **kwargs):
         raise AssertionError("an action-only pass ran the second half")
 
     monkeypatch.setattr(fields_mod, "_values_to_spectral", unused)
     monkeypatch.setattr(fields_mod, "_cyclic_interior", unused)
-    for a, row in zip(cases, want):
-        assert ym_action(a) == row[0]
-        assert [ym_action(a, m) for m in (4 * a.cutoff + 1, 4 * a.cutoff + 2)] == row
+    assert [ym_action(a) for a in cases] == want
 
 
 def test_mode_grids_are_read_only_axis_views():
@@ -667,7 +663,7 @@ def test_rhs_preserves_reality():
 def test_norms():
     a = random_connection(SU2, 2, seed=62)
     assert h1_norm(a) >= l2_norm(a)
-    assert _ym_nonlinear(a, dealias_resolution(2))[2] > 0
+    assert _ym_nonlinear(a)[2] > 0
     n = (1, 0, 0)
     b = single_mode(U1, 2, n, (1.0, 0, 0))
     assert abs(l2_norm(b) - np.sqrt(2.0)) < 1e-13

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from reference import covariance_diagnostic
 from ymflow.fields import _spectral_to_values, d_star_1form, reality_defect
 from ymflow.gff import (
     SamplerConfig,
     _frames_for,
     canonical_half_modes,
-    covariance_diagnostic,
     sample_gff,
     sample_u1_coulomb,
     transverse_frame,

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from reference import algebra_defect, project_algebra
 from ymflow.groups import (
     SU2,
     U1,
     GroupSpec,
-    algebra_defect,
     bracket,
     exp_map,
     frobenius_inner,
-    project_algebra,
     standard_basis,
     structure_constants,
     unitarity_defect,

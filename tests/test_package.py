@@ -70,3 +70,20 @@ def test_subcommand_option_sets_pinned():
                - {"-h", "--help"}
                for name, p in sub.choices.items()}
     assert options == COMMAND_OPTIONS
+
+
+
+def test_test_only_helpers_stay_out_of_the_package():
+    # the helpers only tests call live in tests/reference.py; with them the
+    # samplers stopped importing the loop module
+    import reference
+    moved = {"covariance_diagnostic", "CovarianceReport", "_truncated_green",
+             "_transverse_green", "reverse_loop", "reparametrize",
+             "format_loop_file", "algebra_defect", "project_algebra"}
+    assert all(hasattr(reference, name) for name in moved)
+    for stem in MODULES:
+        module = importlib.import_module(_module_name(stem))
+        assert not [name for name in moved if hasattr(module, name)], stem
+    tree = ast.parse((SOURCE / "gff.py").read_text())
+    assert "wilson" not in {node.module for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom)}

@@ -3,6 +3,7 @@ import pytest
 
 import ymflow.wilson as wilson_mod
 from conftest import random_connection, random_gauge
+from reference import format_loop_file, reparametrize, reverse_loop
 from ymflow.fields import GaugeTransform, gauge_act, mode_grids, zero_connection
 from ymflow.flow import heat_semigroup_u1
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
@@ -20,15 +21,12 @@ from ymflow.wilson import (
     GaugeTransformedEvaluator,
     LoopFileError,
     axis_cycle,
-    format_loop_file,
     h_series,
     holonomy,
     loop_fourier_coefficients,
     make_loop,
     parse_loop_file,
     rectangle_loop,
-    reparametrize,
-    reverse_loop,
     u1_wilson_exact,
     wilson_loop,
 )
