@@ -3,12 +3,13 @@
 Subcommands: sample, flow, wilson, ensemble, verify.  Every command is
 deterministic given its configuration file, and takes only the flags it
 reads: `--seed` belongs to sample and ensemble, `--threads` to ensemble,
-and verify takes none.  `--threads K` runs ensemble members in K forked
+and verify takes none.  `--threads K` runs ensemble tasks in K forked
 worker processes (serially where the platform cannot fork); records are
 assembled in a fixed order, so it never changes the output bytes.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
-blow-up, 3 verification failure.
+blow-up (a flow, or any ensemble member; the outputs and manifest are
+still written), 3 verification failure.
 
 The output directory comes from, in increasing precedence, the [output]
 section, the --output flag, and the YMFLOW_OUTPUT environment variable;
@@ -244,30 +245,35 @@ def cmd_ensemble(args) -> int:
         scale_to_h1=cfg.scale_to_h1,
         wilson_steps=cfg.wilson_steps,
     )
-    records = run_ensemble(spec, threads=args.threads)
+    records, reference = run_ensemble(spec, threads=args.threads,
+                                      reference_cutoff=cfg.ens_reference_cutoff)
+    blowups = sum(1 for r in records if r.blew_up)
     persist_records(records, outdir / "records.jsonl")
     export_csv(records, outdir / "records.csv")
-    rows = tightness_report(records, min_samples=min(100, spec.n_samples))
+    # every member is counted; those that blew up are excluded from the
+    # statistics and reported by the exit code
+    rows = tightness_report(records, min_samples=0)
     report_lines = [
         f"{'cutoff':>6} {'t':>10} {'n':>6} {'excl':>5} {'mean':>22} "
         f"{'se':>22} {'closed_form':>22} {'limit':>22} {'flag':>5}"
     ]
     for r in rows:
-        closed = _fmt(r.closed_form) if r.closed_form is not None else "-"
-        limit = _fmt(r.all_mode_limit) if r.all_mode_limit is not None else "-"
+        mean, se, closed, limit = (_fmt(x) if x is not None else "-" for x in (
+            r.mean, r.standard_error, r.closed_form, r.all_mode_limit))
         report_lines.append(
             f"{r.cutoff:>6} {_fmt(r.t):>10} {r.n_used:>6} {r.n_excluded:>5} "
-            f"{_fmt(r.mean):>22} {_fmt(r.standard_error):>22} {closed:>22} "
+            f"{mean:>22} {se:>22} {closed:>22} "
             f"{limit:>22} {str(r.flagged):>5}"
         )
     with atomic_open(outdir / "tightness.txt") as fh:
         fh.write("\n".join(report_lines) + "\n")
     for line in report_lines:
         print(line)
-    if cfg.ens_reference_cutoff:
-        conv_rows, frac = distribution_convergence_report(
-            records, spec, cfg.ens_reference_cutoff
-        )
+    if reference is not None and blowups:
+        print("no convergence report: it compares every member with the "
+              "reference", file=sys.stderr)
+    elif reference is not None:
+        conv_rows, frac = distribution_convergence_report(records, spec, reference)
         convergence = {
             "reference_cutoff": cfg.ens_reference_cutoff,
             "decreasing_fraction": frac,
@@ -281,11 +287,14 @@ def cmd_ensemble(args) -> int:
         "config": cfg.raw,
         "config_hash": spec.config_hash(),
         "n_records": len(records),
-        "blowups": sum(1 for r in records if r.blew_up),
+        "blowups": blowups,
         "threads": args.threads,
         "output_dir_source": source,
         "version": __version__,
     })
+    if blowups:
+        print(f"{blowups} of {len(records)} members blew up", file=sys.stderr)
+        return EXIT_BLOWUP
     return EXIT_OK
 
 

@@ -5,11 +5,20 @@ member index as the RNG stream, a list of cutoffs sharing each member's
 mode-keyed randomness (the coupling that makes per-seed convergence
 checks meaningful), observation times, loops and characters, and a flow
 configuration, which says only how to integrate: each member flows to
-its last observation time and is read at each of them.  Members run
-independently, optionally in forked worker processes (serially where the
-platform cannot fork); records are always assembled and written in
-(stream, cutoff) order, and a member computes the same bits in any
-process, so the output bytes do not depend on the worker count.
+its last observation time and is read at each of them.
+
+Because the draw at a smaller cutoff is the restriction of the draw at a
+larger one, a task draws once and restricts.  For the closed-form U(1)
+flow (``u1_exact``) a task is one stream: one draw at the reference
+cutoff (or at the largest member cutoff when there is none) gives every
+member of the stream and the stream's exact reference Wilson values, and
+is dropped before the next stream.  Flowed ensembles (``ym``, ``zdds``)
+run one task per (stream, cutoff), largest cutoff first; the reference
+values come with the largest-cutoff task.  Tasks run independently,
+optionally in forked worker processes (serially where the platform
+cannot fork); records are always assembled and written in (stream,
+cutoff) order, and a task computes the same bits in any process, so the
+output bytes do not depend on the worker count.
 
 Records carry the hash of the exact configuration that produced them.
 Persistence is newline-delimited JSON, one flat observation row per line,
@@ -29,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import SpectralConnection, h1_norm
-from .flow import FlowConfig, integrate
+from .fields import SpectralConnection, h1_norm, u1_amplitudes, ym_action_u1_spectral
+from .flow import FlowConfig, heat_semigroup_u1, integrate
 from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from .groups import GroupSpec
 from .storage import atomic_open
@@ -123,6 +132,10 @@ def sample_initial(group: GroupSpec, sampler_kind: str, cutoff: int, seed: int,
     scale_to_h1 is given, rescale it to that H^1 norm."""
     cfg = SamplerConfig(group, cutoff, seed=seed, stream=stream, coupling=coupling)
     a0 = sample_u1_coulomb(cfg) if sampler_kind == "u1_coulomb" else sample_gff(cfg)
+    return _rescaled(a0, scale_to_h1)
+
+
+def _rescaled(a0: SpectralConnection, scale_to_h1: float | None) -> SpectralConnection:
     if scale_to_h1 is not None:
         norm = h1_norm(a0)
         if norm > 0:
@@ -132,31 +145,36 @@ def sample_initial(group: GroupSpec, sampler_kind: str, cutoff: int, seed: int,
 
 def _exact_wilson(a: SpectralConnection, loops, characters, times) -> dict:
     """Closed-form U(1) Wilson values of the heat flow from a at each of
-    times, keyed (loop, character, t): one h_series call per loop gives the
-    phase at every time, which every character reads."""
+    times, keyed (loop, character, t): one h_series call per loop, all
+    sharing the field's amplitudes, gives the phase at every time, which
+    every character reads."""
     values = {}
+    z = u1_amplitudes(a) if loops else None
     for lp in loops:
-        for t, phase in zip(times, h_series(a, lp, times)):
+        for t, phase in zip(times, h_series(a, lp, times, amplitudes=z)):
             for ch in characters:
                 values[(lp.name, ch.label(), t)] = ch.u1_value(phase)
     return values
 
 
-def _member_record(spec: EnsembleSpec, stream: int, cutoff: int,
+def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
                    config_hash: str) -> EnsembleRecord:
-    a0 = sample_initial(spec.group, spec.sampler_kind, cutoff, spec.seed, stream,
-                        spec.coupling, spec.scale_to_h1)
-    traj = integrate(a0, spec.flow, spec.times)
+    """Observables of the member of this stream whose initial field is a0."""
     rec = EnsembleRecord(
-        seed=spec.seed, stream=stream, cutoff=cutoff, group=spec.group.label(),
-        g=spec.coupling, s_ym={t: traj.actions.get(t) for t in spec.times},
-        attained_time=traj.attained_time, blew_up=traj.blew_up,
-        config_hash=config_hash,
+        seed=spec.seed, stream=stream, cutoff=a0.cutoff, group=spec.group.label(),
+        g=spec.coupling, config_hash=config_hash,
     )
     if spec.flow.flow_kind == "u1_exact":
-        # the semigroup is diagonal: Wilson values in closed form from a0
+        # the semigroup is diagonal: actions and Wilson values in closed
+        # form from a0, no trajectory
+        rec.s_ym = {t: ym_action_u1_spectral(heat_semigroup_u1(a0, t))
+                    for t in spec.times}
+        rec.attained_time = max(spec.times)
         rec.wilson = _exact_wilson(a0, spec.loops, spec.characters, spec.times)
         return rec
+    traj = integrate(a0, spec.flow, spec.times)
+    rec.s_ym = {t: traj.actions.get(t) for t in spec.times}
+    rec.attained_time, rec.blew_up = traj.attained_time, traj.blew_up
     for t, state in traj.states.items():
         for lp in spec.loops:
             values = wilson_loop(state, lp, spec.characters,
@@ -166,35 +184,85 @@ def _member_record(spec: EnsembleSpec, stream: int, cutoff: int,
     return rec
 
 
-def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> list[EnsembleRecord]:
-    """All (stream, cutoff) members, deterministically ordered.
+def _stream_task(spec: EnsembleSpec, stream: int, cutoffs: tuple,
+                 reference_cutoff: int | None, config_hash: str):
+    """The members of one stream at ``cutoffs``, all restricted from one
+    draw at ``reference_cutoff`` (at the largest of ``cutoffs`` when it is
+    None), and the stream's exact reference Wilson values read off that
+    draw (None without a reference cutoff)."""
+    top = reference_cutoff or cutoffs[-1]
+    draw = sample_initial(spec.group, spec.sampler_kind, top, spec.seed, stream,
+                          spec.coupling)
+    records = [_member_record(spec, stream,
+                              _rescaled(draw.restricted(c), spec.scale_to_h1),
+                              config_hash)
+               for c in cutoffs]
+    reference = None
+    if reference_cutoff is not None:
+        reference = _exact_wilson(draw, spec.loops, spec.characters, spec.times)
+    return records, reference
 
-    ``threads`` is the number of worker processes: with more than one, and
-    where the platform can fork, members run in a pool of forked workers
-    (which inherit the imported modules, so nothing is imported again),
-    at most one per member, largest cutoff first; otherwise they run
-    serially in this process.  An exception raised by a member reaches the
-    caller with its type.  The output list is sorted by (stream, cutoff)
-    regardless of scheduling, so any worker count produces identical
-    records.
+
+def _check_reference(spec: EnsembleSpec, reference_cutoff: int) -> None:
+    if spec.group.kind != "u1" or spec.sampler_kind != "u1_coulomb":
+        raise ValueError("convergence report applies to the U(1) ensemble")
+    if spec.scale_to_h1 is not None:
+        raise ValueError(
+            "convergence report needs unscaled members: each member is rescaled "
+            "to its own H^1 norm, so no reference field shares their law"
+        )
+    if reference_cutoff <= spec.cutoffs[-1]:
+        raise ValueError(
+            f"reference cutoff {reference_cutoff} must exceed the largest "
+            f"ensemble cutoff {spec.cutoffs[-1]}"
+        )
+
+
+def run_ensemble(spec: EnsembleSpec, threads: int = 1,
+                 reference_cutoff: int | None = None):
+    """(records, reference): every (stream, cutoff) member, sorted by
+    (stream, cutoff) whatever the scheduling, and with a
+    ``reference_cutoff`` (U(1) Coulomb ensembles of unscaled fields only,
+    above every member cutoff) each stream's exact Wilson values at that
+    cutoff, keyed (loop, character, t) like a record's; else None.
+
+    The tasks are those of the module docstring.  ``threads`` is the
+    number of worker processes: with more than one, and where the
+    platform can fork, tasks run in a pool of forked workers (which
+    inherit the imported modules, so nothing is imported again), at most
+    one per task; otherwise serially in this process.  An exception
+    raised by a task reaches the caller with its type.
     """
+    if reference_cutoff is not None:
+        _check_reference(spec, reference_cutoff)
     config_hash = spec.config_hash()
-    tasks = [(s, c) for s in range(spec.n_samples) for c in spec.cutoffs]
+    streams = range(spec.n_samples)
+    if spec.flow.flow_kind == "u1_exact":
+        tasks = [(s, spec.cutoffs, reference_cutoff) for s in streams]
+    else:
+        top = spec.cutoffs[-1]
+        tasks = [(s, (c,), reference_cutoff if c == top else None)
+                 for c in reversed(spec.cutoffs) for s in streams]
     # a fork pool starts all its workers at once, so cap it first
     workers = min(threads, len(tasks))
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        results = {task: _member_record(spec, *task, config_hash) for task in tasks}
+        results = [_stream_task(spec, *task, config_hash) for task in tasks]
     else:
-        largest_first = sorted(tasks, key=lambda task: (-task[1], task[0]))
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = {task: pool.submit(_member_record, spec, *task, config_hash)
-                       for task in largest_first}
+            futures = [pool.submit(_stream_task, spec, *task, config_hash)
+                       for task in tasks]
             try:
-                results = {task: fut.result() for task, fut in futures.items()}
+                results = [fut.result() for fut in futures]
             finally:
                 pool.shutdown(cancel_futures=True)
-    return [results[t] for t in sorted(results)]
+    records = sorted((rec for recs, _ in results for rec in recs),
+                     key=lambda rec: (rec.stream, rec.cutoff))
+    reference = None
+    if reference_cutoff is not None:
+        reference = {task[0]: ref for task, (_, ref) in zip(tasks, results)
+                     if ref is not None}
+    return records, reference
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +270,16 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1) -> list[EnsembleRecord]:
 
 
 def _rows_of(rec: EnsembleRecord):
-    times = sorted(rec.s_ym)
-    for t in times:
-        pairs = [(lp, ch) for (lp, ch, tt) in rec.wilson if tt == t]
-        base = {
-            "seed": rec.seed, "stream": rec.stream, "cutoff": rec.cutoff,
-            "group": rec.group, "g": rec.g, "t": t, "s_ym": rec.s_ym[t],
-            "attained_time": rec.attained_time, "blew_up": rec.blew_up,
-            "config_hash": rec.config_hash,
-        }
+    """The record's observation rows, each a tuple in RECORD_FIELDS order."""
+    tail = (rec.attained_time, rec.blew_up, rec.config_hash)
+    for t in sorted(rec.s_ym):
+        head = (rec.seed, rec.stream, rec.cutoff, rec.group, rec.g, t, rec.s_ym[t])
+        pairs = sorted((lp, ch) for (lp, ch, tt) in rec.wilson if tt == t)
         if not pairs:
-            yield {**base, "loop_id": None, "character_id": None,
-                   "wilson_re": None, "wilson_im": None}
-        for lp, ch in sorted(pairs):
+            yield head + (None, None, None, None) + tail
+        for lp, ch in pairs:
             w = rec.wilson[(lp, ch, t)]
-            yield {**base, "loop_id": lp, "character_id": ch,
-                   "wilson_re": w.real, "wilson_im": w.imag}
+            yield head + (lp, ch, w.real, w.imag) + tail
 
 
 def persist_records(records, path) -> None:
@@ -225,8 +287,7 @@ def persist_records(records, path) -> None:
     with atomic_open(path) as fh:
         for rec in records:
             for row in _rows_of(rec):
-                ordered = {k: row[k] for k in RECORD_FIELDS}
-                fh.write(json.dumps(ordered) + "\n")
+                fh.write(json.dumps(dict(zip(RECORD_FIELDS, row))) + "\n")
 
 
 def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
@@ -273,12 +334,13 @@ def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
 
 
 def export_csv(records, path) -> None:
+    """The rows of persist_records as CSV under a RECORD_FIELDS header;
+    None is an empty cell."""
     with atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_FIELDS)
         for rec in records:
-            for row in _rows_of(rec):
-                writer.writerow(row)
+            writer.writerows(_rows_of(rec))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +379,8 @@ class TightnessRow:
     t: float
     n_used: int
     n_excluded: int
-    mean: float
-    standard_error: float
+    mean: float | None                 # None below 2 usable samples
+    standard_error: float | None
     closed_form: float | None
     all_mode_limit: float | None
     flagged: bool
@@ -330,7 +392,8 @@ def tightness_report(records, min_samples: int = 100) -> list[TightnessRow]:
 
     A row is flagged when its mean exceeds the all-mode series limit by
     more than five standard errors (the desk-scale boundedness check).
-    Members that blew up before t are excluded and counted.
+    Members that blew up before t are excluded and counted; a row with
+    fewer than 2 usable samples has no mean or standard error.
     """
     by_key: dict = {}
     coupling = None
@@ -355,11 +418,14 @@ def tightness_report(records, min_samples: int = 100) -> list[TightnessRow]:
                 f"only {len(vals)} usable samples at cutoff {cutoff}, t={t}; "
                 f"need at least {min_samples}"
             )
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(len(vals)))
+        mean = se = None
+        if len(vals) >= 2:
+            mean = float(vals.mean())
+            se = float(vals.std(ddof=1) / np.sqrt(len(vals)))
         closed = closed_form_sym_mean(cutoff, t, coupling) if is_u1 else None
         limit = closed_form_sym_limit(t, coupling) if is_u1 else None
-        flagged = bool(limit is not None and mean > limit + 5.0 * se)
+        flagged = bool(mean is not None and limit is not None
+                       and mean > limit + 5.0 * se)
         rows.append(TightnessRow(cutoff, t, len(vals),
                                  by_key[(cutoff, t)]["excluded"],
                                  mean, se, closed, limit, flagged))
@@ -392,10 +458,13 @@ def _ks_distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(fx - fy)))
 
 
-def distribution_convergence_report(records, spec: EnsembleSpec,
-                                    reference_cutoff: int):
+def distribution_convergence_report(records, spec: EnsembleSpec, reference: dict):
     """Empirical Wilson distributions per cutoff against the coupled
     larger-cutoff reference law.
+
+    ``reference`` is the second value of ``run_ensemble(spec, ...,
+    reference_cutoff=R)``: per stream, the exact Wilson values of the same
+    mode-keyed draw at cutoff R.  The report reads them and draws nothing.
 
     Returns (rows, decreasing_fraction): rows carry per-(loop, character,
     t, cutoff) KS distances (max over the real and imaginary marginals)
@@ -403,30 +472,12 @@ def distribution_convergence_report(records, spec: EnsembleSpec,
     of seeds whose deviation from the reference strictly decreases along
     the cutoff list (the pathwise convergence view).
     """
-    if spec.group.kind != "u1" or spec.sampler_kind != "u1_coulomb":
-        raise ValueError("convergence report applies to the U(1) ensemble")
-    if spec.scale_to_h1 is not None:
-        raise ValueError(
-            "convergence report needs unscaled members: each member is rescaled "
-            "to its own H^1 norm, so no reference field shares their law"
-        )
-    if reference_cutoff <= spec.cutoffs[-1]:
-        raise ValueError(
-            f"reference cutoff {reference_cutoff} must exceed the largest "
-            f"ensemble cutoff {spec.cutoffs[-1]}"
-        )
+    if reference is None:
+        raise ValueError("no reference values: run the ensemble with a "
+                         "reference cutoff")
     streams = sorted({rec.stream for rec in records})
     cutoffs = sorted({rec.cutoff for rec in records})
     by_member = {(rec.stream, rec.cutoff): rec for rec in records}
-
-    # reference values from the same mode-keyed draws at the big cutoff
-    ref = {
-        s: _exact_wilson(sample_initial(spec.group, spec.sampler_kind,
-                                        reference_cutoff, spec.seed, s,
-                                        spec.coupling),
-                         spec.loops, spec.characters, spec.times)
-        for s in streams
-    }
 
     rows = []
     dev_by_seed = {s: [] for s in streams}   # per cutoff, max over observables
@@ -440,7 +491,7 @@ def distribution_convergence_report(records, spec: EnsembleSpec,
                          for s in streams]
                     )
                     refv = np.array(
-                        [ref[s][(lp.name, ch.label(), t)] for s in streams]
+                        [reference[s][(lp.name, ch.label(), t)] for s in streams]
                     )
                     ks = max(_ks_distance(emp.real, refv.real),
                              _ks_distance(emp.imag, refv.imag))

@@ -16,7 +16,13 @@ per-seed (pathwise) checks.
 Mode bookkeeping: exactly one of n, -n is drawn, namely the
 representative whose first nonzero coordinate is positive; the reflected
 coefficient is filled in by the reality (respectively the U(1)
-anti-reality) symmetry.
+anti-reality) symmetry.  In the C-order flattened K^3 mode cube
+(K = 2N+1) the flat index of n is c + n1 K^2 + n2 K + n3 with c the
+centre, whose sign is that of the first nonzero coordinate of n: the
+drawn modes, in lexicographic order, fill the flat indices above the
+centre one after the other, and their reflections fill the ones below it
+in reverse.  So the samplers write three contiguous slices of a fresh
+array and need no index table.
 """
 
 from __future__ import annotations
@@ -107,11 +113,35 @@ def transverse_frame(n) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _frames_for(cutoff: int):
-    """transverse_frame of every canonical half mode, in one pass."""
-    u1, u2 = _frames(canonical_half_modes(cutoff))
+    """transverse_frame of every canonical half mode, in one pass, stored
+    transposed: u1 and u2 each (3, H), one contiguous row per direction."""
+    u1, u2 = (np.ascontiguousarray(u.T) for u in _frames(canonical_half_modes(cutoff)))
     u1.setflags(write=False)
     u2.setflags(write=False)
     return u1, u2
+
+
+@lru_cache(maxsize=None)
+def _coulomb_denominators(cutoff: int) -> np.ndarray:
+    """sqrt(32 pi^2 |n|^2) of every canonical half mode, (H,): the Coulomb
+    standard deviation at coupling g is g over it."""
+    radius_sq = np.sum(canonical_half_modes(cutoff).astype(float) ** 2, axis=1)
+    out = np.sqrt(32.0 * np.pi**2 * radius_sq)
+    out.setflags(write=False)
+    return out
+
+
+def _mirror_filled(upper: np.ndarray, cutoff: int) -> np.ndarray:
+    """Coefficients (..., K, K, K) whose canonical half modes carry upper
+    (..., H): the zero mode is 0 and each reflected mode -n the conjugate
+    of n, written as slices of the flattened cube."""
+    k = 2 * cutoff + 1
+    h = upper.shape[-1]
+    flat = np.empty(upper.shape[:-1] + (k**3,), dtype=complex)
+    flat[..., h + 1:] = upper
+    flat[..., h] = 0.0
+    np.conjugate(flat[..., :h:-1], out=flat[..., :h])
+    return flat.reshape(upper.shape[:-1] + (k, k, k))
 
 
 def sample_gff(config: SamplerConfig) -> SpectralConnection:
@@ -128,13 +158,7 @@ def sample_gff(config: SamplerConfig) -> SpectralConnection:
     zc = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)  # E|Z|^2 = 1
     radius = np.linalg.norm(n_mod, axis=1)
     zc /= radius[:, None, None]
-    k = 2 * config.cutoff + 1
-    coeffs = np.zeros((d, 3, k, k, k), dtype=complex)
-    ix, iy, iz = (n_mod + config.cutoff).T
-    coeffs[:, :, ix, iy, iz] = np.moveaxis(zc, 0, -1)
-    coeffs[:, :, k - 1 - ix, k - 1 - iy, k - 1 - iz] = np.conj(
-        np.moveaxis(zc, 0, -1)
-    )
+    coeffs = _mirror_filled(np.moveaxis(zc, 0, -1), config.cutoff)
     return SpectralConnection(config.group, config.cutoff, coeffs)
 
 
@@ -153,16 +177,11 @@ def sample_u1_coulomb(config: SamplerConfig) -> SpectralConnection:
     n_mod = canonical_half_modes(config.cutoff)
     u1v, u2v = _frames_for(config.cutoff)
     z = mode_gaussians(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
-    radius_sq = np.sum(n_mod.astype(float) ** 2, axis=1)
-    sigma = config.coupling / np.sqrt(32.0 * np.pi**2 * radius_sq)
+    sigma = config.coupling / _coulomb_denominators(config.cutoff)
     z = z * sigma[:, None]
     z1 = z[:, 0] + 1j * z[:, 1]
     z2 = z[:, 2] + 1j * z[:, 3]
-    zn = z1[:, None] * u1v + z2[:, None] * u2v      # (H, 3), the i R part
+    zn = z1 * u1v + z2 * u2v                         # (3, H), the i R part
     stored = -1j * zn                                # component convention
-    k = 2 * config.cutoff + 1
-    coeffs = np.zeros((1, 3, k, k, k), dtype=complex)
-    ix, iy, iz = (n_mod + config.cutoff).T
-    coeffs[0, :, ix, iy, iz] = stored
-    coeffs[0, :, k - 1 - ix, k - 1 - iy, k - 1 - iz] = np.conj(stored)
-    return SpectralConnection(config.group, config.cutoff, coeffs)
+    coeffs = _mirror_filled(stored, config.cutoff)
+    return SpectralConnection(config.group, config.cutoff, coeffs[None])

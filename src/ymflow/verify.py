@@ -138,7 +138,7 @@ def _suite_determinism():
 
     def run_bytes(threads):
         buf = io.StringIO()
-        recs = run_ensemble(spec, threads=threads)
+        recs, _ = run_ensemble(spec, threads=threads)
         for rec in recs:
             buf.write(repr(sorted(rec.wilson.items())))
             buf.write(repr(sorted(rec.s_ym.items())))

@@ -268,7 +268,8 @@ _LOOP_TABLE_CACHE: dict = {}
 
 
 def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
-    """c_n = integral_0^1 e^(i 2 pi n.l(s)) l'(s) ds, shape (K, K, K, 3).
+    """c_n = integral_0^1 e^(i 2 pi n.l(s)) l'(s) ds, shape (3, K, K, K),
+    direction first like the coefficient arrays of a connection.
 
     For a straight segment p -> q the integral is
         (q - p) e^(i 2 pi n.p) (e^(i 2 pi n.(q-p)) - 1) / (i 2 pi n.(q-p)),
@@ -283,7 +284,7 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
     n1, n2, n3 = mode_grids(cutoff)
     nmat = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=1).astype(float)
     k = 2 * cutoff + 1
-    out = np.zeros((nmat.shape[0], 3), dtype=complex)
+    out = np.zeros((3, nmat.shape[0]), dtype=complex)
     for p, q in zip(loop.vertices[:-1], loop.vertices[1:]):
         delta = q - p
         n_dot_p = nmat @ p
@@ -293,8 +294,8 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
         safe = np.where(parallel, 1.0, n_dot_d)
         ramp = (np.exp(1j * TWO_PI * n_dot_d) - 1.0) / (1j * TWO_PI * safe)
         ramp = np.where(parallel, 1.0, ramp)
-        out += (head * ramp)[:, None] * delta[None, :]
-    table = out.reshape(k, k, k, 3)
+        out += (head * ramp)[None, :] * delta[:, None]
+    table = out.reshape(3, k, k, k)
     table.setflags(write=False)
     if len(_LOOP_TABLE_CACHE) > 256:
         _LOOP_TABLE_CACHE.clear()
@@ -463,7 +464,7 @@ def u1_wilson_exact(a: SpectralConnection, loop: Loop, character: Character,
     return character.u1_value(h_series(a, loop, t))
 
 
-def h_series(a: SpectralConnection, loop: Loop, t):
+def h_series(a: SpectralConnection, loop: Loop, t, amplitudes=None):
     """Phase of the regularized U(1) holonomy: the imaginary part of the
     mode sum sum_n e^(-4 pi^2 |n|^2 t) Z_n . c_n (Z = i times the stored
     coefficients); the real part cancels in exact arithmetic and is
@@ -473,14 +474,15 @@ def h_series(a: SpectralConnection, loop: Loop, t):
     sequence of times an array of phases.  The per-mode product Z_n . c_n
     is formed once and contracted with one row of the shared heat-weight
     table per time, so every time and every character of one (field,
-    loop) costs a single call.
+    loop) costs a single call.  A caller reading several loops off one
+    field passes ``amplitudes`` = u1_amplitudes(a), formed once.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D sequence of times")
-    z = u1_amplitudes(a)                                 # (3, K, K, K)
-    table = loop_fourier_coefficients(loop, a.cutoff)    # (K, K, K, 3)
-    per_mode = z[0] * table[..., 0] + z[1] * table[..., 1] + z[2] * table[..., 2]
+    z = u1_amplitudes(a) if amplitudes is None else amplitudes   # (3, K, K, K)
+    table = loop_fourier_coefficients(loop, a.cutoff)    # (3, K, K, K)
+    per_mode = z[0] * table[0] + z[1] * table[1] + z[2] * table[2]
     weights = heat_weights(a.cutoff, times)
     # (T, K^3) @ (K^3, 2): real and imaginary part of each time's sum
     sums = weights.reshape(len(weights), -1) @ per_mode.reshape(-1, 1).view(float)

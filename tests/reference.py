@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: loop rewrites, algebra
-projection and the free-field two-point diagnostic.
+projection, the free-field two-point diagnostic and the samplers as first
+written (zero-filled cubes and three-index scatters).
 
 None of them is on a pipeline path, so they live here rather than in the
 package; each is checked against the package code it shadows.
@@ -9,8 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ymflow.fields import mode_grids
+from ymflow.fields import SpectralConnection, mode_grids
+from ymflow.gff import _frames, canonical_half_modes
 from ymflow.groups import GroupSpec
+from ymflow.rng import TAG_COMPONENT, mode_gaussians
 from ymflow.wilson import FieldEvaluator, Loop, make_loop
 
 
@@ -152,3 +155,44 @@ def covariance_diagnostic(samples, pairs, kind: str = "gff",
     pred = np.asarray(pred)
     sigma_dev = np.abs(emp - pred) / np.where(se > 0, se, 1e-300)
     return CovarianceReport(list(pairs), pred, emp, se, float(sigma_dev.max()))
+
+
+# ---------------------------------------------------------------------------
+# samplers as first written: a zero-filled cube, each drawn mode and its
+# reflection scattered in with three index arrays
+
+
+def _dense_fill(values: np.ndarray, n_mod: np.ndarray, cutoff: int) -> np.ndarray:
+    """values (..., H) on the half modes n_mod, conjugates on -n_mod,
+    zeros elsewhere: (..., K, K, K)."""
+    k = 2 * cutoff + 1
+    coeffs = np.zeros(values.shape[:-1] + (k, k, k), dtype=complex)
+    ix, iy, iz = (n_mod + cutoff).T
+    coeffs[..., ix, iy, iz] = values
+    coeffs[..., k - 1 - ix, k - 1 - iy, k - 1 - iz] = np.conj(values)
+    return coeffs
+
+
+def sample_gff_dense(config) -> SpectralConnection:
+    d = config.group.algebra_dim
+    n_mod = canonical_half_modes(config.cutoff)
+    z = mode_gaussians(config.seed, config.stream, n_mod, 6 * d, TAG_COMPONENT)
+    z = z.reshape(len(n_mod), d, 3, 2)
+    zc = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    zc /= np.linalg.norm(n_mod, axis=1)[:, None, None]
+    coeffs = _dense_fill(np.moveaxis(zc, 0, -1), n_mod, config.cutoff)
+    return SpectralConnection(config.group, config.cutoff, coeffs)
+
+
+def sample_u1_coulomb_dense(config) -> SpectralConnection:
+    n_mod = canonical_half_modes(config.cutoff)
+    u1v, u2v = _frames(n_mod)
+    z = mode_gaussians(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
+    radius_sq = np.sum(n_mod.astype(float) ** 2, axis=1)
+    sigma = config.coupling / np.sqrt(32.0 * np.pi**2 * radius_sq)
+    z = z * sigma[:, None]
+    z1 = z[:, 0] + 1j * z[:, 1]
+    z2 = z[:, 2] + 1j * z[:, 3]
+    stored = -1j * (z1[:, None] * u1v + z2[:, None] * u2v)      # (H, 3)
+    coeffs = _dense_fill(stored.T, n_mod, config.cutoff)
+    return SpectralConnection(config.group, config.cutoff, coeffs[None])

@@ -144,7 +144,7 @@ def test_criterion_3_tightness_statistic():
         flow=FlowConfig("u1_exact"),
         coupling=1.0,
     )
-    records = run_ensemble(spec, threads=4)
+    records, _ = run_ensemble(spec, threads=4)
     rows = tightness_report(records, min_samples=100)
     assert len(rows) == 3
     limit = closed_form_sym_limit(t_obs)
@@ -177,9 +177,8 @@ def test_criterion_4_pathwise_convergence():
         loops=(FIVE_LOOPS[0], FIVE_LOOPS[2]),
         characters=(THREE_CHARS[0], THREE_CHARS[2]),
     )
-    records = run_ensemble(spec, threads=4)
-    rows, frac = distribution_convergence_report(records, spec,
-                                                 reference_cutoff=16)
+    records, reference = run_ensemble(spec, threads=4, reference_cutoff=16)
+    rows, frac = distribution_convergence_report(records, spec, reference)
     assert frac >= 0.90
     elapsed = time.perf_counter() - start
     assert elapsed <= 180.0

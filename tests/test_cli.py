@@ -143,6 +143,63 @@ def test_flow_blowup_exit_code_and_manifest(workspace, capsys):
     assert manifest["failure"] == "threshold"
 
 
+ENSEMBLE_BLOWUP_CFG = """
+[sampler]
+kind = gff
+group = su2
+cutoff = 1
+seed = 3
+
+[flow]
+kind = ym
+dt_initial = 1e-3
+blowup_threshold = 0.5
+
+[ensemble]
+cutoffs = 1 2
+n_samples = 3
+times = 0.002
+"""
+
+
+def test_ensemble_blowup_exit_code_and_manifest(tmp_path, monkeypatch, capsys):
+    # members that blow up are recorded and reported: exit 2, with the
+    # records, the tightness table and the manifest written
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    cfg = write(tmp_path / "blow.cfg", ENSEMBLE_BLOWUP_CFG)
+    out = tmp_path / "out"
+    rc = main(["ensemble", "--config", cfg, "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "6 of 6 members blew up" in err
+    manifest = read_manifest(out / "ensemble.json")
+    assert manifest["blowups"] == 6 and manifest["n_records"] == 6
+    assert (out / "records.jsonl").exists() and (out / "records.csv").exists()
+    lines = (out / "tightness.txt").read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        cutoff, t, n_used, n_excluded, mean, se = line.split()[:6]
+        assert (n_used, n_excluded) == ("0", "3")
+        assert mean == "-" and se == "-"
+
+
+def test_ensemble_blowup_skips_convergence_report(workspace, capsys):
+    # the convergence report compares every member with the reference, so
+    # a run with blown-up members writes none and exits 2
+    tmp, cfg = workspace
+    blow = write(tmp / "blow.cfg", (tmp / "run.cfg").read_text()
+                 .replace("n_samples = 120", "n_samples = 3")
+                 .replace("checkpoints = 0.01 0.05",
+                          "checkpoints = 0.01 0.05\nblowup_threshold = 1e-6"))
+    rc = main(["ensemble", "--config", blow, "--output", str(tmp / "blown")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "no convergence report" in err
+    assert not (tmp / "blown" / "convergence.json").exists()
+    assert read_manifest(tmp / "blown" / "ensemble.json")["blowups"] == 6
+    assert (tmp / "blown" / "tightness.txt").exists()
+
+
 def test_wilson_csv_exact_column_and_reparametrization(workspace, capsys):
     tmp, cfg = workspace
     main(["sample", "--config", cfg])
@@ -203,6 +260,25 @@ def test_ensemble_thread_count_invariance(workspace, capsys):
     conv = json.loads((tmp / "e1" / "convergence.json").read_text())
     assert conv["reference_cutoff"] == 8
     assert read_manifest(tmp / "e3" / "ensemble.json")["threads"] == 3
+
+
+def test_u1_exact_ensemble_bytes_independent_of_threads(workspace, capsys):
+    # one task per stream, the reference computed inside it: every output
+    # file is the same at one and two worker processes
+    tmp, cfg = workspace
+    text = (tmp / "run.cfg").read_text()
+    assert "kind = zdds" in text
+    exact = write(tmp / "exact.cfg", text.replace("kind = zdds", "kind = u1_exact")
+                  .replace("n_samples = 120", "n_samples = 12"))
+    for threads in ("1", "2"):
+        assert main(["ensemble", "--config", exact, "--threads", threads,
+                     "--output", str(tmp / f"x{threads}")]) == 0
+    capsys.readouterr()
+    for name in ("records.jsonl", "records.csv", "tightness.txt",
+                 "convergence.json"):
+        assert (tmp / "x1" / name).read_bytes() == (tmp / "x2" / name).read_bytes()
+    conv = json.loads((tmp / "x1" / "convergence.json").read_text())
+    assert conv["reference_cutoff"] == 8 and conv["rows"]
 
 
 def test_ensemble_refuses_reference_cutoff_with_scaling(workspace, capsys):

@@ -53,7 +53,7 @@ def test_spec_validation():
 
 def test_record_count_and_bookkeeping():
     spec = u1_spec(n_samples=3, cutoffs=(2, 4, 8))
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     assert len(recs) == 3 * 3
     assert all(r.config_hash == spec.config_hash() for r in recs)
     keys = [(r.stream, r.cutoff) for r in recs]
@@ -62,7 +62,7 @@ def test_record_count_and_bookkeeping():
 
 def test_zero_coupling_limit_wilson_values():
     spec = u1_spec(n_samples=2, cutoffs=(2,), g=1e-8)
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     for rec in recs:
         for value in rec.wilson.values():
             assert abs(value - 1.0) < 1e-6   # chi(id) = 1 for u1 powers
@@ -71,7 +71,7 @@ def test_zero_coupling_limit_wilson_values():
 def test_per_seed_cutoff_sequence_cauchy():
     # successive gaps |W_{2M} - W_M| shrink for the coupled draws
     spec = u1_spec(n_samples=6, cutoffs=(2, 4, 8), times=(0.005,))
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     by = {(r.stream, r.cutoff): r for r in recs}
     key = (PLAQ.name, "u1:1", 0.005)
     for s in range(6):
@@ -85,8 +85,8 @@ def test_threads_do_not_change_records(tmp_path):
     spec = u1_spec(n_samples=4)
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
-    persist_records(run_ensemble(spec, threads=1), a)
-    persist_records(run_ensemble(spec, threads=3), b)
+    persist_records(run_ensemble(spec, threads=1)[0], a)
+    persist_records(run_ensemble(spec, threads=3)[0], b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -107,7 +107,7 @@ def test_su2_ym_records_identical_in_worker_processes(tmp_path):
     paths = []
     for threads in (1, 2):
         paths.append(tmp_path / f"records-{threads}.jsonl")
-        persist_records(run_ensemble(spec, threads=threads), paths[-1])
+        persist_records(run_ensemble(spec, threads=threads)[0], paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -123,10 +123,10 @@ def test_member_exception_reaches_caller_with_its_type(monkeypatch):
 
     h_series = ensemble_mod.h_series
 
-    def failing(a, loop, times):
+    def failing(a, loop, times, **kwargs):
         if a.cutoff == 4:
             raise MemberFailure(f"raised in process {os.getpid()}")
-        return h_series(a, loop, times)
+        return h_series(a, loop, times, **kwargs)
 
     monkeypatch.setattr(ensemble_mod, "h_series", failing)
     with pytest.raises(MemberFailure) as info:
@@ -149,9 +149,9 @@ def test_worker_pool_capped_at_member_count(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", recording_pool)
     spec = u1_spec(n_samples=2, cutoffs=(2,))
-    assert len(run_ensemble(spec, threads=8)) == 2
+    assert len(run_ensemble(spec, threads=8)[0]) == 2
     assert requested == [2]
-    assert len(run_ensemble(replace(spec, n_samples=3), threads=1)) == 3
+    assert len(run_ensemble(replace(spec, n_samples=3), threads=1)[0]) == 3
     assert requested == [2]
 
 
@@ -159,14 +159,14 @@ def test_reproducibility_byte_identical(tmp_path):
     spec = u1_spec(n_samples=4)
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
-    persist_records(run_ensemble(spec), a)
-    persist_records(run_ensemble(spec), b)
+    persist_records(run_ensemble(spec)[0], a)
+    persist_records(run_ensemble(spec)[0], b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_persist_load_round_trip(tmp_path):
     spec = u1_spec(n_samples=3)
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     path = tmp_path / "records.jsonl"
     persist_records(recs, path)
     back = load_records(path)
@@ -184,7 +184,7 @@ def test_persist_load_round_trip(tmp_path):
 def test_load_reports_corrupt_line(tmp_path):
     spec = u1_spec(n_samples=2, cutoffs=(2,))
     path = tmp_path / "records.jsonl"
-    persist_records(run_ensemble(spec), path)
+    persist_records(run_ensemble(spec)[0], path)
     lines = path.read_text().splitlines()
     lines[2] = lines[2][: len(lines[2]) // 2]
     path.write_text("\n".join(lines) + "\n")
@@ -195,7 +195,7 @@ def test_load_reports_corrupt_line(tmp_path):
 def test_load_refuses_hash_mismatch(tmp_path):
     spec = u1_spec(n_samples=2, cutoffs=(2,))
     path = tmp_path / "records.jsonl"
-    persist_records(run_ensemble(spec), path)
+    persist_records(run_ensemble(spec)[0], path)
     with pytest.raises(RecordError, match="hash"):
         load_records(path, expect_hash="deadbeef")
     # records of a run with other numerics are refused too
@@ -208,7 +208,7 @@ def test_load_refuses_hash_mismatch(tmp_path):
 
 def test_export_csv_mirrors_fields(tmp_path):
     spec = u1_spec(n_samples=2, cutoffs=(2,))
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     path = tmp_path / "records.csv"
     export_csv(recs, path)
     header = path.read_text().splitlines()[0]
@@ -221,7 +221,7 @@ def test_export_csv_mirrors_fields(tmp_path):
 
 def test_tightness_report_values_and_flags():
     spec = u1_spec(n_samples=150, cutoffs=(2, 4), times=(0.05,), loops=())
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     rows = tightness_report(recs, min_samples=100)
     assert len(rows) == 2
     for row in rows:
@@ -244,6 +244,11 @@ def test_tightness_report_excludes_blowups():
     rows = tightness_report([rec_ok, rec_bad] * 60, min_samples=10)
     assert rows[0].n_used == 60
     assert rows[0].n_excluded == 60
+    # below 2 usable samples a row has no mean or standard error
+    for recs in ([rec_ok, rec_bad, rec_bad], [rec_bad]):
+        (row,) = tightness_report(recs, min_samples=0)
+        assert row.mean is None and row.standard_error is None
+        assert not row.flagged
 
 
 def test_closed_form_limit_converges():
@@ -273,12 +278,15 @@ def test_u1_reports_build_no_mode_grid_above_run_cutoffs():
     # the closed forms need no mode grid: the reports only touch the
     # cutoffs the run itself uses
     spec = u1_spec(n_samples=100, cutoffs=(2, 4), times=(0.005, 0.02), loops=(PLAQ,))
-    recs = run_ensemble(spec)
+    recs, reference = run_ensemble(spec, reference_cutoff=8)
     mode_grids.cache_clear()
     mode_norm_sq.cache_clear()
     rows = tightness_report(recs, min_samples=100)
     assert all(r.all_mode_limit is not None for r in rows)
-    distribution_convergence_report(recs, spec, reference_cutoff=8)
+    distribution_convergence_report(recs, spec, reference)
+    # the reports read the records and the reference values only
+    assert mode_grids.cache_info().currsize == 0
+    assert mode_norm_sq.cache_info().currsize == 0
     used = (2, 4, 8)
     for cutoff in used:
         mode_grids(cutoff)
@@ -289,8 +297,8 @@ def test_u1_reports_build_no_mode_grid_above_run_cutoffs():
 
 def test_distribution_convergence_report():
     spec = u1_spec(n_samples=40, cutoffs=(2, 4, 8), times=(0.005,))
-    recs = run_ensemble(spec)
-    rows, frac = distribution_convergence_report(recs, spec, reference_cutoff=16)
+    recs, reference = run_ensemble(spec, reference_cutoff=16)
+    rows, frac = distribution_convergence_report(recs, spec, reference)
     assert frac >= 0.9
     by_cut = {}
     for r in rows:
@@ -304,32 +312,114 @@ def test_distribution_convergence_report():
         gff_spec = EnsembleSpec(group=SU2, sampler_kind="gff", seed=1,
                                 cutoffs=(2,), times=(0.1,), n_samples=4,
                                 flow=FlowConfig("zdds"))
-        distribution_convergence_report(recs, gff_spec, 16)
+        run_ensemble(gff_spec, reference_cutoff=16)
+    with pytest.raises(ValueError, match="reference"):
+        distribution_convergence_report(recs, spec, None)
 
 
 def test_convergence_report_refuses_rescaled_members():
     # members rescaled to an H^1 norm at their own cutoff share no law
-    # with an unscaled reference draw
+    # with an unscaled reference draw, so the run refuses to draw one
     spec = replace(u1_spec(n_samples=4, cutoffs=(2,), times=(0.005,)),
                    scale_to_h1=0.5)
-    recs = run_ensemble(spec)
     with pytest.raises(ValueError, match="scale"):
-        distribution_convergence_report(recs, spec, reference_cutoff=8)
+        run_ensemble(spec, reference_cutoff=8)
 
 
 def test_convergence_report_refuses_reference_at_or_below_largest_cutoff():
     # a reference no finer than the members reads the largest cutoff as
-    # converged to itself
+    # converged to itself, so the run refuses to draw one
     spec = u1_spec(n_samples=4, cutoffs=(2, 4), times=(0.005,))
-    recs = run_ensemble(spec)
     for reference_cutoff in (2, 4):
         with pytest.raises(ValueError, match="reference cutoff"):
-            distribution_convergence_report(recs, spec, reference_cutoff)
+            run_ensemble(spec, reference_cutoff=reference_cutoff)
+
+
+def test_u1_exact_draws_once_per_stream(monkeypatch):
+    # one draw per stream, at the reference cutoff or else at the largest
+    # member cutoff, serves every member of the stream
+    import ymflow.ensemble as ens
+    draws = []
+    real = ens.sample_u1_coulomb
+
+    def counting(cfg):
+        draws.append((cfg.stream, cfg.cutoff))
+        return real(cfg)
+
+    monkeypatch.setattr(ens, "sample_u1_coulomb", counting)
+    spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005,))
+    recs, reference = run_ensemble(spec)
+    assert len(recs) == 12 and reference is None
+    assert sorted(draws) == [(s, 8) for s in range(4)]
+    draws.clear()
+    recs, reference = run_ensemble(spec, reference_cutoff=12)
+    assert len(recs) == 12 and sorted(reference) == list(range(4))
+    assert sorted(draws) == [(s, 12) for s in range(4)]
+
+
+def test_flowed_members_draw_once_each_and_largest_carries_reference(monkeypatch):
+    import ymflow.ensemble as ens
+    draws = []
+    real = ens.sample_u1_coulomb
+
+    def counting(cfg):
+        draws.append((cfg.stream, cfg.cutoff))
+        return real(cfg)
+
+    exact = u1_spec(n_samples=2, cutoffs=(1, 2), times=(0.005,))
+    flowed = replace(exact, flow=FlowConfig("ym", dt_initial=2.5e-3))
+    _, want = run_ensemble(exact, reference_cutoff=4)
+    monkeypatch.setattr(ens, "sample_u1_coulomb", counting)
+    recs, reference = run_ensemble(flowed, reference_cutoff=4)
+    assert len(recs) == 4
+    assert sorted(draws) == [(0, 1), (0, 4), (1, 1), (1, 4)]
+    assert reference == want
+
+
+@pytest.mark.parametrize("scale_to_h1, reference_cutoff", [(None, 12), (0.5, None)])
+def test_members_from_one_draw_equal_direct_draws(scale_to_h1, reference_cutoff):
+    # restricting the stream's draw gives each member's direct draw bit
+    # for bit, and the closed-form actions are those of integrate's
+    # u1_exact branch
+    import ymflow.ensemble as ens
+    spec = replace(u1_spec(n_samples=3, cutoffs=(2, 4, 8), times=(0.02, 0.005)),
+                   scale_to_h1=scale_to_h1)
+    recs, reference = run_ensemble(spec, reference_cutoff=reference_cutoff)
+    config_hash = spec.config_hash()
+    for rec in recs:
+        a0 = sample_initial(U1, "u1_coulomb", rec.cutoff, spec.seed, rec.stream,
+                            spec.coupling, scale_to_h1)
+        assert rec == ens._member_record(spec, rec.stream, a0, config_hash)
+        traj = integrate(a0, spec.flow, spec.times)
+        assert rec.s_ym == traj.actions
+        assert rec.attained_time == traj.attained_time == 0.02
+    for stream, values in (reference or {}).items():
+        a_ref = sample_initial(U1, "u1_coulomb", reference_cutoff, spec.seed,
+                               stream, spec.coupling)
+        assert values == ens._exact_wilson(a_ref, spec.loops, spec.characters,
+                                           spec.times)
+
+
+def test_convergence_report_draws_nothing(monkeypatch):
+    import ymflow.ensemble as ens
+    import ymflow.gff as gff
+    spec = u1_spec(n_samples=6, cutoffs=(2, 4), times=(0.005, 0.02))
+    recs, reference = run_ensemble(spec, reference_cutoff=8)
+    want = distribution_convergence_report(recs, spec, reference)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the report drew a field")
+
+    for mod in (ens, gff):
+        for name in ("sample_u1_coulomb", "sample_gff"):
+            monkeypatch.setattr(mod, name, no_draw)
+    monkeypatch.setattr(gff, "mode_gaussians", no_draw)
+    assert distribution_convergence_report(recs, spec, reference) == want
 
 
 def test_g_to_zero_distribution_collapses():
     spec = u1_spec(n_samples=30, cutoffs=(2,), times=(0.01,), g=1e-7)
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     vals = np.array([rec.wilson[(PLAQ.name, "u1:1", 0.01)] for rec in recs])
     assert np.max(np.abs(vals - 1.0)) < 1e-5
 
@@ -339,7 +429,7 @@ def test_tightness_means_tail_gap_between_cutoffs():
     # sum over M < |n|_inf <= 2M; assert it within 4 SE of that tail
     t_obs = 0.02
     spec = u1_spec(n_samples=200, cutoffs=(2, 4), times=(t_obs,), loops=())
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     by = {}
     for r in recs:
         by.setdefault(r.cutoff, {})[r.stream] = r.s_ym[t_obs]
@@ -358,7 +448,7 @@ def test_ensemble_records_blowups_not_fatal():
         group=SU2, sampler_kind="gff", seed=13, cutoffs=(2,), times=(0.02,),
         n_samples=4, flow=flow,
     )
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     assert len(recs) == 4
     assert all(r.blew_up for r in recs)
     assert all(r.s_ym[0.02] is None for r in recs)
@@ -398,7 +488,7 @@ def test_member_flow_keeps_max_steps(monkeypatch):
     flow = FlowConfig("ym", dt_initial=1e-3)
     spec = EnsembleSpec(group=SU2, sampler_kind="gff", seed=5, cutoffs=(1,),
                         times=(0.003,), n_samples=2, flow=flow, scale_to_h1=0.3)
-    for rec in run_ensemble(spec):
+    for rec in run_ensemble(spec)[0]:
         assert rec.blew_up
         assert rec.attained_time < 0.003
         assert rec.s_ym[0.003] is None
@@ -417,7 +507,7 @@ def test_member_flow_ends_at_last_observation_time():
     # a member flows to its last observation time and reads its state
     # there, the same bits as a flow run to that time on its own
     spec = su2_ym_spec((0.02,))
-    for rec in run_ensemble(spec):
+    for rec in run_ensemble(spec)[0]:
         assert rec.attained_time == 0.02
         assert not rec.blew_up
         assert rec.s_ym[0.02] is not None and len(rec.wilson) == 1
@@ -428,13 +518,13 @@ def test_member_flow_ends_at_last_observation_time():
 
 def test_u1_exact_member_horizon_is_last_observation_time():
     spec = u1_spec(n_samples=2, cutoffs=(2,), times=(0.05, 0.02))
-    for rec in run_ensemble(spec):
+    for rec in run_ensemble(spec)[0]:
         assert rec.attained_time == 0.05
         assert all(rec.s_ym[t] is not None for t in spec.times)
 
 
 def test_ym_member_observed_at_two_times_runs():
-    for rec in run_ensemble(su2_ym_spec((0.004, 0.008))):
+    for rec in run_ensemble(su2_ym_spec((0.004, 0.008)))[0]:
         assert not rec.blew_up
         assert rec.attained_time == 0.008
         assert all(rec.s_ym[t] is not None for t in (0.004, 0.008))
@@ -443,7 +533,7 @@ def test_ym_member_observed_at_two_times_runs():
 
 def test_u1_exact_member_values_match_scalar_formula():
     spec = u1_spec(n_samples=2, cutoffs=(2, 4), times=(0.005, 0.02))
-    for rec in run_ensemble(spec):
+    for rec in run_ensemble(spec)[0]:
         a0 = sample_initial(U1, "u1_coulomb", rec.cutoff, spec.seed, rec.stream,
                             spec.coupling)
         assert len(rec.wilson) == len(spec.loops) * len(CHARS) * len(spec.times)
@@ -456,21 +546,39 @@ def test_u1_exact_member_values_match_scalar_formula():
 
 def test_h_series_called_once_per_member_and_loop(monkeypatch):
     import ymflow.ensemble as ens
+    import ymflow.wilson as wil
     calls = []
+    amplitudes = []
     real = ens.h_series
+    real_amplitudes = ens.u1_amplitudes
 
-    def counting(a, loop, t):
+    def counting(a, loop, t, **kwargs):
         calls.append((a.cutoff, loop.name))
-        return real(a, loop, t)
+        return real(a, loop, t, **kwargs)
+
+    def counting_amplitudes(a):
+        amplitudes.append(a.cutoff)
+        return real_amplitudes(a)
 
     monkeypatch.setattr(ens, "h_series", counting)
+    monkeypatch.setattr(ens, "u1_amplitudes", counting_amplitudes)
+    monkeypatch.setattr(wil, "u1_amplitudes", counting_amplitudes)
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.01, 0.02))
-    recs = run_ensemble(spec)
+    run_ensemble(spec)
     assert len(calls) == 3 * 2 * len(spec.loops)      # streams x cutoffs x loops
     assert len(set(calls)) == 2 * len(spec.loops)
+    # the loops of one field share its amplitudes
+    assert sorted(amplitudes) == [2, 2, 2, 4, 4, 4]
     calls.clear()
-    distribution_convergence_report(recs, spec, reference_cutoff=8)
-    assert sorted(calls) == sorted((8, lp.name) for lp in spec.loops for _ in range(3))
+    amplitudes.clear()
+    # the reference adds one call per stream and loop at its cutoff
+    recs, reference = run_ensemble(spec, reference_cutoff=8)
+    assert sorted(calls) == sorted((c, lp.name) for c in (2, 4, 8)
+                                   for lp in spec.loops for _ in range(3))
+    assert sorted(amplitudes) == [2, 2, 2, 4, 4, 4, 8, 8, 8]
+    calls.clear()
+    distribution_convergence_report(recs, spec, reference)
+    assert calls == []
 
 
 def test_numerical_wilson_path_one_holonomy_per_member_loop_and_time(monkeypatch):
@@ -488,7 +596,7 @@ def test_numerical_wilson_path_one_holonomy_per_member_loop_and_time(monkeypatch
     times = (0.005, 0.01)
     spec = replace(u1_spec(n_samples=2, cutoffs=(2,), times=times),
                    flow=FlowConfig("ym", dt_initial=2.5e-3))
-    recs = run_ensemble(spec)
+    recs, _ = run_ensemble(spec)
     assert len(calls) == 2 * len(spec.loops) * len(times)
     monkeypatch.setattr(wil, "holonomy", real)
     rec = recs[0]
@@ -531,7 +639,7 @@ def test_ks_distance_reads_rounding_as_ties():
 @pytest.mark.parametrize("writer", [persist_records, export_csv])
 def test_failed_record_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     import ymflow.ensemble as ens
-    recs = run_ensemble(u1_spec(n_samples=2, cutoffs=(2,)))
+    recs, _ = run_ensemble(u1_spec(n_samples=2, cutoffs=(2,)))
     path = tmp_path / "records.out"
     writer(recs, path)
     before = path.read_bytes()

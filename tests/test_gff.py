@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import covariance_diagnostic
+from reference import covariance_diagnostic, sample_gff_dense, sample_u1_coulomb_dense
 from ymflow.fields import _spectral_to_values, d_star_1form, reality_defect
 from ymflow.gff import (
     SamplerConfig,
@@ -81,15 +81,39 @@ def test_frames_for_equals_per_mode_loop_bitwise():
         got = _frames_for(cutoff)
         want = _frames_by_loop(cutoff)
         for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes(), cutoff
-            assert not g.flags.writeable
+            # stored transposed, (3, H)
+            assert g.T.tobytes() == w.tobytes(), cutoff
+            assert g.flags.c_contiguous and not g.flags.writeable
     modes = canonical_half_modes(3)
     u1v, u2v = _frames_for(3)
     for i in (0, 7, len(modes) - 1):
         for n in (modes[i], -modes[i]):
             a1, a2 = transverse_frame(n)
-            assert a1.tobytes() == u1v[i].tobytes()
-            assert a2.tobytes() == u2v[i].tobytes()
+            assert a1.tobytes() == u1v[:, i].tobytes()
+            assert a2.tobytes() == u2v[:, i].tobytes()
+
+
+@pytest.mark.parametrize("coupling", [1.0, 0.7])
+def test_coulomb_sampler_matches_dense_scatter_bitwise(coupling):
+    # the slice-filled cube against the zero-filled, index-scattered one,
+    # byte for byte (signed zeros included)
+    for cutoff in range(1, 17):
+        for stream in (0, 5):
+            cfg = SamplerConfig(U1, cutoff, seed=29, stream=stream, coupling=coupling)
+            got = sample_u1_coulomb(cfg).coeffs
+            want = sample_u1_coulomb_dense(cfg).coeffs
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (cutoff, stream)
+
+
+def test_gff_sampler_matches_dense_scatter_bitwise():
+    for group in (U1, SU2):
+        for cutoff in range(1, 9):
+            cfg = SamplerConfig(group, cutoff, seed=30, stream=2)
+            got = sample_gff(cfg).coeffs
+            want = sample_gff_dense(cfg).coeffs
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (group, cutoff)
 
 
 def test_gff_zero_mode_and_reality():
