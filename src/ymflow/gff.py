@@ -63,37 +63,27 @@ class SamplerConfig:
 @lru_cache(maxsize=None)
 def canonical_half_modes(cutoff: int) -> np.ndarray:
     """All n with 0 < |n|_inf <= cutoff whose first nonzero coordinate is
-    positive, in lexicographic order; int array (H, 3)."""
-    axis = np.arange(-cutoff, cutoff + 1)
-    n1, n2, n3 = np.meshgrid(axis, axis, axis, indexing="ij")
-    modes = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=1)
-    first_nonzero_positive = np.zeros(len(modes), dtype=bool)
-    undecided = np.ones(len(modes), dtype=bool)
-    for k in range(3):
-        col = modes[:, k]
-        first_nonzero_positive |= undecided & (col > 0)
-        undecided &= col == 0
-    half = modes[first_nonzero_positive]
-    order = np.lexsort((half[:, 2], half[:, 1], half[:, 0]))
-    out = half[order]
+    positive, in lexicographic order; int array (H, 3).  These are the
+    modes at the flat C-order indices above the cube's centre, so the
+    table is the upper half of the index grid, stored direction-major
+    (each component one contiguous column)."""
+    k = 2 * cutoff + 1
+    grid = np.indices((k, k, k)).reshape(3, -1)
+    out = (grid[:, (k**3 + 1) // 2:] - cutoff).T
     out.setflags(write=False)
     return out
 
 
-_E1 = np.array([1, 0, 0], dtype=np.int64)
-_E2 = np.array([0, 1, 0], dtype=np.int64)
-
-
 def _frames(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frames (u1, u2), each (H, 3), of canonical integer rows h (H, 3):
-    v = h x e1, or h x e2 where that vanishes, and w = h x v, normalized."""
-    v = np.cross(h, _E1)
-    parallel = ~v.any(axis=1)
-    v[parallel] = np.cross(h[parallel], _E2)
-    w = np.cross(h, v)
-    u1 = v / np.linalg.norm(v, axis=1, keepdims=True)
-    u2 = w / np.linalg.norm(w, axis=1, keepdims=True)
-    return u1, u2
+    """Frames (u1, u2), each (3, H), of canonical integer rows h (H, 3):
+    v = h x e1 = (0, h3, -h2), or h x e2 = (0, 0, h1) where that vanishes,
+    and w = h x v, normalized.  The components are integers up to the
+    normalization, so the squared norms are exact."""
+    h1, h2, h3 = h.T
+    v3 = np.where((h2 == 0) & (h3 == 0), h1, -h2)
+    v = np.stack([np.zeros_like(h1), h3, v3])
+    w = np.stack([h2 * v3 - h3 * h3, -h1 * v3, h1 * h3])
+    return tuple(x / np.sqrt(np.sum(x * x, axis=0).astype(float)) for x in (v, w))
 
 
 def transverse_frame(n) -> tuple[np.ndarray, np.ndarray]:
@@ -108,14 +98,14 @@ def transverse_frame(n) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need a nonzero integer 3-vector")
     h = -n if n[np.flatnonzero(n)[0]] < 0 else n
     u1, u2 = _frames(h[None])
-    return u1[0], u2[0]
+    return u1[:, 0], u2[:, 0]
 
 
 @lru_cache(maxsize=None)
 def _frames_for(cutoff: int):
-    """transverse_frame of every canonical half mode, in one pass, stored
-    transposed: u1 and u2 each (3, H), one contiguous row per direction."""
-    u1, u2 = (np.ascontiguousarray(u.T) for u in _frames(canonical_half_modes(cutoff)))
+    """transverse_frame of every canonical half mode, in one pass: u1 and
+    u2 each (3, H), one contiguous row per direction."""
+    u1, u2 = _frames(canonical_half_modes(cutoff))
     u1.setflags(write=False)
     u2.setflags(write=False)
     return u1, u2
@@ -154,11 +144,10 @@ def sample_gff(config: SamplerConfig) -> SpectralConnection:
     d = config.group.algebra_dim
     n_mod = canonical_half_modes(config.cutoff)
     z = mode_gaussians(config.seed, config.stream, n_mod, 6 * d, TAG_COMPONENT)
-    z = z.reshape(len(n_mod), d, 3, 2)
-    zc = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)  # E|Z|^2 = 1
-    radius = np.linalg.norm(n_mod, axis=1)
-    zc /= radius[:, None, None]
-    coeffs = _mirror_filled(np.moveaxis(zc, 0, -1), config.cutoff)
+    z = z.reshape(d, 3, 2, len(n_mod))
+    zc = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)  # E|Z|^2 = 1
+    zc /= np.linalg.norm(n_mod, axis=1)
+    coeffs = _mirror_filled(zc, config.cutoff)
     return SpectralConnection(config.group, config.cutoff, coeffs)
 
 
@@ -178,9 +167,9 @@ def sample_u1_coulomb(config: SamplerConfig) -> SpectralConnection:
     u1v, u2v = _frames_for(config.cutoff)
     z = mode_gaussians(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
     sigma = config.coupling / _coulomb_denominators(config.cutoff)
-    z = z * sigma[:, None]
-    z1 = z[:, 0] + 1j * z[:, 1]
-    z2 = z[:, 2] + 1j * z[:, 3]
+    z = z * sigma
+    z1 = z[0] + 1j * z[1]
+    z2 = z[2] + 1j * z[3]
     zn = z1 * u1v + z2 * u2v                         # (3, H), the i R part
     stored = -1j * zn                                # component convention
     coeffs = _mirror_filled(stored, config.cutoff)

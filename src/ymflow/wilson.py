@@ -17,7 +17,9 @@ turn.
 
 For U(1) fields the regularized Wilson loop has a closed form: the
 character applied to exp of a mode sum weighted by e^(-4 pi^2 |n|^2 t),
-with per-segment line integrals of the Fourier basis known exactly.  The
+with per-segment line integrals of the Fourier basis known exactly: a
+segment p -> q with delta = q - p and midpoint m contributes
+delta e^(i 2 pi n.m) sinc(n.delta) at mode n.  The
 phase does not depend on the character and the weights do not depend on
 the field, so h_series forms the per-mode product once and contracts it
 with the shared heat-weight table for every observation time at once;
@@ -37,7 +39,6 @@ from .fields import (
     _grid_bracket,
     gauge_act,
     heat_weights,
-    mode_grids,
     u1_amplitudes,
 )
 from .groups import GroupSpec, exp_map, standard_basis, unitarize, unitarity_defect
@@ -99,12 +100,14 @@ def make_loop(vertices, winding=None, name: str = "loop") -> Loop:
     """Validated loop from lift vertices.
 
     The last vertex must sit an integer vector away from the first; that
-    vector is the winding and may be supplied for cross-checking.  Zero
-    length segments are rejected.
+    vector is the winding and may be supplied for cross-checking.
+    Non-finite coordinates and zero-length segments are rejected.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 2:
         raise ValueError("need at least two 3D vertices")
+    if not np.all(np.isfinite(verts)):
+        raise ValueError("vertex coordinates must be finite")
     closure = verts[-1] - verts[0]
     rounded = np.round(closure).astype(int)
     if np.max(np.abs(closure - rounded)) > 1e-9:
@@ -192,9 +195,12 @@ def parse_loop_file(text: str) -> list[Loop]:
             if len(parts) != 4:
                 raise LoopFileError(f"line {i}: 'vertex' needs three coordinates")
             try:
-                verts.append([float(p) for p in parts[1:]])
+                coords = [float(p) for p in parts[1:]]
             except ValueError as exc:
                 raise LoopFileError(f"line {i}: bad coordinate: {exc}") from exc
+            if not np.all(np.isfinite(coords)):
+                raise LoopFileError(f"line {i}: vertex coordinates must be finite")
+            verts.append(coords)
         elif kw == "winding":
             if name is None:
                 raise LoopFileError(f"line {i}: 'winding' before any 'loop'")
@@ -271,36 +277,40 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
     """c_n = integral_0^1 e^(i 2 pi n.l(s)) l'(s) ds, shape (3, K, K, K),
     direction first like the coefficient arrays of a connection.
 
-    For a straight segment p -> q the integral is
-        (q - p) e^(i 2 pi n.p) (e^(i 2 pi n.(q-p)) - 1) / (i 2 pi n.(q-p)),
-    with the n.(q-p) = 0 branch equal to (q - p) e^(i 2 pi n.p); both are
-    evaluated in closed form, so there is no quadrature error.  Tables are
-    cached on the loop geometry (ensemble reports reuse them heavily).
+    A straight segment p -> q with delta = q - p and midpoint
+    m = p + delta/2 contributes
+        delta e^(i 2 pi n.m) sinc(n.delta),   sinc(x) = sin(pi x)/(pi x),
+    in closed form, so there is no quadrature error and no special case
+    where n.delta vanishes.  The phase factorizes over the axes (3K
+    exponentials per segment), and the sinc is formed on the axes where
+    delta is nonzero only: a K-vector for an axis-aligned segment.  Each
+    mode's value depends on that mode alone, so c_(-n) = conj(c_n) holds
+    exactly and a smaller cutoff's table is the central slice of a larger
+    one's.  Tables are cached on the loop geometry (ensemble reports reuse
+    them heavily).
     """
     key = (loop.vertices.tobytes(), loop.winding.tobytes(), cutoff)
     cached = _LOOP_TABLE_CACHE.get(key)
     if cached is not None:
         return cached
-    n1, n2, n3 = mode_grids(cutoff)
-    nmat = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=1).astype(float)
-    k = 2 * cutoff + 1
-    out = np.zeros((3, nmat.shape[0]), dtype=complex)
+    axis = np.arange(-cutoff, cutoff + 1)
+    n_axes = np.ix_(axis, axis, axis)          # n_j along axis j of the cube
+    k = len(axis)
+    out = np.zeros((3, k, k, k), dtype=complex)
     for p, q in zip(loop.vertices[:-1], loop.vertices[1:]):
         delta = q - p
-        n_dot_p = nmat @ p
-        n_dot_d = nmat @ delta
-        head = np.exp(1j * TWO_PI * n_dot_p)
-        parallel = np.abs(n_dot_d) < 1e-14
-        safe = np.where(parallel, 1.0, n_dot_d)
-        ramp = (np.exp(1j * TWO_PI * n_dot_d) - 1.0) / (1j * TWO_PI * safe)
-        ramp = np.where(parallel, 1.0, ramp)
-        out += (head * ramp)[None, :] * delta[:, None]
-    table = out.reshape(3, k, k, k)
-    table.setflags(write=False)
+        # phases[j, n] = e^(i 2 pi n m_j)
+        phases = np.exp((1j * TWO_PI) * ((p + 0.5 * delta)[:, None] * axis))
+        term = phases[0][:, None, None] * phases[1][:, None] * phases[2]
+        moving = np.flatnonzero(delta)
+        term *= np.sinc(sum(delta[j] * n_axes[j] for j in moving))
+        for j in moving:
+            out[j] += delta[j] * term
+    out.setflags(write=False)
     if len(_LOOP_TABLE_CACHE) > 256:
         _LOOP_TABLE_CACHE.clear()
-    _LOOP_TABLE_CACHE[key] = table
-    return table
+    _LOOP_TABLE_CACHE[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

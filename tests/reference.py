@@ -1,6 +1,9 @@
-"""Reference helpers that only the tests use: loop rewrites, algebra
-projection, the free-field two-point diagnostic and the samplers as first
-written (zero-filled cubes and three-index scatters).
+"""Reference helpers that only the tests use: loop rewrites, the loop
+Fourier table as an exponential difference, algebra projection, the
+free-field two-point diagnostic, and the samplers, their mode table,
+frames and Gaussian draws as first written (zero-filled cubes and
+three-index scatters, a sorted mode grid, np.cross frames, one Philox
+counter array per mode).
 
 None of them is on a pipeline path, so they live here rather than in the
 package; each is checked against the package code it shadows.
@@ -11,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ymflow.fields import SpectralConnection, mode_grids
-from ymflow.gff import _frames, canonical_half_modes
 from ymflow.groups import GroupSpec
-from ymflow.rng import TAG_COMPONENT, mode_gaussians
+from ymflow.rng import TAG_COMPONENT, philox4x64_10
 from ymflow.wilson import FieldEvaluator, Loop, make_loop
 
 
@@ -35,6 +37,26 @@ def reparametrize(loop: Loop, subdivision: int) -> Loop:
 
 def reverse_loop(loop: Loop) -> Loop:
     return make_loop(loop.vertices[::-1], -loop.winding, name=loop.name + "-rev")
+
+
+def loop_fourier_expdiff(loop: Loop, cutoff: int) -> np.ndarray:
+    """The loop Fourier table (3, K, K, K) with each segment p -> q
+    integrated as (q - p) e^(i 2 pi n.p) (e^(i 2 pi n.(q-p)) - 1) /
+    (i 2 pi n.(q-p)), and (q - p) e^(i 2 pi n.p) where n.(q-p) vanishes."""
+    n1, n2, n3 = mode_grids(cutoff)
+    nmat = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=1).astype(float)
+    k = 2 * cutoff + 1
+    out = np.zeros((3, nmat.shape[0]), dtype=complex)
+    for p, q in zip(loop.vertices[:-1], loop.vertices[1:]):
+        delta = q - p
+        n_dot_d = nmat @ delta
+        head = np.exp(1j * 2.0 * np.pi * (nmat @ p))
+        parallel = np.abs(n_dot_d) < 1e-14
+        safe = np.where(parallel, 1.0, n_dot_d)
+        ramp = (np.exp(1j * 2.0 * np.pi * n_dot_d) - 1.0) / (1j * 2.0 * np.pi * safe)
+        ramp = np.where(parallel, 1.0, ramp)
+        out += (head * ramp)[None, :] * delta[:, None]
+    return out.reshape(3, k, k, k)
 
 
 def format_loop_file(loops) -> str:
@@ -158,8 +180,67 @@ def covariance_diagnostic(samples, pairs, kind: str = "gff",
 
 
 # ---------------------------------------------------------------------------
-# samplers as first written: a zero-filled cube, each drawn mode and its
-# reflection scattered in with three index arrays
+# samplers as first written: a sorted mode table, frames from np.cross,
+# mode-major draws with one Philox counter array per mode, and a
+# zero-filled cube into which each drawn mode and its reflection are
+# scattered with three index arrays
+
+
+def canonical_half_modes_sorted(cutoff: int) -> np.ndarray:
+    """Modes whose first nonzero coordinate is positive, picked from the
+    full mode grid and sorted lexicographically: (H, 3)."""
+    axis = np.arange(-cutoff, cutoff + 1)
+    n1, n2, n3 = np.meshgrid(axis, axis, axis, indexing="ij")
+    modes = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=1)
+    first_nonzero_positive = np.zeros(len(modes), dtype=bool)
+    undecided = np.ones(len(modes), dtype=bool)
+    for k in range(3):
+        col = modes[:, k]
+        first_nonzero_positive |= undecided & (col > 0)
+        undecided &= col == 0
+    half = modes[first_nonzero_positive]
+    return half[np.lexsort((half[:, 2], half[:, 1], half[:, 0]))]
+
+
+def mode_gaussians_modewise(seed: int, stream: int, modes: np.ndarray,
+                            count: int, tag: int = TAG_COMPONENT) -> np.ndarray:
+    """Mode-major Gaussian draws (n_modes, count): a full (n_modes,
+    blocks, 4) counter array through philox4x64_10, Box-Muller on
+    interleaved word pairs."""
+    modes = np.atleast_2d(np.asarray(modes, dtype=np.int64))
+    n_modes = modes.shape[0]
+    n_pairs = (count + 1) // 2
+    n_words = 2 * n_pairs
+    blocks_per_mode = (n_words + 3) // 4
+    n1, n2, n3 = modes.astype(np.uint32).astype(np.uint64).T   # two's complement
+    counter = np.zeros((n_modes, blocks_per_mode, 4), dtype=np.uint64)
+    counter[..., 0] = np.arange(blocks_per_mode, dtype=np.uint64)
+    counter[..., 1] = ((n1 << np.uint64(32)) | n2)[:, None]
+    counter[..., 2] = ((n3 << np.uint64(32)) | np.uint64(tag & 0xFFFFFFFF))[:, None]
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
+                   dtype=np.uint64)
+    raw = philox4x64_10(counter, key).reshape(n_modes, 4 * blocks_per_mode)
+    raw = raw[:, :n_words]
+    u = (raw >> np.uint64(11)).astype(np.float64) * float(2.0 ** -53)
+    u = u.reshape(n_modes, n_pairs, 2)
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    theta = (2.0 * np.pi) * u[..., 1]
+    z = np.empty((n_modes, 2 * n_pairs))
+    z[:, 0::2] = r * np.cos(theta)
+    z[:, 1::2] = r * np.sin(theta)
+    return z[:, :count]
+
+
+def frames_crossed(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frames (u1, u2), each (H, 3), of canonical integer rows h (H, 3):
+    v = h x e1, or h x e2 where that vanishes, and w = h x v, normalized."""
+    v = np.cross(h, [1, 0, 0])
+    parallel = ~v.any(axis=1)
+    v[parallel] = np.cross(h[parallel], [0, 1, 0])
+    w = np.cross(h, v)
+    u1 = v / np.linalg.norm(v, axis=1, keepdims=True)
+    u2 = w / np.linalg.norm(w, axis=1, keepdims=True)
+    return u1, u2
 
 
 def _dense_fill(values: np.ndarray, n_mod: np.ndarray, cutoff: int) -> np.ndarray:
@@ -175,8 +256,8 @@ def _dense_fill(values: np.ndarray, n_mod: np.ndarray, cutoff: int) -> np.ndarra
 
 def sample_gff_dense(config) -> SpectralConnection:
     d = config.group.algebra_dim
-    n_mod = canonical_half_modes(config.cutoff)
-    z = mode_gaussians(config.seed, config.stream, n_mod, 6 * d, TAG_COMPONENT)
+    n_mod = canonical_half_modes_sorted(config.cutoff)
+    z = mode_gaussians_modewise(config.seed, config.stream, n_mod, 6 * d, TAG_COMPONENT)
     z = z.reshape(len(n_mod), d, 3, 2)
     zc = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
     zc /= np.linalg.norm(n_mod, axis=1)[:, None, None]
@@ -185,9 +266,9 @@ def sample_gff_dense(config) -> SpectralConnection:
 
 
 def sample_u1_coulomb_dense(config) -> SpectralConnection:
-    n_mod = canonical_half_modes(config.cutoff)
-    u1v, u2v = _frames(n_mod)
-    z = mode_gaussians(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
+    n_mod = canonical_half_modes_sorted(config.cutoff)
+    u1v, u2v = frames_crossed(n_mod)
+    z = mode_gaussians_modewise(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
     radius_sq = np.sum(n_mod.astype(float) ** 2, axis=1)
     sigma = config.coupling / np.sqrt(32.0 * np.pi**2 * radius_sq)
     z = z * sigma[:, None]

@@ -246,6 +246,22 @@ def test_wilson_malformed_loops_file(workspace, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_ensemble_refuses_non_finite_loop_vertex(workspace, capsys, bad):
+    # a non-finite vertex once passed the closure check and wrote NaN
+    # Wilson values into records.jsonl
+    tmp, cfg = workspace
+    text = (tmp / "run.cfg").read_text().replace("kind = zdds", "kind = u1_exact")
+    exact = write(tmp / "exact.cfg", text.replace("n_samples = 120", "n_samples = 2"))
+    write(tmp / "loops.txt", LOOPS.replace("vertex 0.35 0.45 0.3\nvertex 0.1 0.45",
+                                           f"vertex 0.35 {bad} 0.3\nvertex 0.1 0.45", 1))
+    rc = main(["ensemble", "--config", exact, "--output", str(tmp / "bad")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "line 5" in err and "finite" in err
+    assert not (tmp / "bad" / "records.jsonl").exists()
+
+
 def test_ensemble_thread_count_invariance(workspace, capsys):
     tmp, cfg = workspace
     assert main(["ensemble", "--config", cfg, "--threads", "1",

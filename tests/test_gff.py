@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from reference import covariance_diagnostic, sample_gff_dense, sample_u1_coulomb_dense
+from reference import (
+    canonical_half_modes_sorted,
+    covariance_diagnostic,
+    sample_gff_dense,
+    sample_u1_coulomb_dense,
+)
 from ymflow.fields import _spectral_to_values, d_star_1form, reality_defect
 from ymflow.gff import (
     SamplerConfig,
@@ -24,6 +29,14 @@ def test_half_modes_partition():
         seen = {tuple(n) for n in half}
         assert all(tuple(-n) not in seen for n in half)
         assert (0, 0, 0) not in seen
+
+
+def test_half_modes_match_sorted_reference_bitwise():
+    for cutoff in range(1, 17):
+        want = canonical_half_modes_sorted(cutoff)
+        got = canonical_half_modes(cutoff)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_transverse_frame_basic_and_reflection():
@@ -132,11 +145,11 @@ def test_gff_mode_variance_montecarlo():
     # cross-check one draw against the sampler output
     a = sample_gff(SamplerConfig(U1, 2, seed=123, stream=0))
     idx = (0, 0, 2 + n[0], 2 + n[1], 2 + n[2])
-    want = (z[0, 0] + 1j * z[0, 1]) / np.sqrt(2.0) / np.linalg.norm(n)
+    want = (z[0, 0] + 1j * z[1, 0]) / np.sqrt(2.0) / np.linalg.norm(n)
     assert abs(a.coeffs[idx] - want) < 1e-15
     # now the Monte Carlo over streams
     zs = np.stack(
-        [mode_gaussians(123, s, np.asarray(n), 6)[0] for s in range(0, 4000)]
+        [mode_gaussians(123, s, np.asarray(n), 6)[:, 0] for s in range(0, 4000)]
     )
     zc = (zs[:, 0] + 1j * zs[:, 1]) / np.sqrt(2.0)
     sq = np.abs(zc) ** 2 / np.dot(n, n)

@@ -3,7 +3,7 @@ import pytest
 
 import ymflow.wilson as wilson_mod
 from conftest import random_connection, random_gauge
-from reference import format_loop_file, reparametrize, reverse_loop
+from reference import format_loop_file, loop_fourier_expdiff, reparametrize, reverse_loop
 from ymflow.fields import GaugeTransform, gauge_act, mode_grids, zero_connection
 from ymflow.flow import heat_semigroup_u1
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
@@ -35,6 +35,17 @@ PLAQ = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="plaq")
 SU3 = GroupSpec("su", 3)
 
 
+def random_loops(seed, count=3):
+    """Closed non-axis loops through random points, winding 0 and (1, 0, -1)."""
+    rng = np.random.default_rng(seed)
+    loops = []
+    for i in range(count):
+        pts = rng.uniform(size=(5, 3))
+        end = pts[0] + (i % 2) * np.array([1.0, 0.0, -1.0])
+        loops.append(make_loop(np.vstack([pts, end]), name=f"random{i}"))
+    return loops
+
+
 def u1_sample(cutoff=3, seed=1, g=1.0):
     return sample_u1_coulomb(SamplerConfig(U1, cutoff, seed=seed, coupling=g))
 
@@ -58,6 +69,15 @@ def test_make_loop_rejects_open_paths_and_degenerate_segments():
         make_loop([(0, 0, 0), (0, 0, 0), (1, 0, 0)], winding=(1, 0, 0))
     with pytest.raises(ValueError, match="winding"):
         make_loop([(0, 0, 0), (1, 0, 0)], winding=(0, 1, 0))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_vertices_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_loop([(0, 0, 0), (float(bad), 0.2, 0.3), (0, 0, 0)])
+    with pytest.raises(LoopFileError, match="line 3.*finite"):
+        parse_loop_file(f"loop a\nvertex 0 0 0\nvertex {bad} 0.2 0.3\n"
+                        "vertex 0 0 0\n")
 
 
 def test_reparametrize_and_reverse():
@@ -143,6 +163,9 @@ def test_loop_fourier_zero_mode_is_winding():
                                               winding=(1, 1, 0))):
         table = loop_fourier_coefficients(lp, 2)
         assert np.max(np.abs(table[:, 2, 2, 2] - lp.winding)) < 1e-14
+    for lp in random_loops(5):
+        table = loop_fourier_coefficients(lp, 16)
+        assert np.max(np.abs(table[:, 16, 16, 16] - lp.winding)) < 1e-14
 
 
 def test_loop_fourier_symmetries_random_loop():
@@ -152,9 +175,32 @@ def test_loop_fourier_symmetries_random_loop():
     table = loop_fourier_coefficients(lp, 3)
     flipped = np.conj(table[:, ::-1, ::-1, ::-1])
     assert np.max(np.abs(flipped - table)) < 1e-13
+    # every mode's value is formed from that mode alone, with odd phases
+    # and an even sinc, so the symmetry is exact
+    assert np.array_equal(flipped, table)
     n1, n2, n3 = mode_grids(3)
     ndot = n1 * table[0] + n2 * table[1] + n3 * table[2]
     assert np.max(np.abs(ndot)) < 1e-13
+
+
+def test_loop_fourier_smaller_cutoff_is_central_slice():
+    for lp in [PLAQ] + random_loops(6):
+        big = loop_fourier_coefficients(lp, 16)
+        for c in (2, 4, 8):
+            centre = slice(16 - c, 17 + c)
+            want = big[:, centre, centre, centre]
+            assert loop_fourier_coefficients(lp, c).tobytes() == want.tobytes()
+
+
+def test_loop_fourier_matches_exponential_difference():
+    # the exponential-difference form loses digits to cancellation where
+    # n.delta is small but nonzero; 1e-12 covers that error at cutoff 16
+    # on loops inside the unit cube (winding 0).  The longer segments of
+    # winding loops push it to a few 1e-12 against a 40-digit reference,
+    # while the sinc form stays within 1e-14 there.
+    for lp in [PLAQ] + random_loops(7, count=6)[::2]:
+        table = loop_fourier_coefficients(lp, 16)
+        assert np.max(np.abs(table - loop_fourier_expdiff(lp, 16))) < 1e-12
 
 
 def test_loop_fourier_against_quadrature():
