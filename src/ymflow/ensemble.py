@@ -193,13 +193,14 @@ def _stream_task(spec: EnsembleSpec, stream: int, cutoffs: tuple,
     top = reference_cutoff or cutoffs[-1]
     draw = sample_initial(spec.group, spec.sampler_kind, top, spec.seed, stream,
                           spec.coupling)
+    reference = None
+    if reference_cutoff is not None:
+        # first, so that the members read their loop tables off its tables
+        reference = _exact_wilson(draw, spec.loops, spec.characters, spec.times)
     records = [_member_record(spec, stream,
                               _rescaled(draw.restricted(c), spec.scale_to_h1),
                               config_hash)
                for c in cutoffs]
-    reference = None
-    if reference_cutoff is not None:
-        reference = _exact_wilson(draw, spec.loops, spec.characters, spec.times)
     return records, reference
 
 

@@ -19,6 +19,10 @@ are pruned DFTs applied as matrix products, one cached plan per (cutoff,
 M): only the 2N+1 retained modes per axis enter, and grid values are
 real, so only the half spectrum n3 >= 0 is transformed and the n3 < 0
 half is the conjugate of the mirrored modes.
+
+The nonlinear pass of the flows (_nonlinear_core) reads and returns that
+half, (d, 3, K, K, N+1); the full cube is mirrored (_full_spectrum) only
+at the public boundary and for the states a flow records.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "heat_weights",
     "zero_connection",
     "d_star_1form",
-    "grad_0form",
     "ym_action",
     "ym_action_u1_spectral",
     "coulomb_project_u1",
@@ -193,6 +196,24 @@ def _dft_plan(cutoff: int, resolution: int):
     return synth, analysis, synth3, analysis3
 
 
+@functools.lru_cache(maxsize=None)
+def _half_tables(cutoff: int):
+    """Read-only (5, K, K, N+1) tables on the half spectrum, rows n1 n2 n3
+    n1 n2 so that cyclic index pairs are slices: the modes as complex
+    numbers n_i + 0j, and the derivative multipliers (i 2 pi) n_i."""
+    n = np.stack([mode_grids(cutoff)[i % 3] for i in range(5)])[..., cutoff:]
+    tables = (n.astype(complex), (1j * TWO_PI) * n)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _full_spectrum(half: np.ndarray) -> np.ndarray:
+    """The full cube (..., K, K, K) of a half spectrum (..., K, K, N+1) of
+    real fields: the n3 < 0 half is the conjugate of the mirrored modes."""
+    return np.concatenate([np.conj(half[..., ::-1, ::-1, :0:-1]), half], axis=-1)
+
+
 # The grid transforms below are pruned DFTs applied as matrix products:
 # only the retained modes and the half spectrum n3 >= 0 enter, and each
 # axis is one (batched) BLAS product.  The n2 axis sits between the other
@@ -201,18 +222,16 @@ def _dft_plan(cutoff: int, resolution: int):
 # ``bufs`` when one is given (see _Workspace), else into a new array.
 
 
-def _half_to_values(half: np.ndarray, cutoff: int, resolution: int,
-                    bufs=(None, None, None)) -> np.ndarray:
-    """Grid values (..., M, M, M) of the n3 >= 0 half spectrum
-    (..., K, K, N+1), whose n3 < 0 half is the conjugate of the mirrored
-    modes; the values are a view of the last product output."""
-    synth, _, synth3, _ = _dft_plan(cutoff, resolution)
+def _half_to_rows(half: np.ndarray, cutoff: int, resolution: int,
+                  bufs=(None, None)) -> np.ndarray:
+    """The first two stages of the synthesis of the n3 >= 0 half spectrum
+    (..., K, K, N+1): rows (x1, x2) of the interleaved [Re, Im] n3 modes,
+    (prod(...) M^2, 2(N+1)), which the matrix synth3 takes to x3."""
+    synth = _dft_plan(cutoff, resolution)[0]
     k, h, m = 2 * cutoff + 1, cutoff + 1, resolution
     g = np.matmul(synth, half.reshape(-1, k, h), out=bufs[0])        # n2 -> x2
     g = np.matmul(synth, g.reshape(-1, k, m * h), out=bufs[1])       # n1 -> x1
-    values = np.matmul(g.view(float).reshape(-1, 2 * h), synth3,
-                       out=bufs[2])                                  # n3 -> x3
-    return values.reshape(half.shape[:-3] + (m, m, m))
+    return g.view(float).reshape(-1, 2 * h)
 
 
 def _spectral_to_values(coeffs: np.ndarray, cutoff: int, resolution: int) -> np.ndarray:
@@ -221,52 +240,60 @@ def _spectral_to_values(coeffs: np.ndarray, cutoff: int, resolution: int) -> np.
     Reads only the n3 >= 0 half of coeffs, so it assumes the reality
     symmetry c(-n) = conj(c(n)).
     """
-    return _half_to_values(coeffs[..., cutoff:], cutoff, resolution)
+    synth3, m = _dft_plan(cutoff, resolution)[2], resolution
+    values = _half_to_rows(coeffs[..., cutoff:], cutoff, resolution) @ synth3  # n3 -> x3
+    return values.reshape(coeffs.shape[:-3] + (m, m, m))
 
 
 def _values_to_spectral(values: np.ndarray, cutoff: int, resolution: int,
                         bufs=(None, None, None)) -> np.ndarray:
     """Discrete Fourier analysis of real grid values (..., M, M, M),
-    normalized so constants sit in the n=0 slot; the n3 < 0 half is the
-    conjugate of the mirrored modes.  The result is a new array."""
+    normalized so constants sit in the n=0 slot: the n3 >= 0 half
+    (..., K, K, N+1).  Axes before the last five batch the first product,
+    so a strided stack of (d, 3) fields needs no copy."""
     _, analysis, _, analysis3 = _dft_plan(cutoff, resolution)
     k, h, m = 2 * cutoff + 1, cutoff + 1, resolution
-    g = np.matmul(values.reshape(-1, m), analysis3, out=bufs[0])     # x3 -> n3 >= 0
+    g = np.matmul(values.reshape(values.shape[:-5] + (-1, m)), analysis3,
+                  out=bufs[0])                                       # x3 -> n3 >= 0
     g = np.matmul(analysis, g.view(complex).reshape(-1, m, m * h),
                   out=bufs[1])                                       # x1 -> n1
     upper = np.matmul(analysis, g.reshape(-1, m, h), out=bufs[2])    # x2 -> n2
-    upper = upper.reshape(values.shape[:-3] + (k, k, h))
-    lower = np.conj(upper[..., ::-1, ::-1, :0:-1])
-    return np.concatenate([lower, upper], axis=-1)
+    return upper.reshape(values.shape[:-3] + (k, k, h))
+
+
+# The spectral operators below act on half-spectrum stacks (d, 3 or 1, K,
+# K, N+1) by a few stacked ufunc calls against the _half_tables rows.
+
+
+def _curl(c: np.ndarray, cutoff: int, out=None, ext=None) -> np.ndarray:
+    """(curl c)_k = i 2 pi (n_i c_j - n_j c_i) over cyclic (i, j, k): the
+    spatial dual of dA for a 1-form A, and d*F when c is the spatial dual
+    of a 2-form F.  ``ext`` (d, 5, ...) takes c wrap-extended (0 1 2 0 1)."""
+    modes = _half_tables(cutoff)[0]
+    ext = np.take(c, range(5), axis=1, out=ext, mode="wrap")
+    out = np.multiply(modes[1:4], ext[:, 2:5], out=out)              # n_i c_j
+    np.multiply(modes[2:5], ext[:, 1:4], out=ext[:, 1:4])            # n_j c_i
+    np.subtract(out, ext[:, 1:4], out=out)
+    return np.multiply(1j * TWO_PI, out, out=out)
+
+
+def _d_star(c: np.ndarray, cutoff: int, out=None, prod=None) -> np.ndarray:
+    """d*c = -i 2 pi ((n1 c1 + n2 c2) + n3 c3); ``prod`` takes n_i c_i."""
+    p = np.multiply(_half_tables(cutoff)[0][:3], c, out=prod)
+    out = np.add(p[:, 0], p[:, 1], out=out)
+    np.add(out, p[:, 2], out=out)
+    return np.multiply(-1j * TWO_PI, out, out=out)
+
+
+def _grad(f: np.ndarray, cutoff: int, out=None) -> np.ndarray:
+    """(df)_i = i 2 pi n_i f(n), (d, 3, K, K, N+1)."""
+    return np.multiply(_half_tables(cutoff)[1][:3], f[:, None], out=out)
 
 
 def d_star_1form(a: SpectralConnection) -> SpectralScalar:
     """d*A = -sum_i d_i A_i, mode-wise -i 2 pi n . A(n)."""
-    n = mode_grids(a.cutoff)
-    c = a.coeffs
-    dot = n[0] * c[:, 0] + n[1] * c[:, 1] + n[2] * c[:, 2]
-    return SpectralScalar(a.group, a.cutoff, (-1j * TWO_PI) * dot)
-
-
-def _curl(c: np.ndarray, cutoff: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(curl c)_k = i 2 pi (n_i c_j - n_j c_i) over cyclic (i, j, k), for
-    coefficient 3-stacks (d, 3, K, K, K): the spatial dual of dA for a
-    1-form A, and d*F when c is the spatial dual of a 2-form F.  A stack
-    holding only the n3 >= 0 half (d, 3, K, K, N+1) gives that half."""
-    n = [axis[..., -c.shape[-1]:] for axis in mode_grids(cutoff)]
-    if out is None:
-        out = np.empty_like(c)
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        out[:, k] = (1j * TWO_PI) * (n[i] * c[:, j] - n[j] * c[:, i])
-    return out
-
-
-def grad_0form(f: SpectralScalar) -> SpectralConnection:
-    """(df)_i = d_i f, mode-wise i 2 pi n_i f(n)."""
-    n = mode_grids(f.cutoff)
-    out = np.stack([(1j * TWO_PI) * n[i] * f.coeffs for i in range(3)], axis=1)
-    return SpectralConnection(f.group, f.cutoff, out)
+    n = a.cutoff
+    return SpectralScalar(a.group, n, _full_spectrum(_d_star(a.coeffs[..., n:], n)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,7 +375,8 @@ def ym_action(a: SpectralConnection) -> float:
     """S_YM(A) = sum_{ij} integral |F_{ij}(x)|^2 dx by uniform-grid
     quadrature (exact for the band-limited field strength on the dealiased
     grid), read off the first half of the fused nonlinear pass."""
-    return _nonlinear_core(a, False, action_only=True)[1]
+    work = _Workspace(a.group, a.cutoff, False)
+    return _ym_nonlinear(a.coeffs[..., a.cutoff:], work, action_only=True)[1]
 
 
 def ym_action_u1_spectral(a: SpectralConnection) -> float:
@@ -382,55 +410,61 @@ def coulomb_project_u1(a: SpectralConnection) -> SpectralConnection:
 def ym_rhs(a: SpectralConnection) -> SpectralConnection:
     """Right-hand side of the Yang-Mills heat flow, -(d*F_A + [A _| F_A]),
     truncated back to the input cutoff."""
-    lam = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)
-    linear = lam[None, None] * a.coeffs
-    nl = _ym_nonlinear(a, diagnostics=False)[0]
-    return SpectralConnection(a.group, a.cutoff, linear + nl)
+    return _operator_rhs(a, False)
+
+
+def _operator_rhs(a: SpectralConnection, deturck: bool) -> SpectralConnection:
+    """The Laplacian term plus the nonlinear pass, on the full cube."""
+    work = _Workspace(a.group, a.cutoff, deturck)
+    nl = _nonlinear_core(a.coeffs[..., a.cutoff:], work, False, deturck=deturck)[0]
+    lap = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)[None, None] * a.coeffs
+    return SpectralConnection(a.group, a.cutoff, lap + _full_spectrum(nl))
 
 
 class _Workspace:
-    """Every grid array of the nonlinear pass of one (group, cutoff,
-    kind) on the dealiased grid, allocated once so that repeated passes
-    allocate (and fault in) no grid memory: the half-spectrum input stack
-    of A, curl A and, for non-Abelian ZDDS, d*A; the product outputs of
-    the inverse transform of that stack and of the forward transforms; the
-    ``ab`` stack; the bracket buffers with their scratch rows; and the
-    interior sum.
+    """Every array of the nonlinear pass of one (group, cutoff, kind),
+    allocated once so that repeated passes allocate (and fault in) no grid
+    memory: the half-spectrum stack [A, curl A per component; d*A], of
+    which ``stack`` goes to the grid (d*A for non-Abelian ZDDS only); the
+    product outputs; ``ab``, which the last inverse product fills with A
+    and curl A; the d*A grid; ``cb``, whose halves take C and [A _| F]
+    (with two scratch rows each) for one forward transform.
 
     A flow owns one for all its passes (see flow.integrate); flows that
     may run at the same time must not share one.
     """
 
     def __init__(self, group: GroupSpec, cutoff: int, deturck: bool):
-        d, k, h = group.algebra_dim, 2 * cutoff + 1, cutoff + 1
-        m = dealias_resolution(cutoff)
-        rows = 7 if deturck and not group.is_abelian else 6
-        grid = (m, m, m)
-        self.half = np.empty((d, rows, k, k, h), dtype=complex)
-        b = d * rows
+        d, k, h, m = group.algebra_dim, 2 * cutoff + 1, cutoff + 1, dealias_resolution(cutoff)
+        self.group, self.cutoff = group, cutoff
+        dual_rows = deturck and not group.is_abelian
+        stack = np.empty((7 * d, k, k, h), dtype=complex)
+        self.stack = stack if dual_rows else stack[:6 * d]
+        self.half, self.dstar = stack[:6 * d].reshape(d, 6, k, k, h), stack[6 * d:]
+        self.ext = np.empty((d, 5, k, k, h), dtype=complex)
+        b, grid = len(self.stack), (m, m, m)
         self.inverse = (np.empty((b * k, m, h), dtype=complex),
-                        np.empty((b, m, m * h), dtype=complex),
-                        np.empty((b * m * m, m)))
+                        np.empty((b, m, m * h), dtype=complex))
+        self.ab = np.empty((d, 2, 3 if group.is_abelian else 5) + grid)
+        self.dstar_grid = np.empty((d, 1) + grid) if dual_rows else None
         if group.is_abelian:
             return
-        self.ab = np.empty((d, 2, 5) + grid)
-        self.bracket = np.empty((d + 2, 3) + grid)
+        self.cb = np.empty((2, d + 2, 3) + grid)
         self.terms = np.empty((d + 2, 2, 3) + grid)
-        self.inner = np.empty((d, 3) + grid)
-        b = d * 3
-        self.forward = (np.empty((b * m * m, 2 * h)),
-                        np.empty((b, k, m * h), dtype=complex),
-                        np.empty((b * k, k, h), dtype=complex))
+        self.forward = (np.empty((2, 3 * d * m * m, 2 * h)),
+                        np.empty((6 * d, k, m * h), dtype=complex),
+                        np.empty((6 * d * k, k, h), dtype=complex))
 
 
-def _nonlinear_core(a: SpectralConnection, deturck: bool,
-                    work: _Workspace | None = None, diagnostics: bool = True,
-                    action_only: bool = False):
-    """Right-hand side minus the Laplacian term, with S_YM(a) and sup|A|
-    evaluated on the same dealiased grid (None for both when
-    ``diagnostics`` is off).  With ``action_only`` it returns (None,
-    S_YM(a), None) as soon as the action is known, before the forward
-    transforms and the interior bracket.
+def _nonlinear_core(u: np.ndarray, work: _Workspace, diagnostics: bool = True, *,
+                    deturck: bool, action_only: bool = False):
+    """Right-hand side minus the Laplacian term on the half spectrum: u
+    and the result are (d, 3, K, K, N+1) n3 >= 0 halves of real fields,
+    of the group and cutoff of ``work``.  S_YM and sup|A| are evaluated on
+    the same dealiased grid (None for both when ``diagnostics`` is off).
+    With ``action_only`` it returns (None, S_YM, None) as soon as the
+    action is known, before the forward transform and the interior
+    bracket.
 
     YM (deturck False):  -(1/2) d*[A ^ A] - [A _| F_A] + d d*A
     ZDDS (deturck True): -(1/2) d*[A ^ A] - [A _| F_A] - [A ^ d*A]
@@ -439,62 +473,55 @@ def _nonlinear_core(a: SpectralConnection, deturck: bool,
     with 2-forms held as their spatial duals B_k = (1/2) eps_ijk F_ij.  One
     inverse transform takes A, curl A (the dual of dA) and d*A to the grid;
     one bracket C_k = [A_i, A_j] over cyclic (i, j, k) gives both the dual
-    curl A + C of F_A and the dual of (1/2)[A ^ A]; forward transforms
-    bring C, where curl C = (1/2) d*[A ^ A], and the other bracket terms
+    curl A + C of F_A and the dual of (1/2)[A ^ A]; one forward transform
+    brings C, where curl C = (1/2) d*[A ^ A], and the other bracket terms
     back.  For Abelian groups the remainder is linear (zero for ZDDS), so
-    only the diagnostics need the grid.  Grid arrays live in ``work``, a
-    temporary workspace when none is given.
+    only the diagnostics need the grid.
     """
-    group, n = a.group, a.cutoff
-    m = dealias_resolution(n)
+    group, n = work.group, work.cutoff
+    d, m = group.algebra_dim, dealias_resolution(n)
+    dstar = _d_star(u, n, out=work.dstar, prod=work.ext[:, :3])
     if group.is_abelian and not action_only:
-        nl = np.zeros_like(a.coeffs) if deturck else grad_0form(d_star_1form(a)).coeffs
+        nl = np.zeros_like(u) if deturck else _grad(dstar, n)
         if not diagnostics:
             return nl, None, None
-    if work is None:
-        work = _Workspace(group, n, deturck)
-    half = work.half
-    half[:, :3] = a.coeffs[..., n:]
-    _curl(half[:, :3], n, out=half[:, 3:6])
-    if half.shape[1] == 7:
-        half[:, 6] = d_star_1form(a).coeffs[..., n:]
-    grids = _half_to_values(half, n, m, work.inverse)
-    avals = grids[:, :3]
-    sup = _sup_of(avals) if diagnostics and not action_only else None
-    if group.is_abelian:
-        return (None if action_only else nl), _action_of(grids[:, 3:]), sup
+    work.half[:, :3] = u
+    _curl(u, n, out=work.half[:, 3:], ext=work.ext)
+    rows = _half_to_rows(work.stack, n, m, work.inverse)
+    synth3, split = _dft_plan(n, m)[2], 6 * d * m * m
+    # n3 -> x3: A and curl A straight into ab; then the d*A rows, if any
     ab = work.ab
+    np.matmul(rows[:split].reshape(d, 2, 3 * m * m, -1), synth3,
+              out=ab.reshape(d, 2, -1, m)[:, :, :3 * m * m])
+    if len(rows) > split:
+        np.matmul(rows[split:], synth3, out=work.dstar_grid.reshape(-1, m))
     a5, b5 = ab[:, 0], ab[:, 1]
-    a5[:, :3] = avals
-    b5[:, :3] = grids[:, 3:6]
+    sup = _sup_of(a5[:, :3]) if diagnostics and not action_only else None
+    if group.is_abelian:
+        return (None if action_only else nl), _action_of(b5[:, :3]), sup
     a5[:, 3:] = a5[:, :2]
-    half_aa = _grid_bracket(a5[:, 1:4], a5[:, 2:5], group, out=work.bracket)
+    half_aa = _grid_bracket(a5[:, 1:4], a5[:, 2:5], group, out=work.cb[0])
     b5[:, :3] += half_aa
     action = _action_of(b5[:, :3]) if diagnostics else None
     if action_only:
         return None, action, None
     b5[:, 3:] = b5[:, :2]
-    nl = _curl(_values_to_spectral(half_aa, n, m, work.forward), n)
-    inner = _cyclic_interior(group, ab, work.terms, work.inner)
+    inner = _cyclic_interior(group, ab, work.terms, work.cb[1, :d])
     if deturck:
-        inner += _grid_bracket(a5[:, :3], grids[:, 6:], group, out=work.bracket)
-    nl += _values_to_spectral(inner, n, m, work.forward)
+        inner += _grid_bracket(a5[:, :3], work.dstar_grid, group, out=work.terms[:, 0])
+    spec = _values_to_spectral(work.cb[:, :d], n, m, work.forward)   # (2, d, 3, ...)
+    nl = _curl(spec[0], n, ext=work.ext)
+    nl += spec[1]
     np.negative(nl, out=nl)
     if not deturck:
-        nl += grad_0form(d_star_1form(a)).coeffs
+        nl += _grad(dstar, n, out=work.ext[:, :3])
     return nl, action, sup
 
 
-def _ym_nonlinear(a: SpectralConnection, work: _Workspace | None = None,
-                  diagnostics: bool = True):
-    """(YM right-hand side minus the Laplacian term, S_YM(a), sup|A|)."""
-    return _nonlinear_core(a, False, work, diagnostics)
-
-
-def _zdds_nonlinear(a: SpectralConnection, work: _Workspace | None = None,
-                    diagnostics: bool = True):
-    """(ZDDS right-hand side minus the Laplacian term, S_YM(a), sup|A|)."""
-    return _nonlinear_core(a, True, work, diagnostics)
+# the passes of the two flows, (u, work, diagnostics=True), each in a
+# workspace of its own kind
+_ym_nonlinear = functools.partial(_nonlinear_core, deturck=False)
+_zdds_nonlinear = functools.partial(_nonlinear_core, deturck=True)
 
 
 def zdds_rhs(a: SpectralConnection, path: str = "operator") -> SpectralConnection:
@@ -505,15 +532,11 @@ def zdds_rhs(a: SpectralConnection, path: str = "operator") -> SpectralConnectio
     Lap A_i + sum_j [A_j, 2 d_j A_i - d_i A_j + [A_j, A_i]].  The two are
     algebraically identical and are kept as independent code paths.
     """
-    lam = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)
     if path == "operator":
-        return SpectralConnection(
-            a.group, a.cutoff, lam[None, None] * a.coeffs
-            + _zdds_nonlinear(a, diagnostics=False)[0]
-        )
+        return _operator_rhs(a, True)
     if path != "explicit":
         raise ValueError(f"unknown zdds path {path!r}")
-    lap = lam[None, None] * a.coeffs
+    lap = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)[None, None] * a.coeffs
     if a.group.is_abelian:
         return SpectralConnection(a.group, a.cutoff, lap)
     n, m = mode_grids(a.cutoff), dealias_resolution(a.cutoff)
@@ -532,7 +555,7 @@ def zdds_rhs(a: SpectralConnection, path: str = "operator") -> SpectralConnectio
             acc += _grid_bracket(agrid[:, j], inner, a.group)
         out[:, i] = acc
     return SpectralConnection(
-        a.group, a.cutoff, lap + _values_to_spectral(out, a.cutoff, m)
+        a.group, a.cutoff, lap + _full_spectrum(_values_to_spectral(out, a.cutoff, m))
     )
 
 
@@ -582,8 +605,8 @@ class GaugeTransform:
         second axis as (d, 4, K, K, K); None when sigma has no log part."""
         if self.log_coeffs is None:
             return None
-        grad = grad_0form(SpectralScalar(self.group, self.cutoff, self.log_coeffs))
-        return np.concatenate([self.log_coeffs[:, None], grad.coeffs], axis=1)
+        grad = _grad(self.log_coeffs[..., self.cutoff:], self.cutoff)
+        return np.concatenate([self.log_coeffs[:, None], _full_spectrum(grad)], axis=1)
 
 
 def _conjugate(group: GroupSpec, xi: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -663,7 +686,8 @@ def gauge_transform_spectral(a: SpectralConnection, sigma: GaugeTransform,
     n_out = a.cutoff if cutoff is None else cutoff
     m = dealias_resolution(n_out)
     vals = gauge_transform(a, sigma, m)
-    return SpectralConnection(a.group, n_out, _values_to_spectral(vals, n_out, m))
+    return SpectralConnection(a.group, n_out,
+                              _full_spectrum(_values_to_spectral(vals, n_out, m)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,14 @@ piece, which is what makes that flow only weakly parabolic, so the step
 size stays conservative and a per-step action-monotonicity guard rejects
 any step that would increase the action beyond rounding.
 
+The state, the stages and the nonlinear terms live on the half spectrum
+n3 >= 0, (d, 3, K, K, N+1); the n3 < 0 half, the conjugate of the
+mirrored modes, is formed only for the states recorded.
+
 Step control: a step is rejected (and dt shrunk by dt_safety) when the
 embedded second-order result differs from the third-order one by more
-than error_tol in relative L^2, when the action guard trips, or when
+than error_tol in relative L^2 (norms summed on the half: weight 1 on
+the n3 = 0 plane, 2 above it), when the action guard trips, or when
 non-finite values appear.  After ten clean steps dt grows back, capped by
 dt_initial.  Steps are clipped to land exactly on the observation times
 given to integrate, and the controller state resets at each of them so a
@@ -29,6 +34,7 @@ import numpy as np
 from .fields import (
     SpectralConnection,
     _Workspace,
+    _full_spectrum,
     _ym_nonlinear,
     _zdds_nonlinear,
     heat_weights,
@@ -97,6 +103,12 @@ def heat_semigroup_u1(a: SpectralConnection, t: float) -> SpectralConnection:
     return SpectralConnection(a.group, a.cutoff, a.coeffs * w[None, None])
 
 
+def _half_l2(c: np.ndarray) -> float:
+    """L^2 norm from the half spectrum: the n3 = 0 plane once, the rest twice."""
+    sq = np.abs(c) ** 2
+    return float(np.sqrt(np.sum(sq[..., 0]) + 2.0 * np.sum(sq[..., 1:])))
+
+
 def _phi_funcs(z: np.ndarray):
     """phi_1..phi_3 for real nonpositive z, series-switched near zero."""
     z = np.asarray(z, dtype=float)
@@ -123,7 +135,7 @@ def _phi_funcs(z: np.ndarray):
 
 
 class _EtdStepper:
-    """Cached ETDRK3 tableau for one (cutoff, dt) pair.
+    """Cached ETDRK3 tableau for one (cutoff, dt) pair, on the half spectrum.
 
     Stages (L = Laplacian multiplier, N = non-Laplacian remainder):
         a   = e^(hL/2) u + (h/2) phi1(hL/2) N(u)
@@ -137,7 +149,7 @@ class _EtdStepper:
     """
 
     def __init__(self, cutoff: int, dt: float):
-        lam = -4.0 * np.pi**2 * mode_norm_sq(cutoff)
+        lam = -4.0 * np.pi**2 * mode_norm_sq(cutoff)[..., cutoff:]
         z = dt * lam
         p1, p2, p3 = _phi_funcs(z)
         p1h, _, _ = _phi_funcs(0.5 * z)
@@ -152,23 +164,17 @@ class _EtdStepper:
         self.e0 = dt * (p1 - 2.0 * p2)
         self.ea = dt * (2.0 * p2)
 
-    def step(self, a: SpectralConnection, n0: np.ndarray, nonlinear,
-             work: _Workspace):
-        """One step from a, whose nonlinear term n0 the caller holds; the
-        two stage passes skip the action and the sup norm."""
-        u = a.coeffs
-        stage_a = SpectralConnection(
-            a.group, a.cutoff, self.e_half * u + self.f_half * n0
-        )
+    def step(self, u: np.ndarray, n0: np.ndarray, nonlinear, work: _Workspace):
+        """(u3, |u3 - u2|) of one step from the half spectrum u, whose
+        nonlinear term n0 the caller holds; the two stage passes skip the
+        action and the sup norm."""
+        stage_a = self.e_half * u + self.f_half * n0
         na = nonlinear(stage_a, work, diagnostics=False)[0]
-        stage_b = SpectralConnection(
-            a.group, a.cutoff, self.e_full * u + self.f_full * (2.0 * na - n0)
-        )
+        stage_b = self.e_full * u + self.f_full * (2.0 * na - n0)
         nb = nonlinear(stage_b, work, diagnostics=False)[0]
         u3 = self.e_full * u + self.w0 * n0 + self.wa * na + self.wb * nb
         u2 = self.e_full * u + self.e0 * n0 + self.ea * na
-        err = float(np.sqrt(np.sum(np.abs(u3 - u2) ** 2)))
-        return SpectralConnection(a.group, a.cutoff, u3), err
+        return u3, _half_l2(u3 - u2)
 
 
 _NONLINEAR = {"ym": _ym_nonlinear, "zdds": _zdds_nonlinear}
@@ -195,7 +201,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
     work = _Workspace(a0.group, a0.cutoff, deturck=config.flow_kind == "zdds")
 
     steppers: dict[float, _EtdStepper] = {}
-    state = a0.copy()
+    state = a0.coeffs[..., a0.cutoff:].copy()
     t = 0.0
     # the nonlinear term of the current state with its action and sup
     # norm: one evaluation serves the action guard, the blow-up check and
@@ -217,11 +223,11 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
                 steppers[h] = _EtdStepper(a0.cutoff, h)
             candidate, err = steppers[h].step(state, n_state, nonlinear, work)
             traj.rhs_evaluations += 3
-            ok = np.isfinite(err) and bool(np.all(np.isfinite(candidate.coeffs)))
+            ok = np.isfinite(err) and bool(np.all(np.isfinite(candidate)))
             if not ok:
                 traj.failure = "non-finite"
                 break
-            rel_err = err / max(l2_norm(candidate), 1e-30)
+            rel_err = err / max(_half_l2(candidate), 1e-30)
             ok = rel_err <= config.error_tol
             if ok:
                 n_new, new_action, sup = nonlinear(candidate, work)
@@ -250,7 +256,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
                 break
         if traj.failure is not None:
             break
-        traj.states[target] = state.copy()
+        traj.states[target] = SpectralConnection(a0.group, a0.cutoff, _full_spectrum(state))
         traj.actions[target] = action
 
     traj.attained_time = t

@@ -270,6 +270,7 @@ class Character:
 # loop Fourier coefficients (exact per-segment line integrals)
 
 
+# loop geometry -> {cutoff: table}
 _LOOP_TABLE_CACHE: dict = {}
 
 
@@ -286,13 +287,25 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
     delta is nonzero only: a K-vector for an axis-aligned segment.  Each
     mode's value depends on that mode alone, so c_(-n) = conj(c_n) holds
     exactly and a smaller cutoff's table is the central slice of a larger
-    one's.  Tables are cached on the loop geometry (ensemble reports reuse
-    them heavily).
+    one's.  Tables are cached on the loop geometry and the cutoff (ensemble
+    reports reuse them heavily); a cutoff below one already cached copies
+    the central slice of the largest such table instead of building one.
     """
-    key = (loop.vertices.tobytes(), loop.winding.tobytes(), cutoff)
-    cached = _LOOP_TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if len(_LOOP_TABLE_CACHE) > 256:
+        _LOOP_TABLE_CACHE.clear()
+    tables = _LOOP_TABLE_CACHE.setdefault(
+        (loop.vertices.tobytes(), loop.winding.tobytes()), {})
+    if cutoff not in tables:
+        top = max(tables, default=cutoff)
+        centre = slice(top - cutoff, top + cutoff + 1)
+        tables[cutoff] = tables[top][:, centre, centre, centre].copy() \
+            if top > cutoff else _loop_table(loop, cutoff)
+        tables[cutoff].setflags(write=False)
+    return tables[cutoff]
+
+
+def _loop_table(loop: Loop, cutoff: int) -> np.ndarray:
+    """The table of loop_fourier_coefficients, built afresh."""
     axis = np.arange(-cutoff, cutoff + 1)
     n_axes = np.ix_(axis, axis, axis)          # n_j along axis j of the cube
     k = len(axis)
@@ -306,10 +319,6 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
         term *= np.sinc(sum(delta[j] * n_axes[j] for j in moving))
         for j in moving:
             out[j] += delta[j] * term
-    out.setflags(write=False)
-    if len(_LOOP_TABLE_CACHE) > 256:
-        _LOOP_TABLE_CACHE.clear()
-    _LOOP_TABLE_CACHE[key] = out
     return out
 
 

@@ -1,9 +1,10 @@
 """Reference helpers that only the tests use: loop rewrites, the loop
 Fourier table as an exponential difference, algebra projection, the
-free-field two-point diagnostic, and the samplers, their mode table,
+free-field two-point diagnostic, the samplers, their mode table,
 frames and Gaussian draws as first written (zero-filled cubes and
 three-index scatters, a sorted mode grid, np.cross frames, one Philox
-counter array per mode).
+counter array per mode), and the YM/ZDDS flow as first written on the
+full (K, K, K) spectrum.
 
 None of them is on a pipeline path, so they live here rather than in the
 package; each is checked against the package code it shadows.
@@ -13,7 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ymflow.fields import SpectralConnection, mode_grids
+from ymflow.fields import (
+    TWO_PI,
+    SpectralConnection,
+    _Workspace,
+    _action_of,
+    _cyclic_interior,
+    _dft_plan,
+    _full_spectrum,
+    _grid_bracket,
+    _sup_of,
+    _ym_nonlinear,
+    _zdds_nonlinear,
+    dealias_resolution,
+    mode_grids,
+    mode_norm_sq,
+)
+from ymflow.flow import MAX_STEPS, MONOTONE_TOL, FlowTrajectory, _phi_funcs
 from ymflow.groups import GroupSpec
 from ymflow.rng import TAG_COMPONENT, philox4x64_10
 from ymflow.wilson import FieldEvaluator, Loop, make_loop
@@ -277,3 +294,197 @@ def sample_u1_coulomb_dense(config) -> SpectralConnection:
     stored = -1j * (z1[:, None] * u1v + z2[:, None] * u2v)      # (H, 3)
     coeffs = _dense_fill(stored.T, n_mod, config.cutoff)
     return SpectralConnection(config.group, config.cutoff, coeffs[None])
+
+
+# ---------------------------------------------------------------------------
+# the flow on the full spectrum: every pass and every stage works on the
+# whole (d, 3, K, K, K) cube, the n3 < 0 half recomputed alongside its
+# mirror.  The package flow runs on the n3 >= 0 half and must equal this
+# byte for byte.
+
+
+def nonlinear_pass(a: SpectralConnection, deturck: bool, diagnostics: bool = True):
+    """The package's half-spectrum nonlinear pass of a full-cube
+    connection, its output mirrored back to the full cube."""
+    fn = _zdds_nonlinear if deturck else _ym_nonlinear
+    n = a.cutoff
+    nl, action, sup = fn(a.coeffs[..., n:], _Workspace(a.group, n, deturck),
+                         diagnostics)
+    return _full_spectrum(nl), action, sup
+
+
+def _half_to_values_full(half, cutoff, resolution):
+    synth, _, synth3, _ = _dft_plan(cutoff, resolution)
+    k, h, m = 2 * cutoff + 1, cutoff + 1, resolution
+    g = np.matmul(synth, half.reshape(-1, k, h))
+    g = np.matmul(synth, g.reshape(-1, k, m * h))
+    values = np.matmul(g.view(float).reshape(-1, 2 * h), synth3)
+    return values.reshape(half.shape[:-3] + (m, m, m))
+
+
+def _values_to_spectral_full(values, cutoff, resolution):
+    _, analysis, _, analysis3 = _dft_plan(cutoff, resolution)
+    k, h, m = 2 * cutoff + 1, cutoff + 1, resolution
+    g = np.matmul(values.reshape(-1, m), analysis3)
+    g = np.matmul(analysis, g.view(complex).reshape(-1, m, m * h))
+    upper = np.matmul(analysis, g.reshape(-1, m, h))
+    upper = upper.reshape(values.shape[:-3] + (k, k, h))
+    lower = np.conj(upper[..., ::-1, ::-1, :0:-1])
+    return np.concatenate([lower, upper], axis=-1)
+
+
+def _curl_full(c: np.ndarray, cutoff: int) -> np.ndarray:
+    """(curl c)_k = i 2 pi (n_i c_j - n_j c_i) over cyclic (i, j, k) on
+    full-cube stacks (d, 3, K, K, K)."""
+    n = mode_grids(cutoff)
+    out = np.empty_like(c)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        out[:, k] = (1j * TWO_PI) * (n[i] * c[:, j] - n[j] * c[:, i])
+    return out
+
+
+def _d_star_full(c, cutoff):
+    n = mode_grids(cutoff)
+    return (-1j * TWO_PI) * (n[0] * c[:, 0] + n[1] * c[:, 1] + n[2] * c[:, 2])
+
+
+def _grad_full(f, cutoff):
+    n = mode_grids(cutoff)
+    return np.stack([(1j * TWO_PI) * n[i] * f for i in range(3)], axis=1)
+
+
+def nonlinear_full_spectrum(a: SpectralConnection, deturck: bool,
+                            diagnostics: bool = True):
+    """(right-hand side minus the Laplacian term, S_YM, sup|A|) with
+    every spectral array on the full cube."""
+    group, n = a.group, a.cutoff
+    m = dealias_resolution(n)
+    c = a.coeffs
+    if group.is_abelian:
+        nl = np.zeros_like(c) if deturck else _grad_full(_d_star_full(c, n), n)
+        if not diagnostics:
+            return nl, None, None
+    rows = 7 if deturck and not group.is_abelian else 6
+    half = np.empty((group.algebra_dim, rows) + c.shape[2:4] + (n + 1,), dtype=complex)
+    half[:, :3] = c[..., n:]
+    half[:, 3:6] = _curl_full(c, n)[..., n:]
+    if rows == 7:
+        half[:, 6] = _d_star_full(c, n)[..., n:]
+    grids = _half_to_values_full(half, n, m)
+    avals = grids[:, :3]
+    sup = _sup_of(avals) if diagnostics else None
+    if group.is_abelian:
+        return nl, _action_of(grids[:, 3:]), sup
+    ab = np.empty((group.algebra_dim, 2, 5) + (m, m, m))
+    a5, b5 = ab[:, 0], ab[:, 1]
+    a5[:, :3] = avals
+    b5[:, :3] = grids[:, 3:6]
+    a5[:, 3:] = a5[:, :2]
+    half_aa = _grid_bracket(a5[:, 1:4], a5[:, 2:5], group)
+    b5[:, :3] += half_aa
+    action = _action_of(b5[:, :3]) if diagnostics else None
+    b5[:, 3:] = b5[:, :2]
+    nl = _curl_full(_values_to_spectral_full(half_aa, n, m), n)
+    inner = _cyclic_interior(group, ab)
+    if deturck:
+        inner += _grid_bracket(a5[:, :3], grids[:, 6:], group)
+    nl += _values_to_spectral_full(inner, n, m)
+    np.negative(nl, out=nl)
+    if not deturck:
+        nl += _grad_full(_d_star_full(c, n), n)
+    return nl, action, sup
+
+
+class _FullStepper:
+    """The ETDRK3 tableau of one (cutoff, dt) on the full cube."""
+
+    def __init__(self, cutoff: int, dt: float):
+        lam = -4.0 * np.pi**2 * mode_norm_sq(cutoff)
+        z = dt * lam
+        p1, p2, p3 = _phi_funcs(z)
+        p1h, _, _ = _phi_funcs(0.5 * z)
+        self.e_full = np.exp(z)
+        self.e_half = np.exp(0.5 * z)
+        self.f_half = 0.5 * dt * p1h
+        self.f_full = dt * p1
+        self.w0 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
+        self.wa = dt * (4.0 * p2 - 8.0 * p3)
+        self.wb = dt * (-p2 + 4.0 * p3)
+        self.e0 = dt * (p1 - 2.0 * p2)
+        self.ea = dt * (2.0 * p2)
+
+    def step(self, a: SpectralConnection, n0: np.ndarray, deturck: bool):
+        u = a.coeffs
+        stage_a = SpectralConnection(a.group, a.cutoff, self.e_half * u + self.f_half * n0)
+        na = nonlinear_full_spectrum(stage_a, deturck, diagnostics=False)[0]
+        stage_b = SpectralConnection(
+            a.group, a.cutoff, self.e_full * u + self.f_full * (2.0 * na - n0))
+        nb = nonlinear_full_spectrum(stage_b, deturck, diagnostics=False)[0]
+        u3 = self.e_full * u + self.w0 * n0 + self.wa * na + self.wb * nb
+        u2 = self.e_full * u + self.e0 * n0 + self.ea * na
+        err = float(np.sqrt(np.sum(np.abs(u3 - u2) ** 2)))
+        return SpectralConnection(a.group, a.cutoff, u3), err
+
+
+def integrate_full_spectrum(a0: SpectralConnection, config, times) -> FlowTrajectory:
+    """flow.integrate for 'ym' and 'zdds' with the state, every stage and
+    the error norms on the full cube."""
+    targets = sorted(set(float(t) for t in times))
+    traj = FlowTrajectory(a0.group, a0.cutoff, config.flow_kind)
+    deturck = config.flow_kind == "zdds"
+    guard_action = not deturck
+    steppers = {}
+    state = a0.copy()
+    t = 0.0
+    n_state, action, _ = nonlinear_full_spectrum(state, deturck)
+    dt_floor = config.dt_initial * 2.0**-40
+    for target in targets:
+        dt = config.dt_initial
+        clean = 0
+        while t < target - 1e-14 * targets[-1]:
+            if traj.step_count >= MAX_STEPS:
+                traj.failure = "stalled"
+                break
+            h = min(dt, target - t)
+            if h not in steppers:
+                steppers[h] = _FullStepper(a0.cutoff, h)
+            candidate, err = steppers[h].step(state, n_state, deturck)
+            traj.rhs_evaluations += 3
+            if not (np.isfinite(err) and np.all(np.isfinite(candidate.coeffs))):
+                traj.failure = "non-finite"
+                break
+            norm = float(np.sqrt(np.sum(np.abs(candidate.coeffs) ** 2)))
+            ok = err / max(norm, 1e-30) <= config.error_tol
+            if ok:
+                n_new, new_action, sup = nonlinear_full_spectrum(candidate, deturck)
+                if guard_action and \
+                        new_action > action + MONOTONE_TOL * (1.0 + action):
+                    ok = False
+            if not ok:
+                dt = h * config.dt_safety
+                clean = 0
+                if dt < dt_floor:
+                    traj.failure = "stalled"
+                    break
+                continue
+            state, n_state, action = candidate, n_new, new_action
+            t += h
+            traj.step_count += 1
+            clean += 1
+            if clean >= 10:
+                dt = min(dt / config.dt_safety, config.dt_initial)
+                clean = 0
+            if not np.isfinite(sup):
+                traj.failure = "non-finite"
+                break
+            if sup > config.blowup_threshold:
+                traj.failure = "threshold"
+                break
+        if traj.failure is not None:
+            break
+        traj.states[target] = state.copy()
+        traj.actions[target] = action
+    traj.attained_time = t
+    traj.blew_up = traj.failure is not None
+    return traj

@@ -441,7 +441,7 @@ def test_verify_command_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "zdds-consistency" in out
-    assert [line.split()[1] for line in out.splitlines()] == ["PASS"] * 7
+    assert [line.split()[1] for line in out.splitlines()] == ["PASS"] * 8
 
 
 def test_verify_mutation_detected(monkeypatch):
@@ -457,7 +457,7 @@ def test_verify_mutation_detected(monkeypatch):
     monkeypatch.setattr(verify_mod, "zdds_rhs", slipped)
     lines = []
     assert not verify_mod.run_suites(out=lines.append)
-    assert len(lines) == len(verify_mod.SUITES)
+    assert len(lines) == len(verify_mod.SUITES) == 8
     failing = [l for l in lines if "FAIL" in l]
     assert len(failing) == 1 and failing[0].startswith("zdds-consistency")
 

@@ -357,6 +357,26 @@ def test_u1_exact_draws_once_per_stream(monkeypatch):
     assert sorted(draws) == [(s, 12) for s in range(4)]
 
 
+def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
+    # a stream's reference values come before its members, so the members
+    # and the convergence report read central slices of the tables built
+    # at the reference cutoff
+    import ymflow.wilson as wil
+    built = []
+    real = wil._loop_table
+
+    def counting(loop, cutoff):
+        built.append((loop.name, cutoff))
+        return real(loop, cutoff)
+
+    monkeypatch.setattr(wil, "_loop_table", counting)
+    monkeypatch.setattr(wil, "_LOOP_TABLE_CACHE", {})
+    spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02))
+    recs, reference = run_ensemble(spec, reference_cutoff=12)
+    distribution_convergence_report(recs, spec, reference)
+    assert sorted(built) == [("cx", 12), ("plaq", 12)]
+
+
 def test_flowed_members_draw_once_each_and_largest_carries_reference(monkeypatch):
     import ymflow.ensemble as ens
     draws = []

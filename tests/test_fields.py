@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_connection, random_gauge
+from reference import nonlinear_full_spectrum, nonlinear_pass
 from ymflow.fields import (
     GaugeTransform,
     SpectralConnection,
     _curl,
     _cyclic_interior,
+    _full_spectrum,
     _grid_bracket,
     _spectral_to_values,
     _values_to_spectral,
-    _ym_nonlinear,
-    _zdds_nonlinear,
     coulomb_project_u1,
     d_star_1form,
     dealias_resolution,
@@ -63,6 +63,16 @@ def to_grid(a, m):
     return _spectral_to_values(a.coeffs, a.cutoff, m)
 
 
+def to_coeffs(values, cutoff, m):
+    """_values_to_spectral mirrored to the full cube."""
+    return _full_spectrum(_values_to_spectral(values, cutoff, m))
+
+
+def full_curl(c, cutoff):
+    """_curl of the half of a full-cube stack, mirrored to the full cube."""
+    return _full_spectrum(_curl(c[..., cutoff:], cutoff))
+
+
 def test_to_grid_zero():
     g = to_grid(zero_connection(SU2, 2), 10)
     assert np.max(np.abs(g)) == 0.0
@@ -86,7 +96,7 @@ def test_to_grid_single_mode_cosine():
 def test_round_trip_and_parseval():
     a = random_connection(SU2, 3, seed=10)
     for m in (7, 9, 14):
-        back = _values_to_spectral(to_grid(a, m), 3, m)
+        back = to_coeffs(to_grid(a, m), 3, m)
         assert np.max(np.abs(back - a.coeffs)) < 1e-12
     g = to_grid(a, 14)
     grid_l2 = float(np.sqrt(np.mean(np.sum(g**2, axis=(0, 1)))))
@@ -98,7 +108,7 @@ def test_resolution_too_small_rejected():
     with pytest.raises(ValueError):
         to_grid(a, 6)
     with pytest.raises(ValueError):
-        _values_to_spectral(to_grid(a, 8), 4, 8)
+        to_coeffs(to_grid(a, 8), 4, 8)
 
 
 def test_reality_defect_detects_breakage():
@@ -152,7 +162,7 @@ def test_real_transforms_match_complex_reference(group, cutoff):
         ref = _reference_to_values(a.coeffs, cutoff, m)
         assert vals.shape == ref.shape
         assert np.max(np.abs(vals - ref)) < 1e-12 * (1 + np.max(np.abs(ref)))
-        back = _values_to_spectral(ref, cutoff, m)
+        back = to_coeffs(ref, cutoff, m)
         want = _reference_to_coeffs(ref, cutoff, m)
         assert np.max(np.abs(back - want)) < 1e-13 * (1 + np.max(np.abs(want)))
         assert np.max(np.abs(back - a.coeffs)) < 1e-12 * (1 + np.max(np.abs(a.coeffs)))
@@ -227,6 +237,24 @@ def reference_curvature(a, m):
     return fvals, avals
 
 
+@pytest.mark.parametrize("group", [SU2, SU3, U1, U2], ids=lambda g: g.label())
+def test_half_spectrum_pass_matches_full_spectrum_bits(group):
+    # the pass on the n3 >= 0 half, mirrored, against the pass as first
+    # written on the full cube: the same bytes for SU(N), where the term
+    # has no exact zeros; with an Abelian component the term has exact
+    # zeros, whose sign the mirror may flip, so there the values agree
+    for cutoff in (1, 2, 4):
+        a = random_connection(group, cutoff, seed=150 + cutoff, scale=0.4)
+        for deturck in (False, True):
+            got, want = nonlinear_pass(a, deturck), nonlinear_full_spectrum(a, deturck)
+            assert got[0].shape == want[0].shape
+            if group.kind == "su":
+                assert got[0].tobytes() == want[0].tobytes()
+            else:
+                assert np.array_equal(got[0], want[0])
+            assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
+
+
 @pytest.mark.parametrize("group", [U1, SU2, SU3, U2], ids=lambda g: g.label())
 def test_fused_nonlinear_diagnostics_match_standalone(group):
     # S_YM = sum over ordered (i, j) of the mean of |F_ij|^2, sup|A| the
@@ -237,8 +265,8 @@ def test_fused_nonlinear_diagnostics_match_standalone(group):
         s_ref = 2.0 * np.mean(np.sum(fvals**2, axis=(0, 1)))
         sup_ref = np.sqrt(np.max(np.sum(avals**2, axis=(0, 1))))
         assert abs(ym_action(a) - s_ref) <= 1e-13 * s_ref
-        for fn in (_ym_nonlinear, _zdds_nonlinear):
-            _, s, sup = fn(a)
+        for deturck in (False, True):
+            _, s, sup = nonlinear_pass(a, deturck)
             assert abs(s - s_ref) <= 1e-13 * s_ref
             assert abs(sup - sup_ref) <= 1e-13 * sup_ref
 
@@ -254,7 +282,7 @@ def test_fused_nonlinear_diagnostics_match_standalone(group):
 def test_exterior_d_constant_vanishes():
     a = zero_connection(U1, 2)
     a.coeffs[0, :, 2, 2, 2] = (0.3, -1.0, 2.0)
-    assert np.max(np.abs(_curl(a.coeffs, 2))) == 0.0
+    assert np.max(np.abs(full_curl(a.coeffs, 2))) == 0.0
 
 
 def test_exterior_d_gradient_vanishes():
@@ -268,14 +296,14 @@ def test_exterior_d_gradient_vanishes():
         for j in range(3):
             a.coeffs[(0, j) + idx] = alpha * n[j]
             a.coeffs[(0, j) + ridx] = np.conj(alpha * n[j])
-    assert np.max(np.abs(_curl(a.coeffs, 3))) < 1e-14
+    assert np.max(np.abs(full_curl(a.coeffs, 3))) < 1e-14
 
 
 def test_exterior_d_single_mode_hand_expansion():
     n = (1, -2, 0)
     v = (0.5 + 0.1j, -0.2j, 1.0)
     a = single_mode(U1, 3, n, v)
-    curl = _curl(a.coeffs, 3)
+    curl = full_curl(a.coeffs, 3)
     idx = tuple(np.asarray(n) + 3)
     two_pi_i = 2j * np.pi
     # the dual (F_12, -F_02, F_01) of dA
@@ -316,13 +344,13 @@ def test_d_star_1form_matches_grid_finite_differences():
 
 def test_d_star_2form_cases():
     f0 = np.zeros((1, 3, 5, 5, 5), dtype=complex)
-    assert np.max(np.abs(_curl(f0, 2))) == 0.0
+    assert np.max(np.abs(full_curl(f0, 2))) == 0.0
     # divergence-free single mode: d*dA = -Lap A = 4 pi^2 |n|^2 A
     n = (1, 1, 0)
     v = np.array([1.0, -1.0, 0.7j])  # n.v = 0
     assert abs(np.dot(n, v)) < 1e-15
     a = single_mode(U1, 2, n, v)
-    got = _curl(_curl(a.coeffs, 2), 2)
+    got = full_curl(full_curl(a.coeffs, 2), 2)
     want = 4 * np.pi**2 * 2.0 * a.coeffs
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -333,7 +361,7 @@ def test_d_star_2form_matches_finite_differences():
     comps = rng.normal(size=(1, 3, k, k, k)) + 1j * rng.normal(size=(1, 3, k, k, k))
     comps = 0.5 * (comps + np.conj(comps[:, :, ::-1, ::-1, ::-1]))
     # comps holds F in PAIRS storage; d*F is the curl of its dual
-    out = _curl(dual(comps), 2)
+    out = full_curl(dual(comps), 2)
     m = 48
     f_grid = _spectral_to_values(comps, 2, m)
     out_grid = _spectral_to_values(out, 2, m)
@@ -447,7 +475,7 @@ def test_curvature_u1_is_exterior_d():
     # F_A = dA for U(1); the fused pass holds dA as the curl, its dual
     a = single_mode(U1, 2, (1, 0, 2), (0.3, 0.7j, -0.2))
     f, _ = reference_curvature(a, 12)
-    curl = _spectral_to_values(_curl(a.coeffs, 2), 2, 12)
+    curl = _spectral_to_values(full_curl(a.coeffs, 2), 2, 12)
     assert np.max(np.abs(curl - dual(f))) < 1e-13
 
 
@@ -456,7 +484,7 @@ def test_ym_action_is_the_fused_pass_action_without_its_second_half(group, monke
     import ymflow.fields as fields_mod
     cases = [random_connection(group, cutoff, seed=90 + cutoff, scale=0.4)
              for cutoff in (1, 2, 3)]
-    want = [_ym_nonlinear(a)[1] for a in cases]
+    want = [nonlinear_pass(a, False)[1] for a in cases]
 
     def unused(*args, **kwargs):
         raise AssertionError("an action-only pass ran the second half")
@@ -540,13 +568,13 @@ def test_u1_gauge_equivalence_characterization():
         [alpha * n1g, alpha * n2g, alpha * n3g]
     )[None, :])
     diff = SpectralConnection(U1, 2, a1.coeffs - a2.coeffs)
-    assert np.max(np.abs(_curl(diff.coeffs, 2))) < 1e-12
+    assert np.max(np.abs(full_curl(diff.coeffs, 2))) < 1e-12
     p1, p2 = coulomb_project_u1(a1), coulomb_project_u1(a2)
     assert np.max(np.abs(p1.coeffs - p2.coeffs)) < 1e-10
     # and a genuinely different field fails both ways
     a3 = random_connection(U1, 2, seed=32)
     diff3 = SpectralConnection(U1, 2, a1.coeffs - a3.coeffs)
-    assert np.max(np.abs(_curl(diff3.coeffs, 2))) > 1e-3
+    assert np.max(np.abs(full_curl(diff3.coeffs, 2))) > 1e-3
     p3 = coulomb_project_u1(a3)
     assert np.max(np.abs(p1.coeffs - p3.coeffs)) > 1e-3
 
@@ -570,7 +598,7 @@ def test_gauge_transform_u1_winding_shift():
     a = random_connection(U1, 2, seed=34)
     m = (1, -2, 3)
     sig = GaugeTransform.winding_u1(m)
-    out = _values_to_spectral(gauge_transform(a, sig, 10), 2, 10)
+    out = to_coeffs(gauge_transform(a, sig, 10), 2, 10)
     want = a.coeffs.copy()
     for i in range(3):
         want[0, i, 2, 2, 2] += 2 * np.pi * m[i]
@@ -663,7 +691,7 @@ def test_rhs_preserves_reality():
 def test_norms():
     a = random_connection(SU2, 2, seed=62)
     assert h1_norm(a) >= l2_norm(a)
-    assert _ym_nonlinear(a)[2] > 0
+    assert nonlinear_pass(a, False)[2] > 0
     n = (1, 0, 0)
     b = single_mode(U1, 2, n, (1.0, 0, 0))
     assert abs(l2_norm(b) - np.sqrt(2.0)) < 1e-13

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_connection
+from reference import integrate_full_spectrum, nonlinear_pass
 from ymflow.fields import (
     GaugeTransform,
     SpectralConnection,
-    _ym_nonlinear,
     d_star_1form,
     h1_norm,
     heat_weights,
@@ -27,6 +27,8 @@ from ymflow.flow import (
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from ymflow.groups import SU2, U1, GroupSpec
 from ymflow.wilson import Character, rectangle_loop, wilson_loop
+
+SU3 = GroupSpec("su", 3)
 
 
 def gff_like_u1(cutoff, seed, scale=1.0):
@@ -196,7 +198,7 @@ def test_blowup_threshold_detected():
 
 
 def linf_cap(a):
-    return _ym_nonlinear(a)[2]
+    return nonlinear_pass(a, False)[2]
 
 
 def test_nonfinite_reported_distinctly():
@@ -527,3 +529,68 @@ def test_flow_steps_fault_in_no_grid_memory():
     calls, faults = map(int, out.stdout.split())
     assert calls >= 50
     assert faults / calls < 50
+
+
+# The flow runs on the n3 >= 0 half spectrum; tests/reference.py keeps it
+# as first written, with the state, every stage and the error norms on the
+# full cube.  GFF draws of seed 5: scaled to H^1 = 0.5 to t = 0.02, and
+# unscaled (S_YM ~ 2500, with rejected steps) to t = 0.05.
+HALF_SPECTRUM_CASES = [
+    ("ym", SU2, 2, 0.5, (0.01, 0.02)),
+    ("ym", SU2, 4, 0.5, (0.01, 0.02)),
+    ("zdds", SU3, 2, 0.5, (0.01, 0.02)),
+    ("ym", U1, 3, 0.5, (0.01, 0.02)),
+    ("zdds", U1, 3, 0.5, (0.01, 0.02)),
+    ("ym", SU2, 2, None, (0.05,)),
+    ("zdds", SU2, 2, None, (0.05,)),
+]
+
+
+@pytest.mark.parametrize("kind, group, cutoff, h1, times", HALF_SPECTRUM_CASES,
+                         ids=[f"{c[0]}-{c[1].label()}-{c[2]}-{c[3] or 'unscaled'}"
+                              for c in HALF_SPECTRUM_CASES])
+def test_half_spectrum_flow_equals_full_spectrum_bytes(kind, group, cutoff, h1, times):
+    a = sample_initial(group, "gff", cutoff, 5, 0, scale_to_h1=h1)
+    got = integrate(a, FlowConfig(kind), times)
+    want = integrate_full_spectrum(a, FlowConfig(kind), times)
+    assert (got.step_count, got.rhs_evaluations) == (want.step_count, want.rhs_evaluations)
+    if h1 is None:
+        assert got.rhs_evaluations > 3 * got.step_count   # steps were rejected
+    for t in times:
+        assert got.states[t].coeffs.tobytes() == want.states[t].coeffs.tobytes()
+        assert got.actions[t].hex() == want.actions[t].hex()
+
+
+@pytest.mark.parametrize("kind", ["ym", "zdds"])
+def test_half_spectrum_flow_of_coulomb_data_equals_full_spectrum_values(kind):
+    # a Coulomb draw has exact zero coefficients (components along a
+    # vanishing frame entry); the recorded state mirrors the half, so a
+    # zero of the n3 < 0 half may carry the other sign than the full-cube
+    # arithmetic gives it, and only the values are compared
+    a = sample_u1_coulomb(SamplerConfig(U1, 3, seed=5))
+    got = integrate(a, FlowConfig(kind), (0.01, 0.02))
+    want = integrate_full_spectrum(a, FlowConfig(kind), (0.01, 0.02))
+    assert (got.step_count, got.rhs_evaluations) == (want.step_count, want.rhs_evaluations)
+    for t in (0.01, 0.02):
+        assert np.array_equal(got.states[t].coeffs, want.states[t].coeffs)
+        assert got.actions[t].hex() == want.actions[t].hex()
+
+
+def test_strong_field_flows_decay_through_rejected_steps():
+    # unscaled SU(2) GFF draws at N = 2 (S_YM ~ 2000-2500): neither flow
+    # blows up, S_YM strictly decreases over the checkpoints (YM, seed 5:
+    # 2490.5, 903.3, 179.2), and the error controller rejects steps (75
+    # attempts for 72 steps), so its reject branch runs on the half spectrum
+    import time
+
+    times = (0.01, 0.02, 0.05)
+    start = time.perf_counter()
+    for seed in (5, 7):
+        a = sample_initial(SU2, "gff", 2, seed, 0)
+        for kind in ("ym", "zdds"):
+            traj = integrate(a, FlowConfig(kind), times)
+            assert not traj.blew_up
+            s = [traj.actions[t] for t in times]
+            assert s[0] > s[1] > s[2]
+            assert traj.rhs_evaluations > 3 * traj.step_count
+    assert time.perf_counter() - start < 1.0

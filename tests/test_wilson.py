@@ -183,13 +183,21 @@ def test_loop_fourier_symmetries_random_loop():
     assert np.max(np.abs(ndot)) < 1e-13
 
 
-def test_loop_fourier_smaller_cutoff_is_central_slice():
+def test_loop_fourier_smaller_cutoff_is_central_slice(monkeypatch):
+    # a table built at a smaller cutoff has the bytes of the central slice
+    # of a larger one's, which is what the cache copies once the larger
+    # table exists
+    import ymflow.wilson as wil
+    monkeypatch.setattr(wil, "_LOOP_TABLE_CACHE", {})
     for lp in [PLAQ] + random_loops(6):
         big = loop_fourier_coefficients(lp, 16)
         for c in (2, 4, 8):
             centre = slice(16 - c, 17 + c)
             want = big[:, centre, centre, centre]
-            assert loop_fourier_coefficients(lp, c).tobytes() == want.tobytes()
+            assert wil._loop_table(lp, c).tobytes() == want.tobytes()
+            got = loop_fourier_coefficients(lp, c)
+            assert not got.flags.writeable and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 def test_loop_fourier_matches_exponential_difference():
