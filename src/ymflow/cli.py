@@ -211,18 +211,6 @@ def cmd_ensemble(args) -> int:
         raise ConfigError("a [flow] section is required")
     if not cfg.ens_cutoffs:
         raise ConfigError("an [ensemble] section is required")
-    if cfg.ens_reference_cutoff and cfg.scale_to_h1 is not None:
-        raise ConfigError(
-            "[ensemble] reference_cutoff cannot be combined with [sampler] "
-            "scale_to_h1: the convergence report compares unscaled fields"
-        )
-    if cfg.ens_reference_cutoff and (cfg.sampler_kind != "u1_coulomb"
-                                     or not cfg.loops_file):
-        raise ConfigError(
-            "[ensemble] reference_cutoff needs [sampler] kind = u1_coulomb and "
-            "a [loops] file: the convergence report compares exact U(1) "
-            "Wilson loops"
-        )
     outdir, source = _resolve_output(cfg, args)
     outdir.mkdir(parents=True, exist_ok=True)
     loops = ()

@@ -8,17 +8,15 @@ configuration, which says only how to integrate: each member flows to
 its last observation time and is read at each of them.
 
 Because the draw at a smaller cutoff is the restriction of the draw at a
-larger one, a task draws once and restricts.  For the closed-form U(1)
-flow (``u1_exact``) a task is one stream: one draw at the reference
-cutoff (or at the largest member cutoff when there is none) gives every
-member of the stream and the stream's exact reference Wilson values, and
-is dropped before the next stream.  Flowed ensembles (``ym``, ``zdds``)
-run one task per (stream, cutoff), largest cutoff first; the reference
-values come with the largest-cutoff task.  Tasks run independently,
-optionally in forked worker processes (serially where the platform
-cannot fork); records are always assembled and written in (stream,
-cutoff) order, and a task computes the same bits in any process, so the
-output bytes do not depend on the worker count.
+larger one, a task is one stream: one draw at the reference cutoff (or
+at the largest member cutoff when there is none) gives the stream's
+exact reference Wilson values and every member of the stream, and is
+dropped before the next stream.  A member is one ``integrate`` run from
+its restricted draw, read at the observation times.  Tasks run
+independently, optionally in forked worker processes (serially where the
+platform cannot fork); records are always assembled and written in
+(stream, cutoff) order, and a task computes the same bits in any
+process, so the output bytes do not depend on the worker count.
 
 Records carry the hash of the exact configuration that produced them.
 Persistence is newline-delimited JSON, one flat observation row per line,
@@ -38,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import SpectralConnection, h1_norm, u1_amplitudes, ym_action_u1_spectral
-from .flow import FlowConfig, heat_semigroup_u1, integrate
+from .fields import SpectralConnection, h1_norm, u1_amplitudes
+from .flow import FlowConfig, integrate
 from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from .groups import GroupSpec
 from .storage import atomic_open
@@ -159,22 +157,19 @@ def _exact_wilson(a: SpectralConnection, loops, characters, times) -> dict:
 
 def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
                    config_hash: str) -> EnsembleRecord:
-    """Observables of the member of this stream whose initial field is a0."""
+    """Observables of the member of this stream whose initial field is a0:
+    one flow run, read at every observation time."""
+    traj = integrate(a0, spec.flow, spec.times)
     rec = EnsembleRecord(
         seed=spec.seed, stream=stream, cutoff=a0.cutoff, group=spec.group.label(),
-        g=spec.coupling, config_hash=config_hash,
+        g=spec.coupling, s_ym={t: traj.actions.get(t) for t in spec.times},
+        attained_time=traj.attained_time, blew_up=traj.blew_up,
+        config_hash=config_hash,
     )
     if spec.flow.flow_kind == "u1_exact":
-        # the semigroup is diagonal: actions and Wilson values in closed
-        # form from a0, no trajectory
-        rec.s_ym = {t: ym_action_u1_spectral(heat_semigroup_u1(a0, t))
-                    for t in spec.times}
-        rec.attained_time = max(spec.times)
+        # the semigroup is diagonal: Wilson values in closed form from a0
         rec.wilson = _exact_wilson(a0, spec.loops, spec.characters, spec.times)
         return rec
-    traj = integrate(a0, spec.flow, spec.times)
-    rec.s_ym = {t: traj.actions.get(t) for t in spec.times}
-    rec.attained_time, rec.blew_up = traj.attained_time, traj.blew_up
     for t, state in traj.states.items():
         for lp in spec.loops:
             values = wilson_loop(state, lp, spec.characters,
@@ -184,14 +179,14 @@ def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
     return rec
 
 
-def _stream_task(spec: EnsembleSpec, stream: int, cutoffs: tuple,
-                 reference_cutoff: int | None, config_hash: str):
-    """The members of one stream at ``cutoffs``, all restricted from one
-    draw at ``reference_cutoff`` (at the largest of ``cutoffs`` when it is
-    None), and the stream's exact reference Wilson values read off that
-    draw (None without a reference cutoff)."""
-    top = reference_cutoff or cutoffs[-1]
-    draw = sample_initial(spec.group, spec.sampler_kind, top, spec.seed, stream,
+def _stream_task(spec: EnsembleSpec, stream: int, reference_cutoff: int | None,
+                 config_hash: str):
+    """The members of one stream, all restricted from one draw at
+    ``reference_cutoff`` (at the largest member cutoff when it is None),
+    and the stream's exact reference Wilson values read off that draw
+    (None without a reference cutoff)."""
+    draw = sample_initial(spec.group, spec.sampler_kind,
+                          reference_cutoff or spec.cutoffs[-1], spec.seed, stream,
                           spec.coupling)
     reference = None
     if reference_cutoff is not None:
@@ -200,69 +195,62 @@ def _stream_task(spec: EnsembleSpec, stream: int, cutoffs: tuple,
     records = [_member_record(spec, stream,
                               _rescaled(draw.restricted(c), spec.scale_to_h1),
                               config_hash)
-               for c in cutoffs]
+               for c in spec.cutoffs]
     return records, reference
 
 
 def _check_reference(spec: EnsembleSpec, reference_cutoff: int) -> None:
+    """The convergence report compares exact Wilson loops of unscaled U(1)
+    Coulomb fields, at a cutoff above every member's."""
     if spec.group.kind != "u1" or spec.sampler_kind != "u1_coulomb":
-        raise ValueError("convergence report applies to the U(1) ensemble")
+        raise ValueError("reference_cutoff needs a U(1) ensemble sampled by u1_coulomb")
     if spec.scale_to_h1 is not None:
-        raise ValueError(
-            "convergence report needs unscaled members: each member is rescaled "
-            "to its own H^1 norm, so no reference field shares their law"
-        )
+        raise ValueError("reference_cutoff cannot be combined with scale_to_h1: no "
+                         "reference field shares the law of rescaled members")
+    if not spec.loops:
+        raise ValueError("reference_cutoff needs loops (a [loops] file)")
     if reference_cutoff <= spec.cutoffs[-1]:
-        raise ValueError(
-            f"reference cutoff {reference_cutoff} must exceed the largest "
-            f"ensemble cutoff {spec.cutoffs[-1]}"
-        )
+        raise ValueError(f"reference_cutoff = {reference_cutoff}: the reference cutoff "
+                         f"must exceed the largest ensemble cutoff {spec.cutoffs[-1]}")
 
 
 def run_ensemble(spec: EnsembleSpec, threads: int = 1,
                  reference_cutoff: int | None = None):
-    """(records, reference): every (stream, cutoff) member, sorted by
-    (stream, cutoff) whatever the scheduling, and with a
-    ``reference_cutoff`` (U(1) Coulomb ensembles of unscaled fields only,
-    above every member cutoff) each stream's exact Wilson values at that
+    """(records, reference): every (stream, cutoff) member in (stream,
+    cutoff) order whatever the scheduling, and with a ``reference_cutoff``
+    (see ``_check_reference``) each stream's exact Wilson values at that
     cutoff, keyed (loop, character, t) like a record's; else None.
 
-    The tasks are those of the module docstring.  ``threads`` is the
-    number of worker processes: with more than one, and where the
-    platform can fork, tasks run in a pool of forked workers (which
-    inherit the imported modules, so nothing is imported again), at most
-    one per task; otherwise serially in this process.  An exception
-    raised by a task reaches the caller with its type.
+    There is one task per stream, whatever the flow (module docstring).
+    ``threads`` is the number of worker processes: with more than one,
+    and where the platform can fork, tasks run in a pool of forked
+    workers (which inherit the imported modules, so nothing is imported
+    again), at most one per stream; otherwise serially in this process.
+    An exception raised by a task reaches the caller with its type.
     """
     if reference_cutoff is not None:
         _check_reference(spec, reference_cutoff)
     config_hash = spec.config_hash()
     streams = range(spec.n_samples)
-    if spec.flow.flow_kind == "u1_exact":
-        tasks = [(s, spec.cutoffs, reference_cutoff) for s in streams]
-    else:
-        top = spec.cutoffs[-1]
-        tasks = [(s, (c,), reference_cutoff if c == top else None)
-                 for c in reversed(spec.cutoffs) for s in streams]
     # a fork pool starts all its workers at once, so cap it first
-    workers = min(threads, len(tasks))
+    workers = min(threads, spec.n_samples)
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        results = [_stream_task(spec, *task, config_hash) for task in tasks]
+        results = [_stream_task(spec, s, reference_cutoff, config_hash)
+                   for s in streams]
     else:
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_stream_task, spec, *task, config_hash)
-                       for task in tasks]
+            futures = [pool.submit(_stream_task, spec, s, reference_cutoff,
+                                   config_hash)
+                       for s in streams]
             try:
                 results = [fut.result() for fut in futures]
             finally:
                 pool.shutdown(cancel_futures=True)
-    records = sorted((rec for recs, _ in results for rec in recs),
-                     key=lambda rec: (rec.stream, rec.cutoff))
+    records = [rec for recs, _ in results for rec in recs]
     reference = None
     if reference_cutoff is not None:
-        reference = {task[0]: ref for task, (_, ref) in zip(tasks, results)
-                     if ref is not None}
+        reference = {s: ref for s, (_, ref) in zip(streams, results)}
     return records, reference
 
 

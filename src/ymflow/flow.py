@@ -79,9 +79,6 @@ class FlowConfig:
 
 @dataclass
 class FlowTrajectory:
-    group: object
-    cutoff: int
-    flow_kind: str
     states: dict = field(default_factory=dict)     # time -> SpectralConnection
     actions: dict = field(default_factory=dict)    # time -> S_YM of that state
     attained_time: float = 0.0
@@ -186,7 +183,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
     targets = sorted(set(float(t) for t in times))
     if not targets or not all(t > 0 for t in targets):
         raise ValueError("observation times must be positive and nonempty")
-    traj = FlowTrajectory(a0.group, a0.cutoff, config.flow_kind)
+    traj = FlowTrajectory()
 
     if config.flow_kind == "u1_exact":
         for t in targets:

@@ -157,20 +157,22 @@ def parse_loop_file(text: str) -> list[Loop]:
         loop NAME
         vertex X Y Z
         winding M1 M2 M3      (optional, cross-checked)
-    Raises LoopFileError with the offending line number.
+    Loop names are unique.  Raises LoopFileError with the offending line
+    number.
     """
     loops = []
+    first_line: dict = {}                # loop name -> line of its 'loop'
     name = None
     verts: list = []
     winding = None
-    start_line = 0
 
     def flush(line_no):
         nonlocal name, verts, winding
         if name is None:
             return
         if len(verts) < 2:
-            raise LoopFileError(f"line {start_line}: loop {name!r} has fewer than 2 vertices")
+            raise LoopFileError(f"line {first_line[name]}: loop {name!r} has "
+                                "fewer than 2 vertices")
         try:
             loops.append(make_loop(np.asarray(verts), winding, name=name))
         except ValueError as exc:
@@ -188,7 +190,10 @@ def parse_loop_file(text: str) -> list[Loop]:
             if len(parts) != 2:
                 raise LoopFileError(f"line {i}: 'loop' needs exactly one name")
             name = parts[1]
-            start_line = i
+            if name in first_line:
+                raise LoopFileError(f"line {i}: loop {name!r} already defined "
+                                    f"on line {first_line[name]}")
+            first_line[name] = i
         elif kw == "vertex":
             if name is None:
                 raise LoopFileError(f"line {i}: 'vertex' before any 'loop'")

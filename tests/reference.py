@@ -431,7 +431,7 @@ def integrate_full_spectrum(a0: SpectralConnection, config, times) -> FlowTrajec
     """flow.integrate for 'ym' and 'zdds' with the state, every stage and
     the error norms on the full cube."""
     targets = sorted(set(float(t) for t in times))
-    traj = FlowTrajectory(a0.group, a0.cutoff, config.flow_kind)
+    traj = FlowTrajectory()
     deturck = config.flow_kind == "zdds"
     guard_action = not deturck
     steppers = {}

@@ -262,6 +262,27 @@ def test_ensemble_refuses_non_finite_loop_vertex(workspace, capsys, bad):
     assert not (tmp / "bad" / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["ensemble", "wilson"])
+def test_repeated_loop_name_exits_one(workspace, capsys, command):
+    # a second loop named plaq once replaced the first one's Wilson values
+    # in the records, which then held half the rows
+    tmp, cfg = workspace
+    text = (tmp / "run.cfg").read_text().replace("kind = zdds", "kind = u1_exact")
+    exact = write(tmp / "exact.cfg", text.replace("n_samples = 120", "n_samples = 2"))
+    main(["sample", "--config", exact])
+    field = str(tmp / "out" / "field_u1_N3_seed11_s0.ymf")
+    write(tmp / "loops.txt", LOOPS.replace("loop plaq-reparam", "loop plaq"))
+    argv = {"ensemble": ["ensemble", "--config", exact],
+            "wilson": ["wilson", "--config", exact, "--input", field]}[command]
+    capsys.readouterr()
+    rc = main(argv + ["--output", str(tmp / "dup")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "line 10: loop 'plaq' already defined on line 2" in err
+    assert not (tmp / "dup" / "records.jsonl").exists()
+    assert not (tmp / "dup" / "wilson.csv").exists()
+
+
 def test_ensemble_thread_count_invariance(workspace, capsys):
     tmp, cfg = workspace
     assert main(["ensemble", "--config", cfg, "--threads", "1",

@@ -335,28 +335,6 @@ def test_convergence_report_refuses_reference_at_or_below_largest_cutoff():
             run_ensemble(spec, reference_cutoff=reference_cutoff)
 
 
-def test_u1_exact_draws_once_per_stream(monkeypatch):
-    # one draw per stream, at the reference cutoff or else at the largest
-    # member cutoff, serves every member of the stream
-    import ymflow.ensemble as ens
-    draws = []
-    real = ens.sample_u1_coulomb
-
-    def counting(cfg):
-        draws.append((cfg.stream, cfg.cutoff))
-        return real(cfg)
-
-    monkeypatch.setattr(ens, "sample_u1_coulomb", counting)
-    spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005,))
-    recs, reference = run_ensemble(spec)
-    assert len(recs) == 12 and reference is None
-    assert sorted(draws) == [(s, 8) for s in range(4)]
-    draws.clear()
-    recs, reference = run_ensemble(spec, reference_cutoff=12)
-    assert len(recs) == 12 and sorted(reference) == list(range(4))
-    assert sorted(draws) == [(s, 12) for s in range(4)]
-
-
 def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
     # a stream's reference values come before its members, so the members
     # and the convergence report read central slices of the tables built
@@ -377,7 +355,20 @@ def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
     assert sorted(built) == [("cx", 12), ("plaq", 12)]
 
 
-def test_flowed_members_draw_once_each_and_largest_carries_reference(monkeypatch):
+def test_convergence_report_refuses_reference_without_loops():
+    # the report compares Wilson loops, so a reference needs some
+    spec = u1_spec(n_samples=4, cutoffs=(2,), times=(0.005,), loops=())
+    with pytest.raises(ValueError, match="reference_cutoff needs loops"):
+        run_ensemble(spec, reference_cutoff=8)
+
+
+@pytest.mark.parametrize("flow", [FlowConfig("u1_exact"),
+                                  FlowConfig("ym", dt_initial=2.5e-3)],
+                         ids=["u1_exact", "ym"])
+def test_draws_once_per_stream(monkeypatch, flow):
+    # one draw per stream, at the reference cutoff or else at the largest
+    # member cutoff, serves every member of the stream whatever the flow,
+    # and a flowed run's reference values are the exact run's
     import ymflow.ensemble as ens
     draws = []
     real = ens.sample_u1_coulomb
@@ -386,24 +377,36 @@ def test_flowed_members_draw_once_each_and_largest_carries_reference(monkeypatch
         draws.append((cfg.stream, cfg.cutoff))
         return real(cfg)
 
-    exact = u1_spec(n_samples=2, cutoffs=(1, 2), times=(0.005,))
-    flowed = replace(exact, flow=FlowConfig("ym", dt_initial=2.5e-3))
+    exact = u1_spec(n_samples=3, cutoffs=(1, 2), times=(0.005,))
     _, want = run_ensemble(exact, reference_cutoff=4)
+    spec = replace(exact, flow=flow)
     monkeypatch.setattr(ens, "sample_u1_coulomb", counting)
-    recs, reference = run_ensemble(flowed, reference_cutoff=4)
-    assert len(recs) == 4
-    assert sorted(draws) == [(0, 1), (0, 4), (1, 1), (1, 4)]
+    recs, reference = run_ensemble(spec)
+    assert len(recs) == 6 and reference is None
+    assert sorted(draws) == [(s, 2) for s in range(3)]
+    draws.clear()
+    recs, reference = run_ensemble(spec, reference_cutoff=4)
+    assert len(recs) == 6 and sorted(reference) == list(range(3))
+    assert sorted(draws) == [(s, 4) for s in range(3)]
     assert reference == want
 
 
-@pytest.mark.parametrize("scale_to_h1, reference_cutoff", [(None, 12), (0.5, None)])
-def test_members_from_one_draw_equal_direct_draws(scale_to_h1, reference_cutoff):
+@pytest.mark.parametrize("kind, scale_to_h1, reference_cutoff", [
+    pytest.param("u1_exact", None, 12, id="None-12"),
+    pytest.param("u1_exact", 0.5, None, id="0.5-None"),
+    pytest.param("ym", None, 4, id="ym-None-4"),
+    pytest.param("ym", 0.5, None, id="ym-0.5-None"),
+])
+def test_members_from_one_draw_equal_direct_draws(kind, scale_to_h1, reference_cutoff):
     # restricting the stream's draw gives each member's direct draw bit
-    # for bit, and the closed-form actions are those of integrate's
-    # u1_exact branch
+    # for bit, and a member's actions are those of integrate on that draw
     import ymflow.ensemble as ens
-    spec = replace(u1_spec(n_samples=3, cutoffs=(2, 4, 8), times=(0.02, 0.005)),
-                   scale_to_h1=scale_to_h1)
+    if kind == "u1_exact":
+        spec = u1_spec(n_samples=3, cutoffs=(2, 4, 8), times=(0.02, 0.005))
+    else:
+        spec = replace(u1_spec(n_samples=3, cutoffs=(1, 2), times=(0.005, 0.0025)),
+                       flow=FlowConfig("ym", dt_initial=2.5e-3))
+    spec = replace(spec, scale_to_h1=scale_to_h1)
     recs, reference = run_ensemble(spec, reference_cutoff=reference_cutoff)
     config_hash = spec.config_hash()
     for rec in recs:
@@ -412,7 +415,7 @@ def test_members_from_one_draw_equal_direct_draws(scale_to_h1, reference_cutoff)
         assert rec == ens._member_record(spec, rec.stream, a0, config_hash)
         traj = integrate(a0, spec.flow, spec.times)
         assert rec.s_ym == traj.actions
-        assert rec.attained_time == traj.attained_time == 0.02
+        assert rec.attained_time == traj.attained_time == max(spec.times)
     for stream, values in (reference or {}).items():
         a_ref = sample_initial(U1, "u1_coulomb", reference_cutoff, spec.seed,
                                stream, spec.coupling)

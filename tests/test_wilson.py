@@ -118,6 +118,15 @@ def test_loop_file_errors_carry_line_numbers():
         parse_loop_file("loop a\nvertex 0 0 0\n")
 
 
+def test_loop_file_refuses_repeated_loop_name():
+    # records key Wilson values by loop name, so a second loop of the same
+    # name would silently replace the first one's values
+    text = "loop plaq\nvertex 0 0 0\nvertex 0.5 0 0\nvertex 0 0 0\n"
+    with pytest.raises(LoopFileError, match="line 6: loop 'plaq' already "
+                                            "defined on line 1"):
+        parse_loop_file(text + "# again\n" + text)
+
+
 # ---------------------------------------------------------------------------
 # characters
 
