@@ -154,6 +154,10 @@ def cmd_wilson(args) -> int:
     if not loops_path:
         raise ConfigError("no loops file: give [loops] file or --loops")
     loops = parse_loop_file(Path(loops_path).read_text())
+    if cfg.characters and cfg.group != a0.group:
+        raise ConfigError(f"[wilson] characters are characters of [sampler] group "
+                          f"{cfg.group.label()}, but {args.input} holds a "
+                          f"{a0.group.label()} field")
     characters = cfg.characters or default_characters(a0.group)
     times = cfg.wilson_times
     if not times:
@@ -232,9 +236,9 @@ def cmd_ensemble(args) -> int:
         characters=characters,
         scale_to_h1=cfg.scale_to_h1,
         wilson_steps=cfg.wilson_steps,
+        reference_cutoff=cfg.ens_reference_cutoff,
     )
-    records, reference = run_ensemble(spec, threads=args.threads,
-                                      reference_cutoff=cfg.ens_reference_cutoff)
+    records, reference = run_ensemble(spec, threads=args.threads)
     blowups = sum(1 for r in records if r.blew_up)
     persist_records(records, outdir / "records.jsonl")
     export_csv(records, outdir / "records.csv")
@@ -263,7 +267,7 @@ def cmd_ensemble(args) -> int:
     elif reference is not None:
         conv_rows, frac = distribution_convergence_report(records, spec, reference)
         convergence = {
-            "reference_cutoff": cfg.ens_reference_cutoff,
+            "reference_cutoff": spec.reference_cutoff,
             "decreasing_fraction": frac,
             "rows": [vars(r) for r in conv_rows],
         }

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import SpectralConnection, h1_norm, u1_amplitudes
+from .fields import SpectralConnection, h1_norm
 from .flow import FlowConfig, integrate
 from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from .groups import GroupSpec
@@ -84,6 +84,8 @@ class EnsembleSpec:
     characters: tuple = ()
     scale_to_h1: float | None = None
     wilson_steps: int = 128
+    # cutoff of each stream's exact reference Wilson values (None: no reference)
+    reference_cutoff: int | None = None
 
     def __post_init__(self):
         self.cutoffs = tuple(int(c) for c in self.cutoffs)
@@ -96,12 +98,27 @@ class EnsembleSpec:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
         if not self.times or any(t <= 0 for t in self.times):
             raise ValueError("observation times must be positive and nonempty")
+        if self.reference_cutoff is None:
+            return
+        # the convergence report compares exact Wilson loops of unscaled
+        # U(1) Coulomb fields, at a cutoff above every member's
+        if self.group.kind != "u1" or self.sampler_kind != "u1_coulomb":
+            raise ValueError("reference_cutoff needs a U(1) ensemble sampled by u1_coulomb")
+        if self.scale_to_h1 is not None:
+            raise ValueError("reference_cutoff cannot be combined with scale_to_h1: no "
+                             "reference field shares the law of rescaled members")
+        if not self.loops:
+            raise ValueError("reference_cutoff needs loops (a [loops] file)")
+        if self.reference_cutoff <= self.cutoffs[-1]:
+            raise ValueError(f"reference_cutoff = {self.reference_cutoff}: the reference "
+                             f"cutoff must exceed the largest ensemble cutoff "
+                             f"{self.cutoffs[-1]}")
 
     def config_hash(self) -> str:
-        """Digest of every field of the spec, the flow configuration, loops
-        and characters included, so any change of numerics changes it.  The
-        flow configuration holds no observation time, so runs observed at
-        the same ``times`` hash alike."""
+        """Digest of every field of the spec (flow configuration, loops,
+        characters and reference cutoff included), so any change of an
+        output changes it.  The flow configuration holds no observation
+        time, so runs observed at the same ``times`` hash alike."""
         blob = json.dumps(asdict(self), sort_keys=True,
                           default=lambda v: v.tolist()).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -143,13 +160,11 @@ def _rescaled(a0: SpectralConnection, scale_to_h1: float | None) -> SpectralConn
 
 def _exact_wilson(a: SpectralConnection, loops, characters, times) -> dict:
     """Closed-form U(1) Wilson values of the heat flow from a at each of
-    times, keyed (loop, character, t): one h_series call per loop, all
-    sharing the field's amplitudes, gives the phase at every time, which
-    every character reads."""
+    times, keyed (loop, character, t): one h_series call per loop gives
+    the phase at every time, which every character reads."""
     values = {}
-    z = u1_amplitudes(a) if loops else None
     for lp in loops:
-        for t, phase in zip(times, h_series(a, lp, times, amplitudes=z)):
+        for t, phase in zip(times, h_series(a, lp, times)):
             for ch in characters:
                 values[(lp.name, ch.label(), t)] = ch.u1_value(phase)
     return values
@@ -179,17 +194,16 @@ def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
     return rec
 
 
-def _stream_task(spec: EnsembleSpec, stream: int, reference_cutoff: int | None,
-                 config_hash: str):
-    """The members of one stream, all restricted from one draw at
-    ``reference_cutoff`` (at the largest member cutoff when it is None),
-    and the stream's exact reference Wilson values read off that draw
-    (None without a reference cutoff)."""
+def _stream_task(spec: EnsembleSpec, stream: int, config_hash: str):
+    """The members of one stream, all restricted from one draw at the
+    spec's reference cutoff (at the largest member cutoff when it has
+    none), and the stream's exact reference Wilson values read off that
+    draw (None without a reference cutoff)."""
     draw = sample_initial(spec.group, spec.sampler_kind,
-                          reference_cutoff or spec.cutoffs[-1], spec.seed, stream,
-                          spec.coupling)
+                          spec.reference_cutoff or spec.cutoffs[-1], spec.seed,
+                          stream, spec.coupling)
     reference = None
-    if reference_cutoff is not None:
+    if spec.reference_cutoff is not None:
         # first, so that the members read their loop tables off its tables
         reference = _exact_wilson(draw, spec.loops, spec.characters, spec.times)
     records = [_member_record(spec, stream,
@@ -199,27 +213,11 @@ def _stream_task(spec: EnsembleSpec, stream: int, reference_cutoff: int | None,
     return records, reference
 
 
-def _check_reference(spec: EnsembleSpec, reference_cutoff: int) -> None:
-    """The convergence report compares exact Wilson loops of unscaled U(1)
-    Coulomb fields, at a cutoff above every member's."""
-    if spec.group.kind != "u1" or spec.sampler_kind != "u1_coulomb":
-        raise ValueError("reference_cutoff needs a U(1) ensemble sampled by u1_coulomb")
-    if spec.scale_to_h1 is not None:
-        raise ValueError("reference_cutoff cannot be combined with scale_to_h1: no "
-                         "reference field shares the law of rescaled members")
-    if not spec.loops:
-        raise ValueError("reference_cutoff needs loops (a [loops] file)")
-    if reference_cutoff <= spec.cutoffs[-1]:
-        raise ValueError(f"reference_cutoff = {reference_cutoff}: the reference cutoff "
-                         f"must exceed the largest ensemble cutoff {spec.cutoffs[-1]}")
-
-
-def run_ensemble(spec: EnsembleSpec, threads: int = 1,
-                 reference_cutoff: int | None = None):
+def run_ensemble(spec: EnsembleSpec, threads: int = 1):
     """(records, reference): every (stream, cutoff) member in (stream,
-    cutoff) order whatever the scheduling, and with a ``reference_cutoff``
-    (see ``_check_reference``) each stream's exact Wilson values at that
-    cutoff, keyed (loop, character, t) like a record's; else None.
+    cutoff) order whatever the scheduling, and when the spec has a
+    ``reference_cutoff`` each stream's exact Wilson values at that cutoff,
+    keyed (loop, character, t) like a record's; else None.
 
     There is one task per stream, whatever the flow (module docstring).
     ``threads`` is the number of worker processes: with more than one,
@@ -228,20 +226,16 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1,
     again), at most one per stream; otherwise serially in this process.
     An exception raised by a task reaches the caller with its type.
     """
-    if reference_cutoff is not None:
-        _check_reference(spec, reference_cutoff)
     config_hash = spec.config_hash()
     streams = range(spec.n_samples)
     # a fork pool starts all its workers at once, so cap it first
     workers = min(threads, spec.n_samples)
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        results = [_stream_task(spec, s, reference_cutoff, config_hash)
-                   for s in streams]
+        results = [_stream_task(spec, s, config_hash) for s in streams]
     else:
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_stream_task, spec, s, reference_cutoff,
-                                   config_hash)
+            futures = [pool.submit(_stream_task, spec, s, config_hash)
                        for s in streams]
             try:
                 results = [fut.result() for fut in futures]
@@ -249,7 +243,7 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1,
                 pool.shutdown(cancel_futures=True)
     records = [rec for recs, _ in results for rec in recs]
     reference = None
-    if reference_cutoff is not None:
+    if spec.reference_cutoff is not None:
         reference = {s: ref for s, (_, ref) in zip(streams, results)}
     return records, reference
 
@@ -348,18 +342,18 @@ def closed_form_sym_mean(cutoff: int, t: float, coupling: float = 1.0) -> float:
     return float(coupling**2 * (s * (3.0 + s * (3.0 + s))))
 
 
-def closed_form_sym_limit(t: float, coupling: float = 1.0, rtol: float = 1e-14) -> float:
-    """All-mode limit of the series above (converged to rtol)."""
-    prev = 0.0
-    cutoff = 4
-    while True:
-        cur = closed_form_sym_mean(cutoff, t, coupling)
-        if cutoff > 4 and cur - prev <= rtol * max(cur, 1e-300):
-            return cur
-        prev = cur
-        cutoff *= 2
-        if cutoff > 4096:
-            return cur
+def closed_form_sym_limit(t: float, coupling: float = 1.0) -> float:
+    """All-mode limit (t > 0) of the series above: the direct sum to the
+    cutoff ceil(x) + 1, x = sqrt(41.6 / (8 pi^2 t)), omits only terms below
+    e^(-41.6) < 2^-60 of the first.  From x = 1e4 on (t below about 5.3e-9)
+    Jacobi's transform 1 + s = (1 + 2 sum_{k>=1} e^(-k^2/(8t))) / sqrt(8 pi t)
+    replaces it, its sum being below e^(-10^7), zero in floating point; so
+    the cost is bounded for every t."""
+    x = math.sqrt(41.6 / (8.0 * np.pi**2 * t))
+    if x < 1e4:
+        return closed_form_sym_mean(math.ceil(x) + 1, t, coupling)
+    s = 1.0 / math.sqrt(8.0 * np.pi * t) - 1.0
+    return float(coupling**2 * (s * (3.0 + s * (3.0 + s))))
 
 
 @dataclass
@@ -451,9 +445,10 @@ def distribution_convergence_report(records, spec: EnsembleSpec, reference: dict
     """Empirical Wilson distributions per cutoff against the coupled
     larger-cutoff reference law.
 
-    ``reference`` is the second value of ``run_ensemble(spec, ...,
-    reference_cutoff=R)``: per stream, the exact Wilson values of the same
-    mode-keyed draw at cutoff R.  The report reads them and draws nothing.
+    ``reference`` is the second value of ``run_ensemble(spec)`` for a
+    spec with a ``reference_cutoff`` R: per stream, the exact Wilson
+    values of the same mode-keyed draw at cutoff R.  The report reads
+    them and draws nothing.
 
     Returns (rows, decreasing_fraction): rows carry per-(loop, character,
     t, cutoff) KS distances (max over the real and imaginary marginals)

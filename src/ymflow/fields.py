@@ -55,7 +55,6 @@ __all__ = [
     "l2_norm",
     "h1_norm",
     "reality_defect",
-    "u1_amplitudes",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -709,12 +708,3 @@ def reality_defect(a: SpectralConnection) -> float:
     """Max deviation from coeff(a, j, -n) = conj(coeff(a, j, n))."""
     flipped = a.coeffs[:, :, ::-1, ::-1, ::-1]
     return float(np.max(np.abs(np.conj(flipped) - a.coeffs)))
-
-
-def u1_amplitudes(a: SpectralConnection) -> np.ndarray:
-    """i R-convention Fourier data Z_n = i c(n) of a U(1) field, (3, K^3
-    cube); satisfies Z(-n) = -conj(Z(n)) because the stored component
-    coefficients satisfy c(-n) = conj(c(n))."""
-    if a.group.kind != "u1":
-        raise ValueError("U(1) fields only")
-    return 1j * a.coeffs[0]

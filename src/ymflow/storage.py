@@ -101,6 +101,10 @@ def read_field(path) -> SpectralConnection:
         )
     k = 2 * cutoff + 1
     expected = d_g * 3 * k**3
+    payload = len(raw) - _HEADER.size
+    if payload % 16:
+        raise FieldFileError(f"{path}: payload of {payload} bytes is not a whole "
+                             "number of complex128 coefficients")
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     if data.size != expected:
         raise FieldFileError(

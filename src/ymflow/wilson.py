@@ -39,7 +39,6 @@ from .fields import (
     _grid_bracket,
     gauge_act,
     heat_weights,
-    u1_amplitudes,
 )
 from .groups import GroupSpec, exp_map, standard_basis, unitarize, unitarity_defect
 
@@ -488,29 +487,30 @@ def u1_wilson_exact(a: SpectralConnection, loop: Loop, character: Character,
     return character.u1_value(h_series(a, loop, t))
 
 
-def h_series(a: SpectralConnection, loop: Loop, t, amplitudes=None):
+def h_series(a: SpectralConnection, loop: Loop, t):
     """Phase of the regularized U(1) holonomy: the imaginary part of the
-    mode sum sum_n e^(-4 pi^2 |n|^2 t) Z_n . c_n (Z = i times the stored
-    coefficients); the real part cancels in exact arithmetic and is
-    discarded after a sanity bound at every time.
+    mode sum sum_n e^(-4 pi^2 |n|^2 t) Z_n . c_n with Z = i A, A the stored
+    coefficients; equivalently the real part of the sum over A_n . c_n,
+    which is formed here.  Its imaginary part cancels in exact arithmetic
+    and is discarded after a sanity bound at every time.
 
     Broadcasts over t like numpy: a scalar time gives a float, a 1-D
-    sequence of times an array of phases.  The per-mode product Z_n . c_n
+    sequence of times an array of phases.  The per-mode product A_n . c_n
     is formed once and contracted with one row of the shared heat-weight
     table per time, so every time and every character of one (field,
-    loop) costs a single call.  A caller reading several loops off one
-    field passes ``amplitudes`` = u1_amplitudes(a), formed once.
+    loop) costs a single call.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D sequence of times")
-    z = u1_amplitudes(a) if amplitudes is None else amplitudes   # (3, K, K, K)
+    if a.group.kind != "u1":
+        raise ValueError("U(1) fields only")
+    coeffs = a.coeffs[0]                                 # (3, K, K, K)
     table = loop_fourier_coefficients(loop, a.cutoff)    # (3, K, K, K)
-    per_mode = z[0] * table[0] + z[1] * table[1] + z[2] * table[2]
+    per_mode = coeffs[0] * table[0] + coeffs[1] * table[1] + coeffs[2] * table[2]
     weights = heat_weights(a.cutoff, times)
     # (T, K^3) @ (K^3, 2): real and imaginary part of each time's sum
     sums = weights.reshape(len(weights), -1) @ per_mode.reshape(-1, 1).view(float)
-    if np.any(np.abs(sums[:, 0]) > 1e-9 * (1.0 + np.abs(sums[:, 1]))):
+    if np.any(np.abs(sums[:, 1]) > 1e-9 * (1.0 + np.abs(sums[:, 0]))):
         raise AssertionError("mode sum failed to be purely imaginary")
-    phases = sums[:, 1].copy()
-    return float(phases[0]) if times.ndim == 0 else phases
+    return float(sums[0, 0]) if times.ndim == 0 else sums[:, 0].copy()

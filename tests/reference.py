@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: loop rewrites, the loop
-Fourier table as an exponential difference, algebra projection, the
+Fourier table as an exponential difference, the U(1) Wilson phase on
+the amplitude cube Z = i A as first written, algebra projection, the
 free-field two-point diagnostic, the samplers, their mode table,
 frames and Gaussian draws as first written (zero-filled cubes and
 three-index scatters, a sorted mode grid, np.cross frames, one Philox
@@ -27,13 +28,14 @@ from ymflow.fields import (
     _ym_nonlinear,
     _zdds_nonlinear,
     dealias_resolution,
+    heat_weights,
     mode_grids,
     mode_norm_sq,
 )
 from ymflow.flow import MAX_STEPS, MONOTONE_TOL, FlowTrajectory, _phi_funcs
 from ymflow.groups import GroupSpec
 from ymflow.rng import TAG_COMPONENT, philox4x64_10
-from ymflow.wilson import FieldEvaluator, Loop, make_loop
+from ymflow.wilson import FieldEvaluator, Loop, loop_fourier_coefficients, make_loop
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +76,28 @@ def loop_fourier_expdiff(loop: Loop, cutoff: int) -> np.ndarray:
         ramp = np.where(parallel, 1.0, ramp)
         out += (head * ramp)[None, :] * delta[:, None]
     return out.reshape(3, k, k, k)
+
+
+def u1_amplitudes(a: SpectralConnection) -> np.ndarray:
+    """i R-convention Fourier data Z_n = i c(n) of a U(1) field, (3, K^3
+    cube); satisfies Z(-n) = -conj(Z(n)) because the stored component
+    coefficients satisfy c(-n) = conj(c(n))."""
+    if a.group.kind != "u1":
+        raise ValueError("U(1) fields only")
+    return 1j * a.coeffs[0]
+
+
+def h_series_amplitudes(a: SpectralConnection, loop: Loop, times) -> np.ndarray:
+    """The U(1) phase at each of times as first written: the imaginary
+    part of sum_n e^(-4 pi^2 |n|^2 t) Z_n . c_n on the amplitude cube,
+    its real part checked to vanish."""
+    z = u1_amplitudes(a)
+    table = loop_fourier_coefficients(loop, a.cutoff)
+    per_mode = z[0] * table[0] + z[1] * table[1] + z[2] * table[2]
+    weights = heat_weights(a.cutoff, times)
+    sums = weights.reshape(len(weights), -1) @ per_mode.reshape(-1, 1).view(float)
+    assert np.all(np.abs(sums[:, 0]) <= 1e-9 * (1.0 + np.abs(sums[:, 1])))
+    return sums[:, 1].copy()
 
 
 def format_loop_file(loops) -> str:

@@ -176,8 +176,9 @@ def test_criterion_4_pathwise_convergence():
         coupling=1.0,
         loops=(FIVE_LOOPS[0], FIVE_LOOPS[2]),
         characters=(THREE_CHARS[0], THREE_CHARS[2]),
+        reference_cutoff=16,
     )
-    records, reference = run_ensemble(spec, threads=4, reference_cutoff=16)
+    records, reference = run_ensemble(spec, threads=4)
     rows, frac = distribution_convergence_report(records, spec, reference)
     assert frac >= 0.90
     elapsed = time.perf_counter() - start

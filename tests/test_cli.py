@@ -577,6 +577,47 @@ def test_corrupt_field_file_exit_code(workspace, capsys):
     assert "reserved" in err
 
 
+def test_wilson_refuses_characters_of_another_group(tmp_path, monkeypatch, capsys):
+    # [wilson] characters are read against [sampler] group, so a U(1)
+    # configuration cannot evaluate an SU(2) field: exit 1 before any flow
+    import ymflow.cli as cli
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    loops = write(tmp_path / "loops.txt", LOOPS)
+    su2 = write(tmp_path / "su2.cfg", SU2_CFG.format(loops=loops,
+                                                     out=tmp_path / "out"))
+    assert main(["sample", "--config", su2]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    u1 = write(tmp_path / "u1.cfg", BASE_CFG.format(
+        g="1.0", flow_kind="zdds", loops=loops, out=tmp_path / "u1out"))
+    capsys.readouterr()
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(cli, "integrate", no_flow)
+    rc = main(["wilson", "--config", u1, "--input", field])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "[wilson] characters" in err and "u1" in err and "su2" in err
+    assert not (tmp_path / "u1out" / "wilson.csv").exists()
+
+
+def test_flow_refuses_field_file_cut_short(workspace, capsys):
+    # a payload that is not a whole number of coefficients is a corrupt
+    # input named by its path, not a bare numpy error
+    tmp, cfg = workspace
+    main(["sample", "--config", cfg])
+    raw = (tmp / "out" / "field_u1_N3_seed11_s0.ymf").read_bytes()
+    cut = tmp / "cut.ymf"
+    cut.write_bytes(raw[:-3])
+    capsys.readouterr()
+    rc = main(["flow", "--config", cfg, "--input", str(cut)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(cut) in err and "payload" in err
+
+
 def test_flow_stalled_exit_code_and_manifest(tmp_path, monkeypatch, capsys):
     # an error tolerance far below rounding rejects every step until dt
     # falls under its floor

@@ -31,12 +31,13 @@ CHARS = (Character(U1, "u1_power", 1), Character(U1, "u1_power", 2))
 
 
 def u1_spec(n_samples=8, cutoffs=(2, 4), times=(0.02,), g=1.0, seed=31,
-            loops=(PLAQ, CYCLE)):
+            loops=(PLAQ, CYCLE), reference_cutoff=None):
     return EnsembleSpec(
         group=U1, sampler_kind="u1_coulomb", seed=seed, cutoffs=cutoffs,
         times=times, n_samples=n_samples,
         flow=FlowConfig("u1_exact"),
         coupling=g, loops=loops, characters=CHARS,
+        reference_cutoff=reference_cutoff,
     )
 
 
@@ -123,10 +124,10 @@ def test_member_exception_reaches_caller_with_its_type(monkeypatch):
 
     h_series = ensemble_mod.h_series
 
-    def failing(a, loop, times, **kwargs):
+    def failing(a, loop, times):
         if a.cutoff == 4:
             raise MemberFailure(f"raised in process {os.getpid()}")
-        return h_series(a, loop, times, **kwargs)
+        return h_series(a, loop, times)
 
     monkeypatch.setattr(ensemble_mod, "h_series", failing)
     with pytest.raises(MemberFailure) as info:
@@ -257,6 +258,19 @@ def test_closed_form_limit_converges():
     assert lim == pytest.approx(closed_form_sym_mean(16, 0.05), rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [1e-8, 6e-9, 5e-9, 1e-9, 1e-12])
+def test_closed_form_limit_at_small_times_matches_dual_series(t):
+    # Jacobi's transform of the axis sum s = 2 sum_{k>=1} e^(-8 pi^2 k^2 t):
+    # 1 + s = (1 + 2 sum_{k>=1} e^(-k^2/(8t))) / sqrt(8 pi t), whose terms
+    # vanish at these times; the direct series needs thousands of terms
+    # at 1e-8 and more on either side of the switch near 5.3e-9
+    k = np.arange(1, 10)
+    s = (1.0 + 2.0 * np.sum(np.exp(-k * k / (8.0 * t)))) / np.sqrt(8.0 * np.pi * t) - 1.0
+    want = (1.0 + s) ** 3 - 1.0
+    assert closed_form_sym_limit(t) == pytest.approx(want, rel=1e-13)
+    assert closed_form_sym_limit(t, 0.5) == pytest.approx(0.25 * want, rel=1e-13)
+
+
 def test_closed_form_mean_matches_direct_cube_sum():
     # the axis-factorized sum against fsum over every nonzero mode of the
     # cube, all cutoffs sharing the exponentials of the largest cube
@@ -277,8 +291,9 @@ def test_closed_form_mean_matches_direct_cube_sum():
 def test_u1_reports_build_no_mode_grid_above_run_cutoffs():
     # the closed forms need no mode grid: the reports only touch the
     # cutoffs the run itself uses
-    spec = u1_spec(n_samples=100, cutoffs=(2, 4), times=(0.005, 0.02), loops=(PLAQ,))
-    recs, reference = run_ensemble(spec, reference_cutoff=8)
+    spec = u1_spec(n_samples=100, cutoffs=(2, 4), times=(0.005, 0.02), loops=(PLAQ,),
+                   reference_cutoff=8)
+    recs, reference = run_ensemble(spec)
     mode_grids.cache_clear()
     mode_norm_sq.cache_clear()
     rows = tightness_report(recs, min_samples=100)
@@ -296,8 +311,9 @@ def test_u1_reports_build_no_mode_grid_above_run_cutoffs():
 
 
 def test_distribution_convergence_report():
-    spec = u1_spec(n_samples=40, cutoffs=(2, 4, 8), times=(0.005,))
-    recs, reference = run_ensemble(spec, reference_cutoff=16)
+    spec = u1_spec(n_samples=40, cutoffs=(2, 4, 8), times=(0.005,),
+                   reference_cutoff=16)
+    recs, reference = run_ensemble(spec)
     rows, frac = distribution_convergence_report(recs, spec, reference)
     assert frac >= 0.9
     by_cut = {}
@@ -308,31 +324,30 @@ def test_distribution_convergence_report():
     ks2 = max(r.ks_distance for r in rows if r.cutoff == 2)
     ks8 = max(r.ks_distance for r in rows if r.cutoff == 8)
     assert ks8 <= ks2
-    with pytest.raises(ValueError):
-        gff_spec = EnsembleSpec(group=SU2, sampler_kind="gff", seed=1,
-                                cutoffs=(2,), times=(0.1,), n_samples=4,
-                                flow=FlowConfig("zdds"))
-        run_ensemble(gff_spec, reference_cutoff=16)
+    with pytest.raises(ValueError, match="reference_cutoff needs a U"):
+        EnsembleSpec(group=SU2, sampler_kind="gff", seed=1, cutoffs=(2,),
+                     times=(0.1,), n_samples=4, flow=FlowConfig("zdds"),
+                     loops=(PLAQ,), reference_cutoff=16)
     with pytest.raises(ValueError, match="reference"):
         distribution_convergence_report(recs, spec, None)
 
 
 def test_convergence_report_refuses_rescaled_members():
     # members rescaled to an H^1 norm at their own cutoff share no law
-    # with an unscaled reference draw, so the run refuses to draw one
+    # with an unscaled reference draw, so the spec refuses to ask for one
     spec = replace(u1_spec(n_samples=4, cutoffs=(2,), times=(0.005,)),
                    scale_to_h1=0.5)
     with pytest.raises(ValueError, match="scale"):
-        run_ensemble(spec, reference_cutoff=8)
+        replace(spec, reference_cutoff=8)
 
 
 def test_convergence_report_refuses_reference_at_or_below_largest_cutoff():
     # a reference no finer than the members reads the largest cutoff as
-    # converged to itself, so the run refuses to draw one
-    spec = u1_spec(n_samples=4, cutoffs=(2, 4), times=(0.005,))
+    # converged to itself, so the spec refuses to ask for one
     for reference_cutoff in (2, 4):
         with pytest.raises(ValueError, match="reference cutoff"):
-            run_ensemble(spec, reference_cutoff=reference_cutoff)
+            u1_spec(n_samples=4, cutoffs=(2, 4), times=(0.005,),
+                    reference_cutoff=reference_cutoff)
 
 
 def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
@@ -349,17 +364,18 @@ def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
 
     monkeypatch.setattr(wil, "_loop_table", counting)
     monkeypatch.setattr(wil, "_LOOP_TABLE_CACHE", {})
-    spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02))
-    recs, reference = run_ensemble(spec, reference_cutoff=12)
+    spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02),
+                   reference_cutoff=12)
+    recs, reference = run_ensemble(spec)
     distribution_convergence_report(recs, spec, reference)
     assert sorted(built) == [("cx", 12), ("plaq", 12)]
 
 
 def test_convergence_report_refuses_reference_without_loops():
     # the report compares Wilson loops, so a reference needs some
-    spec = u1_spec(n_samples=4, cutoffs=(2,), times=(0.005,), loops=())
     with pytest.raises(ValueError, match="reference_cutoff needs loops"):
-        run_ensemble(spec, reference_cutoff=8)
+        u1_spec(n_samples=4, cutoffs=(2,), times=(0.005,), loops=(),
+                reference_cutoff=8)
 
 
 @pytest.mark.parametrize("flow", [FlowConfig("u1_exact"),
@@ -378,14 +394,14 @@ def test_draws_once_per_stream(monkeypatch, flow):
         return real(cfg)
 
     exact = u1_spec(n_samples=3, cutoffs=(1, 2), times=(0.005,))
-    _, want = run_ensemble(exact, reference_cutoff=4)
+    _, want = run_ensemble(replace(exact, reference_cutoff=4))
     spec = replace(exact, flow=flow)
     monkeypatch.setattr(ens, "sample_u1_coulomb", counting)
     recs, reference = run_ensemble(spec)
     assert len(recs) == 6 and reference is None
     assert sorted(draws) == [(s, 2) for s in range(3)]
     draws.clear()
-    recs, reference = run_ensemble(spec, reference_cutoff=4)
+    recs, reference = run_ensemble(replace(spec, reference_cutoff=4))
     assert len(recs) == 6 and sorted(reference) == list(range(3))
     assert sorted(draws) == [(s, 4) for s in range(3)]
     assert reference == want
@@ -406,8 +422,8 @@ def test_members_from_one_draw_equal_direct_draws(kind, scale_to_h1, reference_c
     else:
         spec = replace(u1_spec(n_samples=3, cutoffs=(1, 2), times=(0.005, 0.0025)),
                        flow=FlowConfig("ym", dt_initial=2.5e-3))
-    spec = replace(spec, scale_to_h1=scale_to_h1)
-    recs, reference = run_ensemble(spec, reference_cutoff=reference_cutoff)
+    spec = replace(spec, scale_to_h1=scale_to_h1, reference_cutoff=reference_cutoff)
+    recs, reference = run_ensemble(spec)
     config_hash = spec.config_hash()
     for rec in recs:
         a0 = sample_initial(U1, "u1_coulomb", rec.cutoff, spec.seed, rec.stream,
@@ -426,8 +442,9 @@ def test_members_from_one_draw_equal_direct_draws(kind, scale_to_h1, reference_c
 def test_convergence_report_draws_nothing(monkeypatch):
     import ymflow.ensemble as ens
     import ymflow.gff as gff
-    spec = u1_spec(n_samples=6, cutoffs=(2, 4), times=(0.005, 0.02))
-    recs, reference = run_ensemble(spec, reference_cutoff=8)
+    spec = u1_spec(n_samples=6, cutoffs=(2, 4), times=(0.005, 0.02),
+                   reference_cutoff=8)
+    recs, reference = run_ensemble(spec)
     want = distribution_convergence_report(recs, spec, reference)
 
     def no_draw(*args, **kwargs):
@@ -489,6 +506,7 @@ SPEC_VARIANTS = {
     "group": SU2, "sampler_kind": "gff", "seed": 32, "cutoffs": (2, 3),
     "times": (0.01,), "n_samples": 9, "coupling": 0.5, "loops": (PLAQ,),
     "characters": CHARS[:1], "scale_to_h1": 0.5, "wilson_steps": 64,
+    "reference_cutoff": 8,
 }
 
 
@@ -569,36 +587,24 @@ def test_u1_exact_member_values_match_scalar_formula():
 
 def test_h_series_called_once_per_member_and_loop(monkeypatch):
     import ymflow.ensemble as ens
-    import ymflow.wilson as wil
     calls = []
-    amplitudes = []
     real = ens.h_series
-    real_amplitudes = ens.u1_amplitudes
 
-    def counting(a, loop, t, **kwargs):
+    def counting(a, loop, t):
         calls.append((a.cutoff, loop.name))
-        return real(a, loop, t, **kwargs)
-
-    def counting_amplitudes(a):
-        amplitudes.append(a.cutoff)
-        return real_amplitudes(a)
+        return real(a, loop, t)
 
     monkeypatch.setattr(ens, "h_series", counting)
-    monkeypatch.setattr(ens, "u1_amplitudes", counting_amplitudes)
-    monkeypatch.setattr(wil, "u1_amplitudes", counting_amplitudes)
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.01, 0.02))
     run_ensemble(spec)
     assert len(calls) == 3 * 2 * len(spec.loops)      # streams x cutoffs x loops
     assert len(set(calls)) == 2 * len(spec.loops)
-    # the loops of one field share its amplitudes
-    assert sorted(amplitudes) == [2, 2, 2, 4, 4, 4]
     calls.clear()
-    amplitudes.clear()
     # the reference adds one call per stream and loop at its cutoff
-    recs, reference = run_ensemble(spec, reference_cutoff=8)
+    spec = replace(spec, reference_cutoff=8)
+    recs, reference = run_ensemble(spec)
     assert sorted(calls) == sorted((c, lp.name) for c in (2, 4, 8)
                                    for lp in spec.loops for _ in range(3))
-    assert sorted(amplitudes) == [2, 2, 2, 4, 4, 4, 8, 8, 8]
     calls.clear()
     distribution_convergence_report(recs, spec, reference)
     assert calls == []

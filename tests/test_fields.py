@@ -696,13 +696,3 @@ def test_norms():
     b = single_mode(U1, 2, n, (1.0, 0, 0))
     assert abs(l2_norm(b) - np.sqrt(2.0)) < 1e-13
     assert abs(h1_norm(b) - np.sqrt(2.0 * (1 + 4 * np.pi**2))) < 1e-12
-
-
-def test_u1_amplitudes_convention():
-    from ymflow.fields import u1_amplitudes
-    a = random_connection(U1, 2, seed=63)
-    z = u1_amplitudes(a)
-    flipped = z[:, ::-1, ::-1, ::-1]
-    assert np.max(np.abs(flipped + np.conj(z))) < 1e-14
-    with pytest.raises(ValueError):
-        u1_amplitudes(random_connection(SU2, 2, seed=64))

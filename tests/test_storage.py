@@ -45,6 +45,17 @@ def test_truncated_payload_rejected(tmp_path):
         read_field(path)
 
 
+def test_payload_cut_inside_a_coefficient_rejected(tmp_path):
+    path = tmp_path / "field.ymf"
+    write_field(path, random_connection(U1, 2, seed=2))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-3])
+    payload = len(raw) - 3 - 16
+    with pytest.raises(FieldFileError, match=f"payload of {payload} bytes") as info:
+        read_field(path)
+    assert str(path) in str(info.value)
+
+
 def test_truncated_header_rejected(tmp_path):
     path = tmp_path / "short.ymf"
     path.write_bytes(b"YMF1")

@@ -3,7 +3,14 @@ import pytest
 
 import ymflow.wilson as wilson_mod
 from conftest import random_connection, random_gauge
-from reference import format_loop_file, loop_fourier_expdiff, reparametrize, reverse_loop
+from reference import (
+    format_loop_file,
+    h_series_amplitudes,
+    loop_fourier_expdiff,
+    reparametrize,
+    reverse_loop,
+    u1_amplitudes,
+)
 from ymflow.fields import GaugeTransform, gauge_act, mode_grids, zero_connection
 from ymflow.flow import heat_semigroup_u1
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
@@ -444,6 +451,24 @@ def test_u1_exact_rejects_non_abelian():
     b = u1_sample(seed=21)
     with pytest.raises(ValueError):
         u1_wilson_exact(b, PLAQ, Character(U1, "u1_power", 1), -0.5)
+
+
+def test_h_series_equals_amplitude_form():
+    # the phase read as Re sum w A.c off the stored coefficients equals
+    # Im sum w Z.c on the amplitude cube Z = i A to rounding, and the cube
+    # keeps the convention Z(-n) = -conj(Z(n)) the cancellation rests on
+    times = (0.0, 0.005, 0.02, 0.1)
+    loops = [PLAQ, axis_cycle(1, (0.2, 0.0, 0.7))] + random_loops(23, count=2)
+    for cutoff in range(2, 17):
+        a = u1_sample(cutoff=cutoff, seed=40 + cutoff)
+        z = u1_amplitudes(a)
+        assert np.max(np.abs(z[:, ::-1, ::-1, ::-1] + np.conj(z))) < 1e-14
+        for lp in loops:
+            got = h_series(a, lp, times)
+            want = h_series_amplitudes(a, lp, times)
+            assert np.max(np.abs(got - want)) <= 1e-15, (cutoff, lp.name)
+    with pytest.raises(ValueError):
+        u1_amplitudes(random_connection(SU2, 2, seed=64))
 
 
 def test_h_series_broadcasts_over_times():
