@@ -109,6 +109,18 @@ def _get_floats(section, items, key, default=()):
     return values
 
 
+def _get_times(section, items, key):
+    """Observation times: positive, each at most once (a repeated time
+    would repeat its output rows)."""
+    times = _get_floats(section, items, key)
+    if any(t <= 0 for t in times):
+        _fail(section, key, "times must be positive")
+    for i, t in enumerate(times):
+        if t in times[:i]:
+            _fail(section, key, f"time {t!r} is repeated")
+    return times
+
+
 def _parse_characters(section, value, group: GroupSpec):
     chars = []
     for tok in value.replace(",", " ").split():
@@ -207,9 +219,7 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         if "characters" in items:
             cfg.characters = _parse_characters("wilson", items["characters"],
                                                cfg.group)
-        cfg.wilson_times = _get_floats("wilson", items, "times")
-        if any(t <= 0 for t in cfg.wilson_times):
-            _fail("wilson", "times", "times must be positive")
+        cfg.wilson_times = _get_times("wilson", items, "times")
 
     if "ensemble" in cfg.raw:
         items = cfg.raw["ensemble"]
@@ -223,11 +233,9 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
             _fail("ensemble", "cutoffs", "must be strictly increasing")
         cfg.ens_cutoffs = icutoffs
         cfg.ens_n_samples = _get_int("ensemble", items, "n_samples", minimum=2)
-        cfg.ens_times = _get_floats("ensemble", items, "times")
+        cfg.ens_times = _get_times("ensemble", items, "times")
         if not cfg.ens_times:
             _fail("ensemble", "times", "missing required key")
-        if any(t <= 0 for t in cfg.ens_times):
-            _fail("ensemble", "times", "times must be positive")
         if "reference_cutoff" in items:
             cfg.ens_reference_cutoff = _get_int("ensemble", items,
                                                 "reference_cutoff",

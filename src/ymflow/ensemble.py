@@ -11,8 +11,12 @@ Because the draw at a smaller cutoff is the restriction of the draw at a
 larger one, a task is one stream: one draw at the reference cutoff (or
 at the largest member cutoff when there is none) gives the stream's
 exact reference Wilson values and every member of the stream, and is
-dropped before the next stream.  A member is one ``integrate`` run from
-its restricted draw, read at the observation times.  Tasks run
+dropped before the next stream.  At the reference cutoff the draw holds
+only the modes some output reads: those of the largest member, and
+those whose heat weight at the earliest observation time is above
+e^(-NEGLIGIBLE_HEAT); the draws being keyed by mode, each drawn value is
+the full draw's.  A member is one ``integrate`` run from its restricted
+draw, read at the observation times.  Tasks run
 independently, optionally in forked worker processes (serially where the
 platform cannot fork); records are always assembled and written in
 (stream, cutoff) order, and a task computes the same bits in any
@@ -32,16 +36,25 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .fields import SpectralConnection, h1_norm
 from .flow import FlowConfig, integrate
-from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
+from .gff import (
+    SamplerConfig,
+    _coulomb_stored,
+    _mirror_filled,
+    _mirrored,
+    canonical_half_modes,
+    sample_gff,
+    sample_u1_coulomb,
+)
 from .groups import GroupSpec
 from .storage import atomic_open
-from .wilson import h_series, wilson_loop
+from .wilson import NEGLIGIBLE_HEAT, h_series, u1_phase, visible_modes, wilson_loop
 
 __all__ = [
     "EnsembleSpec",
@@ -98,6 +111,8 @@ class EnsembleSpec:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
         if not self.times or any(t <= 0 for t in self.times):
             raise ValueError("observation times must be positive and nonempty")
+        if len(set(self.times)) < len(self.times):
+            raise ValueError(f"observation times {self.times} repeat a time")
         if self.reference_cutoff is None:
             return
         # the convergence report compares exact Wilson loops of unscaled
@@ -158,16 +173,22 @@ def _rescaled(a0: SpectralConnection, scale_to_h1: float | None) -> SpectralConn
     return a0
 
 
-def _exact_wilson(a: SpectralConnection, loops, characters, times) -> dict:
-    """Closed-form U(1) Wilson values of the heat flow from a at each of
-    times, keyed (loop, character, t): one h_series call per loop gives
-    the phase at every time, which every character reads."""
+def _u1_values(phases, loops, characters, times) -> dict:
+    """Wilson values keyed (loop, character, t) from phases(loop), that
+    loop's U(1) phase at each of times, which every character reads."""
     values = {}
     for lp in loops:
-        for t, phase in zip(times, h_series(a, lp, times)):
+        for t, phase in zip(times, phases(lp)):
             for ch in characters:
                 values[(lp.name, ch.label(), t)] = ch.u1_value(phase)
     return values
+
+
+def _exact_wilson(a: SpectralConnection, loops, characters, times) -> dict:
+    """Closed-form U(1) Wilson values of the heat flow from a at each of
+    times, keyed (loop, character, t): one h_series call per loop gives
+    the phase at every time."""
+    return _u1_values(lambda lp: h_series(a, lp, times), loops, characters, times)
 
 
 def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
@@ -194,22 +215,59 @@ def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
     return rec
 
 
+@lru_cache(maxsize=32)
+def _stream_modes(reference_cutoff: int, cutoffs: tuple, t_min: float):
+    """Index sets of a stream with a reference cutoff R: the canonical half
+    modes of R to draw (those inside the largest member cutoff and those
+    visible at t_min), the positions among them of the visible ones, and
+    per member cutoff the positions of its half modes, each list in
+    lexicographic mode order."""
+    half = canonical_half_modes(reference_cutoff)
+    h = len(half)
+    # the flat cube's upper half holds the half modes, in order
+    visible = np.zeros(2 * h + 1, dtype=bool)
+    visible[visible_modes(reference_cutoff, t_min)] = True
+    visible = visible[h + 1:]
+    extent = np.max(np.abs(half), axis=1)
+    drawn = visible | (extent <= cutoffs[-1])
+    position = np.cumsum(drawn) - 1
+    out = (np.flatnonzero(drawn), position[visible],
+           *(position[extent <= c] for c in cutoffs))
+    for x in out:
+        x.setflags(write=False)
+    return out[0], out[1], out[2:]
+
+
 def _stream_task(spec: EnsembleSpec, stream: int, config_hash: str):
-    """The members of one stream, all restricted from one draw at the
-    spec's reference cutoff (at the largest member cutoff when it has
-    none), and the stream's exact reference Wilson values read off that
-    draw (None without a reference cutoff)."""
-    draw = sample_initial(spec.group, spec.sampler_kind,
-                          spec.reference_cutoff or spec.cutoffs[-1], spec.seed,
-                          stream, spec.coupling)
-    reference = None
-    if spec.reference_cutoff is not None:
-        # first, so that the members read their loop tables off its tables
-        reference = _exact_wilson(draw, spec.loops, spec.characters, spec.times)
-    records = [_member_record(spec, stream,
-                              _rescaled(draw.restricted(c), spec.scale_to_h1),
-                              config_hash)
-               for c in spec.cutoffs]
+    """The members of one stream and the stream's exact reference Wilson
+    values (None without a reference cutoff).
+
+    Without a reference cutoff, every member is restricted from one draw
+    at the largest member cutoff.  With a reference cutoff R, the stream
+    draws only the half modes of R that some output reads (_stream_modes).
+    Each member's cube is filled from all of its modes, so it is the
+    restriction of a full draw bit for bit; the reference is u1_phase on
+    the visible modes, which is what h_series reads off a full draw.
+    """
+    if spec.reference_cutoff is None:
+        draw = sample_initial(spec.group, spec.sampler_kind, spec.cutoffs[-1],
+                              spec.seed, stream, spec.coupling)
+        return [_member_record(spec, stream,
+                               _rescaled(draw.restricted(c), spec.scale_to_h1),
+                               config_hash)
+                for c in spec.cutoffs], None
+    r = spec.reference_cutoff
+    drawn, visible, members = _stream_modes(r, spec.cutoffs, min(spec.times))
+    stored = _coulomb_stored(
+        SamplerConfig(spec.group, r, spec.seed, stream, spec.coupling), drawn)
+    # first, so that the members read their loop tables off its tables
+    coeffs = _mirrored(stored[:, visible])
+    reference = _u1_values(lambda lp: u1_phase(coeffs, lp, r, spec.times),
+                           spec.loops, spec.characters, spec.times)
+    records = [_member_record(spec, stream, SpectralConnection(
+                   spec.group, c, _mirror_filled(stored[:, pos], c)[None]),
+                   config_hash)
+               for c, pos in zip(spec.cutoffs, members)]
     return records, reference
 
 
@@ -344,12 +402,13 @@ def closed_form_sym_mean(cutoff: int, t: float, coupling: float = 1.0) -> float:
 
 def closed_form_sym_limit(t: float, coupling: float = 1.0) -> float:
     """All-mode limit (t > 0) of the series above: the direct sum to the
-    cutoff ceil(x) + 1, x = sqrt(41.6 / (8 pi^2 t)), omits only terms below
-    e^(-41.6) < 2^-60 of the first.  From x = 1e4 on (t below about 5.3e-9)
-    Jacobi's transform 1 + s = (1 + 2 sum_{k>=1} e^(-k^2/(8t))) / sqrt(8 pi t)
-    replaces it, its sum being below e^(-10^7), zero in floating point; so
-    the cost is bounded for every t."""
-    x = math.sqrt(41.6 / (8.0 * np.pi**2 * t))
+    cutoff ceil(x) + 1, x = sqrt(NEGLIGIBLE_HEAT / (8 pi^2 t)), omits only
+    terms below e^(-NEGLIGIBLE_HEAT) < 2^-60 of the first.  From x = 1e4 on
+    (t below about 5.3e-9) Jacobi's transform
+    1 + s = (1 + 2 sum_{k>=1} e^(-k^2/(8t))) / sqrt(8 pi t) replaces it, its
+    sum being below e^(-10^7), zero in floating point; so the cost is
+    bounded for every t."""
+    x = math.sqrt(NEGLIGIBLE_HEAT / (8.0 * np.pi**2 * t))
     if x < 1e4:
         return closed_form_sym_mean(math.ceil(x) + 1, t, coupling)
     s = 1.0 / math.sqrt(8.0 * np.pi * t) - 1.0

@@ -42,6 +42,7 @@ __all__ = [
     "mode_grids",
     "mode_norm_sq",
     "heat_weights",
+    "heat_rows",
     "zero_connection",
     "d_star_1form",
     "ym_action",
@@ -88,10 +89,16 @@ def mode_norm_sq(cutoff: int) -> np.ndarray:
     return out
 
 
+def heat_rows(norm_sq: np.ndarray, times: tuple) -> np.ndarray:
+    """e^(-4 pi^2 |n|^2 t) of the squared mode norms norm_sq, one row per
+    time: shape (T,) + norm_sq.shape."""
+    lam = -4.0 * np.pi**2 * norm_sq
+    return np.exp(lam[None] * np.reshape(times, (-1,) + (1,) * lam.ndim))
+
+
 @functools.lru_cache(maxsize=32)
 def _heat_table(cutoff: int, times: tuple) -> np.ndarray:
-    lam = -4.0 * np.pi**2 * mode_norm_sq(cutoff)
-    out = np.exp(lam[None] * np.asarray(times)[:, None, None, None])
+    out = heat_rows(mode_norm_sq(cutoff), times)
     out.setflags(write=False)
     return out
 

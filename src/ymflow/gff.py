@@ -11,7 +11,8 @@ Randomness is keyed by (seed, stream, mode): the cutoff enters only by
 selecting which modes are filled in, so the cutoff-N field is exactly the
 restriction of the cutoff-N' field for N < N' at equal (seed, stream).
 That coupling is what turns distributional convergence statements into
-per-seed (pathwise) checks.
+per-seed (pathwise) checks.  For the same reason any list of modes can be
+drawn on its own, each value bit for bit the full draw's.
 
 Mode bookkeeping: exactly one of n, -n is drawn, namely the
 representative whose first nonzero coordinate is positive; the reflected
@@ -121,17 +122,27 @@ def _coulomb_denominators(cutoff: int) -> np.ndarray:
     return out
 
 
+def _mirrored(upper: np.ndarray) -> np.ndarray:
+    """Flat coefficients (..., 2H + 1) of the modes whose upper half carries
+    upper (..., H), a lexicographic list of canonical half modes: the
+    conjugates of upper reversed (the reflected modes -n), a zero for the
+    zero mode, then upper.  On every half mode of a cutoff this is the
+    flattened cube, and on a sub-list the cube's entries at those modes
+    and their reflections, in flat order."""
+    h = upper.shape[-1]
+    flat = np.empty(upper.shape[:-1] + (2 * h + 1,), dtype=complex)
+    flat[..., h + 1:] = upper
+    flat[..., h] = 0.0
+    np.conjugate(flat[..., :h:-1], out=flat[..., :h])
+    return flat
+
+
 def _mirror_filled(upper: np.ndarray, cutoff: int) -> np.ndarray:
     """Coefficients (..., K, K, K) whose canonical half modes carry upper
     (..., H): the zero mode is 0 and each reflected mode -n the conjugate
     of n, written as slices of the flattened cube."""
     k = 2 * cutoff + 1
-    h = upper.shape[-1]
-    flat = np.empty(upper.shape[:-1] + (k**3,), dtype=complex)
-    flat[..., h + 1:] = upper
-    flat[..., h] = 0.0
-    np.conjugate(flat[..., :h:-1], out=flat[..., :h])
-    return flat.reshape(upper.shape[:-1] + (k, k, k))
+    return _mirrored(upper).reshape(upper.shape[:-1] + (k, k, k))
 
 
 def sample_gff(config: SamplerConfig) -> SpectralConnection:
@@ -163,14 +174,19 @@ def sample_u1_coulomb(config: SamplerConfig) -> SpectralConnection:
     """
     if config.group.kind != "u1":
         raise ValueError("the Coulomb-gauge ensemble is U(1)-only")
-    n_mod = canonical_half_modes(config.cutoff)
-    u1v, u2v = _frames_for(config.cutoff)
+    coeffs = _mirror_filled(_coulomb_stored(config), config.cutoff)
+    return SpectralConnection(config.group, config.cutoff, coeffs[None])
+
+
+def _coulomb_stored(config: SamplerConfig, index=slice(None)) -> np.ndarray:
+    """Stored coefficients (3, len(index)) of the Coulomb draw at the modes
+    canonical_half_modes(cutoff)[index], each bit for bit the full draw's:
+    the Philox words, Box-Muller, frames and sigma are all per mode."""
+    n_mod = canonical_half_modes(config.cutoff)[index]
+    u1v, u2v = (u[:, index] for u in _frames_for(config.cutoff))
     z = mode_gaussians(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
-    sigma = config.coupling / _coulomb_denominators(config.cutoff)
-    z = z * sigma
+    z = z * (config.coupling / _coulomb_denominators(config.cutoff)[index])
     z1 = z[0] + 1j * z[1]
     z2 = z[2] + 1j * z[3]
-    zn = z1 * u1v + z2 * u2v                         # (3, H), the i R part
-    stored = -1j * zn                                # component convention
-    coeffs = _mirror_filled(stored, config.cutoff)
-    return SpectralConnection(config.group, config.cutoff, coeffs[None])
+    zn = z1 * u1v + z2 * u2v                         # (3, M), the i R part
+    return -1j * zn                                  # component convention

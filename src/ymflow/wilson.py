@@ -23,13 +23,17 @@ delta e^(i 2 pi n.m) sinc(n.delta) at mode n.  The
 phase does not depend on the character and the weights do not depend on
 the field, so h_series forms the per-mode product once and contracts it
 with the shared heat-weight table for every observation time at once;
-characters are then applied to the phase.  Those exact values are the
+characters are then applied to the phase.  The sum runs over the modes
+visible at the earliest time, those whose weight there is at least
+e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes), so a field known only at
+those modes (u1_phase) has the same phases.  Those exact values are the
 oracle the ODE pipeline is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +42,8 @@ from .fields import (
     SpectralConnection,
     _grid_bracket,
     gauge_act,
-    heat_weights,
+    heat_rows,
+    mode_norm_sq,
 )
 from .groups import GroupSpec, exp_map, standard_basis, unitarize, unitarity_defect
 
@@ -57,6 +62,9 @@ __all__ = [
     "wilson_loop",
     "u1_wilson_exact",
     "h_series",
+    "u1_phase",
+    "visible_modes",
+    "NEGLIGIBLE_HEAT",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -487,6 +495,62 @@ def u1_wilson_exact(a: SpectralConnection, loop: Loop, character: Character,
     return character.u1_value(h_series(a, loop, t))
 
 
+# heat weights below e^(-NEGLIGIBLE_HEAT) < 2^-60 are negligible: modes
+# whose weight at every observation time is below it are left out
+NEGLIGIBLE_HEAT = 41.6
+
+
+@lru_cache(maxsize=32)
+def visible_modes(cutoff: int, t_min: float):
+    """Flat C-order indices into the K^3 mode cube of the modes n with
+    4 pi^2 |n|^2 t_min <= NEGLIGIBLE_HEAT, the ones a heat flow read at
+    times t >= t_min can see; a full slice when that is every mode (as at
+    t_min <= 0).  The set is symmetric under n -> -n and holds n = 0."""
+    visible = (4.0 * np.pi**2 * mode_norm_sq(cutoff)) * t_min <= NEGLIGIBLE_HEAT
+    if not t_min > 0 or visible.all():
+        return slice(None)
+    out = np.flatnonzero(visible)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _visible_weights(cutoff: int, times: tuple) -> np.ndarray:
+    """The heat weights (T, M) at visible_modes(cutoff, min(times)), formed
+    there alone: the full (T, K^3) table of a large cutoff is not kept."""
+    index = visible_modes(cutoff, min(times, default=0.0))
+    out = heat_rows(mode_norm_sq(cutoff).reshape(-1)[index], times)
+    out.setflags(write=False)
+    return out
+
+
+def _times(t) -> tuple:
+    """A scalar time or a 1-D sequence of nonnegative times, as a tuple of
+    floats."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D sequence of times")
+    if np.any(times < 0):
+        raise ValueError("time must be nonnegative")
+    return tuple(times.ravel().tolist())
+
+
+def u1_phase(coeffs: np.ndarray, loop: Loop, cutoff: int, t):
+    """h_series of a U(1) field of this cutoff from its stored coefficients
+    coeffs (3, M) at visible_modes(cutoff, t_min), t_min the smallest of
+    the times t (broadcast like h_series): the mode sum over those modes
+    only, whatever the field holds elsewhere."""
+    times = _times(t)
+    index = visible_modes(cutoff, min(times, default=0.0))
+    table = loop_fourier_coefficients(loop, cutoff).reshape(3, -1)[:, index]
+    per_mode = coeffs[0] * table[0] + coeffs[1] * table[1] + coeffs[2] * table[2]
+    # (T, M) @ (M, 2): real and imaginary part of each time's sum
+    sums = _visible_weights(cutoff, times) @ per_mode.reshape(-1, 1).view(float)
+    if np.any(np.abs(sums[:, 1]) > 1e-9 * (1.0 + np.abs(sums[:, 0]))):
+        raise AssertionError("mode sum failed to be purely imaginary")
+    return float(sums[0, 0]) if np.ndim(t) == 0 else sums[:, 0].copy()
+
+
 def h_series(a: SpectralConnection, loop: Loop, t):
     """Phase of the regularized U(1) holonomy: the imaginary part of the
     mode sum sum_n e^(-4 pi^2 |n|^2 t) Z_n . c_n with Z = i A, A the stored
@@ -495,22 +559,15 @@ def h_series(a: SpectralConnection, loop: Loop, t):
     and is discarded after a sanity bound at every time.
 
     Broadcasts over t like numpy: a scalar time gives a float, a 1-D
-    sequence of times an array of phases.  The per-mode product A_n . c_n
-    is formed once and contracted with one row of the shared heat-weight
-    table per time, so every time and every character of one (field,
-    loop) costs a single call.
+    sequence of times an array of phases.  The sum runs over the modes
+    visible at the earliest time (visible_modes; every mode of the cube
+    unless its cutoff is large for that time): each mode left out weighs
+    less than e^(-NEGLIGIBLE_HEAT) < 2^-60 at every time.  The per-mode
+    product A_n . c_n is formed once and contracted with one row of the
+    shared heat-weight table per time (u1_phase), so every time and every
+    character of one (field, loop) costs a single call.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D sequence of times")
     if a.group.kind != "u1":
         raise ValueError("U(1) fields only")
-    coeffs = a.coeffs[0]                                 # (3, K, K, K)
-    table = loop_fourier_coefficients(loop, a.cutoff)    # (3, K, K, K)
-    per_mode = coeffs[0] * table[0] + coeffs[1] * table[1] + coeffs[2] * table[2]
-    weights = heat_weights(a.cutoff, times)
-    # (T, K^3) @ (K^3, 2): real and imaginary part of each time's sum
-    sums = weights.reshape(len(weights), -1) @ per_mode.reshape(-1, 1).view(float)
-    if np.any(np.abs(sums[:, 1]) > 1e-9 * (1.0 + np.abs(sums[:, 0]))):
-        raise AssertionError("mode sum failed to be purely imaginary")
-    return float(sums[0, 0]) if times.ndim == 0 else sums[:, 0].copy()
+    index = visible_modes(a.cutoff, min(_times(t), default=0.0))
+    return u1_phase(a.coeffs[0].reshape(3, -1)[:, index], loop, a.cutoff, t)

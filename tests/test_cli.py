@@ -283,6 +283,28 @@ def test_repeated_loop_name_exits_one(workspace, capsys, command):
     assert not (tmp / "dup" / "wilson.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["ensemble", "wilson"])
+def test_repeated_time_exits_one(workspace, capsys, command):
+    # a repeated time once wrote each of its convergence.json (ensemble) or
+    # wilson.csv (wilson) rows twice, and exited 0
+    tmp, cfg = workspace
+    text = (tmp / "run.cfg").read_text().replace("kind = zdds", "kind = u1_exact")
+    text = text.replace("n_samples = 120", "n_samples = 2")
+    main(["sample", "--config", write(tmp / "exact.cfg", text)])
+    field = str(tmp / "out" / "field_u1_N3_seed11_s0.ymf")
+    key, t = {"ensemble": ("times = 0.02", "0.02"),
+              "wilson": ("times = 0.01 0.05", "0.05")}[command]
+    dup = write(tmp / "dup.cfg", text.replace(key, f"{key} {t}"))
+    argv = {"ensemble": ["ensemble", "--config", dup],
+            "wilson": ["wilson", "--config", dup, "--input", field]}[command]
+    capsys.readouterr()
+    rc = main(argv + ["--output", str(tmp / "dup")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"[{command}] times: time {t} is repeated" in err
+    assert not (tmp / "dup").exists()
+
+
 def test_ensemble_thread_count_invariance(workspace, capsys):
     tmp, cfg = workspace
     assert main(["ensemble", "--config", cfg, "--threads", "1",

@@ -110,6 +110,20 @@ def test_reference_cutoff_must_exceed_largest_cutoff():
                                      "reference_cutoff = 9")).ens_reference_cutoff == 9
 
 
+@pytest.mark.parametrize("section, old", [
+    ("wilson", "times = 0.01"), ("ensemble", "times = 0.05")],
+    ids=["wilson", "ensemble"])
+def test_repeated_time_refused(section, old):
+    # a repeated time once repeated every output row observed at it
+    text = GOOD.replace(old, old + " 0.03 " + old.split()[-1])
+    with pytest.raises(ConfigError,
+                       match=rf"\[{section}\] times: time {old.split()[-1]} is repeated"):
+        parse_config(text)
+    # the same time written another way is the same time
+    with pytest.raises(ConfigError, match=rf"\[{section}\] times"):
+        parse_config(GOOD.replace(old, f"{old} 1e-2 5e-2"))
+
+
 def test_bad_numbers_named():
     with pytest.raises(ConfigError, match=r"\[sampler\] seed"):
         parse_config("[sampler]\nkind = gff\ngroup = su2\ncutoff = 2\nseed = abc\n")

@@ -52,6 +52,15 @@ def test_spec_validation():
                      flow=FlowConfig("u1_exact"))
 
 
+def test_spec_refuses_repeated_time():
+    # a repeated time once repeated every convergence row observed at it
+    with pytest.raises(ValueError, match="repeat"):
+        u1_spec(times=(0.005, 0.02, 0.005))
+    spec = u1_spec(times=(0.005, 0.02))
+    with pytest.raises(ValueError, match="repeat"):
+        replace(spec, times=(0.02, 0.02))
+
+
 def test_record_count_and_bookkeeping():
     spec = u1_spec(n_samples=3, cutoffs=(2, 4, 8))
     recs, _ = run_ensemble(spec)
@@ -382,21 +391,27 @@ def test_convergence_report_refuses_reference_without_loops():
                                   FlowConfig("ym", dt_initial=2.5e-3)],
                          ids=["u1_exact", "ym"])
 def test_draws_once_per_stream(monkeypatch, flow):
-    # one draw per stream, at the reference cutoff or else at the largest
-    # member cutoff, serves every member of the stream whatever the flow,
-    # and a flowed run's reference values are the exact run's
+    # one draw per stream, at the reference cutoff (of the modes it needs)
+    # or else at the largest member cutoff, serves every member of the
+    # stream whatever the flow, and a flowed run's reference values are
+    # the exact run's
     import ymflow.ensemble as ens
     draws = []
-    real = ens.sample_u1_coulomb
+    real, real_stored = ens.sample_u1_coulomb, ens._coulomb_stored
 
     def counting(cfg):
         draws.append((cfg.stream, cfg.cutoff))
         return real(cfg)
 
+    def counting_stored(cfg, index):
+        draws.append((cfg.stream, cfg.cutoff))
+        return real_stored(cfg, index)
+
     exact = u1_spec(n_samples=3, cutoffs=(1, 2), times=(0.005,))
     _, want = run_ensemble(replace(exact, reference_cutoff=4))
     spec = replace(exact, flow=flow)
     monkeypatch.setattr(ens, "sample_u1_coulomb", counting)
+    monkeypatch.setattr(ens, "_coulomb_stored", counting_stored)
     recs, reference = run_ensemble(spec)
     assert len(recs) == 6 and reference is None
     assert sorted(draws) == [(s, 2) for s in range(3)]
@@ -437,6 +452,57 @@ def test_members_from_one_draw_equal_direct_draws(kind, scale_to_h1, reference_c
                                stream, spec.coupling)
         assert values == ens._exact_wilson(a_ref, spec.loops, spec.characters,
                                            spec.times)
+
+
+def test_stream_draws_member_and_heat_visible_modes():
+    # at R = 16 and t_min = 0.005 a stream draws 6446 of the 17968 half
+    # modes: every mode of the largest member cutoff, and the modes of
+    # weight above e^(-41.6) at t_min
+    import ymflow.ensemble as ens
+    from ymflow.gff import canonical_half_modes
+    drawn, visible, members = ens._stream_modes(16, (2, 4, 8), 0.005)
+    half = canonical_half_modes(16)
+    assert (len(drawn), len(half)) == (6446, 17968)
+    extent = np.max(np.abs(half), axis=1)
+    for c, pos in zip((2, 4, 8), members):
+        assert np.array_equal(drawn[pos], np.flatnonzero(extent <= c))
+    index = ens.visible_modes(16, 0.005)
+    assert np.array_equal(drawn[visible], index[index > len(half)] - len(half) - 1)
+
+
+@pytest.mark.parametrize("g", [1.0, 0.7])
+def test_reference_phases_match_exact_sum_of_full_cube(g):
+    # the reference reads only the modes visible at the earliest time; its
+    # phases are those of every term of the cutoff-16 cube, summed exactly
+    from ymflow.fields import heat_weights
+    from ymflow.wilson import loop_fourier_coefficients
+    spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02), g=g,
+                   reference_cutoff=16)
+    _, reference = run_ensemble(spec)
+    for stream, values in reference.items():
+        a = sample_initial(U1, "u1_coulomb", 16, spec.seed, stream, g)
+        for lp in spec.loops:
+            per_mode = np.sum(a.coeffs[0] * loop_fourier_coefficients(lp, 16), axis=0)
+            for t, w in zip(spec.times, heat_weights(16, spec.times)):
+                phase = math.fsum((w * per_mode.real).ravel())
+                assert abs(values[(lp.name, "u1:1", t)] - np.exp(1j * phase)) <= 1e-14
+
+
+def test_uncut_reference_equals_full_cube_h_series():
+    # when no mode of R is cut at t_min the reference is h_series of the
+    # full cutoff-R draw, bit for bit
+    import ymflow.ensemble as ens
+    from ymflow.wilson import h_series
+    spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.02, 0.005),
+                   reference_cutoff=6)
+    assert ens.visible_modes(6, 0.005) == slice(None)
+    _, reference = run_ensemble(spec)
+    for stream, values in reference.items():
+        a = sample_initial(U1, "u1_coulomb", 6, spec.seed, stream)
+        for lp in spec.loops:
+            for t, phase in zip(spec.times, h_series(a, lp, spec.times)):
+                for ch in CHARS:
+                    assert values[(lp.name, ch.label(), t)] == ch.u1_value(phase)
 
 
 def test_convergence_report_draws_nothing(monkeypatch):
@@ -586,15 +652,22 @@ def test_u1_exact_member_values_match_scalar_formula():
 
 
 def test_h_series_called_once_per_member_and_loop(monkeypatch):
+    # a member's phases come from h_series on its field, the reference's
+    # from u1_phase on the stream's visible modes
     import ymflow.ensemble as ens
     calls = []
-    real = ens.h_series
+    real, real_phase = ens.h_series, ens.u1_phase
 
     def counting(a, loop, t):
         calls.append((a.cutoff, loop.name))
         return real(a, loop, t)
 
+    def counting_phase(coeffs, loop, cutoff, t):
+        calls.append((cutoff, loop.name))
+        return real_phase(coeffs, loop, cutoff, t)
+
     monkeypatch.setattr(ens, "h_series", counting)
+    monkeypatch.setattr(ens, "u1_phase", counting_phase)
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.01, 0.02))
     run_ensemble(spec)
     assert len(calls) == 3 * 2 * len(spec.loops)      # streams x cutoffs x loops

@@ -12,7 +12,9 @@ from reference import (
 from ymflow.fields import _spectral_to_values, d_star_1form, reality_defect
 from ymflow.gff import (
     SamplerConfig,
+    _coulomb_stored,
     _frames_for,
+    _mirrored,
     canonical_half_modes,
     sample_gff,
     sample_u1_coulomb,
@@ -117,6 +119,24 @@ def test_coulomb_sampler_matches_dense_scatter_bitwise(coupling):
             want = sample_u1_coulomb_dense(cfg).coeffs
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (cutoff, stream)
+
+
+@pytest.mark.parametrize("coupling", [1.0, 0.7])
+def test_coulomb_subset_draw_equals_full_draw_bitwise(coupling):
+    # the stored coefficients at a list of half modes are the full draw's
+    # at those modes byte for byte, and mirrored they are the cube's
+    # entries at those modes and their reflections, in flat order
+    for cutoff in range(1, 17):
+        h = len(canonical_half_modes(cutoff))
+        index = np.sort(np.random.default_rng(cutoff).choice(
+            h, size=max(1, h // 3), replace=False))
+        flat_index = np.concatenate([h - 1 - index[::-1], [h], h + 1 + index])
+        for stream in (0, 5):
+            cfg = SamplerConfig(U1, cutoff, seed=29, stream=stream, coupling=coupling)
+            full = sample_u1_coulomb(cfg).coeffs[0].reshape(3, -1)
+            part = _coulomb_stored(cfg, index)
+            assert part.tobytes() == full[:, h + 1:][:, index].tobytes(), (cutoff, stream)
+            assert _mirrored(part).tobytes() == full[:, flat_index].tobytes()
 
 
 def test_gff_sampler_matches_dense_scatter_bitwise():

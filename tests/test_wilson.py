@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,13 @@ from reference import (
     reverse_loop,
     u1_amplitudes,
 )
-from ymflow.fields import GaugeTransform, gauge_act, mode_grids, zero_connection
+from ymflow.fields import (
+    GaugeTransform,
+    gauge_act,
+    mode_grids,
+    mode_norm_sq,
+    zero_connection,
+)
 from ymflow.flow import heat_semigroup_u1
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from ymflow.groups import (
@@ -34,7 +42,9 @@ from ymflow.wilson import (
     make_loop,
     parse_loop_file,
     rectangle_loop,
+    u1_phase,
     u1_wilson_exact,
+    visible_modes,
     wilson_loop,
 )
 
@@ -498,6 +508,49 @@ def test_h_series_imaginary_check_covers_every_time():
         h_series(a, PLAQ, 0.01)
     with pytest.raises(AssertionError, match="purely imaginary"):
         h_series(a, PLAQ, [80.0, 0.01])
+
+
+@pytest.mark.parametrize("cutoff, t, cut", [
+    (4, 0.005, False), (8, 0.005, False), (9, 0.005, True), (16, 0.005, True),
+    (16, 0.02, True), (6, 0.1, True), (3, 0.0, False), (2, 80.0, True)])
+def test_visible_modes_are_the_heat_visible_ones(cutoff, t, cut):
+    # exactly the modes with 4 pi^2 |n|^2 t <= 41.6, a full slice when
+    # no mode is cut
+    index = visible_modes(cutoff, t)
+    want = np.flatnonzero(4.0 * np.pi**2 * t * mode_norm_sq(cutoff).ravel() <= 41.6)
+    assert wilson_mod.NEGLIGIBLE_HEAT == 41.6
+    if not cut:
+        assert index == slice(None)
+        assert len(want) == (2 * cutoff + 1) ** 3
+        return
+    assert isinstance(index, np.ndarray) and np.array_equal(index, want)
+    k3 = (2 * cutoff + 1) ** 3
+    assert np.array_equal(index, k3 - 1 - index[::-1])     # n -> -n
+    assert (k3 - 1) // 2 in index                          # n = 0
+    assert visible_modes(cutoff, t) is index                # cached
+
+
+def test_h_series_sums_the_visible_modes_only():
+    # a field that differs only at modes invisible at the earliest time
+    # has the same phases, bit for bit; u1_phase on the gathered visible
+    # coefficients is h_series
+    a = u1_sample(cutoff=12, seed=25)
+    times = (0.01, 0.005, 0.03)
+    index = visible_modes(12, 0.005)
+    b = a.copy()
+    hidden = np.ones((2 * 12 + 1) ** 3, dtype=bool)
+    hidden[index] = False
+    b.coeffs[0].reshape(3, -1)[:, hidden] = 1e3
+    for lp in [PLAQ] + random_loops(26, count=2):
+        want = h_series(a, lp, times)
+        assert h_series(b, lp, times).tobytes() == want.tobytes()
+        visible = a.coeffs[0].reshape(3, -1)[:, index]
+        assert u1_phase(visible, lp, 12, times).tobytes() == want.tobytes()
+        # against every term of the cube, summed exactly
+        per_mode = np.sum(a.coeffs[0] * loop_fourier_coefficients(lp, 12), axis=0)
+        for t, got in zip(times, want):
+            terms = np.exp(-4 * np.pi**2 * mode_norm_sq(12) * t) * per_mode.real
+            assert abs(got - math.fsum(terms.ravel())) <= 1e-14
 
 
 def test_u1_wilson_exact_is_character_of_phase():
