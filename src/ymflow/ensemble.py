@@ -15,12 +15,14 @@ dropped before the next stream.  At the reference cutoff the draw holds
 only the modes some output reads: those of the largest member, and
 those whose heat weight at the earliest observation time is above
 e^(-NEGLIGIBLE_HEAT); the draws being keyed by mode, each drawn value is
-the full draw's.  A member is one ``integrate`` run from its restricted
-draw, read at the observation times.  Tasks run
-independently, optionally in forked worker processes (serially where the
-platform cannot fork); records are always assembled and written in
-(stream, cutoff) order, and a task computes the same bits in any
-process, so the output bytes do not depend on the worker count.
+the full draw's.  Every stream takes this one path, with or without a
+reference.  A member is one ``integrate`` run from the cube filled with
+its own modes of that draw (rescaled when the spec says so), read at the
+observation times.  Tasks run independently, optionally in forked
+worker processes (serially where the platform cannot fork); records are
+always assembled and written in (stream, cutoff) order, and a task
+computes the same bits in any process, so the output bytes do not
+depend on the worker count.
 
 Records carry the hash of the exact configuration that produced them.
 Persistence is newline-delimited JSON, one flat observation row per line,
@@ -43,15 +45,7 @@ import numpy as np
 
 from .fields import SpectralConnection, h1_norm
 from .flow import FlowConfig, integrate
-from .gff import (
-    SamplerConfig,
-    _coulomb_stored,
-    _mirror_filled,
-    _mirrored,
-    canonical_half_modes,
-    sample_gff,
-    sample_u1_coulomb,
-)
+from .gff import SamplerConfig, _mirror_filled, _mirrored, _stored, canonical_half_modes
 from .groups import GroupSpec
 from .storage import atomic_open
 from .wilson import NEGLIGIBLE_HEAT, h_series, u1_phase, visible_modes, wilson_loop
@@ -105,12 +99,20 @@ class EnsembleSpec:
         self.times = tuple(float(t) for t in self.times)
         if list(self.cutoffs) != sorted(set(self.cutoffs)) or not self.cutoffs:
             raise ValueError("cutoffs must be strictly increasing and nonempty")
+        if self.cutoffs[0] < 1:
+            raise ValueError(f"cutoffs must be at least 1, got {self.cutoffs}")
         if self.n_samples < 2:
             raise ValueError("need at least 2 samples")
         if self.sampler_kind not in ("gff", "u1_coulomb"):
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
-        if not self.times or any(t <= 0 for t in self.times):
-            raise ValueError("observation times must be positive and nonempty")
+        # NaN fails every comparison, so each check asks for the good range
+        if not self.times or not all(0.0 < t < math.inf for t in self.times):
+            raise ValueError("observation times must be finite, positive and nonempty")
+        if not 0.0 < self.coupling < math.inf:
+            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
+        if self.scale_to_h1 is not None and not 0.0 < self.scale_to_h1 < math.inf:
+            raise ValueError(f"scale_to_h1 must be finite and positive, "
+                             f"got {self.scale_to_h1}")
         if len(set(self.times)) < len(self.times):
             raise ValueError(f"observation times {self.times} repeat a time")
         if self.reference_cutoff is None:
@@ -161,11 +163,14 @@ def sample_initial(group: GroupSpec, sampler_kind: str, cutoff: int, seed: int,
     """Draw the initial field of one (seed, stream) at this cutoff and, when
     scale_to_h1 is given, rescale it to that H^1 norm."""
     cfg = SamplerConfig(group, cutoff, seed=seed, stream=stream, coupling=coupling)
-    a0 = sample_u1_coulomb(cfg) if sampler_kind == "u1_coulomb" else sample_gff(cfg)
-    return _rescaled(a0, scale_to_h1)
+    return _filled(group, cutoff, _stored(sampler_kind, cfg), scale_to_h1)
 
 
-def _rescaled(a0: SpectralConnection, scale_to_h1: float | None) -> SpectralConnection:
+def _filled(group: GroupSpec, cutoff: int, upper: np.ndarray,
+            scale_to_h1: float | None) -> SpectralConnection:
+    """The field whose canonical half modes of cutoff carry upper (d, 3, H),
+    rescaled to the H^1 norm scale_to_h1 when that is given."""
+    a0 = SpectralConnection(group, cutoff, _mirror_filled(upper, cutoff))
     if scale_to_h1 is not None:
         norm = h1_norm(a0)
         if norm > 0:
@@ -216,17 +221,18 @@ def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
 
 
 @lru_cache(maxsize=32)
-def _stream_modes(reference_cutoff: int, cutoffs: tuple, t_min: float):
-    """Index sets of a stream with a reference cutoff R: the canonical half
-    modes of R to draw (those inside the largest member cutoff and those
-    visible at t_min), the positions among them of the visible ones, and
-    per member cutoff the positions of its half modes, each list in
-    lexicographic mode order."""
-    half = canonical_half_modes(reference_cutoff)
+def _stream_modes(top: int, cutoffs: tuple, t_min: float | None):
+    """Index sets of a stream that draws at cutoff top: the canonical half
+    modes of top to draw (those inside the largest member cutoff and,
+    unless t_min is None, those visible at t_min), the positions among
+    them of the visible ones, and per member cutoff the positions of its
+    half modes, each list in lexicographic mode order."""
+    half = canonical_half_modes(top)
     h = len(half)
     # the flat cube's upper half holds the half modes, in order
     visible = np.zeros(2 * h + 1, dtype=bool)
-    visible[visible_modes(reference_cutoff, t_min)] = True
+    if t_min is not None:
+        visible[visible_modes(top, t_min)] = True
     visible = visible[h + 1:]
     extent = np.max(np.abs(half), axis=1)
     drawn = visible | (extent <= cutoffs[-1])
@@ -242,31 +248,27 @@ def _stream_task(spec: EnsembleSpec, stream: int, config_hash: str):
     """The members of one stream and the stream's exact reference Wilson
     values (None without a reference cutoff).
 
-    Without a reference cutoff, every member is restricted from one draw
-    at the largest member cutoff.  With a reference cutoff R, the stream
-    draws only the half modes of R that some output reads (_stream_modes).
-    Each member's cube is filled from all of its modes, so it is the
-    restriction of a full draw bit for bit; the reference is u1_phase on
-    the visible modes, which is what h_series reads off a full draw.
+    The stream draws once, at the reference cutoff R or else at the
+    largest member cutoff, only the half modes some output reads
+    (_stream_modes).  Each member's cube is filled from all of its modes,
+    so it is the restriction of a full draw bit for bit, then rescaled
+    when the spec says so; the reference is u1_phase on the visible
+    modes, which is what h_series reads off a full draw.
     """
-    if spec.reference_cutoff is None:
-        draw = sample_initial(spec.group, spec.sampler_kind, spec.cutoffs[-1],
-                              spec.seed, stream, spec.coupling)
-        return [_member_record(spec, stream,
-                               _rescaled(draw.restricted(c), spec.scale_to_h1),
-                               config_hash)
-                for c in spec.cutoffs], None
-    r = spec.reference_cutoff
-    drawn, visible, members = _stream_modes(r, spec.cutoffs, min(spec.times))
-    stored = _coulomb_stored(
-        SamplerConfig(spec.group, r, spec.seed, stream, spec.coupling), drawn)
-    # first, so that the members read their loop tables off its tables
-    coeffs = _mirrored(stored[:, visible])
-    reference = _u1_values(lambda lp: u1_phase(coeffs, lp, r, spec.times),
-                           spec.loops, spec.characters, spec.times)
-    records = [_member_record(spec, stream, SpectralConnection(
-                   spec.group, c, _mirror_filled(stored[:, pos], c)[None]),
-                   config_hash)
+    ref = spec.reference_cutoff
+    top = ref or spec.cutoffs[-1]
+    drawn, visible, members = _stream_modes(
+        top, spec.cutoffs, None if ref is None else min(spec.times))
+    stored = _stored(spec.sampler_kind, SamplerConfig(
+        spec.group, top, spec.seed, stream, spec.coupling), drawn)
+    reference = None
+    if ref is not None:
+        # first, so that the members read their loop tables off its tables
+        coeffs = _mirrored(stored[0][:, visible])
+        reference = _u1_values(lambda lp: u1_phase(coeffs, lp, top, spec.times),
+                               spec.loops, spec.characters, spec.times)
+    records = [_member_record(spec, stream, _filled(spec.group, c, stored[..., pos],
+                                                    spec.scale_to_h1), config_hash)
                for c, pos in zip(spec.cutoffs, members)]
     return records, reference
 

@@ -382,7 +382,7 @@ def ym_action(a: SpectralConnection) -> float:
     quadrature (exact for the band-limited field strength on the dealiased
     grid), read off the first half of the fused nonlinear pass."""
     work = _Workspace(a.group, a.cutoff, False)
-    return _ym_nonlinear(a.coeffs[..., a.cutoff:], work, action_only=True)[1]
+    return _nonlinear_core(a.coeffs[..., a.cutoff:], work, action_only=True)[1]
 
 
 def ym_action_u1_spectral(a: SpectralConnection) -> float:
@@ -422,13 +422,13 @@ def ym_rhs(a: SpectralConnection) -> SpectralConnection:
 def _operator_rhs(a: SpectralConnection, deturck: bool) -> SpectralConnection:
     """The Laplacian term plus the nonlinear pass, on the full cube."""
     work = _Workspace(a.group, a.cutoff, deturck)
-    nl = _nonlinear_core(a.coeffs[..., a.cutoff:], work, False, deturck=deturck)[0]
+    nl = _nonlinear_core(a.coeffs[..., a.cutoff:], work, False)[0]
     lap = -4.0 * np.pi**2 * mode_norm_sq(a.cutoff)[None, None] * a.coeffs
     return SpectralConnection(a.group, a.cutoff, lap + _full_spectrum(nl))
 
 
 class _Workspace:
-    """Every array of the nonlinear pass of one (group, cutoff, kind),
+    """Every array of the nonlinear pass of one (group, cutoff, deturck),
     allocated once so that repeated passes allocate (and fault in) no grid
     memory: the half-spectrum stack [A, curl A per component; d*A], of
     which ``stack`` goes to the grid (d*A for non-Abelian ZDDS only); the
@@ -442,7 +442,7 @@ class _Workspace:
 
     def __init__(self, group: GroupSpec, cutoff: int, deturck: bool):
         d, k, h, m = group.algebra_dim, 2 * cutoff + 1, cutoff + 1, dealias_resolution(cutoff)
-        self.group, self.cutoff = group, cutoff
+        self.group, self.cutoff, self.deturck = group, cutoff, deturck
         dual_rows = deturck and not group.is_abelian
         stack = np.empty((7 * d, k, k, h), dtype=complex)
         self.stack = stack if dual_rows else stack[:6 * d]
@@ -462,15 +462,15 @@ class _Workspace:
                         np.empty((6 * d * k, k, h), dtype=complex))
 
 
-def _nonlinear_core(u: np.ndarray, work: _Workspace, diagnostics: bool = True, *,
-                    deturck: bool, action_only: bool = False):
+def _nonlinear_core(u: np.ndarray, work: _Workspace, diagnostics: bool = True,
+                    action_only: bool = False):
     """Right-hand side minus the Laplacian term on the half spectrum: u
     and the result are (d, 3, K, K, N+1) n3 >= 0 halves of real fields,
-    of the group and cutoff of ``work``.  S_YM and sup|A| are evaluated on
-    the same dealiased grid (None for both when ``diagnostics`` is off).
-    With ``action_only`` it returns (None, S_YM, None) as soon as the
-    action is known, before the forward transform and the interior
-    bracket.
+    of the group and cutoff of ``work``, whose ``deturck`` picks the flow.
+    S_YM and sup|A| are evaluated on the same dealiased grid (None for
+    both when ``diagnostics`` is off).  With ``action_only`` it returns
+    (None, S_YM, None) as soon as the action is known, before the forward
+    transform and the interior bracket.
 
     YM (deturck False):  -(1/2) d*[A ^ A] - [A _| F_A] + d d*A
     ZDDS (deturck True): -(1/2) d*[A ^ A] - [A _| F_A] - [A ^ d*A]
@@ -484,7 +484,7 @@ def _nonlinear_core(u: np.ndarray, work: _Workspace, diagnostics: bool = True, *
     back.  For Abelian groups the remainder is linear (zero for ZDDS), so
     only the diagnostics need the grid.
     """
-    group, n = work.group, work.cutoff
+    group, n, deturck = work.group, work.cutoff, work.deturck
     d, m = group.algebra_dim, dealias_resolution(n)
     dstar = _d_star(u, n, out=work.dstar, prod=work.ext[:, :3])
     if group.is_abelian and not action_only:
@@ -522,12 +522,6 @@ def _nonlinear_core(u: np.ndarray, work: _Workspace, diagnostics: bool = True, *
     if not deturck:
         nl += _grad(dstar, n, out=work.ext[:, :3])
     return nl, action, sup
-
-
-# the passes of the two flows, (u, work, diagnostics=True), each in a
-# workspace of its own kind
-_ym_nonlinear = functools.partial(_nonlinear_core, deturck=False)
-_zdds_nonlinear = functools.partial(_nonlinear_core, deturck=True)
 
 
 def zdds_rhs(a: SpectralConnection, path: str = "operator") -> SpectralConnection:

@@ -35,8 +35,7 @@ from .fields import (
     SpectralConnection,
     _Workspace,
     _full_spectrum,
-    _ym_nonlinear,
-    _zdds_nonlinear,
+    _nonlinear_core,
     heat_weights,
     mode_norm_sq,
     ym_action_u1_spectral,
@@ -71,8 +70,12 @@ class FlowConfig:
     def __post_init__(self):
         if self.flow_kind not in FLOW_KINDS:
             raise ValueError(f"unknown flow kind {self.flow_kind!r}")
-        if self.dt_initial <= 0:
-            raise ValueError("dt_initial must be positive")
+        # NaN fails every comparison, so a NaN threshold or tolerance
+        # would switch off its guard
+        for name in ("dt_initial", "blowup_threshold", "error_tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
         if not (0.0 < self.dt_safety < 1.0):
             raise ValueError("dt_safety must lie in (0, 1)")
 
@@ -161,20 +164,17 @@ class _EtdStepper:
         self.e0 = dt * (p1 - 2.0 * p2)
         self.ea = dt * (2.0 * p2)
 
-    def step(self, u: np.ndarray, n0: np.ndarray, nonlinear, work: _Workspace):
+    def step(self, u: np.ndarray, n0: np.ndarray, work: _Workspace):
         """(u3, |u3 - u2|) of one step from the half spectrum u, whose
         nonlinear term n0 the caller holds; the two stage passes skip the
         action and the sup norm."""
         stage_a = self.e_half * u + self.f_half * n0
-        na = nonlinear(stage_a, work, diagnostics=False)[0]
+        na = _nonlinear_core(stage_a, work, diagnostics=False)[0]
         stage_b = self.e_full * u + self.f_full * (2.0 * na - n0)
-        nb = nonlinear(stage_b, work, diagnostics=False)[0]
+        nb = _nonlinear_core(stage_b, work, diagnostics=False)[0]
         u3 = self.e_full * u + self.w0 * n0 + self.wa * na + self.wb * nb
         u2 = self.e_full * u + self.e0 * n0 + self.ea * na
         return u3, _half_l2(u3 - u2)
-
-
-_NONLINEAR = {"ym": _ym_nonlinear, "zdds": _zdds_nonlinear}
 
 
 def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajectory:
@@ -192,7 +192,6 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
         traj.attained_time = targets[-1]
         return traj
 
-    nonlinear = _NONLINEAR[config.flow_kind]
     guard_action = config.flow_kind == "ym"
     # this flow's grid arrays, reused by every nonlinear pass below
     work = _Workspace(a0.group, a0.cutoff, deturck=config.flow_kind == "zdds")
@@ -203,7 +202,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
     # the nonlinear term of the current state with its action and sup
     # norm: one evaluation serves the action guard, the blow-up check and
     # stage 0 of the next step
-    n_state, action, _ = nonlinear(state, work)
+    n_state, action, _ = _nonlinear_core(state, work)
     dt_floor = config.dt_initial * 2.0**-40
 
     for target in targets:
@@ -218,7 +217,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
             h = min(dt, target - t)
             if h not in steppers:
                 steppers[h] = _EtdStepper(a0.cutoff, h)
-            candidate, err = steppers[h].step(state, n_state, nonlinear, work)
+            candidate, err = steppers[h].step(state, n_state, work)
             traj.rhs_evaluations += 3
             ok = np.isfinite(err) and bool(np.all(np.isfinite(candidate)))
             if not ok:
@@ -227,7 +226,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
             rel_err = err / max(_half_l2(candidate), 1e-30)
             ok = rel_err <= config.error_tol
             if ok:
-                n_new, new_action, sup = nonlinear(candidate, work)
+                n_new, new_action, sup = _nonlinear_core(candidate, work)
                 if guard_action and \
                         new_action > action + MONOTONE_TOL * (1.0 + action):
                     ok = False

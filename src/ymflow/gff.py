@@ -11,8 +11,9 @@ Randomness is keyed by (seed, stream, mode): the cutoff enters only by
 selecting which modes are filled in, so the cutoff-N field is exactly the
 restriction of the cutoff-N' field for N < N' at equal (seed, stream).
 That coupling is what turns distributional convergence statements into
-per-seed (pathwise) checks.  For the same reason any list of modes can be
-drawn on its own, each value bit for bit the full draw's.
+per-seed (pathwise) checks.  For the same reason one per-mode kernel
+(_stored) draws either ensemble at any list of modes, each value bit for
+bit the full draw's; the samplers mirror-fill its full list.
 
 Mode bookkeeping: exactly one of n, -n is drawn, namely the
 representative whose first nonzero coordinate is positive; the reflected
@@ -57,8 +58,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        if self.coupling <= 0:
-            raise ValueError("coupling must be positive")
+        if not 0.0 < self.coupling < np.inf:
+            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
 
 
 @lru_cache(maxsize=None)
@@ -146,47 +147,48 @@ def _mirror_filled(upper: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def sample_gff(config: SamplerConfig) -> SpectralConnection:
-    """g^3-valued Gaussian free field at the configured cutoff.
-
-    Coefficient of component (a, j) at a drawn mode n is Z^a_j(n)/|n| with
-    Z standard complex Gaussian; the zero mode vanishes.  The coupling
-    constant does not enter this ensemble.
-    """
-    d = config.group.algebra_dim
-    n_mod = canonical_half_modes(config.cutoff)
-    z = mode_gaussians(config.seed, config.stream, n_mod, 6 * d, TAG_COMPONENT)
-    z = z.reshape(d, 3, 2, len(n_mod))
-    zc = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)  # E|Z|^2 = 1
-    zc /= np.linalg.norm(n_mod, axis=1)
-    coeffs = _mirror_filled(zc, config.cutoff)
+    """g^3-valued Gaussian free field at the configured cutoff (_stored)."""
+    coeffs = _mirror_filled(_stored("gff", config), config.cutoff)
     return SpectralConnection(config.group, config.cutoff, coeffs)
 
 
 def sample_u1_coulomb(config: SamplerConfig) -> SpectralConnection:
-    """Coulomb-gauge U(1) Gaussian ensemble at coupling g.
+    """Coulomb-gauge U(1) Gaussian ensemble at coupling g (_stored); d* of
+    the output vanishes at the rounding level."""
+    coeffs = _mirror_filled(_stored("u1_coulomb", config), config.cutoff)
+    return SpectralConnection(config.group, config.cutoff, coeffs)
 
-    Each drawn mode carries Z_n = Z^1_n u^1_n + Z^2_n u^2_n with the four
-    real components i.i.d. N(0, g^2/(32 pi^2 |n|^2)); the stored component
-    coefficient is -i Z_n so that the field values are real multiples of
-    the basis element [i] (equivalently, the matrix-valued field lies in
-    i R).  n . Z_n = 0 termwise, hence d* of the output vanishes at the
-    rounding level.
+
+def _stored(kind: str, config: SamplerConfig, index=slice(None)) -> np.ndarray:
+    """Stored coefficients (d, 3, len(index)) of the ``kind`` draw at the
+    modes canonical_half_modes(cutoff)[index], each bit for bit the full
+    draw's: the Philox words, Box-Muller, frames and scales are all per
+    mode.
+
+    gff: the coefficient of component (a, j) at n is Z^a_j(n)/|n| with Z
+    standard complex Gaussian; the coupling constant does not enter.
+
+    u1_coulomb: each mode carries Z_n = Z^1_n u^1_n + Z^2_n u^2_n with the
+    four real components i.i.d. N(0, g^2/(32 pi^2 |n|^2)); the stored
+    component coefficient is -i Z_n so that the field values are real
+    multiples of the basis element [i] (equivalently, the matrix-valued
+    field lies in i R).  n . Z_n = 0 termwise.
     """
+    n_mod = canonical_half_modes(config.cutoff)[index]
+    if kind == "gff":
+        d = config.group.algebra_dim
+        z = mode_gaussians(config.seed, config.stream, n_mod, 6 * d, TAG_COMPONENT)
+        z = z.reshape(d, 3, 2, len(n_mod))
+        zc = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)  # E|Z|^2 = 1
+        return zc / np.linalg.norm(n_mod, axis=1)
+    if kind != "u1_coulomb":
+        raise ValueError(f"unknown sampler kind {kind!r}")
     if config.group.kind != "u1":
         raise ValueError("the Coulomb-gauge ensemble is U(1)-only")
-    coeffs = _mirror_filled(_coulomb_stored(config), config.cutoff)
-    return SpectralConnection(config.group, config.cutoff, coeffs[None])
-
-
-def _coulomb_stored(config: SamplerConfig, index=slice(None)) -> np.ndarray:
-    """Stored coefficients (3, len(index)) of the Coulomb draw at the modes
-    canonical_half_modes(cutoff)[index], each bit for bit the full draw's:
-    the Philox words, Box-Muller, frames and sigma are all per mode."""
-    n_mod = canonical_half_modes(config.cutoff)[index]
     u1v, u2v = (u[:, index] for u in _frames_for(config.cutoff))
     z = mode_gaussians(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
     z = z * (config.coupling / _coulomb_denominators(config.cutoff)[index])
     z1 = z[0] + 1j * z[1]
     z2 = z[2] + 1j * z[3]
     zn = z1 * u1v + z2 * u2v                         # (3, M), the i R part
-    return -1j * zn                                  # component convention
+    return -1j * zn[None]                            # component convention

@@ -25,14 +25,13 @@ from ymflow.fields import (
     _full_spectrum,
     _grid_bracket,
     _sup_of,
-    _ym_nonlinear,
-    _zdds_nonlinear,
     dealias_resolution,
     heat_weights,
     mode_grids,
     mode_norm_sq,
 )
-from ymflow.flow import MAX_STEPS, MONOTONE_TOL, FlowTrajectory, _phi_funcs
+from ymflow.flow import (MAX_STEPS, MONOTONE_TOL, FlowTrajectory, _nonlinear_core,
+                         _phi_funcs)
 from ymflow.groups import GroupSpec
 from ymflow.rng import TAG_COMPONENT, philox4x64_10
 from ymflow.wilson import FieldEvaluator, Loop, loop_fourier_coefficients, make_loop
@@ -330,10 +329,9 @@ def sample_u1_coulomb_dense(config) -> SpectralConnection:
 def nonlinear_pass(a: SpectralConnection, deturck: bool, diagnostics: bool = True):
     """The package's half-spectrum nonlinear pass of a full-cube
     connection, its output mirrored back to the full cube."""
-    fn = _zdds_nonlinear if deturck else _ym_nonlinear
     n = a.cutoff
-    nl, action, sup = fn(a.coeffs[..., n:], _Workspace(a.group, n, deturck),
-                         diagnostics)
+    nl, action, sup = _nonlinear_core(a.coeffs[..., n:], _Workspace(a.group, n, deturck),
+                                      diagnostics)
     return _full_spectrum(nl), action, sup
 
 

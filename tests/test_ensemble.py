@@ -22,6 +22,7 @@ from ymflow.ensemble import (
     sample_initial,
     tightness_report,
 )
+from ymflow.gff import SamplerConfig
 from ymflow.groups import SU2, U1
 from ymflow.wilson import Character, axis_cycle, rectangle_loop, u1_wilson_exact
 
@@ -50,6 +51,18 @@ def test_spec_validation():
         EnsembleSpec(group=U1, sampler_kind="magic", seed=1, cutoffs=(2,),
                      times=(0.1,), n_samples=4,
                      flow=FlowConfig("u1_exact"))
+    # a NaN coupling would write NaN records, NaN times fail only inside
+    # integrate, and scale_to_h1 = 0 or -1 zero or flip the members
+    nan, inf = float("nan"), float("inf")
+    for key, bad in [("coupling", nan), ("coupling", inf), ("coupling", 0.0),
+                     ("times", (0.01, nan)), ("times", (inf,)),
+                     ("scale_to_h1", 0.0), ("scale_to_h1", -1.0),
+                     ("scale_to_h1", nan), ("cutoffs", (0, 2)), ("cutoffs", (-1,))]:
+        with pytest.raises(ValueError, match=key):
+            replace(u1_spec(), **{key: bad})
+    for bad in (nan, inf, -1.0):
+        with pytest.raises(ValueError, match="coupling"):
+            SamplerConfig(U1, 2, seed=1, coupling=bad)
 
 
 def test_spec_refuses_repeated_time():
@@ -397,21 +410,16 @@ def test_draws_once_per_stream(monkeypatch, flow):
     # the exact run's
     import ymflow.ensemble as ens
     draws = []
-    real, real_stored = ens.sample_u1_coulomb, ens._coulomb_stored
+    real = ens._stored
 
-    def counting(cfg):
+    def counting(kind, cfg, index=slice(None)):
         draws.append((cfg.stream, cfg.cutoff))
-        return real(cfg)
-
-    def counting_stored(cfg, index):
-        draws.append((cfg.stream, cfg.cutoff))
-        return real_stored(cfg, index)
+        return real(kind, cfg, index)
 
     exact = u1_spec(n_samples=3, cutoffs=(1, 2), times=(0.005,))
     _, want = run_ensemble(replace(exact, reference_cutoff=4))
     spec = replace(exact, flow=flow)
-    monkeypatch.setattr(ens, "sample_u1_coulomb", counting)
-    monkeypatch.setattr(ens, "_coulomb_stored", counting_stored)
+    monkeypatch.setattr(ens, "_stored", counting)
     recs, reference = run_ensemble(spec)
     assert len(recs) == 6 and reference is None
     assert sorted(draws) == [(s, 2) for s in range(3)]
@@ -427,22 +435,25 @@ def test_draws_once_per_stream(monkeypatch, flow):
     pytest.param("u1_exact", 0.5, None, id="0.5-None"),
     pytest.param("ym", None, 4, id="ym-None-4"),
     pytest.param("ym", 0.5, None, id="ym-0.5-None"),
+    pytest.param("su2-ym", 0.5, None, id="su2-ym-0.5-None"),
 ])
 def test_members_from_one_draw_equal_direct_draws(kind, scale_to_h1, reference_cutoff):
-    # restricting the stream's draw gives each member's direct draw bit
+    # filling each member from the stream's draw gives its direct draw bit
     # for bit, and a member's actions are those of integrate on that draw
     import ymflow.ensemble as ens
     if kind == "u1_exact":
         spec = u1_spec(n_samples=3, cutoffs=(2, 4, 8), times=(0.02, 0.005))
-    else:
+    elif kind == "ym":
         spec = replace(u1_spec(n_samples=3, cutoffs=(1, 2), times=(0.005, 0.0025)),
                        flow=FlowConfig("ym", dt_initial=2.5e-3))
+    else:
+        spec = replace(su2_ym_spec((0.002, 0.004)), cutoffs=(1, 2))
     spec = replace(spec, scale_to_h1=scale_to_h1, reference_cutoff=reference_cutoff)
     recs, reference = run_ensemble(spec)
     config_hash = spec.config_hash()
     for rec in recs:
-        a0 = sample_initial(U1, "u1_coulomb", rec.cutoff, spec.seed, rec.stream,
-                            spec.coupling, scale_to_h1)
+        a0 = sample_initial(spec.group, spec.sampler_kind, rec.cutoff, spec.seed,
+                            rec.stream, spec.coupling, scale_to_h1)
         assert rec == ens._member_record(spec, rec.stream, a0, config_hash)
         traj = integrate(a0, spec.flow, spec.times)
         assert rec.s_ym == traj.actions
@@ -516,9 +527,9 @@ def test_convergence_report_draws_nothing(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("the report drew a field")
 
-    for mod in (ens, gff):
-        for name in ("sample_u1_coulomb", "sample_gff"):
-            monkeypatch.setattr(mod, name, no_draw)
+    for mod, name in ((ens, "_stored"), (gff, "_stored"), (gff, "sample_u1_coulomb"),
+                      (gff, "sample_gff")):
+        monkeypatch.setattr(mod, name, no_draw)
     monkeypatch.setattr(gff, "mode_gaussians", no_draw)
     assert distribution_convergence_report(recs, spec, reference) == want
 
@@ -756,3 +767,37 @@ def test_failed_record_write_keeps_previous_file(tmp_path, monkeypatch, writer):
         writer(recs, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["records.out"]
+
+
+# SHA-256 of the persist_records bytes and of repr(reference), pinned
+# while members were still restricted copies of a full draw: an SU(2) GFF
+# YM ensemble rescaled to an H^1 norm, a U(1) exact ensemble whose
+# reference at R = 12 cuts the modes invisible at t = 0.005, and one
+# without a reference
+def _pinned_spec(case):
+    if case == "su2-ym-h1":
+        return replace(su2_ym_spec((0.004, 0.008)), cutoffs=(1, 2))
+    spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.02))
+    return replace(spec, reference_cutoff=12) if case == "u1-reference-cut" else spec
+
+
+# repr(None)
+NONE_DIGEST = "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91"
+
+
+@pytest.mark.parametrize("case, records_digest, reference_digest", [
+    ("su2-ym-h1",
+     "250c395f1b6909e01988d17ba835563d61aba8414d0002cb57eafcde5c277ad4", NONE_DIGEST),
+    ("u1-reference-cut",
+     "1f350a752d724089a440bf8f9e4d676ca3f875883649aeb60eb62024c887d3ac",
+     "c1f1ffa0e602d90700e611559a72818e0ac8f4ce4787a6a2c0fb8d557a5ff90f"),
+    ("u1-no-reference",
+     "a768ac1c4af05429704d42937fd549f0d4a4533f524335f9df20ddf11028626f", NONE_DIGEST),
+])
+def test_stream_outputs_pinned(tmp_path, case, records_digest, reference_digest):
+    import hashlib
+    recs, reference = run_ensemble(_pinned_spec(case))
+    persist_records(recs, tmp_path / "records.jsonl")
+    got = hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest()
+    assert got == records_digest
+    assert hashlib.sha256(repr(reference).encode()).hexdigest() == reference_digest

@@ -42,6 +42,15 @@ def test_flow_config_validation():
         FlowConfig("ym", dt_initial=-1e-3)
     with pytest.raises(ValueError):
         FlowConfig("ym", dt_safety=1.5)
+    # a NaN threshold would switch off the blow-up guard, a nonpositive or
+    # NaN tolerance reject every step
+    nan, inf = float("nan"), float("inf")
+    for key, bad in [("dt_initial", inf), ("dt_initial", nan), ("dt_initial", 0.0),
+                     ("blowup_threshold", nan), ("blowup_threshold", inf),
+                     ("blowup_threshold", 0.0), ("error_tol", 0.0),
+                     ("error_tol", -1e-3), ("error_tol", nan), ("dt_safety", nan)]:
+        with pytest.raises(ValueError, match=key):
+            FlowConfig("ym", **{key: bad})
 
 
 @pytest.mark.parametrize("times", [(), (0.0,), (0.01, -0.01)])
@@ -298,7 +307,7 @@ def test_one_nonlinear_call_per_stage_and_no_separate_diagnostics(monkeypatch):
 
     calls = {"nonlinear": 0, "no_diagnostics": 0, "diagnostic": 0}
     workspaces = set()
-    nonlinear = flow_mod._NONLINEAR["ym"]
+    nonlinear = flow_mod._nonlinear_core
 
     def counted(a, work=None, diagnostics=True):
         calls["nonlinear"] += 1
@@ -312,7 +321,7 @@ def test_one_nonlinear_call_per_stage_and_no_separate_diagnostics(monkeypatch):
         calls["diagnostic"] += 1
         raise AssertionError("separate diagnostic called in the step loop")
 
-    monkeypatch.setitem(flow_mod._NONLINEAR, "ym", counted)
+    monkeypatch.setattr(flow_mod, "_nonlinear_core", counted)
     monkeypatch.setattr(fields_mod, "ym_action", forbidden)
     a = sample_gff(SamplerConfig(SU2, 2, seed=7))
     a = a.scaled(0.5 / h1_norm(a))
@@ -501,11 +510,11 @@ from ymflow.ensemble import sample_initial
 from ymflow.flow import FlowConfig, integrate
 from ymflow.groups import SU2
 marks = []
-nonlinear = flow_mod._NONLINEAR["ym"]
+nonlinear = flow_mod._nonlinear_core
 def counted(*args, **kwargs):
     marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
     return nonlinear(*args, **kwargs)
-flow_mod._NONLINEAR["ym"] = counted
+flow_mod._nonlinear_core = counted
 a = sample_initial(SU2, "gff", 4, 5, 0, scale_to_h1=0.5)
 integrate(a, FlowConfig("ym", dt_initial=1e-3), (0.02,))
 end = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -12,15 +12,17 @@ from reference import (
 from ymflow.fields import _spectral_to_values, d_star_1form, reality_defect
 from ymflow.gff import (
     SamplerConfig,
-    _coulomb_stored,
     _frames_for,
     _mirrored,
+    _stored,
     canonical_half_modes,
     sample_gff,
     sample_u1_coulomb,
     transverse_frame,
 )
-from ymflow.groups import SU2, U1, standard_basis
+from ymflow.groups import SU2, U1, GroupSpec, standard_basis
+
+SU3 = GroupSpec("su", 3)
 
 
 def test_half_modes_partition():
@@ -125,18 +127,31 @@ def test_coulomb_sampler_matches_dense_scatter_bitwise(coupling):
 def test_coulomb_subset_draw_equals_full_draw_bitwise(coupling):
     # the stored coefficients at a list of half modes are the full draw's
     # at those modes byte for byte, and mirrored they are the cube's
-    # entries at those modes and their reflections, in flat order
-    for cutoff in range(1, 17):
+    # entries at those modes and their reflections, in flat order; the
+    # one kernel serves the Coulomb draw and the GFF (SU(2), SU(3))
+    cases = [("u1_coulomb", U1, cutoff) for cutoff in range(1, 17)] + \
+        [("gff", group, cutoff) for group in (SU2, SU3) for cutoff in range(1, 9)]
+    for kind, group, cutoff in cases:
+        sample = sample_u1_coulomb if kind == "u1_coulomb" else sample_gff
         h = len(canonical_half_modes(cutoff))
         index = np.sort(np.random.default_rng(cutoff).choice(
             h, size=max(1, h // 3), replace=False))
         flat_index = np.concatenate([h - 1 - index[::-1], [h], h + 1 + index])
         for stream in (0, 5):
-            cfg = SamplerConfig(U1, cutoff, seed=29, stream=stream, coupling=coupling)
-            full = sample_u1_coulomb(cfg).coeffs[0].reshape(3, -1)
-            part = _coulomb_stored(cfg, index)
-            assert part.tobytes() == full[:, h + 1:][:, index].tobytes(), (cutoff, stream)
-            assert _mirrored(part).tobytes() == full[:, flat_index].tobytes()
+            cfg = SamplerConfig(group, cutoff, seed=29, stream=stream, coupling=coupling)
+            full = sample(cfg).coeffs.reshape(group.algebra_dim, 3, -1)
+            part = _stored(kind, cfg, index)
+            assert part.tobytes() == full[..., h + 1:][..., index].tobytes(), \
+                (kind, group, cutoff, stream)
+            assert _mirrored(part).tobytes() == full[..., flat_index].tobytes()
+
+
+def test_unknown_sampler_kind_refused():
+    # a misspelt Coulomb kind must not draw the GFF, which is not
+    # divergence-free
+    from ymflow.ensemble import sample_initial
+    with pytest.raises(ValueError, match="unknown sampler kind"):
+        sample_initial(U1, "coulomb", 2, seed=1)
 
 
 def test_gff_sampler_matches_dense_scatter_bitwise():
