@@ -45,7 +45,8 @@ import numpy as np
 
 from .fields import SpectralConnection, h1_norm
 from .flow import FlowConfig, integrate
-from .gff import SamplerConfig, _mirror_filled, _mirrored, _stored, canonical_half_modes
+from .gff import (SamplerConfig, _mirror_filled, _mirrored, _mode_tables, _stored,
+                  canonical_half_modes)
 from .groups import GroupSpec
 from .storage import atomic_open
 from .wilson import NEGLIGIBLE_HEAT, h_series, u1_phase, visible_modes, wilson_loop
@@ -225,8 +226,10 @@ def _stream_modes(top: int, cutoffs: tuple, t_min: float | None):
     """Index sets of a stream that draws at cutoff top: the canonical half
     modes of top to draw (those inside the largest member cutoff and,
     unless t_min is None, those visible at t_min), the positions among
-    them of the visible ones, and per member cutoff the positions of its
-    half modes, each list in lexicographic mode order."""
+    them of the visible ones, per member cutoff the positions of its half
+    modes, each list in lexicographic mode order, and the sampler tables
+    of the drawn modes (gff._mode_tables), which every stream of this
+    shape hands to _stored.  All of it is read-only."""
     half = canonical_half_modes(top)
     h = len(half)
     # the flat cube's upper half holds the half modes, in order
@@ -241,7 +244,7 @@ def _stream_modes(top: int, cutoffs: tuple, t_min: float | None):
            *(position[extent <= c] for c in cutoffs))
     for x in out:
         x.setflags(write=False)
-    return out[0], out[1], out[2:]
+    return out[0], out[1], out[2:], _mode_tables(half[out[0]])
 
 
 def _stream_task(spec: EnsembleSpec, stream: int, config_hash: str):
@@ -253,24 +256,25 @@ def _stream_task(spec: EnsembleSpec, stream: int, config_hash: str):
     (_stream_modes).  Each member's cube is filled from all of its modes,
     so it is the restriction of a full draw bit for bit, then rescaled
     when the spec says so; the reference is u1_phase on the visible
-    modes, which is what h_series reads off a full draw.
+    modes, which is what h_series reads off a full draw.  Members run
+    largest first, so the smaller ones read their loop tables off its
+    tables.
     """
     ref = spec.reference_cutoff
     top = ref or spec.cutoffs[-1]
-    drawn, visible, members = _stream_modes(
+    _, visible, members, tables = _stream_modes(
         top, spec.cutoffs, None if ref is None else min(spec.times))
     stored = _stored(spec.sampler_kind, SamplerConfig(
-        spec.group, top, spec.seed, stream, spec.coupling), drawn)
+        spec.group, top, spec.seed, stream, spec.coupling), tables)
     reference = None
     if ref is not None:
-        # first, so that the members read their loop tables off its tables
         coeffs = _mirrored(stored[0][:, visible])
         reference = _u1_values(lambda lp: u1_phase(coeffs, lp, top, spec.times),
                                spec.loops, spec.characters, spec.times)
     records = [_member_record(spec, stream, _filled(spec.group, c, stored[..., pos],
                                                     spec.scale_to_h1), config_hash)
-               for c, pos in zip(spec.cutoffs, members)]
-    return records, reference
+               for c, pos in zip(spec.cutoffs[::-1], members[::-1])]
+    return records[::-1], reference
 
 
 def run_ensemble(spec: EnsembleSpec, threads: int = 1):

@@ -389,12 +389,37 @@ def ym_action_u1_spectral(a: SpectralConnection) -> float:
     """Closed-form U(1) action 8 pi^2 sum_n (|n|^2 |A(n)|^2 - |n.A(n)|^2)."""
     if a.group.kind != "u1":
         raise ValueError("spectral action formula is U(1)-only")
-    n = mode_grids(a.cutoff)
-    c = a.coeffs[0]
-    norm_sq = np.sum(np.abs(c) ** 2, axis=0)
-    dot = n[0] * c[0] + n[1] * c[1] + n[2] * c[2]
-    total = np.sum(mode_norm_sq(a.cutoff) * norm_sq) - np.sum(np.abs(dot) ** 2)
-    return float(8.0 * np.pi**2 * total)
+    return float(_u1_actions(a.coeffs[0], a.cutoff))
+
+
+@functools.lru_cache(maxsize=8)
+def _complex_modes(cutoff: int) -> np.ndarray:
+    """The mode components n_j + 0j, (3, K, K, K), read-only: the integer
+    grids already in the complex type a product with coefficients casts
+    them to."""
+    out = np.stack(mode_grids(cutoff)).astype(complex)
+    out.setflags(write=False)
+    return out
+
+
+def _u1_actions(c: np.ndarray, cutoff: int) -> np.ndarray:
+    """The action of ym_action_u1_spectral of every U(1) coefficient cube
+    in c (..., 3, K, K, K), in one pass: shape (...).  The products and
+    sums are those of the formula, with temporaries reused in place."""
+    sq = np.abs(c)
+    np.square(sq, out=sq)
+    norm_sq = np.sum(sq, axis=-4)
+    norm_sq *= mode_norm_sq(cutoff)
+    n = _complex_modes(cutoff)
+    c0, c1, c2 = np.moveaxis(c, -4, 0)
+    dot = n[0] * c0
+    dot += n[1] * c1
+    dot += n[2] * c2
+    dot_sq = np.abs(dot)
+    np.square(dot_sq, out=dot_sq)
+    cube = (-3, -2, -1)
+    total = np.sum(norm_sq, axis=cube) - np.sum(dot_sq, axis=cube)
+    return 8.0 * np.pi**2 * total
 
 
 def coulomb_project_u1(a: SpectralConnection) -> SpectralConnection:

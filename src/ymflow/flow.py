@@ -36,9 +36,9 @@ from .fields import (
     _Workspace,
     _full_spectrum,
     _nonlinear_core,
+    _u1_actions,
     heat_weights,
     mode_norm_sq,
-    ym_action_u1_spectral,
     l2_norm,
 )
 
@@ -97,10 +97,15 @@ class FlowTrajectory:
 def heat_semigroup_u1(a: SpectralConnection, t: float) -> SpectralConnection:
     """Exact heat kernel on a U(1) field: multiply mode n by
     e^(-4 pi^2 |n|^2 t)."""
+    return SpectralConnection(a.group, a.cutoff, _heat_stack_u1(a, t)[0])
+
+
+def _heat_stack_u1(a: SpectralConnection, times) -> np.ndarray:
+    """The coefficients of heat_semigroup_u1(a, t) for each of times, in
+    one product: shape (T, 1, 3, K, K, K)."""
     if a.group.kind != "u1":
         raise ValueError("exact heat semigroup is the U(1) oracle path")
-    w = heat_weights(a.cutoff, t)[0]
-    return SpectralConnection(a.group, a.cutoff, a.coeffs * w[None, None])
+    return a.coeffs * heat_weights(a.cutoff, times)[:, None, None]
 
 
 def _half_l2(c: np.ndarray) -> float:
@@ -186,9 +191,13 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
     traj = FlowTrajectory()
 
     if config.flow_kind == "u1_exact":
-        for t in targets:
-            traj.states[t] = heat_semigroup_u1(a0, t)
-            traj.actions[t] = ym_action_u1_spectral(traj.states[t])
+        # one heat product and one action pass for every time; the states
+        # are views of the stack
+        stack = _heat_stack_u1(a0, targets)
+        actions = _u1_actions(stack[:, 0], a0.cutoff)
+        for t, coeffs, action in zip(targets, stack, actions):
+            traj.states[t] = SpectralConnection(a0.group, a0.cutoff, coeffs)
+            traj.actions[t] = float(action)
         traj.attained_time = targets[-1]
         return traj
 

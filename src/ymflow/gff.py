@@ -13,7 +13,9 @@ restriction of the cutoff-N' field for N < N' at equal (seed, stream).
 That coupling is what turns distributional convergence statements into
 per-seed (pathwise) checks.  For the same reason one per-mode kernel
 (_stored) draws either ensemble at any list of modes, each value bit for
-bit the full draw's; the samplers mirror-fill its full list.
+bit the full draw's; the samplers mirror-fill its full list.  Its per-mode
+tables (modes, norms, frames, Coulomb scales) are built once per mode
+list (_mode_tables) and handed to every draw at that list.
 
 Mode bookkeeping: exactly one of n, -n is drawn, namely the
 representative whose first nonzero coordinate is positive; the reflected
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,24 +106,36 @@ def transverse_frame(n) -> tuple[np.ndarray, np.ndarray]:
     return u1[:, 0], u2[:, 0]
 
 
-@lru_cache(maxsize=None)
-def _frames_for(cutoff: int):
-    """transverse_frame of every canonical half mode, in one pass: u1 and
-    u2 each (3, H), one contiguous row per direction."""
-    u1, u2 = _frames(canonical_half_modes(cutoff))
-    u1.setflags(write=False)
-    u2.setflags(write=False)
-    return u1, u2
+class _ModeTables(NamedTuple):
+    """Per-mode sampler tables of a list of canonical half modes, each
+    read-only: the modes (M, 3), |n| (M,), the transverse frames u1 and u2
+    (3, M) and the Coulomb denominators sqrt(32 pi^2 |n|^2) (M,)."""
+
+    modes: np.ndarray
+    norms: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    denominators: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _coulomb_denominators(cutoff: int) -> np.ndarray:
-    """sqrt(32 pi^2 |n|^2) of every canonical half mode, (H,): the Coulomb
-    standard deviation at coupling g is g over it."""
-    radius_sq = np.sum(canonical_half_modes(cutoff).astype(float) ** 2, axis=1)
-    out = np.sqrt(32.0 * np.pi**2 * radius_sq)
-    out.setflags(write=False)
+def _mode_tables(modes: np.ndarray) -> _ModeTables:
+    """_ModeTables of the canonical half modes ``modes`` (M, 3), built on
+    those modes alone: every entry depends on its own mode only, so a
+    sub-list's tables are bit for bit the gathered tables of a longer
+    list."""
+    modes = np.asarray(modes).view()       # read-only view, the caller's stays
+    radius_sq = np.sum(modes.astype(float) ** 2, axis=1)
+    out = _ModeTables(modes, np.linalg.norm(modes, axis=1), *_frames(modes),
+                      np.sqrt(32.0 * np.pi**2 * radius_sq))
+    for x in out:
+        x.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=32)
+def _cutoff_tables(cutoff: int) -> _ModeTables:
+    """_mode_tables of every canonical half mode of this cutoff."""
+    return _mode_tables(canonical_half_modes(cutoff))
 
 
 def _mirrored(upper: np.ndarray) -> np.ndarray:
@@ -159,11 +174,12 @@ def sample_u1_coulomb(config: SamplerConfig) -> SpectralConnection:
     return SpectralConnection(config.group, config.cutoff, coeffs)
 
 
-def _stored(kind: str, config: SamplerConfig, index=slice(None)) -> np.ndarray:
-    """Stored coefficients (d, 3, len(index)) of the ``kind`` draw at the
-    modes canonical_half_modes(cutoff)[index], each bit for bit the full
-    draw's: the Philox words, Box-Muller, frames and scales are all per
-    mode.
+def _stored(kind: str, config: SamplerConfig, tables: _ModeTables | None = None
+            ) -> np.ndarray:
+    """Stored coefficients (d, 3, M) of the ``kind`` draw at the modes of
+    ``tables`` (_mode_tables of a list of canonical half modes; all of the
+    cutoff's when None), each bit for bit the full draw's: the Philox
+    words, Box-Muller, frames and scales are all per mode.
 
     gff: the coefficient of component (a, j) at n is Z^a_j(n)/|n| with Z
     standard complex Gaussian; the coupling constant does not enter.
@@ -174,21 +190,22 @@ def _stored(kind: str, config: SamplerConfig, index=slice(None)) -> np.ndarray:
     multiples of the basis element [i] (equivalently, the matrix-valued
     field lies in i R).  n . Z_n = 0 termwise.
     """
-    n_mod = canonical_half_modes(config.cutoff)[index]
+    if tables is None:
+        tables = _cutoff_tables(config.cutoff)
+    n_mod = tables.modes
     if kind == "gff":
         d = config.group.algebra_dim
         z = mode_gaussians(config.seed, config.stream, n_mod, 6 * d, TAG_COMPONENT)
         z = z.reshape(d, 3, 2, len(n_mod))
         zc = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)  # E|Z|^2 = 1
-        return zc / np.linalg.norm(n_mod, axis=1)
+        return zc / tables.norms
     if kind != "u1_coulomb":
         raise ValueError(f"unknown sampler kind {kind!r}")
     if config.group.kind != "u1":
         raise ValueError("the Coulomb-gauge ensemble is U(1)-only")
-    u1v, u2v = (u[:, index] for u in _frames_for(config.cutoff))
     z = mode_gaussians(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
-    z = z * (config.coupling / _coulomb_denominators(config.cutoff)[index])
+    z = z * (config.coupling / tables.denominators)
     z1 = z[0] + 1j * z[1]
     z2 = z[2] + 1j * z[3]
-    zn = z1 * u1v + z2 * u2v                         # (3, M), the i R part
+    zn = z1 * tables.u1 + z2 * tables.u2             # (3, M), the i R part
     return -1j * zn[None]                            # component convention

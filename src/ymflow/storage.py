@@ -13,7 +13,8 @@ Field checkpoint format ("YMF1"):
     16      ...   complex128 little-endian coefficients, C order, indexed
                   (a, j, n1, n2, n3) with each n axis running -N..N
 
-Round trips are bit-exact.  Reading rejects a non-zero reserved byte,
+Round trips are bit-exact.  Reading rejects a non-zero reserved byte, a
+group that cannot exist (su with N < 2, u1 with N != 1, N = 0),
 non-finite coefficients, and coefficients that break the reality symmetry
 coeff(-n) = conj(coeff(n)) by more than rounding (grid transforms read
 only the n3 >= 0 half, so a non-real file would be silently reinterpreted).
@@ -94,7 +95,10 @@ def read_field(path) -> SpectralConnection:
         raise FieldFileError(f"{path}: reserved header byte is {reserved}, not 0")
     if kind_code not in _CODE_KIND:
         raise FieldFileError(f"{path}: unknown group kind code {kind_code}")
-    group = GroupSpec(_CODE_KIND[kind_code], mdim)
+    try:
+        group = GroupSpec(_CODE_KIND[kind_code], mdim)
+    except ValueError as exc:
+        raise FieldFileError(f"{path}: header names no group: {exc}") from exc
     if group.algebra_dim != d_g:
         raise FieldFileError(
             f"{path}: algebra dimension {d_g} inconsistent with group {group.label()}"

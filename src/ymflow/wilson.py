@@ -26,8 +26,9 @@ with the shared heat-weight table for every observation time at once;
 characters are then applied to the phase.  The sum runs over the modes
 visible at the earliest time, those whose weight there is at least
 e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes), so a field known only at
-those modes (u1_phase) has the same phases.  Those exact values are the
-oracle the ODE pipeline is checked against.
+those modes (u1_phase) has the same phases, and the loop table is built
+at those modes only.  Those exact values are the oracle the ODE pipeline
+is checked against.
 """
 
 from __future__ import annotations
@@ -284,6 +285,13 @@ class Character:
 
 # loop geometry -> {cutoff: table}
 _LOOP_TABLE_CACHE: dict = {}
+# (loop geometry, cutoff, t_min) -> table at visible_modes(cutoff, t_min)
+_VISIBLE_TABLE_CACHE: dict = {}
+
+
+def _geometry(loop: Loop) -> tuple:
+    """The cache key of a loop's shape (its name does not enter)."""
+    return loop.vertices.tobytes(), loop.winding.tobytes()
 
 
 def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
@@ -298,15 +306,16 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
     exponentials per segment), and the sinc is formed on the axes where
     delta is nonzero only: a K-vector for an axis-aligned segment.  Each
     mode's value depends on that mode alone, so c_(-n) = conj(c_n) holds
-    exactly and a smaller cutoff's table is the central slice of a larger
-    one's.  Tables are cached on the loop geometry and the cutoff (ensemble
-    reports reuse them heavily); a cutoff below one already cached copies
-    the central slice of the largest such table instead of building one.
+    exactly, a smaller cutoff's table is the central slice of a larger
+    one's, and the table at a list of modes (_visible_table) is the
+    gathered dense one.  Tables are cached on the loop geometry and the
+    cutoff (ensemble members reuse them heavily); a cutoff below one
+    already cached copies the central slice of the largest such table
+    instead of building one.
     """
     if len(_LOOP_TABLE_CACHE) > 256:
         _LOOP_TABLE_CACHE.clear()
-    tables = _LOOP_TABLE_CACHE.setdefault(
-        (loop.vertices.tobytes(), loop.winding.tobytes()), {})
+    tables = _LOOP_TABLE_CACHE.setdefault(_geometry(loop), {})
     if cutoff not in tables:
         top = max(tables, default=cutoff)
         centre = slice(top - cutoff, top + cutoff + 1)
@@ -316,17 +325,42 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
     return tables[cutoff]
 
 
-def _loop_table(loop: Loop, cutoff: int) -> np.ndarray:
-    """The table of loop_fourier_coefficients, built afresh."""
+def _visible_table(loop: Loop, cutoff: int, t_min: float) -> np.ndarray:
+    """loop_fourier_coefficients(loop, cutoff) at visible_modes(cutoff,
+    t_min), (3, M), bit for bit.  Where some mode is cut the table is built
+    on the visible modes alone and cached on (loop geometry, cutoff,
+    t_min), so no dense table of a large cutoff is kept; else it is the
+    dense table, flattened."""
+    index = visible_modes(cutoff, t_min)
+    if isinstance(index, slice):
+        return loop_fourier_coefficients(loop, cutoff).reshape(3, -1)
+    if len(_VISIBLE_TABLE_CACHE) > 64:
+        _VISIBLE_TABLE_CACHE.clear()
+    key = (_geometry(loop), cutoff, t_min)
+    if key not in _VISIBLE_TABLE_CACHE:
+        table = _loop_table(loop, cutoff, index)
+        table.setflags(write=False)
+        _VISIBLE_TABLE_CACHE[key] = table
+    return _VISIBLE_TABLE_CACHE[key]
+
+
+def _loop_table(loop: Loop, cutoff: int, index=None) -> np.ndarray:
+    """The table of loop_fourier_coefficients, built afresh: the dense
+    cube (3, K, K, K), or with ``index`` (flat C-order indices into the
+    cube) its entries there, (3, M), with the same operations per mode."""
     axis = np.arange(-cutoff, cutoff + 1)
-    n_axes = np.ix_(axis, axis, axis)          # n_j along axis j of the cube
     k = len(axis)
-    out = np.zeros((3, k, k, k), dtype=complex)
+    if index is None:
+        at = np.ix_(*3 * [np.arange(k)])       # axis j of the cube indexes n_j
+    else:
+        at = np.unravel_index(index, (k, k, k))
+    n_axes = [axis[a] for a in at]
+    out = np.zeros((3,) + np.broadcast_shapes(*(a.shape for a in at)), dtype=complex)
     for p, q in zip(loop.vertices[:-1], loop.vertices[1:]):
         delta = q - p
         # phases[j, n] = e^(i 2 pi n m_j)
         phases = np.exp((1j * TWO_PI) * ((p + 0.5 * delta)[:, None] * axis))
-        term = phases[0][:, None, None] * phases[1][:, None] * phases[2]
+        term = phases[0][at[0]] * phases[1][at[1]] * phases[2][at[2]]
         moving = np.flatnonzero(delta)
         term *= np.sinc(sum(delta[j] * n_axes[j] for j in moving))
         for j in moving:
@@ -539,16 +573,24 @@ def u1_phase(coeffs: np.ndarray, loop: Loop, cutoff: int, t):
     """h_series of a U(1) field of this cutoff from its stored coefficients
     coeffs (3, M) at visible_modes(cutoff, t_min), t_min the smallest of
     the times t (broadcast like h_series): the mode sum over those modes
-    only, whatever the field holds elsewhere."""
-    times = _times(t)
-    index = visible_modes(cutoff, min(times, default=0.0))
-    table = loop_fourier_coefficients(loop, cutoff).reshape(3, -1)[:, index]
-    per_mode = coeffs[0] * table[0] + coeffs[1] * table[1] + coeffs[2] * table[2]
+    only, whatever the field holds elsewhere.  The loop table is read at
+    those modes alone (_visible_table), built once per (loop, cutoff,
+    t_min)."""
+    return _phases(coeffs, loop, cutoff, _times(t), np.ndim(t) == 0)
+
+
+def _phases(coeffs: np.ndarray, loop: Loop, cutoff: int, times: tuple,
+            scalar: bool):
+    """u1_phase at the parsed times: one float when scalar, else (T,)."""
+    table = _visible_table(loop, cutoff, min(times, default=0.0))
+    per_mode = coeffs[0] * table[0]
+    per_mode += coeffs[1] * table[1]
+    per_mode += coeffs[2] * table[2]
     # (T, M) @ (M, 2): real and imaginary part of each time's sum
     sums = _visible_weights(cutoff, times) @ per_mode.reshape(-1, 1).view(float)
     if np.any(np.abs(sums[:, 1]) > 1e-9 * (1.0 + np.abs(sums[:, 0]))):
         raise AssertionError("mode sum failed to be purely imaginary")
-    return float(sums[0, 0]) if np.ndim(t) == 0 else sums[:, 0].copy()
+    return float(sums[0, 0]) if scalar else sums[:, 0].copy()
 
 
 def h_series(a: SpectralConnection, loop: Loop, t):
@@ -569,5 +611,7 @@ def h_series(a: SpectralConnection, loop: Loop, t):
     """
     if a.group.kind != "u1":
         raise ValueError("U(1) fields only")
-    index = visible_modes(a.cutoff, min(_times(t), default=0.0))
-    return u1_phase(a.coeffs[0].reshape(3, -1)[:, index], loop, a.cutoff, t)
+    times = _times(t)
+    index = visible_modes(a.cutoff, min(times, default=0.0))
+    return _phases(a.coeffs[0].reshape(3, -1)[:, index], loop, a.cutoff, times,
+                   np.ndim(t) == 0)

@@ -599,6 +599,20 @@ def test_corrupt_field_file_exit_code(workspace, capsys):
     assert "reserved" in err
 
 
+def test_impossible_group_field_file_exit_code(workspace, capsys):
+    # a header naming su(1) is a corrupt file: exit 1, the file named
+    tmp, cfg = workspace
+    main(["sample", "--config", cfg])
+    path = tmp / "out" / "field_u1_N3_seed11_s0.ymf"
+    raw = bytearray(path.read_bytes())
+    raw[5] = 1
+    path.write_bytes(bytes(raw))
+    rc = main(["wilson", "--config", cfg, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(path) in err and "su(N) needs N >= 2" in err
+
+
 def test_wilson_refuses_characters_of_another_group(tmp_path, monkeypatch, capsys):
     # [wilson] characters are read against [sampler] group, so a U(1)
     # configuration cannot evaluate an SU(2) field: exit 1 before any flow

@@ -23,7 +23,7 @@ from ymflow.ensemble import (
     tightness_report,
 )
 from ymflow.gff import SamplerConfig
-from ymflow.groups import SU2, U1
+from ymflow.groups import SU2, U1, GroupSpec
 from ymflow.wilson import Character, axis_cycle, rectangle_loop, u1_wilson_exact
 
 PLAQ = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="plaq")
@@ -373,24 +373,29 @@ def test_convergence_report_refuses_reference_at_or_below_largest_cutoff():
 
 
 def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
-    # a stream's reference values come before its members, so the members
-    # and the convergence report read central slices of the tables built
-    # at the reference cutoff
+    # the reference builds one table per loop on the modes visible at the
+    # earliest time of the reference cutoff, and the members, largest
+    # first, one dense table per loop at the largest member cutoff whose
+    # central slices serve the others; the convergence report builds none
     import ymflow.wilson as wil
     built = []
     real = wil._loop_table
 
-    def counting(loop, cutoff):
-        built.append((loop.name, cutoff))
-        return real(loop, cutoff)
+    def counting(loop, cutoff, index=None):
+        built.append((loop.name, cutoff, "dense" if index is None else "visible"))
+        return real(loop, cutoff, index)
 
     monkeypatch.setattr(wil, "_loop_table", counting)
     monkeypatch.setattr(wil, "_LOOP_TABLE_CACHE", {})
+    monkeypatch.setattr(wil, "_VISIBLE_TABLE_CACHE", {})
     spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02),
                    reference_cutoff=12)
     recs, reference = run_ensemble(spec)
     distribution_convergence_report(recs, spec, reference)
-    assert sorted(built) == [("cx", 12), ("plaq", 12)]
+    assert sorted(built) == [("cx", 8, "dense"), ("cx", 12, "visible"),
+                             ("plaq", 8, "dense"), ("plaq", 12, "visible")]
+    # no dense table of the reference cutoff is kept
+    assert sorted(wil._LOOP_TABLE_CACHE[wil._geometry(PLAQ)]) == [2, 4, 8]
 
 
 def test_convergence_report_refuses_reference_without_loops():
@@ -471,14 +476,34 @@ def test_stream_draws_member_and_heat_visible_modes():
     # weight above e^(-41.6) at t_min
     import ymflow.ensemble as ens
     from ymflow.gff import canonical_half_modes
-    drawn, visible, members = ens._stream_modes(16, (2, 4, 8), 0.005)
+    drawn, visible, members, tables = ens._stream_modes(16, (2, 4, 8), 0.005)
     half = canonical_half_modes(16)
     assert (len(drawn), len(half)) == (6446, 17968)
+    assert np.array_equal(tables.modes, half[drawn])
     extent = np.max(np.abs(half), axis=1)
     for c, pos in zip((2, 4, 8), members):
         assert np.array_equal(drawn[pos], np.flatnonzero(extent <= c))
     index = ens.visible_modes(16, 0.005)
     assert np.array_equal(drawn[visible], index[index > len(half)] - len(half) - 1)
+
+
+@pytest.mark.parametrize("kind, group, top, cutoffs, t_min", [
+    ("u1_coulomb", U1, 12, (2, 4, 8), 0.005), ("u1_coulomb", U1, 4, (2, 4), None),
+    ("gff", SU2, 6, (2, 4), None), ("gff", GroupSpec("su", 3), 3, (1, 3), None)])
+def test_stream_tables_draw_the_full_draw(kind, group, top, cutoffs, t_min):
+    # the sampler tables of a stream shape are built once and read-only,
+    # and _stored on them gives the full draw's values at the drawn modes,
+    # on the first call and on every later one
+    import ymflow.ensemble as ens
+    from ymflow.gff import _stored, canonical_half_modes
+    drawn, _, _, tables = ens._stream_modes(top, cutoffs, t_min)
+    assert ens._stream_modes(top, cutoffs, t_min)[3] is tables
+    assert all(not x.flags.writeable for x in tables)
+    assert np.array_equal(tables.modes, canonical_half_modes(top)[drawn])
+    for stream in (0, 3, 0):
+        cfg = SamplerConfig(group, top, seed=41, stream=stream, coupling=0.8)
+        full = _stored(kind, cfg)
+        assert _stored(kind, cfg, tables).tobytes() == full[..., drawn].tobytes()
 
 
 @pytest.mark.parametrize("g", [1.0, 0.7])

@@ -470,7 +470,8 @@ def test_flow_bytes_independent_of_blas_threads():
 
 # SHA-256 of the final coefficients of 20-step flows (t = 0.02, dt = 1e-3,
 # all steps accepted) from the GFF draw of seed 71 scaled to H^1 norm 0.5,
-# with the actions at the checkpoints t = 0.01 and 0.02 as float.hex.
+# with the actions at the checkpoints t = 0.01 and 0.02 as float.hex; the
+# exact U(1) flow takes no step.
 FLOW_PINS = [
     ("ym", SU2, 4,
      "14ab7c6779b4e2827e907ab2636046d12415d08c1ce3562e1c6ebeb0a1d241c7",
@@ -484,6 +485,9 @@ FLOW_PINS = [
     ("zdds", U1, 3,
      "0a22ed0f231b0b8faaa615b4dd65dbae1e7a091e9b459aa92b7d18cf94458a90",
      "0x1.08a5189d3ebdbp-7", "0x1.45820af1818b6p-9"),
+    ("u1_exact", U1, 3,
+     "44cc9b5191ec8dedde151902342ef07b794e492fcfeaa6850cf05e11f33d21fb",
+     "0x1.08a5189d3ebd6p-7", "0x1.45820af1818acp-9"),
 ]
 
 
@@ -497,7 +501,8 @@ def test_flow_bytes_pinned(kind, group, cutoff, digest, action_1, action_2):
 
     a = sample_initial(group, "gff", cutoff, 71, 0, scale_to_h1=0.5)
     traj = integrate(a, FlowConfig(kind, dt_initial=1e-3), (0.01, 0.02))
-    assert (traj.step_count, traj.rhs_evaluations) == (20, 60)
+    steps = (0, 0) if kind == "u1_exact" else (20, 60)
+    assert (traj.step_count, traj.rhs_evaluations) == steps
     assert hashlib.sha256(traj.states[0.02].coeffs.tobytes()).hexdigest() == digest
     assert (traj.actions[0.01].hex(), traj.actions[0.02].hex()) == \
         (action_1, action_2)

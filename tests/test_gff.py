@@ -12,8 +12,9 @@ from reference import (
 from ymflow.fields import _spectral_to_values, d_star_1form, reality_defect
 from ymflow.gff import (
     SamplerConfig,
-    _frames_for,
+    _cutoff_tables,
     _mirrored,
+    _mode_tables,
     _stored,
     canonical_half_modes,
     sample_gff,
@@ -95,14 +96,15 @@ def _frames_by_loop(cutoff):
 
 def test_frames_for_equals_per_mode_loop_bitwise():
     for cutoff in range(1, 17):
-        got = _frames_for(cutoff)
+        tables = _cutoff_tables(cutoff)
+        got = (tables.u1, tables.u2)
         want = _frames_by_loop(cutoff)
         for g, w in zip(got, want):
             # stored transposed, (3, H)
             assert g.T.tobytes() == w.tobytes(), cutoff
             assert g.flags.c_contiguous and not g.flags.writeable
     modes = canonical_half_modes(3)
-    u1v, u2v = _frames_for(3)
+    u1v, u2v = _cutoff_tables(3).u1, _cutoff_tables(3).u2
     for i in (0, 7, len(modes) - 1):
         for n in (modes[i], -modes[i]):
             a1, a2 = transverse_frame(n)
@@ -140,7 +142,7 @@ def test_coulomb_subset_draw_equals_full_draw_bitwise(coupling):
         for stream in (0, 5):
             cfg = SamplerConfig(group, cutoff, seed=29, stream=stream, coupling=coupling)
             full = sample(cfg).coeffs.reshape(group.algebra_dim, 3, -1)
-            part = _stored(kind, cfg, index)
+            part = _stored(kind, cfg, _mode_tables(canonical_half_modes(cutoff)[index]))
             assert part.tobytes() == full[..., h + 1:][..., index].tobytes(), \
                 (kind, group, cutoff, stream)
             assert _mirrored(part).tobytes() == full[..., flat_index].tobytes()

@@ -73,6 +73,21 @@ def test_nonzero_reserved_byte_rejected(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("kind_code, matrix_dim", [(1, 1), (0, 2), (2, 0), (1, 0)],
+                         ids=["su1", "u1-N2", "u0", "su0"])
+def test_impossible_group_rejected_naming_the_file(tmp_path, kind_code, matrix_dim):
+    # a header naming a group that cannot exist is a corrupt file, not a
+    # bare ValueError of the group constructor
+    path = tmp_path / "field.ymf"
+    write_field(path, random_connection(U1, 1, seed=6))
+    raw = bytearray(path.read_bytes())
+    raw[5], raw[6] = kind_code, matrix_dim
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FieldFileError, match="header names no group") as info:
+        read_field(path)
+    assert str(path) in str(info.value)
+
+
 def test_non_finite_coefficients_rejected(tmp_path):
     a = random_connection(SU2, 1, seed=4)
     a.coeffs[1, 2, 0, 1, 2] = complex(np.nan, 0.0)

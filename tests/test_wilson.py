@@ -226,6 +226,31 @@ def test_loop_fourier_smaller_cutoff_is_central_slice(monkeypatch):
             assert got.tobytes() == want.tobytes()
 
 
+WINDING_TRIANGLE = make_loop([(0.2, 0.1, 0.5), (0.55, 0.1, 0.65),
+                              (0.85, 0.65, 0.5), (1.2, 1.1, 0.5)], name="wind-tri")
+
+
+@pytest.mark.parametrize("cutoff", [9, 12, 16])
+def test_visible_table_is_gathered_dense_table(monkeypatch, cutoff):
+    # the table built on the modes visible at t_min has the bytes of the
+    # dense table gathered there; it is read-only, cached per (loop,
+    # cutoff, t_min), and no dense table of the cutoff is kept
+    monkeypatch.setattr(wilson_mod, "_LOOP_TABLE_CACHE", {})
+    monkeypatch.setattr(wilson_mod, "_VISIBLE_TABLE_CACHE", {})
+    loops = [PLAQ, WINDING_TRIANGLE, axis_cycle(2, (0.3, 0.1, 0.7)),
+             rectangle_loop((0.6, 0.1, 0.9), 2, 0, 0.5, 0.125)] + random_loops(27)
+    for lp in loops:
+        dense = wilson_mod._loop_table(lp, cutoff).reshape(3, -1)
+        for t_min in (0.005, 0.02, 0.1):
+            index = visible_modes(cutoff, t_min)
+            assert isinstance(index, np.ndarray)            # some mode is cut
+            got = wilson_mod._visible_table(lp, cutoff, t_min)
+            assert got.tobytes() == dense[:, index].tobytes(), (lp.name, t_min)
+            assert not got.flags.writeable
+            assert wilson_mod._visible_table(lp, cutoff, t_min) is got
+    assert wilson_mod._LOOP_TABLE_CACHE == {}
+
+
 def test_loop_fourier_matches_exponential_difference():
     # the exponential-difference form loses digits to cancellation where
     # n.delta is small but nonzero; 1e-12 covers that error at cutoff 16
