@@ -256,9 +256,8 @@ def _stream_task(spec: EnsembleSpec, stream: int, config_hash: str):
     (_stream_modes).  Each member's cube is filled from all of its modes,
     so it is the restriction of a full draw bit for bit, then rescaled
     when the spec says so; the reference is u1_phase on the visible
-    modes, which is what h_series reads off a full draw.  Members run
-    largest first, so the smaller ones read their loop tables off its
-    tables.
+    modes, which is what h_series reads off a full draw.  Members run in
+    cutoff order.
     """
     ref = spec.reference_cutoff
     top = ref or spec.cutoffs[-1]
@@ -273,8 +272,8 @@ def _stream_task(spec: EnsembleSpec, stream: int, config_hash: str):
                                spec.loops, spec.characters, spec.times)
     records = [_member_record(spec, stream, _filled(spec.group, c, stored[..., pos],
                                                     spec.scale_to_h1), config_hash)
-               for c, pos in zip(spec.cutoffs[::-1], members[::-1])]
-    return records[::-1], reference
+               for c, pos in zip(spec.cutoffs, members)]
+    return records, reference
 
 
 def run_ensemble(spec: EnsembleSpec, threads: int = 1):

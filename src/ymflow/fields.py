@@ -1,7 +1,7 @@
 """Lie-algebra-valued 1-forms on the unit 3-torus: spectral connections,
 the transforms to and from grid values, d*, curl, the fused YM/ZDDS
 nonlinear term with the action S_YM and sup|A| read off the same pass,
-U(1) Coulomb projection, gauge transforms and norms.
+U(1) Coulomb projection and norms.
 
 A connection is stored through the real component functions of its
 orthonormal algebra basis expansion: ``coeffs[a, j, n]`` is the Fourier
@@ -28,16 +28,15 @@ at the public boundary and for the states a flow records.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, standard_basis, structure_constants, exp_map
+from .groups import GroupSpec, structure_constants
 
 __all__ = [
     "SpectralConnection",
     "SpectralScalar",
-    "GaugeTransform",
     "dealias_resolution",
     "mode_grids",
     "mode_norm_sq",
@@ -48,9 +47,6 @@ __all__ = [
     "ym_action",
     "ym_action_u1_spectral",
     "coulomb_project_u1",
-    "gauge_act",
-    "gauge_transform",
-    "gauge_transform_spectral",
     "ym_rhs",
     "zdds_rhs",
     "l2_norm",
@@ -103,17 +99,26 @@ def _heat_table(cutoff: int, times: tuple) -> np.ndarray:
     return out
 
 
+def _times(t) -> tuple:
+    """A scalar time or a 1-D sequence of nonnegative times, as a tuple of
+    floats."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D sequence of times")
+    if np.any(times < 0):
+        raise ValueError("time must be nonnegative")
+    return tuple(times.ravel().tolist())
+
+
 def heat_weights(cutoff: int, times) -> np.ndarray:
     """Heat-kernel multipliers e^(-4 pi^2 |n|^2 t), one (K, K, K) row per
-    time: a scalar or a 1-D sequence of times gives shape (T, K, K, K).
+    time: a scalar or a 1-D sequence of times (_times) gives shape
+    (T, K, K, K).
 
     The table is read-only and shared: the last 32 (cutoff, times) tables
     are cached, each T K^3 floats.
     """
-    times = tuple(float(t) for t in np.atleast_1d(times))
-    if any(t < 0 for t in times):
-        raise ValueError("time must be nonnegative")
-    return _heat_table(cutoff, times)
+    return _heat_table(cutoff, _times(times))
 
 
 @dataclass
@@ -582,137 +587,6 @@ def zdds_rhs(a: SpectralConnection, path: str = "operator") -> SpectralConnectio
     return SpectralConnection(
         a.group, a.cutoff, lap + _full_spectrum(_values_to_spectral(out, a.cutoff, m))
     )
-
-
-# ---------------------------------------------------------------------------
-# gauge transformations
-
-
-@dataclass
-class GaugeTransform:
-    """sigma(x) = exp(xi(x)) . e^(i 2 pi m.x), with xi a band-limited
-    g-valued 0-form (coefficients log_coeffs, may be None for pure
-    winding) and m an integer winding vector (U(1) only)."""
-
-    group: GroupSpec
-    cutoff: int
-    log_coeffs: np.ndarray | None = None
-    winding: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=int))
-
-    def __post_init__(self):
-        self.winding = np.asarray(self.winding, dtype=int)
-        if np.any(self.winding != 0) and self.group.kind != "u1":
-            raise ValueError("winding gauge transforms exist only for U(1)")
-
-    @staticmethod
-    def identity(group: GroupSpec) -> "GaugeTransform":
-        return GaugeTransform(group, 0, None)
-
-    @staticmethod
-    def from_log(group: GroupSpec, cutoff: int, log_coeffs: np.ndarray,
-                 winding=(0, 0, 0)) -> "GaugeTransform":
-        return GaugeTransform(group, cutoff, np.asarray(log_coeffs, dtype=complex),
-                              np.asarray(winding, dtype=int))
-
-    @staticmethod
-    def winding_u1(m) -> "GaugeTransform":
-        from .groups import U1
-        return GaugeTransform(U1, 0, None, np.asarray(m, dtype=int))
-
-    @staticmethod
-    def constant(group: GroupSpec, xi_coeffs) -> "GaugeTransform":
-        """Constant-in-x transform exp(sum_a xi^a X^a)."""
-        coeffs = np.asarray(xi_coeffs, dtype=complex).reshape(group.algebra_dim, 1, 1, 1)
-        return GaugeTransform(group, 0, coeffs)
-
-    def log_stack(self) -> np.ndarray | None:
-        """Fourier data of xi and of its partials d_i xi, stacked along the
-        second axis as (d, 4, K, K, K); None when sigma has no log part."""
-        if self.log_coeffs is None:
-            return None
-        grad = _grad(self.log_coeffs[..., self.cutoff:], self.cutoff)
-        return np.concatenate([self.log_coeffs[:, None], _full_spectrum(grad)], axis=1)
-
-
-def _conjugate(group: GroupSpec, xi: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Basis coefficients of Ad_{sigma^-1} A = sigma^-1 A sigma, sigma =
-    exp(xi), pointwise; xi (d, P), values (d, 3, P)."""
-    basis = standard_basis(group)
-    sig = exp_map(np.einsum("ap,aij->pij", xi, basis))
-    sig_h = np.conj(np.swapaxes(sig, -1, -2))
-    rotated = np.einsum("pik,akl,plj->apij", sig_h, basis, sig, optimize=True)
-    rot = np.einsum("cij,apij->pac", basis.conj(), rotated, optimize=True).real
-    return np.einsum("pac,aip->cip", rot, values, optimize=True)
-
-
-def _dexp_neg(group: GroupSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """dexp_{-xi}(eta) = sum_k ad_{-xi}^k (eta) / (k+1)!, pointwise, summed
-    until a term drops below 1e-18 of max |eta|; xi (d, P), eta (d, 3, P)."""
-    term = eta
-    out = eta.copy()
-    scale = float(np.max(np.abs(eta))) + 1e-300
-    factorial = 1.0
-    for k in range(1, 60):
-        term = -_grid_bracket(xi[:, None], term, group)
-        factorial *= k + 1
-        out += term / factorial
-        if np.max(np.abs(term)) / factorial < 1e-18 * scale:
-            break
-    return out
-
-
-def gauge_act(group: GroupSpec, values: np.ndarray, log_values: np.ndarray | None,
-              winding: np.ndarray) -> np.ndarray:
-    """A^sigma = sigma^-1 A sigma + sigma^-1 d sigma at sample points, for
-    sigma = exp(xi) e^(i 2 pi m.x).
-
-    values: (d, 3, P) components of A; log_values: (d, 4, P) values of xi
-    and d_i xi at the same points (see GaugeTransform.log_stack), or None
-    when sigma has no log part.  The Maurer-Cartan term is dexp_{-xi}(d_i
-    xi); the winding m (U(1) only) adds the constant 2 pi m_i.
-    """
-    out = values
-    if log_values is not None:
-        xi, dxi = log_values[:, 0], log_values[:, 1:]
-        if group.is_abelian:
-            out = out + dxi
-        else:
-            out = _conjugate(group, xi, out) + _dexp_neg(group, xi, dxi)
-    if np.any(winding != 0):
-        out = out + TWO_PI * winding[None, :, None]
-    return out
-
-
-def gauge_transform(a: SpectralConnection, sigma: GaugeTransform,
-                    resolution: int | None = None) -> np.ndarray:
-    """A^sigma_i = sigma^-1 A_i sigma + sigma^-1 d_i sigma on the M^3 grid,
-    as component values (d_g, 3, M, M, M)."""
-    if sigma.group != a.group:
-        raise ValueError("gauge transform group mismatch")
-    m = dealias_resolution(a.cutoff) if resolution is None else resolution
-    d = a.group.algebra_dim
-    vals = _spectral_to_values(a.coeffs, a.cutoff, m).reshape(d, 3, -1)
-    stack = sigma.log_stack()
-    logs = None if stack is None else \
-        _spectral_to_values(stack, sigma.cutoff, m).reshape(d, 4, -1)
-    out = gauge_act(a.group, vals, logs, sigma.winding)
-    return out.reshape(d, 3, m, m, m)
-
-
-def gauge_transform_spectral(a: SpectralConnection, sigma: GaugeTransform,
-                             cutoff: int | None = None) -> SpectralConnection:
-    """Gauge transform followed by re-truncation, on the dealiased grid of
-    the output cutoff.
-
-    Exact when sigma keeps the result band-limited (winding or constant
-    transforms); otherwise the caller picks a cutoff high enough for the
-    spectral tail to be negligible.
-    """
-    n_out = a.cutoff if cutoff is None else cutoff
-    m = dealias_resolution(n_out)
-    vals = gauge_transform(a, sigma, m)
-    return SpectralConnection(a.group, n_out,
-                              _full_spectrum(_values_to_spectral(vals, n_out, m)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ __all__ = [
     "FlowTrajectory",
     "heat_semigroup_u1",
     "integrate",
-    "gauge_covariance_check",
-    "action_decay_profile",
+    # re-exported: perfbench/spans.py traces ymflow.flow.l2_norm
+    "l2_norm",
 ]
 
 FLOW_KINDS = ("ym", "zdds", "u1_exact")
@@ -95,8 +95,10 @@ class FlowTrajectory:
 
 
 def heat_semigroup_u1(a: SpectralConnection, t: float) -> SpectralConnection:
-    """Exact heat kernel on a U(1) field: multiply mode n by
+    """Exact heat kernel on a U(1) field at one time t: multiply mode n by
     e^(-4 pi^2 |n|^2 t)."""
+    if np.ndim(t) != 0:
+        raise ValueError("heat_semigroup_u1 takes one scalar time")
     return SpectralConnection(a.group, a.cutoff, _heat_stack_u1(a, t)[0])
 
 
@@ -267,43 +269,3 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
     traj.attained_time = t
     traj.blew_up = traj.failure is not None
     return traj
-
-
-def action_decay_profile(traj: FlowTrajectory, tol: float = 1e-9):
-    """Sorted (t, S_YM) pairs of the actions recorded at the checkpoints,
-    plus a monotonicity flag.
-
-    Returns (profile, violations) where violations lists the checkpoint
-    times at which the action rose beyond tol relative."""
-    profile = [(t, traj.actions[t]) for t in traj.checkpoint_times()]
-    violations = []
-    for (t0, s0), (t1, s1) in zip(profile, profile[1:]):
-        if s1 > s0 + tol * (1.0 + s0):
-            violations.append(t1)
-    return profile, violations
-
-
-def gauge_covariance_check(a0: SpectralConnection, sigma, t: float,
-                           config: FlowConfig) -> float:
-    """Relative L^2 gap between flow(A0^sigma)(t) and (flow(A0)(t))^sigma.
-
-    The DeTurck-modified flow is covariant only under x-independent
-    transforms, so that combination is rejected up front.
-    """
-    from .fields import gauge_transform_spectral
-
-    oscillatory = sigma.log_coeffs is not None and sigma.cutoff > 0
-    if config.flow_kind == "zdds" and oscillatory:
-        raise ValueError("the modified flow is covariant only for constant sigma")
-    if config.flow_kind == "u1_exact":
-        raise ValueError("use flow_kind 'ym' or 'zdds' for covariance checks")
-    a0_t = gauge_transform_spectral(a0, sigma, cutoff=a0.cutoff)
-    flow_plain = integrate(a0, config, (t,))
-    flow_trans = integrate(a0_t, config, (t,))
-    if flow_plain.blew_up or flow_trans.blew_up:
-        raise RuntimeError("covariance check aborted: flow blew up")
-    lhs = flow_trans.states[t]
-    rhs = gauge_transform_spectral(flow_plain.states[t], sigma, cutoff=a0.cutoff)
-    denom = max(l2_norm(flow_plain.states[t]), 1e-30)
-    return float(np.sqrt(np.sum(np.abs(lhs.coeffs - rhs.coeffs) ** 2))) / denom
-

@@ -44,7 +44,6 @@ from .rng import TAG_COMPONENT, mode_gaussians
 __all__ = [
     "SamplerConfig",
     "canonical_half_modes",
-    "transverse_frame",
     "sample_gff",
     "sample_u1_coulomb",
 ]
@@ -89,21 +88,6 @@ def _frames(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.stack([np.zeros_like(h1), h3, v3])
     w = np.stack([h2 * v3 - h3 * h3, -h1 * v3, h1 * h3])
     return tuple(x / np.sqrt(np.sum(x * x, axis=0).astype(float)) for x in (v, w))
-
-
-def transverse_frame(n) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal pair (u1, u2) spanning the plane orthogonal to n.
-
-    Built from integer cross products of the canonical representative of
-    {n, -n}, so u(-n) = u(n) holds exactly and the dot products n.u are
-    exact zeros in floating point.
-    """
-    n = np.asarray(n, dtype=np.int64)
-    if n.shape != (3,) or not n.any():
-        raise ValueError("need a nonzero integer 3-vector")
-    h = -n if n[np.flatnonzero(n)[0]] < 0 else n
-    u1, u2 = _frames(h[None])
-    return u1[:, 0], u2[:, 0]
 
 
 class _ModeTables(NamedTuple):

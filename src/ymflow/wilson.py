@@ -26,9 +26,10 @@ with the shared heat-weight table for every observation time at once;
 characters are then applied to the phase.  The sum runs over the modes
 visible at the earliest time, those whose weight there is at least
 e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes), so a field known only at
-those modes (u1_phase) has the same phases, and the loop table is built
-at those modes only.  Those exact values are the oracle the ODE pipeline
-is checked against.
+those modes (u1_phase) has the same phases.  The loop table is built at
+those modes only, one table per (loop, cutoff, t_min) in one cache; the
+dense cube is never kept.  Those exact values are the oracle the ODE
+pipeline is checked against.
 """
 
 from __future__ import annotations
@@ -38,14 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import (
-    GaugeTransform,
-    SpectralConnection,
-    _grid_bracket,
-    gauge_act,
-    heat_rows,
-    mode_norm_sq,
-)
+from .fields import SpectralConnection, _grid_bracket, _times, heat_rows, mode_norm_sq
 from .groups import GroupSpec, exp_map, standard_basis, unitarize, unitarity_defect
 
 __all__ = [
@@ -53,12 +47,10 @@ __all__ = [
     "LoopFileError",
     "make_loop",
     "rectangle_loop",
-    "axis_cycle",
     "parse_loop_file",
     "Character",
     "loop_fourier_coefficients",
     "FieldEvaluator",
-    "GaugeTransformedEvaluator",
     "holonomy",
     "wilson_loop",
     "u1_wilson_exact",
@@ -133,14 +125,6 @@ def make_loop(vertices, winding=None, name: str = "loop") -> Loop:
     w = rounded.copy()
     w.setflags(write=False)
     return Loop(verts, w, name)
-
-
-def axis_cycle(axis: int, offset=(0.0, 0.0, 0.0), name=None) -> Loop:
-    """The fundamental cycle along a coordinate axis through ``offset``."""
-    p = np.asarray(offset, dtype=float)
-    q = p.copy()
-    q[axis] += 1.0
-    return make_loop([p, q], name=name or f"cycle{'xyz'[axis]}")
 
 
 def rectangle_loop(origin, side_i: int, side_j: int, size_i: float, size_j: float,
@@ -283,10 +267,8 @@ class Character:
 # loop Fourier coefficients (exact per-segment line integrals)
 
 
-# loop geometry -> {cutoff: table}
-_LOOP_TABLE_CACHE: dict = {}
 # (loop geometry, cutoff, t_min) -> table at visible_modes(cutoff, t_min)
-_VISIBLE_TABLE_CACHE: dict = {}
+_TABLE_CACHE: dict = {}
 
 
 def _geometry(loop: Loop) -> tuple:
@@ -303,59 +285,40 @@ def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
         delta e^(i 2 pi n.m) sinc(n.delta),   sinc(x) = sin(pi x)/(pi x),
     in closed form, so there is no quadrature error and no special case
     where n.delta vanishes.  The phase factorizes over the axes (3K
-    exponentials per segment), and the sinc is formed on the axes where
-    delta is nonzero only: a K-vector for an axis-aligned segment.  Each
-    mode's value depends on that mode alone, so c_(-n) = conj(c_n) holds
-    exactly, a smaller cutoff's table is the central slice of a larger
-    one's, and the table at a list of modes (_visible_table) is the
-    gathered dense one.  Tables are cached on the loop geometry and the
-    cutoff (ensemble members reuse them heavily); a cutoff below one
-    already cached copies the central slice of the largest such table
-    instead of building one.
+    exponentials per segment).  Each mode's value depends on that mode
+    alone, so c_(-n) = conj(c_n) holds exactly, a smaller cutoff's table
+    is the central slice of a larger one's, and the table at a list of
+    modes (_visible_table, which the Wilson phases read) is the gathered
+    dense one.  Built afresh on every call.
     """
-    if len(_LOOP_TABLE_CACHE) > 256:
-        _LOOP_TABLE_CACHE.clear()
-    tables = _LOOP_TABLE_CACHE.setdefault(_geometry(loop), {})
-    if cutoff not in tables:
-        top = max(tables, default=cutoff)
-        centre = slice(top - cutoff, top + cutoff + 1)
-        tables[cutoff] = tables[top][:, centre, centre, centre].copy() \
-            if top > cutoff else _loop_table(loop, cutoff)
-        tables[cutoff].setflags(write=False)
-    return tables[cutoff]
+    k = 2 * cutoff + 1
+    return _loop_table(loop, cutoff, slice(None)).reshape(3, k, k, k)
 
 
 def _visible_table(loop: Loop, cutoff: int, t_min: float) -> np.ndarray:
-    """loop_fourier_coefficients(loop, cutoff) at visible_modes(cutoff,
-    t_min), (3, M), bit for bit.  Where some mode is cut the table is built
-    on the visible modes alone and cached on (loop geometry, cutoff,
-    t_min), so no dense table of a large cutoff is kept; else it is the
-    dense table, flattened."""
-    index = visible_modes(cutoff, t_min)
-    if isinstance(index, slice):
-        return loop_fourier_coefficients(loop, cutoff).reshape(3, -1)
-    if len(_VISIBLE_TABLE_CACHE) > 64:
-        _VISIBLE_TABLE_CACHE.clear()
+    """The loop table at visible_modes(cutoff, t_min), (3, M), read-only
+    and cached on (loop geometry, cutoff, t_min): ensemble members and
+    references reuse it heavily, and where some mode is cut no dense
+    table of the cutoff is built."""
+    if len(_TABLE_CACHE) > 256:
+        _TABLE_CACHE.clear()
     key = (_geometry(loop), cutoff, t_min)
-    if key not in _VISIBLE_TABLE_CACHE:
-        table = _loop_table(loop, cutoff, index)
+    if key not in _TABLE_CACHE:
+        table = _loop_table(loop, cutoff, visible_modes(cutoff, t_min))
         table.setflags(write=False)
-        _VISIBLE_TABLE_CACHE[key] = table
-    return _VISIBLE_TABLE_CACHE[key]
+        _TABLE_CACHE[key] = table
+    return _TABLE_CACHE[key]
 
 
-def _loop_table(loop: Loop, cutoff: int, index=None) -> np.ndarray:
-    """The table of loop_fourier_coefficients, built afresh: the dense
-    cube (3, K, K, K), or with ``index`` (flat C-order indices into the
-    cube) its entries there, (3, M), with the same operations per mode."""
+def _loop_table(loop: Loop, cutoff: int, index) -> np.ndarray:
+    """The table of loop_fourier_coefficients at the modes ``index`` (flat
+    C-order indices into the K^3 cube, or a slice of them), (3, M), built
+    afresh; each entry is formed from its own mode alone."""
     axis = np.arange(-cutoff, cutoff + 1)
     k = len(axis)
-    if index is None:
-        at = np.ix_(*3 * [np.arange(k)])       # axis j of the cube indexes n_j
-    else:
-        at = np.unravel_index(index, (k, k, k))
+    at = np.unravel_index(np.arange(k**3)[index], (k, k, k))
     n_axes = [axis[a] for a in at]
-    out = np.zeros((3,) + np.broadcast_shapes(*(a.shape for a in at)), dtype=complex)
+    out = np.zeros((3, len(at[0])), dtype=complex)
     for p, q in zip(loop.vertices[:-1], loop.vertices[1:]):
         delta = q - p
         # phases[j, n] = e^(i 2 pi n m_j)
@@ -419,27 +382,6 @@ class FieldEvaluator:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         a = self.connection
         return _fourier_values(a.coeffs, a.cutoff, points)
-
-
-class GaugeTransformedEvaluator(FieldEvaluator):
-    """Evaluator of A^sigma at arbitrary points without any truncation of
-    the transformed field: the conjugation and the Maurer-Cartan term are
-    formed pointwise from the spectral data of A and of log sigma."""
-
-    def __init__(self, a: SpectralConnection, sigma: GaugeTransform):
-        super().__init__(a)
-        if sigma.group != a.group:
-            raise ValueError("gauge transform group mismatch")
-        self._sigma = sigma
-        self._log_stack = sigma.log_stack()
-
-    def coefficients_at(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = super().coefficients_at(points)          # (d, 3, P)
-        logs = None
-        if self._log_stack is not None:
-            logs = _fourier_values(self._log_stack, self._sigma.cutoff, points)
-        return gauge_act(self.group, vals, logs, self._sigma.winding)
 
 
 def _substep_allocation(loop: Loop, steps: int) -> list[int]:
@@ -556,17 +498,6 @@ def _visible_weights(cutoff: int, times: tuple) -> np.ndarray:
     out = heat_rows(mode_norm_sq(cutoff).reshape(-1)[index], times)
     out.setflags(write=False)
     return out
-
-
-def _times(t) -> tuple:
-    """A scalar time or a 1-D sequence of nonnegative times, as a tuple of
-    floats."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D sequence of times")
-    if np.any(times < 0):
-        raise ValueError("time must be nonnegative")
-    return tuple(times.ravel().tolist())
 
 
 def u1_phase(coeffs: np.ndarray, loop: Loop, cutoff: int, t):

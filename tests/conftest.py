@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ymflow.fields import GaugeTransform
+from gauge import GaugeTransform
 from ymflow.groups import GroupSpec
 from ymflow.verify import random_connection  # noqa: F401  (re-exported)
 

@@ -12,6 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import random_connection, random_gauge
+from gauge import (
+    GaugeTransform,
+    GaugeTransformedEvaluator,
+    action_decay_profile,
+    axis_cycle,
+    gauge_covariance_check,
+)
 from ymflow.ensemble import (
     EnsembleSpec,
     closed_form_sym_limit,
@@ -21,7 +28,6 @@ from ymflow.ensemble import (
     tightness_report,
 )
 from ymflow.fields import (
-    GaugeTransform,
     SpectralConnection,
     h1_norm,
     l2_norm,
@@ -31,8 +37,6 @@ from ymflow.fields import (
 )
 from ymflow.flow import (
     FlowConfig,
-    action_decay_profile,
-    gauge_covariance_check,
     heat_semigroup_u1,
     integrate,
 )
@@ -40,8 +44,6 @@ from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from ymflow.groups import SU2, U1
 from ymflow.wilson import (
     Character,
-    GaugeTransformedEvaluator,
-    axis_cycle,
     make_loop,
     rectangle_loop,
     u1_wilson_exact,

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from gauge import axis_cycle
 from ymflow.fields import mode_grids, mode_norm_sq
 from ymflow.flow import FlowConfig, integrate
 from ymflow.ensemble import (
@@ -24,7 +25,7 @@ from ymflow.ensemble import (
 )
 from ymflow.gff import SamplerConfig
 from ymflow.groups import SU2, U1, GroupSpec
-from ymflow.wilson import Character, axis_cycle, rectangle_loop, u1_wilson_exact
+from ymflow.wilson import Character, rectangle_loop, u1_wilson_exact
 
 PLAQ = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="plaq")
 CYCLE = axis_cycle(0, (0, 0.25, 0.5), name="cx")
@@ -373,29 +374,29 @@ def test_convergence_report_refuses_reference_at_or_below_largest_cutoff():
 
 
 def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
-    # the reference builds one table per loop on the modes visible at the
-    # earliest time of the reference cutoff, and the members, largest
-    # first, one dense table per loop at the largest member cutoff whose
-    # central slices serve the others; the convergence report builds none
+    # one table per (loop, member cutoff), at every mode of the member
+    # (all are visible at the earliest time), and one per loop on the
+    # modes of the reference cutoff visible at that time; no dense table
+    # of the reference cutoff, and the convergence report builds none
     import ymflow.wilson as wil
     built = []
     real = wil._loop_table
 
-    def counting(loop, cutoff, index=None):
-        built.append((loop.name, cutoff, "dense" if index is None else "visible"))
+    def counting(loop, cutoff, index):
+        kind = "dense" if isinstance(index, slice) else "visible"
+        built.append((loop.name, cutoff, kind))
         return real(loop, cutoff, index)
 
     monkeypatch.setattr(wil, "_loop_table", counting)
-    monkeypatch.setattr(wil, "_LOOP_TABLE_CACHE", {})
-    monkeypatch.setattr(wil, "_VISIBLE_TABLE_CACHE", {})
+    monkeypatch.setattr(wil, "_TABLE_CACHE", {})
     spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02),
                    reference_cutoff=12)
     recs, reference = run_ensemble(spec)
+    assert sorted(built) == sorted(
+        [(name, c, "dense") for name in ("cx", "plaq") for c in (2, 4, 8)]
+        + [(name, 12, "visible") for name in ("cx", "plaq")])
     distribution_convergence_report(recs, spec, reference)
-    assert sorted(built) == [("cx", 8, "dense"), ("cx", 12, "visible"),
-                             ("plaq", 8, "dense"), ("plaq", 12, "visible")]
-    # no dense table of the reference cutoff is kept
-    assert sorted(wil._LOOP_TABLE_CACHE[wil._geometry(PLAQ)]) == [2, 4, 8]
+    assert len(built) == 8
 
 
 def test_convergence_report_refuses_reference_without_loops():

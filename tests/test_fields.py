@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_connection, random_gauge
+from gauge import GaugeTransform, gauge_transform, gauge_transform_spectral
 from reference import nonlinear_full_spectrum, nonlinear_pass
 from ymflow.fields import (
-    GaugeTransform,
     SpectralConnection,
     _curl,
     _cyclic_interior,
@@ -15,8 +15,6 @@ from ymflow.fields import (
     coulomb_project_u1,
     d_star_1form,
     dealias_resolution,
-    gauge_transform,
-    gauge_transform_spectral,
     h1_norm,
     l2_norm,
     mode_grids,

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_connection
+from gauge import GaugeTransform, action_decay_profile, gauge_covariance_check
 from reference import integrate_full_spectrum, nonlinear_pass
 from ymflow.fields import (
-    GaugeTransform,
     SpectralConnection,
     d_star_1form,
     h1_norm,
@@ -19,8 +19,6 @@ from ymflow.fields import (
 from ymflow.ensemble import sample_initial
 from ymflow.flow import (
     FlowConfig,
-    action_decay_profile,
-    gauge_covariance_check,
     heat_semigroup_u1,
     integrate,
 )
@@ -72,6 +70,17 @@ def test_heat_semigroup_u1_cases():
         heat_semigroup_u1(a, -0.1)
     with pytest.raises(ValueError):
         heat_semigroup_u1(random_connection(SU2, 2, seed=2), 0.1)
+
+
+def test_heat_semigroup_u1_refuses_several_times():
+    # the semigroup returns one state, so a list of times would silently
+    # give the state at the first of them
+    a = gff_like_u1(2, seed=1)
+    for times in ([0.01, 0.5], (0.01,), [[0.01]], np.array([0.01])):
+        with pytest.raises(ValueError, match="one scalar time"):
+            heat_semigroup_u1(a, times)
+    assert np.array_equal(heat_semigroup_u1(a, np.float64(0.01)).coeffs,
+                          heat_semigroup_u1(a, 0.01).coeffs)
 
 
 def test_heat_semigroup_single_mode_multiplier():
@@ -434,6 +443,13 @@ def test_heat_weights_one_shared_read_only_table():
                           a.coeffs * heat_weights(3, 0.02)[0][None, None])
     with pytest.raises(ValueError):
         heat_weights(3, (0.01, -0.01))
+
+
+def test_heat_weights_refuses_nested_times():
+    # the heat weights parse times like h_series does, so a 2-D time list
+    # is refused with the same ValueError
+    with pytest.raises(ValueError, match="1-D sequence of times"):
+        heat_weights(2, [[0.01]])
 
 
 _BLAS_THREADS_SCRIPT = """

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gauge import transverse_frame
 from reference import (
     canonical_half_modes_sorted,
     covariance_diagnostic,
@@ -19,7 +20,6 @@ from ymflow.gff import (
     canonical_half_modes,
     sample_gff,
     sample_u1_coulomb,
-    transverse_frame,
 )
 from ymflow.groups import SU2, U1, GroupSpec, standard_basis
 

@@ -74,13 +74,20 @@ def test_subcommand_option_sets_pinned():
 
 
 def test_test_only_helpers_stay_out_of_the_package():
-    # the helpers only tests call live in tests/reference.py; with them the
-    # samplers stopped importing the loop module
+    # the helpers only tests call live in tests/reference.py, and the gauge
+    # transforms with the checks built on them in tests/gauge.py; with them
+    # the samplers stopped importing the loop module
+    import gauge
     import reference
     moved = {"covariance_diagnostic", "CovarianceReport", "_truncated_green",
              "_transverse_green", "reverse_loop", "reparametrize",
-             "format_loop_file", "algebra_defect", "project_algebra"}
-    assert all(hasattr(reference, name) for name in moved)
+             "format_loop_file", "algebra_defect", "project_algebra",
+             "GaugeTransform", "_conjugate", "_dexp_neg", "gauge_act",
+             "gauge_transform", "gauge_transform_spectral",
+             "GaugeTransformedEvaluator", "axis_cycle",
+             "gauge_covariance_check", "action_decay_profile",
+             "transverse_frame"}
+    assert all(hasattr(reference, name) or hasattr(gauge, name) for name in moved)
     for stem in MODULES:
         module = importlib.import_module(_module_name(stem))
         assert not [name for name in moved if hasattr(module, name)], stem

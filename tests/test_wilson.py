@@ -5,6 +5,7 @@ import pytest
 
 import ymflow.wilson as wilson_mod
 from conftest import random_connection, random_gauge
+from gauge import GaugeTransform, GaugeTransformedEvaluator, axis_cycle, gauge_act
 from reference import (
     format_loop_file,
     h_series_amplitudes,
@@ -14,8 +15,6 @@ from reference import (
     u1_amplitudes,
 )
 from ymflow.fields import (
-    GaugeTransform,
-    gauge_act,
     mode_grids,
     mode_norm_sq,
     zero_connection,
@@ -33,9 +32,7 @@ from ymflow.groups import (
 from ymflow.wilson import (
     Character,
     FieldEvaluator,
-    GaugeTransformedEvaluator,
     LoopFileError,
-    axis_cycle,
     h_series,
     holonomy,
     loop_fourier_coefficients,
@@ -209,21 +206,17 @@ def test_loop_fourier_symmetries_random_loop():
     assert np.max(np.abs(ndot)) < 1e-13
 
 
-def test_loop_fourier_smaller_cutoff_is_central_slice(monkeypatch):
-    # a table built at a smaller cutoff has the bytes of the central slice
-    # of a larger one's, which is what the cache copies once the larger
-    # table exists
-    import ymflow.wilson as wil
-    monkeypatch.setattr(wil, "_LOOP_TABLE_CACHE", {})
+def test_loop_fourier_smaller_cutoff_is_central_slice():
+    # every entry is formed from its own mode alone, so the table at a
+    # smaller cutoff has the bytes of the central slice of a larger
+    # one's: the coupling across cutoffs
     for lp in [PLAQ] + random_loops(6):
         big = loop_fourier_coefficients(lp, 16)
         for c in (2, 4, 8):
             centre = slice(16 - c, 17 + c)
-            want = big[:, centre, centre, centre]
-            assert wil._loop_table(lp, c).tobytes() == want.tobytes()
             got = loop_fourier_coefficients(lp, c)
-            assert not got.flags.writeable and got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+            assert got.shape == (3,) + 3 * (2 * c + 1,) and got.flags.c_contiguous
+            assert got.tobytes() == big[:, centre, centre, centre].tobytes()
 
 
 WINDING_TRIANGLE = make_loop([(0.2, 0.1, 0.5), (0.55, 0.1, 0.65),
@@ -232,23 +225,23 @@ WINDING_TRIANGLE = make_loop([(0.2, 0.1, 0.5), (0.55, 0.1, 0.65),
 
 @pytest.mark.parametrize("cutoff", [9, 12, 16])
 def test_visible_table_is_gathered_dense_table(monkeypatch, cutoff):
-    # the table built on the modes visible at t_min has the bytes of the
-    # dense table gathered there; it is read-only, cached per (loop,
-    # cutoff, t_min), and no dense table of the cutoff is kept
-    monkeypatch.setattr(wilson_mod, "_LOOP_TABLE_CACHE", {})
-    monkeypatch.setattr(wilson_mod, "_VISIBLE_TABLE_CACHE", {})
+    # at every t_min, cut or not, the cached table has the bytes of the
+    # dense table gathered at visible_modes(cutoff, t_min); it is
+    # read-only and built once per (loop, cutoff, t_min)
+    monkeypatch.setattr(wilson_mod, "_TABLE_CACHE", {})
     loops = [PLAQ, WINDING_TRIANGLE, axis_cycle(2, (0.3, 0.1, 0.7)),
              rectangle_loop((0.6, 0.1, 0.9), 2, 0, 0.5, 0.125)] + random_loops(27)
+    cut = {0.0: False, 0.001: False, 0.005: True, 0.02: True, 0.1: True}
     for lp in loops:
-        dense = wilson_mod._loop_table(lp, cutoff).reshape(3, -1)
-        for t_min in (0.005, 0.02, 0.1):
+        dense = loop_fourier_coefficients(lp, cutoff).reshape(3, -1)
+        for t_min, is_cut in cut.items():
             index = visible_modes(cutoff, t_min)
-            assert isinstance(index, np.ndarray)            # some mode is cut
+            assert isinstance(index, np.ndarray) == is_cut
             got = wilson_mod._visible_table(lp, cutoff, t_min)
             assert got.tobytes() == dense[:, index].tobytes(), (lp.name, t_min)
             assert not got.flags.writeable
             assert wilson_mod._visible_table(lp, cutoff, t_min) is got
-    assert wilson_mod._LOOP_TABLE_CACHE == {}
+    assert len(wilson_mod._TABLE_CACHE) == len(loops) * len(cut)
 
 
 def test_loop_fourier_matches_exponential_difference():
