@@ -36,6 +36,12 @@ _ALLOWED = {
 }
 
 
+# [flow] numerics passed to FlowConfig, with the check each value must pass
+_FLOW_NUMERICS = {"dt_initial": {"positive": True}, "dt_safety": {"unit": True},
+                  "blowup_threshold": {"positive": True},
+                  "error_tol": {"positive": True}}
+
+
 @dataclass
 class RunConfig:
     path: str = "<memory>"
@@ -193,17 +199,11 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
             # a checkpoint within rounding past t_end ends the run itself
             last = () if max(checkpoints, default=0.0) >= t_end else (t_end,)
             cfg.flow_times = tuple(sorted({*checkpoints, *last}))
+        # only the keys the file sets: the defaults are FlowConfig's
+        numerics = {key: _get_float("flow", items, key, **check)
+                    for key, check in _FLOW_NUMERICS.items() if key in items}
         try:
-            cfg.flow = FlowConfig(
-                flow_kind=kind,
-                dt_initial=_get_float("flow", items, "dt_initial", 1e-3,
-                                      positive=True),
-                dt_safety=_get_float("flow", items, "dt_safety", 0.5, unit=True),
-                blowup_threshold=_get_float("flow", items, "blowup_threshold",
-                                            1e6, positive=True),
-                error_tol=_get_float("flow", items, "error_tol", 1e-3,
-                                     positive=True),
-            )
+            cfg.flow = FlowConfig(flow_kind=kind, **numerics)
         except ValueError as exc:
             raise ConfigError(f"[flow]: {exc}") from exc
 

@@ -74,6 +74,17 @@ RECORD_FIELDS = [
 ]
 
 
+# the JSON types each field may take in a records file
+_INT, _NUMBER, _STR, _NULL = (int,), (int, float), (str,), (type(None),)
+_FIELD_TYPES = {
+    "seed": _INT, "stream": _INT, "cutoff": _INT, "group": _STR, "g": _NUMBER,
+    "t": _NUMBER, "s_ym": _NUMBER + _NULL, "loop_id": _STR + _NULL,
+    "character_id": _STR + _NULL, "wilson_re": _NUMBER + _NULL,
+    "wilson_im": _NUMBER + _NULL, "attained_time": _NUMBER, "blew_up": (bool,),
+    "config_hash": _STR,
+}
+
+
 class RecordError(Exception):
     pass
 
@@ -190,13 +201,6 @@ def _u1_values(phases, loops, characters, times) -> dict:
     return values
 
 
-def _exact_wilson(a: SpectralConnection, loops, characters, times) -> dict:
-    """Closed-form U(1) Wilson values of the heat flow from a at each of
-    times, keyed (loop, character, t): one h_series call per loop gives
-    the phase at every time."""
-    return _u1_values(lambda lp: h_series(a, lp, times), loops, characters, times)
-
-
 def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
                    config_hash: str) -> EnsembleRecord:
     """Observables of the member of this stream whose initial field is a0:
@@ -209,8 +213,10 @@ def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
         config_hash=config_hash,
     )
     if spec.flow.flow_kind == "u1_exact":
-        # the semigroup is diagonal: Wilson values in closed form from a0
-        rec.wilson = _exact_wilson(a0, spec.loops, spec.characters, spec.times)
+        # the semigroup is diagonal: Wilson values in closed form from a0,
+        # one h_series call per loop for every time
+        rec.wilson = _u1_values(lambda lp: h_series(a0, lp, spec.times),
+                                spec.loops, spec.characters, spec.times)
         return rec
     for t, state in traj.states.items():
         for lp in spec.loops:
@@ -339,7 +345,8 @@ def persist_records(records, path) -> None:
 def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
     """Rebuild records from a JSONL file; bit-exact inverse of persist.
 
-    Corrupt lines raise RecordError naming the line; a config-hash
+    Corrupt lines (not JSON, not an object, a field missing or of the
+    wrong type) raise RecordError naming the line; a config-hash
     mismatch against expect_hash (resume integrity) is refused.
     """
     path = Path(path)
@@ -352,11 +359,20 @@ def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"{path}:{lineno}: corrupt record: {exc}") from exc
+            if not isinstance(row, dict):
+                raise RecordError(f"{path}:{lineno}: not a JSON object")
             missing = [k for k in RECORD_FIELDS if k not in row]
             if missing:
                 raise RecordError(
                     f"{path}:{lineno}: missing fields {missing}"
                 )
+            wrong = [k for k in RECORD_FIELDS if type(row[k]) not in _FIELD_TYPES[k]]
+            if row["loop_id"] is not None:
+                # an observation row carries its character and its value
+                wrong += [k for k in ("character_id", "wilson_re", "wilson_im")
+                          if row[k] is None]
+            if wrong:
+                raise RecordError(f"{path}:{lineno}: fields of the wrong type {wrong}")
             if expect_hash is not None and row["config_hash"] != expect_hash:
                 raise RecordError(
                     f"{path}:{lineno}: config hash {row['config_hash']} does not "

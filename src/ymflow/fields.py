@@ -100,11 +100,14 @@ def _heat_table(cutoff: int, times: tuple) -> np.ndarray:
 
 
 def _times(t) -> tuple:
-    """A scalar time or a 1-D sequence of nonnegative times, as a tuple of
-    floats."""
+    """A scalar time or a 1-D sequence of finite nonnegative times, as a
+    tuple of floats."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D sequence of times")
+    # a NaN or infinite time would give NaN weights (inf * 0 at n = 0)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time must be finite")
     if np.any(times < 0):
         raise ValueError("time must be nonnegative")
     return tuple(times.ravel().tolist())

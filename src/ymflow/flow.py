@@ -177,10 +177,12 @@ class _EtdStepper:
         action and the sup norm."""
         stage_a = self.e_half * u + self.f_half * n0
         na = _nonlinear_core(stage_a, work, diagnostics=False)[0]
-        stage_b = self.e_full * u + self.f_full * (2.0 * na - n0)
+        # the linear part e^(hL) u, shared by stage b, u3 and u2
+        eu = self.e_full * u
+        stage_b = eu + self.f_full * (2.0 * na - n0)
         nb = _nonlinear_core(stage_b, work, diagnostics=False)[0]
-        u3 = self.e_full * u + self.w0 * n0 + self.wa * na + self.wb * nb
-        u2 = self.e_full * u + self.e0 * n0 + self.ea * na
+        u3 = eu + self.w0 * n0 + self.wa * na + self.wb * nb
+        u2 = eu + self.e0 * n0 + self.ea * na
         return u3, _half_l2(u3 - u2)
 
 
@@ -188,8 +190,9 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
     """Run the configured flow from a0 up to the last of ``times``,
     recording the state and its action at each of them."""
     targets = sorted(set(float(t) for t in times))
-    if not targets or not all(t > 0 for t in targets):
-        raise ValueError("observation times must be positive and nonempty")
+    # NaN fails every comparison, so the check asks for the good range
+    if not targets or not all(0.0 < t < np.inf for t in targets):
+        raise ValueError("observation times must be finite, positive and nonempty")
     traj = FlowTrajectory()
 
     if config.flow_kind == "u1_exact":

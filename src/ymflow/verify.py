@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from .config import parse_config
 from .fields import (
     SpectralConnection,
     _spectral_to_values,
@@ -26,10 +25,10 @@ from .fields import (
     zdds_rhs,
     zero_connection,
 )
-from .flow import heat_semigroup_u1, integrate
+from .flow import FlowConfig, heat_semigroup_u1, integrate
 from .gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from .groups import SU2, U1, bracket, exp_map, standard_basis
-from .wilson import Character, rectangle_loop, u1_wilson_exact, wilson_loop
+from .wilson import Character, h_series, rectangle_loop, wilson_loop
 
 __all__ = ["run_suites", "random_connection", "SUITES"]
 
@@ -42,11 +41,6 @@ def random_connection(group, cutoff, seed, scale=1.0) -> SpectralConnection:
     c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     c = 0.5 * (c + np.conj(c[:, :, ::-1, ::-1, ::-1]))
     return SpectralConnection(group, cutoff, c * scale)
-
-
-def _flow_config(kind):
-    """The flow section a user would write: defaults apart from the kind."""
-    return parse_config(f"[flow]\nkind = {kind}\n").flow
 
 
 def _suite_algebra():
@@ -79,14 +73,14 @@ def _suite_u1_oracle():
     assert abs(ym_action(a) - ym_action_u1_spectral(a)) < \
         1e-10 * (1 + ym_action(a)), "action dual route"
     t = 0.02
-    traj = integrate(a, _flow_config("zdds"), (t,))
+    traj = integrate(a, FlowConfig("zdds"), (t,))
     exact = heat_semigroup_u1(a, t)
     gap = np.sqrt(np.sum(np.abs(traj.states[t].coeffs - exact.coeffs) ** 2))
     assert gap < 1e-8 * (1 + l2_norm(exact)), "flow vs heat semigroup"
     lp = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25)
     ch = Character(U1, "u1_power", 1)
     w_ode = wilson_loop(heat_semigroup_u1(a, t), lp, ch, steps=192)
-    w_exact = u1_wilson_exact(a, lp, ch, t)
+    w_exact = ch.u1_value(h_series(a, lp, t))
     assert abs(w_ode - w_exact) < 1e-8, "Wilson loop dual route"
 
 
@@ -107,7 +101,7 @@ def _suite_ym_zdds_invariants():
     a = zero_connection(SU2, 2)
     a.coeffs[:, :, 1:4, 1:4, 1:4] = small.scaled(5.0 / h1_norm(small)).coeffs
     t = 0.02
-    runs = [integrate(a, _flow_config(kind), (t,)) for kind in ("ym", "zdds")]
+    runs = [integrate(a, FlowConfig(kind), (t,)) for kind in ("ym", "zdds")]
     assert not any(run.blew_up for run in runs), "flow blew up"
     s_ym, s_zdds = (run.actions[t] for run in runs)
     assert abs(s_ym - s_zdds) <= 5e-6 * s_ym, "S_YM of YM vs ZDDS"
@@ -150,7 +144,7 @@ def _suite_determinism():
     spec = EnsembleSpec(
         group=U1, sampler_kind="u1_coulomb", seed=71, cutoffs=(2, 3),
         times=(0.02,), n_samples=6,
-        flow=_flow_config("u1_exact"),
+        flow=FlowConfig("u1_exact"),
         loops=(rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="p"),),
         characters=(Character(U1, "u1_power", 1),),
     )

@@ -19,17 +19,18 @@ For U(1) fields the regularized Wilson loop has a closed form: the
 character applied to exp of a mode sum weighted by e^(-4 pi^2 |n|^2 t),
 with per-segment line integrals of the Fourier basis known exactly: a
 segment p -> q with delta = q - p and midpoint m contributes
-delta e^(i 2 pi n.m) sinc(n.delta) at mode n.  The
-phase does not depend on the character and the weights do not depend on
-the field, so h_series forms the per-mode product once and contracts it
-with the shared heat-weight table for every observation time at once;
-characters are then applied to the phase.  The sum runs over the modes
-visible at the earliest time, those whose weight there is at least
-e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes), so a field known only at
-those modes (u1_phase) has the same phases.  The loop table is built at
-those modes only, one table per (loop, cutoff, t_min) in one cache; the
-dense cube is never kept.  Those exact values are the oracle the ODE
-pipeline is checked against.
+delta e^(i 2 pi n.m) sinc(n.delta) at mode n.  The phase does not depend
+on the character and the weights do not depend on the field, so one
+u1_phase call forms the per-mode product once and contracts it with the
+shared heat-weight table for every observation time at once; characters
+are then applied to the phase (Character.u1_value).  The sum runs over
+the modes visible at the earliest time, those whose weight there is at
+least e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes): u1_phase takes a
+field's coefficients at those modes, and h_series gathers them from a
+full field.  So every exact phase is one u1_phase call.  The loop table
+is built at those modes only, one table per (loop, cutoff, t_min) in one
+cache; the dense cube is never kept.  Those exact values are the oracle
+the ODE pipeline is checked against.
 """
 
 from __future__ import annotations
@@ -49,11 +50,9 @@ __all__ = [
     "rectangle_loop",
     "parse_loop_file",
     "Character",
-    "loop_fourier_coefficients",
     "FieldEvaluator",
     "holonomy",
     "wilson_loop",
-    "u1_wilson_exact",
     "h_series",
     "u1_phase",
     "visible_modes",
@@ -276,25 +275,6 @@ def _geometry(loop: Loop) -> tuple:
     return loop.vertices.tobytes(), loop.winding.tobytes()
 
 
-def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
-    """c_n = integral_0^1 e^(i 2 pi n.l(s)) l'(s) ds, shape (3, K, K, K),
-    direction first like the coefficient arrays of a connection.
-
-    A straight segment p -> q with delta = q - p and midpoint
-    m = p + delta/2 contributes
-        delta e^(i 2 pi n.m) sinc(n.delta),   sinc(x) = sin(pi x)/(pi x),
-    in closed form, so there is no quadrature error and no special case
-    where n.delta vanishes.  The phase factorizes over the axes (3K
-    exponentials per segment).  Each mode's value depends on that mode
-    alone, so c_(-n) = conj(c_n) holds exactly, a smaller cutoff's table
-    is the central slice of a larger one's, and the table at a list of
-    modes (_visible_table, which the Wilson phases read) is the gathered
-    dense one.  Built afresh on every call.
-    """
-    k = 2 * cutoff + 1
-    return _loop_table(loop, cutoff, slice(None)).reshape(3, k, k, k)
-
-
 def _visible_table(loop: Loop, cutoff: int, t_min: float) -> np.ndarray:
     """The loop table at visible_modes(cutoff, t_min), (3, M), read-only
     and cached on (loop geometry, cutoff, t_min): ensemble members and
@@ -311,9 +291,21 @@ def _visible_table(loop: Loop, cutoff: int, t_min: float) -> np.ndarray:
 
 
 def _loop_table(loop: Loop, cutoff: int, index) -> np.ndarray:
-    """The table of loop_fourier_coefficients at the modes ``index`` (flat
-    C-order indices into the K^3 cube, or a slice of them), (3, M), built
-    afresh; each entry is formed from its own mode alone."""
+    """c_n = integral_0^1 e^(i 2 pi n.l(s)) l'(s) ds at the modes ``index``
+    (flat C-order indices into the K^3 cube, or a slice of them), shape
+    (3, M), direction first like the coefficient arrays of a connection;
+    built afresh.
+
+    A straight segment p -> q with delta = q - p and midpoint
+    m = p + delta/2 contributes
+        delta e^(i 2 pi n.m) sinc(n.delta),   sinc(x) = sin(pi x)/(pi x),
+    in closed form, so there is no quadrature error and no special case
+    where n.delta vanishes.  The phase factorizes over the axes (3K
+    exponentials per segment).  Each entry is formed from its own mode
+    alone, so c_(-n) = conj(c_n) holds exactly, and the table at a list
+    of modes is the gathered dense one, whose central slice is a smaller
+    cutoff's table.
+    """
     axis = np.arange(-cutoff, cutoff + 1)
     k = len(axis)
     at = np.unravel_index(np.arange(k**3)[index], (k, k, k))
@@ -464,13 +456,6 @@ def wilson_loop(evaluator, loop: Loop, characters, steps: int = 128):
     return tuple(ch(h) for ch in characters)
 
 
-def u1_wilson_exact(a: SpectralConnection, loop: Loop, character: Character,
-                    t: float) -> complex:
-    """Closed-form regularized U(1) Wilson loop at one time: the character
-    applied to the phase h_series(a, loop, t)."""
-    return character.u1_value(h_series(a, loop, t))
-
-
 # heat weights below e^(-NEGLIGIBLE_HEAT) < 2^-60 are negligible: modes
 # whose weight at every observation time is below it are left out
 NEGLIGIBLE_HEAT = 41.6
@@ -501,18 +486,24 @@ def _visible_weights(cutoff: int, times: tuple) -> np.ndarray:
 
 
 def u1_phase(coeffs: np.ndarray, loop: Loop, cutoff: int, t):
-    """h_series of a U(1) field of this cutoff from its stored coefficients
-    coeffs (3, M) at visible_modes(cutoff, t_min), t_min the smallest of
-    the times t (broadcast like h_series): the mode sum over those modes
-    only, whatever the field holds elsewhere.  The loop table is read at
-    those modes alone (_visible_table), built once per (loop, cutoff,
-    t_min)."""
-    return _phases(coeffs, loop, cutoff, _times(t), np.ndim(t) == 0)
+    """The phase of the regularized U(1) holonomy of a field of this
+    cutoff from its stored coefficients coeffs (3, M) at
+    visible_modes(cutoff, t_min), t_min the smallest of the times t: the
+    real part of the mode sum sum_n e^(-4 pi^2 |n|^2 t) A_n . c_n over
+    those modes only, whatever the field holds elsewhere.  That is the
+    imaginary part of the same sum over Z = i A; the imaginary part of
+    the A-sum cancels in exact arithmetic and is discarded after a sanity
+    bound at every time.
 
-
-def _phases(coeffs: np.ndarray, loop: Loop, cutoff: int, times: tuple,
-            scalar: bool):
-    """u1_phase at the parsed times: one float when scalar, else (T,)."""
+    Broadcasts over t like numpy: a scalar time gives a float, a 1-D
+    sequence of times an array of phases.  The per-mode product
+    A_n . c_n is formed once and contracted with one row of the shared
+    heat-weight table per time, so every time and every character of one
+    (field, loop) costs a single call.  The loop table is read at the
+    visible modes alone (_visible_table), built once per (loop, cutoff,
+    t_min).
+    """
+    times = _times(t)
     table = _visible_table(loop, cutoff, min(times, default=0.0))
     per_mode = coeffs[0] * table[0]
     per_mode += coeffs[1] * table[1]
@@ -521,28 +512,16 @@ def _phases(coeffs: np.ndarray, loop: Loop, cutoff: int, times: tuple,
     sums = _visible_weights(cutoff, times) @ per_mode.reshape(-1, 1).view(float)
     if np.any(np.abs(sums[:, 1]) > 1e-9 * (1.0 + np.abs(sums[:, 0]))):
         raise AssertionError("mode sum failed to be purely imaginary")
-    return float(sums[0, 0]) if scalar else sums[:, 0].copy()
+    return float(sums[0, 0]) if np.ndim(t) == 0 else sums[:, 0].copy()
 
 
 def h_series(a: SpectralConnection, loop: Loop, t):
-    """Phase of the regularized U(1) holonomy: the imaginary part of the
-    mode sum sum_n e^(-4 pi^2 |n|^2 t) Z_n . c_n with Z = i A, A the stored
-    coefficients; equivalently the real part of the sum over A_n . c_n,
-    which is formed here.  Its imaginary part cancels in exact arithmetic
-    and is discarded after a sanity bound at every time.
-
-    Broadcasts over t like numpy: a scalar time gives a float, a 1-D
-    sequence of times an array of phases.  The sum runs over the modes
-    visible at the earliest time (visible_modes; every mode of the cube
-    unless its cutoff is large for that time): each mode left out weighs
-    less than e^(-NEGLIGIBLE_HEAT) < 2^-60 at every time.  The per-mode
-    product A_n . c_n is formed once and contracted with one row of the
-    shared heat-weight table per time (u1_phase), so every time and every
-    character of one (field, loop) costs a single call.
-    """
+    """u1_phase of the U(1) field a at the times t: its stored
+    coefficients gathered at the modes visible at the earliest time
+    (visible_modes; every mode of the cube unless its cutoff is large for
+    that time).  Each mode left out weighs less than
+    e^(-NEGLIGIBLE_HEAT) < 2^-60 at every time."""
     if a.group.kind != "u1":
         raise ValueError("U(1) fields only")
-    times = _times(t)
-    index = visible_modes(a.cutoff, min(times, default=0.0))
-    return _phases(a.coeffs[0].reshape(3, -1)[:, index], loop, a.cutoff, times,
-                   np.ndim(t) == 0)
+    index = visible_modes(a.cutoff, min(_times(t), default=0.0))
+    return u1_phase(a.coeffs[0].reshape(3, -1)[:, index], loop, a.cutoff, t)

@@ -1,11 +1,11 @@
-"""Reference helpers that only the tests use: loop rewrites, the loop
-Fourier table as an exponential difference, the U(1) Wilson phase on
-the amplitude cube Z = i A as first written, algebra projection, the
-free-field two-point diagnostic, the samplers, their mode table,
-frames and Gaussian draws as first written (zero-filled cubes and
-three-index scatters, a sorted mode grid, np.cross frames, one Philox
-counter array per mode), and the YM/ZDDS flow as first written on the
-full (K, K, K) spectrum.
+"""Reference helpers that only the tests use: loop rewrites, the dense
+loop Fourier table and the same table as an exponential difference, the
+U(1) Wilson phase on the amplitude cube Z = i A as first written,
+algebra projection, the free-field two-point diagnostic, the samplers,
+their mode table, frames and Gaussian draws as first written
+(zero-filled cubes and three-index scatters, a sorted mode grid,
+np.cross frames, one Philox counter array per mode), and the YM/ZDDS
+flow as first written on the full (K, K, K) spectrum.
 
 None of them is on a pipeline path, so they live here rather than in the
 package; each is checked against the package code it shadows.
@@ -34,7 +34,7 @@ from ymflow.flow import (MAX_STEPS, MONOTONE_TOL, FlowTrajectory, _nonlinear_cor
                          _phi_funcs)
 from ymflow.groups import GroupSpec
 from ymflow.rng import TAG_COMPONENT, philox4x64_10
-from ymflow.wilson import FieldEvaluator, Loop, loop_fourier_coefficients, make_loop
+from ymflow.wilson import FieldEvaluator, Loop, _loop_table, make_loop
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,13 @@ def reparametrize(loop: Loop, subdivision: int) -> Loop:
 
 def reverse_loop(loop: Loop) -> Loop:
     return make_loop(loop.vertices[::-1], -loop.winding, name=loop.name + "-rev")
+
+
+def loop_fourier_coefficients(loop: Loop, cutoff: int) -> np.ndarray:
+    """The dense loop Fourier table c_n of wilson._loop_table at every mode
+    of the cutoff, shape (3, K, K, K), built afresh on every call."""
+    k = 2 * cutoff + 1
+    return _loop_table(loop, cutoff, slice(None)).reshape(3, k, k, k)
 
 
 def loop_fourier_expdiff(loop: Loop, cutoff: int) -> np.ndarray:

@@ -44,9 +44,9 @@ from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from ymflow.groups import SU2, U1
 from ymflow.wilson import (
     Character,
+    h_series,
     make_loop,
     rectangle_loop,
-    u1_wilson_exact,
     wilson_loop,
 )
 
@@ -124,7 +124,7 @@ def test_criterion_2_wilson_loop_exactness(oracle_flows):
             for lp in FIVE_LOOPS:
                 for ch in THREE_CHARS:
                     w_ode = wilson_loop(state, lp, ch, steps=384)
-                    w_exact = u1_wilson_exact(a0, lp, ch, t)
+                    w_exact = ch.u1_value(h_series(a0, lp, t))
                     dev = abs(w_ode - w_exact)
                     worst = max(worst, dev)
                     assert dev <= 1e-8

@@ -53,6 +53,26 @@ def test_parse_good_config():
     assert cfg.output_dir == "results"
 
 
+def test_flow_section_with_only_kind_is_flow_config_defaults(monkeypatch):
+    # the numerics a file leaves out take FlowConfig's defaults, which
+    # parse_config does not restate: it passes only the keys that are set
+    import ymflow.config as config_mod
+    from ymflow.flow import FlowConfig
+    for kind in ("ym", "zdds", "u1_exact"):
+        assert parse_config(f"[flow]\nkind = {kind}\n").flow == FlowConfig(kind)
+    passed = []
+
+    def recording(**kwargs):
+        passed.append(kwargs)
+        return FlowConfig(**kwargs)
+
+    monkeypatch.setattr(config_mod, "FlowConfig", recording)
+    parse_config("[flow]\nkind = ym\n")
+    parse_config("[flow]\nkind = zdds\nerror_tol = 1e-4\n")
+    assert passed == [{"flow_kind": "ym"},
+                      {"flow_kind": "zdds", "error_tol": 1e-4}]
+
+
 def test_unknown_section_and_key_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config("[warp]\nspeed = 9\n")

@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from gauge import axis_cycle
+from reference import loop_fourier_coefficients
 from ymflow.fields import mode_grids, mode_norm_sq
 from ymflow.flow import FlowConfig, integrate
 from ymflow.ensemble import (
@@ -25,7 +27,7 @@ from ymflow.ensemble import (
 )
 from ymflow.gff import SamplerConfig
 from ymflow.groups import SU2, U1, GroupSpec
-from ymflow.wilson import Character, rectangle_loop, u1_wilson_exact
+from ymflow.wilson import Character, h_series, rectangle_loop
 
 PLAQ = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="plaq")
 CYCLE = axis_cycle(0, (0, 0.25, 0.5), name="cx")
@@ -214,6 +216,37 @@ def test_load_reports_corrupt_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RecordError, match=r":3"):
         load_records(path)
+
+
+def test_load_reports_rows_of_the_wrong_shape(tmp_path):
+    # a line that is not an object, an observation row without its value
+    # and a stream that is a list each name their line, not a TypeError
+    spec = u1_spec(n_samples=2, cutoffs=(2,))
+    path = tmp_path / "records.jsonl"
+    persist_records(run_ensemble(spec)[0], path)
+    good = path.read_text().splitlines()
+    row = json.loads(good[1])
+    assert row["loop_id"] is not None
+    bad_rows = ["5", "[1, 2]", "null",
+                json.dumps({**row, "wilson_re": None}),
+                json.dumps({**row, "character_id": None}),
+                json.dumps({**row, "stream": [0]}),
+                json.dumps({**row, "cutoff": 2.0}),
+                json.dumps({**row, "blew_up": 0}),
+                json.dumps({**row, "seed": True}),
+                json.dumps({**row, "t": "0.02"}),
+                json.dumps({**row, "config_hash": None})]
+    for bad in bad_rows:
+        lines = list(good)
+        lines[1] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordError, match=r":2: "):
+            load_records(path)
+    # a row without an observation, or of a member without an action, loads
+    bare = {**row, "loop_id": None, "character_id": None, "wilson_re": None,
+            "wilson_im": None, "s_ym": None}
+    path.write_text("\n".join([good[0], json.dumps(bare)] + good[2:]) + "\n")
+    assert load_records(path)
 
 
 def test_load_refuses_hash_mismatch(tmp_path):
@@ -467,8 +500,8 @@ def test_members_from_one_draw_equal_direct_draws(kind, scale_to_h1, reference_c
     for stream, values in (reference or {}).items():
         a_ref = sample_initial(U1, "u1_coulomb", reference_cutoff, spec.seed,
                                stream, spec.coupling)
-        assert values == ens._exact_wilson(a_ref, spec.loops, spec.characters,
-                                           spec.times)
+        assert values == ens._u1_values(lambda lp: h_series(a_ref, lp, spec.times),
+                                        spec.loops, spec.characters, spec.times)
 
 
 def test_stream_draws_member_and_heat_visible_modes():
@@ -512,7 +545,6 @@ def test_reference_phases_match_exact_sum_of_full_cube(g):
     # the reference reads only the modes visible at the earliest time; its
     # phases are those of every term of the cutoff-16 cube, summed exactly
     from ymflow.fields import heat_weights
-    from ymflow.wilson import loop_fourier_coefficients
     spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02), g=g,
                    reference_cutoff=16)
     _, reference = run_ensemble(spec)
@@ -529,7 +561,6 @@ def test_uncut_reference_equals_full_cube_h_series():
     # when no mode of R is cut at t_min the reference is h_series of the
     # full cutoff-R draw, bit for bit
     import ymflow.ensemble as ens
-    from ymflow.wilson import h_series
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.02, 0.005),
                    reference_cutoff=6)
     assert ens.visible_modes(6, 0.005) == slice(None)
@@ -685,7 +716,7 @@ def test_u1_exact_member_values_match_scalar_formula():
             for ch in CHARS:
                 for t in spec.times:
                     w = rec.wilson[(lp.name, ch.label(), t)]
-                    assert abs(w - u1_wilson_exact(a0, lp, ch, t)) <= 1e-14
+                    assert abs(w - ch.u1_value(h_series(a0, lp, t))) <= 1e-14
 
 
 def test_h_series_called_once_per_member_and_loop(monkeypatch):
@@ -718,6 +749,28 @@ def test_h_series_called_once_per_member_and_loop(monkeypatch):
     calls.clear()
     distribution_convergence_report(recs, spec, reference)
     assert calls == []
+
+
+def test_every_exact_phase_is_one_u1_phase_call(monkeypatch):
+    # members reach u1_phase through h_series, the reference directly:
+    # one call per (stream, member cutoff or reference, loop)
+    import ymflow.ensemble as ens
+    import ymflow.wilson as wil
+    calls = []
+    real = wil.u1_phase
+
+    def counting(coeffs, loop, cutoff, t):
+        calls.append((cutoff, loop.name))
+        return real(coeffs, loop, cutoff, t)
+
+    monkeypatch.setattr(wil, "u1_phase", counting)
+    monkeypatch.setattr(ens, "u1_phase", counting)
+    spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.02),
+                   reference_cutoff=12)
+    run_ensemble(spec)
+    assert len(calls) == 3 * (2 + 1) * len(spec.loops)
+    assert sorted(calls) == sorted((c, lp.name) for c in (2, 4, 12)
+                                   for lp in spec.loops for _ in range(3))
 
 
 def test_numerical_wilson_path_one_holonomy_per_member_loop_and_time(monkeypatch):

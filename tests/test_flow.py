@@ -58,6 +58,34 @@ def test_integrate_rejects_empty_or_nonpositive_times(kind, times):
         integrate(zero_connection(U1, 1), FlowConfig(kind), times)
 
 
+@pytest.mark.parametrize("kind", ["ym", "u1_exact"])
+def test_integrate_refuses_non_finite_times(kind, monkeypatch):
+    # an infinite time gave a NaN action on the exact path and a YM run
+    # that steps until MAX_STEPS; the small step budget keeps a run that
+    # is not refused short
+    import ymflow.flow as flow_mod
+    monkeypatch.setattr(flow_mod, "MAX_STEPS", 3)
+    nan, inf = float("nan"), float("inf")
+    for times in [(inf,), (0.01, inf), (nan,), (0.01, nan), (-inf,)]:
+        with pytest.raises(ValueError, match="observation times"):
+            integrate(zero_connection(U1, 1), FlowConfig(kind), times)
+
+
+def test_heat_semigroup_u1_refuses_non_finite_time():
+    # at t = inf the zero mode's weight is e^(-0 * inf) = NaN
+    a = gff_like_u1(2, seed=1)
+    for t in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            heat_semigroup_u1(a, t)
+
+
+def test_heat_weights_refuses_non_finite_times():
+    for times in (float("nan"), float("inf"), [0.01, float("nan")],
+                  (0.01, float("-inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            heat_weights(2, times)
+
+
 def test_heat_semigroup_u1_cases():
     a = gff_like_u1(2, seed=1)
     same = heat_semigroup_u1(a, 0.0)

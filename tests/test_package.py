@@ -74,9 +74,10 @@ def test_subcommand_option_sets_pinned():
 
 
 def test_test_only_helpers_stay_out_of_the_package():
-    # the helpers only tests call live in tests/reference.py, and the gauge
-    # transforms with the checks built on them in tests/gauge.py; with them
-    # the samplers stopped importing the loop module
+    # the helpers only tests call (the dense loop table among them) live in
+    # tests/reference.py, and the gauge transforms with the checks built on
+    # them in tests/gauge.py; with them the samplers stopped importing the
+    # loop module
     import gauge
     import reference
     moved = {"covariance_diagnostic", "CovarianceReport", "_truncated_green",
@@ -86,7 +87,7 @@ def test_test_only_helpers_stay_out_of_the_package():
              "gauge_transform", "gauge_transform_spectral",
              "GaugeTransformedEvaluator", "axis_cycle",
              "gauge_covariance_check", "action_decay_profile",
-             "transverse_frame"}
+             "transverse_frame", "loop_fourier_coefficients"}
     assert all(hasattr(reference, name) or hasattr(gauge, name) for name in moved)
     for stem in MODULES:
         module = importlib.import_module(_module_name(stem))

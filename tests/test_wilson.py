@@ -9,6 +9,7 @@ from gauge import GaugeTransform, GaugeTransformedEvaluator, axis_cycle, gauge_a
 from reference import (
     format_loop_file,
     h_series_amplitudes,
+    loop_fourier_coefficients,
     loop_fourier_expdiff,
     reparametrize,
     reverse_loop,
@@ -35,12 +36,10 @@ from ymflow.wilson import (
     LoopFileError,
     h_series,
     holonomy,
-    loop_fourier_coefficients,
     make_loop,
     parse_loop_file,
     rectangle_loop,
     u1_phase,
-    u1_wilson_exact,
     visible_modes,
     wilson_loop,
 )
@@ -407,9 +406,9 @@ def test_wilson_continuity_in_connection():
 def test_u1_wilson_exact_trivial_cases():
     a = zero_connection(U1, 2)
     ch = Character(U1, "u1_power", 1)
-    assert u1_wilson_exact(a, PLAQ, ch, 0.1) == pytest.approx(1.0)
+    assert ch.u1_value(h_series(a, PLAQ, 0.1)) == pytest.approx(1.0)
     b = u1_sample(seed=15)
-    assert abs(u1_wilson_exact(b, PLAQ, ch, 50.0) - 1.0) < 1e-12
+    assert abs(ch.u1_value(h_series(b, PLAQ, 50.0)) - 1.0) < 1e-12
 
 
 def test_u1_wilson_exact_vs_ode_pipeline():
@@ -419,7 +418,7 @@ def test_u1_wilson_exact_vs_ode_pipeline():
         for k in (1, -1, 2):
             ch = Character(U1, "u1_power", k)
             w_ode = wilson_loop(flowed, PLAQ, ch, steps=384)
-            w_exact = u1_wilson_exact(b, PLAQ, ch, t)
+            w_exact = ch.u1_value(h_series(b, PLAQ, t))
             assert abs(w_ode - w_exact) <= 1e-8
 
 
@@ -473,12 +472,12 @@ def test_field_evaluator_matches_grid():
 def test_u1_exact_rejects_non_abelian():
     a = random_connection(SU2, 2, seed=20)
     with pytest.raises(ValueError):
-        u1_wilson_exact(a, PLAQ, Character(U1, "u1_power", 1), 0.1)
+        Character(U1, "u1_power", 1).u1_value(h_series(a, PLAQ, 0.1))
     with pytest.raises(ValueError):
         h_series(a, PLAQ, 0.1)
     b = u1_sample(seed=21)
     with pytest.raises(ValueError):
-        u1_wilson_exact(b, PLAQ, Character(U1, "u1_power", 1), -0.5)
+        Character(U1, "u1_power", 1).u1_value(h_series(b, PLAQ, -0.5))
 
 
 def test_h_series_equals_amplitude_form():
@@ -514,6 +513,20 @@ def test_h_series_broadcasts_over_times():
         h_series(b, PLAQ, [[0.01]])
     with pytest.raises(ValueError):
         h_series(b, PLAQ, [0.01, -0.01])
+
+
+def test_h_series_refuses_non_finite_times():
+    # a NaN time gave a NaN phase, and an infinite one a NaN weight at
+    # n = 0, without an error
+    b = u1_sample(cutoff=4, seed=22)
+    index = visible_modes(4, 0.01)
+    visible = b.coeffs[0].reshape(3, -1)[:, index]
+    for times in ([0.01, float("nan")], float("nan"), (0.01, float("inf")),
+                  float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            h_series(b, PLAQ, times)
+        with pytest.raises(ValueError, match="finite"):
+            u1_phase(visible, PLAQ, 4, times)
 
 
 def test_h_series_imaginary_check_covers_every_time():
@@ -577,8 +590,8 @@ def test_u1_wilson_exact_is_character_of_phase():
         ch = Character(U1, "u1_power", k)
         for t in (0.005, 0.02):
             phase = h_series(b, PLAQ, t)
-            assert u1_wilson_exact(b, PLAQ, ch, t) == complex(np.exp(1j * k * phase))
-            assert ch.u1_value(phase) == u1_wilson_exact(b, PLAQ, ch, t)
+            assert ch.u1_value(h_series(b, PLAQ, t)) == complex(np.exp(1j * k * phase))
+            assert ch.u1_value(phase) == ch.u1_value(h_series(b, PLAQ, t))
 
 
 def _direct_fourier_values(coeffs, cutoff, points):
