@@ -33,11 +33,11 @@ from .ensemble import (
     export_csv,
     persist_records,
     run_ensemble,
-    sample_initial,
     tightness_report,
 )
 from .fields import h1_norm, ym_action
 from .flow import FlowConfig, integrate
+from .gff import sample_initial
 from .storage import (
     FieldFileError,
     atomic_open,

@@ -16,13 +16,18 @@ only the modes some output reads: those of the largest member, and
 those whose heat weight at the earliest observation time is above
 e^(-NEGLIGIBLE_HEAT); the draws being keyed by mode, each drawn value is
 the full draw's.  Every stream takes this one path, with or without a
-reference.  A member is one ``integrate`` run from the cube filled with
-its own modes of that draw (rescaled when the spec says so), read at the
-observation times.  Tasks run independently, optionally in forked
-worker processes (serially where the platform cannot fork); records are
-always assembled and written in (stream, cutoff) order, and a task
-computes the same bits in any process, so the output bytes do not
-depend on the worker count.
+reference.  A member is one ``integrate`` run from the cube that gff's
+one filler (gff._filled) builds from its own modes of that draw
+(rescaled when the spec says so), read at the observation times; a
+single initial field is gff.sample_initial.  Tasks run independently,
+optionally in forked worker processes (serially where the platform
+cannot fork); records are always assembled and written in (stream,
+cutoff) order, and a task computes the same bits in any process, so the
+output bytes do not depend on the worker count.
+
+The spec reads its observation times like every other function taking
+times (fields._times), and compares by value: specs built from loops
+parsed twice from one file are equal.
 
 Records carry the hash of the exact configuration that produced them.
 Persistence is newline-delimited JSON, one flat observation row per line,
@@ -43,9 +48,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import SpectralConnection, h1_norm
+from .fields import SpectralConnection, _times
 from .flow import FlowConfig, integrate
-from .gff import (SamplerConfig, _mirror_filled, _mirrored, _mode_tables, _stored,
+from .gff import (SamplerConfig, _filled, _mirrored, _mode_tables, _stored,
                   canonical_half_modes)
 from .groups import GroupSpec
 from .storage import atomic_open
@@ -56,7 +61,6 @@ __all__ = [
     "EnsembleRecord",
     "RecordError",
     "run_ensemble",
-    "sample_initial",
     "persist_records",
     "load_records",
     "export_csv",
@@ -108,7 +112,7 @@ class EnsembleSpec:
 
     def __post_init__(self):
         self.cutoffs = tuple(int(c) for c in self.cutoffs)
-        self.times = tuple(float(t) for t in self.times)
+        self.times = _times(self.times, "observation times")
         if list(self.cutoffs) != sorted(set(self.cutoffs)) or not self.cutoffs:
             raise ValueError("cutoffs must be strictly increasing and nonempty")
         if self.cutoffs[0] < 1:
@@ -117,9 +121,9 @@ class EnsembleSpec:
             raise ValueError("need at least 2 samples")
         if self.sampler_kind not in ("gff", "u1_coulomb"):
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
+        if not self.times or min(self.times) == 0.0:
+            raise ValueError("observation times must be positive and nonempty")
         # NaN fails every comparison, so each check asks for the good range
-        if not self.times or not all(0.0 < t < math.inf for t in self.times):
-            raise ValueError("observation times must be finite, positive and nonempty")
         if not 0.0 < self.coupling < math.inf:
             raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
         if self.scale_to_h1 is not None and not 0.0 < self.scale_to_h1 < math.inf:
@@ -167,27 +171,6 @@ class EnsembleRecord:
     attained_time: float = 0.0
     blew_up: bool = False
     config_hash: str = ""
-
-
-def sample_initial(group: GroupSpec, sampler_kind: str, cutoff: int, seed: int,
-                   stream: int = 0, coupling: float = 1.0,
-                   scale_to_h1: float | None = None) -> SpectralConnection:
-    """Draw the initial field of one (seed, stream) at this cutoff and, when
-    scale_to_h1 is given, rescale it to that H^1 norm."""
-    cfg = SamplerConfig(group, cutoff, seed=seed, stream=stream, coupling=coupling)
-    return _filled(group, cutoff, _stored(sampler_kind, cfg), scale_to_h1)
-
-
-def _filled(group: GroupSpec, cutoff: int, upper: np.ndarray,
-            scale_to_h1: float | None) -> SpectralConnection:
-    """The field whose canonical half modes of cutoff carry upper (d, 3, H),
-    rescaled to the H^1 norm scale_to_h1 when that is given."""
-    a0 = SpectralConnection(group, cutoff, _mirror_filled(upper, cutoff))
-    if scale_to_h1 is not None:
-        norm = h1_norm(a0)
-        if norm > 0:
-            a0 = a0.scaled(scale_to_h1 / norm)
-    return a0
 
 
 def _u1_values(phases, loops, characters, times) -> dict:

@@ -36,7 +36,6 @@ from .groups import GroupSpec, structure_constants
 
 __all__ = [
     "SpectralConnection",
-    "SpectralScalar",
     "dealias_resolution",
     "mode_grids",
     "mode_norm_sq",
@@ -99,17 +98,17 @@ def _heat_table(cutoff: int, times: tuple) -> np.ndarray:
     return out
 
 
-def _times(t) -> tuple:
+def _times(t, what: str = "time") -> tuple:
     """A scalar time or a 1-D sequence of finite nonnegative times, as a
-    tuple of floats."""
+    tuple of floats; ``what`` names them in the error messages."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D sequence of times")
+        raise ValueError(f"{what} must be a scalar or a 1-D sequence of times")
     # a NaN or infinite time would give NaN weights (inf * 0 at n = 0)
     if not np.all(np.isfinite(times)):
-        raise ValueError("time must be finite")
+        raise ValueError(f"{what} must be finite")
     if np.any(times < 0):
-        raise ValueError("time must be nonnegative")
+        raise ValueError(f"{what} must be nonnegative")
     return tuple(times.ravel().tolist())
 
 
@@ -155,15 +154,6 @@ class SpectralConnection:
         return SpectralConnection(
             self.group, cutoff, self.coeffs[:, :, lo:hi, lo:hi, lo:hi].copy()
         )
-
-
-@dataclass
-class SpectralScalar:
-    """g-valued 0-form, coeffs (d_g, K, K, K)."""
-
-    group: GroupSpec
-    cutoff: int
-    coeffs: np.ndarray
 
 
 def zero_connection(group: GroupSpec, cutoff: int) -> SpectralConnection:
@@ -304,10 +294,11 @@ def _grad(f: np.ndarray, cutoff: int, out=None) -> np.ndarray:
     return np.multiply(_half_tables(cutoff)[1][:3], f[:, None], out=out)
 
 
-def d_star_1form(a: SpectralConnection) -> SpectralScalar:
-    """d*A = -sum_i d_i A_i, mode-wise -i 2 pi n . A(n)."""
+def d_star_1form(a: SpectralConnection) -> np.ndarray:
+    """d*A = -sum_i d_i A_i, mode-wise -i 2 pi n . A(n): the coefficients
+    (d_g, K, K, K) of the g-valued 0-form."""
     n = a.cutoff
-    return SpectralScalar(a.group, n, _full_spectrum(_d_star(a.coeffs[..., n:], n)))
+    return _full_spectrum(_d_star(a.coeffs[..., n:], n))
 
 
 @functools.lru_cache(maxsize=None)

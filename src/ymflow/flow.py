@@ -36,6 +36,7 @@ from .fields import (
     _Workspace,
     _full_spectrum,
     _nonlinear_core,
+    _times,
     _u1_actions,
     heat_weights,
     mode_norm_sq,
@@ -187,12 +188,12 @@ class _EtdStepper:
 
 
 def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajectory:
-    """Run the configured flow from a0 up to the last of ``times``,
-    recording the state and its action at each of them."""
-    targets = sorted(set(float(t) for t in times))
-    # NaN fails every comparison, so the check asks for the good range
-    if not targets or not all(0.0 < t < np.inf for t in targets):
-        raise ValueError("observation times must be finite, positive and nonempty")
+    """Run the configured flow from a0 up to the last of ``times`` (a
+    scalar or a 1-D sequence, read by fields._times), recording the state
+    and its action at each of them."""
+    targets = sorted(set(_times(times, "observation times")))
+    if not targets or targets[0] == 0.0:
+        raise ValueError("observation times must be positive and nonempty")
     traj = FlowTrajectory()
 
     if config.flow_kind == "u1_exact":

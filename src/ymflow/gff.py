@@ -13,7 +13,7 @@ restriction of the cutoff-N' field for N < N' at equal (seed, stream).
 That coupling is what turns distributional convergence statements into
 per-seed (pathwise) checks.  For the same reason one per-mode kernel
 (_stored) draws either ensemble at any list of modes, each value bit for
-bit the full draw's; the samplers mirror-fill its full list.  Its per-mode
+bit the full draw's; the samplers fill in its full list.  Its per-mode
 tables (modes, norms, frames, Coulomb scales) are built once per mode
 list (_mode_tables) and handed to every draw at that list.
 
@@ -25,19 +25,23 @@ anti-reality) symmetry.  In the C-order flattened K^3 mode cube
 centre, whose sign is that of the first nonzero coordinate of n: the
 drawn modes, in lexicographic order, fill the flat indices above the
 centre one after the other, and their reflections fill the ones below it
-in reverse.  So the samplers write three contiguous slices of a fresh
-array and need no index table.
+in reverse.  So one filler (_filled) writes three contiguous slices of a
+fresh array and needs no index table; it also rescales the field to a
+given H^1 norm, refusing a NaN, infinite or nonpositive one.  The two
+samplers, sample_initial (either sampler for one (seed, stream)) and
+every ensemble member build their fields through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .fields import SpectralConnection
+from .fields import SpectralConnection, h1_norm
 from .groups import GroupSpec
 from .rng import TAG_COMPONENT, mode_gaussians
 
@@ -45,6 +49,7 @@ __all__ = [
     "SamplerConfig",
     "canonical_half_modes",
     "sample_gff",
+    "sample_initial",
     "sample_u1_coulomb",
 ]
 
@@ -137,25 +142,43 @@ def _mirrored(upper: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _mirror_filled(upper: np.ndarray, cutoff: int) -> np.ndarray:
-    """Coefficients (..., K, K, K) whose canonical half modes carry upper
-    (..., H): the zero mode is 0 and each reflected mode -n the conjugate
-    of n, written as slices of the flattened cube."""
+def _filled(group: GroupSpec, cutoff: int, upper: np.ndarray,
+            scale_to_h1: float | None = None) -> SpectralConnection:
+    """The field whose canonical half modes of cutoff carry upper (d, 3, H):
+    the zero mode is 0 and each reflected mode -n the conjugate of n,
+    written as slices of the flattened cube (_mirrored).  When scale_to_h1
+    is given, a nonzero field is rescaled to that H^1 norm."""
+    if scale_to_h1 is not None and not 0.0 < scale_to_h1 < math.inf:
+        raise ValueError(f"scale_to_h1 must be finite and positive, got {scale_to_h1}")
     k = 2 * cutoff + 1
-    return _mirrored(upper).reshape(upper.shape[:-1] + (k, k, k))
+    a0 = SpectralConnection(group, cutoff,
+                            _mirrored(upper).reshape(upper.shape[:-1] + (k, k, k)))
+    if scale_to_h1 is not None:
+        norm = h1_norm(a0)
+        if norm > 0:
+            a0 = a0.scaled(scale_to_h1 / norm)
+    return a0
 
 
 def sample_gff(config: SamplerConfig) -> SpectralConnection:
     """g^3-valued Gaussian free field at the configured cutoff (_stored)."""
-    coeffs = _mirror_filled(_stored("gff", config), config.cutoff)
-    return SpectralConnection(config.group, config.cutoff, coeffs)
+    return _filled(config.group, config.cutoff, _stored("gff", config))
 
 
 def sample_u1_coulomb(config: SamplerConfig) -> SpectralConnection:
     """Coulomb-gauge U(1) Gaussian ensemble at coupling g (_stored); d* of
     the output vanishes at the rounding level."""
-    coeffs = _mirror_filled(_stored("u1_coulomb", config), config.cutoff)
-    return SpectralConnection(config.group, config.cutoff, coeffs)
+    return _filled(config.group, config.cutoff, _stored("u1_coulomb", config))
+
+
+def sample_initial(group: GroupSpec, sampler_kind: str, cutoff: int, seed: int,
+                   stream: int = 0, coupling: float = 1.0,
+                   scale_to_h1: float | None = None) -> SpectralConnection:
+    """Draw the initial field of one (seed, stream) at this cutoff with the
+    ``sampler_kind`` sampler ('gff' or 'u1_coulomb') and, when scale_to_h1
+    is given, rescale it to that H^1 norm."""
+    cfg = SamplerConfig(group, cutoff, seed=seed, stream=stream, coupling=coupling)
+    return _filled(group, cutoff, _stored(sampler_kind, cfg), scale_to_h1)
 
 
 def _stored(kind: str, config: SamplerConfig, tables: _ModeTables | None = None

@@ -91,7 +91,15 @@ GroupSpec.from_label = staticmethod(_spec_from_label)
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_cached(spec: GroupSpec) -> np.ndarray:
+def standard_basis(spec: GroupSpec) -> np.ndarray:
+    """Deterministic orthonormal basis of the Lie algebra, shape (d, N, N).
+
+    Ordering: for SU(N)/U(N), off-diagonal pairs (p < q, lexicographic) as
+    i(E_pq+E_qp)/sqrt(2) then (E_pq-E_qp)/sqrt(2); next the traceless
+    diagonals i*diag(1,..,1,-k,0,..)/sqrt(k(k+1)); finally i*I/sqrt(N) for
+    groups containing the central circle.  For U(1) the single element is
+    the 1x1 matrix [i].
+    """
     n = spec.matrix_dim
     elems = []
     if spec.kind != "u1":
@@ -117,18 +125,6 @@ def _basis_cached(spec: GroupSpec) -> np.ndarray:
         raise AssertionError("basis construction out of sync with algebra_dim")
     basis.setflags(write=False)
     return basis
-
-
-def standard_basis(spec: GroupSpec) -> np.ndarray:
-    """Deterministic orthonormal basis of the Lie algebra, shape (d, N, N).
-
-    Ordering: for SU(N)/U(N), off-diagonal pairs (p < q, lexicographic) as
-    i(E_pq+E_qp)/sqrt(2) then (E_pq-E_qp)/sqrt(2); next the traceless
-    diagonals i*diag(1,..,1,-k,0,..)/sqrt(k(k+1)); finally i*I/sqrt(N) for
-    groups containing the central circle.  For U(1) the single element is
-    the 1x1 matrix [i].
-    """
-    return _basis_cached(spec)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,7 +3,9 @@
 Loops are closed piecewise-linear paths given by their lift to R^3: the
 vertex list may end one integer vector away from where it started, and
 that winding vector is part of the loop data.  Parametrization is
-arc-proportional over [0, 1].
+arc-proportional over [0, 1].  A loop is a value: two loops with the same
+vertex bytes, winding and name compare and hash equal, so loops parsed
+twice from one file are equal and key the same cached tables.
 
 Holonomies solve h'(t) = h(t) A(l(t)).l'(t), h(0) = id with a third-order
 Runge-Kutta-Munthe-Kaas scheme: each substep advances by the group
@@ -28,9 +30,10 @@ the modes visible at the earliest time, those whose weight there is at
 least e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes): u1_phase takes a
 field's coefficients at those modes, and h_series gathers them from a
 full field.  So every exact phase is one u1_phase call.  The loop table
-is built at those modes only, one table per (loop, cutoff, t_min) in one
-cache; the dense cube is never kept.  Those exact values are the oracle
-the ODE pipeline is checked against.
+is built at those modes only, one table per (loop, cutoff, t_min) in an
+lru_cache like every other table of the package; the dense cube is never
+kept.  Those exact values are the oracle the ODE pipeline is checked
+against.
 """
 
 from __future__ import annotations
@@ -64,13 +67,23 @@ TWO_PI = 2.0 * np.pi
 REPAIR_THRESHOLD = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Loop:
-    """Closed piecewise-linear path on the torus, stored through its lift."""
+    """Closed piecewise-linear path on the torus, stored through its lift.
+    Loops compare and hash by value: vertex bytes, winding and name."""
 
     vertices: np.ndarray        # (V, 3) float, lift coordinates
     winding: np.ndarray         # (3,) int
     name: str = "loop"
+
+    def _key(self) -> tuple:
+        return self.vertices.tobytes(), self.winding.tobytes(), self.name
+
+    def __eq__(self, other):
+        return isinstance(other, Loop) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def segments(self) -> np.ndarray:
@@ -266,28 +279,15 @@ class Character:
 # loop Fourier coefficients (exact per-segment line integrals)
 
 
-# (loop geometry, cutoff, t_min) -> table at visible_modes(cutoff, t_min)
-_TABLE_CACHE: dict = {}
-
-
-def _geometry(loop: Loop) -> tuple:
-    """The cache key of a loop's shape (its name does not enter)."""
-    return loop.vertices.tobytes(), loop.winding.tobytes()
-
-
+@lru_cache(maxsize=256)
 def _visible_table(loop: Loop, cutoff: int, t_min: float) -> np.ndarray:
     """The loop table at visible_modes(cutoff, t_min), (3, M), read-only
-    and cached on (loop geometry, cutoff, t_min): ensemble members and
-    references reuse it heavily, and where some mode is cut no dense
-    table of the cutoff is built."""
-    if len(_TABLE_CACHE) > 256:
-        _TABLE_CACHE.clear()
-    key = (_geometry(loop), cutoff, t_min)
-    if key not in _TABLE_CACHE:
-        table = _loop_table(loop, cutoff, visible_modes(cutoff, t_min))
-        table.setflags(write=False)
-        _TABLE_CACHE[key] = table
-    return _TABLE_CACHE[key]
+    and cached on (loop, cutoff, t_min): ensemble members and references
+    reuse it heavily, and where some mode is cut no dense table of the
+    cutoff is built."""
+    table = _loop_table(loop, cutoff, visible_modes(cutoff, t_min))
+    table.setflags(write=False)
+    return table
 
 
 def _loop_table(loop: Loop, cutoff: int, index) -> np.ndarray:

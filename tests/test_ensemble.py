@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gauge import axis_cycle
-from reference import loop_fourier_coefficients
+from reference import format_loop_file, loop_fourier_coefficients
 from ymflow.fields import mode_grids, mode_norm_sq
 from ymflow.flow import FlowConfig, integrate
 from ymflow.ensemble import (
@@ -22,12 +22,11 @@ from ymflow.ensemble import (
     load_records,
     persist_records,
     run_ensemble,
-    sample_initial,
     tightness_report,
 )
-from ymflow.gff import SamplerConfig
+from ymflow.gff import SamplerConfig, sample_initial
 from ymflow.groups import SU2, U1, GroupSpec
-from ymflow.wilson import Character, h_series, rectangle_loop
+from ymflow.wilson import Character, h_series, parse_loop_file, rectangle_loop
 
 PLAQ = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="plaq")
 CYCLE = axis_cycle(0, (0, 0.25, 0.5), name="cx")
@@ -66,6 +65,19 @@ def test_spec_validation():
     for bad in (nan, inf, -1.0):
         with pytest.raises(ValueError, match="coupling"):
             SamplerConfig(U1, 2, seed=1, coupling=bad)
+
+
+def test_spec_reads_times_like_integrate():
+    with pytest.raises(ValueError, match="observation times"):
+        u1_spec(times=[[0.01]])
+    assert u1_spec(times=0.01).times == (0.01,)
+
+
+def test_specs_of_separately_parsed_loops_compare_equal():
+    text = format_loop_file([PLAQ, CYCLE])
+    first, second = (u1_spec(loops=tuple(parse_loop_file(text))) for _ in range(2))
+    assert first == second
+    assert first.config_hash() == second.config_hash()
 
 
 def test_spec_refuses_repeated_time():
@@ -421,7 +433,7 @@ def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
         return real(loop, cutoff, index)
 
     monkeypatch.setattr(wil, "_loop_table", counting)
-    monkeypatch.setattr(wil, "_TABLE_CACHE", {})
+    wil._visible_table.cache_clear()
     spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02),
                    reference_cutoff=12)
     recs, reference = run_ensemble(spec)

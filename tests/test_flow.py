@@ -16,13 +16,12 @@ from ymflow.fields import (
     zdds_rhs,
     zero_connection,
 )
-from ymflow.ensemble import sample_initial
 from ymflow.flow import (
     FlowConfig,
     heat_semigroup_u1,
     integrate,
 )
-from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
+from ymflow.gff import SamplerConfig, sample_gff, sample_initial, sample_u1_coulomb
 from ymflow.groups import SU2, U1, GroupSpec
 from ymflow.wilson import Character, rectangle_loop, wilson_loop
 
@@ -56,6 +55,16 @@ def test_flow_config_validation():
 def test_integrate_rejects_empty_or_nonpositive_times(kind, times):
     with pytest.raises(ValueError, match="observation times"):
         integrate(zero_connection(U1, 1), FlowConfig(kind), times)
+
+
+@pytest.mark.parametrize("kind", ["ym", "u1_exact"])
+def test_integrate_reads_times_like_heat_weights(kind):
+    # a nested time list is refused with the observation-time message and
+    # a scalar is one time, as for every other function taking times
+    with pytest.raises(ValueError, match="observation times"):
+        integrate(zero_connection(U1, 1), FlowConfig(kind), [[0.01]])
+    traj = integrate(zero_connection(U1, 1), FlowConfig(kind), 0.01)
+    assert list(traj.states) == [0.01] and traj.checkpoint_times() == [0.01]
 
 
 @pytest.mark.parametrize("kind", ["ym", "u1_exact"])
@@ -140,7 +149,7 @@ def test_u1_coulomb_oracle_equivalence(kind):
             / l2_norm(exact)
         assert rel <= 1e-8
         # divergence preservation along the flow
-        assert np.max(np.abs(d_star_1form(num).coeffs)) <= 1e-10
+        assert np.max(np.abs(d_star_1form(num))) <= 1e-10
 
 
 def test_u1_exact_flow_kind():
@@ -541,8 +550,6 @@ FLOW_PINS = [
 def test_flow_bytes_pinned(kind, group, cutoff, digest, action_1, action_2):
     import hashlib
 
-    from ymflow.ensemble import sample_initial
-
     a = sample_initial(group, "gff", cutoff, 71, 0, scale_to_h1=0.5)
     traj = integrate(a, FlowConfig(kind, dt_initial=1e-3), (0.01, 0.02))
     steps = (0, 0) if kind == "u1_exact" else (20, 60)
@@ -555,7 +562,7 @@ def test_flow_bytes_pinned(kind, group, cutoff, digest, action_1, action_2):
 _FAULTS_SCRIPT = """
 import resource
 import ymflow.flow as flow_mod
-from ymflow.ensemble import sample_initial
+from ymflow.gff import sample_initial
 from ymflow.flow import FlowConfig, integrate
 from ymflow.groups import SU2
 marks = []

@@ -19,6 +19,7 @@ from ymflow.gff import (
     _stored,
     canonical_half_modes,
     sample_gff,
+    sample_initial,
     sample_u1_coulomb,
 )
 from ymflow.groups import SU2, U1, GroupSpec, standard_basis
@@ -151,9 +152,16 @@ def test_coulomb_subset_draw_equals_full_draw_bitwise(coupling):
 def test_unknown_sampler_kind_refused():
     # a misspelt Coulomb kind must not draw the GFF, which is not
     # divergence-free
-    from ymflow.ensemble import sample_initial
     with pytest.raises(ValueError, match="unknown sampler kind"):
         sample_initial(U1, "coulomb", 2, seed=1)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), -0.5, 0.0])
+def test_sample_initial_refuses_bad_scale(scale):
+    # a NaN scale gave a NaN field, a negative one flipped its sign and a
+    # zero one zeroed it
+    with pytest.raises(ValueError, match="scale_to_h1"):
+        sample_initial(SU2, "gff", 2, seed=1, scale_to_h1=scale)
 
 
 def test_gff_sampler_matches_dense_scatter_bitwise():
@@ -205,7 +213,7 @@ def test_cross_cutoff_coupling():
 
 def test_coulomb_divergence_free_and_variance():
     a = sample_u1_coulomb(SamplerConfig(U1, 4, seed=17, coupling=2.5))
-    assert np.max(np.abs(d_star_1form(a).coeffs)) < 1e-13
+    assert np.max(np.abs(d_star_1form(a))) < 1e-13
     # E|Z_n|^2 * |n|^2 * 8 pi^2 / g^2 = 1 within Monte Carlo error
     n = np.array([1, 1, 0])
     g = 2.5

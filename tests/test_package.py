@@ -52,6 +52,14 @@ def test_no_unused_module_imports(stem):
     assert not unused, f"{stem}.py imports names it never uses: {unused}"
 
 
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py"))
+                         + sorted(pathlib.Path(__file__).parent.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_sources_parse_as_python_3_10(path):
+    # Python 3.10 is the requires-python floor, so no later syntax
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 # every flag a subcommand accepts is one it reads
 COMMAND_OPTIONS = {
     "sample": {"--config", "--seed", "--output"},

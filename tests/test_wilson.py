@@ -120,6 +120,19 @@ def test_loop_file_round_trip():
     assert np.array_equal(loops[1].winding, (1, 0, 0))
 
 
+def test_loops_compare_and_hash_by_value():
+    # two parses of one file give equal loops, so specs built from them
+    # compare equal and share cached loop tables; the name is part of
+    # the value
+    text = format_loop_file([PLAQ, axis_cycle(0, (0, 0.25, 0.5), name="cx")])
+    first, second = parse_loop_file(text), parse_loop_file(text)
+    assert first == second and first[0] is not second[0]
+    assert [hash(lp) for lp in first] == [hash(lp) for lp in second]
+    assert first[0] != first[1]
+    renamed = make_loop(first[0].vertices, name="other")
+    assert renamed != first[0] and first[0] != "plaq"
+
+
 def test_loop_file_errors_carry_line_numbers():
     with pytest.raises(LoopFileError, match="line 1"):
         parse_loop_file("vertex 0 0 0\n")
@@ -223,11 +236,11 @@ WINDING_TRIANGLE = make_loop([(0.2, 0.1, 0.5), (0.55, 0.1, 0.65),
 
 
 @pytest.mark.parametrize("cutoff", [9, 12, 16])
-def test_visible_table_is_gathered_dense_table(monkeypatch, cutoff):
+def test_visible_table_is_gathered_dense_table(cutoff):
     # at every t_min, cut or not, the cached table has the bytes of the
     # dense table gathered at visible_modes(cutoff, t_min); it is
     # read-only and built once per (loop, cutoff, t_min)
-    monkeypatch.setattr(wilson_mod, "_TABLE_CACHE", {})
+    wilson_mod._visible_table.cache_clear()
     loops = [PLAQ, WINDING_TRIANGLE, axis_cycle(2, (0.3, 0.1, 0.7)),
              rectangle_loop((0.6, 0.1, 0.9), 2, 0, 0.5, 0.125)] + random_loops(27)
     cut = {0.0: False, 0.001: False, 0.005: True, 0.02: True, 0.1: True}
@@ -240,7 +253,7 @@ def test_visible_table_is_gathered_dense_table(monkeypatch, cutoff):
             assert got.tobytes() == dense[:, index].tobytes(), (lp.name, t_min)
             assert not got.flags.writeable
             assert wilson_mod._visible_table(lp, cutoff, t_min) is got
-    assert len(wilson_mod._TABLE_CACHE) == len(loops) * len(cut)
+    assert wilson_mod._visible_table.cache_info().currsize == len(loops) * len(cut)
 
 
 def test_loop_fourier_matches_exponential_difference():
