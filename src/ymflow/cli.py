@@ -77,12 +77,12 @@ def _load_config(args) -> RunConfig:
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
-    outdir, source = _resolve_output(cfg, args)
-    outdir.mkdir(parents=True, exist_ok=True)
     if cfg.sampler_kind is None or cfg.group is None or cfg.seed is None:
         raise ConfigError("a complete [sampler] section is required")
     a0 = sample_initial(cfg.group, cfg.sampler_kind, cfg.cutoff, cfg.seed,
                         cfg.stream, cfg.coupling, cfg.scale_to_h1)
+    outdir, source = _resolve_output(cfg, args)
+    outdir.mkdir(parents=True, exist_ok=True)
     name = f"field_{cfg.group.label()}_N{cfg.cutoff}_seed{cfg.seed}_s{cfg.stream}.ymf"
     path = outdir / name
     write_field(path, a0)
@@ -110,10 +110,10 @@ def cmd_flow(args) -> int:
         raise ConfigError("a [flow] section is required")
     if not cfg.flow_times:
         raise ConfigError("[flow] t_end is required: the flow runs up to it")
-    outdir, source = _resolve_output(cfg, args)
-    outdir.mkdir(parents=True, exist_ok=True)
     a0 = read_field(args.input)
     traj = integrate(a0, cfg.flow, cfg.flow_times)
+    outdir, source = _resolve_output(cfg, args)
+    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for t in traj.checkpoint_times():
         state = traj.states[t]
@@ -147,8 +147,6 @@ def cmd_flow(args) -> int:
 
 def cmd_wilson(args) -> int:
     cfg = load_config(args.config)
-    outdir, source = _resolve_output(cfg, args)
-    outdir.mkdir(parents=True, exist_ok=True)
     a0 = read_field(args.input)
     loops_path = args.loops or cfg.loops_file
     if not loops_path:
@@ -163,7 +161,6 @@ def cmd_wilson(args) -> int:
     if not times:
         raise ConfigError("[wilson] times is required")
     is_u1 = a0.group.kind == "u1"
-    out_path = outdir / "wilson.csv"
     fieldnames = ["loop_id", "character_id", "t", "wilson_re", "wilson_im"]
     if is_u1:
         fieldnames += ["exact_re", "exact_im", "abs_diff"]
@@ -175,6 +172,9 @@ def cmd_wilson(args) -> int:
             "non-Abelian Wilson evaluation needs a [flow] section to "
             "regularize the field"
         )
+    outdir, source = _resolve_output(cfg, args)
+    outdir.mkdir(parents=True, exist_ok=True)
+    out_path = outdir / "wilson.csv"
     traj = integrate(a0, flow, times)
     if traj.blew_up:
         print(f"flow halted at t = {_fmt(traj.attained_time)}: "
@@ -215,8 +215,6 @@ def cmd_ensemble(args) -> int:
         raise ConfigError("a [flow] section is required")
     if not cfg.ens_cutoffs:
         raise ConfigError("an [ensemble] section is required")
-    outdir, source = _resolve_output(cfg, args)
-    outdir.mkdir(parents=True, exist_ok=True)
     loops = ()
     if cfg.loops_file:
         loops = tuple(parse_loop_file(Path(cfg.loops_file).read_text()))
@@ -238,6 +236,8 @@ def cmd_ensemble(args) -> int:
         wilson_steps=cfg.wilson_steps,
         reference_cutoff=cfg.ens_reference_cutoff,
     )
+    outdir, source = _resolve_output(cfg, args)
+    outdir.mkdir(parents=True, exist_ok=True)
     records, reference = run_ensemble(spec, threads=args.threads)
     blowups = sum(1 for r in records if r.blew_up)
     persist_records(records, outdir / "records.jsonl")

@@ -2,8 +2,10 @@
 
 The format is INI-style sections of ``key = value`` pairs, diff-friendly
 and hashable for provenance.  Unknown sections or keys are rejected by
-name; physical quantities are range-checked here so commands can assume
-a valid configuration.
+name, and numbers must parse and be finite.  Physical quantities are
+checked by the objects the configuration builds (FlowConfig, Character,
+the sampler and ensemble checks), whose refusals name the section, so
+commands can assume a valid configuration.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .flow import FLOW_KINDS, FlowConfig
+from .ensemble import _check_shape, _check_times
+from .flow import FlowConfig
+from .gff import _check_sampler
 from .groups import GroupSpec
-from .wilson import Character
+from .wilson import WILSON_STEPS, Character
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -36,10 +40,8 @@ _ALLOWED = {
 }
 
 
-# [flow] numerics passed to FlowConfig, with the check each value must pass
-_FLOW_NUMERICS = {"dt_initial": {"positive": True}, "dt_safety": {"unit": True},
-                  "blowup_threshold": {"positive": True},
-                  "error_tol": {"positive": True}}
+# [flow] numerics passed to FlowConfig, which checks them
+_FLOW_NUMERICS = ("dt_initial", "dt_safety", "blowup_threshold", "error_tol")
 
 
 @dataclass
@@ -55,7 +57,7 @@ class RunConfig:
     flow: FlowConfig | None = None
     flow_times: tuple = ()      # [flow] checkpoints and t_end, read by `flow`
     loops_file: str | None = None
-    wilson_steps: int = 128
+    wilson_steps: int = WILSON_STEPS
     characters: tuple = ()
     wilson_times: tuple = ()
     ens_cutoffs: tuple = ()
@@ -70,7 +72,16 @@ def _fail(section, key, msg):
     raise ConfigError(f"[{section}] {key}: {msg}")
 
 
-def _get_float(section, items, key, default=None, positive=False, unit=False):
+def _owned(where, check, *args, **kwargs):
+    """check(*args, **kwargs), the owner of a rule, its ValueError raised
+    as a ConfigError led by where ("[section]" or "[section] key:")."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from exc
+
+
+def _get_float(section, items, key, default=None, positive=False):
     if key not in items:
         if default is None:
             _fail(section, key, "missing required key")
@@ -83,8 +94,6 @@ def _get_float(section, items, key, default=None, positive=False, unit=False):
         _fail(section, key, f"must be finite, got {v}")
     if positive and v <= 0:
         _fail(section, key, f"must be positive, got {v}")
-    if unit and not (0.0 < v < 1.0):
-        _fail(section, key, f"must lie in (0, 1), got {v}")
     return v
 
 
@@ -102,9 +111,9 @@ def _get_int(section, items, key, default=None, minimum=None):
     return v
 
 
-def _get_floats(section, items, key, default=()):
+def _get_floats(section, items, key):
     if key not in items:
-        return tuple(default)
+        return ()
     toks = items[key].replace(",", " ").split()
     try:
         values = tuple(float(t) for t in toks)
@@ -115,34 +124,19 @@ def _get_floats(section, items, key, default=()):
     return values
 
 
-def _get_times(section, items, key):
-    """Observation times: positive, each at most once (a repeated time
-    would repeat its output rows)."""
-    times = _get_floats(section, items, key)
-    if any(t <= 0 for t in times):
-        _fail(section, key, "times must be positive")
-    for i, t in enumerate(times):
-        if t in times[:i]:
-            _fail(section, key, f"time {t!r} is repeated")
-    return times
-
-
-def _parse_characters(section, value, group: GroupSpec):
+def _parse_characters(value, group: GroupSpec):
     chars = []
     for tok in value.replace(",", " ").split():
-        tok = tok.strip()
         if tok in ("fundamental", "conjugate"):
             chars.append(Character(group, tok))
         elif tok.startswith("u1:"):
             try:
                 k = int(tok[3:])
             except ValueError:
-                _fail(section, "characters", f"bad power in {tok!r}")
-            if group.kind != "u1":
-                _fail(section, "characters", "u1:k characters need group u1")
-            chars.append(Character(group, "u1_power", k))
+                _fail("wilson", "characters", f"bad power in {tok!r}")
+            chars.append(_owned("[wilson] characters:", Character, group, "u1_power", k))
         else:
-            _fail(section, "characters", f"unknown character {tok!r}")
+            _fail("wilson", "characters", f"unknown character {tok!r}")
     return tuple(chars)
 
 
@@ -164,18 +158,11 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
 
     if "sampler" in cfg.raw:
         items = cfg.raw["sampler"]
-        kind = items.get("kind", "gff").strip()
-        if kind not in ("gff", "u1_coulomb"):
-            _fail("sampler", "kind", f"unknown sampler {kind!r}")
-        cfg.sampler_kind = kind
         if "group" not in items:
             _fail("sampler", "group", "missing required key")
-        try:
-            cfg.group = GroupSpec.from_label(items["group"])
-        except ValueError as exc:
-            _fail("sampler", "group", str(exc))
-        if kind == "u1_coulomb" and cfg.group.kind != "u1":
-            _fail("sampler", "kind", "u1_coulomb requires group u1")
+        cfg.group = _owned("[sampler] group:", GroupSpec.from_label, items["group"])
+        cfg.sampler_kind = items.get("kind", "gff").strip()
+        _owned("[sampler] kind:", _check_sampler, cfg.sampler_kind, cfg.group)
         cfg.cutoff = _get_int("sampler", items, "cutoff", minimum=1)
         cfg.coupling = _get_float("sampler", items, "coupling", 1.0, positive=True)
         cfg.seed = _get_int("sampler", items, "seed")
@@ -186,9 +173,6 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
 
     if "flow" in cfg.raw:
         items = cfg.raw["flow"]
-        kind = items.get("kind", "").strip()
-        if kind not in FLOW_KINDS:
-            _fail("flow", "kind", f"must be one of {FLOW_KINDS}, got {kind!r}")
         checkpoints = _get_floats("flow", items, "checkpoints")
         if any(t <= 0 for t in checkpoints):
             _fail("flow", "checkpoints", "times must be positive")
@@ -200,46 +184,39 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
             last = () if max(checkpoints, default=0.0) >= t_end else (t_end,)
             cfg.flow_times = tuple(sorted({*checkpoints, *last}))
         # only the keys the file sets: the defaults are FlowConfig's
-        numerics = {key: _get_float("flow", items, key, **check)
-                    for key, check in _FLOW_NUMERICS.items() if key in items}
-        try:
-            cfg.flow = FlowConfig(flow_kind=kind, **numerics)
-        except ValueError as exc:
-            raise ConfigError(f"[flow]: {exc}") from exc
+        numerics = {key: _get_float("flow", items, key)
+                    for key in _FLOW_NUMERICS if key in items}
+        cfg.flow = _owned("[flow]", FlowConfig,
+                          flow_kind=items.get("kind", "").strip(), **numerics)
 
     if "loops" in cfg.raw:
         items = cfg.raw["loops"]
         cfg.loops_file = items.get("file")
-        cfg.wilson_steps = _get_int("loops", items, "steps", 128, minimum=1)
+        cfg.wilson_steps = _get_int("loops", items, "steps", WILSON_STEPS, minimum=1)
 
     if "wilson" in cfg.raw:
         items = cfg.raw["wilson"]
         if cfg.group is None:
             raise ConfigError("[wilson] needs a [sampler] section for the group")
         if "characters" in items:
-            cfg.characters = _parse_characters("wilson", items["characters"],
-                                               cfg.group)
-        cfg.wilson_times = _get_times("wilson", items, "times")
+            cfg.characters = _parse_characters(items["characters"], cfg.group)
+        cfg.wilson_times = _get_floats("wilson", items, "times")
+        _owned("[wilson]", _check_times, cfg.wilson_times)
 
     if "ensemble" in cfg.raw:
         items = cfg.raw["ensemble"]
         cutoffs = _get_floats("ensemble", items, "cutoffs")
         if not cutoffs:
             _fail("ensemble", "cutoffs", "missing required key")
-        icutoffs = tuple(int(c) for c in cutoffs)
-        if any(c != int(c) for c in cutoffs) or any(c < 1 for c in icutoffs):
-            _fail("ensemble", "cutoffs", "expected integers >= 1")
-        if list(icutoffs) != sorted(set(icutoffs)):
-            _fail("ensemble", "cutoffs", "must be strictly increasing")
-        cfg.ens_cutoffs = icutoffs
-        cfg.ens_n_samples = _get_int("ensemble", items, "n_samples", minimum=2)
-        cfg.ens_times = _get_times("ensemble", items, "times")
-        if not cfg.ens_times:
-            _fail("ensemble", "times", "missing required key")
+        if any(c != int(c) for c in cutoffs):
+            _fail("ensemble", "cutoffs", "expected integers")
+        cfg.ens_cutoffs = tuple(int(c) for c in cutoffs)
+        cfg.ens_n_samples = _get_int("ensemble", items, "n_samples")
+        cfg.ens_times = _get_floats("ensemble", items, "times")
         if "reference_cutoff" in items:
-            cfg.ens_reference_cutoff = _get_int("ensemble", items,
-                                                "reference_cutoff",
-                                                minimum=icutoffs[-1] + 1)
+            cfg.ens_reference_cutoff = _get_int("ensemble", items, "reference_cutoff")
+        _owned("[ensemble]", _check_shape, cfg.ens_cutoffs, cfg.ens_n_samples,
+               cfg.ens_times, cfg.ens_reference_cutoff)
 
     if "output" in cfg.raw:
         cfg.output_dir = cfg.raw["output"].get("dir", "out")

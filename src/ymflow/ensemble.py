@@ -27,7 +27,7 @@ output bytes do not depend on the worker count.
 
 The spec reads its observation times like every other function taking
 times (fields._times), and compares by value: specs built from loops
-parsed twice from one file are equal.
+parsed twice from one file are equal.  It refuses what a member would.
 
 Records carry the hash of the exact configuration that produced them.
 Persistence is newline-delimited JSON, one flat observation row per line,
@@ -49,12 +49,13 @@ from pathlib import Path
 import numpy as np
 
 from .fields import SpectralConnection, _times
-from .flow import FlowConfig, integrate
-from .gff import (SamplerConfig, _filled, _mirrored, _mode_tables, _stored,
-                  canonical_half_modes)
+from .flow import FlowConfig, _check_exact_group, integrate
+from .gff import (SamplerConfig, _check_sampler, _filled, _mirrored, _mode_tables,
+                  _stored, canonical_half_modes)
 from .groups import GroupSpec
 from .storage import atomic_open
-from .wilson import NEGLIGIBLE_HEAT, h_series, u1_phase, visible_modes, wilson_loop
+from .wilson import (NEGLIGIBLE_HEAT, WILSON_STEPS, h_series, u1_phase, visible_modes,
+                     wilson_loop)
 
 __all__ = [
     "EnsembleSpec",
@@ -93,6 +94,33 @@ class RecordError(Exception):
     pass
 
 
+def _check_times(times: tuple) -> None:
+    """Refuse a time that is not positive, or one given twice (its output
+    rows would repeat)."""
+    for i, t in enumerate(times):
+        if t <= 0:
+            raise ValueError(f"times must be positive, got {t}")
+        if t in times[:i]:
+            raise ValueError(f"times: time {t!r} is repeated")
+
+
+def _check_shape(cutoffs: tuple, n_samples: int, times: tuple,
+                 reference_cutoff: int | None = None) -> None:
+    """Refuse an ensemble shape: cutoffs strictly increasing from at least
+    1, at least 2 samples, nonempty times (_check_times) and a reference
+    cutoff above the largest cutoff."""
+    if not cutoffs or list(cutoffs) != sorted(set(cutoffs)) or cutoffs[0] < 1:
+        raise ValueError(f"cutoffs must strictly increase from at least 1, got {cutoffs}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    if not times:
+        raise ValueError("times: an ensemble needs at least one time")
+    _check_times(times)
+    if reference_cutoff is not None and reference_cutoff <= cutoffs[-1]:
+        raise ValueError(f"reference_cutoff = {reference_cutoff}: the reference cutoff "
+                         f"must exceed the largest ensemble cutoff {cutoffs[-1]}")
+
+
 @dataclass
 class EnsembleSpec:
     group: GroupSpec
@@ -106,35 +134,27 @@ class EnsembleSpec:
     loops: tuple = ()
     characters: tuple = ()
     scale_to_h1: float | None = None
-    wilson_steps: int = 128
+    wilson_steps: int = WILSON_STEPS
     # cutoff of each stream's exact reference Wilson values (None: no reference)
     reference_cutoff: int | None = None
 
     def __post_init__(self):
         self.cutoffs = tuple(int(c) for c in self.cutoffs)
         self.times = _times(self.times, "observation times")
-        if list(self.cutoffs) != sorted(set(self.cutoffs)) or not self.cutoffs:
-            raise ValueError("cutoffs must be strictly increasing and nonempty")
-        if self.cutoffs[0] < 1:
-            raise ValueError(f"cutoffs must be at least 1, got {self.cutoffs}")
-        if self.n_samples < 2:
-            raise ValueError("need at least 2 samples")
-        if self.sampler_kind not in ("gff", "u1_coulomb"):
-            raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
-        if not self.times or min(self.times) == 0.0:
-            raise ValueError("observation times must be positive and nonempty")
+        _check_shape(self.cutoffs, self.n_samples, self.times, self.reference_cutoff)
+        _check_sampler(self.sampler_kind, self.group)
+        if self.flow.flow_kind == "u1_exact":
+            _check_exact_group(self.group)
         # NaN fails every comparison, so each check asks for the good range
         if not 0.0 < self.coupling < math.inf:
             raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
         if self.scale_to_h1 is not None and not 0.0 < self.scale_to_h1 < math.inf:
             raise ValueError(f"scale_to_h1 must be finite and positive, "
                              f"got {self.scale_to_h1}")
-        if len(set(self.times)) < len(self.times):
-            raise ValueError(f"observation times {self.times} repeat a time")
         if self.reference_cutoff is None:
             return
         # the convergence report compares exact Wilson loops of unscaled
-        # U(1) Coulomb fields, at a cutoff above every member's
+        # U(1) Coulomb fields
         if self.group.kind != "u1" or self.sampler_kind != "u1_coulomb":
             raise ValueError("reference_cutoff needs a U(1) ensemble sampled by u1_coulomb")
         if self.scale_to_h1 is not None:
@@ -142,10 +162,6 @@ class EnsembleSpec:
                              "reference field shares the law of rescaled members")
         if not self.loops:
             raise ValueError("reference_cutoff needs loops (a [loops] file)")
-        if self.reference_cutoff <= self.cutoffs[-1]:
-            raise ValueError(f"reference_cutoff = {self.reference_cutoff}: the reference "
-                             f"cutoff must exceed the largest ensemble cutoff "
-                             f"{self.cutoffs[-1]}")
 
     def config_hash(self) -> str:
         """Digest of every field of the spec (flow configuration, loops,

@@ -70,7 +70,7 @@ class FlowConfig:
 
     def __post_init__(self):
         if self.flow_kind not in FLOW_KINDS:
-            raise ValueError(f"unknown flow kind {self.flow_kind!r}")
+            raise ValueError(f"flow_kind must be one of {FLOW_KINDS}, got {self.flow_kind!r}")
         # NaN fails every comparison, so a NaN threshold or tolerance
         # would switch off its guard
         for name in ("dt_initial", "blowup_threshold", "error_tol"):
@@ -78,7 +78,7 @@ class FlowConfig:
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {getattr(self, name)}")
         if not (0.0 < self.dt_safety < 1.0):
-            raise ValueError("dt_safety must lie in (0, 1)")
+            raise ValueError(f"dt_safety must lie in (0, 1), got {self.dt_safety}")
 
 
 @dataclass
@@ -103,11 +103,16 @@ def heat_semigroup_u1(a: SpectralConnection, t: float) -> SpectralConnection:
     return SpectralConnection(a.group, a.cutoff, _heat_stack_u1(a, t)[0])
 
 
+def _check_exact_group(group) -> None:
+    """Refuse a group other than U(1) for the exact heat semigroup."""
+    if group.kind != "u1":
+        raise ValueError(f"flow kind u1_exact is U(1)-only, got group {group.label()}")
+
+
 def _heat_stack_u1(a: SpectralConnection, times) -> np.ndarray:
     """The coefficients of heat_semigroup_u1(a, t) for each of times, in
     one product: shape (T, 1, 3, K, K, K)."""
-    if a.group.kind != "u1":
-        raise ValueError("exact heat semigroup is the U(1) oracle path")
+    _check_exact_group(a.group)
     return a.coeffs * heat_weights(a.cutoff, times)[:, None, None]
 
 

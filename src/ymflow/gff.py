@@ -69,6 +69,14 @@ class SamplerConfig:
             raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
 
 
+def _check_sampler(kind: str, group: GroupSpec) -> None:
+    """Refuse an unknown sampler kind, and u1_coulomb off U(1)."""
+    if kind not in ("gff", "u1_coulomb"):
+        raise ValueError(f"unknown sampler kind {kind!r}")
+    if kind == "u1_coulomb" and group.kind != "u1":
+        raise ValueError(f"u1_coulomb requires group u1, got {group.label()}")
+
+
 @lru_cache(maxsize=None)
 def canonical_half_modes(cutoff: int) -> np.ndarray:
     """All n with 0 < |n|_inf <= cutoff whose first nonzero coordinate is
@@ -197,6 +205,7 @@ def _stored(kind: str, config: SamplerConfig, tables: _ModeTables | None = None
     multiples of the basis element [i] (equivalently, the matrix-valued
     field lies in i R).  n . Z_n = 0 termwise.
     """
+    _check_sampler(kind, config.group)
     if tables is None:
         tables = _cutoff_tables(config.cutoff)
     n_mod = tables.modes
@@ -206,10 +215,6 @@ def _stored(kind: str, config: SamplerConfig, tables: _ModeTables | None = None
         z = z.reshape(d, 3, 2, len(n_mod))
         zc = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)  # E|Z|^2 = 1
         return zc / tables.norms
-    if kind != "u1_coulomb":
-        raise ValueError(f"unknown sampler kind {kind!r}")
-    if config.group.kind != "u1":
-        raise ValueError("the Coulomb-gauge ensemble is U(1)-only")
     z = mode_gaussians(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
     z = z * (config.coupling / tables.denominators)
     z1 = z[0] + 1j * z[1]

@@ -69,25 +69,20 @@ class GroupSpec:
             return "u1"
         return f"{self.kind}{self.matrix_dim}"
 
+    @staticmethod
+    def from_label(label: str) -> GroupSpec:
+        label = label.strip().lower()
+        for kind in ("su", "u"):
+            if label.startswith(kind) and label[len(kind):].isdigit():
+                n = int(label[len(kind):])
+                if kind == "u" and n == 1:
+                    return U1
+                return GroupSpec(kind, n)
+        raise ValueError(f"cannot parse group label {label!r}")
+
 
 U1 = GroupSpec("u1", 1)
 SU2 = GroupSpec("su", 2)
-
-
-def _spec_from_label(label: str) -> GroupSpec:
-    label = label.strip().lower()
-    if label == "u1":
-        return U1
-    for kind in ("su", "u"):
-        if label.startswith(kind) and label[len(kind):].isdigit():
-            n = int(label[len(kind):])
-            if kind == "u" and n == 1:
-                return U1
-            return GroupSpec(kind, n)
-    raise ValueError(f"cannot parse group label {label!r}")
-
-
-GroupSpec.from_label = staticmethod(_spec_from_label)
 
 
 @functools.lru_cache(maxsize=None)

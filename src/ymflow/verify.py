@@ -139,7 +139,6 @@ def _suite_sampling():
 def _suite_determinism():
     import io
     from .ensemble import EnsembleSpec, run_ensemble
-    from .wilson import Character, rectangle_loop
 
     spec = EnsembleSpec(
         group=U1, sampler_kind="u1_coulomb", seed=71, cutoffs=(2, 3),

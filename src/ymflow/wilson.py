@@ -65,6 +65,8 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 # unitarity defect above which a holonomy is re-unitarized
 REPAIR_THRESHOLD = 1e-9
+# holonomy substeps per loop unless a caller gives its own ([loops] steps)
+WILSON_STEPS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +245,7 @@ class Character:
         if self.kind not in ("fundamental", "conjugate", "u1_power"):
             raise ValueError(f"unknown character kind {self.kind!r}")
         if self.kind == "u1_power" and self.group.kind != "u1":
-            raise ValueError("integer-power characters live on U(1)")
+            raise ValueError(f"u1:k characters need group u1, got {self.group.label()}")
 
     def identity_value(self) -> float:
         if self.kind == "u1_power":
@@ -384,7 +386,7 @@ def _substep_allocation(loop: Loop, steps: int) -> list[int]:
 
 
 def holonomy(evaluator: FieldEvaluator | SpectralConnection, loop: Loop,
-             steps: int = 128) -> np.ndarray:
+             steps: int = WILSON_STEPS) -> np.ndarray:
     """Group element transporting around the loop.
 
     Per substep of width dl the scheme exponentiates the RKMK3 stage
@@ -443,7 +445,7 @@ def holonomy(evaluator: FieldEvaluator | SpectralConnection, loop: Loop,
     return h
 
 
-def wilson_loop(evaluator, loop: Loop, characters, steps: int = 128):
+def wilson_loop(evaluator, loop: Loop, characters, steps: int = WILSON_STEPS):
     """chi(holonomy); magnitude never exceeds chi(id) for unitary
     representations.
 

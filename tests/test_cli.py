@@ -551,6 +551,44 @@ def test_wilson_non_abelian_flow_path(tmp_path, monkeypatch, capsys):
         assert "exact_re" not in row
 
 
+def test_ensemble_refuses_exact_flow_on_su2_before_any_member(tmp_path, monkeypatch,
+                                                                capsys):
+    # the exact heat semigroup is U(1)-only: the spec refuses it before a
+    # stream task runs, and no output directory is made
+    import ymflow.ensemble as ens
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(ens, "_stream_task", lambda *args: calls.append(args))
+    text = SU2_CFG.format(loops=write(tmp_path / "loops.txt", LOOPS),
+                          out=tmp_path / "out")
+    cfg = write(tmp_path / "exact.cfg", text.replace("kind = zdds", "kind = u1_exact")
+                + "\n[ensemble]\ncutoffs = 2\nn_samples = 2\ntimes = 0.01\n")
+    rc = main(["ensemble", "--config", cfg])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "u1_exact" in err and "U(1)-only" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_refused_commands_make_no_output_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = SU2_CFG.format(loops=write(tmp_path / "loops.txt", LOOPS),
+                          out=tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path / "su2.cfg", text)]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    flow_only = write(tmp_path / "flow_only.cfg", "[flow]\nkind = ym\n")
+    exact = write(tmp_path / "exact.cfg", text.replace("kind = zdds", "kind = u1_exact"))
+    for name, argv in [("sample", ["sample", "--config", flow_only]),
+                       ("wilson", ["wilson", "--config", flow_only, "--input", field]),
+                       ("flow", ["flow", "--config", exact, "--input", field])]:
+        assert main(argv + ["--output", str(tmp_path / name)]) == 1, name
+        assert not (tmp_path / name).exists(), name
+    capsys.readouterr()
+
+
 def test_wilson_needs_no_t_end(tmp_path, monkeypatch, capsys):
     # the flow is read at [wilson] times; [flow] t_end changes nothing
     monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)

@@ -67,6 +67,15 @@ def test_spec_validation():
             SamplerConfig(U1, 2, seed=1, coupling=bad)
 
 
+@pytest.mark.parametrize("sampler_kind, flow_kind", [
+    ("gff", "u1_exact"), ("u1_coulomb", "ym")], ids=["u1_exact", "u1_coulomb"])
+def test_spec_refuses_u1_only_kinds_on_su2(sampler_kind, flow_kind):
+    # a member would refuse them only once it runs, after the workers start
+    with pytest.raises(ValueError, match=r"U\(1\)-only|requires group u1"):
+        EnsembleSpec(group=SU2, sampler_kind=sampler_kind, seed=1, cutoffs=(2,),
+                     times=(0.1,), n_samples=4, flow=FlowConfig(flow_kind))
+
+
 def test_spec_reads_times_like_integrate():
     with pytest.raises(ValueError, match="observation times"):
         u1_spec(times=[[0.01]])
@@ -656,11 +665,16 @@ SPEC_VARIANTS = {
 }
 
 
+# an SU(2) spec needs a sampler and a flow that run on SU(2)
+SU2_RUNNABLE = {"sampler_kind": "gff", "flow": FlowConfig("ym")}
+
+
 def test_config_hash_covers_every_field():
     assert set(FLOW_VARIANTS) == {f.name for f in fields(FlowConfig)}
     assert set(SPEC_VARIANTS) | {"flow"} == {f.name for f in fields(EnsembleSpec)}
     base = u1_spec()
-    variants = [replace(base, **{name: value})
+    variants = [replace(base, **{name: value},
+                        **(SU2_RUNNABLE if name == "group" else {}))
                 for name, value in SPEC_VARIANTS.items()]
     variants += [replace(base, flow=replace(base.flow, **{name: value}))
                  for name, value in FLOW_VARIANTS.items()]

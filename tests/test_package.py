@@ -26,9 +26,9 @@ def test_all_names_resolve(stem):
     assert not missing, f"{module.__name__}.__all__ names missing objects: {missing}"
 
 
-def _imported_names(tree):
-    """(bound name, line) of every module-level import, __future__ aside."""
-    for node in tree.body:
+def _imported_names(nodes):
+    """(bound name, line) of every import among nodes, __future__ aside."""
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0], node.lineno
@@ -47,9 +47,22 @@ def test_no_unused_module_imports(stem):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(ast.literal_eval(node.value))
-    unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree.body)
               if name not in used]
     assert not unused, f"{stem}.py imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_no_function_imports_a_module_import_again(stem):
+    # a name the module imports at top level is in scope in every function
+    tree = ast.parse((SOURCE / f"{stem}.py").read_text())
+    top = {name for name, _ in _imported_names(tree.body)}
+    local = {node for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)}
+    again = sorted(f"{name} (line {line})" for name, line in _imported_names(local)
+                   if name in top)
+    assert not again, f"{stem}.py imports again in a function: {again}"
 
 
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py"))
