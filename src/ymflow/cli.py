@@ -75,10 +75,15 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_config(args)
+def _require_sampler(cfg: RunConfig) -> None:
+    """Refuse a configuration without a complete [sampler] section."""
     if cfg.sampler_kind is None or cfg.group is None or cfg.seed is None:
         raise ConfigError("a complete [sampler] section is required")
+
+
+def cmd_sample(args) -> int:
+    cfg = _load_config(args)
+    _require_sampler(cfg)
     a0 = sample_initial(cfg.group, cfg.sampler_kind, cfg.cutoff, cfg.seed,
                         cfg.stream, cfg.coupling, cfg.scale_to_h1)
     outdir, source = _resolve_output(cfg, args)
@@ -211,6 +216,7 @@ def cmd_wilson(args) -> int:
 
 def cmd_ensemble(args) -> int:
     cfg = _load_config(args)
+    _require_sampler(cfg)
     if cfg.flow is None:
         raise ConfigError("a [flow] section is required")
     if not cfg.ens_cutoffs:

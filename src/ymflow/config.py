@@ -4,8 +4,8 @@ The format is INI-style sections of ``key = value`` pairs, diff-friendly
 and hashable for provenance.  Unknown sections or keys are rejected by
 name, and numbers must parse and be finite.  Physical quantities are
 checked by the objects the configuration builds (FlowConfig, Character,
-the sampler and ensemble checks), whose refusals name the section, so
-commands can assume a valid configuration.
+the sampler, coupling, scale and ensemble checks), whose refusals name the
+section, so commands can assume a valid configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .ensemble import _check_shape, _check_times
 from .flow import FlowConfig
-from .gff import _check_sampler
+from .gff import _check_coupling, _check_sampler, _check_scale
 from .groups import GroupSpec
 from .wilson import WILSON_STEPS, Character
 
@@ -164,12 +164,13 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         cfg.sampler_kind = items.get("kind", "gff").strip()
         _owned("[sampler] kind:", _check_sampler, cfg.sampler_kind, cfg.group)
         cfg.cutoff = _get_int("sampler", items, "cutoff", minimum=1)
-        cfg.coupling = _get_float("sampler", items, "coupling", 1.0, positive=True)
+        cfg.coupling = _get_float("sampler", items, "coupling", 1.0)
+        _owned("[sampler] coupling:", _check_coupling, cfg.coupling)
         cfg.seed = _get_int("sampler", items, "seed")
         cfg.stream = _get_int("sampler", items, "stream", 0)
         if "scale_to_h1" in items:
-            cfg.scale_to_h1 = _get_float("sampler", items, "scale_to_h1",
-                                         positive=True)
+            cfg.scale_to_h1 = _get_float("sampler", items, "scale_to_h1")
+            _owned("[sampler] scale_to_h1:", _check_scale, cfg.scale_to_h1)
 
     if "flow" in cfg.raw:
         items = cfg.raw["flow"]

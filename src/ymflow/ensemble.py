@@ -16,10 +16,23 @@ only the modes some output reads: those of the largest member, and
 those whose heat weight at the earliest observation time is above
 e^(-NEGLIGIBLE_HEAT); the draws being keyed by mode, each drawn value is
 the full draw's.  Every stream takes this one path, with or without a
-reference.  A member is one ``integrate`` run from the cube that gff's
-one filler (gff._filled) builds from its own modes of that draw
-(rescaled when the spec says so), read at the observation times; a
-single initial field is gff.sample_initial.  Tasks run independently,
+reference.  A YM or ZDDS member is one ``integrate`` run from the cube
+that gff's one filler (gff._filled) builds from its own modes of that
+draw (rescaled when the spec says so), read at the observation times; a
+single initial field is gff.sample_initial.
+
+A u1_exact member builds no cube: its heat flow is diagonal and its
+Wilson phase a mode sum, so everything it reads is per mode.  A stream
+forms the per-mode product A_n . c_n with each loop's table once, at the
+drawn modes (one table per loop, of the top cutoff: _drawn_table), and
+the action terms of the heat-flowed draw once per observation time, at
+the largest member's half modes.  Each member and the reference gather
+their modes of these, mirror them into flat cube order (conjugate
+reflection, zero at n = 0; exact, as every entry is per mode) and reduce
+them with u1_phase's contraction and the U(1) action's sums, so their
+values are those of integrate + h_series on the member's own field bit
+for bit (tests/reference.py keeps that per-member path as the oracle).
+Rescaled members each make their own passes.  Tasks run independently,
 optionally in forked worker processes (serially where the platform
 cannot fork); records are always assembled and written in (stream,
 cutoff) order, and a task computes the same bits in any process, so the
@@ -31,13 +44,15 @@ parsed twice from one file are equal.  It refuses what a member would.
 
 Records carry the hash of the exact configuration that produced them.
 Persistence is newline-delimited JSON, one flat observation row per line,
-mirrored by the CSV export.
+mirrored by the CSV export; both writers render the fields a record's rows
+share once, and write the bytes of json.dumps and csv.writer.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -48,13 +63,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import SpectralConnection, _times
+from .fields import (SpectralConnection, _times, _u1_action_sums, _u1_action_terms,
+                     heat_rows)
 from .flow import FlowConfig, _check_exact_group, integrate
-from .gff import (SamplerConfig, _check_sampler, _filled, _mirrored, _mode_tables,
-                  _stored, canonical_half_modes)
+from .gff import (SamplerConfig, _check_coupling, _check_sampler, _check_scale, _filled,
+                  _h1_factor, _mirrored, _mode_tables, _stored, canonical_half_modes)
 from .groups import GroupSpec
 from .storage import atomic_open
-from .wilson import (NEGLIGIBLE_HEAT, WILSON_STEPS, h_series, u1_phase, visible_modes,
+from .wilson import (NEGLIGIBLE_HEAT, WILSON_STEPS, _loop_table, _mode_product,
+                     _phase_sums, _u1_powers, _visible_weights, visible_modes,
                      wilson_loop)
 
 __all__ = [
@@ -145,12 +162,8 @@ class EnsembleSpec:
         _check_sampler(self.sampler_kind, self.group)
         if self.flow.flow_kind == "u1_exact":
             _check_exact_group(self.group)
-        # NaN fails every comparison, so each check asks for the good range
-        if not 0.0 < self.coupling < math.inf:
-            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
-        if self.scale_to_h1 is not None and not 0.0 < self.scale_to_h1 < math.inf:
-            raise ValueError(f"scale_to_h1 must be finite and positive, "
-                             f"got {self.scale_to_h1}")
+        _check_coupling(self.coupling)
+        _check_scale(self.scale_to_h1)
         if self.reference_cutoff is None:
             return
         # the convergence report compares exact Wilson loops of unscaled
@@ -192,18 +205,23 @@ class EnsembleRecord:
 def _u1_values(phases, loops, characters, times) -> dict:
     """Wilson values keyed (loop, character, t) from phases(loop), that
     loop's U(1) phase at each of times, which every character reads."""
+    labels = [ch.label() for ch in characters]
+    # Character.u1_value of every character, loop and time, in one call
+    by_character = _u1_powers([ch.u1_exponent() for ch in characters],
+                              [phases(lp) for lp in loops]).tolist()
     values = {}
-    for lp in loops:
-        for t, phase in zip(times, phases(lp)):
-            for ch in characters:
-                values[(lp.name, ch.label(), t)] = ch.u1_value(phase)
+    for j, lp in enumerate(loops):
+        for i, t in enumerate(times):
+            for label, rows in zip(labels, by_character):
+                values[(lp.name, label, t)] = rows[j][i]
     return values
 
 
 def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
                    config_hash: str) -> EnsembleRecord:
     """Observables of the member of this stream whose initial field is a0:
-    one flow run, read at every observation time."""
+    one flow run, read at every observation time by the numerical
+    holonomy (a u1_exact member is read per mode instead: _exact_members)."""
     traj = integrate(a0, spec.flow, spec.times)
     rec = EnsembleRecord(
         seed=spec.seed, stream=stream, cutoff=a0.cutoff, group=spec.group.label(),
@@ -211,12 +229,6 @@ def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
         attained_time=traj.attained_time, blew_up=traj.blew_up,
         config_hash=config_hash,
     )
-    if spec.flow.flow_kind == "u1_exact":
-        # the semigroup is diagonal: Wilson values in closed form from a0,
-        # one h_series call per loop for every time
-        rec.wilson = _u1_values(lambda lp: h_series(a0, lp, spec.times),
-                                spec.loops, spec.characters, spec.times)
-        return rec
     for t, state in traj.states.items():
         for lp in spec.loops:
             values = wilson_loop(state, lp, spec.characters,
@@ -252,29 +264,141 @@ def _stream_modes(top: int, cutoffs: tuple, t_min: float | None):
     return out[0], out[1], out[2:], _mode_tables(half[out[0]])
 
 
+@lru_cache(maxsize=256)
+def _drawn_table(loop, top: int, cutoffs: tuple, t_min: float | None) -> np.ndarray:
+    """The loop table (3, D) of cutoff top at the drawn modes of
+    _stream_modes(top, cutoffs, t_min), read-only.  Its entries are per
+    mode, so the table of every member and of the reference is a gather
+    of it: one table per loop serves the whole stream shape."""
+    drawn = _stream_modes(top, cutoffs, t_min)[0]
+    table = _loop_table(loop, top, len(canonical_half_modes(top)) + 1 + drawn)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=32)
+def _exact_reads(top: int, cutoffs: tuple, t_min: float | None, targets: tuple):
+    """What the members of a u1_exact stream read of its per-mode passes,
+    for a stream drawing _stream_modes(top, cutoffs, t_min) and observed
+    at the sorted times targets: the positions among the drawn modes of
+    the largest member's half modes; those modes + 0j (3, H), their
+    squared norms (H,) and their heat weights (T, H), formed as heat_rows
+    forms them and held as complex numbers (the exact cast that a product
+    with coefficients makes); and per member cutoff the positions among
+    the largest member's half modes of its own (its action terms) and the
+    positions among the drawn modes of its half modes visible at
+    targets[0] (its phases, the modes h_series reads).  All of it is
+    read-only."""
+    members = _stream_modes(top, cutoffs, t_min)[2]
+    half = canonical_half_modes(cutoffs[-1])
+    norm_sq = np.sum(half * half, axis=1).astype(float)
+    extent = np.max(np.abs(half), axis=1)
+    own, seen = [], []
+    for c, pos in zip(cutoffs, members):
+        own.append(np.flatnonzero(extent <= c))
+        index = visible_modes(c, targets[0])
+        h = len(pos)
+        seen.append(pos if isinstance(index, slice) else pos[index[index > h] - h - 1])
+    out = (members[-1], half.T.astype(complex), norm_sq,
+           heat_rows(norm_sq, targets).astype(complex))
+    for x in out + tuple(own) + tuple(seen):
+        x.setflags(write=False)
+    return out + (tuple(own), tuple(seen))
+
+
+def _loop_products(spec: EnsembleSpec, upper: np.ndarray, top: int,
+                   t_min: float | None) -> np.ndarray:
+    """The per-mode products A_n . c_n (L, D) of the stream's draw upper
+    (3, D) with each loop's table at the drawn modes (_drawn_table), one
+    row per loop."""
+    out = np.empty((len(spec.loops), upper.shape[-1]), dtype=complex)
+    for row, lp in zip(out, spec.loops):
+        _mode_product(upper, _drawn_table(lp, top, spec.cutoffs, t_min), out=row)
+    return out
+
+
+def _read_values(spec: EnsembleSpec, products: np.ndarray, cutoff: int, seen) -> dict:
+    """Wilson values keyed (loop, character, t) of the U(1) field of this
+    cutoff whose half modes visible at the earliest time sit at positions
+    seen of the loop products: each product gathered there, mirrored into
+    flat cube order and contracted as u1_phase contracts it."""
+    phases = dict(zip(spec.loops, _phase_sums(_mirrored(np.take(products, seen, axis=1)),
+                                              _visible_weights(cutoff, spec.times))))
+    return _u1_values(phases.__getitem__, spec.loops, spec.characters, spec.times)
+
+
+def _exact_members(spec: EnsembleSpec, stream: int, config_hash: str,
+                   stored: np.ndarray, top: int, t_min: float | None,
+                   products: np.ndarray | None) -> list:
+    """The u1_exact members of one stream, read off per-mode passes over
+    the stream's draw stored (1, 3, D): the loop products (given, unless
+    members are rescaled) and, at each observation time, the action terms
+    of the heat-flowed draw at the largest member's half modes.  Each
+    member gathers its own modes of them, mirrors them into flat cube
+    order and reduces them with the sums of u1_phase and the U(1) action,
+    so it equals integrate + h_series on its filled field bit for bit.  A
+    rescaled member makes its own passes over the draw times its factor
+    (gff._h1_factor)."""
+    targets = tuple(sorted(spec.times))
+    largest, modes, norm_sq, weights, own, seen = _exact_reads(
+        top, spec.cutoffs, t_min, targets)
+
+    def action_terms(upper):
+        # c = e^(-4 pi^2 |n|^2 t) A_n at each time, as integrate forms it
+        return _u1_action_terms(np.take(upper, largest, axis=1) * weights[:, None],
+                                modes, norm_sq)
+
+    scale = spec.scale_to_h1
+    terms = None if scale is not None else action_terms(stored[0])
+    members = _stream_modes(top, spec.cutoffs, t_min)[2]
+    records = []
+    for i, c in enumerate(spec.cutoffs):
+        if scale is not None:
+            factor = _h1_factor(stored[..., members[i]], c, scale)
+            upper = stored[0] if factor is None else stored[0] * factor
+            products = _loop_products(spec, upper, top, t_min)
+            terms = action_terms(upper)
+        k = 2 * c + 1
+        cube = _mirrored(np.take(terms, own[i], axis=-1)).reshape(2, -1, k, k, k)
+        by_time = dict(zip(targets, map(float, _u1_action_sums(cube))))
+        records.append(EnsembleRecord(
+            seed=spec.seed, stream=stream, cutoff=c, group=spec.group.label(),
+            g=spec.coupling, s_ym={t: by_time[t] for t in spec.times},
+            wilson=_read_values(spec, products, c, seen[i]),
+            attained_time=targets[-1], config_hash=config_hash))
+    return records
+
+
 def _stream_task(spec: EnsembleSpec, stream: int, config_hash: str):
     """The members of one stream and the stream's exact reference Wilson
     values (None without a reference cutoff).
 
     The stream draws once, at the reference cutoff R or else at the
     largest member cutoff, only the half modes some output reads
-    (_stream_modes).  Each member's cube is filled from all of its modes,
-    so it is the restriction of a full draw bit for bit, then rescaled
-    when the spec says so; the reference is u1_phase on the visible
-    modes, which is what h_series reads off a full draw.  Members run in
+    (_stream_modes).  A u1_exact stream reads every member off per-mode
+    passes over that draw (_exact_members); any other member is filled
+    from all of its modes, so it is the restriction of a full draw bit for
+    bit, rescaled when the spec says so, and flowed (_member_record).  The
+    reference is read, like the members, off the per-loop products at the
+    visible modes: what h_series reads off a full draw.  Members run in
     cutoff order.
     """
     ref = spec.reference_cutoff
     top = ref or spec.cutoffs[-1]
-    _, visible, members, tables = _stream_modes(
-        top, spec.cutoffs, None if ref is None else min(spec.times))
+    t_min = None if ref is None else min(spec.times)
+    _, visible, members, tables = _stream_modes(top, spec.cutoffs, t_min)
     stored = _stored(spec.sampler_kind, SamplerConfig(
         spec.group, top, spec.seed, stream, spec.coupling), tables)
+    exact = spec.flow.flow_kind == "u1_exact"
+    products = None
+    if ref is not None or (exact and spec.scale_to_h1 is None):
+        products = _loop_products(spec, stored[0], top, t_min)
     reference = None
     if ref is not None:
-        coeffs = _mirrored(stored[0][:, visible])
-        reference = _u1_values(lambda lp: u1_phase(coeffs, lp, top, spec.times),
-                               spec.loops, spec.characters, spec.times)
+        reference = _read_values(spec, products, top, visible)
+    if exact:
+        return _exact_members(spec, stream, config_hash, stored, top, t_min,
+                              products), reference
     records = [_member_record(spec, stream, _filled(spec.group, c, stored[..., pos],
                                                     spec.scale_to_h1), config_hash)
                for c, pos in zip(spec.cutoffs, members)]
@@ -321,24 +445,87 @@ def run_ensemble(spec: EnsembleSpec, threads: int = 1):
 
 
 def _rows_of(rec: EnsembleRecord):
-    """The record's observation rows, each a tuple in RECORD_FIELDS order."""
-    tail = (rec.attained_time, rec.blew_up, rec.config_hash)
+    """The record's observation rows by time: for each t in order, the
+    fields (t, s_ym) and, per row in sorted order, its (loop_id,
+    character_id) pair with its wilson_re and wilson_im, or one row of
+    Nones when t has no Wilson value.  A row is, in RECORD_FIELDS order,
+    the record's seed, stream, cutoff, group and g, these fields, then its
+    attained_time, blew_up and config_hash."""
+    by_time: dict = {}
+    for (lp, ch, t), w in rec.wilson.items():
+        by_time.setdefault(t, []).append(((lp, ch), w.real, w.imag))
     for t in sorted(rec.s_ym):
-        head = (rec.seed, rec.stream, rec.cutoff, rec.group, rec.g, t, rec.s_ym[t])
-        pairs = sorted((lp, ch) for (lp, ch, tt) in rec.wilson if tt == t)
-        if not pairs:
-            yield head + (None, None, None, None) + tail
-        for lp, ch in pairs:
-            w = rec.wilson[(lp, ch, t)]
-            yield head + (lp, ch, w.real, w.imag) + tail
+        # each pair once per time, so the sort never compares values
+        yield (t, rec.s_ym[t]), sorted(by_time.get(t) or [((None, None), None, None)])
+
+
+def _lines(records, cell, keys, sep: str, end: str):
+    """The rows of records as text lines: field i is keys[i] + cell(value),
+    fields are joined by sep and a line is closed by end.  A record's own
+    fields are rendered once per record and (t, s_ym) once per time, so a
+    row adds its two Wilson values to the rendered loop and character
+    names; each string is rendered once per call."""
+    strings: dict = {}
+    names: dict = {}                     # (loop, character) -> fields 7 to 9
+    between = sep + keys[10]
+    isfinite = math.isfinite
+
+    def text(v):
+        if type(v) is not str:
+            return cell(v)
+        if v not in strings:
+            strings[v] = cell(v)
+        return strings[v]
+
+    def join(first, values):
+        return sep.join(keys[first + j] + text(v) for j, v in enumerate(values))
+
+    for rec in records:
+        lead = join(0, (rec.seed, rec.stream, rec.cutoff, rec.group, rec.g)) + sep
+        tail = sep + join(11, (rec.attained_time, rec.blew_up, rec.config_hash)) + end
+        for at, observations in _rows_of(rec):
+            prefix = lead + join(5, at) + sep
+            for pair, re, im in observations:
+                if pair not in names:
+                    names[pair] = join(7, pair) + sep + keys[9]
+                # a finite float is its repr in JSON and CSV alike
+                re = float.__repr__(re) if type(re) is float and isfinite(re) else cell(re)
+                im = float.__repr__(im) if type(im) is float and isfinite(im) else cell(im)
+                yield f"{prefix}{names[pair]}{re}{between}{im}{tail}"
+
+
+# '{"seed": ', '"stream": ', ...: each key as json.dumps writes a row's dict
+_JSON_KEYS = tuple(("{" if i == 0 else "") + json.dumps(k) + ": "
+                   for i, k in enumerate(RECORD_FIELDS))
+
+
+def _json_cell(v) -> str:
+    """json.dumps(v); a finite float is its repr, as json writes it."""
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(v)
+
+
+def _csv_cell(v) -> str:
+    """One cell as csv.writer writes it: None empty, a float its repr, a
+    string quoted where csv quotes it (csv itself renders it), anything
+    else str."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return float.__repr__(v)
+    if isinstance(v, str):
+        buf = io.StringIO()
+        csv.writer(buf).writerow((v, None))
+        return buf.getvalue()[:-3]            # drop the empty cell and "\r\n"
+    return str(v)
 
 
 def persist_records(records, path) -> None:
-    """One JSON object per line, fields in RECORD_FIELDS order."""
+    """One JSON object per line, fields in RECORD_FIELDS order: the bytes
+    of json.dumps of each row's dict."""
     with atomic_open(path) as fh:
-        for rec in records:
-            for row in _rows_of(rec):
-                fh.write(json.dumps(dict(zip(RECORD_FIELDS, row))) + "\n")
+        fh.write("".join(_lines(records, _json_cell, _JSON_KEYS, ", ", "}\n")))
 
 
 def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
@@ -395,13 +582,12 @@ def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
 
 
 def export_csv(records, path) -> None:
-    """The rows of persist_records as CSV under a RECORD_FIELDS header;
-    None is an empty cell."""
+    """The rows of persist_records as CSV under a RECORD_FIELDS header,
+    the bytes csv.writer writes; None is an empty cell."""
     with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for rec in records:
-            writer.writerows(_rows_of(rec))
+        csv.writer(fh).writerow(RECORD_FIELDS)
+        fh.write("".join(_lines(records, _csv_cell, ("",) * len(RECORD_FIELDS), ",",
+                                "\r\n")))
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +735,9 @@ def distribution_convergence_report(records, spec: EnsembleSpec, reference: dict
         for lp in spec.loops:
             for ch in spec.characters:
                 for t in spec.times:
-                    emp = np.array(
-                        [by_member[(s, m)].wilson[(lp.name, ch.label(), t)]
-                         for s in streams]
-                    )
-                    refv = np.array(
-                        [reference[s][(lp.name, ch.label(), t)] for s in streams]
-                    )
+                    key = (lp.name, ch.label(), t)
+                    emp = np.array([by_member[(s, m)].wilson[key] for s in streams])
+                    refv = np.array([reference[s][key] for s in streams])
                     ks = max(_ks_distance(emp.real, refv.real),
                              _ks_distance(emp.imag, refv.imag))
                     devs = np.abs(emp - refv)

@@ -403,22 +403,38 @@ def _complex_modes(cutoff: int) -> np.ndarray:
 
 def _u1_actions(c: np.ndarray, cutoff: int) -> np.ndarray:
     """The action of ym_action_u1_spectral of every U(1) coefficient cube
-    in c (..., 3, K, K, K), in one pass: shape (...).  The products and
-    sums are those of the formula, with temporaries reused in place."""
-    sq = np.abs(c)
-    np.square(sq, out=sq)
-    norm_sq = np.sum(sq, axis=-4)
-    norm_sq *= mode_norm_sq(cutoff)
-    n = _complex_modes(cutoff)
-    c0, c1, c2 = np.moveaxis(c, -4, 0)
+    in c (..., 3, K, K, K), in one pass: shape (...)."""
+    return _u1_action_sums(_u1_action_terms(c, _complex_modes(cutoff),
+                                            mode_norm_sq(cutoff)))
+
+
+def _u1_action_terms(c: np.ndarray, n: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
+    """The per-mode terms of the U(1) action of coefficients c (..., 3, *M)
+    at modes n + 0j (3, *M) of squared norms norm_sq (*M), stacked
+    (2, ..., *M): |n|^2 sum_j |c_j|^2, then |n.c|^2, with temporaries
+    reused in place.  Each term is formed from its own mode alone and is
+    even under n -> -n, c -> conj(c)."""
+    axis = -n.ndim
+    c0, c1, c2 = np.moveaxis(c, axis, 0)
     dot = n[0] * c0
     dot += n[1] * c1
     dot += n[2] * c2
-    dot_sq = np.abs(dot)
-    np.square(dot_sq, out=dot_sq)
-    cube = (-3, -2, -1)
-    total = np.sum(norm_sq, axis=cube) - np.sum(dot_sq, axis=cube)
-    return 8.0 * np.pi**2 * total
+    terms = np.empty((2,) + dot.shape)
+    sq = np.abs(c)
+    np.square(sq, out=sq)
+    np.sum(sq, axis=axis, out=terms[0])
+    terms[0] *= norm_sq
+    np.abs(dot, out=terms[1])
+    np.square(terms[1], out=terms[1])
+    return terms
+
+
+def _u1_action_sums(terms: np.ndarray) -> np.ndarray:
+    """8 pi^2 times the difference of the cube sums of the stacked action
+    terms (2, ..., K, K, K), C-contiguous: the summation order is the flat
+    cube's."""
+    sums = np.sum(terms, axis=(-3, -2, -1))
+    return 8.0 * np.pi**2 * (sums[0] - sums[1])
 
 
 def coulomb_project_u1(a: SpectralConnection) -> SpectralConnection:

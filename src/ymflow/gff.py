@@ -27,9 +27,12 @@ drawn modes, in lexicographic order, fill the flat indices above the
 centre one after the other, and their reflections fill the ones below it
 in reverse.  So one filler (_filled) writes three contiguous slices of a
 fresh array and needs no index table; it also rescales the field to a
-given H^1 norm, refusing a NaN, infinite or nonpositive one.  The two
-samplers, sample_initial (either sampler for one (seed, stream)) and
-every ensemble member build their fields through it.
+given H^1 norm (_h1_factor, from the half modes), refusing a NaN,
+infinite or nonpositive one.  The two samplers, sample_initial (either
+sampler for one (seed, stream)) and every flowed ensemble member build
+their fields through it; exact U(1) members read the half modes directly.
+The coupling and scale rules are raised here alone (_check_coupling,
+_check_scale); the spec and the configuration call them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import SpectralConnection, h1_norm
+from .fields import SpectralConnection
 from .groups import GroupSpec
 from .rng import TAG_COMPONENT, mode_gaussians
 
@@ -65,8 +68,20 @@ class SamplerConfig:
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        if not 0.0 < self.coupling < np.inf:
-            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
+        _check_coupling(self.coupling)
+
+
+# NaN fails every comparison, so each check asks for the good range
+def _check_coupling(coupling: float) -> None:
+    """Refuse a NaN, infinite or nonpositive coupling."""
+    if not 0.0 < coupling < math.inf:
+        raise ValueError(f"coupling must be finite and positive, got {coupling}")
+
+
+def _check_scale(scale_to_h1: float | None) -> None:
+    """Refuse a NaN, infinite or nonpositive H^1 scale (None: no rescale)."""
+    if scale_to_h1 is not None and not 0.0 < scale_to_h1 < math.inf:
+        raise ValueError(f"scale_to_h1 must be finite and positive, got {scale_to_h1}")
 
 
 def _check_sampler(kind: str, group: GroupSpec) -> None:
@@ -136,14 +151,15 @@ def _cutoff_tables(cutoff: int) -> _ModeTables:
 
 
 def _mirrored(upper: np.ndarray) -> np.ndarray:
-    """Flat coefficients (..., 2H + 1) of the modes whose upper half carries
-    upper (..., H), a lexicographic list of canonical half modes: the
-    conjugates of upper reversed (the reflected modes -n), a zero for the
-    zero mode, then upper.  On every half mode of a cutoff this is the
-    flattened cube, and on a sub-list the cube's entries at those modes
-    and their reflections, in flat order."""
+    """Flat values (..., 2H + 1), C-contiguous and of upper's type, of the
+    modes whose upper half carries upper (..., H), a lexicographic list of
+    canonical half modes: the conjugates of upper reversed (the reflected
+    modes -n), a zero for the zero mode, then upper.  On every half mode of
+    a cutoff this is the flattened cube, and on a sub-list the cube's
+    entries at those modes and their reflections, in flat order; a real
+    upper (a per-mode term even under n -> -n) is reflected as it is."""
     h = upper.shape[-1]
-    flat = np.empty(upper.shape[:-1] + (2 * h + 1,), dtype=complex)
+    flat = np.empty(upper.shape[:-1] + (2 * h + 1,), dtype=upper.dtype)
     flat[..., h + 1:] = upper
     flat[..., h] = 0.0
     np.conjugate(flat[..., :h:-1], out=flat[..., :h])
@@ -155,17 +171,28 @@ def _filled(group: GroupSpec, cutoff: int, upper: np.ndarray,
     """The field whose canonical half modes of cutoff carry upper (d, 3, H):
     the zero mode is 0 and each reflected mode -n the conjugate of n,
     written as slices of the flattened cube (_mirrored).  When scale_to_h1
-    is given, a nonzero field is rescaled to that H^1 norm."""
-    if scale_to_h1 is not None and not 0.0 < scale_to_h1 < math.inf:
-        raise ValueError(f"scale_to_h1 must be finite and positive, got {scale_to_h1}")
+    is given, a nonzero field is rescaled to that H^1 norm (_h1_factor)."""
+    factor = _h1_factor(upper, cutoff, scale_to_h1)
+    if factor is not None:
+        upper = upper * factor
     k = 2 * cutoff + 1
-    a0 = SpectralConnection(group, cutoff,
-                            _mirrored(upper).reshape(upper.shape[:-1] + (k, k, k)))
-    if scale_to_h1 is not None:
-        norm = h1_norm(a0)
-        if norm > 0:
-            a0 = a0.scaled(scale_to_h1 / norm)
-    return a0
+    return SpectralConnection(group, cutoff,
+                              _mirrored(upper).reshape(upper.shape[:-1] + (k, k, k)))
+
+
+def _h1_factor(upper: np.ndarray, cutoff: int, scale_to_h1: float | None):
+    """The factor scale_to_h1 / h1_norm of the field whose canonical half
+    modes of cutoff carry upper (d, 3, H), or None when there is nothing
+    to rescale (no scale, or a zero field).  The norm's terms are formed
+    per half mode and mirrored, so it is h1_norm of the filled cube bit
+    for bit; the rescaled field is the filled one times the factor."""
+    _check_scale(scale_to_h1)
+    if scale_to_h1 is None:
+        return None
+    half = canonical_half_modes(cutoff)
+    weight = 1.0 + 4.0 * np.pi**2 * np.sum(half * half, axis=1).astype(float)
+    norm = float(np.sqrt(np.sum(_mirrored(weight * np.abs(upper) ** 2))))
+    return scale_to_h1 / norm if norm > 0 else None
 
 
 def sample_gff(config: SamplerConfig) -> SpectralConnection:

@@ -27,14 +27,15 @@ words as rows over modes, the last word a zero scalar.  The first two
 rounds mix only those small arrays; the state takes the full (blocks,
 modes) shape from round 2 on.  The output words, and hence the draws, are
 the ones the full counter array would give: this changes the cost, not
-the packing.
+the packing.  The tests check these words against numpy's Philox bit
+generator, through the same rounds on explicit counter arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["philox4x64_10", "mode_gaussians", "TAG_COMPONENT"]
+__all__ = ["mode_gaussians", "TAG_COMPONENT"]
 
 TAG_COMPONENT = 0
 
@@ -90,20 +91,6 @@ def _philox_rounds(c0, c1, c2, c3, k0, k1):
             k0 = k0 + _W0
             k1 = k1 + _W1
     return c0, c1, c2, c3
-
-
-def philox4x64_10(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Philox4x64 with 10 rounds.
-
-    counter: uint64 array (..., 4); key: uint64 array (..., 2), broadcast
-    against counter's leading shape.  Returns uint64 (..., 4).  Matches
-    numpy's Philox bit generator blockwise (tested against it).
-    """
-    counter = np.asarray(counter, dtype=np.uint64)
-    key = np.asarray(key, dtype=np.uint64)
-    words = _philox_rounds(*(counter[..., i] for i in range(4)),
-                           key[..., 0], key[..., 1])
-    return np.stack(np.broadcast_arrays(*words), axis=-1)
 
 
 def _to_u32(v: np.ndarray) -> np.ndarray:

@@ -25,15 +25,18 @@ delta e^(i 2 pi n.m) sinc(n.delta) at mode n.  The phase does not depend
 on the character and the weights do not depend on the field, so one
 u1_phase call forms the per-mode product once and contracts it with the
 shared heat-weight table for every observation time at once; characters
-are then applied to the phase (Character.u1_value).  The sum runs over
-the modes visible at the earliest time, those whose weight there is at
-least e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes): u1_phase takes a
-field's coefficients at those modes, and h_series gathers them from a
-full field.  So every exact phase is one u1_phase call.  The loop table
-is built at those modes only, one table per (loop, cutoff, t_min) in an
-lru_cache like every other table of the package; the dense cube is never
-kept.  Those exact values are the oracle the ODE pipeline is checked
-against.
+are then applied to the phases (Character.u1_value, one phase or an array
+of them).  The sum runs over the modes visible at the earliest time, those
+whose weight there is at least e^(-NEGLIGIBLE_HEAT) < 2^-60
+(visible_modes): u1_phase takes a field's coefficients at those modes,
+and h_series gathers them from a full field.  u1_phase is one per-mode
+product (_mode_product) and one contraction (_phase_sums); the loop table
+it reads is built at those modes only, one table per (loop, cutoff,
+t_min) in an lru_cache like every other table of the package, and the
+dense cube is never kept.  An ensemble stream calls the two parts itself:
+one product per loop serves all of its members, each contracted at its
+own modes (ensemble module docstring).  Those exact values are the oracle
+the ODE pipeline is checked against.
 """
 
 from __future__ import annotations
@@ -267,14 +270,25 @@ class Character:
             return self.power
         return -1 if self.kind == "conjugate" else 1
 
-    def u1_value(self, phase: float) -> complex:
-        """chi(e^(i phase)) = e^(i k phase) on U(1)."""
-        return complex(np.exp(1j * self.u1_exponent() * float(phase)))
+    def u1_value(self, phase):
+        """chi(e^(i phase)) = e^(i k phase) on U(1) (_u1_powers): a complex
+        for one phase, an array of values for an array of phases."""
+        value = _u1_powers(self.u1_exponent(), phase)
+        return complex(value) if value.ndim == 0 else value
 
     def label(self) -> str:
         if self.kind == "u1_power":
             return f"u1:{self.power}"
         return self.kind
+
+
+def _u1_powers(exponents, phases) -> np.ndarray:
+    """e^(i k phase) for each exponent k of exponents (an int, or a
+    sequence along the leading axis) and each of phases (a float or an
+    array): shape np.shape(exponents) + np.shape(phases), in one exp."""
+    k = np.asarray(exponents, dtype=float)
+    p = np.asarray(phases, dtype=float)
+    return np.exp(1j * (k.reshape(k.shape + (1,) * p.ndim) * p))
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +521,33 @@ def u1_phase(coeffs: np.ndarray, loop: Loop, cutoff: int, t):
     """
     times = _times(t)
     table = _visible_table(loop, cutoff, min(times, default=0.0))
-    per_mode = coeffs[0] * table[0]
+    phases = _phase_sums(_mode_product(coeffs, table), _visible_weights(cutoff, times))
+    return float(phases[0]) if np.ndim(t) == 0 else phases
+
+
+def _mode_product(coeffs: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
+    """The per-mode product A_n . c_n (M,) of coefficients and a loop table,
+    both (3, M), written to out when given.  Each entry is formed from its
+    own mode alone, so at -n it is the conjugate of the entry at n."""
+    per_mode = np.multiply(coeffs[0], table[0], out=out)
     per_mode += coeffs[1] * table[1]
     per_mode += coeffs[2] * table[2]
-    # (T, M) @ (M, 2): real and imaginary part of each time's sum
-    sums = _visible_weights(cutoff, times) @ per_mode.reshape(-1, 1).view(float)
-    if np.any(np.abs(sums[:, 1]) > 1e-9 * (1.0 + np.abs(sums[:, 0]))):
-        raise AssertionError("mode sum failed to be purely imaginary")
-    return float(sums[0, 0]) if np.ndim(t) == 0 else sums[:, 0].copy()
+    return per_mode
+
+
+def _phase_sums(per_mode: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The phases (..., T) of C-contiguous per-mode products per_mode
+    (..., M) at visible_modes(cutoff, t_min), in flat order, from that
+    cutoff's heat weights (T, M) (_visible_weights): one contraction of
+    each product for every time (a stack of products is one matmul of
+    the same contractions)."""
+    # (T, M) @ (..., M, 2): real and imaginary part of each time's sum
+    sums = weights @ per_mode[..., None].view(float)
+    # a handful of sums: checked one by one, cheaper than array calls
+    for re, im in sums.reshape(-1, 2).tolist():
+        if abs(im) > 1e-9 * (1.0 + abs(re)):
+            raise AssertionError("mode sum failed to be purely imaginary")
+    return sums[..., 0].copy()
 
 
 def h_series(a: SpectralConnection, loop: Loop, t):

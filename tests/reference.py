@@ -1,6 +1,10 @@
 """Reference helpers that only the tests use: loop rewrites, the dense
 loop Fourier table and the same table as an exponential difference, the
-U(1) Wilson phase on the amplitude cube Z = i A as first written,
+U(1) Wilson phase on the amplitude cube Z = i A as first written, the
+record of a U(1) exact ensemble member and its observation rows as first
+written (one integrate run and one h_series call per loop on the filled
+field; one tuple per row), Philox4x64-10
+on explicit counter arrays,
 algebra projection, the free-field two-point diagnostic, the samplers,
 their mode table, frames and Gaussian draws as first written
 (zero-filled cubes and three-index scatters, a sorted mode grid,
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ymflow.ensemble import EnsembleRecord, _member_record, _u1_values
 from ymflow.fields import (
     TWO_PI,
     SpectralConnection,
@@ -31,10 +36,10 @@ from ymflow.fields import (
     mode_norm_sq,
 )
 from ymflow.flow import (MAX_STEPS, MONOTONE_TOL, FlowTrajectory, _nonlinear_core,
-                         _phi_funcs)
+                         _phi_funcs, integrate)
 from ymflow.groups import GroupSpec
-from ymflow.rng import TAG_COMPONENT, philox4x64_10
-from ymflow.wilson import FieldEvaluator, Loop, _loop_table, make_loop
+from ymflow.rng import TAG_COMPONENT, _philox_rounds
+from ymflow.wilson import FieldEvaluator, Loop, _loop_table, h_series, make_loop
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +109,39 @@ def h_series_amplitudes(a: SpectralConnection, loop: Loop, times) -> np.ndarray:
     sums = weights.reshape(len(weights), -1) @ per_mode.reshape(-1, 1).view(float)
     assert np.all(np.abs(sums[:, 0]) <= 1e-9 * (1.0 + np.abs(sums[:, 1])))
     return sums[:, 1].copy()
+
+
+def member_record(spec, stream: int, a0: SpectralConnection, config_hash: str):
+    """ensemble._member_record, and for a u1_exact spec the member's record
+    as first written: one integrate run from the filled field a0, and
+    Wilson values in closed form from one h_series call per loop; the
+    oracle of the per-mode read-out of ensemble._exact_members."""
+    if spec.flow.flow_kind != "u1_exact":
+        return _member_record(spec, stream, a0, config_hash)
+    traj = integrate(a0, spec.flow, spec.times)
+    return EnsembleRecord(
+        seed=spec.seed, stream=stream, cutoff=a0.cutoff, group=spec.group.label(),
+        g=spec.coupling, s_ym={t: traj.actions.get(t) for t in spec.times},
+        wilson=_u1_values(lambda lp: h_series(a0, lp, spec.times),
+                          spec.loops, spec.characters, spec.times),
+        attained_time=traj.attained_time, blew_up=traj.blew_up,
+        config_hash=config_hash,
+    )
+
+
+def record_rows(rec):
+    """The record's observation rows as first written, each a tuple in
+    ensemble.RECORD_FIELDS order: the rows persist_records writes as
+    json.dumps of their dicts and export_csv through csv.writer."""
+    tail = (rec.attained_time, rec.blew_up, rec.config_hash)
+    for t in sorted(rec.s_ym):
+        head = (rec.seed, rec.stream, rec.cutoff, rec.group, rec.g, t, rec.s_ym[t])
+        pairs = sorted((lp, ch) for (lp, ch, tt) in rec.wilson if tt == t)
+        if not pairs:
+            yield head + (None, None, None, None) + tail
+        for lp, ch in pairs:
+            w = rec.wilson[(lp, ch, t)]
+            yield head + (lp, ch, w.real, w.imag) + tail
 
 
 def format_loop_file(loops) -> str:
@@ -247,6 +285,20 @@ def canonical_half_modes_sorted(cutoff: int) -> np.ndarray:
         undecided &= col == 0
     half = modes[first_nonzero_positive]
     return half[np.lexsort((half[:, 2], half[:, 1], half[:, 0]))]
+
+
+def philox4x64_10(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64 with 10 rounds.
+
+    counter: uint64 array (..., 4); key: uint64 array (..., 2), broadcast
+    against counter's leading shape.  Returns uint64 (..., 4).  Matches
+    numpy's Philox bit generator blockwise (tested against it).
+    """
+    counter = np.asarray(counter, dtype=np.uint64)
+    key = np.asarray(key, dtype=np.uint64)
+    words = _philox_rounds(*(counter[..., i] for i in range(4)),
+                           key[..., 0], key[..., 1])
+    return np.stack(np.broadcast_arrays(*words), axis=-1)
 
 
 def mode_gaussians_modewise(seed: int, stream: int, modes: np.ndarray,

@@ -589,6 +589,19 @@ def test_refused_commands_make_no_output_directory(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
+def test_ensemble_without_sampler_section_exits_one(tmp_path, monkeypatch, capsys):
+    # [flow] and [ensemble] alone: refused as sample refuses it, naming
+    # the section, before the output directory is made
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "nosampler.cfg", "[flow]\nkind = u1_exact\n\n[ensemble]\n"
+                "cutoffs = 2\nn_samples = 2\ntimes = 0.01\n")
+    rc = main(["ensemble", "--config", cfg, "--output", str(tmp_path / "out")])
+    assert rc == 1
+    assert "a complete [sampler] section is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_wilson_needs_no_t_end(tmp_path, monkeypatch, capsys):
     # the flow is read at [wilson] times; [flow] t_end changes nothing
     monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)

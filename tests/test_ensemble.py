@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from gauge import axis_cycle
-from reference import format_loop_file, loop_fourier_coefficients
+from reference import (format_loop_file, loop_fourier_coefficients, member_record,
+                       record_rows)
 from ymflow.fields import mode_grids, mode_norm_sq
 from ymflow.flow import FlowConfig, integrate
 from ymflow.ensemble import (
@@ -26,7 +27,8 @@ from ymflow.ensemble import (
 )
 from ymflow.gff import SamplerConfig, sample_initial
 from ymflow.groups import SU2, U1, GroupSpec
-from ymflow.wilson import Character, h_series, parse_loop_file, rectangle_loop
+from ymflow.wilson import (Character, h_series, parse_loop_file, rectangle_loop,
+                           visible_modes)
 
 PLAQ = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="plaq")
 CYCLE = axis_cycle(0, (0, 0.25, 0.5), name="cx")
@@ -168,14 +170,14 @@ def test_member_exception_reaches_caller_with_its_type(monkeypatch):
     # sees the member's own exception type, raised in another process
     import ymflow.ensemble as ensemble_mod
 
-    h_series = ensemble_mod.h_series
+    read_values = ensemble_mod._read_values
 
-    def failing(a, loop, times):
-        if a.cutoff == 4:
+    def failing(spec, products, cutoff, seen):
+        if cutoff == 4:
             raise MemberFailure(f"raised in process {os.getpid()}")
-        return h_series(a, loop, times)
+        return read_values(spec, products, cutoff, seen)
 
-    monkeypatch.setattr(ensemble_mod, "h_series", failing)
+    monkeypatch.setattr(ensemble_mod, "_read_values", failing)
     with pytest.raises(MemberFailure) as info:
         run_ensemble(u1_spec(n_samples=3), threads=2)
     assert str(info.value) != f"raised in process {os.getpid()}"
@@ -282,6 +284,56 @@ def test_load_refuses_hash_mismatch(tmp_path):
         load_records(path, expect_hash=other.config_hash())
     loaded = load_records(path, expect_hash=spec.config_hash())
     assert loaded
+
+
+def _awkward_records():
+    # NaN, +-inf and None actions and values, -0.0, a blown-up member with
+    # no Wilson value, an int coupling, numpy scalars (a conjugate
+    # character's values), and loop names with ',', '"' and non-ASCII
+    # characters; dicts in the order load_records rebuilds them
+    nan, inf = float("nan"), float("inf")
+    return [
+        EnsembleRecord(seed=7, stream=0, cutoff=2, group="u1", g=0.7,
+                       s_ym={0.005: 1.25, 0.02: nan},
+                       wilson={("a,b", "u1:1", 0.005): complex(0.5, -0.0),
+                               ('q"x', "u1:1", 0.005): complex(inf, -inf),
+                               ("é✓", "u1:2", 0.02): complex(nan, 1e-300)},
+                       attained_time=0.02, config_hash="c0ffee"),
+        EnsembleRecord(seed=7, stream=1, cutoff=2, group="u1", g=0.7,
+                       s_ym={0.005: None, 0.02: -inf}, attained_time=0.004,
+                       blew_up=True, config_hash="c0ffee"),
+        EnsembleRecord(seed=7, stream=2, cutoff=4, group="su2", g=1,
+                       s_ym={0.01: 3.0, 0.5: 1e22},
+                       wilson={("plaq", "conjugate", 0.01): np.complex128(1.5 - 2.5e-17j),
+                               ("plaq", "fundamental", 0.5): 1e-7 + 0j},
+                       attained_time=0.5, config_hash="c0ffee"),
+    ]
+
+
+def test_record_writers_render_like_json_and_csv(tmp_path):
+    # the once-per-record renderers write the bytes of json.dumps of each
+    # row's dict and of csv.writer, and load_records reads them back
+    import csv
+    import io
+    from ymflow.ensemble import RECORD_FIELDS
+    recs = _awkward_records()
+    persist_records(recs, tmp_path / "r.jsonl")
+    export_csv(recs, tmp_path / "r.csv")
+    rows = [row for rec in recs for row in record_rows(rec)]
+    assert len(rows) == 7
+    want = "".join(json.dumps(dict(zip(RECORD_FIELDS, row))) + "\n" for row in rows)
+    assert (tmp_path / "r.jsonl").read_text() == want
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(RECORD_FIELDS)
+    writer.writerows(rows)
+    with open(tmp_path / "r.csv", newline="") as fh:
+        assert fh.read() == buf.getvalue()
+    # the Python-valued records round-trip; repr tells NaN, -0.0 and types
+    loaded = load_records(tmp_path / "r.jsonl")
+    assert repr(loaded[:2]) == repr(recs[:2])
+    persist_records(loaded, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "r.jsonl").read_bytes()
 
 
 def test_export_csv_mirrors_fields(tmp_path):
@@ -428,29 +480,32 @@ def test_convergence_report_refuses_reference_at_or_below_largest_cutoff():
 
 
 def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
-    # one table per (loop, member cutoff), at every mode of the member
-    # (all are visible at the earliest time), and one per loop on the
-    # modes of the reference cutoff visible at that time; no dense table
-    # of the reference cutoff, and the convergence report builds none
+    # one table per loop, at the reference cutoff's drawn modes (every
+    # mode of the largest member and the modes visible at the earliest
+    # time): members and the reference gather it, a second run of the
+    # same shape reuses it, and the convergence report builds none
+    import ymflow.ensemble as ens
     import ymflow.wilson as wil
     built = []
     real = wil._loop_table
 
     def counting(loop, cutoff, index):
-        kind = "dense" if isinstance(index, slice) else "visible"
-        built.append((loop.name, cutoff, kind))
+        built.append((loop.name, cutoff,
+                      "dense" if isinstance(index, slice) else len(index)))
         return real(loop, cutoff, index)
 
     monkeypatch.setattr(wil, "_loop_table", counting)
+    monkeypatch.setattr(ens, "_loop_table", counting)
     wil._visible_table.cache_clear()
+    ens._drawn_table.cache_clear()
     spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02),
                    reference_cutoff=12)
     recs, reference = run_ensemble(spec)
-    assert sorted(built) == sorted(
-        [(name, c, "dense") for name in ("cx", "plaq") for c in (2, 4, 8)]
-        + [(name, 12, "visible") for name in ("cx", "plaq")])
+    drawn = len(ens._stream_modes(12, (2, 4, 8), 0.005)[0])
+    assert sorted(built) == [("cx", 12, drawn), ("plaq", 12, drawn)]
+    run_ensemble(spec)
     distribution_convergence_report(recs, spec, reference)
-    assert len(built) == 8
+    assert len(built) == 2
 
 
 def test_convergence_report_refuses_reference_without_loops():
@@ -514,7 +569,7 @@ def test_members_from_one_draw_equal_direct_draws(kind, scale_to_h1, reference_c
     for rec in recs:
         a0 = sample_initial(spec.group, spec.sampler_kind, rec.cutoff, spec.seed,
                             rec.stream, spec.coupling, scale_to_h1)
-        assert rec == ens._member_record(spec, rec.stream, a0, config_hash)
+        assert rec == member_record(spec, rec.stream, a0, config_hash)
         traj = integrate(a0, spec.flow, spec.times)
         assert rec.s_ym == traj.actions
         assert rec.attained_time == traj.attained_time == max(spec.times)
@@ -745,58 +800,117 @@ def test_u1_exact_member_values_match_scalar_formula():
                     assert abs(w - ch.u1_value(h_series(a0, lp, t))) <= 1e-14
 
 
-def test_h_series_called_once_per_member_and_loop(monkeypatch):
-    # a member's phases come from h_series on its field, the reference's
-    # from u1_phase on the stream's visible modes
+def _visible_count(cutoff, t_min):
+    index = visible_modes(cutoff, t_min)
+    return (2 * cutoff + 1) ** 3 if isinstance(index, slice) else len(index)
+
+
+def _forbid(monkeypatch, *targets):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact stream called a per-member path")
+
+    for mod, name in targets:
+        monkeypatch.setattr(mod, name, forbidden)
+
+
+def test_exact_phases_one_contraction_per_member(monkeypatch):
+    # the exact phases of a member or a reference are one _phase_sums
+    # contraction of its loop products stacked (loops, modes), over its
+    # cutoff's modes visible at the earliest time: one per (stream, member
+    # cutoff or reference); neither h_series nor u1_phase runs, and the
+    # report contracts nothing
     import ymflow.ensemble as ens
+    import ymflow.wilson as wil
     calls = []
-    real, real_phase = ens.h_series, ens.u1_phase
+    real = ens._phase_sums
 
-    def counting(a, loop, t):
-        calls.append((a.cutoff, loop.name))
-        return real(a, loop, t)
+    def counting(per_mode, weights):
+        calls.append(per_mode.shape)
+        return real(per_mode, weights)
 
-    def counting_phase(coeffs, loop, cutoff, t):
-        calls.append((cutoff, loop.name))
-        return real_phase(coeffs, loop, cutoff, t)
-
-    monkeypatch.setattr(ens, "h_series", counting)
-    monkeypatch.setattr(ens, "u1_phase", counting_phase)
+    monkeypatch.setattr(ens, "_phase_sums", counting)
+    _forbid(monkeypatch, (wil, "h_series"), (wil, "u1_phase"))
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.01, 0.02))
     run_ensemble(spec)
-    assert len(calls) == 3 * 2 * len(spec.loops)      # streams x cutoffs x loops
-    assert len(set(calls)) == 2 * len(spec.loops)
+    per_stream = [(len(spec.loops), _visible_count(c, 0.005)) for c in (2, 4)]
+    assert sorted(calls) == sorted(per_stream * 3)        # streams x cutoffs
     calls.clear()
-    # the reference adds one call per stream and loop at its cutoff
+    # the reference adds one contraction per stream at its cutoff
     spec = replace(spec, reference_cutoff=8)
     recs, reference = run_ensemble(spec)
-    assert sorted(calls) == sorted((c, lp.name) for c in (2, 4, 8)
-                                   for lp in spec.loops for _ in range(3))
+    per_stream.append((len(spec.loops), _visible_count(8, 0.005)))
+    assert sorted(calls) == sorted(per_stream * 3)
     calls.clear()
     distribution_convergence_report(recs, spec, reference)
     assert calls == []
 
 
-def test_every_exact_phase_is_one_u1_phase_call(monkeypatch):
-    # members reach u1_phase through h_series, the reference directly:
-    # one call per (stream, member cutoff or reference, loop)
+def test_exact_stream_one_product_per_loop_and_no_member_cube(monkeypatch):
+    # a u1_exact stream fills no member cube, runs no flow and calls no
+    # h_series: one per-mode product per (stream, loop), at the drawn
+    # modes, serves every member and the reference; rescaled members each
+    # form their own
     import ymflow.ensemble as ens
+    import ymflow.flow as flow_mod
+    import ymflow.gff as gff_mod
     import ymflow.wilson as wil
-    calls = []
-    real = wil.u1_phase
+    from ymflow.gff import canonical_half_modes
+    _forbid(monkeypatch, (gff_mod, "_filled"), (ens, "_filled"),
+            (flow_mod, "integrate"), (ens, "integrate"),
+            (wil, "h_series"), (wil, "u1_phase"))
+    products = []
+    real = ens._mode_product
 
-    def counting(coeffs, loop, cutoff, t):
-        calls.append((cutoff, loop.name))
-        return real(coeffs, loop, cutoff, t)
+    def counting(coeffs, table, out=None):
+        products.append(coeffs.shape[-1])
+        return real(coeffs, table, out)
 
-    monkeypatch.setattr(wil, "u1_phase", counting)
-    monkeypatch.setattr(ens, "u1_phase", counting)
+    monkeypatch.setattr(ens, "_mode_product", counting)
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.02),
                    reference_cutoff=12)
     run_ensemble(spec)
-    assert len(calls) == 3 * (2 + 1) * len(spec.loops)
-    assert sorted(calls) == sorted((c, lp.name) for c in (2, 4, 12)
-                                   for lp in spec.loops for _ in range(3))
+    drawn = len(ens._stream_modes(12, (2, 4), 0.005)[0])
+    assert products == [drawn] * (3 * len(spec.loops))
+    products.clear()
+    run_ensemble(replace(spec, reference_cutoff=None))
+    assert products == [len(canonical_half_modes(4))] * (3 * len(spec.loops))
+    products.clear()
+    run_ensemble(replace(spec, reference_cutoff=None, scale_to_h1=0.5))
+    assert products == [len(canonical_half_modes(4))] * (3 * 2 * len(spec.loops))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("cutoffs, times, reference_cutoff", [
+    pytest.param((2, 4), (0.02, 0.005), None, id="no-reference"),
+    pytest.param((2, 4), (0.02, 0.005), 6, id="uncut-reference"),
+    pytest.param((2, 4, 8), (0.005, 0.02), 12, id="cut-reference"),
+    pytest.param((2, 8), (0.1, 0.05), None, id="member-modes-cut"),
+])
+def test_exact_read_out_equals_member_oracle(cutoffs, times, reference_cutoff, threads):
+    # every record and reference value of the per-mode read-out equals
+    # integrate + h_series on the member's own draw, bit for bit (repr
+    # tells -0.0 from 0.0): with no reference, a reference uncut at t_min
+    # (visible_modes a slice), a cut one, and a member cutoff cut at t_min
+    import ymflow.ensemble as ens
+    shape = {None: None, 6: slice, 12: np.ndarray}[reference_cutoff]
+    assert shape is None or type(visible_modes(reference_cutoff, min(times))) is shape
+    assert type(visible_modes(cutoffs[-1], min(times))) is (
+        np.ndarray if cutoffs[-1] == 8 and min(times) == 0.05 else slice)
+    spec = u1_spec(n_samples=3, cutoffs=cutoffs, times=times,
+                   reference_cutoff=reference_cutoff)
+    recs, reference = run_ensemble(spec, threads=threads)
+    config_hash = spec.config_hash()
+    assert len(recs) == 3 * len(cutoffs)
+    for rec in recs:
+        a0 = sample_initial(U1, "u1_coulomb", rec.cutoff, spec.seed, rec.stream,
+                            spec.coupling)
+        assert repr(rec) == repr(member_record(spec, rec.stream, a0, config_hash))
+    for stream, values in (reference or {}).items():
+        a_ref = sample_initial(U1, "u1_coulomb", reference_cutoff, spec.seed, stream,
+                               spec.coupling)
+        want = ens._u1_values(lambda lp: h_series(a_ref, lp, spec.times),
+                              spec.loops, spec.characters, spec.times)
+        assert repr(values) == repr(want)
 
 
 def test_numerical_wilson_path_one_holonomy_per_member_loop_and_time(monkeypatch):

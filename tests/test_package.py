@@ -95,8 +95,8 @@ def test_subcommand_option_sets_pinned():
 
 
 def test_test_only_helpers_stay_out_of_the_package():
-    # the helpers only tests call (the dense loop table among them) live in
-    # tests/reference.py, and the gauge transforms with the checks built on
+    # the helpers only tests call (the dense loop table and the Philox
+    # block function among them) live in tests/reference.py, and the gauge transforms with the checks built on
     # them in tests/gauge.py; with them the samplers stopped importing the
     # loop module
     import gauge
@@ -108,7 +108,7 @@ def test_test_only_helpers_stay_out_of_the_package():
              "gauge_transform", "gauge_transform_spectral",
              "GaugeTransformedEvaluator", "axis_cycle",
              "gauge_covariance_check", "action_decay_profile",
-             "transverse_frame", "loop_fourier_coefficients"}
+             "transverse_frame", "loop_fourier_coefficients", "philox4x64_10"}
     assert all(hasattr(reference, name) or hasattr(gauge, name) for name in moved)
     for stem in MODULES:
         module = importlib.import_module(_module_name(stem))
@@ -116,3 +116,14 @@ def test_test_only_helpers_stay_out_of_the_package():
     tree = ast.parse((SOURCE / "gff.py").read_text())
     assert "wilson" not in {node.module for node in ast.walk(tree)
                             if isinstance(node, ast.ImportFrom)}
+
+
+@pytest.mark.parametrize("message", [
+    "coupling must be finite and positive",
+    "scale_to_h1 must be finite and positive",
+    "a complete [sampler] section is required",
+])
+def test_one_raise_site_per_input_rule(message):
+    # each rule is raised by its owner; the others call it
+    text = "".join(p.read_text() for p in sorted(SOURCE.glob("*.py")))
+    assert text.count(message) == 1, message

@@ -2,9 +2,9 @@ import numpy as np
 
 import pytest
 
-from reference import mode_gaussians_modewise
+from reference import mode_gaussians_modewise, philox4x64_10
 from ymflow.gff import canonical_half_modes
-from ymflow.rng import TAG_COMPONENT, mode_gaussians, philox4x64_10
+from ymflow.rng import TAG_COMPONENT, mode_gaussians
 
 
 def test_philox_matches_numpy_bit_generator():
