@@ -18,9 +18,10 @@ from reference import (
 from ymflow.fields import (
     mode_grids,
     mode_norm_sq,
+    ym_action_u1_spectral,
     zero_connection,
 )
-from ymflow.flow import heat_semigroup_u1
+from ymflow.flow import FlowConfig, heat_semigroup_u1, integrate
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from ymflow.groups import (
     SU2,
@@ -595,6 +596,31 @@ def test_h_series_sums_the_visible_modes_only():
         for t, got in zip(times, want):
             terms = np.exp(-4 * np.pi**2 * mode_norm_sq(12) * t) * per_mode.real
             assert abs(got - math.fsum(terms.ravel())) <= 1e-14
+
+
+# float.hex of the exact reads of one reflection-symmetric U(1) field whose
+# constant mode is nonzero, pinned while every read summed the full mode
+# cube: h_series of the winding triangle and the plaquette at times
+# (0.02, 0.005), ym_action_u1_spectral, and the u1_exact actions of
+# integrate.  At cutoff 3 every mode is visible at t = 0.005; at cutoff 9
+# visible_modes cuts some.
+@pytest.mark.parametrize("cutoff, wind_tri, plaq, spectral, flowed", [
+    (3, ("0x1.aad0dffb67417p+0", "-0x1.4c23de7d4dbbfp+0"),
+     ("-0x1.7efa81662855dp-2", "-0x1.fb6f4e40f76f4p-2"), "0x1.30b79763e74afp+19",
+     ("0x1.f31752a9302e2p+7", "0x1.6d116a4d373a1p+13")),
+    (9, ("0x1.e3fdeb037fee5p+1", "0x1.33031cdd71fe2p+3"),
+     ("-0x1.e29811fd4a012p-4", "-0x1.a2dd97c66afa7p-1"), "0x1.6986b5162b1ffp+26",
+     ("0x1.4a13bc104333ep+8", "0x1.9e3279f32c106p+13")),
+])
+def test_exact_u1_reads_pinned(cutoff, wind_tri, plaq, spectral, flowed):
+    a = random_connection(U1, cutoff, seed=43)
+    assert np.all(a.coeffs[0, :, cutoff, cutoff, cutoff] != 0)
+    times = (0.02, 0.005)
+    for lp, want in ((WINDING_TRIANGLE, wind_tri), (PLAQ, plaq)):
+        assert tuple(float(x).hex() for x in h_series(a, lp, times)) == want
+    assert ym_action_u1_spectral(a).hex() == spectral
+    traj = integrate(a, FlowConfig("u1_exact"), times)
+    assert tuple(traj.actions[t].hex() for t in times) == flowed
 
 
 def test_u1_wilson_exact_is_character_of_phase():
