@@ -24,14 +24,15 @@ single initial field is gff.sample_initial.
 A u1_exact member builds no cube: its heat flow is diagonal and its
 Wilson phase a mode sum, so everything it reads is per mode.  A stream
 forms the per-mode product A_n . c_n with each loop's table once, at the
-drawn modes (one table per loop, of the top cutoff: _drawn_table), and
-the action terms of the heat-flowed draw once per observation time, at
-the largest member's half modes.  Each member and the reference gather
-their modes of these, mirror them into flat cube order (conjugate
-reflection, zero at n = 0; exact, as every entry is per mode) and reduce
-them with u1_phase's contraction and the U(1) action's sums, so their
-values are those of integrate + h_series on the member's own field bit
-for bit (tests/reference.py keeps that per-member path as the oracle).
+drawn modes visible at the earliest observation time (wilson._half_table
+of the top cutoff; every phase reads only visible modes), and the action
+terms of the heat-flowed draw once per observation time, at the largest
+member's half modes.  Each member and the reference gather their modes of
+these, mirror them into flat cube order (conjugate reflection, zero at
+n = 0; exact, as every entry is per mode) and reduce them with
+h_series's contraction and the U(1) action's sums, so their values are
+those of integrate + h_series on the member's own field bit for bit
+(tests/reference.py keeps that per-member path as the oracle).
 Rescaled members each make their own passes.  Tasks run independently,
 optionally in forked worker processes (serially where the platform
 cannot fork); records are always assembled and written in (stream,
@@ -60,17 +61,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .fields import (SpectralConnection, _times, _u1_action_sums, _u1_action_terms,
-                     heat_rows)
+from .fields import (SpectralConnection, _mirrored, _times, _u1_action_sums,
+                     _u1_action_terms, _upper_modes, heat_rows)
 from .flow import FlowConfig, _check_exact_group, integrate
 from .gff import (SamplerConfig, _check_coupling, _check_sampler, _check_scale, _filled,
-                  _h1_factor, _mirrored, _mode_tables, _stored, canonical_half_modes)
+                  _h1_factor, _mode_tables, _stored, canonical_half_modes)
 from .groups import GroupSpec
 from .storage import atomic_open
-from .wilson import (NEGLIGIBLE_HEAT, WILSON_STEPS, _loop_table, _mode_product,
+from .wilson import (NEGLIGIBLE_HEAT, WILSON_STEPS, _half_table, _mode_product,
                      _phase_sums, _u1_powers, _visible_weights, visible_modes,
                      wilson_loop)
 
@@ -238,133 +240,118 @@ def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
     return rec
 
 
+class _StreamModes(NamedTuple):
+    """The index sets and tables of every stream of one shape
+    (_stream_modes), each list in lexicographic mode order, all read-only:
+    the drawn canonical half modes of the top cutoff (indices into
+    canonical_half_modes), the positions among them of the visible ones
+    and, per member cutoff, of its half modes; the sampler tables of the
+    drawn modes (gff._mode_tables, for _stored); per member cutoff the
+    positions of its visible half modes among the visible ones (its
+    phases) and of its half modes among the largest member's (its action
+    terms); and the heat weights (T, H) of the largest member's half
+    modes."""
+
+    drawn: np.ndarray
+    visible: np.ndarray
+    members: tuple
+    tables: tuple
+    seen: tuple
+    own: tuple
+    weights: np.ndarray
+
+
 @lru_cache(maxsize=32)
-def _stream_modes(top: int, cutoffs: tuple, t_min: float | None):
-    """Index sets of a stream that draws at cutoff top: the canonical half
-    modes of top to draw (those inside the largest member cutoff and,
-    unless t_min is None, those visible at t_min), the positions among
-    them of the visible ones, per member cutoff the positions of its half
-    modes, each list in lexicographic mode order, and the sampler tables
-    of the drawn modes (gff._mode_tables), which every stream of this
-    shape hands to _stored.  All of it is read-only."""
+def _stream_modes(top: int, cutoffs: tuple, targets: tuple) -> _StreamModes:
+    """The _StreamModes of a stream that draws at cutoff top, has members
+    at cutoffs and is observed at the sorted times targets.  It draws the
+    canonical half modes of top inside the largest member cutoff and
+    those visible at targets[0]; its loop products are formed at the
+    visible ones alone, as every phase reads only visible modes.  The
+    heat weights are formed as heat_rows forms them and held as complex
+    numbers (the exact cast that a product with coefficients makes)."""
     half = canonical_half_modes(top)
     h = len(half)
     # the flat cube's upper half holds the half modes, in order
     visible = np.zeros(2 * h + 1, dtype=bool)
-    if t_min is not None:
-        visible[visible_modes(top, t_min)] = True
+    visible[visible_modes(top, targets[0])] = True
     visible = visible[h + 1:]
     extent = np.max(np.abs(half), axis=1)
     drawn = visible | (extent <= cutoffs[-1])
     position = np.cumsum(drawn) - 1
-    out = (np.flatnonzero(drawn), position[visible],
-           *(position[extent <= c] for c in cutoffs))
+    members = tuple(position[extent <= c] for c in cutoffs)
+    shown = np.cumsum(visible) - 1
+    seen = tuple(shown[visible & (extent <= c)] for c in cutoffs)
+    own = tuple(np.searchsorted(members[-1], pos) for pos in members)
+    weights = heat_rows(_upper_modes(cutoffs[-1])[1], targets).astype(complex)
+    out = (np.flatnonzero(drawn), position[visible], *members, *seen, *own, weights)
     for x in out:
         x.setflags(write=False)
-    return out[0], out[1], out[2:], _mode_tables(half[out[0]])
-
-
-@lru_cache(maxsize=256)
-def _drawn_table(loop, top: int, cutoffs: tuple, t_min: float | None) -> np.ndarray:
-    """The loop table (3, D) of cutoff top at the drawn modes of
-    _stream_modes(top, cutoffs, t_min), read-only.  Its entries are per
-    mode, so the table of every member and of the reference is a gather
-    of it: one table per loop serves the whole stream shape."""
-    drawn = _stream_modes(top, cutoffs, t_min)[0]
-    table = _loop_table(loop, top, len(canonical_half_modes(top)) + 1 + drawn)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=32)
-def _exact_reads(top: int, cutoffs: tuple, t_min: float | None, targets: tuple):
-    """What the members of a u1_exact stream read of its per-mode passes,
-    for a stream drawing _stream_modes(top, cutoffs, t_min) and observed
-    at the sorted times targets: the positions among the drawn modes of
-    the largest member's half modes; those modes + 0j (3, H), their
-    squared norms (H,) and their heat weights (T, H), formed as heat_rows
-    forms them and held as complex numbers (the exact cast that a product
-    with coefficients makes); and per member cutoff the positions among
-    the largest member's half modes of its own (its action terms) and the
-    positions among the drawn modes of its half modes visible at
-    targets[0] (its phases, the modes h_series reads).  All of it is
-    read-only."""
-    members = _stream_modes(top, cutoffs, t_min)[2]
-    half = canonical_half_modes(cutoffs[-1])
-    norm_sq = np.sum(half * half, axis=1).astype(float)
-    extent = np.max(np.abs(half), axis=1)
-    own, seen = [], []
-    for c, pos in zip(cutoffs, members):
-        own.append(np.flatnonzero(extent <= c))
-        index = visible_modes(c, targets[0])
-        h = len(pos)
-        seen.append(pos if isinstance(index, slice) else pos[index[index > h] - h - 1])
-    out = (members[-1], half.T.astype(complex), norm_sq,
-           heat_rows(norm_sq, targets).astype(complex))
-    for x in out + tuple(own) + tuple(seen):
-        x.setflags(write=False)
-    return out + (tuple(own), tuple(seen))
+    return _StreamModes(out[0], out[1], members, _mode_tables(half[out[0]]), seen, own,
+                        weights)
 
 
 def _loop_products(spec: EnsembleSpec, upper: np.ndarray, top: int,
-                   t_min: float | None) -> np.ndarray:
-    """The per-mode products A_n . c_n (L, D) of the stream's draw upper
-    (3, D) with each loop's table at the drawn modes (_drawn_table), one
-    row per loop."""
-    out = np.empty((len(spec.loops), upper.shape[-1]), dtype=complex)
+                   visible: np.ndarray) -> np.ndarray:
+    """The per-mode products A_n . c_n (L, V) of the stream's draw upper
+    (3, D) at its visible modes, positions visible, with each loop's table
+    there (_half_table, without its centre), one row per loop.  Where
+    every drawn mode is visible the draw is read as it is."""
+    t_min = min(spec.times)
+    if len(visible) < upper.shape[-1]:
+        upper = upper[:, visible]
+    out = np.empty((len(spec.loops), len(visible)), dtype=complex)
     for row, lp in zip(out, spec.loops):
-        _mode_product(upper, _drawn_table(lp, top, spec.cutoffs, t_min), out=row)
+        _mode_product(upper, _half_table(lp, top, t_min)[:, 1:], out=row)
     return out
 
 
-def _read_values(spec: EnsembleSpec, products: np.ndarray, cutoff: int, seen) -> dict:
+def _read_values(spec: EnsembleSpec, products: np.ndarray, cutoff: int) -> dict:
     """Wilson values keyed (loop, character, t) of the U(1) field of this
-    cutoff whose half modes visible at the earliest time sit at positions
-    seen of the loop products: each product gathered there, mirrored into
-    flat cube order and contracted as u1_phase contracts it."""
-    phases = dict(zip(spec.loops, _phase_sums(_mirrored(np.take(products, seen, axis=1)),
+    cutoff whose loop products at its half modes visible at the earliest
+    time are products (L, V): mirrored into flat cube order and contracted
+    as h_series contracts them."""
+    phases = dict(zip(spec.loops, _phase_sums(_mirrored(products),
                                               _visible_weights(cutoff, spec.times))))
     return _u1_values(phases.__getitem__, spec.loops, spec.characters, spec.times)
 
 
 def _exact_members(spec: EnsembleSpec, stream: int, config_hash: str,
-                   stored: np.ndarray, top: int, t_min: float | None,
+                   stored: np.ndarray, top: int, modes: _StreamModes,
                    products: np.ndarray | None) -> list:
     """The u1_exact members of one stream, read off per-mode passes over
-    the stream's draw stored (1, 3, D): the loop products (given, unless
-    members are rescaled) and, at each observation time, the action terms
-    of the heat-flowed draw at the largest member's half modes.  Each
-    member gathers its own modes of them, mirrors them into flat cube
-    order and reduces them with the sums of u1_phase and the U(1) action,
-    so it equals integrate + h_series on its filled field bit for bit.  A
-    rescaled member makes its own passes over the draw times its factor
-    (gff._h1_factor)."""
+    the stream's draw stored (1, 3, D) of _stream_modes ``modes``: the loop
+    products (given, unless members are rescaled) and, at each observation
+    time, the action terms of the heat-flowed draw at the largest member's
+    half modes.  Each member gathers its own modes of them, mirrors them
+    into flat cube order and reduces them with the sums of h_series and the
+    U(1) action, so it equals integrate + h_series on its filled field bit
+    for bit.  A rescaled member makes its own passes over the draw times
+    its factor (gff._h1_factor)."""
     targets = tuple(sorted(spec.times))
-    largest, modes, norm_sq, weights, own, seen = _exact_reads(
-        top, spec.cutoffs, t_min, targets)
+    n, norm_sq = _upper_modes(spec.cutoffs[-1])
 
     def action_terms(upper):
         # c = e^(-4 pi^2 |n|^2 t) A_n at each time, as integrate forms it
-        return _u1_action_terms(np.take(upper, largest, axis=1) * weights[:, None],
-                                modes, norm_sq)
+        return _u1_action_terms(np.take(upper, modes.members[-1], axis=1)
+                                * modes.weights[:, None], n, norm_sq)
 
     scale = spec.scale_to_h1
     terms = None if scale is not None else action_terms(stored[0])
-    members = _stream_modes(top, spec.cutoffs, t_min)[2]
     records = []
-    for i, c in enumerate(spec.cutoffs):
+    for c, pos, own, seen in zip(spec.cutoffs, modes.members, modes.own, modes.seen):
         if scale is not None:
-            factor = _h1_factor(stored[..., members[i]], c, scale)
+            factor = _h1_factor(stored[..., pos], c, scale)
             upper = stored[0] if factor is None else stored[0] * factor
-            products = _loop_products(spec, upper, top, t_min)
+            products = _loop_products(spec, upper, top, modes.visible)
             terms = action_terms(upper)
         k = 2 * c + 1
-        cube = _mirrored(np.take(terms, own[i], axis=-1)).reshape(2, -1, k, k, k)
+        cube = _mirrored(np.take(terms, own, axis=-1)).reshape(2, -1, k, k, k)
         by_time = dict(zip(targets, map(float, _u1_action_sums(cube))))
         records.append(EnsembleRecord(
             seed=spec.seed, stream=stream, cutoff=c, group=spec.group.label(),
             g=spec.coupling, s_ym={t: by_time[t] for t in spec.times},
-            wilson=_read_values(spec, products, c, seen[i]),
+            wilson=_read_values(spec, np.take(products, seen, axis=1), c),
             attained_time=targets[-1], config_hash=config_hash))
     return records
 
@@ -385,23 +372,20 @@ def _stream_task(spec: EnsembleSpec, stream: int, config_hash: str):
     """
     ref = spec.reference_cutoff
     top = ref or spec.cutoffs[-1]
-    t_min = None if ref is None else min(spec.times)
-    _, visible, members, tables = _stream_modes(top, spec.cutoffs, t_min)
+    modes = _stream_modes(top, spec.cutoffs, tuple(sorted(spec.times)))
     stored = _stored(spec.sampler_kind, SamplerConfig(
-        spec.group, top, spec.seed, stream, spec.coupling), tables)
+        spec.group, top, spec.seed, stream, spec.coupling), modes.tables)
     exact = spec.flow.flow_kind == "u1_exact"
     products = None
     if ref is not None or (exact and spec.scale_to_h1 is None):
-        products = _loop_products(spec, stored[0], top, t_min)
-    reference = None
-    if ref is not None:
-        reference = _read_values(spec, products, top, visible)
+        products = _loop_products(spec, stored[0], top, modes.visible)
+    reference = None if ref is None else _read_values(spec, products, top)
     if exact:
-        return _exact_members(spec, stream, config_hash, stored, top, t_min,
+        return _exact_members(spec, stream, config_hash, stored, top, modes,
                               products), reference
     records = [_member_record(spec, stream, _filled(spec.group, c, stored[..., pos],
                                                     spec.scale_to_h1), config_hash)
-               for c, pos in zip(spec.cutoffs, members)]
+               for c, pos in zip(spec.cutoffs, modes.members)]
     return records, reference
 
 
@@ -729,9 +713,9 @@ def distribution_convergence_report(records, spec: EnsembleSpec, reference: dict
     by_member = {(rec.stream, rec.cutoff): rec for rec in records}
 
     rows = []
-    dev_by_seed = {s: [] for s in streams}   # per cutoff, max over observables
+    dev_by_seed = []                     # per cutoff, max over observables
     for m in cutoffs:
-        per_seed = {s: 0.0 for s in streams}
+        devs = []
         for lp in spec.loops:
             for ch in spec.characters:
                 for t in spec.times:
@@ -740,17 +724,14 @@ def distribution_convergence_report(records, spec: EnsembleSpec, reference: dict
                     refv = np.array([reference[s][key] for s in streams])
                     ks = max(_ks_distance(emp.real, refv.real),
                              _ks_distance(emp.imag, refv.imag))
-                    devs = np.abs(emp - refv)
+                    devs.append(np.abs(emp - refv))
                     rows.append(ConvergenceRow(
                         lp.name, ch.label(), t, m, ks,
-                        float(devs.max()), float(devs.mean()),
+                        float(devs[-1].max()), float(devs[-1].mean()),
                     ))
-                    for i, s in enumerate(streams):
-                        per_seed[s] = max(per_seed[s], devs[i])
-        for s in streams:
-            dev_by_seed[s].append(per_seed[s])
-    decreasing = sum(
-        1 for s in streams
-        if all(a > b for a, b in zip(dev_by_seed[s], dev_by_seed[s][1:]))
-    )
+        # per seed, a NaN deviation is skipped
+        dev_by_seed.append(np.fmax.reduce(np.reshape(devs, (-1, len(streams))),
+                                          axis=0, initial=0.0))
+    dev_by_seed = np.array(dev_by_seed)
+    decreasing = int(np.sum(np.all(dev_by_seed[:-1] > dev_by_seed[1:], axis=0)))
     return rows, decreasing / len(streams)

@@ -23,6 +23,12 @@ half is the conjugate of the mirrored modes.
 The nonlinear pass of the flows (_nonlinear_core) reads and returns that
 half, (d, 3, K, K, N+1); the full cube is mirrored (_full_spectrum) only
 at the public boundary and for the states a flow records.
+
+Per-mode U(1) reads use the other half: the canonical half modes, those
+whose first nonzero coordinate is positive, which fill the flat C-order
+indices above the cube's centre in lexicographic order.  _mirrored takes
+values there to flat cube order; the closed-form U(1) action reads only
+those modes (_upper_modes), and its terms at -n equal those at n.
 """
 
 from __future__ import annotations
@@ -392,20 +398,45 @@ def ym_action_u1_spectral(a: SpectralConnection) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _complex_modes(cutoff: int) -> np.ndarray:
-    """The mode components n_j + 0j, (3, K, K, K), read-only: the integer
-    grids already in the complex type a product with coefficients casts
-    them to."""
-    out = np.stack(mode_grids(cutoff)).astype(complex)
-    out.setflags(write=False)
-    return out
+def _upper_modes(cutoff: int):
+    """The canonical half modes of the cube (its flat C-order indices above
+    the centre, in order): their components n_j + 0j (3, H), already in the
+    complex type a product with coefficients casts them to, and their
+    squared norms |n|^2 (H,); both read-only."""
+    h = ((2 * cutoff + 1) ** 3 - 1) // 2
+    modes = np.stack(mode_grids(cutoff)).reshape(3, -1)[:, h + 1:].astype(complex)
+    norm_sq = mode_norm_sq(cutoff).reshape(-1)[h + 1:]
+    modes.setflags(write=False)
+    return modes, norm_sq
+
+
+def _mirrored(upper: np.ndarray, centre=0.0) -> np.ndarray:
+    """Flat values (..., 2H + 1), C-contiguous and of upper's type, of the
+    modes whose upper half carries upper (..., H), a lexicographic list of
+    canonical half modes: the conjugates of upper reversed (the reflected
+    modes -n), centre for the zero mode, then upper.  On every half mode of
+    a cutoff this is the flattened cube, and on a sub-list the cube's
+    entries at those modes and their reflections, in flat order; a real
+    upper (a per-mode term even under n -> -n) is reflected as it is."""
+    h = upper.shape[-1]
+    flat = np.empty(upper.shape[:-1] + (2 * h + 1,), dtype=upper.dtype)
+    flat[..., h + 1:] = upper
+    flat[..., h] = centre
+    np.conjugate(flat[..., :h:-1], out=flat[..., :h])
+    return flat
 
 
 def _u1_actions(c: np.ndarray, cutoff: int) -> np.ndarray:
     """The action of ym_action_u1_spectral of every U(1) coefficient cube
-    in c (..., 3, K, K, K), in one pass: shape (...)."""
-    return _u1_action_sums(_u1_action_terms(c, _complex_modes(cutoff),
-                                            mode_norm_sq(cutoff)))
+    in c (..., 3, K, K, K), in one pass: shape (...).  Only the canonical
+    half modes are read (_upper_modes); their terms are mirrored into flat
+    cube order with a zero at n = 0, which is the full cube's sum bit for
+    bit for a reflection-symmetric field."""
+    k = 2 * cutoff + 1
+    modes, norm_sq = _upper_modes(cutoff)
+    upper = c.reshape(c.shape[:-3] + (-1,))[..., len(norm_sq) + 1:]
+    terms = _mirrored(_u1_action_terms(upper, modes, norm_sq))
+    return _u1_action_sums(terms.reshape(terms.shape[:-1] + (k, k, k)))
 
 
 def _u1_action_terms(c: np.ndarray, n: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ from .fields import (
     _u1_actions,
     heat_weights,
     mode_norm_sq,
-    l2_norm,
 )
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "FlowTrajectory",
     "heat_semigroup_u1",
     "integrate",
-    # re-exported: perfbench/spans.py traces ymflow.flow.l2_norm
-    "l2_norm",
 ]
 
 FLOW_KINDS = ("ym", "zdds", "u1_exact")

@@ -26,11 +26,12 @@ centre, whose sign is that of the first nonzero coordinate of n: the
 drawn modes, in lexicographic order, fill the flat indices above the
 centre one after the other, and their reflections fill the ones below it
 in reverse.  So one filler (_filled) writes three contiguous slices of a
-fresh array and needs no index table; it also rescales the field to a
-given H^1 norm (_h1_factor, from the half modes), refusing a NaN,
-infinite or nonpositive one.  The two samplers, sample_initial (either
-sampler for one (seed, stream)) and every flowed ensemble member build
-their fields through it; exact U(1) members read the half modes directly.
+fresh array (fields._mirrored) and needs no index table; it also
+rescales the field to a given H^1 norm (_h1_factor, from the half modes),
+refusing a NaN, infinite or nonpositive one.  The two samplers,
+sample_initial (either sampler for one (seed, stream)) and every flowed
+ensemble member build their fields through it; exact U(1) reads take the
+half modes directly.
 The coupling and scale rules are raised here alone (_check_coupling,
 _check_scale); the spec and the configuration call them.
 """
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import SpectralConnection
+from .fields import SpectralConnection, _mirrored
 from .groups import GroupSpec
 from .rng import TAG_COMPONENT, mode_gaussians
 
@@ -148,22 +149,6 @@ def _mode_tables(modes: np.ndarray) -> _ModeTables:
 def _cutoff_tables(cutoff: int) -> _ModeTables:
     """_mode_tables of every canonical half mode of this cutoff."""
     return _mode_tables(canonical_half_modes(cutoff))
-
-
-def _mirrored(upper: np.ndarray) -> np.ndarray:
-    """Flat values (..., 2H + 1), C-contiguous and of upper's type, of the
-    modes whose upper half carries upper (..., H), a lexicographic list of
-    canonical half modes: the conjugates of upper reversed (the reflected
-    modes -n), a zero for the zero mode, then upper.  On every half mode of
-    a cutoff this is the flattened cube, and on a sub-list the cube's
-    entries at those modes and their reflections, in flat order; a real
-    upper (a per-mode term even under n -> -n) is reflected as it is."""
-    h = upper.shape[-1]
-    flat = np.empty(upper.shape[:-1] + (2 * h + 1,), dtype=upper.dtype)
-    flat[..., h + 1:] = upper
-    flat[..., h] = 0.0
-    np.conjugate(flat[..., :h:-1], out=flat[..., :h])
-    return flat
 
 
 def _filled(group: GroupSpec, cutoff: int, upper: np.ndarray,

@@ -23,20 +23,22 @@ with per-segment line integrals of the Fourier basis known exactly: a
 segment p -> q with delta = q - p and midpoint m contributes
 delta e^(i 2 pi n.m) sinc(n.delta) at mode n.  The phase does not depend
 on the character and the weights do not depend on the field, so one
-u1_phase call forms the per-mode product once and contracts it with the
-shared heat-weight table for every observation time at once; characters
-are then applied to the phases (Character.u1_value, one phase or an array
-of them).  The sum runs over the modes visible at the earliest time, those
-whose weight there is at least e^(-NEGLIGIBLE_HEAT) < 2^-60
-(visible_modes): u1_phase takes a field's coefficients at those modes,
-and h_series gathers them from a full field.  u1_phase is one per-mode
-product (_mode_product) and one contraction (_phase_sums); the loop table
-it reads is built at those modes only, one table per (loop, cutoff,
-t_min) in an lru_cache like every other table of the package, and the
-dense cube is never kept.  An ensemble stream calls the two parts itself:
-one product per loop serves all of its members, each contracted at its
-own modes (ensemble module docstring).  Those exact values are the oracle
-the ODE pipeline is checked against.
+per-mode product serves every observation time and every character
+(Character.u1_value, one phase or an array of them).  The sum runs over
+the modes visible at the earliest time, those whose weight there is at
+least e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes).  Every exact read
+takes one path: it gathers the field at the canonical half modes among
+those (the ones whose first nonzero coordinate is positive), forms the
+product with the loop table there (_mode_product), mirrors it into flat
+cube order (fields._mirrored; the product at -n is the conjugate of the
+one at n) and contracts it with the heat weights (_phase_sums).  The one
+loop table is _half_table, cached per (loop, cutoff, t_min) and built at
+the centre and those half modes only, so no dense table of a large cutoff
+is built.  h_series reads a field this way, putting its constant mode's
+product at the centre; an ensemble stream forms one product per loop at
+its draw's visible half modes and contracts each member's and the
+reference's own modes of it (ensemble module docstring).  Those exact
+values are the oracle the ODE pipeline is checked against.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import SpectralConnection, _grid_bracket, _times, heat_rows, mode_norm_sq
+from .fields import (SpectralConnection, _grid_bracket, _mirrored, _times, heat_rows,
+                     mode_norm_sq)
 from .groups import GroupSpec, exp_map, standard_basis, unitarize, unitarity_defect
 
 __all__ = [
@@ -60,7 +63,6 @@ __all__ = [
     "holonomy",
     "wilson_loop",
     "h_series",
-    "u1_phase",
     "visible_modes",
     "NEGLIGIBLE_HEAT",
 ]
@@ -296,12 +298,15 @@ def _u1_powers(exponents, phases) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _visible_table(loop: Loop, cutoff: int, t_min: float) -> np.ndarray:
-    """The loop table at visible_modes(cutoff, t_min), (3, M), read-only
-    and cached on (loop, cutoff, t_min): ensemble members and references
-    reuse it heavily, and where some mode is cut no dense table of the
-    cutoff is built."""
-    table = _loop_table(loop, cutoff, visible_modes(cutoff, t_min))
+def _half_table(loop: Loop, cutoff: int, t_min: float) -> np.ndarray:
+    """The loop table (3, 1 + V) at the centre n = 0 and then the canonical
+    half modes of cutoff visible at t_min: the upper half of
+    visible_modes(cutoff, t_min), in flat order.  Read-only and cached on
+    (loop, cutoff, t_min), it is the one loop table of the exact reads:
+    h_series and ensemble streams reuse it heavily, and no dense table of
+    the cutoff is built."""
+    index = visible_modes(cutoff, t_min)
+    table = _loop_table(loop, cutoff, index[len(index) // 2:])
     table.setflags(write=False)
     return table
 
@@ -478,15 +483,15 @@ NEGLIGIBLE_HEAT = 41.6
 
 
 @lru_cache(maxsize=32)
-def visible_modes(cutoff: int, t_min: float):
+def visible_modes(cutoff: int, t_min: float) -> np.ndarray:
     """Flat C-order indices into the K^3 mode cube of the modes n with
     4 pi^2 |n|^2 t_min <= NEGLIGIBLE_HEAT, the ones a heat flow read at
-    times t >= t_min can see; a full slice when that is every mode (as at
-    t_min <= 0).  The set is symmetric under n -> -n and holds n = 0."""
-    visible = (4.0 * np.pi**2 * mode_norm_sq(cutoff)) * t_min <= NEGLIGIBLE_HEAT
-    if not t_min > 0 or visible.all():
-        return slice(None)
-    out = np.flatnonzero(visible)
+    times t >= t_min can see (every mode at t_min <= 0), read-only.  The
+    set is symmetric under n -> -n and holds n = 0, which therefore sits
+    in the middle: the upper half from there on is the centre and the
+    visible canonical half modes."""
+    heat = (4.0 * np.pi**2 * mode_norm_sq(cutoff)) * t_min
+    out = np.flatnonzero(heat <= NEGLIGIBLE_HEAT)
     out.setflags(write=False)
     return out
 
@@ -501,30 +506,6 @@ def _visible_weights(cutoff: int, times: tuple) -> np.ndarray:
     return out
 
 
-def u1_phase(coeffs: np.ndarray, loop: Loop, cutoff: int, t):
-    """The phase of the regularized U(1) holonomy of a field of this
-    cutoff from its stored coefficients coeffs (3, M) at
-    visible_modes(cutoff, t_min), t_min the smallest of the times t: the
-    real part of the mode sum sum_n e^(-4 pi^2 |n|^2 t) A_n . c_n over
-    those modes only, whatever the field holds elsewhere.  That is the
-    imaginary part of the same sum over Z = i A; the imaginary part of
-    the A-sum cancels in exact arithmetic and is discarded after a sanity
-    bound at every time.
-
-    Broadcasts over t like numpy: a scalar time gives a float, a 1-D
-    sequence of times an array of phases.  The per-mode product
-    A_n . c_n is formed once and contracted with one row of the shared
-    heat-weight table per time, so every time and every character of one
-    (field, loop) costs a single call.  The loop table is read at the
-    visible modes alone (_visible_table), built once per (loop, cutoff,
-    t_min).
-    """
-    times = _times(t)
-    table = _visible_table(loop, cutoff, min(times, default=0.0))
-    phases = _phase_sums(_mode_product(coeffs, table), _visible_weights(cutoff, times))
-    return float(phases[0]) if np.ndim(t) == 0 else phases
-
-
 def _mode_product(coeffs: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
     """The per-mode product A_n . c_n (M,) of coefficients and a loop table,
     both (3, M), written to out when given.  Each entry is formed from its
@@ -537,10 +518,10 @@ def _mode_product(coeffs: np.ndarray, table: np.ndarray, out=None) -> np.ndarray
 
 def _phase_sums(per_mode: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The phases (..., T) of C-contiguous per-mode products per_mode
-    (..., M) at visible_modes(cutoff, t_min), in flat order, from that
-    cutoff's heat weights (T, M) (_visible_weights): one contraction of
-    each product for every time (a stack of products is one matmul of
-    the same contractions)."""
+    (..., M) at visible_modes(cutoff, t_min), in flat order (as _mirrored
+    lays them out), from that cutoff's heat weights (T, M)
+    (_visible_weights): one contraction of each product for every time (a
+    stack of products is one matmul of the same contractions)."""
     # (T, M) @ (..., M, 2): real and imaginary part of each time's sum
     sums = weights @ per_mode[..., None].view(float)
     # a handful of sums: checked one by one, cheaper than array calls
@@ -551,12 +532,32 @@ def _phase_sums(per_mode: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def h_series(a: SpectralConnection, loop: Loop, t):
-    """u1_phase of the U(1) field a at the times t: its stored
-    coefficients gathered at the modes visible at the earliest time
-    (visible_modes; every mode of the cube unless its cutoff is large for
-    that time).  Each mode left out weighs less than
-    e^(-NEGLIGIBLE_HEAT) < 2^-60 at every time."""
+    """The phase of the regularized U(1) holonomy of the U(1) field a at
+    the times t: the real part of the mode sum
+    sum_n e^(-4 pi^2 |n|^2 t) A_n . c_n over the modes visible at the
+    earliest time t_min (visible_modes; every mode of the cube unless its
+    cutoff is large for that time).  Each mode left out weighs less than
+    e^(-NEGLIGIBLE_HEAT) < 2^-60 at every time.  The sum is the imaginary
+    part of the same sum over Z = i A; the imaginary part of the A-sum
+    cancels in exact arithmetic and is discarded after a sanity bound at
+    every time.
+
+    Broadcasts over t like numpy: a scalar time gives a float, a 1-D
+    sequence of times an array of phases.  The field is read at its
+    constant mode and its visible canonical half modes only, which is the
+    whole sum bit for bit for a reflection-symmetric field: the per-mode
+    product with the loop table there (_half_table) is formed once,
+    mirrored with the constant mode's product at the centre, and
+    contracted with one row of the shared heat-weight table per time.
+    """
     if a.group.kind != "u1":
         raise ValueError("U(1) fields only")
-    index = visible_modes(a.cutoff, min(_times(t), default=0.0))
-    return u1_phase(a.coeffs[0].reshape(3, -1)[:, index], loop, a.cutoff, t)
+    times = _times(t)
+    t_min = min(times, default=0.0)
+    index = visible_modes(a.cutoff, t_min)
+    # the centre, then the visible half modes
+    per_mode = _mode_product(a.coeffs[0].reshape(3, -1)[:, index[len(index) // 2:]],
+                             _half_table(loop, a.cutoff, t_min))
+    phases = _phase_sums(_mirrored(per_mode[1:], per_mode[0]),
+                         _visible_weights(a.cutoff, times))
+    return float(phases[0]) if np.ndim(t) == 0 else phases

@@ -3,8 +3,9 @@ loop Fourier table and the same table as an exponential difference, the
 U(1) Wilson phase on the amplitude cube Z = i A as first written, the
 record of a U(1) exact ensemble member and its observation rows as first
 written (one integrate run and one h_series call per loop on the filled
-field; one tuple per row), Philox4x64-10
-on explicit counter arrays,
+field; one tuple per row), the convergence report's fraction of seeds
+with decreasing deviations as first written (a Python max per seed),
+Philox4x64-10 on explicit counter arrays,
 algebra projection, the free-field two-point diagnostic, the samplers,
 their mode table, frames and Gaussian draws as first written
 (zero-filled cubes and three-index scatters, a sorted mode grid,
@@ -142,6 +143,31 @@ def record_rows(rec):
         for lp, ch in pairs:
             w = rec.wilson[(lp, ch, t)]
             yield head + (lp, ch, w.real, w.imag) + tail
+
+
+def decreasing_fraction(records, spec, reference) -> float:
+    """The decreasing_fraction of ensemble.distribution_convergence_report
+    as first written: per seed and cutoff the largest |W_member - W_ref|
+    over every (loop, character, t), taken one Python max at a time
+    (a NaN deviation is skipped), and the fraction of seeds whose largest
+    deviation strictly decreases along the cutoffs."""
+    streams = sorted({rec.stream for rec in records})
+    by_member = {(rec.stream, rec.cutoff): rec for rec in records}
+    dev_by_seed = {s: [] for s in streams}
+    for m in sorted({rec.cutoff for rec in records}):
+        per_seed = {s: 0.0 for s in streams}
+        for lp in spec.loops:
+            for ch in spec.characters:
+                for t in spec.times:
+                    key = (lp.name, ch.label(), t)
+                    for s in streams:
+                        dev = abs(by_member[(s, m)].wilson[key] - reference[s][key])
+                        per_seed[s] = max(per_seed[s], dev)
+        for s in streams:
+            dev_by_seed[s].append(per_seed[s])
+    decreasing = sum(1 for s in streams
+                     if all(a > b for a, b in zip(dev_by_seed[s], dev_by_seed[s][1:])))
+    return decreasing / len(streams)
 
 
 def format_loop_file(loops) -> str:

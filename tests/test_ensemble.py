@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from gauge import axis_cycle
-from reference import (format_loop_file, loop_fourier_coefficients, member_record,
-                       record_rows)
+from reference import (decreasing_fraction, format_loop_file, loop_fourier_coefficients,
+                       member_record, record_rows)
 from ymflow.fields import mode_grids, mode_norm_sq
 from ymflow.flow import FlowConfig, integrate
 from ymflow.ensemble import (
@@ -172,10 +172,10 @@ def test_member_exception_reaches_caller_with_its_type(monkeypatch):
 
     read_values = ensemble_mod._read_values
 
-    def failing(spec, products, cutoff, seen):
+    def failing(spec, products, cutoff):
         if cutoff == 4:
             raise MemberFailure(f"raised in process {os.getpid()}")
-        return read_values(spec, products, cutoff, seen)
+        return read_values(spec, products, cutoff)
 
     monkeypatch.setattr(ensemble_mod, "_read_values", failing)
     with pytest.raises(MemberFailure) as info:
@@ -445,6 +445,7 @@ def test_distribution_convergence_report():
     recs, reference = run_ensemble(spec)
     rows, frac = distribution_convergence_report(recs, spec, reference)
     assert frac >= 0.9
+    assert frac == decreasing_fraction(recs, spec, reference)
     by_cut = {}
     for r in rows:
         by_cut.setdefault(r.cutoff, []).append(r.per_seed_max_dev)
@@ -480,11 +481,10 @@ def test_convergence_report_refuses_reference_at_or_below_largest_cutoff():
 
 
 def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
-    # one table per loop, at the reference cutoff's drawn modes (every
-    # mode of the largest member and the modes visible at the earliest
-    # time): members and the reference gather it, a second run of the
-    # same shape reuses it, and the convergence report builds none
-    import ymflow.ensemble as ens
+    # one table per loop, at the centre and the reference cutoff's half
+    # modes visible at the earliest time (every phase reads only those):
+    # members and the reference gather it, a second run of the same shape
+    # reuses it, and the convergence report builds none
     import ymflow.wilson as wil
     built = []
     real = wil._loop_table
@@ -495,14 +495,13 @@ def test_reference_run_builds_one_loop_table_per_loop(monkeypatch):
         return real(loop, cutoff, index)
 
     monkeypatch.setattr(wil, "_loop_table", counting)
-    monkeypatch.setattr(ens, "_loop_table", counting)
-    wil._visible_table.cache_clear()
-    ens._drawn_table.cache_clear()
+    wil._half_table.cache_clear()
     spec = u1_spec(n_samples=4, cutoffs=(2, 4, 8), times=(0.005, 0.02),
                    reference_cutoff=12)
     recs, reference = run_ensemble(spec)
-    drawn = len(ens._stream_modes(12, (2, 4, 8), 0.005)[0])
-    assert sorted(built) == [("cx", 12, drawn), ("plaq", 12, drawn)]
+    upper = len(visible_modes(12, 0.005)) // 2 + 1
+    assert upper < (25**3 + 1) // 2            # some modes are cut
+    assert sorted(built) == [("cx", 12, upper), ("plaq", 12, upper)]
     run_ensemble(spec)
     distribution_convergence_report(recs, spec, reference)
     assert len(built) == 2
@@ -586,7 +585,7 @@ def test_stream_draws_member_and_heat_visible_modes():
     # weight above e^(-41.6) at t_min
     import ymflow.ensemble as ens
     from ymflow.gff import canonical_half_modes
-    drawn, visible, members, tables = ens._stream_modes(16, (2, 4, 8), 0.005)
+    drawn, visible, members, tables, *_ = ens._stream_modes(16, (2, 4, 8), (0.005,))
     half = canonical_half_modes(16)
     assert (len(drawn), len(half)) == (6446, 17968)
     assert np.array_equal(tables.modes, half[drawn])
@@ -598,16 +597,17 @@ def test_stream_draws_member_and_heat_visible_modes():
 
 
 @pytest.mark.parametrize("kind, group, top, cutoffs, t_min", [
-    ("u1_coulomb", U1, 12, (2, 4, 8), 0.005), ("u1_coulomb", U1, 4, (2, 4), None),
-    ("gff", SU2, 6, (2, 4), None), ("gff", GroupSpec("su", 3), 3, (1, 3), None)])
+    ("u1_coulomb", U1, 12, (2, 4, 8), 0.005), ("u1_coulomb", U1, 4, (2, 4), 0.02),
+    ("gff", SU2, 6, (2, 4), 0.1), ("gff", GroupSpec("su", 3), 3, (1, 3), 0.02)])
 def test_stream_tables_draw_the_full_draw(kind, group, top, cutoffs, t_min):
     # the sampler tables of a stream shape are built once and read-only,
     # and _stored on them gives the full draw's values at the drawn modes,
     # on the first call and on every later one
     import ymflow.ensemble as ens
     from ymflow.gff import _stored, canonical_half_modes
-    drawn, _, _, tables = ens._stream_modes(top, cutoffs, t_min)
-    assert ens._stream_modes(top, cutoffs, t_min)[3] is tables
+    modes = ens._stream_modes(top, cutoffs, (t_min,))
+    drawn, tables = modes.drawn, modes.tables
+    assert ens._stream_modes(top, cutoffs, (t_min,)) is modes
     assert all(not x.flags.writeable for x in tables)
     assert np.array_equal(tables.modes, canonical_half_modes(top)[drawn])
     for stream in (0, 3, 0):
@@ -639,7 +639,7 @@ def test_uncut_reference_equals_full_cube_h_series():
     import ymflow.ensemble as ens
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.02, 0.005),
                    reference_cutoff=6)
-    assert ens.visible_modes(6, 0.005) == slice(None)
+    assert len(ens.visible_modes(6, 0.005)) == 13**3
     _, reference = run_ensemble(spec)
     for stream, values in reference.items():
         a = sample_initial(U1, "u1_coulomb", 6, spec.seed, stream)
@@ -801,8 +801,7 @@ def test_u1_exact_member_values_match_scalar_formula():
 
 
 def _visible_count(cutoff, t_min):
-    index = visible_modes(cutoff, t_min)
-    return (2 * cutoff + 1) ** 3 if isinstance(index, slice) else len(index)
+    return len(visible_modes(cutoff, t_min))
 
 
 def _forbid(monkeypatch, *targets):
@@ -817,8 +816,8 @@ def test_exact_phases_one_contraction_per_member(monkeypatch):
     # the exact phases of a member or a reference are one _phase_sums
     # contraction of its loop products stacked (loops, modes), over its
     # cutoff's modes visible at the earliest time: one per (stream, member
-    # cutoff or reference); neither h_series nor u1_phase runs, and the
-    # report contracts nothing
+    # cutoff or reference); h_series does not run, and the report
+    # contracts nothing
     import ymflow.ensemble as ens
     import ymflow.wilson as wil
     calls = []
@@ -829,7 +828,7 @@ def test_exact_phases_one_contraction_per_member(monkeypatch):
         return real(per_mode, weights)
 
     monkeypatch.setattr(ens, "_phase_sums", counting)
-    _forbid(monkeypatch, (wil, "h_series"), (wil, "u1_phase"))
+    _forbid(monkeypatch, (wil, "h_series"))
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.01, 0.02))
     run_ensemble(spec)
     per_stream = [(len(spec.loops), _visible_count(c, 0.005)) for c in (2, 4)]
@@ -848,8 +847,8 @@ def test_exact_phases_one_contraction_per_member(monkeypatch):
 def test_exact_stream_one_product_per_loop_and_no_member_cube(monkeypatch):
     # a u1_exact stream fills no member cube, runs no flow and calls no
     # h_series: one per-mode product per (stream, loop), at the drawn
-    # modes, serves every member and the reference; rescaled members each
-    # form their own
+    # modes visible at the earliest time, serves every member and the
+    # reference; rescaled members each form their own
     import ymflow.ensemble as ens
     import ymflow.flow as flow_mod
     import ymflow.gff as gff_mod
@@ -857,7 +856,7 @@ def test_exact_stream_one_product_per_loop_and_no_member_cube(monkeypatch):
     from ymflow.gff import canonical_half_modes
     _forbid(monkeypatch, (gff_mod, "_filled"), (ens, "_filled"),
             (flow_mod, "integrate"), (ens, "integrate"),
-            (wil, "h_series"), (wil, "u1_phase"))
+            (wil, "h_series"))
     products = []
     real = ens._mode_product
 
@@ -869,8 +868,10 @@ def test_exact_stream_one_product_per_loop_and_no_member_cube(monkeypatch):
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.005, 0.02),
                    reference_cutoff=12)
     run_ensemble(spec)
-    drawn = len(ens._stream_modes(12, (2, 4), 0.005)[0])
-    assert products == [drawn] * (3 * len(spec.loops))
+    # every drawn mode is visible here: the draw is read as it is
+    visible = len(visible_modes(12, 0.005)) // 2
+    assert visible == len(ens._stream_modes(12, (2, 4), (0.005, 0.02)).drawn)
+    assert products == [visible] * (3 * len(spec.loops))
     products.clear()
     run_ensemble(replace(spec, reference_cutoff=None))
     assert products == [len(canonical_half_modes(4))] * (3 * len(spec.loops))
@@ -885,17 +886,26 @@ def test_exact_stream_one_product_per_loop_and_no_member_cube(monkeypatch):
     pytest.param((2, 4), (0.02, 0.005), 6, id="uncut-reference"),
     pytest.param((2, 4, 8), (0.005, 0.02), 12, id="cut-reference"),
     pytest.param((2, 8), (0.1, 0.05), None, id="member-modes-cut"),
+    pytest.param((2, 4), (0.05, 0.1), None, id="largest-member-cut"),
+    pytest.param((2, 4), (0.05, 0.1), 6, id="largest-member-cut-reference"),
 ])
 def test_exact_read_out_equals_member_oracle(cutoffs, times, reference_cutoff, threads):
     # every record and reference value of the per-mode read-out equals
     # integrate + h_series on the member's own draw, bit for bit (repr
-    # tells -0.0 from 0.0): with no reference, a reference uncut at t_min
-    # (visible_modes a slice), a cut one, and a member cutoff cut at t_min
+    # tells -0.0 from 0.0): with no reference, a reference uncut at t_min,
+    # a cut one, and a largest member cutoff cut at t_min (at t = 0.05 the
+    # visible radius is about 4.6), where the members' modes among the
+    # visible ones are a proper gather, with or without a reference
     import ymflow.ensemble as ens
-    shape = {None: None, 6: slice, 12: np.ndarray}[reference_cutoff]
-    assert shape is None or type(visible_modes(reference_cutoff, min(times))) is shape
-    assert type(visible_modes(cutoffs[-1], min(times))) is (
-        np.ndarray if cutoffs[-1] == 8 and min(times) == 0.05 else slice)
+
+    def cut(c):
+        return len(visible_modes(c, min(times))) < (2 * c + 1) ** 3
+
+    # every reference is cut at t_min but R = 6 at t = 0.005, and the
+    # largest member exactly at t = 0.05
+    if reference_cutoff is not None:
+        assert cut(reference_cutoff) == ((reference_cutoff, min(times)) != (6, 0.005))
+    assert cut(cutoffs[-1]) == (min(times) == 0.05)
     spec = u1_spec(n_samples=3, cutoffs=cutoffs, times=times,
                    reference_cutoff=reference_cutoff)
     recs, reference = run_ensemble(spec, threads=threads)

@@ -16,6 +16,7 @@ from reference import (
     u1_amplitudes,
 )
 from ymflow.fields import (
+    heat_rows,
     mode_grids,
     mode_norm_sq,
     ym_action_u1_spectral,
@@ -40,7 +41,6 @@ from ymflow.wilson import (
     make_loop,
     parse_loop_file,
     rectangle_loop,
-    u1_phase,
     visible_modes,
     wilson_loop,
 )
@@ -238,23 +238,27 @@ WINDING_TRIANGLE = make_loop([(0.2, 0.1, 0.5), (0.55, 0.1, 0.65),
 
 @pytest.mark.parametrize("cutoff", [9, 12, 16])
 def test_visible_table_is_gathered_dense_table(cutoff):
-    # at every t_min, cut or not, the cached table has the bytes of the
-    # dense table gathered at visible_modes(cutoff, t_min); it is
-    # read-only and built once per (loop, cutoff, t_min)
-    wilson_mod._visible_table.cache_clear()
+    # at every t_min, cut or not, the one cached loop table of the exact
+    # reads has the bytes of the dense table gathered at the centre and
+    # the visible canonical half modes, the upper half of
+    # visible_modes(cutoff, t_min); it is read-only and built once per
+    # (loop, cutoff, t_min)
+    wilson_mod._half_table.cache_clear()
     loops = [PLAQ, WINDING_TRIANGLE, axis_cycle(2, (0.3, 0.1, 0.7)),
              rectangle_loop((0.6, 0.1, 0.9), 2, 0, 0.5, 0.125)] + random_loops(27)
+    k3 = (2 * cutoff + 1) ** 3
     cut = {0.0: False, 0.001: False, 0.005: True, 0.02: True, 0.1: True}
     for lp in loops:
         dense = loop_fourier_coefficients(lp, cutoff).reshape(3, -1)
         for t_min, is_cut in cut.items():
             index = visible_modes(cutoff, t_min)
-            assert isinstance(index, np.ndarray) == is_cut
-            got = wilson_mod._visible_table(lp, cutoff, t_min)
-            assert got.tobytes() == dense[:, index].tobytes(), (lp.name, t_min)
+            assert (len(index) < k3) == is_cut
+            upper = index[index >= (k3 - 1) // 2]
+            got = wilson_mod._half_table(lp, cutoff, t_min)
+            assert got.tobytes() == dense[:, upper].tobytes(), (lp.name, t_min)
             assert not got.flags.writeable
-            assert wilson_mod._visible_table(lp, cutoff, t_min) is got
-    assert wilson_mod._visible_table.cache_info().currsize == len(loops) * len(cut)
+            assert wilson_mod._half_table(lp, cutoff, t_min) is got
+    assert wilson_mod._half_table.cache_info().currsize == len(loops) * len(cut)
 
 
 def test_loop_fourier_matches_exponential_difference():
@@ -533,43 +537,44 @@ def test_h_series_refuses_non_finite_times():
     # a NaN time gave a NaN phase, and an infinite one a NaN weight at
     # n = 0, without an error
     b = u1_sample(cutoff=4, seed=22)
-    index = visible_modes(4, 0.01)
-    visible = b.coeffs[0].reshape(3, -1)[:, index]
     for times in ([0.01, float("nan")], float("nan"), (0.01, float("inf")),
                   float("inf")):
         with pytest.raises(ValueError, match="finite"):
             h_series(b, PLAQ, times)
-        with pytest.raises(ValueError, match="finite"):
-            u1_phase(visible, PLAQ, 4, times)
 
 
 def test_h_series_imaginary_check_covers_every_time():
-    # one mode without its conjugate partner: the mode sum has a real part,
-    # invisible at t = 80 (weight e^(-4 pi^2 80) = 0) but not at t = 0.01
+    # h_series mirrors the half modes, so only a constant mode that is
+    # not real gives its mode sum a real part: refused at every time
     a = zero_connection(U1, 2)
-    a.coeffs[0, 1, 3, 2, 2] = 0.3
-    assert h_series(a, PLAQ, 80.0) == 0.0
+    a.coeffs[0, 0, 2, 2, 2] = 0.3j
+    for times in (80.0, 0.01, [80.0, 0.01]):
+        with pytest.raises(AssertionError, match="purely imaginary"):
+            h_series(a, WINDING_TRIANGLE, times)
+    # the contraction checks every time's sum: a product with an
+    # imaginary part at one mode n != 0 alone, invisible at t = 80
+    # (weight e^(-4 pi^2 80) = 0) but not at t = 0.01
+    per_mode = np.zeros(5 ** 3, dtype=complex)
+    per_mode[75] = 0.3j
+    weights = heat_rows(mode_norm_sq(2).reshape(-1), (80.0, 0.01))
+    assert np.array_equal(wilson_mod._phase_sums(per_mode, weights[:1]), [0.0])
     with pytest.raises(AssertionError, match="purely imaginary"):
-        h_series(a, PLAQ, 0.01)
-    with pytest.raises(AssertionError, match="purely imaginary"):
-        h_series(a, PLAQ, [80.0, 0.01])
+        wilson_mod._phase_sums(per_mode, weights)
 
 
 @pytest.mark.parametrize("cutoff, t, cut", [
     (4, 0.005, False), (8, 0.005, False), (9, 0.005, True), (16, 0.005, True),
     (16, 0.02, True), (6, 0.1, True), (3, 0.0, False), (2, 80.0, True)])
 def test_visible_modes_are_the_heat_visible_ones(cutoff, t, cut):
-    # exactly the modes with 4 pi^2 |n|^2 t <= 41.6, a full slice when
-    # no mode is cut
+    # exactly the modes with 4 pi^2 |n|^2 t <= 41.6, as an index array
+    # whether or not some mode is cut
     index = visible_modes(cutoff, t)
     want = np.flatnonzero(4.0 * np.pi**2 * t * mode_norm_sq(cutoff).ravel() <= 41.6)
     assert wilson_mod.NEGLIGIBLE_HEAT == 41.6
-    if not cut:
-        assert index == slice(None)
-        assert len(want) == (2 * cutoff + 1) ** 3
-        return
-    assert isinstance(index, np.ndarray) and np.array_equal(index, want)
     k3 = (2 * cutoff + 1) ** 3
+    assert isinstance(index, np.ndarray) and np.array_equal(index, want)
+    assert (len(index) < k3) == cut
+    assert not index.flags.writeable
     assert np.array_equal(index, k3 - 1 - index[::-1])     # n -> -n
     assert (k3 - 1) // 2 in index                          # n = 0
     assert visible_modes(cutoff, t) is index                # cached
@@ -577,8 +582,7 @@ def test_visible_modes_are_the_heat_visible_ones(cutoff, t, cut):
 
 def test_h_series_sums_the_visible_modes_only():
     # a field that differs only at modes invisible at the earliest time
-    # has the same phases, bit for bit; u1_phase on the gathered visible
-    # coefficients is h_series
+    # has the same phases, bit for bit
     a = u1_sample(cutoff=12, seed=25)
     times = (0.01, 0.005, 0.03)
     index = visible_modes(12, 0.005)
@@ -589,8 +593,6 @@ def test_h_series_sums_the_visible_modes_only():
     for lp in [PLAQ] + random_loops(26, count=2):
         want = h_series(a, lp, times)
         assert h_series(b, lp, times).tobytes() == want.tobytes()
-        visible = a.coeffs[0].reshape(3, -1)[:, index]
-        assert u1_phase(visible, lp, 12, times).tobytes() == want.tobytes()
         # against every term of the cube, summed exactly
         per_mode = np.sum(a.coeffs[0] * loop_fourier_coefficients(lp, 12), axis=0)
         for t, got in zip(times, want):
