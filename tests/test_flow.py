@@ -659,3 +659,55 @@ def test_strong_field_flows_decay_through_rejected_steps():
             assert s[0] > s[1] > s[2]
             assert traj.rhs_evaluations > 3 * traj.step_count
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("budget", [10, 9])
+def test_step_budget_is_checked_only_before_another_attempt(budget, monkeypatch):
+    # the H^1 = 0.5 draw reaches t = 0.01 in exactly 10 accepted steps: a
+    # budget of 10 lets the run end there, a budget of 9 stalls it before
+    # the tenth step, after the state at 0.005 is recorded
+    import ymflow.flow as flow_mod
+    monkeypatch.setattr(flow_mod, "MAX_STEPS", budget)
+    a = sample_initial(SU2, "gff", 2, 5, 0, scale_to_h1=0.5)
+    traj = integrate(a, FlowConfig("ym", dt_initial=1e-3), (0.005, 0.01))
+    if budget == 10:
+        assert traj.failure is None and not traj.blew_up
+        assert traj.step_count == 10 and traj.attained_time == 0.01
+        assert traj.checkpoint_times() == [0.005, 0.01]
+    else:
+        assert traj.failure == "stalled" and traj.blew_up
+        assert traj.step_count == 9 and traj.attained_time < 0.01
+        assert traj.checkpoint_times() == [0.005] and list(traj.actions) == [0.005]
+
+
+def test_action_guard_rejects_every_rise(monkeypatch):
+    # with an error tolerance no estimate exceeds, only the action guard
+    # can reject: the unscaled draw (S_YM ~ 1.3e5) at dt 1e-2 has 5 of its
+    # 57 candidates refused for a rising action, and the accepted actions
+    # never rise
+    import ymflow.flow as flow_mod
+    actions = []
+    nonlinear = flow_mod._nonlinear_core
+
+    def recorded(a, work=None, diagnostics=True):
+        out = nonlinear(a, work, diagnostics=diagnostics)
+        if diagnostics:
+            actions.append(out[1])
+        return out
+
+    monkeypatch.setattr(flow_mod, "_nonlinear_core", recorded)
+    a = sample_initial(SU2, "gff", 2, 5, 0)
+    traj = integrate(a, FlowConfig("ym", dt_initial=1e-2, error_tol=1e300), (0.1,))
+    assert traj.failure is None
+    assert (traj.step_count, traj.rhs_evaluations) == (52, 171)
+    # every candidate is evaluated; it is kept exactly when its action does
+    # not exceed the last kept one beyond the guard's tolerance
+    kept, rises = [actions[0]], 0
+    for s in actions[1:]:
+        if s > kept[-1] + flow_mod.MONOTONE_TOL * (1.0 + kept[-1]):
+            rises += 1
+        else:
+            kept.append(s)
+    assert (len(kept) - 1, rises) == (52, 5)
+    assert kept[-1] == traj.actions[0.1]
+    assert all(b <= a_ for a_, b in zip(kept, kept[1:]))
