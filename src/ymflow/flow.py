@@ -13,16 +13,20 @@ The state, the stages and the nonlinear terms live on the half spectrum
 n3 >= 0, (d, 3, K, K, N+1); the n3 < 0 half, the conjugate of the
 mirrored modes, is formed only for the states recorded.
 
-Step control: a step is rejected (and dt shrunk by dt_safety) when the
-embedded second-order result differs from the third-order one by more
-than error_tol in relative L^2 (norms summed on the half: weight 1 on
-the n3 = 0 plane, 2 above it), when the action guard trips, or when
-non-finite values appear.  After ten clean steps dt grows back, capped by
-dt_initial.  Steps are clipped to land exactly on the observation times
-given to integrate, and the controller state resets at each of them so a
-run resumed from a checkpoint file reproduces the uninterrupted run bit
-for bit.  A FlowConfig says only how to integrate; when to observe is the
-caller's (the last observation time ends the run).
+Step control: each attempt (flow._attempt) returns one verdict:
+'reject-error' when the embedded second-order result differs from the
+third-order one by more than error_tol in relative L^2 (norms summed on
+the half: weight 1 on the n3 = 0 plane, 2 above it), 'reject-action'
+when the YM action guard trips, 'non-finite' when non-finite values
+appear (the run ends), else 'accept'.  A rejection shrinks dt by
+dt_safety; after ten accepted steps dt grows back, capped by dt_initial.
+The step budget is checked only when another attempt is needed: a run
+stalls there after MAX_STEPS accepted steps or with dt below dt_initial
+2^-40, so one that lands on its last time in MAX_STEPS steps ends
+normally.  Steps are clipped to land exactly on the observation times
+given to integrate, and the controller state resets at each of them, so
+a run resumed from a checkpoint retraces the uninterrupted one's steps.
+A FlowConfig says only how to integrate; the caller says when to observe.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ FLOW_KINDS = ("ym", "zdds", "u1_exact")
 
 # a YM step is rejected when the action rises by more than this, relative
 MONOTONE_TOL = 1e-9
-# accepted steps after which a run stops as 'stalled'
+# accepted steps after which a run that needs another attempt stalls
 MAX_STEPS = 1_000_000
 
 
@@ -189,6 +193,21 @@ class _EtdStepper:
         return u3, _half_l2(u3 - u2)
 
 
+def _attempt(stepper: _EtdStepper, state, n_state, action, work, config):
+    """One ETDRK3 attempt from state: (verdict, new), the verdict one of
+    'accept', 'reject-error', 'reject-action' and 'non-finite', and new
+    (candidate, its nonlinear term, action, sup) on 'accept', else None."""
+    candidate, err = stepper.step(state, n_state, work)
+    if not (np.isfinite(err) and np.all(np.isfinite(candidate))):
+        return "non-finite", None
+    if err / max(_half_l2(candidate), 1e-30) > config.error_tol:
+        return "reject-error", None
+    new = (candidate, *_nonlinear_core(candidate, work))
+    if config.flow_kind == "ym" and new[2] > action + MONOTONE_TOL * (1.0 + action):
+        return "reject-action", None
+    return "accept", new
+
+
 def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajectory:
     """Run the configured flow from a0 up to the last of ``times`` (a
     scalar or a 1-D sequence, read by fields._times), recording the state
@@ -209,68 +228,49 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
         traj.attained_time = targets[-1]
         return traj
 
-    guard_action = config.flow_kind == "ym"
     # this flow's grid arrays, reused by every nonlinear pass below
     work = _Workspace(a0.group, a0.cutoff, deturck=config.flow_kind == "zdds")
-
     steppers: dict[float, _EtdStepper] = {}
     state = a0.coeffs[..., a0.cutoff:].copy()
-    t = 0.0
     # the nonlinear term of the current state with its action and sup
     # norm: one evaluation serves the action guard, the blow-up check and
     # stage 0 of the next step
     n_state, action, _ = _nonlinear_core(state, work)
     dt_floor = config.dt_initial * 2.0**-40
-
-    for target in targets:
-        # controller state resets here so a resumed run retraces the same
-        # step ladder as the uninterrupted one
-        dt = config.dt_initial
-        clean = 0
-        while t < target - 1e-14 * targets[-1]:
-            if traj.step_count >= MAX_STEPS:
-                traj.failure = "stalled"
-                break
-            h = min(dt, target - t)
-            if h not in steppers:
-                steppers[h] = _EtdStepper(a0.cutoff, h)
-            candidate, err = steppers[h].step(state, n_state, work)
-            traj.rhs_evaluations += 3
-            ok = np.isfinite(err) and bool(np.all(np.isfinite(candidate)))
-            if not ok:
-                traj.failure = "non-finite"
-                break
-            rel_err = err / max(_half_l2(candidate), 1e-30)
-            ok = rel_err <= config.error_tol
-            if ok:
-                n_new, new_action, sup = _nonlinear_core(candidate, work)
-                if guard_action and \
-                        new_action > action + MONOTONE_TOL * (1.0 + action):
-                    ok = False
-            if not ok:
-                dt = h * config.dt_safety
-                clean = 0
-                if dt < dt_floor:
-                    traj.failure = "stalled"
-                    break
-                continue
-            state, n_state, action = candidate, n_new, new_action
+    ahead = targets[::-1]           # the times still to observe, the next last
+    t, dt, clean = 0.0, config.dt_initial, 0
+    while ahead and traj.failure is None:
+        if t >= ahead[-1] - 1e-14 * targets[-1]:
+            target = ahead.pop()
+            traj.states[target] = SpectralConnection(a0.group, a0.cutoff,
+                                                     _full_spectrum(state))
+            traj.actions[target] = action
+            dt, clean = config.dt_initial, 0        # the controller resets
+            continue
+        # out of budget, or rejections drove dt below the floor
+        if traj.step_count >= MAX_STEPS or dt < dt_floor:
+            traj.failure = "stalled"
+            continue
+        h = min(dt, ahead[-1] - t)
+        if h not in steppers:
+            steppers[h] = _EtdStepper(a0.cutoff, h)
+        verdict, new = _attempt(steppers[h], state, n_state, action, work, config)
+        traj.rhs_evaluations += 3
+        if verdict == "non-finite":
+            traj.failure = verdict
+        elif verdict != "accept":
+            dt, clean = h * config.dt_safety, 0
+        else:
+            state, n_state, action, sup = new
             t += h
             traj.step_count += 1
             clean += 1
             if clean >= 10:
-                dt = min(dt / config.dt_safety, config.dt_initial)
-                clean = 0
+                dt, clean = min(dt / config.dt_safety, config.dt_initial), 0
             if not np.isfinite(sup):
                 traj.failure = "non-finite"
-                break
-            if sup > config.blowup_threshold:
+            elif sup > config.blowup_threshold:
                 traj.failure = "threshold"
-                break
-        if traj.failure is not None:
-            break
-        traj.states[target] = SpectralConnection(a0.group, a0.cutoff, _full_spectrum(state))
-        traj.actions[target] = action
 
     traj.attained_time = t
     traj.blew_up = traj.failure is not None

@@ -32,6 +32,29 @@ def gff_like_u1(cutoff, seed, scale=1.0):
     return sample_u1_coulomb(SamplerConfig(U1, cutoff, seed=seed)).scaled(scale)
 
 
+VERDICTS = ("accept", "reject-error", "reject-action", "non-finite")
+
+
+def count_verdicts(monkeypatch):
+    """Wrap flow._attempt, which integrate calls once per attempt, and
+    return the Counter of its verdicts; (candidate, nonlinear term, action,
+    sup) comes with 'accept' only."""
+    import collections
+    import ymflow.flow as flow_mod
+    counts = collections.Counter()
+    attempt = flow_mod._attempt
+
+    def counted(*args):
+        verdict, new = attempt(*args)
+        assert verdict in VERDICTS
+        assert (new is not None and len(new) == 4) == (verdict == "accept")
+        counts[verdict] += 1
+        return verdict, new
+
+    monkeypatch.setattr(flow_mod, "_attempt", counted)
+    return counts
+
+
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig("warp")
@@ -256,13 +279,17 @@ def linf_cap(a):
     return nonlinear_pass(a, False)[2]
 
 
-def test_nonfinite_reported_distinctly():
+def test_nonfinite_reported_distinctly(monkeypatch):
+    # the first attempt is non-finite and ends the run at t = 0
+    verdicts = count_verdicts(monkeypatch)
     a = random_connection(SU2, 1, seed=10, scale=1.0)
     bad = a.copy()
     bad.coeffs[0, 0, 1, 1, 1] = np.nan
     traj = integrate(bad, FlowConfig("zdds"), (0.01,))
     assert traj.blew_up
     assert traj.failure == "non-finite"
+    assert verdicts == {"non-finite": 1}
+    assert (traj.step_count, traj.rhs_evaluations, traj.attained_time) == (0, 3, 0.0)
 
 
 def test_gauge_covariance_u1_winding():
@@ -641,23 +668,26 @@ def test_half_spectrum_flow_of_coulomb_data_equals_full_spectrum_values(kind):
         assert got.actions[t].hex() == want.actions[t].hex()
 
 
-def test_strong_field_flows_decay_through_rejected_steps():
+def test_strong_field_flows_decay_through_rejected_steps(monkeypatch):
     # unscaled SU(2) GFF draws at N = 2 (S_YM ~ 2000-2500): neither flow
     # blows up, S_YM strictly decreases over the checkpoints (YM, seed 5:
-    # 2490.5, 903.3, 179.2), and the error controller rejects steps (75
-    # attempts for 72 steps), so its reject branch runs on the half spectrum
+    # 2490.5, 903.3, 179.2), and the error controller rejects 3 of the 75
+    # attempts of each run, so its reject branch runs on the half spectrum
     import time
 
+    verdicts = count_verdicts(monkeypatch)
     times = (0.01, 0.02, 0.05)
     start = time.perf_counter()
     for seed in (5, 7):
         a = sample_initial(SU2, "gff", 2, seed, 0)
         for kind in ("ym", "zdds"):
+            verdicts.clear()
             traj = integrate(a, FlowConfig(kind), times)
             assert not traj.blew_up
             s = [traj.actions[t] for t in times]
             assert s[0] > s[1] > s[2]
-            assert traj.rhs_evaluations > 3 * traj.step_count
+            assert verdicts == {"accept": 72, "reject-error": 3}
+            assert (traj.step_count, traj.rhs_evaluations) == (72, 3 * 75)
     assert time.perf_counter() - start < 1.0
 
 
@@ -696,9 +726,11 @@ def test_action_guard_rejects_every_rise(monkeypatch):
         return out
 
     monkeypatch.setattr(flow_mod, "_nonlinear_core", recorded)
+    verdicts = count_verdicts(monkeypatch)
     a = sample_initial(SU2, "gff", 2, 5, 0)
     traj = integrate(a, FlowConfig("ym", dt_initial=1e-2, error_tol=1e300), (0.1,))
     assert traj.failure is None
+    assert verdicts == {"accept": 52, "reject-action": 5}
     assert (traj.step_count, traj.rhs_evaluations) == (52, 171)
     # every candidate is evaluated; it is kept exactly when its action does
     # not exceed the last kept one beyond the guard's tolerance
