@@ -24,8 +24,11 @@ The step budget is checked only when another attempt is needed: a run
 stalls there after MAX_STEPS accepted steps or with dt below dt_initial
 2^-40, so one that lands on its last time in MAX_STEPS steps ends
 normally.  Steps are clipped to land exactly on the observation times
-given to integrate, and the controller state resets at each of them, so
-a run resumed from a checkpoint retraces the uninterrupted one's steps.
+given to integrate.  Each stretch between two times t1 < t2 runs on its
+own clock, from 0 to t2 - t1, with the controller reset, so a run resumed
+from the state at t1 ends bit for bit on the uninterrupted run's state at
+t2 when its time equals t2 - t1 in floating point: 0.02 - 0.01 == 0.01,
+but 0.03 - 0.01 != 0.02.
 A FlowConfig says only how to integrate; the caller says when to observe.
 """
 
@@ -238,20 +241,21 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
     n_state, action, _ = _nonlinear_core(state, work)
     dt_floor = config.dt_initial * 2.0**-40
     ahead = targets[::-1]           # the times still to observe, the next last
-    t, dt, clean = 0.0, config.dt_initial, 0
+    t = tau = 0.0                   # the last time observed and the clock since
+    dt, clean = config.dt_initial, 0
     while ahead and traj.failure is None:
-        if t >= ahead[-1] - 1e-14 * targets[-1]:
-            target = ahead.pop()
-            traj.states[target] = SpectralConnection(a0.group, a0.cutoff,
-                                                     _full_spectrum(state))
-            traj.actions[target] = action
-            dt, clean = config.dt_initial, 0        # the controller resets
+        span = ahead[-1] - t
+        if tau >= span - 1e-14 * span:
+            t = ahead.pop()
+            traj.states[t] = SpectralConnection(a0.group, a0.cutoff, _full_spectrum(state))
+            traj.actions[t] = action
+            tau, dt, clean = 0.0, config.dt_initial, 0      # the controller resets
             continue
         # out of budget, or rejections drove dt below the floor
         if traj.step_count >= MAX_STEPS or dt < dt_floor:
             traj.failure = "stalled"
             continue
-        h = min(dt, ahead[-1] - t)
+        h = min(dt, span - tau)
         if h not in steppers:
             steppers[h] = _EtdStepper(a0.cutoff, h)
         verdict, new = _attempt(steppers[h], state, n_state, action, work, config)
@@ -262,7 +266,7 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
             dt, clean = h * config.dt_safety, 0
         else:
             state, n_state, action, sup = new
-            t += h
+            tau += h
             traj.step_count += 1
             clean += 1
             if clean >= 10:
@@ -272,6 +276,6 @@ def integrate(a0: SpectralConnection, config: FlowConfig, times) -> FlowTrajecto
             elif sup > config.blowup_threshold:
                 traj.failure = "threshold"
 
-    traj.attained_time = t
+    traj.attained_time = t + tau
     traj.blew_up = traj.failure is not None
     return traj

@@ -549,11 +549,13 @@ def integrate_full_spectrum(a0: SpectralConnection, config, times) -> FlowTrajec
     for target in targets:
         dt = config.dt_initial
         clean = 0
-        while t < target - 1e-14 * targets[-1]:
+        # each stretch between observation times runs on its own clock
+        span, tau = target - t, 0.0
+        while tau < span - 1e-14 * span:
             if traj.step_count >= MAX_STEPS:
                 traj.failure = "stalled"
                 break
-            h = min(dt, target - t)
+            h = min(dt, span - tau)
             if h not in steppers:
                 steppers[h] = _FullStepper(a0.cutoff, h)
             candidate, err = steppers[h].step(state, n_state, deturck)
@@ -576,7 +578,7 @@ def integrate_full_spectrum(a0: SpectralConnection, config, times) -> FlowTrajec
                     break
                 continue
             state, n_state, action = candidate, n_new, new_action
-            t += h
+            tau += h
             traj.step_count += 1
             clean += 1
             if clean >= 10:
@@ -589,7 +591,9 @@ def integrate_full_spectrum(a0: SpectralConnection, config, times) -> FlowTrajec
                 traj.failure = "threshold"
                 break
         if traj.failure is not None:
+            t += tau
             break
+        t = target
         traj.states[target] = state.copy()
         traj.actions[target] = action
     traj.attained_time = t
