@@ -713,6 +713,19 @@ def test_step_budget_is_checked_only_before_another_attempt(budget, monkeypatch)
         assert traj.checkpoint_times() == [0.005] and list(traj.actions) == [0.005]
 
 
+def test_dt_floor_stalls_a_run_that_rejects_every_attempt(monkeypatch):
+    # no estimate meets a tolerance of 1e-300, so every attempt is
+    # rejected and halves dt; the 41st rejection leaves dt below
+    # dt_initial 2^-40 and the stall check ends the run before an attempt
+    verdicts = count_verdicts(monkeypatch)
+    a = random_connection(SU2, 1, seed=19, scale=0.1)
+    traj = integrate(a, FlowConfig("zdds", dt_initial=1e-3, error_tol=1e-300), (0.002,))
+    assert traj.failure == "stalled" and traj.blew_up
+    assert verdicts == {"reject-error": 41}
+    assert (traj.step_count, traj.rhs_evaluations, traj.attained_time) == (0, 123, 0.0)
+    assert traj.states == {}
+
+
 def test_action_guard_rejects_every_rise(monkeypatch):
     # with an error tolerance no estimate exceeds, only the action guard
     # can reject: the unscaled draw (S_YM ~ 1.3e5) at dt 1e-2 has 5 of its
