@@ -197,9 +197,9 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
 
     if "wilson" in cfg.raw:
         items = cfg.raw["wilson"]
-        if cfg.group is None:
-            raise ConfigError("[wilson] needs a [sampler] section for the group")
         if "characters" in items:
+            if cfg.group is None:
+                _fail("wilson", "characters", "needs a [sampler] section for the group")
             cfg.characters = _parse_characters(items["characters"], cfg.group)
         cfg.wilson_times = _get_floats("wilson", items, "times")
         _owned("[wilson]", _check_times, cfg.wilson_times)

@@ -66,14 +66,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import (SpectralConnection, _mirrored, _times, _u1_action_sums,
-                     _u1_action_terms, _upper_modes, heat_rows)
+                     _u1_action_terms, canonical_half_modes, half_norm_sq, heat_rows)
 from .flow import FlowConfig, _check_exact_group, integrate
 from .gff import (SamplerConfig, _check_coupling, _check_sampler, _check_scale, _filled,
-                  _h1_factor, _mode_tables, _stored, canonical_half_modes)
+                  _h1_factor, _mode_tables, _stored)
 from .groups import GroupSpec
 from .storage import atomic_open
 from .wilson import (NEGLIGIBLE_HEAT, WILSON_STEPS, _half_table, _mode_product,
-                     _phase_sums, _u1_powers, _visible_weights, visible_modes,
+                     _phase_sums, _u1_powers, _visible_half, _visible_weights,
                      wilson_loop)
 
 __all__ = [
@@ -271,11 +271,9 @@ def _stream_modes(top: int, cutoffs: tuple, targets: tuple) -> _StreamModes:
     heat weights are formed as heat_rows forms them and held as complex
     numbers (the exact cast that a product with coefficients makes)."""
     half = canonical_half_modes(top)
-    h = len(half)
-    # the flat cube's upper half holds the half modes, in order
-    visible = np.zeros(2 * h + 1, dtype=bool)
-    visible[visible_modes(top, targets[0])] = True
-    visible = visible[h + 1:]
+    index = _visible_half(top, targets[0])
+    visible = np.zeros(len(half), dtype=bool)
+    visible[index[1:] - index[0] - 1] = True        # half modes follow the centre
     extent = np.max(np.abs(half), axis=1)
     drawn = visible | (extent <= cutoffs[-1])
     position = np.cumsum(drawn) - 1
@@ -283,7 +281,7 @@ def _stream_modes(top: int, cutoffs: tuple, targets: tuple) -> _StreamModes:
     shown = np.cumsum(visible) - 1
     seen = tuple(shown[visible & (extent <= c)] for c in cutoffs)
     own = tuple(np.searchsorted(members[-1], pos) for pos in members)
-    weights = heat_rows(_upper_modes(cutoffs[-1])[1], targets).astype(complex)
+    weights = heat_rows(half_norm_sq(cutoffs[-1]), targets).astype(complex)
     out = (np.flatnonzero(drawn), position[visible], *members, *seen, *own, weights)
     for x in out:
         x.setflags(write=False)
@@ -329,12 +327,11 @@ def _exact_members(spec: EnsembleSpec, stream: int, config_hash: str,
     for bit.  A rescaled member makes its own passes over the draw times
     its factor (gff._h1_factor)."""
     targets = tuple(sorted(spec.times))
-    n, norm_sq = _upper_modes(spec.cutoffs[-1])
 
     def action_terms(upper):
         # c = e^(-4 pi^2 |n|^2 t) A_n at each time, as integrate forms it
         return _u1_action_terms(np.take(upper, modes.members[-1], axis=1)
-                                * modes.weights[:, None], n, norm_sq)
+                                * modes.weights[:, None], spec.cutoffs[-1])
 
     scale = spec.scale_to_h1
     terms = None if scale is not None else action_terms(stored[0])

@@ -24,11 +24,13 @@ The nonlinear pass of the flows (_nonlinear_core) reads and returns that
 half, (d, 3, K, K, N+1); the full cube is mirrored (_full_spectrum) only
 at the public boundary and for the states a flow records.
 
-Per-mode U(1) reads use the other half: the canonical half modes, those
-whose first nonzero coordinate is positive, which fill the flat C-order
-indices above the cube's centre in lexicographic order.  _mirrored takes
-values there to flat cube order; the closed-form U(1) action reads only
-those modes (_upper_modes), and its terms at -n equal those at n.
+Samplers and per-mode U(1) reads use the other half: the canonical half
+modes, those whose first nonzero coordinate is positive.  In the C-order
+flattened K^3 cube (K = 2N+1) the flat index of n is c + n1 K^2 + n2 K +
+n3 with c the centre, so those modes fill the flat indices above the
+centre in lexicographic order (_upper_half, the one statement of this
+layout: canonical_half_modes, half_norm_sq), and their reflections the
+ones below it in reverse (_mirrored).
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ __all__ = [
     "dealias_resolution",
     "mode_grids",
     "mode_norm_sq",
+    "canonical_half_modes",
+    "half_norm_sq",
     "heat_weights",
     "heat_rows",
     "zero_connection",
@@ -397,17 +401,29 @@ def ym_action_u1_spectral(a: SpectralConnection) -> float:
     return float(_u1_actions(a.coeffs[0], a.cutoff))
 
 
-@functools.lru_cache(maxsize=8)
-def _upper_modes(cutoff: int):
-    """The canonical half modes of the cube (its flat C-order indices above
-    the centre, in order): their components n_j + 0j (3, H), already in the
-    complex type a product with coefficients casts them to, and their
-    squared norms |n|^2 (H,); both read-only."""
-    h = ((2 * cutoff + 1) ** 3 - 1) // 2
-    modes = np.stack(mode_grids(cutoff)).reshape(3, -1)[:, h + 1:].astype(complex)
-    norm_sq = mode_norm_sq(cutoff).reshape(-1)[h + 1:]
-    modes.setflags(write=False)
-    return modes, norm_sq
+def _upper_half(cutoff: int) -> slice:
+    """The flat C-order indices of the canonical half modes of cutoff:
+    those above the cube's centre (K^3 - 1)/2, K = 2N+1."""
+    return slice(((2 * cutoff + 1) ** 3 + 1) // 2, None)
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_half_modes(cutoff: int) -> np.ndarray:
+    """All n with 0 < |n|_inf <= cutoff whose first nonzero coordinate is
+    positive, in lexicographic order; int array (H, 3), read-only.  These
+    are the modes at the flat indices above the cube's centre, so the table
+    is the upper half of the mode grids, stored direction-major (each
+    component one contiguous column; its transpose is (3, H) C-order)."""
+    # a copy of the half alone: a view would keep the whole grid alive
+    out = np.stack(mode_grids(cutoff)).reshape(3, -1)[:, _upper_half(cutoff)].copy().T
+    out.setflags(write=False)
+    return out
+
+
+def half_norm_sq(cutoff: int) -> np.ndarray:
+    """|n|^2 (H,) of canonical_half_modes(cutoff): mode_norm_sq at the flat
+    indices above the centre, a read-only view."""
+    return mode_norm_sq(cutoff).reshape(-1)[_upper_half(cutoff)]
 
 
 def _mirrored(upper: np.ndarray, centre=0.0) -> np.ndarray:
@@ -429,32 +445,31 @@ def _mirrored(upper: np.ndarray, centre=0.0) -> np.ndarray:
 def _u1_actions(c: np.ndarray, cutoff: int) -> np.ndarray:
     """The action of ym_action_u1_spectral of every U(1) coefficient cube
     in c (..., 3, K, K, K), in one pass: shape (...).  Only the canonical
-    half modes are read (_upper_modes); their terms are mirrored into flat
-    cube order with a zero at n = 0, which is the full cube's sum bit for
-    bit for a reflection-symmetric field."""
+    half modes are read (canonical_half_modes); their terms are mirrored
+    into flat cube order with a zero at n = 0, which is the full cube's sum
+    bit for bit for a reflection-symmetric field."""
     k = 2 * cutoff + 1
-    modes, norm_sq = _upper_modes(cutoff)
-    upper = c.reshape(c.shape[:-3] + (-1,))[..., len(norm_sq) + 1:]
-    terms = _mirrored(_u1_action_terms(upper, modes, norm_sq))
+    upper = c.reshape(c.shape[:-3] + (-1,))[..., _upper_half(cutoff)]
+    terms = _mirrored(_u1_action_terms(upper, cutoff))
     return _u1_action_sums(terms.reshape(terms.shape[:-1] + (k, k, k)))
 
 
-def _u1_action_terms(c: np.ndarray, n: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
-    """The per-mode terms of the U(1) action of coefficients c (..., 3, *M)
-    at modes n + 0j (3, *M) of squared norms norm_sq (*M), stacked
-    (2, ..., *M): |n|^2 sum_j |c_j|^2, then |n.c|^2, with temporaries
-    reused in place.  Each term is formed from its own mode alone and is
-    even under n -> -n, c -> conj(c)."""
-    axis = -n.ndim
-    c0, c1, c2 = np.moveaxis(c, axis, 0)
+def _u1_action_terms(c: np.ndarray, cutoff: int) -> np.ndarray:
+    """The per-mode terms of the U(1) action of coefficients c (..., 3, H)
+    at the canonical half modes of cutoff, stacked (2, ..., H):
+    |n|^2 sum_j |c_j|^2, then |n.c|^2, with temporaries reused in place.
+    Each term is formed from its own mode alone and is even under n -> -n,
+    c -> conj(c)."""
+    n = canonical_half_modes(cutoff).T
+    c0, c1, c2 = np.moveaxis(c, -2, 0)
     dot = n[0] * c0
     dot += n[1] * c1
     dot += n[2] * c2
     terms = np.empty((2,) + dot.shape)
     sq = np.abs(c)
     np.square(sq, out=sq)
-    np.sum(sq, axis=axis, out=terms[0])
-    terms[0] *= norm_sq
+    np.sum(sq, axis=-2, out=terms[0])
+    terms[0] *= half_norm_sq(cutoff)
     np.abs(dot, out=terms[1])
     np.square(terms[1], out=terms[1])
     return terms

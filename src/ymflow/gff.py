@@ -17,18 +17,13 @@ bit the full draw's; the samplers fill in its full list.  Its per-mode
 tables (modes, norms, frames, Coulomb scales) are built once per mode
 list (_mode_tables) and handed to every draw at that list.
 
-Mode bookkeeping: exactly one of n, -n is drawn, namely the
-representative whose first nonzero coordinate is positive; the reflected
+Mode bookkeeping: of n and -n only the canonical half mode is drawn
+(fields.canonical_half_modes, the flat cube's upper half); the reflected
 coefficient is filled in by the reality (respectively the U(1)
-anti-reality) symmetry.  In the C-order flattened K^3 mode cube
-(K = 2N+1) the flat index of n is c + n1 K^2 + n2 K + n3 with c the
-centre, whose sign is that of the first nonzero coordinate of n: the
-drawn modes, in lexicographic order, fill the flat indices above the
-centre one after the other, and their reflections fill the ones below it
-in reverse.  So one filler (_filled) writes three contiguous slices of a
-fresh array (fields._mirrored) and needs no index table; it also
-rescales the field to a given H^1 norm (_h1_factor, from the half modes),
-refusing a NaN, infinite or nonpositive one.  The two samplers,
+anti-reality) symmetry.  So one filler (_filled) writes three contiguous
+slices of a fresh array (fields._mirrored) and needs no index table; it
+also rescales the field to a given H^1 norm (_h1_factor, from the half
+modes), refusing a NaN, infinite or nonpositive one.  The two samplers,
 sample_initial (either sampler for one (seed, stream)) and every flowed
 ensemble member build their fields through it; exact U(1) reads take the
 half modes directly.
@@ -45,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import SpectralConnection, _mirrored
+from .fields import SpectralConnection, _mirrored, canonical_half_modes, half_norm_sq
 from .groups import GroupSpec
 from .rng import TAG_COMPONENT, mode_gaussians
 
@@ -91,20 +86,6 @@ def _check_sampler(kind: str, group: GroupSpec) -> None:
         raise ValueError(f"unknown sampler kind {kind!r}")
     if kind == "u1_coulomb" and group.kind != "u1":
         raise ValueError(f"u1_coulomb requires group u1, got {group.label()}")
-
-
-@lru_cache(maxsize=None)
-def canonical_half_modes(cutoff: int) -> np.ndarray:
-    """All n with 0 < |n|_inf <= cutoff whose first nonzero coordinate is
-    positive, in lexicographic order; int array (H, 3).  These are the
-    modes at the flat C-order indices above the cube's centre, so the
-    table is the upper half of the index grid, stored direction-major
-    (each component one contiguous column)."""
-    k = 2 * cutoff + 1
-    grid = np.indices((k, k, k)).reshape(3, -1)
-    out = (grid[:, (k**3 + 1) // 2:] - cutoff).T
-    out.setflags(write=False)
-    return out
 
 
 def _frames(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +155,7 @@ def _h1_factor(upper: np.ndarray, cutoff: int, scale_to_h1: float | None):
     _check_scale(scale_to_h1)
     if scale_to_h1 is None:
         return None
-    half = canonical_half_modes(cutoff)
-    weight = 1.0 + 4.0 * np.pi**2 * np.sum(half * half, axis=1).astype(float)
+    weight = 1.0 + 4.0 * np.pi**2 * half_norm_sq(cutoff)
     norm = float(np.sqrt(np.sum(_mirrored(weight * np.abs(upper) ** 2))))
     return scale_to_h1 / norm if norm > 0 else None
 

@@ -28,7 +28,7 @@ per-mode product serves every observation time and every character
 the modes visible at the earliest time, those whose weight there is at
 least e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes).  Every exact read
 takes one path: it gathers the field at the canonical half modes among
-those (the ones whose first nonzero coordinate is positive), forms the
+those (first nonzero coordinate positive; _visible_half), forms the
 product with the loop table there (_mode_product), mirrors it into flat
 cube order (fields._mirrored; the product at -n is the conjugate of the
 one at n) and contracts it with the heat weights (_phase_sums).  The one
@@ -300,13 +300,11 @@ def _u1_powers(exponents, phases) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _half_table(loop: Loop, cutoff: int, t_min: float) -> np.ndarray:
     """The loop table (3, 1 + V) at the centre n = 0 and then the canonical
-    half modes of cutoff visible at t_min: the upper half of
-    visible_modes(cutoff, t_min), in flat order.  Read-only and cached on
-    (loop, cutoff, t_min), it is the one loop table of the exact reads:
-    h_series and ensemble streams reuse it heavily, and no dense table of
-    the cutoff is built."""
-    index = visible_modes(cutoff, t_min)
-    table = _loop_table(loop, cutoff, index[len(index) // 2:])
+    half modes of cutoff visible at t_min (_visible_half).  Read-only and
+    cached on (loop, cutoff, t_min), it is the one loop table of the exact
+    reads: h_series and ensemble streams reuse it heavily, and no dense
+    table of the cutoff is built."""
+    table = _loop_table(loop, cutoff, _visible_half(cutoff, t_min))
     table.setflags(write=False)
     return table
 
@@ -488,12 +486,19 @@ def visible_modes(cutoff: int, t_min: float) -> np.ndarray:
     4 pi^2 |n|^2 t_min <= NEGLIGIBLE_HEAT, the ones a heat flow read at
     times t >= t_min can see (every mode at t_min <= 0), read-only.  The
     set is symmetric under n -> -n and holds n = 0, which therefore sits
-    in the middle: the upper half from there on is the centre and the
-    visible canonical half modes."""
+    in the middle (_visible_half reads the half from there on)."""
     heat = (4.0 * np.pi**2 * mode_norm_sq(cutoff)) * t_min
     out = np.flatnonzero(heat <= NEGLIGIBLE_HEAT)
     out.setflags(write=False)
     return out
+
+
+def _visible_half(cutoff: int, t_min: float) -> np.ndarray:
+    """Flat indices (1 + V,) of the centre and then the canonical half modes
+    of cutoff visible at t_min: visible_modes from its middle on, a view.
+    The one place exact reads locate the visible half in flat order."""
+    index = visible_modes(cutoff, t_min)
+    return index[len(index) // 2:]
 
 
 @lru_cache(maxsize=32)
@@ -554,10 +559,9 @@ def h_series(a: SpectralConnection, loop: Loop, t):
         raise ValueError("U(1) fields only")
     times = _times(t)
     t_min = min(times, default=0.0)
-    index = visible_modes(a.cutoff, t_min)
     # the centre, then the visible half modes
-    per_mode = _mode_product(a.coeffs[0].reshape(3, -1)[:, index[len(index) // 2:]],
-                             _half_table(loop, a.cutoff, t_min))
+    coeffs = a.coeffs[0].reshape(3, -1)[:, _visible_half(a.cutoff, t_min)]
+    per_mode = _mode_product(coeffs, _half_table(loop, a.cutoff, t_min))
     phases = _phase_sums(_mirrored(per_mode[1:], per_mode[0]),
                          _visible_weights(a.cutoff, times))
     return float(phases[0]) if np.ndim(t) == 0 else phases

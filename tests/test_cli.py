@@ -745,3 +745,67 @@ def test_flow_non_finite_exit_code_and_manifest(tmp_path, monkeypatch, capsys):
     manifest = read_manifest(tmp_path / "nonfinite" / "trajectory.json")
     assert manifest["blew_up"] is True
     assert manifest["failure"] == "non-finite"
+
+
+def test_wilson_without_sampler_section_takes_the_field_group(tmp_path, monkeypatch,
+                                                              capsys):
+    # [flow], [loops] and [wilson] times need no [sampler]: the group and
+    # the default characters come from the input field.  Only [wilson]
+    # characters are read against [sampler] group, so only they need it.
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = SU2_CFG.format(loops=write(tmp_path / "loops.txt", LOOPS),
+                          out=tmp_path / "out")
+    cfg = write(tmp_path / "su2.cfg", text)
+    assert main(["sample", "--config", cfg]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    no_sampler = text[text.index("[flow]"):]
+    bare = write(tmp_path / "bare.cfg",
+                 no_sampler.replace("characters = fundamental conjugate\n", ""))
+    assert main(["wilson", "--config", bare, "--input", field,
+                 "--output", str(tmp_path / "without")]) == 0
+    assert main(["wilson", "--config", cfg, "--input", field,
+                 "--output", str(tmp_path / "with")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "without" / "wilson.csv").read_bytes() == \
+        (tmp_path / "with" / "wilson.csv").read_bytes()
+    chars = write(tmp_path / "chars.cfg", no_sampler)
+    assert main(["wilson", "--config", chars, "--input", field,
+                 "--output", str(tmp_path / "chars")]) == 1
+    err = capsys.readouterr().err
+    assert "[wilson] characters" in err and "[sampler]" in err
+    assert not (tmp_path / "chars").exists()
+
+
+def test_flow_counts_time_from_its_input_field(tmp_path, monkeypatch, capsys):
+    # a resumed flow names its checkpoints and records t by the time elapsed
+    # since its input: from checkpoint_t0.01.ymf with t_end = 0.01 it writes
+    # the uninterrupted run's t = 0.02 state as checkpoint_t0.01.ymf, and
+    # trajectory.json holds the input path and the elapsed times only
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = SU2_CFG.format(loops=write(tmp_path / "loops.txt", LOOPS),
+                          out=tmp_path / "out").replace("kind = zdds", "kind = ym")
+    full_cfg = write(tmp_path / "full.cfg", text.replace("t_end = 0.01", "t_end = 0.02")
+                     .replace("checkpoints = 0.005 0.01", "checkpoints = 0.01"))
+    resume_cfg = write(tmp_path / "resume.cfg",
+                       text.replace("checkpoints = 0.005 0.01\n", ""))
+    assert main(["sample", "--config", full_cfg]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    assert main(["flow", "--config", full_cfg, "--input", field,
+                 "--output", str(tmp_path / "full")]) == 0
+    checkpoint = str(tmp_path / "full" / "checkpoint_t0.01.ymf")
+    assert main(["flow", "--config", resume_cfg, "--input", checkpoint,
+                 "--output", str(tmp_path / "resumed")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "resumed" / "checkpoint_t0.01.ymf").read_bytes() == \
+        (tmp_path / "full" / "checkpoint_t0.02.ymf").read_bytes()
+    full = read_manifest(tmp_path / "full" / "trajectory.json")
+    resumed = read_manifest(tmp_path / "resumed" / "trajectory.json")
+    assert (full["input"], resumed["input"]) == (field, checkpoint)
+    assert [(r["t"], r["file"]) for r in full["checkpoints"]] == [
+        (0.01, "checkpoint_t0.01.ymf"), (0.02, "checkpoint_t0.02.ymf")]
+    assert [(r["t"], r["file"]) for r in resumed["checkpoints"]] == [
+        (0.01, "checkpoint_t0.01.ymf")]
+    assert (full["attained_time"], resumed["attained_time"]) == (0.02, 0.01)
+    assert resumed["checkpoints"][0]["s_ym"] == full["checkpoints"][1]["s_ym"]

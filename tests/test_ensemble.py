@@ -592,7 +592,7 @@ def test_stream_draws_member_and_heat_visible_modes():
     extent = np.max(np.abs(half), axis=1)
     for c, pos in zip((2, 4, 8), members):
         assert np.array_equal(drawn[pos], np.flatnonzero(extent <= c))
-    index = ens.visible_modes(16, 0.005)
+    index = visible_modes(16, 0.005)
     assert np.array_equal(drawn[visible], index[index > len(half)] - len(half) - 1)
 
 
@@ -636,10 +636,9 @@ def test_reference_phases_match_exact_sum_of_full_cube(g):
 def test_uncut_reference_equals_full_cube_h_series():
     # when no mode of R is cut at t_min the reference is h_series of the
     # full cutoff-R draw, bit for bit
-    import ymflow.ensemble as ens
     spec = u1_spec(n_samples=3, cutoffs=(2, 4), times=(0.02, 0.005),
                    reference_cutoff=6)
-    assert len(ens.visible_modes(6, 0.005)) == 13**3
+    assert len(visible_modes(6, 0.005)) == 13**3
     _, reference = run_ensemble(spec)
     for stream, values in reference.items():
         a = sample_initial(U1, "u1_coulomb", 6, spec.seed, stream)

@@ -4,6 +4,7 @@ import argparse
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -127,3 +128,22 @@ def test_one_raise_site_per_input_rule(message):
     # each rule is raised by its owner; the others call it
     text = "".join(p.read_text() for p in sorted(SOURCE.glob("*.py")))
     assert text.count(message) == 1, message
+
+
+# slicing the flat cube's upper half: where the canonical half modes sit
+UPPER_HALF = re.compile(r"//\s*2\s*:\s*\]|\+\s*1\s*:\s*\]|\*\*\s*3\s*\+\s*1\s*\)\s*//\s*2")
+
+
+def test_one_home_for_the_canonical_half_layout():
+    # fields states where the canonical half modes sit in flat order, and
+    # wilson._visible_half where the visible ones do; every other module
+    # reads those two
+    sources = {stem: (SOURCE / f"{stem}.py").read_text() for stem in MODULES}
+    [helper] = [node for node in ast.parse(sources["wilson"]).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_visible_half"]
+    helper_text = ast.get_source_segment(sources["wilson"], helper)
+    assert UPPER_HALF.search(helper_text) and UPPER_HALF.search(sources["fields"])
+    sources["wilson"] = sources["wilson"].replace(helper_text, "")
+    sliced = [stem for stem, text in sources.items()
+              if stem != "fields" and UPPER_HALF.search(text)]
+    assert not sliced, f"modules that slice the flat upper half themselves: {sliced}"

@@ -16,6 +16,8 @@ from reference import (
     u1_amplitudes,
 )
 from ymflow.fields import (
+    canonical_half_modes,
+    half_norm_sq,
     heat_rows,
     mode_grids,
     mode_norm_sq,
@@ -578,6 +580,28 @@ def test_visible_modes_are_the_heat_visible_ones(cutoff, t, cut):
     assert np.array_equal(index, k3 - 1 - index[::-1])     # n -> -n
     assert (k3 - 1) // 2 in index                          # n = 0
     assert visible_modes(cutoff, t) is index                # cached
+
+
+@pytest.mark.parametrize("cutoff", range(1, 9))
+def test_half_mode_table_and_visible_half_match_their_derivations(cutoff):
+    # the one mode table is the upper half of the index grid, its |n|^2 row
+    # the row sums of squares, and the visible-half helper the upper half
+    # of visible_modes from the centre on; all read-only
+    k = 2 * cutoff + 1
+    grid = np.indices((k, k, k)).reshape(3, -1)
+    half = canonical_half_modes(cutoff)
+    assert np.array_equal(half, (grid[:, (k**3 + 1) // 2:] - cutoff).T)
+    norm_sq = half_norm_sq(cutoff)
+    assert norm_sq.tobytes() == np.sum(half * half, axis=1).astype(float).tobytes()
+    assert not half.flags.writeable and not norm_sq.flags.writeable
+    for t_min in (0.0, 0.005, 0.02):
+        index = visible_modes(cutoff, t_min)
+        got = wilson_mod._visible_half(cutoff, t_min)
+        assert np.array_equal(got, index[len(index) // 2:])
+        assert got[0] == (k**3 - 1) // 2 and not got.flags.writeable
+        # past the centre: the visible rows of the mode table, in order
+        heat = 4.0 * np.pi**2 * norm_sq * t_min <= wilson_mod.NEGLIGIBLE_HEAT
+        assert np.array_equal(got[1:] - got[0] - 1, np.flatnonzero(heat))
 
 
 def test_h_series_sums_the_visible_modes_only():
