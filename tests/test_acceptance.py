@@ -27,28 +27,12 @@ from ymflow.ensemble import (
     run_ensemble,
     tightness_report,
 )
-from ymflow.fields import (
-    SpectralConnection,
-    h1_norm,
-    l2_norm,
-    ym_action,
-    ym_rhs,
-    zdds_rhs,
-)
-from ymflow.flow import (
-    FlowConfig,
-    heat_semigroup_u1,
-    integrate,
-)
+from ymflow.fields import h1_norm
+from ymflow.flow import FlowConfig, integrate
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from ymflow.groups import SU2, U1
-from ymflow.wilson import (
-    Character,
-    h_series,
-    make_loop,
-    rectangle_loop,
-    wilson_loop,
-)
+from ymflow.verify import gradient_ratio, u1_flow_gap, u1_wilson_gap, zdds_path_gap
+from ymflow.wilson import Character, make_loop, rectangle_loop, wilson_loop
 
 N_SAMPLES_ORACLE = 20
 CUTOFF_ORACLE = 4
@@ -98,11 +82,7 @@ def test_criterion_1_u1_oracle_equivalence(oracle_flows):
     for (stream, kind), (a0, traj) in flows.items():
         assert not traj.blew_up
         for t in TIMES_ORACLE:
-            exact = heat_semigroup_u1(a0, t)
-            diff = SpectralConnection(
-                U1, CUTOFF_ORACLE, traj.states[t].coeffs - exact.coeffs
-            )
-            rel = l2_norm(diff) / l2_norm(exact)
+            rel = u1_flow_gap(a0, traj.states[t], t)
             worst = max(worst, rel)
             assert rel <= 1e-8
     assert elapsed <= 120.0
@@ -120,14 +100,10 @@ def test_criterion_2_wilson_loop_exactness(oracle_flows):
     for stream in range(N_SAMPLES_ORACLE):
         a0, traj = flows[(stream, "zdds")]
         for t in TIMES_ORACLE:
-            state = traj.states[t]
             for lp in FIVE_LOOPS:
-                for ch in THREE_CHARS:
-                    w_ode = wilson_loop(state, lp, ch, steps=384)
-                    w_exact = ch.u1_value(h_series(a0, lp, t))
-                    dev = abs(w_ode - w_exact)
-                    worst = max(worst, dev)
-                    assert dev <= 1e-8
+                dev = u1_wilson_gap(a0, traj.states[t], t, lp, THREE_CHARS, steps=384)
+                worst = max(worst, dev)
+                assert dev <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed <= 60.0
     print(f"\nACCEPTANCE 2 PASS: Wilson exactness, worst |ODE - exact| "
@@ -266,29 +242,13 @@ def test_criterion_7_gradient_flow_consistency():
     <ym_rhs, B> through one global constant, spread <= 1e-4 over 30
     (field, direction) pairs."""
     start = time.perf_counter()
-
-    def pairing(x, y):
-        return float(np.sum(np.real(np.conj(x.coeffs) * y.coeffs)))
-
-    def fd_derivative(a, b):
-        eps = 3e-6
-        plus = ym_action(SpectralConnection(a.group, a.cutoff,
-                                            a.coeffs + eps * b.coeffs))
-        minus = ym_action(SpectralConnection(a.group, a.cutoff,
-                                             a.coeffs - eps * b.coeffs))
-        return (plus - minus) / (2 * eps)
-
-    ratios = []
     # constant pinned on an Abelian instance first
-    a0 = random_connection(U1, 2, seed=300, scale=0.5)
-    b0 = random_connection(U1, 2, seed=301, scale=0.5)
-    c0 = fd_derivative(a0, b0) / pairing(ym_rhs(a0), b0)
-    ratios.append(c0)
+    ratios = [gradient_ratio(random_connection(U1, 2, seed=300, scale=0.5),
+                             random_connection(U1, 2, seed=301, scale=0.5))]
     for k in range(29):
         group = U1 if k % 3 == 0 else SU2
-        a = random_connection(group, 2, seed=310 + k, scale=0.4)
-        b = random_connection(group, 2, seed=400 + k, scale=0.4)
-        ratios.append(fd_derivative(a, b) / pairing(ym_rhs(a), b))
+        ratios.append(gradient_ratio(random_connection(group, 2, seed=310 + k, scale=0.4),
+                                     random_connection(group, 2, seed=400 + k, scale=0.4)))
     ratios = np.asarray(ratios)
     spread = (ratios.max() - ratios.min()) / abs(np.median(ratios))
     assert spread <= 1e-4
@@ -306,10 +266,7 @@ def test_criterion_8_zdds_dual_path():
     start = time.perf_counter()
     worst = 0.0
     for k in range(30):
-        a = random_connection(SU2, 3, seed=500 + k, scale=0.6)
-        r_op = zdds_rhs(a, path="operator").coeffs
-        r_ex = zdds_rhs(a, path="explicit").coeffs
-        rel = np.max(np.abs(r_op - r_ex)) / max(1.0, np.max(np.abs(r_op)))
+        rel = zdds_path_gap(random_connection(SU2, 3, seed=500 + k, scale=0.6))
         worst = max(worst, rel)
         assert rel <= 1e-10
     elapsed = time.perf_counter() - start

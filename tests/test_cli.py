@@ -1,9 +1,11 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ymflow.verify as verify_mod
 from ymflow.cli import main
 from ymflow.storage import read_field, read_manifest
 
@@ -482,27 +484,70 @@ def test_help_and_version_exit_zero(argv, capsys):
 
 def test_verify_command_passes(capsys):
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "zdds-consistency" in out
-    assert [line.split()[1] for line in out.splitlines()] == ["PASS"] * 8
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[:2] for row in rows] == [[name, "PASS"] for name, _, _ in verify_mod.SUITES]
+    assert [m[0] for m in MUTATIONS] == [row[0] for row in rows]
+    assert all(float(gap) <= float(tol) for _, _, gap, tol, _ in rows)
 
 
-def test_verify_mutation_detected(monkeypatch):
-    # a sign slip in the componentwise ZDDS path fails exactly the suite
-    # that compares the two paths
-    import ymflow.verify as verify_mod
-    zdds_rhs = verify_mod.zdds_rhs
+def _zdds_slip(change):
+    """A slip of integrate that passes each ZDDS trajectory through change."""
+    def slip(integrate):
+        def slipped(a, config, times):
+            traj = integrate(a, config, times)
+            return change(traj) if config.flow_kind == "zdds" else traj
+        return slipped
+    return slip
 
-    def slipped(a, path="operator"):
-        r = zdds_rhs(a, path=path)
-        return r.scaled(-1.0) if path == "explicit" else r
 
-    monkeypatch.setattr(verify_mod, "zdds_rhs", slipped)
+# one slip per verify row, in a name verify.py reads: (row, name, slip)
+MUTATIONS = [
+    ("round-trip", "_values_to_spectral", lambda f: lambda *a: f(*a) * (1 + 1e-9)),
+    ("parseval", "l2_norm", lambda f: lambda a: f(a) * (1 + 1e-9)),
+    ("u1-flow", "heat_semigroup_u1", lambda f: lambda a, t: f(a, t).scaled(1 + 1e-6)),
+    ("u1-wilson", "h_series", lambda f: lambda *a: f(*a) + 1e-6),
+    ("zdds-dual-path", "zdds_rhs", lambda f: lambda a, path: f(a, path=path).scaled(
+        -1.0 if path == "explicit" else 1.0)),
+    ("ym-zdds-action", "integrate", _zdds_slip(lambda traj: replace(
+        traj, actions={t: 1.001 * s for t, s in traj.actions.items()}))),
+    ("ym-zdds-wilson", "integrate", _zdds_slip(lambda traj: replace(
+        traj, states={t: s.scaled(1.1) for t, s in traj.states.items()}))),
+    ("gradient-ratio", "ym_rhs", lambda f: lambda a: f(a).scaled(1.001)),
+    ("jacobi", "bracket", lambda f: lambda x, y: x @ y),
+    # the draw at the larger cutoff comes from another seed
+    ("sampling", "sample_gff", lambda f: lambda config: f(
+        replace(config, seed=config.seed + config.cutoff))),
+    # the workers draw from another seed
+    ("threads", "run_ensemble", lambda f: lambda spec, threads: f(
+        spec if threads == 1 else replace(spec, seed=spec.seed + 1), threads=threads)),
+]
+
+
+@pytest.mark.parametrize("row, name, slip", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+def test_verify_mutation_detected(row, name, slip, monkeypatch):
+    # each slip fails exactly the row of the identity it breaks, so a gap
+    # function the tests share cannot hide a fault
+    monkeypatch.setattr(verify_mod, name, slip(getattr(verify_mod, name)))
     lines = []
     assert not verify_mod.run_suites(out=lines.append)
-    assert len(lines) == len(verify_mod.SUITES) == 8
-    failing = [l for l in lines if "FAIL" in l]
-    assert len(failing) == 1 and failing[0].startswith("zdds-consistency")
+    assert len(lines) == len(verify_mod.SUITES)
+    assert [line.split()[0] for line in lines if line.split()[1] == "FAIL"] == [row]
+
+
+def test_verify_fails_raising_and_nan_rows_and_runs_the_rest(monkeypatch, capsys):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(verify_mod, "zdds_path_gap", singular)
+    monkeypatch.setattr(verify_mod, "jacobi_gap", lambda x, y, z: float("nan"))
+    assert main(["verify"]) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == len(verify_mod.SUITES)
+    assert "Traceback" in err and "singular" in err
+    failing = [line for line in lines if line.split()[1] == "FAIL"]
+    assert [line.split()[0] for line in failing] == ["zdds-dual-path", "jacobi"]
+    assert failing[0].endswith("LinAlgError: Singular matrix")
 
 
 SU2_CFG = """

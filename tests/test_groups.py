@@ -14,6 +14,7 @@ from ymflow.groups import (
     unitarity_defect,
     unitarize,
 )
+from ymflow.verify import jacobi_gap
 
 
 def test_group_spec_dimensions():
@@ -90,15 +91,10 @@ def test_bracket_dimension_mismatch():
 
 
 def test_jacobi_identity():
-    rng = np.random.default_rng(1)
-    basis = standard_basis(GroupSpec("su", 3))
-    for _ in range(10):
-        x, y, z = (
-            np.einsum("a,aij->ij", rng.normal(size=8), basis) for _ in range(3)
-        )
-        total = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) \
-            + bracket(z, bracket(x, y))
-        assert np.max(np.abs(total)) < 1e-12
+    # ten triples of su(3) elements, as three (10, 3, 3) stacks
+    coeffs = np.random.default_rng(1).normal(size=(10, 3, 8))
+    x, y, z = np.einsum("kta,aij->tkij", coeffs, standard_basis(GroupSpec("su", 3)))
+    assert jacobi_gap(x, y, z) < 1e-12
 
 
 def test_structure_constants_reproduce_brackets():

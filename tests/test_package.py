@@ -147,3 +147,32 @@ def test_one_home_for_the_canonical_half_layout():
     sliced = [stem for stem, text in sources.items()
               if stem != "fields" and UPPER_HALF.search(text)]
     assert not sliced, f"modules that slice the flat upper half themselves: {sliced}"
+
+
+# what a test writes when it derives, itself, a gap that verify.py
+# measures: each pattern list must all match within one function
+DERIVED_GAPS = {
+    "ZDDS dual path": [r'path\s*=\s*"(operator|explicit)"'],
+    "U(1) flow against the heat semigroup": [r"heat_semigroup_u1\(", r"/\s*l2_norm\("],
+    "Wilson ODE against the exact formula": [r"wilson_loop\(", r"u1_value\(h_series\("],
+    "gradient ratio": [r"ym_action\(", r"ym_rhs\(", r"eps"],
+    "Jacobi identity": [r"bracket\(\w+,\s*bracket\("],
+    "Parseval": [r"l2_norm\(", r"np\.mean\(np\.sum\("],
+    "transform round trip": [r"to_coeffs\(to_grid\(", r"np\.max\(np\.abs\("],
+    "YM against ZDDS": [r"\.actions\[", r"wilson_loop\(", r'"ym"', r'"zdds"'],
+}
+
+
+def test_one_derivation_per_checked_identity():
+    # verify.py derives each checked identity's gap once; tests call its
+    # functions on their own data at their own tolerances
+    derived = []
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                body = ast.get_source_segment(text, node)
+                derived += [f"{path.name}::{node.name} ({name})"
+                            for name, patterns in DERIVED_GAPS.items()
+                            if all(re.search(p, body) for p in patterns)]
+    assert not derived, f"tests that derive a verify gap themselves: {derived}"

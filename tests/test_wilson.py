@@ -34,6 +34,7 @@ from ymflow.groups import (
     standard_basis,
     unitarity_defect,
 )
+from ymflow.verify import u1_wilson_gap
 from ymflow.wilson import (
     Character,
     FieldEvaluator,
@@ -434,12 +435,8 @@ def test_u1_wilson_exact_trivial_cases():
 def test_u1_wilson_exact_vs_ode_pipeline():
     b = u1_sample(cutoff=4, seed=16)
     for t in (0.01, 0.05):
-        flowed = heat_semigroup_u1(b, t)
-        for k in (1, -1, 2):
-            ch = Character(U1, "u1_power", k)
-            w_ode = wilson_loop(flowed, PLAQ, ch, steps=384)
-            w_exact = ch.u1_value(h_series(b, PLAQ, t))
-            assert abs(w_ode - w_exact) <= 1e-8
+        chars = tuple(Character(U1, "u1_power", k) for k in (1, -1, 2))
+        assert u1_wilson_gap(b, heat_semigroup_u1(b, t), t, PLAQ, chars, steps=384) <= 1e-8
 
 
 def test_h_series_cases():
