@@ -7,7 +7,7 @@ and verify takes none.  `--threads K` runs ensemble tasks in K forked
 worker processes (serially where the platform cannot fork); records are
 assembled in a fixed order, so it never changes the output bytes.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical
+Exit codes: 0 success, 1 configuration, usage or path error, 2 numerical
 blow-up (a flow, or any ensemble member; the outputs and manifest are
 still written), 3 verification failure.
 
@@ -358,8 +358,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, LoopFileError, FieldFileError, FileNotFoundError,
-            ValueError) as exc:
+    except (ConfigError, LoopFileError, FieldFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

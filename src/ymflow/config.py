@@ -4,8 +4,8 @@ The format is INI-style sections of ``key = value`` pairs, diff-friendly
 and hashable for provenance.  Unknown sections or keys are rejected by
 name, and numbers must parse and be finite.  Physical quantities are
 checked by the objects the configuration builds (FlowConfig, Character,
-the sampler, coupling, scale and ensemble checks), whose refusals name the
-section, so commands can assume a valid configuration.
+the sampler, seed, coupling, scale and ensemble checks), whose refusals
+name the section, so commands can assume a valid configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .ensemble import _check_shape, _check_times
 from .flow import FlowConfig
-from .gff import _check_coupling, _check_sampler, _check_scale
+from .gff import _check_coupling, _check_sampler, _check_scale, _check_seed
 from .groups import GroupSpec
 from .wilson import WILSON_STEPS, Character
 
@@ -168,6 +168,7 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         _owned("[sampler] coupling:", _check_coupling, cfg.coupling)
         cfg.seed = _get_int("sampler", items, "seed")
         cfg.stream = _get_int("sampler", items, "stream", 0)
+        _owned("[sampler]", _check_seed, cfg.seed, cfg.stream)
         if "scale_to_h1" in items:
             cfg.scale_to_h1 = _get_float("sampler", items, "scale_to_h1")
             _owned("[sampler] scale_to_h1:", _check_scale, cfg.scale_to_h1)

@@ -68,8 +68,8 @@ import numpy as np
 from .fields import (SpectralConnection, _mirrored, _times, _u1_action_sums,
                      _u1_action_terms, canonical_half_modes, half_norm_sq, heat_rows)
 from .flow import FlowConfig, _check_exact_group, integrate
-from .gff import (SamplerConfig, _check_coupling, _check_sampler, _check_scale, _filled,
-                  _h1_factor, _mode_tables, _stored)
+from .gff import (SamplerConfig, _check_coupling, _check_sampler, _check_scale, _check_seed,
+                  _filled, _h1_factor, _mode_tables, _stored)
 from .groups import GroupSpec
 from .storage import atomic_open
 from .wilson import (NEGLIGIBLE_HEAT, WILSON_STEPS, _half_table, _mode_product,
@@ -165,6 +165,7 @@ class EnsembleSpec:
         if self.flow.flow_kind == "u1_exact":
             _check_exact_group(self.group)
         _check_coupling(self.coupling)
+        _check_seed(self.seed)
         _check_scale(self.scale_to_h1)
         if self.reference_cutoff is None:
             return

@@ -1,7 +1,7 @@
 """Lie-algebra-valued 1-forms on the unit 3-torus: spectral connections,
 the transforms to and from grid values, d*, curl, the fused YM/ZDDS
 nonlinear term with the action S_YM and sup|A| read off the same pass,
-U(1) Coulomb projection and norms.
+and norms.
 
 A connection is stored through the real component functions of its
 orthonormal algebra basis expansion: ``coeffs[a, j, n]`` is the Fourier
@@ -52,10 +52,7 @@ __all__ = [
     "heat_weights",
     "heat_rows",
     "zero_connection",
-    "d_star_1form",
     "ym_action",
-    "ym_action_u1_spectral",
-    "coulomb_project_u1",
     "ym_rhs",
     "zdds_rhs",
     "l2_norm",
@@ -101,13 +98,6 @@ def heat_rows(norm_sq: np.ndarray, times: tuple) -> np.ndarray:
     return np.exp(lam[None] * np.reshape(times, (-1,) + (1,) * lam.ndim))
 
 
-@functools.lru_cache(maxsize=32)
-def _heat_table(cutoff: int, times: tuple) -> np.ndarray:
-    out = heat_rows(mode_norm_sq(cutoff), times)
-    out.setflags(write=False)
-    return out
-
-
 def _times(t, what: str = "time") -> tuple:
     """A scalar time or a 1-D sequence of finite nonnegative times, as a
     tuple of floats; ``what`` names them in the error messages."""
@@ -125,12 +115,8 @@ def _times(t, what: str = "time") -> tuple:
 def heat_weights(cutoff: int, times) -> np.ndarray:
     """Heat-kernel multipliers e^(-4 pi^2 |n|^2 t), one (K, K, K) row per
     time: a scalar or a 1-D sequence of times (_times) gives shape
-    (T, K, K, K).
-
-    The table is read-only and shared: the last 32 (cutoff, times) tables
-    are cached, each T K^3 floats.
-    """
-    return _heat_table(cutoff, _times(times))
+    (T, K, K, K)."""
+    return heat_rows(mode_norm_sq(cutoff), _times(times))
 
 
 @dataclass
@@ -304,13 +290,6 @@ def _grad(f: np.ndarray, cutoff: int, out=None) -> np.ndarray:
     return np.multiply(_half_tables(cutoff)[1][:3], f[:, None], out=out)
 
 
-def d_star_1form(a: SpectralConnection) -> np.ndarray:
-    """d*A = -sum_i d_i A_i, mode-wise -i 2 pi n . A(n): the coefficients
-    (d_g, K, K, K) of the g-valued 0-form."""
-    n = a.cutoff
-    return _full_spectrum(_d_star(a.coeffs[..., n:], n))
-
-
 @functools.lru_cache(maxsize=None)
 def _bracket_program(group: GroupSpec):
     """The nonzero structure constants as (steps, untouched): each step
@@ -394,13 +373,6 @@ def ym_action(a: SpectralConnection) -> float:
     return _nonlinear_core(a.coeffs[..., a.cutoff:], work, action_only=True)[1]
 
 
-def ym_action_u1_spectral(a: SpectralConnection) -> float:
-    """Closed-form U(1) action 8 pi^2 sum_n (|n|^2 |A(n)|^2 - |n.A(n)|^2)."""
-    if a.group.kind != "u1":
-        raise ValueError("spectral action formula is U(1)-only")
-    return float(_u1_actions(a.coeffs[0], a.cutoff))
-
-
 def _upper_half(cutoff: int) -> slice:
     """The flat C-order indices of the canonical half modes of cutoff:
     those above the cube's centre (K^3 - 1)/2, K = 2N+1."""
@@ -443,11 +415,12 @@ def _mirrored(upper: np.ndarray, centre=0.0) -> np.ndarray:
 
 
 def _u1_actions(c: np.ndarray, cutoff: int) -> np.ndarray:
-    """The action of ym_action_u1_spectral of every U(1) coefficient cube
-    in c (..., 3, K, K, K), in one pass: shape (...).  Only the canonical
-    half modes are read (canonical_half_modes); their terms are mirrored
-    into flat cube order with a zero at n = 0, which is the full cube's sum
-    bit for bit for a reflection-symmetric field."""
+    """The closed-form U(1) action 8 pi^2 sum_n (|n|^2 |A(n)|^2 - |n.A(n)|^2)
+    of every U(1) coefficient cube in c (..., 3, K, K, K), in one pass:
+    shape (...).  Only the canonical half modes are read
+    (canonical_half_modes); their terms are mirrored into flat cube order
+    with a zero at n = 0, which is the full cube's sum bit for bit for a
+    reflection-symmetric field."""
     k = 2 * cutoff + 1
     upper = c.reshape(c.shape[:-3] + (-1,))[..., _upper_half(cutoff)]
     terms = _mirrored(_u1_action_terms(upper, cutoff))
@@ -481,22 +454,6 @@ def _u1_action_sums(terms: np.ndarray) -> np.ndarray:
     cube's."""
     sums = np.sum(terms, axis=(-3, -2, -1))
     return 8.0 * np.pi**2 * (sums[0] - sums[1])
-
-
-def coulomb_project_u1(a: SpectralConnection) -> SpectralConnection:
-    """Unique divergence-free gauge representative: kill the zero mode and
-    subtract (A(n).n) n / |n|^2 mode-wise."""
-    if a.group.kind != "u1":
-        raise ValueError("Coulomb projection implemented for U(1) only")
-    n = mode_grids(a.cutoff)
-    c = a.coeffs.copy()
-    nsq = mode_norm_sq(a.cutoff).copy()
-    nsq[a.cutoff, a.cutoff, a.cutoff] = 1.0  # avoid 0/0; zero mode handled below
-    dot = (n[0] * c[:, 0] + n[1] * c[:, 1] + n[2] * c[:, 2]) / nsq
-    for i in range(3):
-        c[:, i] -= dot * n[i]
-    c[:, :, a.cutoff, a.cutoff, a.cutoff] = 0.0
-    return SpectralConnection(a.group, a.cutoff, c)
 
 
 def ym_rhs(a: SpectralConnection) -> SpectralConnection:

@@ -14,8 +14,9 @@ That coupling is what turns distributional convergence statements into
 per-seed (pathwise) checks.  For the same reason one per-mode kernel
 (_stored) draws either ensemble at any list of modes, each value bit for
 bit the full draw's; the samplers fill in its full list.  Its per-mode
-tables (modes, norms, frames, Coulomb scales) are built once per mode
-list (_mode_tables) and handed to every draw at that list.
+tables (modes, norms, frames, Coulomb scales; _mode_tables) are built
+once per mode list by an ensemble's streams, and per call by a single
+draw.
 
 Mode bookkeeping: of n and -n only the canonical half mode is drawn
 (fields.canonical_half_modes, the flat cube's upper half); the reflected
@@ -27,15 +28,14 @@ modes), refusing a NaN, infinite or nonpositive one.  The two samplers,
 sample_initial (either sampler for one (seed, stream)) and every flowed
 ensemble member build their fields through it; exact U(1) reads take the
 half modes directly.
-The coupling and scale rules are raised here alone (_check_coupling,
-_check_scale); the spec and the configuration call them.
+The seed, coupling and scale rules are raised here alone (_check_seed,
+_check_coupling, _check_scale); the spec and the configuration call them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +46,6 @@ from .rng import TAG_COMPONENT, mode_gaussians
 
 __all__ = [
     "SamplerConfig",
-    "canonical_half_modes",
     "sample_gff",
     "sample_initial",
     "sample_u1_coulomb",
@@ -65,6 +64,7 @@ class SamplerConfig:
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
         _check_coupling(self.coupling)
+        _check_seed(self.seed, self.stream)
 
 
 # NaN fails every comparison, so each check asks for the good range
@@ -72,6 +72,15 @@ def _check_coupling(coupling: float) -> None:
     """Refuse a NaN, infinite or nonpositive coupling."""
     if not 0.0 < coupling < math.inf:
         raise ValueError(f"coupling must be finite and positive, got {coupling}")
+
+
+def _check_seed(seed: int, stream: int = 0) -> None:
+    """Refuse a seed or stream outside [0, 2^64): the Philox key words are
+    64 bits wide, so a value outside would draw the field of the value it
+    wraps to."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
 
 def _check_scale(scale_to_h1: float | None) -> None:
@@ -124,12 +133,6 @@ def _mode_tables(modes: np.ndarray) -> _ModeTables:
     for x in out:
         x.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=32)
-def _cutoff_tables(cutoff: int) -> _ModeTables:
-    """_mode_tables of every canonical half mode of this cutoff."""
-    return _mode_tables(canonical_half_modes(cutoff))
 
 
 def _filled(group: GroupSpec, cutoff: int, upper: np.ndarray,
@@ -199,7 +202,7 @@ def _stored(kind: str, config: SamplerConfig, tables: _ModeTables | None = None
     """
     _check_sampler(kind, config.group)
     if tables is None:
-        tables = _cutoff_tables(config.cutoff)
+        tables = _mode_tables(canonical_half_modes(config.cutoff))
     n_mod = tables.modes
     if kind == "gff":
         d = config.group.algebra_dim

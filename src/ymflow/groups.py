@@ -122,7 +122,6 @@ def standard_basis(spec: GroupSpec) -> np.ndarray:
     return basis
 
 
-@functools.lru_cache(maxsize=None)
 def structure_constants(spec: GroupSpec) -> np.ndarray:
     """Real tensor f with [X^a, X^b] = sum_c f[a, b, c] X^c."""
     basis = standard_basis(spec)
@@ -133,7 +132,6 @@ def structure_constants(spec: GroupSpec) -> np.ndarray:
             br = basis[a] @ basis[b] - basis[b] @ basis[a]
             for c in range(d):
                 f[a, b, c] = frobenius_inner(basis[c], br)
-    f.setflags(write=False)
     return f
 
 

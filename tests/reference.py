@@ -1,12 +1,13 @@
-"""Reference helpers that only the tests use: loop rewrites, the dense
-loop Fourier table and the same table as an exponential difference, the
-U(1) Wilson phase on the amplitude cube Z = i A as first written, the
-record of a U(1) exact ensemble member and its observation rows as first
-written (one integrate run and one h_series call per loop on the filled
-field; one tuple per row), the convergence report's fraction of seeds
-with decreasing deviations as first written (a Python max per seed),
-Philox4x64-10 on explicit counter arrays,
-algebra projection, the free-field two-point diagnostic, the samplers,
+"""Reference helpers that only the tests use: d* of a 1-form, the
+closed-form U(1) action and the U(1) Coulomb projection, loop rewrites,
+the dense loop Fourier table and the same table as an exponential
+difference, the U(1) Wilson phase on the amplitude cube Z = i A as first
+written, the record of a U(1) exact ensemble member and its observation
+rows as first written (one integrate run and one h_series call per loop
+on the filled field; one tuple per row), the convergence report's
+fraction of seeds with decreasing deviations as first written (a Python
+max per seed), Philox4x64-10 on explicit counter arrays, algebra
+projection, the free-field two-point diagnostic, the samplers,
 their mode table, frames and Gaussian draws as first written
 (zero-filled cubes and three-index scatters, a sorted mode grid,
 np.cross frames, one Philox counter array per mode), and the YM/ZDDS
@@ -27,10 +28,12 @@ from ymflow.fields import (
     _Workspace,
     _action_of,
     _cyclic_interior,
+    _d_star,
     _dft_plan,
     _full_spectrum,
     _grid_bracket,
     _sup_of,
+    _u1_actions,
     dealias_resolution,
     heat_weights,
     mode_grids,
@@ -179,6 +182,41 @@ def format_loop_file(loops) -> str:
             out.append("vertex " + " ".join(f"{c:.17g}" for c in v))
         out.append("winding " + " ".join(str(int(m)) for m in lp.winding))
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# spectral 1-forms: d*, the closed-form U(1) action and the U(1) Coulomb
+# projection
+
+
+def d_star_1form(a: SpectralConnection) -> np.ndarray:
+    """d*A = -sum_i d_i A_i, mode-wise -i 2 pi n . A(n): the coefficients
+    (d_g, K, K, K) of the g-valued 0-form."""
+    n = a.cutoff
+    return _full_spectrum(_d_star(a.coeffs[..., n:], n))
+
+
+def ym_action_u1_spectral(a: SpectralConnection) -> float:
+    """Closed-form U(1) action 8 pi^2 sum_n (|n|^2 |A(n)|^2 - |n.A(n)|^2)."""
+    if a.group.kind != "u1":
+        raise ValueError("spectral action formula is U(1)-only")
+    return float(_u1_actions(a.coeffs[0], a.cutoff))
+
+
+def coulomb_project_u1(a: SpectralConnection) -> SpectralConnection:
+    """Unique divergence-free gauge representative: kill the zero mode and
+    subtract (A(n).n) n / |n|^2 mode-wise."""
+    if a.group.kind != "u1":
+        raise ValueError("Coulomb projection implemented for U(1) only")
+    n = mode_grids(a.cutoff)
+    c = a.coeffs.copy()
+    nsq = mode_norm_sq(a.cutoff).copy()
+    nsq[a.cutoff, a.cutoff, a.cutoff] = 1.0  # avoid 0/0; zero mode handled below
+    dot = (n[0] * c[:, 0] + n[1] * c[:, 1] + n[2] * c[:, 2]) / nsq
+    for i in range(3):
+        c[:, i] -= dot * n[i]
+    c[:, :, a.cutoff, a.cutoff, a.cutoff] = 0.0
+    return SpectralConnection(a.group, a.cutoff, c)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,46 @@ def test_seed_flag_overrides_config(workspace, capsys):
     assert (tmp / "s99" / "field_u1_N3_seed99_s0.ymf").exists()
 
 
+@pytest.mark.parametrize("command, edit, flags, words", [
+    ("sample", ("seed = 11", "seed = -1"), [], ("[sampler] seed", "got -1")),
+    ("sample", ("seed = 11", "seed = 11\nstream = -1"), [], ("[sampler] stream", "got -1")),
+    ("sample", None, ["--seed=-1"], ("seed", "got -1")),
+    ("ensemble", None, ["--seed", str(2**64)], ("seed", f"got {2**64}")),
+], ids=["config_seed", "config_stream", "sample_flag", "ensemble_flag"])
+def test_seed_and_stream_outside_64_bits_exit_one(workspace, capsys, command, edit,
+                                                  flags, words):
+    # the Philox key words are 64 bits wide: seed -1 would draw seed
+    # 2**64 - 1's field under another name, so it is refused before any
+    # output directory exists
+    tmp, cfg = workspace
+    if edit:
+        cfg = write(tmp / "bad.cfg", (tmp / "run.cfg").read_text().replace(*edit))
+    rc = main([command, "--config", cfg, "--output", str(tmp / "bad")] + flags)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert all(word in err for word in words), err
+    assert not (tmp / "bad").exists()
+
+
+@pytest.mark.parametrize("case", ["flow_input_dir", "sample_config_dir",
+                                  "sample_output_file"])
+def test_path_errors_exit_one_naming_the_path(workspace, capsys, case):
+    # a directory where a file is read, or a file where the output
+    # directory goes, is an error line, not a traceback
+    tmp, cfg = workspace
+    (tmp / "adir").mkdir()
+    (tmp / "afile").write_text("")
+    argv, path = {
+        "flow_input_dir": (["flow", "--config", cfg, "--input", "adir"], "adir"),
+        "sample_config_dir": (["sample", "--config", "adir"], "adir"),
+        "sample_output_file": (["sample", "--config", cfg, "--output", "afile"], "afile"),
+    }[case]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and path in err and "Traceback" not in err
+
+
 def test_unknown_config_key_exit_code(workspace, capsys):
     tmp, cfg = workspace
     bad = write(tmp / "bad2.cfg", "[sampler]\nwarp = 9\n")

@@ -10,7 +10,7 @@ import pytest
 from gauge import axis_cycle
 from reference import (decreasing_fraction, format_loop_file, loop_fourier_coefficients,
                        member_record, record_rows)
-from ymflow.fields import mode_grids, mode_norm_sq
+from ymflow.fields import canonical_half_modes, mode_grids, mode_norm_sq
 from ymflow.flow import FlowConfig, integrate
 from ymflow.ensemble import (
     EnsembleRecord,
@@ -584,7 +584,6 @@ def test_stream_draws_member_and_heat_visible_modes():
     # modes: every mode of the largest member cutoff, and the modes of
     # weight above e^(-41.6) at t_min
     import ymflow.ensemble as ens
-    from ymflow.gff import canonical_half_modes
     drawn, visible, members, tables, *_ = ens._stream_modes(16, (2, 4, 8), (0.005,))
     half = canonical_half_modes(16)
     assert (len(drawn), len(half)) == (6446, 17968)
@@ -604,7 +603,7 @@ def test_stream_tables_draw_the_full_draw(kind, group, top, cutoffs, t_min):
     # and _stored on them gives the full draw's values at the drawn modes,
     # on the first call and on every later one
     import ymflow.ensemble as ens
-    from ymflow.gff import _stored, canonical_half_modes
+    from ymflow.gff import _stored
     modes = ens._stream_modes(top, cutoffs, (t_min,))
     drawn, tables = modes.drawn, modes.tables
     assert ens._stream_modes(top, cutoffs, (t_min,)) is modes
@@ -852,7 +851,6 @@ def test_exact_stream_one_product_per_loop_and_no_member_cube(monkeypatch):
     import ymflow.flow as flow_mod
     import ymflow.gff as gff_mod
     import ymflow.wilson as wil
-    from ymflow.gff import canonical_half_modes
     _forbid(monkeypatch, (gff_mod, "_filled"), (ens, "_filled"),
             (flow_mod, "integrate"), (ens, "integrate"),
             (wil, "h_series"))

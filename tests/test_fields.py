@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_connection, random_gauge
 from gauge import GaugeTransform, gauge_transform, gauge_transform_spectral
-from reference import nonlinear_full_spectrum, nonlinear_pass
+from reference import (coulomb_project_u1, d_star_1form, nonlinear_full_spectrum,
+                       nonlinear_pass, ym_action_u1_spectral)
 from ymflow.fields import (
     SpectralConnection,
     _curl,
@@ -12,8 +13,6 @@ from ymflow.fields import (
     _grid_bracket,
     _spectral_to_values,
     _values_to_spectral,
-    coulomb_project_u1,
-    d_star_1form,
     dealias_resolution,
     h1_norm,
     l2_norm,
@@ -21,7 +20,6 @@ from ymflow.fields import (
     mode_norm_sq,
     reality_defect,
     ym_action,
-    ym_action_u1_spectral,
     ym_rhs,
     zdds_rhs,
     zero_connection,

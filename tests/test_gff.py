@@ -7,17 +7,16 @@ from gauge import transverse_frame
 from reference import (
     canonical_half_modes_sorted,
     covariance_diagnostic,
+    d_star_1form,
     sample_gff_dense,
     sample_u1_coulomb_dense,
 )
-from ymflow.fields import _spectral_to_values, d_star_1form, reality_defect
+from ymflow.fields import _spectral_to_values, canonical_half_modes, reality_defect
 from ymflow.gff import (
     SamplerConfig,
-    _cutoff_tables,
     _mirrored,
     _mode_tables,
     _stored,
-    canonical_half_modes,
     sample_gff,
     sample_initial,
     sample_u1_coulomb,
@@ -98,7 +97,7 @@ def _frames_by_loop(cutoff):
 
 def test_frames_for_equals_per_mode_loop_bitwise():
     for cutoff in range(1, 17):
-        tables = _cutoff_tables(cutoff)
+        tables = _mode_tables(canonical_half_modes(cutoff))
         got = (tables.u1, tables.u2)
         want = _frames_by_loop(cutoff)
         for g, w in zip(got, want):
@@ -106,7 +105,8 @@ def test_frames_for_equals_per_mode_loop_bitwise():
             assert g.T.tobytes() == w.tobytes(), cutoff
             assert g.flags.c_contiguous and not g.flags.writeable
     modes = canonical_half_modes(3)
-    u1v, u2v = _cutoff_tables(3).u1, _cutoff_tables(3).u2
+    tables = _mode_tables(modes)
+    u1v, u2v = tables.u1, tables.u2
     for i in (0, 7, len(modes) - 1):
         for n in (modes[i], -modes[i]):
             a1, a2 = transverse_frame(n)

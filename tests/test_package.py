@@ -109,7 +109,8 @@ def test_test_only_helpers_stay_out_of_the_package():
              "gauge_transform", "gauge_transform_spectral",
              "GaugeTransformedEvaluator", "axis_cycle",
              "gauge_covariance_check", "action_decay_profile",
-             "transverse_frame", "loop_fourier_coefficients", "philox4x64_10"}
+             "transverse_frame", "loop_fourier_coefficients", "philox4x64_10",
+             "coulomb_project_u1", "d_star_1form", "ym_action_u1_spectral"}
     assert all(hasattr(reference, name) or hasattr(gauge, name) for name in moved)
     for stem in MODULES:
         module = importlib.import_module(_module_name(stem))
@@ -119,9 +120,39 @@ def test_test_only_helpers_stay_out_of_the_package():
                             if isinstance(node, ast.ImportFrom)}
 
 
+# readers of the package's own output files, which no command reads back
+READERS = {"load_records", "read_manifest"}
+
+
+def test_every_package_function_has_a_package_caller():
+    # a module-level function or class that only tests call belongs in
+    # tests/reference.py; a call counts from anywhere in src/ outside the
+    # definition itself, by name or as a module attribute
+    trees = [ast.parse((SOURCE / f"{stem}.py").read_text()) for stem in MODULES]
+    defined, loads = set(), set()
+    for tree in trees:
+        inner = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                inner.update((id(sub), node.name) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if (id(node), name) not in inner:
+                loads.add(name)
+    uncalled = sorted(defined - loads - READERS)
+    assert not uncalled, f"package functions no package code calls: {uncalled}"
+
+
 @pytest.mark.parametrize("message", [
     "coupling must be finite and positive",
     "scale_to_h1 must be finite and positive",
+    "must be in [0, 2**64)",
     "a complete [sampler] section is required",
 ])
 def test_one_raise_site_per_input_rule(message):

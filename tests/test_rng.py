@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from reference import mode_gaussians_modewise, philox4x64_10
-from ymflow.gff import canonical_half_modes
+from ymflow.fields import canonical_half_modes
 from ymflow.rng import TAG_COMPONENT, mode_gaussians
 
 

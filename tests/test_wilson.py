@@ -14,6 +14,7 @@ from reference import (
     reparametrize,
     reverse_loop,
     u1_amplitudes,
+    ym_action_u1_spectral,
 )
 from ymflow.fields import (
     canonical_half_modes,
@@ -21,7 +22,6 @@ from ymflow.fields import (
     heat_rows,
     mode_grids,
     mode_norm_sq,
-    ym_action_u1_spectral,
     zero_connection,
 )
 from ymflow.flow import FlowConfig, heat_semigroup_u1, integrate
