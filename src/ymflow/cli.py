@@ -250,7 +250,7 @@ def cmd_ensemble(args) -> int:
     export_csv(records, outdir / "records.csv")
     # every member is counted; those that blew up are excluded from the
     # statistics and reported by the exit code
-    rows = tightness_report(records, min_samples=0)
+    rows = tightness_report(records, spec)
     report_lines = [
         f"{'cutoff':>6} {'t':>10} {'n':>6} {'excl':>5} {'mean':>22} "
         f"{'se':>22} {'closed_form':>22} {'limit':>22} {'flag':>5}"

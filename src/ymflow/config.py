@@ -176,8 +176,7 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
     if "flow" in cfg.raw:
         items = cfg.raw["flow"]
         checkpoints = _get_floats("flow", items, "checkpoints")
-        if any(t <= 0 for t in checkpoints):
-            _fail("flow", "checkpoints", "times must be positive")
+        _owned("[flow]", _check_times, checkpoints, "checkpoints")
         if "t_end" in items:
             t_end = _get_float("flow", items, "t_end", positive=True)
             if any(t > t_end * (1 + 1e-12) for t in checkpoints):

@@ -98,6 +98,8 @@ RECORD_FIELDS = [
 ]
 
 
+# the fields every row of one (stream, cutoff) member repeats
+_MEMBER_FIELDS = ("seed", "group", "g", "attained_time", "blew_up", "config_hash")
 # the JSON types each field may take in a records file
 _INT, _NUMBER, _STR, _NULL = (int,), (int, float), (str,), (type(None),)
 _FIELD_TYPES = {
@@ -113,14 +115,14 @@ class RecordError(Exception):
     pass
 
 
-def _check_times(times: tuple) -> None:
+def _check_times(times: tuple, what: str = "times") -> None:
     """Refuse a time that is not positive, or one given twice (its output
-    rows would repeat)."""
+    rows would repeat); ``what`` names the list in the error messages."""
     for i, t in enumerate(times):
         if t <= 0:
-            raise ValueError(f"times must be positive, got {t}")
+            raise ValueError(f"{what} must be positive, got {t}")
         if t in times[:i]:
-            raise ValueError(f"times: time {t!r} is repeated")
+            raise ValueError(f"{what}: time {t!r} is repeated")
 
 
 def _check_shape(cutoffs: tuple, n_samples: int, times: tuple,
@@ -514,11 +516,14 @@ def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
     """Rebuild records from a JSONL file; bit-exact inverse of persist.
 
     Corrupt lines (not JSON, not an object, a field missing or of the
-    wrong type) raise RecordError naming the line; a config-hash
-    mismatch against expect_hash (resume integrity) is refused.
+    wrong type, a repeated observation, or a member field that differs
+    from the member's first row) raise RecordError naming the line; a
+    config-hash mismatch against expect_hash (resume integrity) is refused.
     """
     path = Path(path)
     grouped: dict = {}
+    # (stream, cutoff) and (stream, cutoff, t, loop, character) -> first line
+    first_line: dict = {}
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -547,15 +552,21 @@ def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
                     f"match expected {expect_hash}; refusing to mix runs"
                 )
             key = (row["stream"], row["cutoff"])
+            obs = (*key, row["t"], row["loop_id"], row["character_id"])
+            if obs in first_line:
+                raise RecordError(f"{path}:{lineno}: repeats the observation of "
+                                  f"line {first_line[obs]}")
+            first_line[obs] = lineno
             rec = grouped.get(key)
             if rec is None:
-                rec = EnsembleRecord(
-                    seed=row["seed"], stream=row["stream"], cutoff=row["cutoff"],
-                    group=row["group"], g=row["g"],
-                    attained_time=row["attained_time"], blew_up=row["blew_up"],
-                    config_hash=row["config_hash"],
-                )
-                grouped[key] = rec
+                rec = grouped[key] = EnsembleRecord(
+                    stream=key[0], cutoff=key[1], **{k: row[k] for k in _MEMBER_FIELDS})
+                first_line[key] = lineno
+            # repr tells NaN, -0.0 and an int from a float apart
+            differ = [k for k in _MEMBER_FIELDS if repr(row[k]) != repr(getattr(rec, k))]
+            if differ:
+                raise RecordError(f"{path}:{lineno}: member fields {differ} contradict "
+                                  f"line {first_line[key]}")
             rec.s_ym[row["t"]] = row["s_ym"]
             if row["loop_id"] is not None:
                 rec.wilson[(row["loop_id"], row["character_id"], row["t"])] = \
@@ -616,48 +627,33 @@ class TightnessRow:
     flagged: bool
 
 
-def tightness_report(records, min_samples: int = 100) -> list[TightnessRow]:
-    """Per (cutoff, t) mean and SE of the action, with the closed-form
-    truncated series alongside for U(1) ensembles.
-
-    A row is flagged when its mean exceeds the all-mode series limit by
-    more than five standard errors (the desk-scale boundedness check).
-    Members that blew up before t are excluded and counted; a row with
-    fewer than 2 usable samples has no mean or standard error.
+def tightness_report(records, spec: EnsembleSpec) -> list[TightnessRow]:
+    """Per (cutoff, t) mean and SE of the action; when ``spec`` states the
+    closed-form law (unscaled u1_coulomb members) its truncated series at
+    ``spec.coupling`` stands alongside, and a row is flagged when its mean
+    exceeds the all-mode series limit by more than five standard errors
+    (the desk-scale boundedness check).  Other runs' rows carry None there
+    and no flag.  Members that blew up before t are excluded and counted;
+    a row with fewer than 2 usable samples has no mean or standard error.
     """
-    by_key: dict = {}
-    coupling = None
-    group = None
+    by_key: dict = {}                  # (cutoff, t) -> action, None if excluded
     for rec in records:
-        coupling = rec.g
-        group = rec.group
         for t, s in rec.s_ym.items():
-            key = (rec.cutoff, t)
             ok = s is not None and (not rec.blew_up or rec.attained_time >= t)
-            by_key.setdefault(key, {"vals": [], "excluded": 0})
-            if ok:
-                by_key[key]["vals"].append(s)
-            else:
-                by_key[key]["excluded"] += 1
+            by_key.setdefault((rec.cutoff, t), []).append(s if ok else None)
     rows = []
-    is_u1 = group == "u1"
-    for (cutoff, t) in sorted(by_key):
-        vals = np.asarray(by_key[(cutoff, t)]["vals"])
-        if len(vals) < min_samples:
-            raise ValueError(
-                f"only {len(vals)} usable samples at cutoff {cutoff}, t={t}; "
-                f"need at least {min_samples}"
-            )
+    coulomb = spec.sampler_kind == "u1_coulomb" and spec.scale_to_h1 is None
+    for (cutoff, t), seen in sorted(by_key.items()):
+        vals = np.asarray([s for s in seen if s is not None])
         mean = se = None
         if len(vals) >= 2:
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / np.sqrt(len(vals)))
-        closed = closed_form_sym_mean(cutoff, t, coupling) if is_u1 else None
-        limit = closed_form_sym_limit(t, coupling) if is_u1 else None
+        closed = closed_form_sym_mean(cutoff, t, spec.coupling) if coulomb else None
+        limit = closed_form_sym_limit(t, spec.coupling) if coulomb else None
         flagged = bool(mean is not None and limit is not None
                        and mean > limit + 5.0 * se)
-        rows.append(TightnessRow(cutoff, t, len(vals),
-                                 by_key[(cutoff, t)]["excluded"],
+        rows.append(TightnessRow(cutoff, t, len(vals), len(seen) - len(vals),
                                  mean, se, closed, limit, flagged))
     return rows
 

@@ -167,7 +167,7 @@ def parse_loop_file(text: str) -> list[Loop]:
     Grammar (one directive per line, '#' comments):
         loop NAME
         vertex X Y Z
-        winding M1 M2 M3      (optional, cross-checked)
+        winding M1 M2 M3      (optional, at most one per loop, cross-checked)
     Loop names are unique.  Raises LoopFileError with the offending line
     number.
     """
@@ -175,10 +175,10 @@ def parse_loop_file(text: str) -> list[Loop]:
     first_line: dict = {}                # loop name -> line of its 'loop'
     name = None
     verts: list = []
-    winding = None
+    winding = winding_line = None
 
     def flush(line_no):
-        nonlocal name, verts, winding
+        nonlocal name, verts, winding, winding_line
         if name is None:
             return
         if len(verts) < 2:
@@ -188,7 +188,7 @@ def parse_loop_file(text: str) -> list[Loop]:
             loops.append(make_loop(np.asarray(verts), winding, name=name))
         except ValueError as exc:
             raise LoopFileError(f"line {line_no}: loop {name!r}: {exc}") from exc
-        name, verts, winding = None, [], None
+        name, verts, winding, winding_line = None, [], None, None
 
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -222,6 +222,10 @@ def parse_loop_file(text: str) -> list[Loop]:
                 raise LoopFileError(f"line {i}: 'winding' before any 'loop'")
             if len(parts) != 4:
                 raise LoopFileError(f"line {i}: 'winding' needs three integers")
+            if winding_line is not None:
+                raise LoopFileError(f"line {i}: loop {name!r} already has a winding "
+                                    f"on line {winding_line}")
+            winding_line = i
             try:
                 winding = [int(p) for p in parts[1:]]
             except ValueError as exc:

@@ -123,8 +123,9 @@ def test_criterion_3_tightness_statistic():
         coupling=1.0,
     )
     records, _ = run_ensemble(spec, threads=4)
-    rows = tightness_report(records, min_samples=100)
+    rows = tightness_report(records, spec)
     assert len(rows) == 3
+    assert all(row.n_used == 400 for row in rows)
     limit = closed_form_sym_limit(t_obs)
     msgs = []
     for row in rows:

@@ -131,16 +131,18 @@ def test_reference_cutoff_must_exceed_largest_cutoff():
 
 
 @pytest.mark.parametrize("section, old", [
-    ("wilson", "times = 0.01"), ("ensemble", "times = 0.05")],
-    ids=["wilson", "ensemble"])
+    ("wilson", "times = 0.01"), ("ensemble", "times = 0.05"),
+    ("flow", "checkpoints = 0.01 0.05 0.2")],
+    ids=["wilson", "ensemble", "flow"])
 def test_repeated_time_refused(section, old):
     # a repeated time once repeated every output row observed at it
+    key = old.split()[0]
     text = GOOD.replace(old, old + " 0.03 " + old.split()[-1])
     with pytest.raises(ConfigError,
-                       match=rf"\[{section}\] times: time {old.split()[-1]} is repeated"):
+                       match=rf"\[{section}\] {key}: time {old.split()[-1]} is repeated"):
         parse_config(text)
     # the same time written another way is the same time
-    with pytest.raises(ConfigError, match=rf"\[{section}\] times"):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
         parse_config(GOOD.replace(old, f"{old} 1e-2 5e-2"))
 
 

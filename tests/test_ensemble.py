@@ -272,6 +272,32 @@ def test_load_reports_rows_of_the_wrong_shape(tmp_path):
     assert load_records(path)
 
 
+def test_load_refuses_rows_that_contradict_their_member(tmp_path):
+    # a repeated row once replaced the first one's action, and a member
+    # field that differs from the member's first row was dropped unread
+    spec = u1_spec(n_samples=2, cutoffs=(2,))
+    path = tmp_path / "records.jsonl"
+    persist_records(run_ensemble(spec)[0], path)
+    good = path.read_text().splitlines()
+    row = json.loads(good[1])
+    assert (row["stream"], row["cutoff"]) == tuple(json.loads(good[0])[k]
+                                                   for k in ("stream", "cutoff"))
+    again = json.dumps({**row, "s_ym": 123.0})
+    path.write_text("\n".join(good + [again]) + "\n")
+    with pytest.raises(RecordError, match=rf":{len(good) + 1}: repeats the "
+                                          "observation of line 2"):
+        load_records(path)
+    for name, value in (("seed", row["seed"] + 1), ("group", "su2"), ("g", 2.0),
+                        ("attained_time", 0.5), ("blew_up", True),
+                        ("config_hash", "c0ffee"), ("g", int(row["g"]))):
+        lines = list(good)
+        lines[1] = json.dumps({**row, name: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordError, match=rf":2: member fields \['{name}'\] "
+                                              "contradict line 1"):
+            load_records(path)
+
+
 def test_load_refuses_hash_mismatch(tmp_path):
     spec = u1_spec(n_samples=2, cutoffs=(2,))
     path = tmp_path / "records.jsonl"
@@ -352,7 +378,7 @@ def test_export_csv_mirrors_fields(tmp_path):
 def test_tightness_report_values_and_flags():
     spec = u1_spec(n_samples=150, cutoffs=(2, 4), times=(0.05,), loops=())
     recs, _ = run_ensemble(spec)
-    rows = tightness_report(recs, min_samples=100)
+    rows = tightness_report(recs, spec)
     assert len(rows) == 2
     for row in rows:
         assert row.n_used == 150
@@ -362,8 +388,29 @@ def test_tightness_report_values_and_flags():
         assert abs(row.mean - row.closed_form) < 4 * row.standard_error
         assert not row.flagged
         assert row.all_mode_limit >= row.closed_form - 1e-15
-    with pytest.raises(ValueError):
-        tightness_report(recs, min_samples=151)
+
+
+@pytest.mark.parametrize("kind, scale", [("gff", None), ("u1_coulomb", 50.0)],
+                         ids=["gff", "rescaled"])
+def test_tightness_closed_form_only_for_unscaled_coulomb(kind, scale):
+    # the closed-form series is the law of unscaled u1_coulomb members;
+    # U(1) members of another law sit far above its all-mode limit, so
+    # only the spec can say that the series applies
+    spec = EnsembleSpec(group=U1, sampler_kind=kind, seed=17, cutoffs=(2, 3),
+                        times=(0.01, 0.05), n_samples=200,
+                        flow=FlowConfig("u1_exact"), scale_to_h1=scale)
+    recs, _ = run_ensemble(spec)
+    rows = tightness_report(recs, spec)
+    assert len(rows) == 4
+    for row in rows:
+        assert row.n_used == 200
+        assert row.mean > closed_form_sym_limit(row.t) + 5.0 * row.standard_error
+        assert row.closed_form is None and row.all_mode_limit is None
+        assert not row.flagged
+    # the same draws unscaled and Coulomb-sampled carry the series
+    coulomb = replace(spec, sampler_kind="u1_coulomb", scale_to_h1=None)
+    rows = tightness_report(run_ensemble(coulomb)[0], coulomb)
+    assert all(r.closed_form is not None and not r.flagged for r in rows)
 
 
 def test_tightness_report_excludes_blowups():
@@ -371,12 +418,14 @@ def test_tightness_report_excludes_blowups():
                             s_ym={0.1: 1.0}, attained_time=0.2, blew_up=False)
     rec_bad = EnsembleRecord(seed=1, stream=1, cutoff=2, group="su2", g=1.0,
                              s_ym={0.1: None}, attained_time=0.05, blew_up=True)
-    rows = tightness_report([rec_ok, rec_bad] * 60, min_samples=10)
+    spec = EnsembleSpec(group=SU2, sampler_kind="gff", seed=1, cutoffs=(2,),
+                        times=(0.1,), n_samples=2, flow=FlowConfig("ym"))
+    rows = tightness_report([rec_ok, rec_bad] * 60, spec)
     assert rows[0].n_used == 60
     assert rows[0].n_excluded == 60
     # below 2 usable samples a row has no mean or standard error
     for recs in ([rec_ok, rec_bad, rec_bad], [rec_bad]):
-        (row,) = tightness_report(recs, min_samples=0)
+        (row,) = tightness_report(recs, spec)
         assert row.mean is None and row.standard_error is None
         assert not row.flagged
 
@@ -425,7 +474,7 @@ def test_u1_reports_build_no_mode_grid_above_run_cutoffs():
     recs, reference = run_ensemble(spec)
     mode_grids.cache_clear()
     mode_norm_sq.cache_clear()
-    rows = tightness_report(recs, min_samples=100)
+    rows = tightness_report(recs, spec)
     assert all(r.all_mode_limit is not None for r in rows)
     distribution_convergence_report(recs, spec, reference)
     # the reports read the records and the reference values only
@@ -701,8 +750,9 @@ def test_ensemble_records_blowups_not_fatal():
     assert all(r.blew_up for r in recs)
     assert all(r.s_ym[0.02] is None for r in recs)
     assert all(r.attained_time < 0.02 for r in recs)
-    with pytest.raises(ValueError, match="usable samples"):
-        tightness_report(recs * 30, min_samples=1)
+    (row,) = tightness_report(recs * 30, spec)
+    assert (row.n_used, row.n_excluded) == (0, 120)
+    assert row.mean is None
 
 
 # one differing value per field; a field missing here fails the test below

@@ -157,6 +157,14 @@ def test_loop_file_refuses_repeated_loop_name():
         parse_loop_file(text + "# again\n" + text)
 
 
+def test_loop_file_refuses_repeated_winding():
+    # a second winding line would silently replace the first declaration
+    text = "loop a\nvertex 0 0 0\nwinding 0 0 0\nvertex 1 0 0\nwinding 1 0 0\n"
+    with pytest.raises(LoopFileError, match="line 5: loop 'a' already has a "
+                                            "winding on line 3"):
+        parse_loop_file(text)
+
+
 # ---------------------------------------------------------------------------
 # characters
 
