@@ -75,15 +75,18 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _require_sampler(cfg: RunConfig) -> None:
-    """Refuse a configuration without a complete [sampler] section."""
-    if cfg.sampler_kind is None or cfg.group is None or cfg.seed is None:
-        raise ConfigError("a complete [sampler] section is required")
+def _require_sampler(cfg: RunConfig, *keys: str) -> None:
+    """Refuse a configuration whose [sampler] section, after the --seed
+    override, lacks the group or one of keys."""
+    missing = [key for key in ("group", *keys) if getattr(cfg, key) is None]
+    if missing:
+        raise ConfigError(f"a complete [sampler] section is required "
+                          f"(missing: {', '.join(missing)})")
 
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
-    _require_sampler(cfg)
+    _require_sampler(cfg, "cutoff", "seed")
     a0 = sample_initial(cfg.group, cfg.sampler_kind, cfg.cutoff, cfg.seed,
                         cfg.stream, cfg.coupling, cfg.scale_to_h1)
     outdir, source = _resolve_output(cfg, args)
@@ -177,14 +180,14 @@ def cmd_wilson(args) -> int:
             "non-Abelian Wilson evaluation needs a [flow] section to "
             "regularize the field"
         )
-    outdir, source = _resolve_output(cfg, args)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_path = outdir / "wilson.csv"
     traj = integrate(a0, flow, times)
     if traj.blew_up:
         print(f"flow halted at t = {_fmt(traj.attained_time)}: "
               f"{traj.failure}; no Wilson values", file=sys.stderr)
         return EXIT_BLOWUP
+    outdir, _ = _resolve_output(cfg, args)
+    outdir.mkdir(parents=True, exist_ok=True)
+    out_path = outdir / "wilson.csv"
     with atomic_open(out_path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -216,7 +219,7 @@ def cmd_wilson(args) -> int:
 
 def cmd_ensemble(args) -> int:
     cfg = _load_config(args)
-    _require_sampler(cfg)
+    _require_sampler(cfg, "seed")
     if cfg.flow is None:
         raise ConfigError("a [flow] section is required")
     if not cfg.ens_cutoffs:

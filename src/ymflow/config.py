@@ -163,12 +163,16 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         cfg.group = _owned("[sampler] group:", GroupSpec.from_label, items["group"])
         cfg.sampler_kind = items.get("kind", "gff").strip()
         _owned("[sampler] kind:", _check_sampler, cfg.sampler_kind, cfg.group)
-        cfg.cutoff = _get_int("sampler", items, "cutoff", minimum=1)
+        # cutoff and seed are checked where given; the commands that read
+        # them require them (cli._require_sampler)
+        if "cutoff" in items:
+            cfg.cutoff = _get_int("sampler", items, "cutoff", minimum=1)
         cfg.coupling = _get_float("sampler", items, "coupling", 1.0)
         _owned("[sampler] coupling:", _check_coupling, cfg.coupling)
-        cfg.seed = _get_int("sampler", items, "seed")
+        if "seed" in items:
+            cfg.seed = _get_int("sampler", items, "seed")
         cfg.stream = _get_int("sampler", items, "stream", 0)
-        _owned("[sampler]", _check_seed, cfg.seed, cfg.stream)
+        _owned("[sampler]", _check_seed, cfg.seed or 0, cfg.stream)
         if "scale_to_h1" in items:
             cfg.scale_to_h1 = _get_float("sampler", items, "scale_to_h1")
             _owned("[sampler] scale_to_h1:", _check_scale, cfg.scale_to_h1)

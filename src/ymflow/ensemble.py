@@ -516,13 +516,15 @@ def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
     """Rebuild records from a JSONL file; bit-exact inverse of persist.
 
     Corrupt lines (not JSON, not an object, a field missing or of the
-    wrong type, a repeated observation, or a member field that differs
-    from the member's first row) raise RecordError naming the line; a
+    wrong type, a repeated observation, a member field that differs from
+    the member's first row, or an s_ym that differs from the first row of
+    its member at its time) raise RecordError naming the line; a
     config-hash mismatch against expect_hash (resume integrity) is refused.
     """
     path = Path(path)
     grouped: dict = {}
-    # (stream, cutoff) and (stream, cutoff, t, loop, character) -> first line
+    # (stream, cutoff), (stream, cutoff, t) and (stream, cutoff, t, loop,
+    # character) -> first line
     first_line: dict = {}
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -567,7 +569,12 @@ def load_records(path, expect_hash: str | None = None) -> list[EnsembleRecord]:
             if differ:
                 raise RecordError(f"{path}:{lineno}: member fields {differ} contradict "
                                   f"line {first_line[key]}")
-            rec.s_ym[row["t"]] = row["s_ym"]
+            at = (*key, row["t"])
+            if at not in first_line:
+                first_line[at] = lineno
+                rec.s_ym[row["t"]] = row["s_ym"]
+            elif repr(row["s_ym"]) != repr(rec.s_ym[row["t"]]):
+                raise RecordError(f"{path}:{lineno}: s_ym contradicts line {first_line[at]}")
             if row["loop_id"] is not None:
                 rec.wilson[(row["loop_id"], row["character_id"], row["t"])] = \
                     complex(row["wilson_re"], row["wilson_im"])

@@ -135,12 +135,6 @@ class SpectralConnection:
                 f"coefficient array has shape {self.coeffs.shape}, expected {expected}"
             )
 
-    def copy(self) -> "SpectralConnection":
-        return SpectralConnection(self.group, self.cutoff, self.coeffs.copy())
-
-    def scaled(self, factor: float) -> "SpectralConnection":
-        return SpectralConnection(self.group, self.cutoff, self.coeffs * factor)
-
     def restricted(self, cutoff: int) -> "SpectralConnection":
         """Truncation to a smaller cutoff (exact restriction of modes)."""
         if cutoff > self.cutoff:

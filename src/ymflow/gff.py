@@ -42,7 +42,7 @@ import numpy as np
 
 from .fields import SpectralConnection, _mirrored, canonical_half_modes, half_norm_sq
 from .groups import GroupSpec
-from .rng import TAG_COMPONENT, mode_gaussians
+from .rng import mode_gaussians
 
 __all__ = [
     "SamplerConfig",
@@ -206,11 +206,11 @@ def _stored(kind: str, config: SamplerConfig, tables: _ModeTables | None = None
     n_mod = tables.modes
     if kind == "gff":
         d = config.group.algebra_dim
-        z = mode_gaussians(config.seed, config.stream, n_mod, 6 * d, TAG_COMPONENT)
+        z = mode_gaussians(config.seed, config.stream, n_mod, 6 * d)
         z = z.reshape(d, 3, 2, len(n_mod))
         zc = (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)  # E|Z|^2 = 1
         return zc / tables.norms
-    z = mode_gaussians(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
+    z = mode_gaussians(config.seed, config.stream, n_mod, 4)
     z = z * (config.coupling / tables.denominators)
     z1 = z[0] + 1j * z[1]
     z2 = z[2] + 1j * z[3]

@@ -200,13 +200,13 @@ def exp_map(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def unitarize(m: np.ndarray, spec: GroupSpec | None = None) -> np.ndarray:
+def unitarize(m: np.ndarray, spec: GroupSpec) -> np.ndarray:
     """Nearest unitary via polar decomposition; for SU(N) the determinant
     phase is divided out so the result lands back in the group."""
     m = np.asarray(m, dtype=complex)
     u, _, vh = np.linalg.svd(m)
     out = u @ vh
-    if spec is not None and spec.kind == "su":
+    if spec.kind == "su":
         n = spec.matrix_dim
         det = np.linalg.det(out)
         out = out * np.exp(-1j * np.angle(det) / n)[..., None, None]

@@ -11,15 +11,14 @@ pathwise meaningful.
 
 The word packing is fixed and documented here:
 
-    counter = (block, n1 << 32 | n2, n3 << 32 | tag, 0)
+    counter = (block, n1 << 32 | n2, n3 << 32, 0)
     key     = (seed, stream)
 
-with the mode components mapped to uint32 two's complement and ``tag``
-discriminating independent draw families.  Only tag 0 (TAG_COMPONENT,
-the per-component field draws) is in use; the transverse frames of the
-Coulomb sampler are deterministic functions of the mode.  ``block``
-enumerates successive 256-bit blocks when a mode needs more than four
-words.
+with the mode components mapped to uint32 two's complement.  The low half
+of word 2 is zero: the per-component field draws are the one draw family,
+and the transverse frames of the Coulomb sampler are deterministic
+functions of the mode.  ``block`` enumerates successive 256-bit blocks
+when a mode needs more than four words.
 
 The rounds run on the four counter words separately, each at its own
 broadcast shape: the block index as a column over blocks, the two mode
@@ -35,9 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mode_gaussians", "TAG_COMPONENT"]
-
-TAG_COMPONENT = 0
+__all__ = ["mode_gaussians"]
 
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
@@ -98,24 +95,21 @@ def _to_u32(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=np.int64).astype(np.uint32).astype(np.uint64)
 
 
-def mode_gaussians(seed: int, stream: int, modes: np.ndarray, count: int,
-                   tag: int = TAG_COMPONENT) -> np.ndarray:
+def mode_gaussians(seed: int, stream: int, modes: np.ndarray, count: int) -> np.ndarray:
     """Standard normal draws, word-major: shape (count, n_modes).
 
     modes: integer array (n_modes, 3).  Column i is a pure function of
-    (seed, stream, modes[i], tag); columns never share Philox blocks.
+    (seed, stream, modes[i]); columns never share Philox blocks.
     ``count`` may be odd (the spare Box-Muller output is discarded
     deterministically).  Row w holds draw w of every mode, so a sampler
     reshapes the rows into its components without a strided copy.
     """
     modes = np.asarray(modes, dtype=np.int64)
-    if modes.ndim == 1:
-        modes = modes[None, :]
     n_modes = modes.shape[0]
     blocks = (count + 3) // 4
 
     word1 = (_to_u32(modes[:, 0]) << _S32) | _to_u32(modes[:, 1])
-    word2 = (_to_u32(modes[:, 2]) << _S32) | np.uint64(tag & 0xFFFFFFFF)
+    word2 = _to_u32(modes[:, 2]) << _S32
     # counter words: blocks down a (blocks, 1) column, modes along a
     # (1, n_modes) row, so each output word of one block is a row
     words = _philox_rounds(

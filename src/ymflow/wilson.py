@@ -24,7 +24,7 @@ segment p -> q with delta = q - p and midpoint m contributes
 delta e^(i 2 pi n.m) sinc(n.delta) at mode n.  The phase does not depend
 on the character and the weights do not depend on the field, so one
 per-mode product serves every observation time and every character
-(Character.u1_value, one phase or an array of them).  The sum runs over
+(Character.u1_value of one phase, _u1_powers of many).  The sum runs over
 the modes visible at the earliest time, those whose weight there is at
 least e^(-NEGLIGIBLE_HEAT) < 2^-60 (visible_modes).  Every exact read
 takes one path: it gathers the field at the canonical half modes among
@@ -99,10 +99,6 @@ class Loop:
     @property
     def segment_lengths(self) -> np.ndarray:
         return np.linalg.norm(self.segments, axis=1)
-
-    @property
-    def total_length(self) -> float:
-        return float(self.segment_lengths.sum())
 
     def parameter_breaks(self) -> np.ndarray:
         """Arc-proportional parameter values of the vertices in [0, 1]."""
@@ -256,11 +252,6 @@ class Character:
         if self.kind == "u1_power" and self.group.kind != "u1":
             raise ValueError(f"u1:k characters need group u1, got {self.group.label()}")
 
-    def identity_value(self) -> float:
-        if self.kind == "u1_power":
-            return 1.0
-        return float(self.group.matrix_dim)
-
     def __call__(self, h: np.ndarray) -> complex:
         h = np.asarray(h)
         if self.kind == "u1_power":
@@ -276,11 +267,9 @@ class Character:
             return self.power
         return -1 if self.kind == "conjugate" else 1
 
-    def u1_value(self, phase):
-        """chi(e^(i phase)) = e^(i k phase) on U(1) (_u1_powers): a complex
-        for one phase, an array of values for an array of phases."""
-        value = _u1_powers(self.u1_exponent(), phase)
-        return complex(value) if value.ndim == 0 else value
+    def u1_value(self, phase: float) -> complex:
+        """chi(e^(i phase)) = e^(i k phase) on U(1) (_u1_powers)."""
+        return complex(_u1_powers(self.u1_exponent(), phase))
 
     def label(self) -> str:
         if self.kind == "u1_power":

@@ -42,7 +42,7 @@ from ymflow.fields import (
 from ymflow.flow import (MAX_STEPS, MONOTONE_TOL, FlowTrajectory, _nonlinear_core,
                          _phi_funcs, integrate)
 from ymflow.groups import GroupSpec
-from ymflow.rng import TAG_COMPONENT, _philox_rounds
+from ymflow.rng import _philox_rounds
 from ymflow.wilson import FieldEvaluator, Loop, _loop_table, h_series, make_loop
 
 
@@ -366,7 +366,7 @@ def philox4x64_10(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 
 def mode_gaussians_modewise(seed: int, stream: int, modes: np.ndarray,
-                            count: int, tag: int = TAG_COMPONENT) -> np.ndarray:
+                            count: int) -> np.ndarray:
     """Mode-major Gaussian draws (n_modes, count): a full (n_modes,
     blocks, 4) counter array through philox4x64_10, Box-Muller on
     interleaved word pairs."""
@@ -379,7 +379,7 @@ def mode_gaussians_modewise(seed: int, stream: int, modes: np.ndarray,
     counter = np.zeros((n_modes, blocks_per_mode, 4), dtype=np.uint64)
     counter[..., 0] = np.arange(blocks_per_mode, dtype=np.uint64)
     counter[..., 1] = ((n1 << np.uint64(32)) | n2)[:, None]
-    counter[..., 2] = ((n3 << np.uint64(32)) | np.uint64(tag & 0xFFFFFFFF))[:, None]
+    counter[..., 2] = (n3 << np.uint64(32))[:, None]            # low half: tag 0
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
     raw = philox4x64_10(counter, key).reshape(n_modes, 4 * blocks_per_mode)
@@ -420,7 +420,7 @@ def _dense_fill(values: np.ndarray, n_mod: np.ndarray, cutoff: int) -> np.ndarra
 def sample_gff_dense(config) -> SpectralConnection:
     d = config.group.algebra_dim
     n_mod = canonical_half_modes_sorted(config.cutoff)
-    z = mode_gaussians_modewise(config.seed, config.stream, n_mod, 6 * d, TAG_COMPONENT)
+    z = mode_gaussians_modewise(config.seed, config.stream, n_mod, 6 * d)
     z = z.reshape(len(n_mod), d, 3, 2)
     zc = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
     zc /= np.linalg.norm(n_mod, axis=1)[:, None, None]
@@ -431,7 +431,7 @@ def sample_gff_dense(config) -> SpectralConnection:
 def sample_u1_coulomb_dense(config) -> SpectralConnection:
     n_mod = canonical_half_modes_sorted(config.cutoff)
     u1v, u2v = frames_crossed(n_mod)
-    z = mode_gaussians_modewise(config.seed, config.stream, n_mod, 4, TAG_COMPONENT)
+    z = mode_gaussians_modewise(config.seed, config.stream, n_mod, 4)
     radius_sq = np.sum(n_mod.astype(float) ** 2, axis=1)
     sigma = config.coupling / np.sqrt(32.0 * np.pi**2 * radius_sq)
     z = z * sigma[:, None]
@@ -580,7 +580,7 @@ def integrate_full_spectrum(a0: SpectralConnection, config, times) -> FlowTrajec
     deturck = config.flow_kind == "zdds"
     guard_action = not deturck
     steppers = {}
-    state = a0.copy()
+    state = SpectralConnection(a0.group, a0.cutoff, a0.coeffs.copy())
     t = 0.0
     n_state, action, _ = nonlinear_full_spectrum(state, deturck)
     dt_floor = config.dt_initial * 2.0**-40
@@ -632,7 +632,8 @@ def integrate_full_spectrum(a0: SpectralConnection, config, times) -> FlowTrajec
             t += tau
             break
         t = target
-        traj.states[target] = state.copy()
+        traj.states[target] = SpectralConnection(state.group, state.cutoff,
+                                                 state.coeffs.copy())
         traj.actions[target] = action
     traj.attained_time = t
     traj.blew_up = traj.failure is not None

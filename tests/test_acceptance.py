@@ -27,7 +27,7 @@ from ymflow.ensemble import (
     run_ensemble,
     tightness_report,
 )
-from ymflow.fields import h1_norm
+from ymflow.fields import SpectralConnection, h1_norm
 from ymflow.flow import FlowConfig, integrate
 from ymflow.gff import SamplerConfig, sample_gff, sample_u1_coulomb
 from ymflow.groups import SU2, U1
@@ -174,7 +174,7 @@ def test_criterion_5_su2_action_monotonicity():
     failures = 0
     for stream in range(50):
         a0 = sample_gff(SamplerConfig(SU2, 3, seed=555, stream=stream))
-        a0 = a0.scaled(0.5 / h1_norm(a0))
+        a0 = SpectralConnection(a0.group, a0.cutoff, a0.coeffs * (0.5 / h1_norm(a0)))
         cfg = FlowConfig("ym", dt_initial=1e-3)
         traj = integrate(a0, cfg, checkpoints)
         assert not traj.blew_up
@@ -201,7 +201,8 @@ def test_criterion_6_gauge_covariance_and_invariance():
     cfg = FlowConfig("ym", dt_initial=1e-3)
     dev_u1 = gauge_covariance_check(a_u1, sig_osc, 0.02, cfg)
     assert dev_u1 <= 1e-6
-    a_su2 = sample_gff(SamplerConfig(SU2, 2, seed=32)).scaled(0.3)
+    a_su2 = sample_gff(SamplerConfig(SU2, 2, seed=32))
+    a_su2 = SpectralConnection(a_su2.group, a_su2.cutoff, a_su2.coeffs * 0.3)
     sig_const = GaugeTransform.constant(SU2, (0.5, -0.3, 0.8))
     dev_su2 = gauge_covariance_check(a_su2, sig_const, 0.02, cfg)
     assert dev_su2 <= 1e-6
@@ -220,16 +221,17 @@ def test_criterion_6_gauge_covariance_and_invariance():
         w0 = wilson_loop(a, lp, ch, steps=512)
         w1 = wilson_loop(GaugeTransformedEvaluator(a, sig), lp, ch, steps=512)
         worst["u1"] = max(worst["u1"], abs(w1 - w0))
-        assert abs(w1 - w0) <= 1e-7 * ch.identity_value()
+        assert abs(w1 - w0) <= 1e-7 * abs(ch(np.eye(ch.group.matrix_dim)))
     for k in range(50):
-        a = sample_gff(SamplerConfig(SU2, 2, seed=41, stream=k)).scaled(0.25)
+        a = sample_gff(SamplerConfig(SU2, 2, seed=41, stream=k))
+        a = SpectralConnection(a.group, a.cutoff, a.coeffs * 0.25)
         sig = random_gauge(SU2, 1, 0.08, seed=2000 + k)
         lp = loop_pool[k % 2]
         ch = Character(SU2, "fundamental")
         w0 = wilson_loop(a, lp, ch, steps=1536)
         w1 = wilson_loop(GaugeTransformedEvaluator(a, sig), lp, ch, steps=1536)
         worst["su2"] = max(worst["su2"], abs(w1 - w0))
-        assert abs(w1 - w0) <= 1e-7 * ch.identity_value()
+        assert abs(w1 - w0) <= 1e-7 * abs(ch(np.eye(ch.group.matrix_dim)))
     elapsed = time.perf_counter() - start
     assert elapsed <= 120.0
     print(f"\nACCEPTANCE 6 PASS: flow covariance u1={dev_u1:.2e}, "

@@ -7,6 +7,7 @@ import pytest
 
 import ymflow.verify as verify_mod
 from ymflow.cli import main
+from ymflow.fields import SpectralConnection
 from ymflow.storage import read_field, read_manifest
 
 
@@ -530,6 +531,10 @@ def test_verify_command_passes(capsys):
     assert all(float(gap) <= float(tol) for _, _, gap, tol, _ in rows)
 
 
+def _scaled(a, factor):
+    return SpectralConnection(a.group, a.cutoff, a.coeffs * factor)
+
+
 def _zdds_slip(change):
     """A slip of integrate that passes each ZDDS trajectory through change."""
     def slip(integrate):
@@ -544,15 +549,15 @@ def _zdds_slip(change):
 MUTATIONS = [
     ("round-trip", "_values_to_spectral", lambda f: lambda *a: f(*a) * (1 + 1e-9)),
     ("parseval", "l2_norm", lambda f: lambda a: f(a) * (1 + 1e-9)),
-    ("u1-flow", "heat_semigroup_u1", lambda f: lambda a, t: f(a, t).scaled(1 + 1e-6)),
+    ("u1-flow", "heat_semigroup_u1", lambda f: lambda a, t: _scaled(f(a, t), 1 + 1e-6)),
     ("u1-wilson", "h_series", lambda f: lambda *a: f(*a) + 1e-6),
-    ("zdds-dual-path", "zdds_rhs", lambda f: lambda a, path: f(a, path=path).scaled(
-        -1.0 if path == "explicit" else 1.0)),
+    ("zdds-dual-path", "zdds_rhs", lambda f: lambda a, path: _scaled(
+        f(a, path=path), -1.0 if path == "explicit" else 1.0)),
     ("ym-zdds-action", "integrate", _zdds_slip(lambda traj: replace(
         traj, actions={t: 1.001 * s for t, s in traj.actions.items()}))),
     ("ym-zdds-wilson", "integrate", _zdds_slip(lambda traj: replace(
-        traj, states={t: s.scaled(1.1) for t, s in traj.states.items()}))),
-    ("gradient-ratio", "ym_rhs", lambda f: lambda a: f(a).scaled(1.001)),
+        traj, states={t: _scaled(s, 1.1) for t, s in traj.states.items()}))),
+    ("gradient-ratio", "ym_rhs", lambda f: lambda a: _scaled(f(a), 1.001)),
     ("jacobi", "bracket", lambda f: lambda x, y: x @ y),
     # the draw at the larger cutoff comes from another seed
     ("sampling", "sample_gff", lambda f: lambda config: f(
@@ -666,9 +671,13 @@ def test_refused_commands_make_no_output_directory(tmp_path, monkeypatch, capsys
     field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
     flow_only = write(tmp_path / "flow_only.cfg", "[flow]\nkind = ym\n")
     exact = write(tmp_path / "exact.cfg", text.replace("kind = zdds", "kind = u1_exact"))
+    no_cutoff = write(tmp_path / "no_cutoff.cfg", text.replace("cutoff = 2\n", ""))
     for name, argv in [("sample", ["sample", "--config", flow_only]),
+                       ("sample-cutoff", ["sample", "--config", no_cutoff]),
                        ("wilson", ["wilson", "--config", flow_only, "--input", field]),
-                       ("flow", ["flow", "--config", exact, "--input", field])]:
+                       ("flow", ["flow", "--config", exact, "--input", field]),
+                       # integrate refuses the U(1)-only flow on the SU(2) field
+                       ("wilson-flow", ["wilson", "--config", exact, "--input", field])]:
         assert main(argv + ["--output", str(tmp_path / name)]) == 1, name
         assert not (tmp_path / name).exists(), name
     capsys.readouterr()
@@ -860,6 +869,53 @@ def test_wilson_without_sampler_section_takes_the_field_group(tmp_path, monkeypa
     err = capsys.readouterr().err
     assert "[wilson] characters" in err and "[sampler]" in err
     assert not (tmp_path / "chars").exists()
+
+
+def test_wilson_characters_need_only_the_sampler_group(tmp_path, monkeypatch, capsys):
+    # [wilson] characters read [sampler] group alone: the cutoff and seed,
+    # which wilson never reads, are not required
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = SU2_CFG.format(loops=write(tmp_path / "loops.txt", LOOPS),
+                          out=tmp_path / "out")
+    cfg = write(tmp_path / "su2.cfg", text)
+    assert main(["sample", "--config", cfg]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    group_only = write(tmp_path / "group.cfg",
+                       "[sampler]\ngroup = su2\n\n" + text[text.index("[flow]"):])
+    for name, config in (("group", group_only), ("full", cfg)):
+        assert main(["wilson", "--config", config, "--input", field,
+                     "--output", str(tmp_path / name)]) == 0, name
+    capsys.readouterr()
+    assert (tmp_path / "group" / "wilson.csv").read_bytes() == \
+        (tmp_path / "full" / "wilson.csv").read_bytes()
+
+
+@pytest.mark.parametrize("drop, flags", [("cutoff = 3\n", []),
+                                         ("seed = 11\n", ["--seed", "11"])],
+                         ids=["no_cutoff", "seed_flag"])
+def test_ensemble_needs_no_cutoff_and_takes_its_seed_from_the_flag(workspace, capsys,
+                                                                   drop, flags):
+    # ensemble never reads [sampler] cutoff, and --seed supplies a seed the
+    # file leaves out: both give the file-seed run's bytes
+    tmp, cfg = workspace
+    text = (tmp / "run.cfg").read_text().replace("kind = zdds", "kind = u1_exact") \
+        .replace("n_samples = 120", "n_samples = 4")
+    assert drop in text
+    full = write(tmp / "full.cfg", text)
+    edited = write(tmp / "edited.cfg", text.replace(drop, ""))
+    assert main(["ensemble", "--config", full, "--output", str(tmp / "full")]) == 0
+    assert main(["ensemble", "--config", edited, "--output", str(tmp / "edited")]
+                + flags) == 0
+    capsys.readouterr()
+    for name in ("records.jsonl", "records.csv", "tightness.txt", "convergence.json"):
+        assert (tmp / "edited" / name).read_bytes() == (tmp / "full" / name).read_bytes()
+    if flags:
+        # without the flag the seed is missing, and nothing is written
+        assert main(["ensemble", "--config", edited, "--output", str(tmp / "none")]) == 1
+        err = capsys.readouterr().err
+        assert "a complete [sampler] section is required (missing: seed)" in err
+        assert not (tmp / "none").exists()
 
 
 def test_flow_counts_time_from_its_input_field(tmp_path, monkeypatch, capsys):

@@ -266,10 +266,14 @@ def test_load_reports_rows_of_the_wrong_shape(tmp_path):
         with pytest.raises(RecordError, match=r":2: "):
             load_records(path)
     # a row without an observation, or of a member without an action, loads
+    # (as its member's only row: its s_ym must agree with the member's
+    # other rows at its time)
     bare = {**row, "loop_id": None, "character_id": None, "wilson_re": None,
             "wilson_im": None, "s_ym": None}
-    path.write_text("\n".join([good[0], json.dumps(bare)] + good[2:]) + "\n")
-    assert load_records(path)
+    others = [line for line in good if json.loads(line)["stream"] != row["stream"]]
+    path.write_text("\n".join([json.dumps(bare)] + others) + "\n")
+    [rec] = [r for r in load_records(path) if r.stream == row["stream"]]
+    assert rec.s_ym == {row["t"]: None} and not rec.wilson
 
 
 def test_load_refuses_rows_that_contradict_their_member(tmp_path):
@@ -295,6 +299,25 @@ def test_load_refuses_rows_that_contradict_their_member(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(RecordError, match=rf":2: member fields \['{name}'\] "
                                               "contradict line 1"):
+            load_records(path)
+
+
+def test_load_refuses_an_s_ym_that_contradicts_its_time(tmp_path):
+    # every (loop, character) row of a member at t repeats its s_ym; the
+    # last row read once won silently
+    spec = u1_spec(n_samples=2, cutoffs=(2,))
+    path = tmp_path / "records.jsonl"
+    persist_records(run_ensemble(spec)[0], path)
+    good = path.read_text().splitlines()
+    first, row = json.loads(good[0]), json.loads(good[1])
+    assert [first[k] for k in ("stream", "cutoff", "t")] == \
+        [row[k] for k in ("stream", "cutoff", "t")]
+    assert isinstance(row["s_ym"], float)
+    for value in (999.0, None, -row["s_ym"], int(row["s_ym"])):
+        lines = list(good)
+        lines[1] = json.dumps({**row, "s_ym": value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordError, match=r":2: s_ym contradicts line 1"):
             load_records(path)
 
 

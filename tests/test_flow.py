@@ -6,6 +6,7 @@ from gauge import GaugeTransform, action_decay_profile, gauge_covariance_check
 from reference import (d_star_1form, integrate_full_spectrum, nonlinear_pass,
                        ym_action_u1_spectral)
 from ymflow.fields import (
+    SpectralConnection,
     h1_norm,
     heat_weights,
     mode_norm_sq,
@@ -23,7 +24,8 @@ SU3 = GroupSpec("su", 3)
 
 
 def gff_like_u1(cutoff, seed, scale=1.0):
-    return sample_u1_coulomb(SamplerConfig(U1, cutoff, seed=seed)).scaled(scale)
+    a = sample_u1_coulomb(SamplerConfig(U1, cutoff, seed=seed))
+    return SpectralConnection(a.group, a.cutoff, a.coeffs * scale)
 
 
 VERDICTS = ("accept", "reject-error", "reject-action", "non-finite")
@@ -179,7 +181,7 @@ def test_u1_exact_flow_kind():
 
 def test_su2_step_halving_convergence_order():
     a = random_connection(SU2, 2, seed=6)
-    a = a.scaled(0.1 / h1_norm(a))
+    a = SpectralConnection(a.group, a.cutoff, a.coeffs * (0.1 / h1_norm(a)))
     t_end = 0.02
     sols = {}
     for dt in (4e-4, 2e-4, 1e-4):
@@ -194,7 +196,7 @@ def test_su2_step_halving_convergence_order():
 
 def test_ym_monotonicity_and_profile():
     a = sample_gff(SamplerConfig(SU2, 2, seed=7))
-    a = a.scaled(0.5 / h1_norm(a))
+    a = SpectralConnection(a.group, a.cutoff, a.coeffs * (0.5 / h1_norm(a)))
     cps = tuple(np.linspace(0.005, 0.05, 10))
     traj = integrate(a, FlowConfig("ym", dt_initial=1e-3), cps)
     profile, violations = action_decay_profile(traj)
@@ -207,7 +209,7 @@ def test_action_profile_reads_recorded_actions_bit_for_bit():
     # the profile reads the actions the flow recorded; they equal a fresh
     # ym_action of each checkpoint state, the profile's former computation
     a = sample_gff(SamplerConfig(SU2, 3, seed=12))
-    a = a.scaled(0.5 / h1_norm(a))
+    a = SpectralConnection(a.group, a.cutoff, a.coeffs * (0.5 / h1_norm(a)))
     traj = integrate(a, FlowConfig("ym", dt_initial=1e-3), (0.002, 0.005, 0.008))
     assert not traj.blew_up
     profile, _ = action_decay_profile(traj)
@@ -273,7 +275,7 @@ def test_nonfinite_reported_distinctly(monkeypatch):
     # the first attempt is non-finite and ends the run at t = 0
     verdicts = count_verdicts(monkeypatch)
     a = random_connection(SU2, 1, seed=10, scale=1.0)
-    bad = a.copy()
+    bad = SpectralConnection(a.group, a.cutoff, a.coeffs.copy())
     bad.coeffs[0, 0, 1, 1, 1] = np.nan
     traj = integrate(bad, FlowConfig("zdds"), (0.01,))
     assert traj.blew_up
@@ -387,7 +389,7 @@ def test_one_nonlinear_call_per_stage_and_no_separate_diagnostics(monkeypatch):
     monkeypatch.setattr(flow_mod, "_nonlinear_core", counted)
     monkeypatch.setattr(fields_mod, "ym_action", forbidden)
     a = sample_gff(SamplerConfig(SU2, 2, seed=7))
-    a = a.scaled(0.5 / h1_norm(a))
+    a = SpectralConnection(a.group, a.cutoff, a.coeffs * (0.5 / h1_norm(a)))
     traj = integrate(a, FlowConfig("ym", dt_initial=1e-3), (0.003, 0.006))
     assert not traj.blew_up
     assert traj.step_count == 6
@@ -460,7 +462,7 @@ def test_blowup_statistics_qualitative():
         halted = 0
         for stream in range(6):
             a = sample_gff(SamplerConfig(SU2, 2, seed=77, stream=stream))
-            a = a.scaled(scale / h1_norm(a))
+            a = SpectralConnection(a.group, a.cutoff, a.coeffs * (scale / h1_norm(a)))
             cfg = FlowConfig("zdds", dt_initial=5e-5, error_tol=0.05)
             traj = integrate(a, cfg, (1e-3,))
             assert traj.attained_time > 0.0

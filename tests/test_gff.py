@@ -195,7 +195,7 @@ def test_gff_mode_variance_montecarlo():
     assert abs(a.coeffs[idx] - want) < 1e-15
     # now the Monte Carlo over streams
     zs = np.stack(
-        [mode_gaussians(123, s, np.asarray(n), 6)[:, 0] for s in range(0, 4000)]
+        [mode_gaussians(123, s, np.asarray([n]), 6)[:, 0] for s in range(0, 4000)]
     )
     zc = (zs[:, 0] + 1j * zs[:, 1]) / np.sqrt(2.0)
     sq = np.abs(zc) ** 2 / np.dot(n, n)

@@ -124,29 +124,47 @@ def test_test_only_helpers_stay_out_of_the_package():
 READERS = {"load_records", "read_manifest"}
 
 
+def _overrides_a_base(stem, class_name, name):
+    cls = getattr(importlib.import_module(_module_name(stem)), class_name)
+    return any(hasattr(base, name) for base in cls.__mro__[1:])
+
+
 def test_every_package_function_has_a_package_caller():
-    # a module-level function or class that only tests call belongs in
-    # tests/reference.py; a call counts from anywhere in src/ outside the
-    # definition itself, by name or as a module attribute
-    trees = [ast.parse((SOURCE / f"{stem}.py").read_text()) for stem in MODULES]
-    defined, loads = set(), set()
-    for tree in trees:
+    # a module-level function or class, or a method or property defined in a
+    # class body, that only tests call belongs in tests/reference.py.  A
+    # function or class counts as called from anywhere in src/ outside the
+    # definition itself, by name or as a module attribute; a method when src/
+    # code outside its own body loads its name as an attribute.  Dunders and
+    # overrides of a base-class hook (cli._Parser.error) are called by Python
+    # or by the base class.
+    trees = {stem: ast.parse((SOURCE / f"{stem}.py").read_text()) for stem in MODULES}
+    defined, loads, methods, attributes = set(), set(), [], []
+    for stem, tree in trees.items():
         inner = set()
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
                 inner.update((id(sub), node.name) for sub in ast.walk(node))
+            if isinstance(node, ast.ClassDef):
+                methods += [(f"{node.name}.{fn.name}", fn.name,
+                             {id(sub) for sub in ast.walk(fn)})
+                            for fn in node.body if isinstance(fn, ast.FunctionDef)
+                            and not re.fullmatch(r"__\w+__", fn.name)
+                            and not _overrides_a_base(stem, node.name, fn.name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 name = node.attr
+                attributes.append((id(node), name))
             else:
                 continue
             if (id(node), name) not in inner:
                 loads.add(name)
-    uncalled = sorted(defined - loads - READERS)
-    assert not uncalled, f"package functions no package code calls: {uncalled}"
+    uncalled = sorted(defined - loads - READERS) + sorted(
+        qualname for qualname, name, body in methods
+        if not any(attr == name and node not in body for node, attr in attributes))
+    assert not uncalled, f"package functions and methods no package code calls: {uncalled}"
 
 
 @pytest.mark.parametrize("message", [

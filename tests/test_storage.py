@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connection
+from ymflow.fields import SpectralConnection
 from ymflow.groups import SU2, U1, GroupSpec
 from ymflow.storage import (
     FieldFileError,
@@ -142,7 +143,7 @@ def test_failed_field_and_manifest_writes_keep_previous_files(tmp_path, monkeypa
 
     monkeypatch.setattr(storage.os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
-        write_field(field_path, a.scaled(2.0))
+        write_field(field_path, SpectralConnection(a.group, a.cutoff, a.coeffs * 2.0))
     with pytest.raises(OSError, match="rename refused"):
         write_manifest(manifest_path, {"run": 2})
     assert field_path.read_bytes() == before

@@ -17,6 +17,7 @@ from reference import (
     ym_action_u1_spectral,
 )
 from ymflow.fields import (
+    SpectralConnection,
     canonical_half_modes,
     half_norm_sq,
     heat_rows,
@@ -74,9 +75,9 @@ def u1_sample(cutoff=3, seed=1, g=1.0):
 def test_make_loop_axis_cycle_and_plaquette():
     lp = make_loop([(0, 0, 0), (1, 0, 0)], winding=(1, 0, 0))
     assert np.array_equal(lp.winding, (1, 0, 0))
-    assert abs(lp.total_length - 1.0) < 1e-15
+    assert abs(lp.segment_lengths.sum() - 1.0) < 1e-15
     assert np.array_equal(PLAQ.winding, (0, 0, 0))
-    assert abs(PLAQ.total_length - 1.0) < 1e-15
+    assert abs(PLAQ.segment_lengths.sum() - 1.0) < 1e-15
 
 
 def test_make_loop_rejects_open_paths_and_degenerate_segments():
@@ -100,7 +101,7 @@ def test_non_finite_vertices_rejected(bad):
 def test_reparametrize_and_reverse():
     lp2 = reparametrize(PLAQ, 2)
     assert len(lp2.vertices) == 2 * (len(PLAQ.vertices) - 1) + 1
-    assert abs(lp2.total_length - PLAQ.total_length) < 1e-14
+    assert abs(lp2.segment_lengths.sum() - PLAQ.segment_lengths.sum()) < 1e-14
     rev = reverse_loop(PLAQ)
     assert np.array_equal(rev.vertices, PLAQ.vertices[::-1])
 
@@ -172,8 +173,8 @@ def test_loop_file_refuses_repeated_winding():
 def test_character_identity_values_and_conjugation_invariance():
     chf = Character(SU2, "fundamental")
     chc = Character(SU2, "conjugate")
-    assert chf.identity_value() == 2.0
-    assert Character(U1, "u1_power", 5).identity_value() == 1.0
+    assert chf(np.eye(2)) == 2.0
+    assert Character(U1, "u1_power", 5)(np.eye(1)) == 1.0
     rng = np.random.default_rng(2)
     basis = standard_basis(SU2)
     for _ in range(10):
@@ -329,7 +330,8 @@ def test_holonomy_constant_su2_field_matrix_exponential():
 
 
 def test_holonomy_unitary_and_wilson_bound():
-    a = sample_gff(SamplerConfig(SU2, 3, seed=5)).scaled(0.5)
+    a = sample_gff(SamplerConfig(SU2, 3, seed=5))
+    a = SpectralConnection(a.group, a.cutoff, a.coeffs * 0.5)
     ch = Character(SU2, "fundamental")
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -338,12 +340,13 @@ def test_holonomy_unitary_and_wilson_bound():
         h = holonomy(a, lp, steps=64)
         assert unitarity_defect(h) <= 1e-9
         w = ch(h)
-        assert abs(w) <= ch.identity_value() + 1e-9
+        assert abs(w) <= abs(ch(np.eye(2))) + 1e-9
 
 
 def test_holonomy_convergence_order():
     # error against a 10x oversampled reference decays at order >= 3
-    a = sample_gff(SamplerConfig(SU2, 3, seed=6)).scaled(0.8)
+    a = sample_gff(SamplerConfig(SU2, 3, seed=6))
+    a = SpectralConnection(a.group, a.cutoff, a.coeffs * 0.8)
     lp = PLAQ
     ref = holonomy(a, lp, steps=2560)
     errs = []
@@ -384,13 +387,14 @@ def test_wilson_u1_constant_field_power_character():
 
 
 def test_wilson_gauge_invariance():
-    a = sample_gff(SamplerConfig(SU2, 2, seed=7)).scaled(0.4)
+    a = sample_gff(SamplerConfig(SU2, 2, seed=7))
+    a = SpectralConnection(a.group, a.cutoff, a.coeffs * 0.4)
     ch = Character(SU2, "fundamental")
     w0 = wilson_loop(a, PLAQ, ch, steps=1024)
     for seed in (8, 9):
         sig = random_gauge(SU2, 1, 0.1, seed)
         w1 = wilson_loop(GaugeTransformedEvaluator(a, sig), PLAQ, ch, steps=1024)
-        assert abs(w1 - w0) <= 1e-7 * ch.identity_value()
+        assert abs(w1 - w0) <= 1e-7 * abs(ch(np.eye(2)))
     au = u1_sample(seed=10)
     chu = Character(U1, "u1_power", 1)
     w0 = wilson_loop(au, PLAQ, chu, steps=512)
@@ -407,7 +411,8 @@ def test_wilson_reparametrization_invariance_and_reversal():
     assert abs(w_split - w0) <= 1e-9
     w_rev = wilson_loop(au, reverse_loop(PLAQ), chu, steps=256)
     assert abs(w_rev - np.conj(w0)) <= 1e-9
-    a2 = sample_gff(SamplerConfig(SU2, 2, seed=12)).scaled(0.3)
+    a2 = sample_gff(SamplerConfig(SU2, 2, seed=12))
+    a2 = SpectralConnection(a2.group, a2.cutoff, a2.coeffs * 0.3)
     ch2 = Character(SU2, "fundamental")
     w2 = wilson_loop(a2, PLAQ, ch2, steps=1024)
     w2r = wilson_loop(a2, reverse_loop(PLAQ), ch2, steps=1024)
@@ -420,7 +425,6 @@ def test_wilson_continuity_in_connection():
     b = random_connection(U1, 3, seed=14, scale=0.05)
     ch = Character(U1, "u1_power", 1)
     w0 = wilson_loop(a, PLAQ, ch, steps=256)
-    from ymflow.fields import SpectralConnection
     devs = []
     for eps in (1.0, 0.5):
         pert = SpectralConnection(U1, 3, a.coeffs + eps * b.coeffs)
@@ -615,7 +619,7 @@ def test_h_series_sums_the_visible_modes_only():
     a = u1_sample(cutoff=12, seed=25)
     times = (0.01, 0.005, 0.03)
     index = visible_modes(12, 0.005)
-    b = a.copy()
+    b = SpectralConnection(a.group, a.cutoff, a.coeffs.copy())
     hidden = np.ones((2 * 12 + 1) ** 3, dtype=bool)
     hidden[index] = False
     b.coeffs[0].reshape(3, -1)[:, hidden] = 1e3
