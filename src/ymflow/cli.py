@@ -6,6 +6,10 @@ reads: `--seed` belongs to sample and ensemble, `--threads` to ensemble,
 and verify takes none.  `--threads K` runs ensemble tasks in K forked
 worker processes (serially where the platform cannot fork); records are
 assembled in a fixed order, so it never changes the output bytes.
+config.KEYS says which command reads and requires each key.  A command
+refuses a file that lacks a key it requires, and writes one stderr note
+naming the keys the file sets that it does not read, keeping its exit
+code.  `ensemble` refuses `[sampler] stream` other than 0.
 
 Exit codes: 0 success, 1 configuration, usage or path error, 2 numerical
 blow-up (a flow, or any ensemble member; the outputs and manifest are
@@ -26,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_characters, load_config
+from .config import ConfigError, RunConfig, check_keys, default_characters, load_config
 from .ensemble import (
     EnsembleSpec,
     distribution_convergence_report,
@@ -67,26 +71,23 @@ def _resolve_output(cfg: RunConfig, args) -> tuple[Path, str]:
     return Path(cfg.output_dir), "config [output] dir"
 
 
-def _load_config(args) -> RunConfig:
-    """The configuration file with the --seed override applied."""
-    cfg = load_config(args.config)
-    if args.seed is not None:
+def _load_config(args, command: str, skip=()) -> RunConfig:
+    """The configuration file with --seed and --loops applied, refused
+    when it lacks a key command requires; args.unread holds the keys it
+    sets that command does not read (config.check_keys), which main notes."""
+    cfg, given = load_config(args.config), set()
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+        given.add(("sampler", "seed"))
+    if getattr(args, "loops", None):
+        cfg.loops_file = args.loops
+        given.add(("loops", "file"))
+    args.unread = check_keys(cfg, command, given, skip)
     return cfg
 
 
-def _require_sampler(cfg: RunConfig, *keys: str) -> None:
-    """Refuse a configuration whose [sampler] section, after the --seed
-    override, lacks the group or one of keys."""
-    missing = [key for key in ("group", *keys) if getattr(cfg, key) is None]
-    if missing:
-        raise ConfigError(f"a complete [sampler] section is required "
-                          f"(missing: {', '.join(missing)})")
-
-
 def cmd_sample(args) -> int:
-    cfg = _load_config(args)
-    _require_sampler(cfg, "cutoff", "seed")
+    cfg = _load_config(args, "sample")
     a0 = sample_initial(cfg.group, cfg.sampler_kind, cfg.cutoff, cfg.seed,
                         cfg.stream, cfg.coupling, cfg.scale_to_h1)
     outdir, source = _resolve_output(cfg, args)
@@ -113,11 +114,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.flow is None:
-        raise ConfigError("a [flow] section is required")
-    if not cfg.flow_times:
-        raise ConfigError("[flow] t_end is required: the flow runs up to it")
+    cfg = _load_config(args, "flow")
     a0 = read_field(args.input)
     traj = integrate(a0, cfg.flow, cfg.flow_times)
     outdir, source = _resolve_output(cfg, args)
@@ -154,38 +151,28 @@ def cmd_flow(args) -> int:
 
 
 def cmd_wilson(args) -> int:
-    cfg = load_config(args.config)
     a0 = read_field(args.input)
-    loops_path = args.loops or cfg.loops_file
-    if not loops_path:
-        raise ConfigError("no loops file: give [loops] file or --loops")
-    loops = parse_loop_file(Path(loops_path).read_text())
+    is_u1 = a0.group.kind == "u1"
+    # a U(1) field takes the exact heat semigroup, whatever [flow] says
+    cfg = _load_config(args, "wilson", ("flow",) if is_u1 else ())
+    loops = parse_loop_file(Path(cfg.loops_file).read_text())
     if cfg.characters and cfg.group != a0.group:
         raise ConfigError(f"[wilson] characters are characters of [sampler] group "
                           f"{cfg.group.label()}, but {args.input} holds a "
                           f"{a0.group.label()} field")
     characters = cfg.characters or default_characters(a0.group)
     times = cfg.wilson_times
-    if not times:
-        raise ConfigError("[wilson] times is required")
-    is_u1 = a0.group.kind == "u1"
     fieldnames = ["loop_id", "character_id", "t", "wilson_re", "wilson_im"]
     if is_u1:
         fieldnames += ["exact_re", "exact_im", "abs_diff"]
-    # regularize once per observation time, then sweep loops and characters;
-    # a U(1) field takes the exact heat semigroup, whatever [flow] says
+    # regularize once per observation time, then sweep loops and characters
     flow = FlowConfig("u1_exact") if is_u1 else cfg.flow
-    if flow is None:
-        raise ConfigError(
-            "non-Abelian Wilson evaluation needs a [flow] section to "
-            "regularize the field"
-        )
     traj = integrate(a0, flow, times)
     if traj.blew_up:
         print(f"flow halted at t = {_fmt(traj.attained_time)}: "
               f"{traj.failure}; no Wilson values", file=sys.stderr)
         return EXIT_BLOWUP
-    outdir, _ = _resolve_output(cfg, args)
+    outdir, source = _resolve_output(cfg, args)
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "wilson.csv"
     with atomic_open(out_path, newline="") as fh:
@@ -213,23 +200,29 @@ def cmd_wilson(args) -> int:
                             "abs_diff": _fmt(abs(w - ex)),
                         })
                     writer.writerow(row)
+    write_manifest(outdir / "wilson.json", {
+        "command": "wilson",
+        "config": cfg.raw,
+        "input": str(args.input),
+        "loops_file": cfg.loops_file,
+        "times": list(times),
+        "flow_kind": flow.flow_kind,
+        "output_dir_source": source,
+        "version": __version__,
+    })
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
 def cmd_ensemble(args) -> int:
-    cfg = _load_config(args)
-    _require_sampler(cfg, "seed")
-    if cfg.flow is None:
-        raise ConfigError("a [flow] section is required")
-    if not cfg.ens_cutoffs:
-        raise ConfigError("an [ensemble] section is required")
+    cfg = _load_config(args, "ensemble")
+    if cfg.stream:
+        raise ConfigError(f"[sampler] stream: must be 0, got {cfg.stream}: "
+                          f"an ensemble holds streams 0..n_samples-1")
     loops = ()
     if cfg.loops_file:
         loops = tuple(parse_loop_file(Path(cfg.loops_file).read_text()))
-    characters = cfg.characters
-    if loops and not characters:
-        characters = default_characters(cfg.group)
+    characters = cfg.characters or (default_characters(cfg.group) if loops else ())
     spec = EnsembleSpec(
         group=cfg.group,
         sampler_kind=cfg.sampler_kind,
@@ -360,10 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
     except (ConfigError, LoopFileError, FieldFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # after the command's own output, so a refusal's stderr is its error alone
+    if getattr(args, "unread", None):
+        print(f"note: {args.command} does not read {', '.join(args.unread)}",
+              file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

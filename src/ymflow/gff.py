@@ -89,11 +89,12 @@ def _check_scale(scale_to_h1: float | None) -> None:
         raise ValueError(f"scale_to_h1 must be finite and positive, got {scale_to_h1}")
 
 
-def _check_sampler(kind: str, group: GroupSpec) -> None:
-    """Refuse an unknown sampler kind, and u1_coulomb off U(1)."""
+def _check_sampler(kind: str, group: GroupSpec | None) -> None:
+    """Refuse an unknown sampler kind, and u1_coulomb off U(1) (None: no
+    group given)."""
     if kind not in ("gff", "u1_coulomb"):
         raise ValueError(f"unknown sampler kind {kind!r}")
-    if kind == "u1_coulomb" and group.kind != "u1":
+    if kind == "u1_coulomb" and group is not None and group.kind != "u1":
         raise ValueError(f"u1_coulomb requires group u1, got {group.label()}")
 
 

@@ -950,3 +950,114 @@ def test_flow_counts_time_from_its_input_field(tmp_path, monkeypatch, capsys):
         (0.01, "checkpoint_t0.01.ymf")]
     assert (full["attained_time"], resumed["attained_time"]) == (0.02, 0.01)
     assert resumed["checkpoints"][0]["s_ym"] == full["checkpoints"][1]["s_ym"]
+
+
+EXACT_CFG = """
+[sampler]
+kind = u1_coulomb
+group = u1
+seed = 11
+
+[flow]
+kind = u1_exact
+
+[loops]
+file = {loops}
+
+[wilson]
+characters = u1:1 u1:-1
+
+[ensemble]
+cutoffs = 2 4
+n_samples = 4
+times = 0.02
+reference_cutoff = 8
+"""
+
+
+@pytest.mark.parametrize("section, line", [
+    ("sampler", "stream = 0"),
+    ("sampler", "cutoff = 9"),
+    ("flow", "t_end = 0.05"),
+    ("flow", "checkpoints = 0.01"),
+    ("wilson", "times = 0.01"),
+], ids=["stream", "cutoff", "t_end", "checkpoints", "wilson_times"])
+def test_ensemble_notes_each_key_it_does_not_read(tmp_path, monkeypatch, capsys,
+                                                  section, line):
+    # a key ensemble does not read is named in one stderr note, and the run
+    # keeps the exit code, the config hash and the bytes of the run without it
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = EXACT_CFG.format(loops=write(tmp_path / "loops.txt", LOOPS))
+    plain = write(tmp_path / "plain.cfg", text)
+    keyed = write(tmp_path / "keyed.cfg",
+                  text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    assert main(["ensemble", "--config", plain, "--output", str(tmp_path / "plain")]) == 0
+    assert "note:" not in capsys.readouterr().err
+    assert main(["ensemble", "--config", keyed, "--output", str(tmp_path / "keyed")]) == 0
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == f"note: ensemble does not read [{section}] {key}\n"
+    for name in ("records.jsonl", "records.csv", "tightness.txt", "convergence.json"):
+        assert (tmp_path / "keyed" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes(), name
+    hashes = {read_manifest(tmp_path / run / "ensemble.json")["config_hash"]
+              for run in ("plain", "keyed")}
+    assert len(hashes) == 1
+
+
+def test_ensemble_refuses_a_stream_other_than_zero(tmp_path, monkeypatch, capsys):
+    # the members are streams 0..n_samples-1 whatever the file says, so a
+    # nonzero stream is refused before the output directory is made
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = EXACT_CFG.format(loops=write(tmp_path / "loops.txt", LOOPS))
+    cfg = write(tmp_path / "s3.cfg", text.replace("seed = 11", "seed = 11\nstream = 3"))
+    assert main(["ensemble", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "[sampler] stream" in err and "got 3" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_u1_wilson_notes_the_flow_kind_it_does_not_read(workspace, capsys):
+    # a U(1) field takes the exact heat semigroup: [flow] kind is named in
+    # the note, and the values and the manifest's flow kind stay as without it
+    tmp, cfg = workspace
+    assert main(["sample", "--config", cfg]) == 0
+    field = str(tmp / "out" / "field_u1_N3_seed11_s0.ymf")
+    text = f"[loops]\nfile = {tmp / 'loops.txt'}\n\n[wilson]\ntimes = 0.01 0.05\n"
+    plain = write(tmp / "plain.cfg", text)
+    keyed = write(tmp / "keyed.cfg", "[flow]\nkind = zdds\n\n" + text)
+    capsys.readouterr()
+    assert main(["wilson", "--config", plain, "--input", field,
+                 "--output", str(tmp / "plain")]) == 0
+    assert "note:" not in capsys.readouterr().err
+    assert main(["wilson", "--config", keyed, "--input", field,
+                 "--output", str(tmp / "keyed")]) == 0
+    assert capsys.readouterr().err == "note: wilson does not read [flow] kind\n"
+    assert (tmp / "keyed" / "wilson.csv").read_bytes() == \
+        (tmp / "plain" / "wilson.csv").read_bytes()
+    assert {read_manifest(tmp / run / "wilson.json")["flow_kind"]
+            for run in ("plain", "keyed")} == {"u1_exact"}
+
+
+def test_wilson_writes_a_manifest(tmp_path, monkeypatch, capsys):
+    # wilson.json echoes the config, the input, the loops file (--loops
+    # here), the times, the flow kind that ran and the output source
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    loops = write(tmp_path / "loops.txt", LOOPS)
+    cfg = write(tmp_path / "su2.cfg", SU2_CFG.format(loops="unused.txt",
+                                                     out=tmp_path / "out"))
+    assert main(["sample", "--config", cfg]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    assert main(["wilson", "--config", cfg, "--input", field, "--loops", loops,
+                 "--output", str(tmp_path / "w")]) == 0
+    capsys.readouterr()
+    manifest = read_manifest(tmp_path / "w" / "wilson.json")
+    assert manifest["command"] == "wilson"
+    assert manifest["config"]["flow"]["kind"] == "zdds"
+    assert (manifest["input"], manifest["loops_file"]) == (field, loops)
+    assert manifest["times"] == [0.005, 0.01]
+    assert manifest["flow_kind"] == "zdds"
+    assert manifest["output_dir_source"] == "command line (--output)"
+    assert manifest["version"]

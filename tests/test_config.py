@@ -1,6 +1,8 @@
+import pathlib
+
 import pytest
 
-from ymflow.config import ConfigError, default_characters, parse_config
+from ymflow.config import KEYS, ConfigError, default_characters, parse_config
 from ymflow.groups import SU2, U1
 
 GOOD = """
@@ -170,3 +172,21 @@ def test_default_characters():
     assert [c.label() for c in u1c] == ["u1:1", "u1:-1", "u1:2"]
     su2c = default_characters(SU2)
     assert [c.label() for c in su2c] == ["fundamental", "conjugate"]
+
+
+def test_readme_key_table_is_the_keys_literal():
+    # README's table of config keys states, for each key, the commands that
+    # read it and those that require it, as config.KEYS does
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    header = "| section | key | read by | required by |"
+    assert header in readme
+    rows = {}
+    for line in readme.split(header, 1)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        section, key, reads, requires = (cell.strip().strip("`[]")
+                                         for cell in line.strip("|").split("|"))
+        rows[section, key] = (set(reads.split(", ")) - {""},
+                              set(requires.split(", ")) - {""})
+    assert rows == {key: (set(reads.split()), set(requires.split()))
+                    for key, (reads, requires) in KEYS.items()}

@@ -172,6 +172,7 @@ def test_every_package_function_has_a_package_caller():
     "scale_to_h1 must be finite and positive",
     "must be in [0, 2**64)",
     "a complete [sampler] section is required",
+    "a [flow] section is required",
 ])
 def test_one_raise_site_per_input_rule(message):
     # each rule is raised by its owner; the others call it
