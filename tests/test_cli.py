@@ -1061,3 +1061,32 @@ def test_wilson_writes_a_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["flow_kind"] == "zdds"
     assert manifest["output_dir_source"] == "command line (--output)"
     assert manifest["version"]
+
+
+FLOW_SECTION = "[flow]\nkind = zdds\nt_end = 0.01\ndt_initial = 1e-3\ncheckpoints = 0.005 0.01\n"
+
+
+@pytest.mark.parametrize("command, drop, words", [
+    ("flow", FLOW_SECTION, "a [flow] section is required"),
+    ("wilson", FLOW_SECTION, "a [flow] section is required"),
+    ("wilson", "file = {loops}\n", "[loops] file is required"),
+    ("wilson", "times = 0.005 0.01\n", "[wilson] times is required"),
+], ids=["flow_section", "su2_wilson_flow", "loops_file", "wilson_times"])
+def test_a_missing_required_key_is_named_before_any_output(tmp_path, monkeypatch, capsys,
+                                                           command, drop, words):
+    # config.KEYS says which command requires which key: the one check
+    # names the first one missing, and the output directory is never made
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    loops = write(tmp_path / "loops.txt", LOOPS)
+    text = SU2_CFG.format(loops=loops, out=tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path / "su2.cfg", text)]) == 0
+    field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
+    drop = drop.format(loops=loops)
+    assert drop in text
+    cfg = write(tmp_path / "bad.cfg", text.replace(drop, ""))
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--input", field,
+                 "--output", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == f"error: {words}\n"
+    assert not (tmp_path / "bad").exists()
