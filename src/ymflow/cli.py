@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -49,7 +50,7 @@ from .storage import (
     write_field,
     write_manifest,
 )
-from .wilson import LoopFileError, h_series, parse_loop_file, wilson_loop
+from .wilson import LoopFileError, h_series, parse_loop_file, u1_values, wilson_values
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -63,12 +64,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _resolve_output(cfg: RunConfig, args) -> tuple[Path, str]:
+def _output(cfg: RunConfig, args) -> tuple[Path, dict]:
+    """The output directory, made, and the fields every manifest shares."""
+    outdir, source = Path(cfg.output_dir), "config [output] dir"
     if os.environ.get(ENV_OUTPUT):
-        return Path(os.environ[ENV_OUTPUT]), f"environment ({ENV_OUTPUT})"
-    if args.output:
-        return Path(args.output), "command line (--output)"
-    return Path(cfg.output_dir), "config [output] dir"
+        outdir, source = Path(os.environ[ENV_OUTPUT]), f"environment ({ENV_OUTPUT})"
+    elif args.output:
+        outdir, source = Path(args.output), "command line (--output)"
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir, {"command": args.command, "config": cfg.raw,
+                    "output_dir_source": source, "version": __version__}
 
 
 def _load_config(args, command: str, skip=()) -> RunConfig:
@@ -90,8 +95,7 @@ def cmd_sample(args) -> int:
     cfg = _load_config(args, "sample")
     a0 = sample_initial(cfg.group, cfg.sampler_kind, cfg.cutoff, cfg.seed,
                         cfg.stream, cfg.coupling, cfg.scale_to_h1)
-    outdir, source = _resolve_output(cfg, args)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir, shared = _output(cfg, args)
     name = f"field_{cfg.group.label()}_N{cfg.cutoff}_seed{cfg.seed}_s{cfg.stream}.ymf"
     path = outdir / name
     write_field(path, a0)
@@ -100,15 +104,12 @@ def cmd_sample(args) -> int:
     print(f"s_ym = {_fmt(s_ym)}")
     print(f"h1_norm = {_fmt(h1)}")
     write_manifest(outdir / (name + ".json"), {
-        "command": "sample",
-        "config": cfg.raw,
+        **shared,
         "seed": cfg.seed,
         "stream": cfg.stream,
         "field_file": name,
         "s_ym": s_ym,
         "h1_norm": h1,
-        "output_dir_source": source,
-        "version": __version__,
     })
     return EXIT_OK
 
@@ -117,17 +118,14 @@ def cmd_flow(args) -> int:
     cfg = _load_config(args, "flow")
     a0 = read_field(args.input)
     traj = integrate(a0, cfg.flow, cfg.flow_times)
-    outdir, source = _resolve_output(cfg, args)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir, shared = _output(cfg, args)
     rows = []
     for t in traj.checkpoint_times():
-        state = traj.states[t]
         fname = f"checkpoint_t{_fmt(t)}.ymf"
-        write_field(outdir / fname, state)
+        write_field(outdir / fname, traj.states[t])
         rows.append({"t": t, "s_ym": traj.actions[t], "file": fname})
-    manifest = {
-        "command": "flow",
-        "config": cfg.raw,
+    write_manifest(outdir / "trajectory.json", {
+        **shared,
         "input": str(args.input),
         "flow_kind": cfg.flow.flow_kind,
         "attained_time": traj.attained_time,
@@ -136,10 +134,7 @@ def cmd_flow(args) -> int:
         "step_count": traj.step_count,
         "rhs_evaluations": traj.rhs_evaluations,
         "checkpoints": rows,
-        "output_dir_source": source,
-        "version": __version__,
-    }
-    write_manifest(outdir / "trajectory.json", manifest)
+    })
     print(f"{'t':>12}  {'S_YM':>24}")
     for row in rows:
         print(f"{_fmt(row['t']):>12}  {_fmt(row['s_ym']):>24}")
@@ -162,53 +157,36 @@ def cmd_wilson(args) -> int:
                           f"{a0.group.label()} field")
     characters = cfg.characters or default_characters(a0.group)
     times = cfg.wilson_times
-    fieldnames = ["loop_id", "character_id", "t", "wilson_re", "wilson_im"]
-    if is_u1:
-        fieldnames += ["exact_re", "exact_im", "abs_diff"]
-    # regularize once per observation time, then sweep loops and characters
     flow = FlowConfig("u1_exact") if is_u1 else cfg.flow
     traj = integrate(a0, flow, times)
     if traj.blew_up:
         print(f"flow halted at t = {_fmt(traj.attained_time)}: "
               f"{traj.failure}; no Wilson values", file=sys.stderr)
         return EXIT_BLOWUP
-    outdir, source = _resolve_output(cfg, args)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir, shared = _output(cfg, args)
+    values = wilson_values(traj.states, loops, characters, cfg.wilson_steps)
+    if is_u1:
+        # the closed form of every value
+        phases = [h_series(a0, lp, times) for lp in loops]
+        exact = u1_values(phases, loops, characters, times)
     out_path = outdir / "wilson.csv"
     with atomic_open(out_path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for lp in loops:
-            # closed-form phases of this loop at every time (U(1) only)
-            phases = h_series(a0, lp, times) if is_u1 else None
-            # one holonomy per time that every character reads
-            values = [wilson_loop(traj.states[t], lp, characters,
-                                  steps=cfg.wilson_steps)
-                      for t in times]
-            for c, ch in enumerate(characters):
-                for i, t in enumerate(times):
-                    w = values[i][c]
-                    row = {
-                        "loop_id": lp.name, "character_id": ch.label(),
-                        "t": _fmt(t),
-                        "wilson_re": _fmt(w.real), "wilson_im": _fmt(w.imag),
-                    }
-                    if is_u1:
-                        ex = ch.u1_value(phases[i])
-                        row.update({
-                            "exact_re": _fmt(ex.real), "exact_im": _fmt(ex.imag),
-                            "abs_diff": _fmt(abs(w - ex)),
-                        })
-                    writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(["loop_id", "character_id", "t", "wilson_re", "wilson_im"]
+                        + ["exact_re", "exact_im", "abs_diff"] * is_u1)
+        for lp, ch, t in itertools.product(loops, characters, times):
+            key = (lp.name, ch.label(), t)
+            w = values[key]
+            row = [t, w.real, w.imag]
+            if is_u1:
+                row += [exact[key].real, exact[key].imag, abs(w - exact[key])]
+            writer.writerow([*key[:2], *map(_fmt, row)])
     write_manifest(outdir / "wilson.json", {
-        "command": "wilson",
-        "config": cfg.raw,
+        **shared,
         "input": str(args.input),
         "loops_file": cfg.loops_file,
         "times": list(times),
         "flow_kind": flow.flow_kind,
-        "output_dir_source": source,
-        "version": __version__,
     })
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -238,20 +216,18 @@ def cmd_ensemble(args) -> int:
         wilson_steps=cfg.wilson_steps,
         reference_cutoff=cfg.ens_reference_cutoff,
     )
-    outdir, source = _resolve_output(cfg, args)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir, shared = _output(cfg, args)
     records, reference = run_ensemble(spec, threads=args.threads)
     blowups = sum(1 for r in records if r.blew_up)
     persist_records(records, outdir / "records.jsonl")
     export_csv(records, outdir / "records.csv")
     # every member is counted; those that blew up are excluded from the
     # statistics and reported by the exit code
-    rows = tightness_report(records, spec)
     report_lines = [
         f"{'cutoff':>6} {'t':>10} {'n':>6} {'excl':>5} {'mean':>22} "
         f"{'se':>22} {'closed_form':>22} {'limit':>22} {'flag':>5}"
     ]
-    for r in rows:
+    for r in tightness_report(records, spec):
         mean, se, closed, limit = (_fmt(x) if x is not None else "-" for x in (
             r.mean, r.standard_error, r.closed_form, r.all_mode_limit))
         report_lines.append(
@@ -259,32 +235,27 @@ def cmd_ensemble(args) -> int:
             f"{mean:>22} {se:>22} {closed:>22} "
             f"{limit:>22} {str(r.flagged):>5}"
         )
+    report = "\n".join(report_lines) + "\n"
     with atomic_open(outdir / "tightness.txt") as fh:
-        fh.write("\n".join(report_lines) + "\n")
-    for line in report_lines:
-        print(line)
+        fh.write(report)
+    print(report, end="")
     if reference is not None and blowups:
         print("no convergence report: it compares every member with the "
               "reference", file=sys.stderr)
     elif reference is not None:
         conv_rows, frac = distribution_convergence_report(records, spec, reference)
-        convergence = {
-            "reference_cutoff": spec.reference_cutoff,
-            "decreasing_fraction": frac,
-            "rows": [vars(r) for r in conv_rows],
-        }
         print(f"per-seed deviation decreasing for {frac:.1%} of seeds")
         with atomic_open(outdir / "convergence.json") as fh:
-            json.dump(convergence, fh, indent=2)
+            json.dump({"reference_cutoff": spec.reference_cutoff,
+                       "decreasing_fraction": frac,
+                       "rows": [vars(r) for r in conv_rows]}, fh, indent=2)
     write_manifest(outdir / "ensemble.json", {
-        "command": "ensemble",
-        "config": cfg.raw,
+        **shared,
+        "seed": spec.seed,
         "config_hash": spec.config_hash(),
         "n_records": len(records),
         "blowups": blowups,
         "threads": args.threads,
-        "output_dir_source": source,
-        "version": __version__,
     })
     if blowups:
         print(f"{blowups} of {len(records)} members blew up", file=sys.stderr)

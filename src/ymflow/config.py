@@ -53,7 +53,7 @@ KEYS = {
     ("wilson", "times"): ("wilson", "wilson"),
     ("ensemble", "cutoffs"): ("ensemble", "ensemble"),
     ("ensemble", "n_samples"): ("ensemble", "ensemble"),
-    ("ensemble", "times"): ("ensemble", ""),
+    ("ensemble", "times"): ("ensemble", "ensemble"),
     ("ensemble", "reference_cutoff"): ("ensemble", ""),
     ("output", "dir"): ("sample flow wilson ensemble", ""),
 }
@@ -210,8 +210,8 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         cfg.ens_n_samples = _number("ensemble", items, "n_samples", cast=int)
         cfg.ens_times = _floats("ensemble", items, "times")
         cfg.ens_reference_cutoff = _number("ensemble", items, "reference_cutoff", cast=int)
-        # the shape rules read cutoffs and n_samples, which ensemble requires
-        if cfg.ens_cutoffs and cfg.ens_n_samples is not None:
+        # the shape rules read cutoffs, n_samples and times, which ensemble requires
+        if cfg.ens_cutoffs and cfg.ens_n_samples is not None and items.get("times"):
             _owned("[ensemble]", _check_shape, cfg.ens_cutoffs, cfg.ens_n_samples,
                    cfg.ens_times, cfg.ens_reference_cutoff)
 

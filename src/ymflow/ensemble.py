@@ -73,8 +73,8 @@ from .gff import (SamplerConfig, _check_coupling, _check_sampler, _check_scale, 
 from .groups import GroupSpec
 from .storage import atomic_open
 from .wilson import (NEGLIGIBLE_HEAT, WILSON_STEPS, _half_table, _mode_product,
-                     _phase_sums, _u1_powers, _visible_half, _visible_weights,
-                     wilson_loop)
+                     _phase_sums, _visible_half, _visible_weights, u1_values,
+                     wilson_values)
 
 __all__ = [
     "EnsembleSpec",
@@ -207,40 +207,20 @@ class EnsembleRecord:
     config_hash: str = ""
 
 
-def _u1_values(phases, loops, characters, times) -> dict:
-    """Wilson values keyed (loop, character, t) from phases(loop), that
-    loop's U(1) phase at each of times, which every character reads."""
-    labels = [ch.label() for ch in characters]
-    # Character.u1_value of every character, loop and time, in one call
-    by_character = _u1_powers([ch.u1_exponent() for ch in characters],
-                              [phases(lp) for lp in loops]).tolist()
-    values = {}
-    for j, lp in enumerate(loops):
-        for i, t in enumerate(times):
-            for label, rows in zip(labels, by_character):
-                values[(lp.name, label, t)] = rows[j][i]
-    return values
-
-
 def _member_record(spec: EnsembleSpec, stream: int, a0: SpectralConnection,
                    config_hash: str) -> EnsembleRecord:
     """Observables of the member of this stream whose initial field is a0:
     one flow run, read at every observation time by the numerical
     holonomy (a u1_exact member is read per mode instead: _exact_members)."""
     traj = integrate(a0, spec.flow, spec.times)
-    rec = EnsembleRecord(
+    return EnsembleRecord(
         seed=spec.seed, stream=stream, cutoff=a0.cutoff, group=spec.group.label(),
         g=spec.coupling, s_ym={t: traj.actions.get(t) for t in spec.times},
+        wilson=wilson_values(traj.states, spec.loops, spec.characters,
+                             spec.wilson_steps),
         attained_time=traj.attained_time, blew_up=traj.blew_up,
         config_hash=config_hash,
     )
-    for t, state in traj.states.items():
-        for lp in spec.loops:
-            values = wilson_loop(state, lp, spec.characters,
-                                 steps=spec.wilson_steps)
-            for ch, w in zip(spec.characters, values):
-                rec.wilson[(lp.name, ch.label(), t)] = w
-    return rec
 
 
 class _StreamModes(NamedTuple):
@@ -312,9 +292,8 @@ def _read_values(spec: EnsembleSpec, products: np.ndarray, cutoff: int) -> dict:
     cutoff whose loop products at its half modes visible at the earliest
     time are products (L, V): mirrored into flat cube order and contracted
     as h_series contracts them."""
-    phases = dict(zip(spec.loops, _phase_sums(_mirrored(products),
-                                              _visible_weights(cutoff, spec.times))))
-    return _u1_values(phases.__getitem__, spec.loops, spec.characters, spec.times)
+    phases = _phase_sums(_mirrored(products), _visible_weights(cutoff, spec.times))
+    return u1_values(phases, spec.loops, spec.characters, spec.times)
 
 
 def _exact_members(spec: EnsembleSpec, stream: int, config_hash: str,

@@ -15,7 +15,8 @@ The connection is evaluated along the loop by truncated Fourier summation
 (exact off-grid evaluation, no interpolation error); the phase
 e^(i 2 pi n.x) factorizes over the axes, so each point costs 3K
 exponentials rather than K^3 and the three mode axes are contracted in
-turn.
+turn.  A sweep (wilson_values) takes one holonomy per time and loop,
+which every character reads.
 
 For U(1) fields the regularized Wilson loop has a closed form: the
 character applied to exp of a mode sum weighted by e^(-4 pi^2 |n|^2 t),
@@ -38,7 +39,8 @@ is built.  h_series reads a field this way, putting its constant mode's
 product at the centre; an ensemble stream forms one product per loop at
 its draw's visible half modes and contracts each member's and the
 reference's own modes of it (ensemble module docstring).  Those exact
-values are the oracle the ODE pipeline is checked against.
+values, which u1_values keys like a sweep's, are the oracle the ODE
+pipeline is checked against.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ __all__ = [
     "FieldEvaluator",
     "holonomy",
     "wilson_loop",
+    "wilson_values",
     "h_series",
+    "u1_values",
     "visible_modes",
     "NEGLIGIBLE_HEAT",
 ]
@@ -468,6 +472,19 @@ def wilson_loop(evaluator, loop: Loop, characters, steps: int = WILSON_STEPS):
     return tuple(ch(h) for ch in characters)
 
 
+def wilson_values(states, loops, characters, steps: int = WILSON_STEPS) -> dict:
+    """Wilson values keyed (loop, character, t) of the connections
+    states {t: connection}: one holonomy per time and loop, which every
+    character reads, keys in time, loop, character order."""
+    values = {}
+    for t, state in states.items():
+        for lp in loops:
+            h = holonomy(state, lp, steps)
+            for ch in characters:
+                values[(lp.name, ch.label(), t)] = ch(h)
+    return values
+
+
 # heat weights below e^(-NEGLIGIBLE_HEAT) < 2^-60 are negligible: modes
 # whose weight at every observation time is below it are left out
 NEGLIGIBLE_HEAT = 41.6
@@ -558,3 +575,14 @@ def h_series(a: SpectralConnection, loop: Loop, t):
     phases = _phase_sums(_mirrored(per_mode[1:], per_mode[0]),
                          _visible_weights(a.cutoff, times))
     return float(phases[0]) if np.ndim(t) == 0 else phases
+
+
+def u1_values(phases, loops, characters, times) -> dict:
+    """Exact U(1) Wilson values keyed (loop, character, t) from phases
+    (L, T), each loop's phase at each of times (h_series), which every
+    character reads."""
+    labels = [ch.label() for ch in characters]
+    # Character.u1_value of every character, loop and time, in one call
+    by_character = _u1_powers([ch.u1_exponent() for ch in characters], phases).tolist()
+    return {(lp.name, label, t): rows[j][i] for j, lp in enumerate(loops)
+            for i, t in enumerate(times) for label, rows in zip(labels, by_character)}

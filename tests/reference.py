@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ymflow.ensemble import EnsembleRecord, _member_record, _u1_values
+from ymflow.ensemble import EnsembleRecord, _member_record
 from ymflow.fields import (
     TWO_PI,
     SpectralConnection,
@@ -43,7 +43,8 @@ from ymflow.flow import (MAX_STEPS, MONOTONE_TOL, FlowTrajectory, _nonlinear_cor
                          _phi_funcs, integrate)
 from ymflow.groups import GroupSpec
 from ymflow.rng import _philox_rounds
-from ymflow.wilson import FieldEvaluator, Loop, _loop_table, h_series, make_loop
+from ymflow.wilson import (FieldEvaluator, Loop, _loop_table, h_series, make_loop,
+                           u1_values)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +127,8 @@ def member_record(spec, stream: int, a0: SpectralConnection, config_hash: str):
     return EnsembleRecord(
         seed=spec.seed, stream=stream, cutoff=a0.cutoff, group=spec.group.label(),
         g=spec.coupling, s_ym={t: traj.actions.get(t) for t in spec.times},
-        wilson=_u1_values(lambda lp: h_series(a0, lp, spec.times),
-                          spec.loops, spec.characters, spec.times),
+        wilson=u1_values([h_series(a0, lp, spec.times) for lp in spec.loops],
+                         spec.loops, spec.characters, spec.times),
         attained_time=traj.attained_time, blew_up=traj.blew_up,
         config_hash=config_hash,
     )

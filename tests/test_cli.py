@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ymflow
 import ymflow.verify as verify_mod
 from ymflow.cli import main
+from ymflow.config import load_config
 from ymflow.fields import SpectralConnection
 from ymflow.storage import read_field, read_manifest
 
@@ -429,14 +431,31 @@ def test_flow_requires_t_end(workspace, capsys):
     assert not (tmp / "no_end" / "trajectory.json").exists()
 
 
-def test_output_dir_env_override(workspace, capsys, monkeypatch):
+@pytest.mark.parametrize("command, manifest_name", [
+    ("sample", "field_u1_N3_seed11_s0.ymf.json"),
+    ("flow", "trajectory.json"),
+    ("wilson", "wilson.json"),
+    ("ensemble", "ensemble.json"),
+], ids=["sample", "flow", "wilson", "ensemble"])
+def test_output_dir_env_override(workspace, capsys, monkeypatch, command, manifest_name):
+    # YMFLOW_OUTPUT outranks --output, and every manifest carries the
+    # fields all commands share
     tmp, cfg = workspace
-    monkeypatch.setenv("YMFLOW_OUTPUT", str(tmp / "envout"))
+    text = (tmp / "run.cfg").read_text().replace("kind = zdds", "kind = u1_exact")
+    cfg = write(tmp / "run.cfg", text.replace("n_samples = 120", "n_samples = 4"))
     assert main(["sample", "--config", cfg]) == 0
+    field = str(tmp / "out" / "field_u1_N3_seed11_s0.ymf")
+    monkeypatch.setenv("YMFLOW_OUTPUT", str(tmp / "envout"))
+    argv = [command, "--config", cfg, "--output", str(tmp / "flag")]
+    assert main(argv + (["--input", field] if command in ("flow", "wilson") else [])) == 0
     capsys.readouterr()
-    assert (tmp / "envout" / "field_u1_N3_seed11_s0.ymf").exists()
-    manifest = read_manifest(tmp / "envout" / "field_u1_N3_seed11_s0.ymf.json")
-    assert "environment" in manifest["output_dir_source"]
+    assert not (tmp / "flag").exists()
+    manifest = read_manifest(tmp / "envout" / manifest_name)
+    assert manifest["command"] == command
+    assert manifest["config"] == load_config(cfg).raw
+    assert manifest["config"]["flow"]["kind"] == "u1_exact"
+    assert manifest["output_dir_source"] == "environment (YMFLOW_OUTPUT)"
+    assert manifest["version"] == ymflow.__version__
 
 
 def test_seed_flag_overrides_config(workspace, capsys):
@@ -620,6 +639,33 @@ times = 0.005 0.01
 [output]
 dir = {out}
 """
+
+
+# SHA-256 of wilson.csv for the U(1) field of the workspace config (with
+# the exact columns) and for the SU(2) field of SU2_CFG flowed by ZDDS
+WILSON_CSV_PINS = [
+    ("u1", "496b2b4c68638ea93a0c29c335811000808b9c6dd3f6be15207c4af4815bfac2"),
+    ("su2_zdds", "9377c40cda32b083f47f6b9b38b6addef8afce84aca980ea8c4eed7981b21cd0"),
+]
+
+
+@pytest.mark.parametrize("case, digest", WILSON_CSV_PINS,
+                         ids=[pin[0] for pin in WILSON_CSV_PINS])
+def test_wilson_csv_bytes_pinned(tmp_path, monkeypatch, capsys, case, digest):
+    import hashlib
+
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    loops = write(tmp_path / "loops.txt", LOOPS)
+    text = (BASE_CFG.format(g="1.0", flow_kind="zdds", loops=loops, out=tmp_path / "out")
+            if case == "u1" else SU2_CFG.format(loops=loops, out=tmp_path / "out"))
+    cfg = write(tmp_path / "run.cfg", text)
+    assert main(["sample", "--config", cfg]) == 0
+    field = next((tmp_path / "out").glob("*.ymf"))
+    assert main(["wilson", "--config", cfg, "--input", str(field)]) == 0
+    capsys.readouterr()
+    got = hashlib.sha256((tmp_path / "out" / "wilson.csv").read_bytes()).hexdigest()
+    assert got == digest
 
 
 def test_wilson_non_abelian_flow_path(tmp_path, monkeypatch, capsys):
@@ -918,6 +964,24 @@ def test_ensemble_needs_no_cutoff_and_takes_its_seed_from_the_flag(workspace, ca
         assert not (tmp / "none").exists()
 
 
+def test_ensemble_manifest_records_the_seed(tmp_path, monkeypatch, capsys):
+    # a seed given by --seed alone is the records' seed, and ensemble.json
+    # records it as the sample manifest does
+    monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    text = EXACT_CFG.format(loops=write(tmp_path / "loops.txt", LOOPS))
+    assert "seed = 11\n" in text
+    cfg = write(tmp_path / "noseed.cfg", text.replace("seed = 11\n", ""))
+    assert main(["ensemble", "--config", cfg, "--seed", "42",
+                 "--output", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    manifest = read_manifest(tmp_path / "out" / "ensemble.json")
+    assert "seed" not in manifest["config"]["sampler"]
+    assert manifest["seed"] == 42
+    with (tmp_path / "out" / "records.csv").open() as fh:
+        assert {row["seed"] for row in csv.DictReader(fh)} == {"42"}
+
+
 def test_flow_counts_time_from_its_input_field(tmp_path, monkeypatch, capsys):
     # a resumed flow names its checkpoints and records t by the time elapsed
     # since its input: from checkpoint_t0.01.ymf with t_end = 0.01 it writes
@@ -1071,7 +1135,8 @@ FLOW_SECTION = "[flow]\nkind = zdds\nt_end = 0.01\ndt_initial = 1e-3\ncheckpoint
     ("wilson", FLOW_SECTION, "a [flow] section is required"),
     ("wilson", "file = {loops}\n", "[loops] file is required"),
     ("wilson", "times = 0.005 0.01\n", "[wilson] times is required"),
-], ids=["flow_section", "su2_wilson_flow", "loops_file", "wilson_times"])
+    ("ensemble", "times = 0.01\n", "[ensemble] times is required"),
+], ids=["flow_section", "su2_wilson_flow", "loops_file", "wilson_times", "ensemble_times"])
 def test_a_missing_required_key_is_named_before_any_output(tmp_path, monkeypatch, capsys,
                                                            command, drop, words):
     # config.KEYS says which command requires which key: the one check
@@ -1079,14 +1144,15 @@ def test_a_missing_required_key_is_named_before_any_output(tmp_path, monkeypatch
     monkeypatch.delenv("YMFLOW_OUTPUT", raising=False)
     monkeypatch.chdir(tmp_path)
     loops = write(tmp_path / "loops.txt", LOOPS)
-    text = SU2_CFG.format(loops=loops, out=tmp_path / "out")
+    text = SU2_CFG.format(loops=loops, out=tmp_path / "out") \
+        + "\n[ensemble]\ncutoffs = 2\nn_samples = 2\ntimes = 0.01\n"
     assert main(["sample", "--config", write(tmp_path / "su2.cfg", text)]) == 0
     field = str(tmp_path / "out" / "field_su2_N2_seed5_s0.ymf")
     drop = drop.format(loops=loops)
     assert drop in text
     cfg = write(tmp_path / "bad.cfg", text.replace(drop, ""))
     capsys.readouterr()
-    assert main([command, "--config", cfg, "--input", field,
-                 "--output", str(tmp_path / "bad")]) == 1
+    argv = [command, "--config", cfg, "--output", str(tmp_path / "bad")]
+    assert main(argv + (["--input", field] if command != "ensemble" else [])) == 1
     assert capsys.readouterr().err == f"error: {words}\n"
     assert not (tmp_path / "bad").exists()

@@ -28,7 +28,7 @@ from ymflow.ensemble import (
 from ymflow.gff import SamplerConfig, sample_initial
 from ymflow.groups import SU2, U1, GroupSpec
 from ymflow.wilson import (Character, h_series, parse_loop_file, rectangle_loop,
-                           visible_modes)
+                           u1_values, visible_modes)
 
 PLAQ = rectangle_loop((0.1, 0.2, 0.3), 0, 1, 0.25, 0.25, name="plaq")
 CYCLE = axis_cycle(0, (0, 0.25, 0.5), name="cx")
@@ -626,7 +626,6 @@ def test_draws_once_per_stream(monkeypatch, flow):
 def test_members_from_one_draw_equal_direct_draws(kind, scale_to_h1, reference_cutoff):
     # filling each member from the stream's draw gives its direct draw bit
     # for bit, and a member's actions are those of integrate on that draw
-    import ymflow.ensemble as ens
     if kind == "u1_exact":
         spec = u1_spec(n_samples=3, cutoffs=(2, 4, 8), times=(0.02, 0.005))
     elif kind == "ym":
@@ -647,8 +646,8 @@ def test_members_from_one_draw_equal_direct_draws(kind, scale_to_h1, reference_c
     for stream, values in (reference or {}).items():
         a_ref = sample_initial(U1, "u1_coulomb", reference_cutoff, spec.seed,
                                stream, spec.coupling)
-        assert values == ens._u1_values(lambda lp: h_series(a_ref, lp, spec.times),
-                                        spec.loops, spec.characters, spec.times)
+        assert values == u1_values([h_series(a_ref, lp, spec.times) for lp in spec.loops],
+                                   spec.loops, spec.characters, spec.times)
 
 
 def test_stream_draws_member_and_heat_visible_modes():
@@ -966,7 +965,6 @@ def test_exact_read_out_equals_member_oracle(cutoffs, times, reference_cutoff, t
     # a cut one, and a largest member cutoff cut at t_min (at t = 0.05 the
     # visible radius is about 4.6), where the members' modes among the
     # visible ones are a proper gather, with or without a reference
-    import ymflow.ensemble as ens
 
     def cut(c):
         return len(visible_modes(c, min(times))) < (2 * c + 1) ** 3
@@ -988,8 +986,8 @@ def test_exact_read_out_equals_member_oracle(cutoffs, times, reference_cutoff, t
     for stream, values in (reference or {}).items():
         a_ref = sample_initial(U1, "u1_coulomb", reference_cutoff, spec.seed, stream,
                                spec.coupling)
-        want = ens._u1_values(lambda lp: h_series(a_ref, lp, spec.times),
-                              spec.loops, spec.characters, spec.times)
+        want = u1_values([h_series(a_ref, lp, spec.times) for lp in spec.loops],
+                         spec.loops, spec.characters, spec.times)
         assert repr(values) == repr(want)
 
 
